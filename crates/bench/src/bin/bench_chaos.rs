@@ -41,7 +41,6 @@ use bqs_constructions::prelude::*;
 use bqs_core::quorum::QuorumSystem;
 use bqs_epoch::{SuspicionConfig, SuspicionEngine};
 use bqs_net::prelude::*;
-use bqs_service::metrics::ServiceMetrics;
 
 /// The masking level every run assumes (`n = 4b + 1 = 5` threshold system).
 const B: usize = 1;
@@ -213,16 +212,16 @@ fn main() {
                                 o.safety_violations()
                             ));
                         }
-                        if o.reads_completed == 0 {
+                        if o.ops.reads == 0 {
                             failures.push(format!(
                                 "{}/{} seed {seed:#x}: no read completed at b = {B} (degradation must stay graceful)",
                                 run.backend, o.scenario
                             ));
                         }
-                        if o.reads_aborted > 0 {
+                        if o.ops.reads_aborted > 0 {
                             failures.push(format!(
                                 "{}/{} seed {seed:#x}: {} read(s) aborted at b = {B} (retries must absorb chaos inside the masking envelope)",
-                                run.backend, o.scenario, o.reads_aborted
+                                run.backend, o.scenario, o.ops.reads_aborted
                             ));
                         }
                     } else if !o.detected() {
@@ -258,8 +257,8 @@ fn main() {
             let b = run_scenario_loopback(scenario, &system, B, faults, Some(&weights), &config);
             let outcome_match = a.trace_events == b.trace_events
                 && a.safety_violations() == b.safety_violations()
-                && a.reads_completed == b.reads_completed
-                && a.writes_completed == b.writes_completed;
+                && a.ops.reads == b.ops.reads
+                && a.ops.writes == b.ops.writes;
             if a.trace_fingerprint != b.trace_fingerprint || !outcome_match {
                 failures.push(format!(
                     "replay {}/{faults}: fingerprints {:#x} vs {:#x}, outcome match {outcome_match}",
@@ -295,22 +294,21 @@ fn main() {
         reply_deadline: Duration::from_millis(100),
         ..ScenarioConfig::default()
     };
-    let suspicion_metrics = Arc::new(ServiceMetrics::new(n));
-    let suspicion_outcome = run_scenario_loopback_with_metrics(
+    let suspicion_outcome = run_scenario_loopback(
         suspicion_scenario,
         &system,
         B,
         B,
         Some(&weights),
         &suspicion_run_config,
-        &suspicion_metrics,
     );
+    let suspicion_metrics = &suspicion_outcome.metrics;
     let mut engine = SuspicionEngine::new(n, SuspicionConfig::default());
     // The latency channel reads cumulative evidence, so ticking the settled
     // metrics drives the accrual score to the suspect threshold for exactly
     // the servers whose p99 towers over the fleet median.
     for _ in 0..3 {
-        engine.tick(&suspicion_metrics);
+        engine.tick(suspicion_metrics);
     }
     let flagged = engine.suspects().to_vec();
     let coalition: Vec<usize> = (0..B).collect();
@@ -326,10 +324,11 @@ fn main() {
             "suspicion/timeout_inflation: flagged {flagged:?}, expected exactly the coalition {coalition:?} (p99s {server_p99_ns:?} ns)"
         ));
     }
-    if suspicion_outcome.timeouts != 0 || suspicion_outcome.retries != 0 {
+    if suspicion_metrics.timeouts() != 0 || suspicion_metrics.retries() != 0 {
         failures.push(format!(
             "suspicion/timeout_inflation: {} timeout(s), {} retrie(s) — the adversary must stay invisible to the counters or the objective tests nothing",
-            suspicion_outcome.timeouts, suspicion_outcome.retries
+            suspicion_metrics.timeouts(),
+            suspicion_metrics.retries()
         ));
     }
     if suspicion_outcome.safety_violations() > 0 {
@@ -366,25 +365,25 @@ fn main() {
             o.safety_violations() == 0,
             o.detected(),
             o.safety_violations(),
-            o.authenticity_violations,
-            o.ryw_violations,
-            o.writes_completed,
-            o.writes_aborted,
-            o.reads_completed,
-            o.reads_inconclusive,
-            o.reads_aborted,
+            o.ops.fabricated,
+            o.ops.stale,
+            o.ops.writes,
+            o.ops.writes_aborted,
+            o.ops.reads,
+            o.ops.inconclusive,
+            o.ops.reads_aborted,
             if run.seconds > 0.0 {
-                o.reads_aborted as f64 / run.seconds
+                o.ops.reads_aborted as f64 / run.seconds
             } else {
                 0.0
             },
-            o.no_live_quorum,
-            o.timeouts,
-            o.retries,
-            o.aborts,
-            o.drops,
-            o.duplicates,
-            o.delayed,
+            o.ops.unavailable,
+            o.metrics.timeouts(),
+            o.metrics.retries(),
+            o.metrics.aborts(),
+            o.chaos.dropped + o.chaos.partitioned,
+            o.chaos.duplicated,
+            o.chaos.delayed,
             o.trace_events,
             o.trace_fingerprint,
             run.seconds,
@@ -421,8 +420,8 @@ fn main() {
             .join(", "),
         coalition.iter().all(|s| flagged.contains(s)),
         flagged.iter().any(|s| !coalition.contains(s)),
-        suspicion_outcome.timeouts,
-        suspicion_outcome.retries,
+        suspicion_metrics.timeouts(),
+        suspicion_metrics.retries(),
         server_p99_ns
             .iter()
             .map(|v| v.to_string())
@@ -459,12 +458,12 @@ fn main() {
             o.scenario,
             o.faults,
             run.seed,
-            o.reads_completed,
+            o.ops.reads,
             o.safety_violations(),
-            o.timeouts,
-            o.retries,
-            o.drops,
-            o.duplicates,
+            o.metrics.timeouts(),
+            o.metrics.retries(),
+            o.chaos.dropped + o.chaos.partitioned,
+            o.chaos.duplicated,
         );
     }
     println!(
@@ -473,7 +472,8 @@ fn main() {
     );
     println!(
         "latency-inflation suspicion: flagged {flagged:?}, coalition {coalition:?} (timeouts {}, retries {})",
-        suspicion_outcome.timeouts, suspicion_outcome.retries
+        suspicion_metrics.timeouts(),
+        suspicion_metrics.retries()
     );
     println!("wrote {output}");
 

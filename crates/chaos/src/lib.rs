@@ -15,8 +15,10 @@
 //!
 //! [`scenario`] packages the perturbations with the matching Byzantine server
 //! behaviours from `bqs-sim` into named [`ChaosScenario`] families, and
-//! [`scenario::run_scenario`] drives a single-writer workload against them,
-//! checking the two masking invariants the paper promises at `b` faults:
+//! [`scenario::run_scenario`] drives a single-writer workload against them
+//! (its [`ScenarioOutcome`] carries the operation tally, the client's
+//! metrics and the interposer's stats), checking the two masking invariants
+//! the paper promises at `b` faults:
 //!
 //! * **value authenticity** — a completed read never returns a fabricated
 //!   entry (one whose value was not produced by the writer, or whose
@@ -36,19 +38,15 @@ pub mod reconfig;
 pub mod scenario;
 pub mod transport;
 
-pub use reconfig::ReconfigScenario;
-pub use scenario::{
-    run_scenario, run_scenario_loopback, run_scenario_loopback_with_metrics,
-    run_scenario_with_metrics, ChaosScenario, ScenarioConfig, ScenarioOutcome,
-};
-pub use transport::{ChaosConfig, ChaosStats, ChaosTransport, Decision, TraceEvent};
+pub use prelude::*;
 
-/// Convenient glob import for benches and tests.
+/// Convenient glob import for benches and tests — also the crate root's re-exports.
 pub mod prelude {
     pub use crate::reconfig::ReconfigScenario;
     pub use crate::scenario::{
-        run_scenario, run_scenario_loopback, run_scenario_loopback_with_metrics,
-        run_scenario_with_metrics, ChaosScenario, ScenarioConfig, ScenarioOutcome,
+        run_scenario, run_scenario_loopback, ChaosScenario, ScenarioConfig, ScenarioOutcome,
     };
-    pub use crate::transport::{ChaosConfig, ChaosStats, ChaosTransport, Decision, TraceEvent};
+    pub use crate::transport::{
+        ChaosConfig, ChaosStats, ChaosStatsSnapshot, ChaosTransport, Decision, TraceEvent,
+    };
 }

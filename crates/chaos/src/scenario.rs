@@ -21,21 +21,20 @@ use std::time::Duration;
 
 use bqs_core::bitset::ServerSet;
 use bqs_core::quorum::QuorumSystem;
-use bqs_service::client::{ServiceClient, ServiceError};
+use bqs_service::client::ServiceClient;
 use bqs_service::metrics::ServiceMetrics;
-use bqs_service::runner::authentic_value;
+use bqs_service::runner::{authentic_value, OpTally};
 use bqs_service::shard::{LoopbackService, TimestampOracle};
 use bqs_service::transport::Transport;
-use bqs_sim::client::ProtocolError;
 use bqs_sim::fault::FaultPlan;
 use bqs_sim::server::{ByzantineStrategy, Entry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::transport::{ChaosConfig, ChaosTransport};
+use crate::transport::{ChaosConfig, ChaosStatsSnapshot, ChaosTransport};
 
 /// The chaos scenario families. Each pairs a transport perturbation with the
-/// Byzantine strategy it stresses; see [`ChaosScenario::chaos_config`] and
+/// Byzantine strategy it stresses; see [`ChaosScenario::chaos_config_for`] and
 /// [`ChaosScenario::fault_plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosScenario {
@@ -113,13 +112,15 @@ impl ChaosScenario {
         }
     }
 
-    /// The transport perturbation for a universe of `n` servers.
+    /// The transport perturbation for a universe of `n` servers with the
+    /// family's `faults` Byzantine servers placed (the slow families slow
+    /// exactly those).
     ///
     /// Delays are kept well under the runner's reply deadline so that *when*
     /// a reply arrives never decides *whether* it arrives — timing noise must
     /// not flip a deterministic outcome.
     #[must_use]
-    pub fn chaos_config(self, n: usize) -> ChaosConfig {
+    pub fn chaos_config_for(self, n: usize, faults: usize) -> ChaosConfig {
         match self {
             ChaosScenario::DelayJitter => ChaosConfig {
                 delay_base: Duration::from_micros(100),
@@ -144,13 +145,13 @@ impl ChaosScenario {
                 ..ChaosConfig::default()
             },
             ChaosScenario::SlowServers => ChaosConfig {
-                slow_servers: Vec::new(), // filled per fault count below
+                slow_servers: (0..faults).collect(),
                 slow_extra: Duration::from_micros(400),
                 ..ChaosConfig::default()
             },
             ChaosScenario::Targeted => ChaosConfig::default(),
             ChaosScenario::TimeoutInflation => ChaosConfig {
-                slow_servers: Vec::new(), // filled per fault count below
+                slow_servers: (0..faults).collect(),
                 // Far above any honest round trip, comfortably below every
                 // runner's reply deadline (the tightest is 25 ms in this
                 // crate's own tests): the inflated replies always *arrive*,
@@ -160,20 +161,6 @@ impl ChaosScenario {
                 ..ChaosConfig::default()
             },
         }
-    }
-
-    /// As [`ChaosScenario::chaos_config`], with the parts that depend on the
-    /// fault placement (the slow-server set) filled in.
-    #[must_use]
-    pub fn chaos_config_for(self, n: usize, faults: usize) -> ChaosConfig {
-        let mut config = self.chaos_config(n);
-        if matches!(
-            self,
-            ChaosScenario::SlowServers | ChaosScenario::TimeoutInflation
-        ) {
-            config.slow_servers = (0..faults).collect();
-        }
-        config
     }
 
     /// The Byzantine fault plan at `faults` Byzantine servers. `weights` is
@@ -191,64 +178,34 @@ impl ChaosScenario {
     /// (`faults > n`, or `faults >= n` for the partition family).
     #[must_use]
     pub fn fault_plan(self, n: usize, faults: usize, weights: Option<&[f64]>) -> FaultPlan {
-        match self {
-            ChaosScenario::DelayJitter | ChaosScenario::DropRetry | ChaosScenario::Reorder => {
-                byzantine_prefix(
-                    n,
-                    faults,
-                    ByzantineStrategy::FabricateHighTimestamp { value: 0xDEAD },
-                )
+        let strategy = match self {
+            ChaosScenario::DelayJitter
+            | ChaosScenario::DropRetry
+            | ChaosScenario::Reorder
+            | ChaosScenario::Partition => {
+                ByzantineStrategy::FabricateHighTimestamp { value: 0xDEAD }
             }
-            ChaosScenario::Duplicate => byzantine_prefix(
-                n,
-                faults,
-                ByzantineStrategy::EquivocatePerClient { salt: 0xC0A1 },
-            ),
-            ChaosScenario::Partition => {
-                assert!(faults < n, "partitioned server must stay correct");
-                byzantine_prefix(
-                    n,
-                    faults,
-                    ByzantineStrategy::FabricateHighTimestamp { value: 0xDEAD },
-                )
-            }
-            ChaosScenario::SlowServers => byzantine_prefix(
-                n,
-                faults,
-                ByzantineStrategy::StaleEpochReplay { epoch_len: 4 },
-            ),
-            ChaosScenario::Targeted => match weights {
-                Some(weights) => FaultPlan::targeted_by_weight(
-                    n,
-                    faults,
-                    ByzantineStrategy::FabricateHighTimestamp { value: 0xBEEF },
-                    weights,
-                ),
-                None => byzantine_prefix(
-                    n,
-                    faults,
-                    ByzantineStrategy::FabricateHighTimestamp { value: 0xBEEF },
-                ),
-            },
+            ChaosScenario::Duplicate => ByzantineStrategy::EquivocatePerClient { salt: 0xC0A1 },
+            ChaosScenario::SlowServers => ByzantineStrategy::StaleEpochReplay { epoch_len: 4 },
+            ChaosScenario::Targeted => ByzantineStrategy::FabricateHighTimestamp { value: 0xBEEF },
             // The inflating servers are also the Byzantine coalition: at `b`
             // their slowness must be absorbed without safety or liveness
             // loss, at `b + 1` their fabrication must still break through
             // the masking despite arriving late.
-            ChaosScenario::TimeoutInflation => byzantine_prefix(
-                n,
-                faults,
-                ByzantineStrategy::FabricateHighTimestamp { value: 0x51_0D },
-            ),
+            ChaosScenario::TimeoutInflation => {
+                ByzantineStrategy::FabricateHighTimestamp { value: 0x51_0D }
+            }
+        };
+        if self == ChaosScenario::Partition {
+            assert!(faults < n, "partitioned server must stay correct");
         }
+        if let (ChaosScenario::Targeted, Some(weights)) = (self, weights) {
+            return FaultPlan::targeted_by_weight(n, faults, strategy, weights);
+        }
+        (0..faults).fold(FaultPlan::none(n), |plan, server| {
+            plan.with_byzantine(server, strategy)
+        })
     }
-}
-
-fn byzantine_prefix(n: usize, faults: usize, strategy: ByzantineStrategy) -> FaultPlan {
-    let mut plan = FaultPlan::none(n);
-    for server in 0..faults {
-        plan = plan.with_byzantine(server, strategy);
-    }
-    plan
 }
 
 /// Workload knobs for [`run_scenario`].
@@ -295,36 +252,20 @@ pub struct ScenarioOutcome {
     pub faults: usize,
     /// The masking level the client assumed.
     pub b: usize,
-    /// Writes that completed (full-quorum acks).
-    pub writes_completed: u64,
-    /// Writes abandoned after the retry budget (or failing terminally).
-    pub writes_aborted: u64,
-    /// Reads that completed with a safe value.
-    pub reads_completed: u64,
-    /// Reads that completed without any `b + 1`-supported value
-    /// (inconclusive, not unsafe).
-    pub reads_inconclusive: u64,
-    /// Reads abandoned after the retry budget.
-    pub reads_aborted: u64,
-    /// Operations that found no live quorum at all.
-    pub no_live_quorum: u64,
-    /// Completed reads returning a fabricated entry (value not produced by
-    /// the writer, or timestamp never allocated).
-    pub authenticity_violations: u64,
-    /// Completed reads older than the writer's last completed write.
-    pub ryw_violations: u64,
-    /// Client-side degradation tallies (from [`ServiceMetrics`]).
-    pub timeouts: u64,
-    /// Retried attempts.
-    pub retries: u64,
-    /// Abandoned operations.
-    pub aborts: u64,
-    /// Requests the interposer dropped or partitioned away.
-    pub drops: u64,
-    /// Requests the interposer duplicated.
-    pub duplicates: u64,
-    /// Requests the interposer delayed.
-    pub delayed: u64,
+    /// How the workload's operations ended: completions, aborts, and the
+    /// safety verdicts — `fabricated` counts authenticity violations (a value
+    /// the writer never produced, or a timestamp never allocated), `stale`
+    /// read-your-writes violations (a read older than the writer's last
+    /// completed write).
+    pub ops: OpTally,
+    /// The run's client-side metrics: the degradation tallies (timeouts,
+    /// retries, aborts) and the per-server failure-detector evidence — the
+    /// latency-inflation objective feeds them to `bqs-epoch`'s suspicion
+    /// engine and asserts the [`ChaosScenario::TimeoutInflation`] coalition
+    /// is flagged on p99 evidence alone.
+    pub metrics: Arc<ServiceMetrics>,
+    /// What the interposer did to the request stream.
+    pub chaos: ChaosStatsSnapshot,
     /// Total chaos decisions made.
     pub trace_events: u64,
     /// The deterministic fold of every chaos decision — equal across replays
@@ -336,7 +277,7 @@ impl ScenarioOutcome {
     /// Total safety violations (authenticity + read-your-writes).
     #[must_use]
     pub fn safety_violations(&self) -> u64 {
-        self.authenticity_violations + self.ryw_violations
+        self.ops.safety_violations()
     }
 
     /// Whether the run *detected* a masking break (what must be true at
@@ -368,33 +309,6 @@ where
     T: Transport + 'static,
 {
     let metrics = Arc::new(ServiceMetrics::new(system.universe_size()));
-    run_scenario_with_metrics(
-        scenario, system, b, faults, responsive, chaos, config, &metrics,
-    )
-}
-
-/// [`run_scenario`] recording into caller-supplied [`ServiceMetrics`] — the
-/// entry point for harnesses that inspect the per-server failure-detector
-/// evidence afterwards (notably the latency-inflation objective, which feeds
-/// the metrics to `bqs-epoch`'s suspicion engine and asserts the
-/// [`ChaosScenario::TimeoutInflation`] coalition is flagged on p99 evidence
-/// alone).
-#[allow(clippy::too_many_arguments)]
-pub fn run_scenario_with_metrics<Q, T>(
-    scenario: ChaosScenario,
-    system: &Q,
-    b: usize,
-    faults: usize,
-    responsive: ServerSet,
-    chaos: &ChaosTransport<T>,
-    config: &ScenarioConfig,
-    metrics: &Arc<ServiceMetrics>,
-) -> ScenarioOutcome
-where
-    Q: QuorumSystem + ?Sized,
-    T: Transport + 'static,
-{
-    let metrics = Arc::clone(metrics);
     let clock = TimestampOracle::new();
     let mut client = ServiceClient::new(system, chaos, responsive, b)
         .with_origin(1)
@@ -402,107 +316,47 @@ where
         .with_retries(config.retries, config.backoff)
         .with_metrics(Arc::clone(&metrics));
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5ce0_a210);
-
-    let mut outcome = ScenarioOutcome {
-        scenario: scenario.name(),
-        faults,
-        b,
-        writes_completed: 0,
-        writes_aborted: 0,
-        reads_completed: 0,
-        reads_inconclusive: 0,
-        reads_aborted: 0,
-        no_live_quorum: 0,
-        authenticity_violations: 0,
-        ryw_violations: 0,
-        timeouts: 0,
-        retries: 0,
-        aborts: 0,
-        drops: 0,
-        duplicates: 0,
-        delayed: 0,
-        trace_events: 0,
-        trace_fingerprint: 0,
-    };
+    let mut tally = OpTally::default();
     // The single writer's read-your-writes frontier: completed writes only
     // (an aborted write promises nothing).
     let mut last_completed_write = 0u64;
 
-    let do_write = |client: &mut ServiceClient<'_, Q, ChaosTransport<T>>,
-                    rng: &mut StdRng,
-                    outcome: &mut ScenarioOutcome,
-                    last_completed_write: &mut u64| {
-        let ts = clock.allocate();
-        let entry = Entry {
-            timestamp: ts,
-            value: authentic_value(ts),
+    // The write phase, then the reads with a fresh write before every
+    // `write_every`-th one.
+    let schedule = (0..config.writes)
+        .map(|_| true)
+        .chain((0..config.reads).flat_map(|read| {
+            let write_first = config.write_every > 0 && read > 0 && read % config.write_every == 0;
+            write_first.then_some(true).into_iter().chain([false])
+        }));
+    for is_write in schedule {
+        let outcome = if is_write {
+            let ts = clock.allocate();
+            let entry = Entry {
+                timestamp: ts,
+                value: authentic_value(ts),
+            };
+            client.write(entry, &mut rng).map(|_| {
+                last_completed_write = ts;
+                None
+            })
+        } else {
+            client.read(&mut rng).map(|read| Some(read.entry))
         };
-        match client.write(entry, rng) {
-            Ok(_) => {
-                outcome.writes_completed += 1;
-                *last_completed_write = ts;
-            }
-            Err(ServiceError::TransportFailure) => outcome.writes_aborted += 1,
-            Err(ServiceError::Protocol(_)) => outcome.no_live_quorum += 1,
-            Err(ServiceError::EpochFenced { .. }) => {
-                unreachable!("the chaos workload never reconfigures")
-            }
-        }
-    };
-
-    for _ in 0..config.writes {
-        do_write(
-            &mut client,
-            &mut rng,
-            &mut outcome,
-            &mut last_completed_write,
-        );
+        tally.record(is_write, outcome, &clock, last_completed_write);
     }
-    for read_index in 0..config.reads {
-        if config.write_every > 0 && read_index > 0 && read_index % config.write_every == 0 {
-            do_write(
-                &mut client,
-                &mut rng,
-                &mut outcome,
-                &mut last_completed_write,
-            );
-        }
-        match client.read(&mut rng) {
-            Ok(read) => {
-                outcome.reads_completed += 1;
-                let entry = read.entry;
-                if entry.timestamp > clock.latest()
-                    || entry.value != authentic_value(entry.timestamp)
-                {
-                    outcome.authenticity_violations += 1;
-                }
-                if entry.timestamp < last_completed_write {
-                    outcome.ryw_violations += 1;
-                }
-            }
-            Err(ServiceError::Protocol(ProtocolError::NoSafeValue)) => {
-                outcome.reads_inconclusive += 1;
-            }
-            Err(ServiceError::Protocol(ProtocolError::NoLiveQuorum)) => {
-                outcome.no_live_quorum += 1;
-            }
-            Err(ServiceError::TransportFailure) => outcome.reads_aborted += 1,
-            Err(ServiceError::EpochFenced { .. }) => {
-                unreachable!("the chaos workload never reconfigures")
-            }
-        }
-    }
+    assert_eq!(tally.fenced, 0, "the chaos workload never reconfigures");
 
-    outcome.timeouts = metrics.timeouts();
-    outcome.retries = metrics.retries();
-    outcome.aborts = metrics.aborts();
-    let stats = chaos.stats();
-    outcome.drops = stats.dropped + stats.partitioned;
-    outcome.duplicates = stats.duplicated;
-    outcome.delayed = stats.delayed;
-    outcome.trace_events = chaos.trace_len();
-    outcome.trace_fingerprint = chaos.trace_fingerprint();
-    outcome
+    ScenarioOutcome {
+        scenario: scenario.name(),
+        faults,
+        b,
+        ops: tally,
+        metrics,
+        chaos: chaos.stats(),
+        trace_events: chaos.trace_len(),
+        trace_fingerprint: chaos.trace_fingerprint(),
+    }
 }
 
 /// Convenience wrapper for the in-process backend: builds the family's fault
@@ -521,24 +375,6 @@ pub fn run_scenario_loopback<Q>(
 where
     Q: QuorumSystem + ?Sized,
 {
-    let metrics = Arc::new(ServiceMetrics::new(system.universe_size()));
-    run_scenario_loopback_with_metrics(scenario, system, b, faults, weights, config, &metrics)
-}
-
-/// [`run_scenario_loopback`] recording into caller-supplied metrics (see
-/// [`run_scenario_with_metrics`]).
-pub fn run_scenario_loopback_with_metrics<Q>(
-    scenario: ChaosScenario,
-    system: &Q,
-    b: usize,
-    faults: usize,
-    weights: Option<&[f64]>,
-    config: &ScenarioConfig,
-    metrics: &Arc<ServiceMetrics>,
-) -> ScenarioOutcome
-where
-    Q: QuorumSystem + ?Sized,
-{
     let n = system.universe_size();
     let plan = scenario.fault_plan(n, faults, weights);
     let service = Arc::new(LoopbackService::spawn(&plan, 2, config.seed));
@@ -549,9 +385,7 @@ where
         scenario.id(),
         scenario.chaos_config_for(n, faults),
     );
-    run_scenario_with_metrics(
-        scenario, system, b, faults, responsive, &chaos, config, metrics,
-    )
+    run_scenario(scenario, system, b, faults, responsive, &chaos, config)
 }
 
 #[cfg(test)]
@@ -578,7 +412,7 @@ mod tests {
                 scenario.name()
             );
             assert!(
-                at_b.reads_completed > 0,
+                at_b.ops.reads > 0,
                 "{}: degradation must stay graceful at b ({at_b:?})",
                 scenario.name()
             );
@@ -614,8 +448,8 @@ mod tests {
                 "{}: replay must reproduce the safety outcome",
                 scenario.name()
             );
-            assert_eq!(first.reads_completed, second.reads_completed);
-            assert_eq!(first.writes_completed, second.writes_completed);
+            assert_eq!(first.ops.reads, second.ops.reads);
+            assert_eq!(first.ops.writes, second.ops.writes);
             // And a different seed genuinely perturbs differently.
             let reseeded = run_scenario_loopback(
                 scenario,

@@ -39,14 +39,9 @@ pub mod manager;
 pub mod runner;
 pub mod suspicion;
 
-pub use config::{EpochConfig, EpochPlanner, StrategySource};
-pub use manager::{EpochManager, EpochTransition, TickOutcome};
-pub use runner::{
-    run_reconfigure, run_reconfigure_loopback, PhaseSummary, ReconfigConfig, ReconfigOutcome,
-};
-pub use suspicion::{SuspicionConfig, SuspicionEngine};
+pub use prelude::*;
 
-/// Convenient glob import for benches and tests.
+/// Convenient glob import for benches and tests — also the crate root's re-exports.
 pub mod prelude {
     pub use crate::config::{EpochConfig, EpochPlanner, StrategySource};
     pub use crate::manager::{EpochManager, EpochTransition, TickOutcome};

@@ -30,6 +30,7 @@ use bqs_core::bitset::ServerSet;
 use bqs_core::error::QuorumError;
 use bqs_service::metrics::ServiceMetrics;
 use bqs_sim::epoch::EpochGate;
+use bqs_sim::server::mix64;
 
 use crate::config::{EpochConfig, EpochPlanner};
 use crate::suspicion::{SuspicionConfig, SuspicionEngine};
@@ -191,27 +192,19 @@ impl EpochManager {
     pub fn fingerprint(&self) -> u64 {
         let mut h = 0x0e9c_0c0d_5eed_u64;
         for t in &self.transitions {
-            h = mix(h ^ t.from);
-            h = mix(h ^ t.to);
-            h = mix(h ^ t.tick);
+            h = mix64(h ^ t.from);
+            h = mix64(h ^ t.to);
+            h = mix64(h ^ t.tick);
             for s in t.suspects.iter() {
-                h = mix(h ^ (s as u64 + 1));
+                h = mix64(h ^ (s as u64 + 1));
             }
             for s in t.survivors.iter() {
-                h = mix(h ^ ((s as u64) << 32));
+                h = mix64(h ^ ((s as u64) << 32));
             }
-            h = mix(h ^ t.certified_load.to_bits());
+            h = mix64(h ^ t.certified_load.to_bits());
         }
         h
     }
-}
-
-/// The splitmix64 finalizer.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

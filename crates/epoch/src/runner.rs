@@ -47,6 +47,7 @@ use bqs_service::shard::{LoopbackService, TimestampOracle};
 use bqs_service::transport::Transport;
 use bqs_sim::epoch::EpochGate;
 use bqs_sim::fault::FaultPlan;
+use bqs_sim::server::mix64;
 
 use crate::config::{EpochPlanner, StrategySource};
 use crate::manager::{EpochManager, TickOutcome};
@@ -215,8 +216,7 @@ pub fn run_reconfigure<T: Transport + 'static>(
                          system: &StrategicQuorumSystem<ExplicitQuorumSystem>,
                          arrivals: usize,
                          salt: u64,
-                         metrics: Option<&ServiceMetrics>,
-                         phases: &mut Vec<PhaseSummary>|
+                         metrics: Option<&ServiceMetrics>|
      -> OpenLoopReport {
         let burst = OpenLoopConfig {
             offered_rate: config.offered_rate,
@@ -229,7 +229,7 @@ pub fn run_reconfigure<T: Transport + 'static>(
             max_in_flight_per_worker: 1 << 14,
             op_deadline: config.op_deadline,
             tail_deadline: config.tail_deadline,
-            seed: config.seed ^ mix(salt),
+            seed: config.seed ^ mix64(salt),
         };
         let report = run_open_loop_session(
             system,
@@ -265,7 +265,6 @@ pub fn run_reconfigure<T: Transport + 'static>(
         config.healthy_arrivals,
         1,
         Some(&evidence),
-        &mut phases,
     );
     let healthy_steady = manager.tick(&evidence)? == TickOutcome::Steady;
 
@@ -283,7 +282,6 @@ pub fn run_reconfigure<T: Transport + 'static>(
             config.detect_arrivals,
             0x10 + detect_ticks as u64,
             Some(&evidence),
-            &mut phases,
         );
         detect_ticks += 1;
         if let TickOutcome::Reconfigured { .. } = manager.tick(&evidence)? {
@@ -316,7 +314,6 @@ pub fn run_reconfigure<T: Transport + 'static>(
             config.migrate_arrivals,
             0x40,
             Some(&evidence),
-            &mut phases,
         );
         debug_assert_eq!(migrate.fenced, 0, "the open window must serve e + 1");
 
@@ -325,15 +322,7 @@ pub fn run_reconfigure<T: Transport + 'static>(
         debug_assert!(matches!(finalized, TickOutcome::Finalized { .. }));
 
         // Phase 6: the stale probe — epoch 0 must now be fenced in-band.
-        let probe = run_phase(
-            "stale_probe",
-            0,
-            &sys0,
-            config.probe_arrivals,
-            0x50,
-            None,
-            &mut phases,
-        );
+        let probe = run_phase("stale_probe", 0, &sys0, config.probe_arrivals, 0x50, None);
         fenced_after_finalize = probe.fenced;
         stale_completed = probe.completed();
 
@@ -346,7 +335,6 @@ pub fn run_reconfigure<T: Transport + 'static>(
             config.measure_arrivals,
             0x60,
             Some(&measure_metrics),
-            &mut phases,
         );
         access_counts = measure_metrics.access_counts();
         load_operations = measure.load_operations;
@@ -359,17 +347,17 @@ pub fn run_reconfigure<T: Transport + 'static>(
     let suspects = manager.engine().suspects();
     let detection_exact = suspects.to_vec() == killed;
     let trace_fingerprint = transport.trace_fingerprint();
-    let mut fingerprint = mix(manager.fingerprint() ^ trace_fingerprint);
+    let mut fingerprint = mix64(manager.fingerprint() ^ trace_fingerprint);
     for &e in &epochs {
-        fingerprint = mix(fingerprint ^ e);
+        fingerprint = mix64(fingerprint ^ e);
     }
     for s in suspects.iter() {
-        fingerprint = mix(fingerprint ^ (s as u64 + 1));
+        fingerprint = mix64(fingerprint ^ (s as u64 + 1));
     }
-    fingerprint = mix(fingerprint ^ load_operations);
-    fingerprint = mix(fingerprint ^ stale_completed);
+    fingerprint = mix64(fingerprint ^ load_operations);
+    fingerprint = mix64(fingerprint ^ stale_completed);
     for &c in &access_counts {
-        fingerprint = mix(fingerprint ^ c);
+        fingerprint = mix64(fingerprint ^ c);
     }
 
     Ok(ReconfigOutcome {
@@ -435,14 +423,6 @@ pub fn run_reconfigure_loopback(
         &move |dead: &[usize]| svc.crash_servers(dead),
         config,
     )
-}
-
-/// The splitmix64 finalizer (the same fold the chaos trace uses).
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

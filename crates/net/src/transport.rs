@@ -70,6 +70,7 @@ use std::time::{Duration, Instant};
 
 use bqs_service::mailbox::ReplyHandle;
 use bqs_service::transport::{Reply, Request, Transport};
+use bqs_sim::server::mix64;
 
 use crate::codec::{encode_request, encode_request_batch, FrameReader, WireMessage, WireRequest};
 use crate::stream::{Endpoint, Stream};
@@ -535,21 +536,12 @@ impl Drop for SocketTransport {
     }
 }
 
-/// One splitmix64 scramble — the standard 64-bit finaliser, enough bits to
-/// decorrelate (seed, connection, attempt) triples without any RNG state.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// The pause before reconnect attempt `attempt` (1-based) on connection
 /// `conn_index`: linear growth scaled by a deterministic jitter factor in
 /// `[0.5, 1.5)`, so distinct connections (or distinct seeds) back off on
 /// diverging schedules instead of redialling a restarted server in lockstep.
 fn reconnect_delay(seed: u64, conn_index: usize, attempt: u32, base: Duration) -> Duration {
-    let hash = splitmix64(
+    let hash = mix64(
         seed ^ (conn_index as u64).wrapping_mul(0xd192_ed03_a5a5_0001) ^ (u64::from(attempt) << 48),
     );
     // 53 high bits → uniform in [0, 1); jitter factor in [0.5, 1.5).
@@ -636,11 +628,14 @@ fn read_replies(conn: &Arc<Conn>, mut stream: Stream, my_generation: u64) {
                         .expect("slot table lock")
                         .take(reply.request_id);
                     if let Some(taken) = taken {
-                        // The caller sees its own id, not the wire id. Epoch
-                        // and staleness pass through from the wire: a fenced
-                        // reply's epoch is the *server's* current epoch.
+                        // The caller sees its own id, not the wire id, and
+                        // the server it *addressed*: the slot, not the frame,
+                        // says who was asked, so a peer cannot vote under
+                        // another server's name. Epoch and staleness pass
+                        // through from the wire: a fenced reply's epoch is
+                        // the *server's* current epoch.
                         taken.reply.complete(Reply {
-                            server: reply.server,
+                            server: taken.server,
                             request_id: taken.caller_id,
                             entry: reply.entry,
                             epoch: reply.epoch,

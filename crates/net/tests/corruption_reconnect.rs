@@ -4,11 +4,14 @@
 //! well-formed traffic as if nothing happened.
 
 use std::io::{Read, Write};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bqs_constructions::prelude::*;
+use bqs_core::bitset::ServerSet;
 use bqs_net::codec::{
-    encode_request, encode_request_batch, FrameReader, WireMessage, WireRequest, HEADER_LEN, MAGIC,
+    encode_reply, encode_request, encode_request_batch, FrameReader, WireMessage, WireRequest,
+    HEADER_LEN, MAGIC,
 };
 use bqs_net::prelude::*;
 use bqs_service::prelude::*;
@@ -212,4 +215,116 @@ fn embedded_magic_inside_a_corrupt_batch_does_not_derail_resync() {
     reader.push(&wire);
     assert_eq!(reader.next_message(), Some(WireMessage::Request(good)));
     assert!(reader.resyncs() >= 1);
+}
+
+const HONEST: Entry = Entry {
+    timestamp: 1,
+    value: 10,
+};
+/// Fresher than `HONEST`: it wins a read the moment it has `b + 1` votes.
+const LIE: Entry = Entry {
+    timestamp: 999,
+    value: 666,
+};
+
+/// A peer that serves one connection of read requests. Every server answers
+/// `HONEST` under its own name except server 3, which answers `LIE` — under
+/// its own name the first time it is asked, as "server `alias`" after that.
+fn spawn_misattributing_peer(alias: usize) -> (Endpoint, std::thread::JoinHandle<()>) {
+    let listener = Listener::bind_tcp("127.0.0.1:0".parse().unwrap()).unwrap();
+    let endpoint = listener.endpoint().unwrap();
+    let peer = std::thread::spawn(move || {
+        let mut stream = listener.accept().unwrap();
+        let mut reader = FrameReader::new();
+        let mut chunk = [0u8; 512];
+        let mut asked_before = false;
+        loop {
+            let got = match stream.read(&mut chunk) {
+                Ok(0) | Err(_) => return, // the client hung up
+                Ok(got) => got,
+            };
+            reader.push(&chunk[..got]);
+            let mut wire = Vec::new();
+            while let Some(WireMessage::Request(request)) = reader.next_message() {
+                let (server, entry) = match request.server {
+                    3 if asked_before => (alias, LIE),
+                    3 => (3, LIE),
+                    honest => (honest, HONEST),
+                };
+                asked_before |= request.server == 3;
+                let reply = Reply {
+                    server,
+                    request_id: request.request_id,
+                    entry: Some(entry),
+                    epoch: request.epoch,
+                    stale: false,
+                };
+                encode_reply(&reply, &mut wire);
+            }
+            stream.write_all(&wire).unwrap();
+        }
+    });
+    (endpoint, peer)
+}
+
+/// A duplicating network in front of the socket transport: server 3 is asked
+/// twice per fan-out (same caller id, same sink — what the chaos interposer's
+/// duplicate family does), and first, so its answers race nobody.
+struct AskThreeTwice(SocketTransport);
+
+impl Transport for AskThreeTwice {
+    fn universe_size(&self) -> usize {
+        self.0.universe_size()
+    }
+
+    fn send(&self, request: Request) -> bool {
+        self.0.send(request)
+    }
+
+    fn send_batch(&self, requests: &mut Vec<Request>) -> bool {
+        requests.sort_by_key(|r| r.server != 3);
+        if let Some(first) = requests.first().filter(|r| r.server == 3) {
+            let twin = Request {
+                reply: Arc::clone(&first.reply),
+                ..*first
+            };
+            requests.insert(0, twin);
+        }
+        self.0.send_batch(requests)
+    }
+}
+
+/// The wire's `server` field is the peer's claim, not an identity: a reply is
+/// attributed to the server its slot addressed. A peer answering a second
+/// request for server 3 under another server's name — in range or not — must
+/// get no second vote and must not index the client's per-server metrics out
+/// of bounds; the read completes exactly as if the duplicate had been honest.
+#[test]
+fn a_reply_is_attributed_to_the_addressed_server_not_the_wire_claim() {
+    let system = ThresholdSystem::minimal_masking(1).unwrap(); // 4-of-5, b = 1
+    for alias in [4, 17] {
+        // 4: a real server outside the only live quorum; 17: no server at all.
+        let (endpoint, peer) = spawn_misattributing_peer(alias);
+        let config = NetConfig {
+            pool: 1,
+            request_deadline: Duration::from_millis(500),
+            ..NetConfig::default()
+        };
+        let transport = AskThreeTwice(SocketTransport::connect(endpoint, 5, config).unwrap());
+        let metrics = Arc::new(ServiceMetrics::new(5));
+        let responsive = ServerSet::from_indices(5, [0, 1, 2, 3]);
+        let mut client = ServiceClient::new(&system, &transport, responsive, 1)
+            .with_reply_deadline(Duration::from_secs(5))
+            .with_metrics(Arc::clone(&metrics));
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..3 {
+            let read = client.read(&mut rng).expect("every member answered");
+            assert_eq!(read.entry, HONEST, "alias {alias}: the liar voted twice");
+        }
+        assert_eq!(metrics.server_answer_counts(), vec![3, 3, 3, 3, 0]);
+        assert_eq!(metrics.timeouts(), 0, "alias {alias}");
+        drop(client);
+        drop(transport);
+        peer.join().unwrap();
+    }
 }

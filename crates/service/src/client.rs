@@ -11,24 +11,27 @@
 //! 2. fan the operation out to every quorum member in **one**
 //!    [`Transport::send_batch`] call (one shard wake / one syscall per
 //!    destination, not one per member);
-//! 3. gather exactly one reply per member from the client's private reply
-//!    mailbox, matching by request id — ids are strictly increasing across
-//!    the client's lifetime, so stragglers from an aborted earlier operation
-//!    are recognised and dropped without reallocating anything;
+//! 3. gather replies from the client's private reply mailbox — ids are
+//!    strictly increasing across the client's lifetime, so stragglers from an
+//!    aborted earlier operation are recognised by id and dropped without
+//!    reallocating anything — and let the operation's
+//!    [`bqs_sim::quorum_op::QuorumOp`] decide which of them count (quorum
+//!    member, right epoch, one vote per server, never a fence);
 //! 4. for reads, resolve the value with the shared masking rule
-//!    ([`bqs_sim::client::resolve_read`]): entries with at least `b + 1`
-//!    supporters are safe, the freshest safe entry wins.
+//!    ([`QuorumOp::resolve`]): entries with at least `b + 1` supporters are
+//!    safe, the freshest safe entry wins.
 //!
-//! The client is deliberately transport-agnostic and system-generic — it is
-//! the same protocol logic as the single-threaded simulator's client, re-cast
-//! over message passing so many of them can run against shared shards.
+//! The client is deliberately transport-agnostic and system-generic — a
+//! message-passing shell around the same protocol core the single-threaded
+//! simulator's client uses, so many of them can run against shared shards.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use bqs_core::bitset::ServerSet;
 use bqs_core::quorum::QuorumSystem;
-use bqs_sim::client::{choose_access_quorum, resolve_read, ProtocolError};
+use bqs_sim::client::{choose_access_quorum, ProtocolError};
+use bqs_sim::quorum_op::{Admission, QuorumOp};
 use bqs_sim::server::{mix64, Entry};
 use rand::Rng;
 
@@ -89,27 +92,6 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// Why one rendezvous attempt failed — the retry policy's input. All three
-/// collapse to [`ServiceError::TransportFailure`] at the public surface, but
-/// they are treated differently inside: refusals and quiet deadlines are
-/// retryable transients, while a *closed* reply mailbox means the reply path
-/// is gone for good (reader thread died, service torn down) and retrying the
-/// same transport would only burn the backoff budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RendezvousFailure {
-    /// The transport refused at least one request of the fan-out.
-    Refused,
-    /// The reply deadline passed with replies still missing; the transport
-    /// may merely be slow.
-    TimedOut,
-    /// The reply mailbox reported closure: no reply can ever arrive.
-    Closed,
-    /// A server fenced the request: the client's epoch is retired. Carries
-    /// the newest epoch a fencing server reported. Terminal for the retry
-    /// loop — only a configuration refresh can make progress.
-    Fenced(u64),
-}
-
 /// The outcome of a completed service read.
 #[derive(Debug, Clone)]
 pub struct ServiceReadOutcome {
@@ -145,8 +127,10 @@ pub struct ServiceClient<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> {
     /// Stragglers from aborted operations are filtered by id, so the mailbox
     /// never needs replacing.
     reply_mailbox: Arc<ReplyMailbox>,
-    /// Scratch buffers reused across operations (fan-out requests, drained
-    /// replies): the steady-state hot path allocates nothing.
+    /// The operation in progress and the scratch buffers (fan-out requests,
+    /// drained replies), all reused across operations: the steady-state hot
+    /// path allocates nothing beyond the sampled quorum.
+    op: QuorumOp,
     fanout: Vec<Request>,
     drained: Vec<Reply>,
 }
@@ -169,6 +153,7 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
             metrics: None,
             next_request_id: 0,
             reply_mailbox: Arc::new(ReplyMailbox::new()),
+            op: QuorumOp::default(),
             fanout: Vec::new(),
             drained: Vec::new(),
         }
@@ -211,20 +196,6 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
         self.epoch = epoch;
     }
 
-    /// The epoch currently stamped on requests.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Replaces the failure-detector view — paired with [`set_epoch`] when a
-    /// reconfiguration shrinks the universe to the surviving servers.
-    ///
-    /// [`set_epoch`]: ServiceClient::set_epoch
-    pub fn set_responsive(&mut self, responsive: ServerSet) {
-        self.responsive = responsive;
-    }
-
     /// Enables graceful degradation: up to `limit` retries per operation after
     /// a refused send or an expired reply deadline, sleeping an exponentially
     /// doubled `base_backoff` jittered to `[0.5, 1.5)` between attempts (the
@@ -249,35 +220,21 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
         self
     }
 
-    /// The client's reply mailbox — exposed so tests and harnesses can model
-    /// reply-path death (closing it from outside) and assert the client fails
-    /// fast instead of burning its deadline.
-    #[must_use]
-    pub fn reply_mailbox(&self) -> &Arc<ReplyMailbox> {
-        &self.reply_mailbox
-    }
-
-    /// The masking level the client assumes.
-    #[must_use]
-    pub fn masking_b(&self) -> usize {
-        self.b
-    }
-
-    /// Fans `op` out to every member of `quorum` in one batched transport
-    /// call and gathers one reply per member, matching by request id.
+    /// One attempt: fans `op` out to every member of the current operation's
+    /// quorum in one batched transport call and gathers replies until every
+    /// member's vote is in (`Ok(true)`). `Ok(false)` is a transient failure —
+    /// a refused send, or a reply deadline that passed with votes missing
+    /// (the transport may merely be slow) — which [`ServiceClient::operate`]
+    /// may retry; a fence and a closed reply path are final.
     ///
     /// Ids are strictly increasing across the client's lifetime, so a reply
     /// with an id below this operation's range is a straggler from an aborted
-    /// earlier rendezvous and is silently dropped — the mailbox is never
-    /// replaced, unlike the old channel-per-failure scheme.
-    fn rendezvous(
-        &mut self,
-        quorum: &ServerSet,
-        op: Operation,
-    ) -> Result<Vec<(usize, Option<Entry>)>, RendezvousFailure> {
-        let expected = quorum.len();
+    /// earlier rendezvous — older epoch stamp, possibly older strategy — and
+    /// is dropped before it can vote on or fence this operation. Everything
+    /// else about admission is [`QuorumOp::admit`]'s.
+    fn rendezvous(&mut self, op: Operation) -> Result<bool, ServiceError> {
         let first_id = self.next_request_id + 1;
-        for server in quorum.iter() {
+        for server in self.op.quorum().iter() {
             self.next_request_id += 1;
             self.fanout.push(Request {
                 server,
@@ -292,11 +249,10 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
             // Partial delivery is possible; the id filter below absorbs any
             // replies the accepted members still produce.
             self.fanout.clear();
-            return Err(RendezvousFailure::Refused);
+            return Ok(false);
         }
         let started = std::time::Instant::now();
-        let mut replies: Vec<(usize, Option<Entry>)> = Vec::with_capacity(expected);
-        while replies.len() < expected {
+        while !self.op.is_complete() {
             debug_assert!(self.drained.is_empty());
             match self
                 .reply_mailbox
@@ -307,99 +263,87 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
                     if let Some(metrics) = &self.metrics {
                         metrics.record_timeout();
                         // Silence past the deadline is per-server failure
-                        // evidence: accuse exactly the members still missing.
-                        for server in quorum.iter() {
-                            if !replies.iter().any(|&(s, _)| s == server) {
-                                metrics.record_server_no_answer(server);
-                            }
+                        // evidence against exactly the members still missing.
+                        for server in self.op.unanswered() {
+                            metrics.record_server_no_answer(server);
                         }
                     }
-                    return Err(RendezvousFailure::TimedOut);
+                    return Ok(false);
                 }
-                // The reply path is gone: fail fast, never wait out the
-                // deadline, and let the caller skip the retry loop entirely.
-                DrainStatus::Closed => return Err(RendezvousFailure::Closed),
+                // The reply path is gone for good (reader thread died,
+                // service torn down): fail fast, never wait out the deadline,
+                // and never retry — that would only burn the backoff budget.
+                DrainStatus::Closed => return Err(self.abort()),
             }
+            // Fence policy: report the newest epoch of the drained batch.
             let mut fenced_at: Option<u64> = None;
             for reply in self.drained.drain(..) {
-                // Straggler filter first: replies from an aborted earlier
-                // rendezvous (id below this operation's range) carry an older
-                // epoch stamp and possibly an older strategy — they must
-                // neither add support nor fence this operation.
                 if reply.request_id < first_id {
                     continue;
                 }
-                if reply.stale {
-                    // The servers retired this client's epoch mid-operation.
-                    fenced_at = Some(fenced_at.map_or(reply.epoch, |e| e.max(reply.epoch)));
-                    continue;
-                }
-                // Epoch guard: a served reply must echo this operation's own
-                // stamp. With the id filter above this is belt-and-braces —
-                // but it is the invariant the masking argument rests on (no
-                // quorum mixes replies gathered under two strategies), so it
-                // is enforced here rather than assumed.
-                if reply.epoch != self.epoch {
-                    continue;
-                }
-                // Duplicate filter: a duplicating network must not let a
-                // single Byzantine server reach b + 1 support by echo.
-                if replies.iter().any(|&(server, _)| server == reply.server) {
-                    continue;
-                }
-                if let Some(metrics) = &self.metrics {
-                    // Failure-detector evidence. A write is acknowledged by
-                    // an in-band None, so only reads can accuse a server of
-                    // giving no protocol answer.
-                    let answered = match op {
-                        Operation::Write(_) => true,
-                        Operation::Read => reply.entry.is_some(),
-                    };
-                    if answered {
-                        metrics.record_server_answer(
-                            reply.server,
-                            started.elapsed().as_nanos() as u64,
-                        );
-                    } else {
-                        metrics.record_server_no_answer(reply.server);
+                match self
+                    .op
+                    .admit(reply.server, reply.entry, reply.epoch, reply.stale)
+                {
+                    Admission::Ignored => {}
+                    Admission::Fenced { current } => {
+                        fenced_at = Some(fenced_at.map_or(current, |e| e.max(current)));
+                    }
+                    Admission::Counted { answered } => {
+                        if let Some(metrics) = &self.metrics {
+                            metrics.record_server_vote(reply.server, answered, started);
+                        }
                     }
                 }
-                replies.push((reply.server, reply.entry));
             }
+            // Never retried: under the retired strategy a retry can only be
+            // fenced again. A signal, not a failure — no abort is recorded.
             if let Some(current) = fenced_at {
-                return Err(RendezvousFailure::Fenced(current));
+                return Err(ServiceError::EpochFenced { current });
             }
         }
-        Ok(replies)
+        Ok(true)
     }
 
-    /// Applies the retry policy after a failed rendezvous: returns `true` to
-    /// retry (after the jittered backoff sleep), `false` to abort. Closure is
-    /// terminal regardless of remaining budget. (Fencing never reaches here —
-    /// the operation loops surface it as [`ServiceError::EpochFenced`]
-    /// before consulting the retry policy.)
-    fn back_off_or_abort(&self, failure: RendezvousFailure, attempt: &mut u32) -> bool {
-        if failure == RendezvousFailure::Closed || *attempt >= self.retry_limit {
-            if let Some(metrics) = &self.metrics {
-                metrics.record_abort();
-            }
-            return false;
-        }
-        *attempt += 1;
+    /// Records an abandoned operation and names its error.
+    fn abort(&self) -> ServiceError {
         if let Some(metrics) = &self.metrics {
-            metrics.record_retry();
+            metrics.record_abort();
         }
-        let base = self.retry_backoff.as_nanos() as u64;
-        let doubled = base.saturating_mul(1u64 << (*attempt - 1).min(16));
-        // The same deterministic [0.5, 1.5) jitter shape as the socket
-        // transport's reconnect backoff, keyed so concurrent clients desync.
-        let key = mix64(self.origin ^ self.next_request_id ^ u64::from(*attempt));
-        let factor = 0.5 + (key >> 11) as f64 / (1u64 << 53) as f64;
-        let nanos = (doubled as f64 * factor) as u64;
-        if nanos > 0 {
-            std::thread::sleep(Duration::from_nanos(nanos));
+        ServiceError::TransportFailure
+    }
+
+    /// Runs one operation to completion: choose a quorum, rendezvous, and on
+    /// a transient failure (a refusal, a quiet deadline) sleep the jittered
+    /// backoff and retry against a freshly chosen quorum, `retry_limit` times
+    /// at most. A fence or a closed reply path ends the operation at once.
+    /// On `Ok` the votes sit in `self.op`.
+    fn operate<R: Rng>(&mut self, op: Operation, rng: &mut R) -> Result<(), ServiceError> {
+        let mut attempt = 0u32;
+        loop {
+            let quorum = choose_access_quorum(self.system, &self.responsive, rng)?;
+            self.op.restart(quorum, op.kind(), self.epoch);
+            if self.rendezvous(op)? {
+                return Ok(());
+            }
+            if attempt >= self.retry_limit {
+                return Err(self.abort());
+            }
+            attempt += 1;
+            if let Some(metrics) = &self.metrics {
+                metrics.record_retry();
+            }
+            let base = self.retry_backoff.as_nanos() as u64;
+            let doubled = base.saturating_mul(1u64 << (attempt - 1).min(16));
+            // The same deterministic [0.5, 1.5) jitter shape as the socket
+            // transport's reconnect backoff, keyed so concurrent clients desync.
+            let key = mix64(self.origin ^ self.next_request_id ^ u64::from(attempt));
+            let factor = 0.5 + (key >> 11) as f64 / (1u64 << 53) as f64;
+            let nanos = (doubled as f64 * factor) as u64;
+            if nanos > 0 {
+                std::thread::sleep(Duration::from_nanos(nanos));
+            }
         }
-        true
     }
 
     /// Writes `entry` to a quorum chosen by the access strategy.
@@ -410,21 +354,8 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
     /// quorum of responsive servers exists; [`ServiceError::TransportFailure`]
     /// when the service is gone.
     pub fn write<R: Rng>(&mut self, entry: Entry, rng: &mut R) -> Result<ServerSet, ServiceError> {
-        let mut attempt = 0u32;
-        loop {
-            let quorum = choose_access_quorum(self.system, &self.responsive, rng)?;
-            match self.rendezvous(&quorum, Operation::Write(entry)) {
-                Ok(_) => return Ok(quorum),
-                Err(RendezvousFailure::Fenced(current)) => {
-                    return Err(ServiceError::EpochFenced { current })
-                }
-                Err(failure) => {
-                    if !self.back_off_or_abort(failure, &mut attempt) {
-                        return Err(ServiceError::TransportFailure);
-                    }
-                }
-            }
-        }
+        self.operate(Operation::Write(entry), rng)?;
+        Ok(self.op.take_quorum())
     }
 
     /// Reads the register, masking up to `b` Byzantine replies.
@@ -435,27 +366,12 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
     /// [`ProtocolError::NoSafeValue`] as in the simulator, or
     /// [`ServiceError::TransportFailure`] when the service is gone.
     pub fn read<R: Rng>(&mut self, rng: &mut R) -> Result<ServiceReadOutcome, ServiceError> {
-        let mut attempt = 0u32;
-        loop {
-            let quorum = choose_access_quorum(self.system, &self.responsive, rng)?;
-            match self.rendezvous(&quorum, Operation::Read) {
-                Ok(replies) => {
-                    let (best, _safe) = resolve_read(&replies, self.b)?;
-                    return Ok(ServiceReadOutcome {
-                        entry: best,
-                        quorum,
-                    });
-                }
-                Err(RendezvousFailure::Fenced(current)) => {
-                    return Err(ServiceError::EpochFenced { current })
-                }
-                Err(failure) => {
-                    if !self.back_off_or_abort(failure, &mut attempt) {
-                        return Err(ServiceError::TransportFailure);
-                    }
-                }
-            }
-        }
+        self.operate(Operation::Read, rng)?;
+        let (entry, _safe) = self.op.resolve(self.b)?;
+        Ok(ServiceReadOutcome {
+            entry,
+            quorum: self.op.take_quorum(),
+        })
     }
 }
 
@@ -701,7 +617,7 @@ mod tests {
             .with_retries(5, Duration::from_millis(1))
             .with_metrics(Arc::clone(&metrics));
         // The reader thread dies: its teardown closes the client's sink.
-        client.reply_mailbox().close();
+        client.reply_mailbox.close();
         let mut rng = StdRng::seed_from_u64(4);
         let started = std::time::Instant::now();
         let err = client
@@ -830,7 +746,7 @@ mod tests {
         client.set_epoch(2);
         let outcome = client.read(&mut rng).unwrap();
         assert_eq!(outcome.entry, entry, "state survives the fence");
-        assert_eq!(client.epoch(), 2);
+        assert_eq!(client.epoch, 2);
     }
 
     #[test]

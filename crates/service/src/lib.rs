@@ -23,15 +23,16 @@
 //! * [`metrics`] — lock-free relaxed-atomic per-server access counters, a
 //!   fixed-bucket latency histogram, and throughput counters;
 //! * [`client`] — [`client::ServiceClient`]: the masking read/write protocol
-//!   over any [`bqs_core::quorum::QuorumSystem`], re-using the simulator's
-//!   probe-and-fallback quorum selection and `b + 1`-support read resolution,
-//!   recast over message passing;
+//!   over any [`bqs_core::quorum::QuorumSystem`] — a message-passing shell
+//!   (fan-out, deadline, retry, straggler ids) around the one protocol core,
+//!   [`bqs_sim::quorum_op::QuorumOp`], which decides what counts;
 //! * [`runner`] — [`runner::run_service`]: a closed-loop load generator
 //!   (configurable client count, read/write mix, `FaultPlan` reuse) with
 //!   online safety checking sound under concurrency (value authenticity plus
-//!   single-writer read-your-writes); [`runner::run_service_on`] runs the
-//!   same workload against an existing service so repeated trials can reuse
-//!   one shard pool;
+//!   single-writer read-your-writes) — [`runner::judge_read`] and the
+//!   [`runner::OpTally`] every generator's report is filled from;
+//!   [`runner::run_service_on`] runs the same workload against an existing
+//!   service so repeated trials can reuse one shard pool;
 //! * [`openloop`] — [`openloop::run_open_loop`]: an open-loop generator
 //!   (Poisson arrivals at a configured *offered* rate, virtual clients
 //!   multiplexed on a few worker threads, operation pipelining) that works
@@ -82,28 +83,19 @@ pub mod runner;
 pub mod shard;
 pub mod transport;
 
-pub use client::{ServiceClient, ServiceError, ServiceReadOutcome};
-pub use mailbox::{DrainStatus, Mailbox, ReplyHandle, ReplyMailbox, ReplySink};
-pub use metrics::{LatencyHistogram, ServiceMetrics};
-pub use openloop::{
-    run_open_loop, run_open_loop_at_epoch, run_open_loop_session, OpenLoopConfig, OpenLoopReport,
-    OpenLoopSession,
-};
-pub use runner::{authentic_value, run_service, run_service_on, ServiceConfig, ServiceReport};
-pub use shard::{LoopbackService, TimestampOracle};
-pub use transport::{Operation, Reply, Request, Transport};
+pub use prelude::*;
 
-/// Convenient glob import for examples and benches.
+/// Convenient glob import for examples and benches — also the crate root's re-exports.
 pub mod prelude {
     pub use crate::client::{ServiceClient, ServiceError, ServiceReadOutcome};
     pub use crate::mailbox::{DrainStatus, Mailbox, ReplyHandle, ReplyMailbox, ReplySink};
     pub use crate::metrics::{LatencyHistogram, ServiceMetrics};
     pub use crate::openloop::{
-        run_open_loop, run_open_loop_at_epoch, run_open_loop_session, OpenLoopConfig,
-        OpenLoopReport, OpenLoopSession,
+        run_open_loop, run_open_loop_session, OpenLoopConfig, OpenLoopReport, OpenLoopSession,
     };
     pub use crate::runner::{
-        authentic_value, run_service, run_service_on, ServiceConfig, ServiceReport,
+        authentic_value, judge_read, run_service, run_service_on, OpTally, ReadVerdict,
+        ServiceConfig, ServiceReport,
     };
     pub use crate::shard::{LoopbackService, TimestampOracle};
     pub use crate::transport::{Operation, Reply, Request, Transport};

@@ -218,6 +218,16 @@ impl ServiceMetrics {
         self.server_no_answers[server].fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records one counted vote of an operation fanned out at `asked` as
+    /// failure-detector evidence: an answer with its latency, or a no-answer.
+    pub fn record_server_vote(&self, server: usize, answered: bool, asked: std::time::Instant) {
+        if answered {
+            self.record_server_answer(server, asked.elapsed().as_nanos() as u64);
+        } else {
+            self.record_server_no_answer(server);
+        }
+    }
+
     /// Snapshot of per-server answer counts.
     #[must_use]
     pub fn server_answer_counts(&self) -> Vec<u64> {

@@ -46,15 +46,17 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bqs_core::bitset::ServerSet;
 use bqs_core::quorum::QuorumSystem;
-use bqs_sim::client::{choose_access_quorum, resolve_read, ProtocolError};
+use bqs_sim::client::choose_access_quorum;
+use bqs_sim::quorum_op::{Admission, QuorumOp};
 use bqs_sim::server::Entry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::mailbox::{DrainStatus, ReplyHandle, ReplyMailbox};
 use crate::metrics::{LatencyHistogram, ServiceMetrics};
-use crate::runner::authentic_value;
+use crate::runner::{authentic_value, OpTally};
 use crate::shard::TimestampOracle;
 use crate::transport::{Operation, Reply, Request, Transport};
 
@@ -180,42 +182,39 @@ impl OpenLoopReport {
     pub fn is_safe(&self) -> bool {
         self.safety_violations == 0
     }
-
-    /// Fraction of the offered arrivals that completed a round trip.
-    #[must_use]
-    pub fn completion_ratio(&self) -> f64 {
-        if self.scheduled == 0 {
-            return 1.0;
-        }
-        self.completed() as f64 / self.scheduled as f64
-    }
 }
 
 /// One in-flight operation awaiting its quorum replies.
 struct PendingOp {
     started: Instant,
-    deadline: Instant,
-    is_write: bool,
-    quorum: bqs_core::bitset::ServerSet,
-    replies: Vec<(usize, Option<Entry>)>,
+    op: QuorumOp,
 }
 
 /// Per-worker tallies folded into the final report.
 #[derive(Debug, Default)]
 struct WorkerTally {
-    writes: u64,
-    reads: u64,
-    inconclusive: u64,
+    /// How the operations that reached the protocol ended.
+    ops: OpTally,
     shed: u64,
     timed_out: u64,
-    no_live_quorum: u64,
     rejected: u64,
-    fenced: u64,
-    violations: u64,
     peak_in_flight: u64,
     latencies_ns: Vec<u64>,
     last_completion: Option<Instant>,
     last_arrival: Option<Instant>,
+}
+
+/// What every worker of one run shares.
+struct Run<'a, Q: ?Sized, T: ?Sized> {
+    system: &'a Q,
+    b: usize,
+    transport: &'a T,
+    responsive: &'a ServerSet,
+    config: &'a OpenLoopConfig,
+    epoch: u64,
+    metrics: Option<&'a ServiceMetrics>,
+    clock: &'a TimestampOracle,
+    hist: LatencyHistogram,
 }
 
 /// Drives `transport` with Poisson arrivals at `config.offered_rate` and
@@ -238,14 +237,21 @@ pub fn run_open_loop<Q, T>(
     system: &Q,
     b: usize,
     transport: &T,
-    responsive: &bqs_core::bitset::ServerSet,
+    responsive: &ServerSet,
     config: &OpenLoopConfig,
 ) -> OpenLoopReport
 where
     Q: QuorumSystem + ?Sized,
     T: Transport + ?Sized,
 {
-    run_open_loop_at_epoch(system, b, transport, responsive, config, 0, None)
+    run_open_loop_session(
+        system,
+        b,
+        transport,
+        responsive,
+        config,
+        &OpenLoopSession::default(),
+    )
 }
 
 /// Ambient state an open-loop run shares with the longer-lived session it is
@@ -267,59 +273,25 @@ pub struct OpenLoopSession<'a> {
     pub clock: Option<&'a TimestampOracle>,
 }
 
-/// [`run_open_loop`] with an explicit epoch stamp and optional client-side
-/// metrics — the entry point reconfiguration harnesses use. `epoch` is
-/// stamped on every request (a service that has never reconfigured runs at
-/// epoch 0); when `metrics` is given, completed operations record per-server
-/// access counts (feeding [`ServiceMetrics::empirical_loads`]) and every
+/// [`run_open_loop`] as one phase of a multi-run session — the entry point
+/// reconfiguration harnesses use. The session supplies the epoch stamped on
+/// every request (a service that has never reconfigured runs at epoch 0),
+/// the client-side metrics — completed operations record per-server access
+/// counts (feeding [`ServiceMetrics::empirical_loads`]) and every counted
 /// reply feeds the per-server failure-detector evidence the `bqs-epoch`
-/// suspicion engine reads.
+/// suspicion engine reads — and (crucially) the shared writer clock; see
+/// [`OpenLoopSession`].
 ///
 /// # Panics
 ///
-/// As [`run_open_loop`]; additionally if `metrics` covers a different
-/// universe than the system.
-#[must_use]
-pub fn run_open_loop_at_epoch<Q, T>(
-    system: &Q,
-    b: usize,
-    transport: &T,
-    responsive: &bqs_core::bitset::ServerSet,
-    config: &OpenLoopConfig,
-    epoch: u64,
-    metrics: Option<&ServiceMetrics>,
-) -> OpenLoopReport
-where
-    Q: QuorumSystem + ?Sized,
-    T: Transport + ?Sized,
-{
-    run_open_loop_session(
-        system,
-        b,
-        transport,
-        responsive,
-        config,
-        &OpenLoopSession {
-            epoch,
-            metrics,
-            clock: None,
-        },
-    )
-}
-
-/// [`run_open_loop_at_epoch`] as one phase of a multi-run session: the
-/// session supplies the epoch stamp, the evidence metrics, and (crucially)
-/// the shared writer clock — see [`OpenLoopSession`].
-///
-/// # Panics
-///
-/// As [`run_open_loop_at_epoch`].
+/// As [`run_open_loop`]; additionally if the session's metrics cover a
+/// different universe than the system.
 #[must_use]
 pub fn run_open_loop_session<Q, T>(
     system: &Q,
     b: usize,
     transport: &T,
-    responsive: &bqs_core::bitset::ServerSet,
+    responsive: &ServerSet,
     config: &OpenLoopConfig,
     session: &OpenLoopSession<'_>,
 ) -> OpenLoopReport
@@ -327,9 +299,7 @@ where
     Q: QuorumSystem + ?Sized,
     T: Transport + ?Sized,
 {
-    let epoch = session.epoch;
-    let metrics = session.metrics;
-    if let Some(metrics) = metrics {
+    if let Some(metrics) = session.metrics {
         assert_eq!(
             metrics.universe_size(),
             system.universe_size(),
@@ -360,51 +330,31 @@ where
         "write fraction is a probability"
     );
 
-    let owned_clock;
-    let clock: &TimestampOracle = match session.clock {
-        Some(shared) => shared,
-        None => {
-            owned_clock = TimestampOracle::new();
-            &owned_clock
-        }
-    };
-    prime_register(
+    let owned_clock = TimestampOracle::new();
+    let run = Run {
         system,
+        b,
         transport,
         responsive,
-        clock,
-        config.seed,
-        epoch,
-        config.op_deadline,
-    );
+        config,
+        epoch: session.epoch,
+        metrics: session.metrics,
+        clock: session.clock.unwrap_or(&owned_clock),
+        hist: LatencyHistogram::new(),
+    };
+    prime_register(&run);
 
     let workers = config.workers.min(config.total_arrivals);
     let per_worker_rate = config.offered_rate / workers as f64;
-    let hist = LatencyHistogram::new();
     let started = Instant::now();
     let tallies: Vec<WorkerTally> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for worker_id in 0..workers {
-            let hist = &hist;
+            let run = &run;
             // Spread the remainder so exactly `total_arrivals` are scheduled.
             let quota = config.total_arrivals / workers
                 + usize::from(worker_id < config.total_arrivals % workers);
-            handles.push(scope.spawn(move || {
-                worker_loop(
-                    system,
-                    b,
-                    transport,
-                    responsive,
-                    clock,
-                    hist,
-                    config,
-                    worker_id,
-                    quota,
-                    per_worker_rate,
-                    epoch,
-                    metrics,
-                )
-            }));
+            handles.push(scope.spawn(move || worker_loop(run, worker_id, quota, per_worker_rate)));
         }
         handles
             .into_iter()
@@ -416,15 +366,10 @@ where
     let mut last_completion = started;
     let mut last_arrival = started;
     for t in tallies {
-        folded.writes += t.writes;
-        folded.reads += t.reads;
-        folded.inconclusive += t.inconclusive;
+        folded.ops += t.ops;
         folded.shed += t.shed;
         folded.timed_out += t.timed_out;
-        folded.no_live_quorum += t.no_live_quorum;
         folded.rejected += t.rejected;
-        folded.fenced += t.fenced;
-        folded.violations += t.violations;
         folded.peak_in_flight += t.peak_in_flight;
         folded.latencies_ns.extend(t.latencies_ns);
         if let Some(at) = t.last_completion {
@@ -436,7 +381,7 @@ where
     }
     folded.latencies_ns.sort_unstable();
     let elapsed = (last_completion - started).as_secs_f64();
-    let completed = folded.writes + folded.reads + folded.inconclusive;
+    let completed = folded.ops.round_trips();
     let quantile = |q: f64| -> u64 {
         if folded.latencies_ns.is_empty() {
             return 0;
@@ -458,15 +403,15 @@ where
     OpenLoopReport {
         offered_rate: config.offered_rate,
         scheduled: config.total_arrivals as u64,
-        completed_writes: folded.writes,
-        completed_reads: folded.reads,
-        inconclusive_reads: folded.inconclusive,
+        completed_writes: folded.ops.writes,
+        completed_reads: folded.ops.reads,
+        inconclusive_reads: folded.ops.inconclusive,
         shed: folded.shed,
         timed_out: folded.timed_out,
-        no_live_quorum: folded.no_live_quorum,
+        no_live_quorum: folded.ops.unavailable,
         rejected_sends: folded.rejected,
-        fenced: folded.fenced,
-        safety_violations: folded.violations,
+        fenced: folded.ops.fenced,
+        safety_violations: folded.ops.safety_violations(),
         elapsed_seconds: elapsed,
         realized_offered_ops_per_sec: {
             let span = (last_arrival - started).as_secs_f64();
@@ -488,9 +433,9 @@ where
         latency_p90_ns: quantile(0.90),
         latency_p99_ns: quantile(0.99),
         latency_max_ns: folded.latencies_ns.last().copied().unwrap_or(0),
-        latency_hist_p50_ns: hist.quantile(0.50).unwrap_or(0),
-        latency_hist_p99_ns: hist.quantile(0.99).unwrap_or(0),
-        latency_hist_p999_ns: hist.quantile(0.999).unwrap_or(0),
+        latency_hist_p50_ns: run.hist.quantile(0.50).unwrap_or(0),
+        latency_hist_p99_ns: run.hist.quantile(0.99).unwrap_or(0),
+        latency_hist_p999_ns: run.hist.quantile(0.999).unwrap_or(0),
     }
 }
 
@@ -499,24 +444,16 @@ where
 /// do not arrive within the run's per-operation deadline (a lossy transport
 /// can swallow a priming reply; waiting longer than any real operation
 /// would only stall the measurement).
-#[allow(clippy::too_many_arguments)]
-fn prime_register<Q, T>(
-    system: &Q,
-    transport: &T,
-    responsive: &bqs_core::bitset::ServerSet,
-    clock: &TimestampOracle,
-    seed: u64,
-    epoch: u64,
-    deadline: Duration,
-) where
+fn prime_register<Q, T>(run: &Run<'_, Q, T>)
+where
     Q: QuorumSystem + ?Sized,
     T: Transport + ?Sized,
 {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    let Ok(quorum) = choose_access_quorum(system, responsive, &mut rng) else {
+    let mut rng = StdRng::seed_from_u64(run.config.seed ^ 0x9e37_79b9_7f4a_7c15);
+    let Ok(quorum) = choose_access_quorum(run.system, run.responsive, &mut rng) else {
         return;
     };
-    let ts = clock.allocate();
+    let ts = run.clock.allocate();
     let entry = Entry {
         timestamp: ts,
         value: authentic_value(ts),
@@ -529,28 +466,23 @@ fn prime_register<Q, T>(
             op: Operation::Write(entry),
             request_id: u64::MAX - server as u64,
             origin: 0,
-            epoch,
+            epoch: run.epoch,
             reply: Arc::clone(&mailbox) as ReplyHandle,
         })
         .collect();
-    let sent = fanout.len();
-    let _ = transport.send_batch(&mut fanout);
-    let deadline = Instant::now() + deadline;
-    let mut gathered = 0usize;
+    let mut missing = fanout.len();
+    let _ = run.transport.send_batch(&mut fanout);
+    let deadline = Instant::now() + run.config.op_deadline;
     let mut drained = Vec::new();
-    while gathered < sent {
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        let status = mailbox.drain_timeout(deadline - now, &mut drained);
-        let got = status.count();
+    while missing > 0 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        // TimedOut and Closed alike end the priming wait: nothing more is
+        // coming (or worth waiting for) before the real run starts.
+        let got = mailbox.drain_timeout(left, &mut drained).count();
         if got == 0 {
-            // TimedOut and Closed alike end the priming wait: nothing more
-            // is coming (or worth waiting for) before the real run starts.
             break;
         }
-        gathered += got;
+        missing = missing.saturating_sub(got);
         drained.clear();
     }
 }
@@ -559,25 +491,12 @@ fn prime_register<Q, T>(
 /// fan-outs (one batched transport call each), drain whole batches of
 /// replies from the worker's mailbox, match them by request id, expire
 /// deadlines.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<Q, T>(
-    system: &Q,
-    b: usize,
-    transport: &T,
-    responsive: &bqs_core::bitset::ServerSet,
-    clock: &TimestampOracle,
-    hist: &LatencyHistogram,
-    config: &OpenLoopConfig,
-    worker_id: usize,
-    quota: usize,
-    rate: f64,
-    epoch: u64,
-    metrics: Option<&ServiceMetrics>,
-) -> WorkerTally
+fn worker_loop<Q, T>(run: &Run<'_, Q, T>, worker_id: usize, quota: usize, rate: f64) -> WorkerTally
 where
     Q: QuorumSystem + ?Sized,
     T: Transport + ?Sized,
 {
+    let config = run.config;
     let mut rng =
         StdRng::seed_from_u64(config.seed ^ 0x0be4_100bu64.wrapping_mul(worker_id as u64 + 1));
     let reply_mailbox = Arc::new(ReplyMailbox::new());
@@ -613,17 +532,13 @@ where
             // — each of the worker's virtual clients is a Poisson source of
             // rate `rate / vclients_here`).
             let _vclient = rng.gen_range_u64(0, vclients_here as u64);
-            let quorum = match choose_access_quorum(system, responsive, &mut rng) {
-                Ok(q) => q,
-                Err(ProtocolError::NoLiveQuorum) => {
-                    tally.no_live_quorum += 1;
-                    continue;
-                }
-                Err(ProtocolError::NoSafeValue) => unreachable!("selection cannot lack values"),
+            let Ok(quorum) = choose_access_quorum(run.system, run.responsive, &mut rng) else {
+                tally.ops.unavailable += 1;
+                continue;
             };
             let is_write = rng.gen_bool(config.write_fraction);
             let op = if is_write {
-                let ts = clock.allocate();
+                let ts = run.clock.allocate();
                 Operation::Write(Entry {
                     timestamp: ts,
                     value: authentic_value(ts),
@@ -633,7 +548,6 @@ where
             };
             op_seq += 1;
             let op_key = worker_tag | (op_seq << 8);
-            let expected = quorum.len();
             let op_started = Instant::now();
             debug_assert!(fanout.is_empty());
             for (member, server) in quorum.iter().enumerate() {
@@ -642,11 +556,11 @@ where
                     op,
                     request_id: op_key | member as u64,
                     origin: worker_id as u64 + 1,
-                    epoch,
+                    epoch: run.epoch,
                     reply: Arc::clone(&reply_mailbox) as ReplyHandle,
                 });
             }
-            if !transport.send_batch(&mut fanout) {
+            if !run.transport.send_batch(&mut fanout) {
                 // The op is unaccounted on the wire; stragglers from a
                 // partially delivered fan-out are dropped by the id match
                 // below (no pending entry exists for them).
@@ -658,10 +572,7 @@ where
                 op_key,
                 PendingOp {
                     started: op_started,
-                    deadline: op_started + config.op_deadline,
-                    is_write,
-                    quorum,
-                    replies: Vec::with_capacity(expected),
+                    op: QuorumOp::start(quorum, op.kind(), run.epoch),
                 },
             );
             tally.peak_in_flight = tally.peak_in_flight.max(pending.len() as u64);
@@ -693,16 +604,7 @@ where
         match reply_mailbox.drain_timeout(wait, &mut drained) {
             DrainStatus::Drained(_) => {
                 for reply in drained.drain(..) {
-                    handle_reply(
-                        reply,
-                        &mut pending,
-                        &mut tally,
-                        b,
-                        clock,
-                        hist,
-                        epoch,
-                        metrics,
-                    );
+                    handle_reply(run, reply, &mut pending, &mut tally);
                 }
             }
             DrainStatus::TimedOut => {}
@@ -720,17 +622,16 @@ where
         // every quorum member that never answered (per-server no-answer
         // evidence for the failure detector).
         let now = Instant::now();
-        if pending.values().any(|op| now >= op.deadline) {
+        let expired = |op: &PendingOp| now >= op.started + config.op_deadline;
+        if pending.values().any(expired) {
             let before = pending.len();
             pending.retain(|_, op| {
-                if now < op.deadline {
+                if !expired(op) {
                     return true;
                 }
-                if let Some(metrics) = metrics {
-                    for server in op.quorum.iter() {
-                        if !op.replies.iter().any(|&(s, _)| s == server) {
-                            metrics.record_server_no_answer(server);
-                        }
+                if let Some(metrics) = run.metrics {
+                    for server in op.op.unanswered() {
+                        metrics.record_server_no_answer(server);
                     }
                 }
                 false
@@ -741,82 +642,63 @@ where
     tally
 }
 
-/// Matches one reply to its pending operation and resolves the operation
-/// when the last quorum member has answered.
-#[allow(clippy::too_many_arguments)]
-fn handle_reply(
+/// Matches one reply to its pending operation by the id's operation key —
+/// no entry means a straggler from an expired, fenced or rejected operation —
+/// lets the operation's [`QuorumOp`] decide whether it counts, and resolves
+/// the operation when the last quorum member has voted.
+fn handle_reply<Q: ?Sized, T: ?Sized>(
+    run: &Run<'_, Q, T>,
     reply: Reply,
     pending: &mut HashMap<u64, PendingOp>,
     tally: &mut WorkerTally,
-    b: usize,
-    clock: &TimestampOracle,
-    hist: &LatencyHistogram,
-    epoch: u64,
-    metrics: Option<&ServiceMetrics>,
 ) {
     let op_key = reply.request_id & !0xff;
-    if reply.stale {
-        // A server's epoch gate fenced this operation: the whole fan-out is
-        // unusable (a fenced operation must never complete with fewer-than-
-        // quorum strategies mixed in), so the op is abandoned here. Fencing
-        // is a configuration signal, not server misbehaviour — no accusal.
-        if pending.remove(&op_key).is_some() {
-            tally.fenced += 1;
-        }
+    let Some(pending_op) = pending.get_mut(&op_key) else {
         return;
-    }
-    if reply.epoch != epoch {
-        return; // cross-epoch stray: must never count as support
-    }
-    let Some(op) = pending.get_mut(&op_key) else {
-        return; // straggler from an expired/rejected operation
     };
-    if op.replies.iter().any(|&(server, _)| server == reply.server) {
-        return; // duplicate delivery: a server's echo must not add support
-    }
-    if let Some(metrics) = metrics {
-        // Failure-detector evidence: a write is answered by any ack; a read
-        // is answered only by an entry (in-band `None` is a crashed replica
-        // owner declining to serve — see the transport's no-answer contract).
-        let answered = op.is_write || reply.entry.is_some();
-        if answered {
-            metrics.record_server_answer(reply.server, op.started.elapsed().as_nanos() as u64);
-        } else {
-            metrics.record_server_no_answer(reply.server);
+    match pending_op
+        .op
+        .admit(reply.server, reply.entry, reply.epoch, reply.stale)
+    {
+        Admission::Ignored => return,
+        // Fence policy: the first fence abandons the whole fan-out (a fenced
+        // operation must never complete with strategies mixed in). Fencing is
+        // a configuration signal, not server misbehaviour — no accusal.
+        Admission::Fenced { .. } => {
+            pending.remove(&op_key);
+            tally.ops.fenced += 1;
+            return;
+        }
+        Admission::Counted { answered } => {
+            if let Some(metrics) = run.metrics {
+                metrics.record_server_vote(reply.server, answered, pending_op.started);
+            }
         }
     }
-    op.replies.push((reply.server, reply.entry));
-    if op.replies.len() < op.quorum.len() {
+    if !pending_op.op.is_complete() {
         return;
     }
-    let op = pending.remove(&op_key).expect("just observed");
-    let latency = op.started.elapsed().as_nanos() as u64;
-    if op.is_write {
-        tally.writes += 1;
+    let done = pending.remove(&op_key).expect("just observed");
+    let latency = done.started.elapsed().as_nanos() as u64;
+    let outcome = if done.op.is_write() {
+        Ok(None)
     } else {
-        match resolve_read(&op.replies, b) {
-            Ok((best, _)) => {
-                tally.reads += 1;
-                if best.value != authentic_value(best.timestamp) || best.timestamp > clock.latest()
-                {
-                    tally.violations += 1;
-                }
-            }
-            Err(ProtocolError::NoSafeValue) => tally.inconclusive += 1,
-            Err(ProtocolError::NoLiveQuorum) => unreachable!("resolution cannot lack quorums"),
-        }
-    }
-    if let Some(metrics) = metrics {
+        let resolved = done.op.resolve(run.b);
+        resolved.map(|(best, _)| Some(best)).map_err(Into::into)
+    };
+    // No read-your-writes frontier (floor 0): writes pipeline freely.
+    tally.ops.record(done.op.is_write(), outcome, run.clock, 0);
+    if let Some(metrics) = run.metrics {
         // Client-side load accounting: the completed operation touched every
         // member of its quorum once (matches the server-side definition, but
         // works across any transport backend).
-        for server in op.quorum.iter() {
+        for server in done.op.quorum().iter() {
             metrics.record_access(server);
         }
         metrics.record_operation(latency);
     }
     tally.latencies_ns.push(latency);
-    hist.record(latency);
+    run.hist.record(latency);
     tally.last_completion = Some(Instant::now());
 }
 
@@ -976,14 +858,16 @@ mod tests {
         let plan = FaultPlan::none(25);
         let service = LoopbackService::spawn(&plan, 2, 48);
         let metrics = ServiceMetrics::new(25);
-        let report = run_open_loop_at_epoch(
+        let report = run_open_loop_session(
             &system,
             1,
             &service,
             service.responsive_set(),
             &quick(2_000.0, 200),
-            0,
-            Some(&metrics),
+            &OpenLoopSession {
+                metrics: Some(&metrics),
+                ..OpenLoopSession::default()
+            },
         );
         assert_eq!(report.completed(), 200);
         // Every completed op recorded one access per quorum member on the
@@ -1013,14 +897,16 @@ mod tests {
         // fan-out meets the gate and comes back stale.
         service.epoch_gate().finalize(3);
         let metrics = ServiceMetrics::new(25);
-        let report = run_open_loop_at_epoch(
+        let report = run_open_loop_session(
             &system,
             1,
             &service,
             service.responsive_set(),
             &quick(2_000.0, 200),
-            0,
-            Some(&metrics),
+            &OpenLoopSession {
+                metrics: Some(&metrics),
+                ..OpenLoopSession::default()
+            },
         );
         assert_eq!(report.completed(), 0);
         assert!(report.fenced > 0, "{report:?}");

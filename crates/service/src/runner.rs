@@ -91,8 +91,8 @@ pub struct ServiceReport {
     /// writes can also split a quorum's support below `b + 1` for every
     /// entry — legitimate masking-register behaviour, not a protocol bug.
     pub inconclusive_reads: u64,
-    /// Reads that returned a fabricated pair or (single-writer runs) violated
-    /// read-your-writes — must be zero whenever the fault plan respects `b`.
+    /// Fabricated pairs returned plus (single-writer runs) read-your-writes
+    /// violations — must be zero whenever the fault plan respects `b`.
     pub safety_violations: u64,
     /// Operations lost to transport failure (service shutdown mid-run).
     pub transport_failures: u64,
@@ -143,15 +143,110 @@ pub fn authentic_value(ts: Timestamp) -> Value {
     ts.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(23) ^ 0xD1B5_4A32_D192_ED03
 }
 
-/// Per-client tallies folded into the final report.
-#[derive(Debug, Default, Clone, Copy)]
-struct ClientTally {
-    writes: u64,
-    reads: u64,
-    unavailable: u64,
-    inconclusive: u64,
-    violations: u64,
-    transport: u64,
+/// What the safety checker found wrong with one completed read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReadVerdict {
+    /// The pair was never written: the value does not belong to the
+    /// timestamp, or the timestamp was never allocated.
+    pub fabricated: bool,
+    /// The pair is older than a write the reader itself completed.
+    pub stale: bool,
+}
+
+/// Judges a completed read against the writers' `clock` and the reader's
+/// read-your-writes frontier `ryw_floor`: its last completed write's
+/// timestamp where that predicate is sound (a single writer reading its own
+/// register), 0 where it is not.
+#[must_use]
+pub fn judge_read(entry: Entry, clock: &TimestampOracle, ryw_floor: Timestamp) -> ReadVerdict {
+    ReadVerdict {
+        fabricated: entry.value != authentic_value(entry.timestamp)
+            || entry.timestamp > clock.latest(),
+        stale: entry.timestamp < ryw_floor,
+    }
+}
+
+/// How a generator's operations ended — the one tally [`ServiceReport`],
+/// the open-loop report and the chaos scenario outcome are filled from.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct OpTally {
+    /// Writes acknowledged by a full quorum.
+    pub writes: u64,
+    /// Reads that resolved a safe value.
+    pub reads: u64,
+    /// Reads that gathered a full quorum but no `b + 1`-supported value.
+    pub inconclusive: u64,
+    /// Operations that found no live quorum.
+    pub unavailable: u64,
+    /// Writes lost to transport failure (retry budget spent, or terminal).
+    pub writes_aborted: u64,
+    /// Reads lost to transport failure.
+    pub reads_aborted: u64,
+    /// Operations fenced by the servers' epoch gate.
+    pub fenced: u64,
+    /// Resolved reads judged [`ReadVerdict::fabricated`].
+    pub fabricated: u64,
+    /// Resolved reads judged [`ReadVerdict::stale`].
+    pub stale: u64,
+}
+
+impl OpTally {
+    /// Tallies one finished operation — `Ok(None)` is an acknowledged write,
+    /// `Ok(Some(entry))` a resolved read, judged by [`judge_read`]. Returns
+    /// true for a full quorum round trip (see [`OpTally::round_trips`]).
+    pub fn record(
+        &mut self,
+        is_write: bool,
+        outcome: Result<Option<Entry>, ServiceError>,
+        clock: &TimestampOracle,
+        ryw_floor: Timestamp,
+    ) -> bool {
+        match outcome {
+            Ok(None) => self.writes += 1,
+            Ok(Some(entry)) => {
+                let verdict = judge_read(entry, clock, ryw_floor);
+                self.reads += 1;
+                self.fabricated += u64::from(verdict.fabricated);
+                self.stale += u64::from(verdict.stale);
+            }
+            Err(ServiceError::Protocol(ProtocolError::NoSafeValue)) => self.inconclusive += 1,
+            Err(ServiceError::Protocol(ProtocolError::NoLiveQuorum)) => self.unavailable += 1,
+            Err(ServiceError::TransportFailure) if is_write => self.writes_aborted += 1,
+            Err(ServiceError::TransportFailure) => self.reads_aborted += 1,
+            Err(ServiceError::EpochFenced { .. }) => self.fenced += 1,
+        }
+        matches!(
+            outcome,
+            Ok(_) | Err(ServiceError::Protocol(ProtocolError::NoSafeValue))
+        )
+    }
+
+    /// Full quorum round trips — acknowledged writes plus reads, resolved or
+    /// inconclusive: what throughput, latency and load accounting count.
+    #[must_use]
+    pub fn round_trips(&self) -> u64 {
+        self.writes + self.reads + self.inconclusive
+    }
+
+    /// Safety violations: every defect of every resolved read.
+    #[must_use]
+    pub fn safety_violations(&self) -> u64 {
+        self.fabricated + self.stale
+    }
+}
+
+impl std::ops::AddAssign for OpTally {
+    fn add_assign(&mut self, other: OpTally) {
+        self.writes += other.writes;
+        self.reads += other.reads;
+        self.inconclusive += other.inconclusive;
+        self.unavailable += other.unavailable;
+        self.writes_aborted += other.writes_aborted;
+        self.reads_aborted += other.reads_aborted;
+        self.fenced += other.fenced;
+        self.fabricated += other.fabricated;
+        self.stale += other.stale;
+    }
 }
 
 /// Runs a concurrent closed-loop workload of `config.clients` clients over
@@ -233,7 +328,7 @@ where
     let single_writer = config.writers == 1;
 
     let started = Instant::now();
-    let tallies: Vec<ClientTally> = std::thread::scope(|scope| {
+    let tallies: Vec<OpTally> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(config.clients);
         for client_id in 0..config.clients {
             let clock = &clock;
@@ -245,70 +340,35 @@ where
                     ServiceClient::new(system, service, service.responsive_set().clone(), b);
                 let is_writer = client_id < config.writers;
                 let mut last_completed_write_ts: Timestamp = 0;
-                let mut tally = ClientTally::default();
+                let mut tally = OpTally::default();
                 for op in 0..config.ops_per_client {
                     let do_write =
                         is_writer && (op == 0 || rng.gen::<f64>() < config.write_fraction);
                     let op_started = Instant::now();
-                    if do_write {
+                    let outcome = if do_write {
                         let ts = clock.allocate();
                         let entry = Entry {
                             timestamp: ts,
                             value: authentic_value(ts),
                         };
-                        match client.write(entry, &mut rng) {
-                            Ok(_) => {
-                                tally.writes += 1;
-                                last_completed_write_ts = ts;
-                                service
-                                    .metrics()
-                                    .record_operation(op_started.elapsed().as_nanos() as u64);
-                            }
-                            Err(ServiceError::Protocol(ProtocolError::NoLiveQuorum)) => {
-                                tally.unavailable += 1;
-                            }
-                            Err(ServiceError::Protocol(ProtocolError::NoSafeValue)) => {
-                                unreachable!("writes cannot lack safe values")
-                            }
-                            Err(ServiceError::TransportFailure) => tally.transport += 1,
-                            Err(ServiceError::EpochFenced { .. }) => {
-                                unreachable!("the closed-loop harness never reconfigures")
-                            }
-                        }
+                        client.write(entry, &mut rng).map(|_| {
+                            last_completed_write_ts = ts;
+                            None
+                        })
                     } else {
-                        match client.read(&mut rng) {
-                            Ok(outcome) => {
-                                tally.reads += 1;
-                                service
-                                    .metrics()
-                                    .record_operation(op_started.elapsed().as_nanos() as u64);
-                                let e = outcome.entry;
-                                let fabricated = e.value != authentic_value(e.timestamp)
-                                    || e.timestamp > clock.latest();
-                                let stale_own_write = single_writer
-                                    && is_writer
-                                    && e.timestamp < last_completed_write_ts;
-                                if fabricated || stale_own_write {
-                                    tally.violations += 1;
-                                }
-                            }
-                            Err(ServiceError::Protocol(ProtocolError::NoLiveQuorum)) => {
-                                tally.unavailable += 1;
-                            }
-                            Err(ServiceError::Protocol(ProtocolError::NoSafeValue)) => {
-                                // A full quorum rendezvous happened; only the
-                                // safe set was empty. It is a completed round
-                                // trip for throughput/latency purposes.
-                                tally.inconclusive += 1;
-                                service
-                                    .metrics()
-                                    .record_operation(op_started.elapsed().as_nanos() as u64);
-                            }
-                            Err(ServiceError::TransportFailure) => tally.transport += 1,
-                            Err(ServiceError::EpochFenced { .. }) => {
-                                unreachable!("the closed-loop harness never reconfigures")
-                            }
-                        }
+                        client.read(&mut rng).map(|read| Some(read.entry))
+                    };
+                    // Read-your-writes is only sound for the single writer's
+                    // own reads (see the module docs).
+                    let ryw_floor = if single_writer && is_writer {
+                        last_completed_write_ts
+                    } else {
+                        0
+                    };
+                    if tally.record(do_write, outcome, clock, ryw_floor) {
+                        service
+                            .metrics()
+                            .record_operation(op_started.elapsed().as_nanos() as u64);
                     }
                 }
                 tally
@@ -321,21 +381,19 @@ where
     });
     let elapsed = started.elapsed().as_secs_f64();
 
-    let mut folded = ClientTally::default();
-    for t in &tallies {
-        folded.writes += t.writes;
-        folded.reads += t.reads;
-        folded.unavailable += t.unavailable;
-        folded.inconclusive += t.inconclusive;
-        folded.violations += t.violations;
-        folded.transport += t.transport;
+    let mut folded = OpTally::default();
+    for tally in tallies {
+        folded += tally;
     }
+    assert_eq!(
+        folded.fenced, 0,
+        "the closed-loop harness never reconfigures"
+    );
     let operations = (config.clients * config.ops_per_client) as u64;
-    let completed = folded.writes + folded.reads;
     // Inconclusive reads contacted a full quorum (the rendezvous succeeded,
     // only the safe set was empty), so they carry load; unavailable and
     // transport-failed operations did not.
-    let load_operations = completed + folded.inconclusive;
+    let load_operations = folded.round_trips();
     let metrics = service.metrics();
     ServiceReport {
         operations,
@@ -343,8 +401,8 @@ where
         reads_completed: folded.reads,
         unavailable_operations: folded.unavailable,
         inconclusive_reads: folded.inconclusive,
-        safety_violations: folded.violations,
-        transport_failures: folded.transport,
+        safety_violations: folded.safety_violations(),
+        transport_failures: folded.writes_aborted + folded.reads_aborted,
         elapsed_seconds: elapsed,
         // Throughput counts full protocol round trips, inconclusive reads
         // included — the same population the latency histogram records and

@@ -67,6 +67,7 @@
 //! optimisation surface, never a semantic one: delivery, correlation, and the
 //! no-answer contract are identical on both paths.
 
+use bqs_sim::quorum_op::OpKind;
 use bqs_sim::server::Entry;
 
 pub use crate::mailbox::{ReplyHandle, ReplySink};
@@ -78,6 +79,17 @@ pub enum Operation {
     Write(Entry),
     /// Report the stored entry (the read half).
     Read,
+}
+
+impl Operation {
+    /// Which half of the protocol this is, as the protocol core names it.
+    #[must_use]
+    pub fn kind(&self) -> OpKind {
+        match self {
+            Operation::Write(_) => OpKind::Write,
+            Operation::Read => OpKind::Read,
+        }
+    }
 }
 
 /// One protocol message: an operation for `server`, with the completion sink

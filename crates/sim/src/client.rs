@@ -22,6 +22,7 @@ use bqs_core::bitset::ServerSet;
 use bqs_core::quorum::QuorumSystem;
 
 use crate::cluster::Cluster;
+use crate::quorum_op::{OpKind, QuorumOp};
 use crate::server::{Entry, Timestamp, Value};
 
 /// Errors surfaced by the protocol client.
@@ -77,8 +78,8 @@ pub struct WriteOutcome {
 /// sporadic failures, and falling back to deterministic live-quorum discovery
 /// only when sampling repeatedly fails.
 ///
-/// This is the shared quorum-selection policy of the single-threaded
-/// simulator's [`Client`] and of the concurrent `bqs-service` clients.
+/// This is the one quorum-selection policy of every protocol shell: the
+/// simulator's clients and the concurrent `bqs-service` clients.
 ///
 /// # Errors
 ///
@@ -110,9 +111,9 @@ where
 /// the one with the highest timestamp, together with the full safe set sorted
 /// for diagnostics.
 ///
-/// Shared by the simulator's [`Client::read`] and the concurrent
-/// `bqs-service` clients — the safety argument (any pair fabricated by at
-/// most `b` Byzantine servers has at most `b` supporters) lives here once.
+/// What [`QuorumOp::resolve`] applies to its admitted votes — the safety
+/// argument (any pair fabricated by at most `b` Byzantine servers has at most
+/// `b` supporters) lives here once.
 ///
 /// # Errors
 ///
@@ -170,22 +171,6 @@ impl<Q: QuorumSystem> Client<Q> {
         &self.system
     }
 
-    /// The masking level `b` the client assumes.
-    #[must_use]
-    pub fn masking_b(&self) -> usize {
-        self.b
-    }
-
-    /// Chooses an access quorum via the shared [`choose_access_quorum`] policy
-    /// against the cluster's failure-detector view.
-    fn choose_quorum<R: Rng>(
-        &self,
-        cluster: &Cluster,
-        rng: &mut R,
-    ) -> Result<ServerSet, ProtocolError> {
-        choose_access_quorum(&self.system, &cluster.responsive_set(), rng)
-    }
-
     /// Writes `value` to the register.
     ///
     /// # Errors
@@ -198,7 +183,7 @@ impl<Q: QuorumSystem> Client<Q> {
         value: Value,
         rng: &mut R,
     ) -> Result<WriteOutcome, ProtocolError> {
-        let quorum = self.choose_quorum(cluster, rng)?;
+        let quorum = choose_access_quorum(&self.system, &cluster.responsive_set(), rng)?;
         let timestamp = self.next_timestamp;
         self.next_timestamp += 1;
         cluster.deliver_write(&quorum, Entry { timestamp, value });
@@ -217,13 +202,17 @@ impl<Q: QuorumSystem> Client<Q> {
         cluster: &mut Cluster,
         rng: &mut R,
     ) -> Result<ReadOutcome, ProtocolError> {
-        let quorum = self.choose_quorum(cluster, rng)?;
-        let replies = cluster.deliver_read(&quorum, rng);
-        let (best, safe_entries) = resolve_read(&replies, self.b)?;
+        let quorum = choose_access_quorum(&self.system, &cluster.responsive_set(), rng)?;
+        // The simulated cluster has no epochs: the whole round runs at epoch 0.
+        let mut op = QuorumOp::start(quorum, OpKind::Read, 0);
+        for (server, entry) in cluster.deliver_read(op.quorum(), rng) {
+            op.admit(server, entry, 0, false);
+        }
+        let (best, safe_entries) = op.resolve(self.b)?;
         Ok(ReadOutcome {
             value: best.value,
             timestamp: best.timestamp,
-            quorum,
+            quorum: op.take_quorum(),
             safe_entries,
         })
     }

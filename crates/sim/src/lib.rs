@@ -12,6 +12,10 @@
 //! * [`fault`] — fault plans for the paper's hybrid failure model (`≤ b` Byzantine
 //!   plus arbitrarily many crashes);
 //! * [`cluster`] — message routing and per-server access accounting;
+//! * [`quorum_op`] — the sans-I/O core of one operation: which replies may
+//!   count (quorum member, right epoch, one vote per server, never a fence)
+//!   and the `b + 1`-support read rule, stated once for every client shell
+//!   here and in `bqs-service`;
 //! * [`client`] — the masking read/write protocol over any
 //!   [`bqs_core::quorum::QuorumSystem`];
 //! * [`runner`] — workload driver with safety checking and empirical-load
@@ -42,20 +46,13 @@ pub mod cluster;
 pub mod epoch;
 pub mod fault;
 pub mod multi_writer;
+pub mod quorum_op;
 pub mod runner;
 pub mod server;
 
-pub use client::{
-    choose_access_quorum, resolve_read, Client, ProtocolError, ReadOutcome, WriteOutcome,
-};
-pub use cluster::Cluster;
-pub use epoch::EpochGate;
-pub use fault::FaultPlan;
-pub use multi_writer::{run_multi_writer_workload, MultiWriterClient, MultiWriterReport};
-pub use runner::{run_workload, SimReport, WorkloadConfig};
-pub use server::{mix64, Behavior, ByzantineStrategy, Entry, Replica, Timestamp, Value};
+pub use prelude::*;
 
-/// Convenient glob import for examples and benches.
+/// Convenient glob import for examples and benches — also the crate root's re-exports.
 pub mod prelude {
     pub use crate::client::{
         choose_access_quorum, resolve_read, Client, ProtocolError, ReadOutcome, WriteOutcome,
@@ -66,6 +63,7 @@ pub mod prelude {
     pub use crate::multi_writer::{
         run_multi_writer_workload, MultiWriterClient, MultiWriterReport,
     };
+    pub use crate::quorum_op::{Admission, OpKind, QuorumOp};
     pub use crate::runner::{run_workload, SimReport, WorkloadConfig};
     pub use crate::server::{mix64, Behavior, ByzantineStrategy, Entry, Replica, Timestamp, Value};
 }

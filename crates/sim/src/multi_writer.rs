@@ -19,16 +19,16 @@ use rand::Rng;
 
 use bqs_core::quorum::QuorumSystem;
 
-use crate::client::ProtocolError;
+use crate::client::{choose_access_quorum, Client, ProtocolError};
 use crate::cluster::Cluster;
 use crate::fault::FaultPlan;
 use crate::server::{Entry, Timestamp, Value};
 
-/// A writer/reader participant in the multi-writer protocol.
+/// A writer/reader participant in the multi-writer protocol: the
+/// single-writer [`Client`]'s read round plus writer-owned timestamps.
 #[derive(Debug, Clone)]
 pub struct MultiWriterClient<Q> {
-    system: Q,
-    b: usize,
+    client: Client<Q>,
     writer_id: u64,
     writer_count: u64,
 }
@@ -46,8 +46,7 @@ impl<Q: QuorumSystem> MultiWriterClient<Q> {
             "invalid writer identity"
         );
         MultiWriterClient {
-            system,
-            b,
+            client: Client::new(system, b),
             writer_id,
             writer_count,
         }
@@ -59,50 +58,6 @@ impl<Q: QuorumSystem> MultiWriterClient<Q> {
         self.writer_id
     }
 
-    fn choose_quorum<R: Rng>(
-        &self,
-        cluster: &Cluster,
-        rng: &mut R,
-    ) -> Result<bqs_core::bitset::ServerSet, ProtocolError> {
-        let responsive = cluster.responsive_set();
-        for _ in 0..8 {
-            let sampled = self.system.sample_quorum(rng);
-            if sampled.is_subset_of(&responsive) {
-                return Ok(sampled);
-            }
-        }
-        self.system
-            .find_live_quorum(&responsive)
-            .ok_or(ProtocolError::NoLiveQuorum)
-    }
-
-    /// Collects replies from a quorum and returns the safe entries (reported by at
-    /// least `b + 1` servers), sorted by timestamp.
-    fn safe_entries<R: Rng>(
-        &self,
-        cluster: &mut Cluster,
-        rng: &mut R,
-    ) -> Result<Vec<Entry>, ProtocolError> {
-        let quorum = self.choose_quorum(cluster, rng)?;
-        let replies = cluster.deliver_read(&quorum, rng);
-        let mut support: Vec<(Entry, usize)> = Vec::new();
-        for (_, reply) in replies.into_iter() {
-            if let Some(entry) = reply {
-                match support.iter_mut().find(|(e, _)| *e == entry) {
-                    Some((_, count)) => *count += 1,
-                    None => support.push((entry, 1)),
-                }
-            }
-        }
-        let mut safe: Vec<Entry> = support
-            .into_iter()
-            .filter(|&(_, count)| count > self.b)
-            .map(|(e, _)| e)
-            .collect();
-        safe.sort_unstable();
-        Ok(safe)
-    }
-
     /// Reads the register.
     ///
     /// # Errors
@@ -110,10 +65,11 @@ impl<Q: QuorumSystem> MultiWriterClient<Q> {
     /// [`ProtocolError::NoLiveQuorum`] if no responsive quorum exists;
     /// [`ProtocolError::NoSafeValue`] before the first write completes.
     pub fn read<R: Rng>(&self, cluster: &mut Cluster, rng: &mut R) -> Result<Entry, ProtocolError> {
-        let safe = self.safe_entries(cluster, rng)?;
-        safe.into_iter()
-            .max_by_key(|e| e.timestamp)
-            .ok_or(ProtocolError::NoSafeValue)
+        let read = self.client.read(cluster, rng)?;
+        Ok(Entry {
+            timestamp: read.timestamp,
+            value: read.value,
+        })
     }
 
     /// Writes `value`, choosing a timestamp larger than any safe timestamp observed
@@ -130,8 +86,8 @@ impl<Q: QuorumSystem> MultiWriterClient<Q> {
         rng: &mut R,
     ) -> Result<Timestamp, ProtocolError> {
         // Query round: the highest safe timestamp (0 if nothing was ever written).
-        let highest = match self.safe_entries(cluster, rng) {
-            Ok(entries) => entries.iter().map(|e| e.timestamp).max().unwrap_or(0),
+        let highest = match self.read(cluster, rng) {
+            Ok(entry) => entry.timestamp,
             Err(ProtocolError::NoSafeValue) => 0,
             Err(e) => return Err(e),
         };
@@ -139,7 +95,7 @@ impl<Q: QuorumSystem> MultiWriterClient<Q> {
         // writer_count plus writer_id, so distinct writers never collide.
         let current_round = highest / self.writer_count;
         let timestamp = (current_round + 1) * self.writer_count + self.writer_id;
-        let quorum = self.choose_quorum(cluster, rng)?;
+        let quorum = choose_access_quorum(self.client.system(), &cluster.responsive_set(), rng)?;
         cluster.deliver_write(&quorum, Entry { timestamp, value });
         Ok(timestamp)
     }

@@ -84,7 +84,7 @@ fn uds_masks_at_b_and_detects_at_b_plus_1() {
     for scenario in [ChaosScenario::DropRetry, ChaosScenario::SlowServers] {
         let at_b = run_socket(Backend::Uds, scenario, &system, 1, &config(), "b");
         assert_eq!(at_b.safety_violations(), 0, "{}: {at_b:?}", scenario.name());
-        assert!(at_b.reads_completed > 0, "{}: {at_b:?}", scenario.name());
+        assert!(at_b.ops.reads > 0, "{}: {at_b:?}", scenario.name());
         let over = run_socket(Backend::Uds, scenario, &system, 2, &config(), "b1");
         assert!(over.detected(), "{}: {over:?}", scenario.name());
     }
@@ -96,7 +96,7 @@ fn tcp_masks_at_b_and_detects_at_b_plus_1() {
     for scenario in [ChaosScenario::DelayJitter, ChaosScenario::Duplicate] {
         let at_b = run_socket(Backend::Tcp, scenario, &system, 1, &config(), "b");
         assert_eq!(at_b.safety_violations(), 0, "{}: {at_b:?}", scenario.name());
-        assert!(at_b.reads_completed > 0, "{}: {at_b:?}", scenario.name());
+        assert!(at_b.ops.reads > 0, "{}: {at_b:?}", scenario.name());
         let over = run_socket(Backend::Tcp, scenario, &system, 2, &config(), "b1");
         assert!(over.detected(), "{}: {over:?}", scenario.name());
     }
@@ -127,6 +127,33 @@ fn socket_runs_replay_deterministically() {
     );
     assert_eq!(first.trace_events, second.trace_events);
     assert_eq!(first.safety_violations(), second.safety_violations());
-    assert_eq!(first.writes_completed, second.writes_completed);
-    assert_eq!(first.reads_completed, second.reads_completed);
+    assert_eq!(first.ops.writes, second.ops.writes);
+    assert_eq!(first.ops.reads, second.ops.reads);
+}
+
+/// Replay across *commits*: `bench_chaos`'s full-run loopback cells, rebuilt
+/// here, must keep the trace fingerprints committed in `BENCH_chaos.json` —
+/// request-id assignment, rng draw order and fan-out order are a contract,
+/// not an accident of one build.
+#[test]
+fn loopback_fingerprints_match_the_committed_report() {
+    let system = ThresholdSystem::minimal_masking(1).unwrap(); // Threshold(4-of-5)
+    let n = system.universe_size();
+    let explicit = system.to_explicit(1 << 10).unwrap();
+    let (_, strategy) = byzantine_quorums::core::load::optimal_load(explicit.quorums(), n).unwrap();
+    let weights = strategy.induced_loads(explicit.quorums(), n);
+    let config = ScenarioConfig {
+        reply_deadline: Duration::from_millis(100),
+        seed: 3_298_844_397 ^ 1 << 32,
+        ..ScenarioConfig::default()
+    };
+    for (scenario, committed) in [
+        (ChaosScenario::DelayJitter, 8_689_074_866_023_968_317_u64),
+        (ChaosScenario::DropRetry, 11_382_509_204_790_503_797),
+        (ChaosScenario::Duplicate, 16_675_201_985_952_284_031),
+    ] {
+        let run = run_scenario_loopback(scenario, &system, 1, 1, Some(&weights), &config);
+        assert_eq!(run.trace_fingerprint, committed, "{}", scenario.name());
+        assert_eq!(run.safety_violations(), 0, "{}: {run:?}", scenario.name());
+    }
 }
