@@ -5,7 +5,7 @@
 //! Three experiment families:
 //!
 //! * **thread scaling** — closed-loop throughput of one mid-size instance at
-//!   several shard-worker counts;
+//!   several shard counts (lock stripes; the client threads do the work);
 //! * **load validation** — ≥ 32 concurrent clients sampling the
 //!   *certified-optimal* strategy (`optimal_load_oracle`) against Grid,
 //!   M-Grid, FPP and boostFPP at paper sizes (n up to 1024), under a
@@ -165,7 +165,7 @@ where
     }
 }
 
-/// Throughput of one instance across several shard-worker counts.
+/// Throughput of one instance across several shard counts.
 fn thread_scaling<S: QuorumSystem>(
     sys: &S,
     b: usize,
@@ -210,11 +210,9 @@ fn thread_scaling<S: QuorumSystem>(
 /// independently drawn crash plans at rate `p`, counting the runs in which no
 /// operation found a live quorum.
 ///
-/// All trials share **one** shard pool: `reset_plan` swaps the replica set,
+/// All trials share **one** service: `reset_plan` swaps the replica set,
 /// reseeds the per-shard RNG streams, and zeroes the metrics between trials
-/// instead of spawning a fresh service per plan. That removes the per-trial
-/// thread spin-up that used to cap this validation at n = 25 — it now runs
-/// at n >= 100 in the same wall-clock budget.
+/// instead of building a fresh service per plan.
 fn validate_availability<S: QuorumSystem>(
     sys: &S,
     b: usize,
@@ -354,9 +352,7 @@ fn main() {
     }
 
     // --- Availability validation through the service stack. ---------------
-    // One shared shard pool per instance (reset_plan between trials), which
-    // is what makes the n >= 100 instances affordable: the old per-trial
-    // spin-up capped this section at n = 25.
+    // One shared service per instance (reset_plan between trials).
     let availability: Vec<AvailabilityRow> = if quick {
         Vec::new()
     } else {

@@ -409,7 +409,7 @@ impl<T: Transport + 'static> ChaosTransport<T> {
     }
 
     /// Synthesises the in-band "no answer" frame for a detected loss —
-    /// byte-identical to what a crashed server's shard would produce.
+    /// byte-identical to what a crashed server's replica would produce.
     fn synthesize_no_answer(request: &Request) {
         request.reply.complete(Reply {
             server: request.server,

@@ -17,17 +17,17 @@
 //! * [`stream`] — one [`stream::Endpoint`]/[`stream::Stream`] surface over
 //!   TCP and Unix-domain sockets, so backend choice is a bind-time decision;
 //! * [`server`] — [`server::SocketServer`]: a
-//!   [`bqs_service::shard::LoopbackService`] behind a listener, one
-//!   reader/writer thread pair per connection (reader hands each read
-//!   chunk's requests to the shards in one batched send, writer drains its
-//!   reply mailbox a whole batch per wakeup), per-server addressing
-//!   preserved end to end;
+//!   [`bqs_service::shard::LoopbackService`] behind a listener, one thread
+//!   per connection that runs each read chunk to completion (decode, one
+//!   batched send that returns with the replies, one coalesced write),
+//!   per-server addressing preserved end to end;
 //! * [`transport`] — [`transport::SocketTransport`]: the client side, a
 //!   connection pool with slot-table completions (pre-allocated slots,
 //!   freelist reuse, generation-tagged wire ids), coalesced batch writes,
-//!   jittered reconnect backoff, and a min-heap deadline sweeper whose
-//!   expiries surface as in-band "no answer" replies (timeouts as the
-//!   failure detector, per the transport contract).
+//!   jittered reconnect backoff, and a deadline list threaded through the
+//!   slot table in registration order, whose expiries surface as in-band
+//!   "no answer" replies (timeouts as the failure detector, per the
+//!   transport contract).
 //!
 //! Everything above the seam — `ServiceClient`, the closed-loop runner, the
 //! open-loop generator — runs unmodified over either backend; `bench_net`

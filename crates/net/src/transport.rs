@@ -21,11 +21,21 @@
 //! harmlessly instead of completing the slot's new occupant). Requests map to
 //! connections by server index, preserving per-server FIFO ordering.
 //!
-//! Deadlines ride in a min-heap beside the table (`BinaryHeap` keyed by
-//! expiry instant): the sweeper pops entries up to `now` instead of scanning
-//! every pending request per tick, with lazy deletion — a popped entry whose
-//! generation no longer matches its slot belongs to an already-completed
-//! request and is skipped.
+//! Deadlines ride in the table itself: the pending slots form a doubly
+//! linked list in registration order, threaded through the slot vector by
+//! index. Every request gets the same allowance
+//! ([`NetConfig::request_deadline`]) from a monotone clock read under the
+//! table lock, so registration order *is* expiry order: the sweeper looks
+//! only at the list's head, a completed request unlinks itself in O(1), and
+//! the table's memory is proportional to the requests in flight, however
+//! long the deadline. Registration order is also write order (both happen
+//! under the connection's writer lock), which is what lets a failed write
+//! tell the requests that rode the dead stream from the ones it is about to
+//! rewrite.
+//!
+//! The connection's reader takes the table lock once per read chunk, matches
+//! every reply of the chunk, and hands each caller its replies as one batch
+//! ([`bqs_service::mailbox::complete_runs`]) after the lock is released.
 //!
 //! # Batching
 //!
@@ -46,9 +56,11 @@
 //!   produces — so the masking protocol's `b + 1`-support rule handles lost
 //!   messages and dead servers uniformly, and no caller ever hangs on an
 //!   accepted request.
-//! * **Reconnect with jittered backoff.** A dead connection fails its
-//!   in-flight requests immediately (in-band, again) and is re-established
-//!   lazily by the next send. The pause before attempt `k` is
+//! * **Reconnect with jittered backoff.** A dead connection fails the
+//!   requests that were written to it immediately (in-band, again) and is
+//!   re-established lazily by the next send; the batch whose write found the
+//!   connection dead is *not* failed — it is rewritten on the new stream and
+//!   its callers get the server's answers. The pause before attempt `k` is
 //!   `reconnect_backoff * k` scaled by a deterministic per-connection jitter
 //!   factor in `[0.5, 1.5)` (a splitmix64 hash of the seed, connection index
 //!   and attempt — no RNG state, no `rand` dependency on the hot path), so
@@ -60,19 +72,17 @@
 //! straggler filtering assume it); the open-loop generator and
 //! `ServiceClient` both allocate ids that way.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bqs_service::mailbox::ReplyHandle;
+use bqs_service::mailbox::{complete_runs, ReplyHandle};
 use bqs_service::transport::{Reply, Request, Transport};
-use bqs_sim::server::mix64;
+use bqs_sim::server::{mix64, Entry};
 
-use crate::codec::{encode_request, encode_request_batch, FrameReader, WireMessage, WireRequest};
+use crate::codec::{encode_request_batch, FrameReader, WireMessage, WireRequest};
 use crate::stream::{Endpoint, Stream};
 
 /// How often blocked reads and the deadline sweeper wake.
@@ -137,16 +147,60 @@ struct Taken {
     reply: ReplyHandle,
 }
 
+/// Replies on their way to their sinks, gathered under a lock and delivered
+/// after it is released — one `complete_batch` per run of replies that share
+/// a sink.
+#[derive(Default)]
+struct Completions {
+    sinks: Vec<ReplyHandle>,
+    replies: Vec<Reply>,
+}
+
+impl Completions {
+    /// Queues the reply to `taken`'s caller: under the caller's own id, and
+    /// attributed to the server the caller *addressed*.
+    fn push(&mut self, taken: Taken, entry: Option<Entry>, epoch: u64, stale: bool) {
+        self.replies.push(Reply {
+            server: taken.server,
+            request_id: taken.caller_id,
+            entry,
+            epoch,
+            stale,
+        });
+        self.sinks.push(taken.reply);
+    }
+
+    /// Queues the in-band no-answer frame for a request that expired or lost
+    /// its connection: a lost reply is indistinguishable from a crashed
+    /// server, which is exactly how the protocol treats it.
+    fn push_no_answer(&mut self, taken: Taken) {
+        let epoch = taken.epoch;
+        self.push(taken, None, epoch, false);
+    }
+
+    /// Completes every queued reply and empties the queue. Call with no
+    /// transport lock held: a sink may re-enter the transport.
+    fn deliver(&mut self) {
+        complete_runs(&self.sinks, &self.replies);
+        self.sinks.clear();
+        self.replies.clear();
+    }
+}
+
 /// A completion slot's occupancy.
 enum SlotState {
     /// On the freelist; `next_free` chains to the next free slot.
     Free { next_free: Option<u32> },
-    /// Holds an in-flight request.
+    /// Holds an in-flight request, linked into the deadline list between
+    /// the requests registered just before and just after it.
     Pending {
         caller_id: u64,
         server: usize,
         epoch: u64,
         reply: ReplyHandle,
+        deadline: Instant,
+        older: Option<u32>,
+        newer: Option<u32>,
     },
 }
 
@@ -158,39 +212,59 @@ struct Slot {
     state: SlotState,
 }
 
-/// Pre-allocated completion slots with freelist reuse and a deadline
-/// min-heap (see the module docs). One per connection, behind one mutex.
+/// Pre-allocated completion slots with freelist reuse, the pending ones
+/// linked in registration order (see the module docs). One per connection,
+/// behind one mutex.
 struct SlotTable {
     slots: Vec<Slot>,
     free_head: Option<u32>,
-    /// Min-heap of `(deadline, slot, generation)`. Lazy deletion: entries
-    /// whose generation no longer matches their slot are skipped when
-    /// popped.
-    deadlines: BinaryHeap<Reverse<(Instant, u32, u32)>>,
-    /// In-flight count (the heap's length overcounts by the lazily deleted).
+    /// The ends of the deadline list: the pending request registered first
+    /// (the next to expire) and the one registered last.
+    oldest: Option<u32>,
+    newest: Option<u32>,
+    /// Every request's allowance; see [`NetConfig::request_deadline`].
+    request_deadline: Duration,
+    /// In-flight count.
     pending: usize,
 }
 
 impl SlotTable {
-    fn new() -> Self {
+    fn new(request_deadline: Duration) -> Self {
         SlotTable {
             slots: Vec::new(),
             free_head: None,
-            deadlines: BinaryHeap::new(),
+            oldest: None,
+            newest: None,
+            request_deadline,
             pending: 0,
         }
     }
 
-    /// Registers an in-flight request and returns the wire id its reply will
-    /// carry (`generation << 32 | slot`).
+    fn wire_id(&self, index: u32) -> u64 {
+        (u64::from(self.slots[index as usize].generation) << 32) | u64::from(index)
+    }
+
+    /// Registers a request sent at `now` at the tail of the deadline list and
+    /// returns the wire id its reply will carry (`generation << 32 | slot`).
+    /// `now` is the monotone clock read under the table lock, so the list
+    /// stays sorted by deadline.
     fn register(
         &mut self,
+        now: Instant,
         caller_id: u64,
         server: usize,
         epoch: u64,
         reply: ReplyHandle,
-        deadline: Instant,
     ) -> u64 {
+        let state = SlotState::Pending {
+            caller_id,
+            server,
+            epoch,
+            reply,
+            deadline: now + self.request_deadline,
+            older: self.newest,
+            newer: None,
+        };
         let index = match self.free_head {
             Some(index) => {
                 let slot = &mut self.slots[index as usize];
@@ -198,77 +272,84 @@ impl SlotTable {
                     unreachable!("freelist points at a pending slot");
                 };
                 self.free_head = next_free;
-                slot.state = SlotState::Pending {
-                    caller_id,
-                    server,
-                    epoch,
-                    reply,
-                };
+                slot.state = state;
                 index
             }
             None => {
                 let index = u32::try_from(self.slots.len()).expect("slot count fits u32");
                 self.slots.push(Slot {
                     generation: 0,
-                    state: SlotState::Pending {
-                        caller_id,
-                        server,
-                        epoch,
-                        reply,
-                    },
+                    state,
                 });
                 index
             }
         };
-        let generation = self.slots[index as usize].generation;
-        self.deadlines.push(Reverse((deadline, index, generation)));
+        match self.newest {
+            Some(tail) => *self.link_mut(tail).1 = Some(index),
+            None => self.oldest = Some(index),
+        }
+        self.newest = Some(index);
         self.pending += 1;
-        (u64::from(generation) << 32) | u64::from(index)
+        self.wire_id(index)
+    }
+
+    /// The `(older, newer)` links of a pending slot.
+    fn link_mut(&mut self, index: u32) -> (&mut Option<u32>, &mut Option<u32>) {
+        match &mut self.slots[index as usize].state {
+            SlotState::Pending { older, newer, .. } => (older, newer),
+            SlotState::Free { .. } => unreachable!("the deadline list links pending slots only"),
+        }
     }
 
     /// Completes the request behind `wire_id`, freeing its slot. `None` when
     /// the id is stale (expired, failed, or fabricated) — the caller drops
     /// the reply.
     fn take(&mut self, wire_id: u64) -> Option<Taken> {
-        let index = (wire_id & 0xffff_ffff) as usize;
-        let generation = (wire_id >> 32) as u32;
-        let slot = self.slots.get_mut(index)?;
-        if slot.generation != generation || !matches!(slot.state, SlotState::Pending { .. }) {
+        let index = u32::try_from(wire_id & 0xffff_ffff).expect("masked to 32 bits");
+        let slot = self.slots.get(index as usize)?;
+        if !matches!(slot.state, SlotState::Pending { .. }) || self.wire_id(index) != wire_id {
             return None;
         }
-        self.free_slot(index as u32)
+        Some(self.free_slot(index))
     }
 
-    /// Expires every request whose deadline has passed, freeing the slots.
-    /// Pops the heap only down to `now` — O(expired log pending), not
-    /// O(pending) per sweep.
-    fn pop_expired(&mut self, now: Instant, out: &mut Vec<Taken>) {
-        while let Some(&Reverse((deadline, index, generation))) = self.deadlines.peek() {
-            if deadline > now {
+    /// Expires every request whose deadline has passed, oldest first, and
+    /// returns how many. Looks only at the head of the list — O(expired),
+    /// not O(pending) per sweep.
+    fn pop_expired(&mut self, now: Instant, out: &mut Completions) -> u64 {
+        let mut expired = 0;
+        while let Some(head) = self.oldest {
+            match self.slots[head as usize].state {
+                SlotState::Pending { deadline, .. } if deadline <= now => {}
+                _ => break,
+            }
+            out.push_no_answer(self.free_slot(head));
+            expired += 1;
+        }
+        expired
+    }
+
+    /// Fails every in-flight request registered before the first member of
+    /// `batch` — all of them when `batch` is empty, or has expired whole —
+    /// and returns how many. Called under the writer lock, where nothing
+    /// newer than `batch` can be registered.
+    fn fail_older(&mut self, batch: &[WireRequest], out: &mut Completions) -> u64 {
+        let mut failed = 0;
+        while let Some(head) = self.oldest {
+            let head_id = self.wire_id(head);
+            if batch.iter().any(|wire| wire.request_id == head_id) {
                 break;
             }
-            self.deadlines.pop();
-            let slot = &self.slots[index as usize];
-            if slot.generation != generation || !matches!(slot.state, SlotState::Pending { .. }) {
-                continue; // lazily deleted: completed before it expired
-            }
-            out.extend(self.free_slot(index));
+            out.push_no_answer(self.free_slot(head));
+            failed += 1;
         }
+        failed
     }
 
-    /// Fails every in-flight request (connection teardown).
-    fn take_all(&mut self, out: &mut Vec<Taken>) {
-        for index in 0..self.slots.len() as u32 {
-            if matches!(self.slots[index as usize].state, SlotState::Pending { .. }) {
-                out.extend(self.free_slot(index));
-            }
-        }
-    }
-
-    /// Frees one pending slot: bumps its generation (invalidating every wire
-    /// id and heap entry that references the old one) and chains it onto the
-    /// freelist.
-    fn free_slot(&mut self, index: u32) -> Option<Taken> {
+    /// Frees one pending slot: unlinks it from the deadline list, bumps its
+    /// generation (invalidating every wire id that references the old one)
+    /// and chains it onto the freelist.
+    fn free_slot(&mut self, index: u32) -> Taken {
         let slot = &mut self.slots[index as usize];
         let state = std::mem::replace(
             &mut slot.state,
@@ -281,19 +362,30 @@ impl SlotTable {
             server,
             epoch,
             reply,
+            older,
+            newer,
+            ..
         } = state
         else {
             unreachable!("free_slot is only called on pending slots");
         };
         slot.generation = slot.generation.wrapping_add(1);
         self.free_head = Some(index);
+        match older {
+            Some(older) => *self.link_mut(older).1 = newer,
+            None => self.oldest = newer,
+        }
+        match newer {
+            Some(newer) => *self.link_mut(newer).0 = older,
+            None => self.newest = older,
+        }
         self.pending -= 1;
-        Some(Taken {
+        Taken {
             caller_id,
             server,
             epoch,
             reply,
-        })
+        }
     }
 }
 
@@ -301,10 +393,12 @@ impl SlotTable {
 struct Writer {
     stream: Option<Stream>,
     buf: Vec<u8>,
+    /// The batch being written, as registered (scratch, reused).
+    wires: Vec<WireRequest>,
 }
 
 /// One pooled connection: slot table + write half; the read half lives in
-/// a per-stream reader thread.
+/// a per-stream reader thread. Lock order: `writer`, then `table`.
 struct Conn {
     endpoint: Endpoint,
     /// This connection's index in the pool (jitter derivation).
@@ -317,6 +411,22 @@ struct Conn {
     shutdown: Arc<AtomicBool>,
     readers: Mutex<Vec<JoinHandle<()>>>,
     stats: Arc<NetStats>,
+}
+
+impl Conn {
+    /// Fails the in-flight requests registered before `batch` (see
+    /// [`SlotTable::fail_older`]) into `out`. Called under the writer lock;
+    /// the caller delivers `out` once it has released it.
+    fn fail_older(&self, batch: &[WireRequest], out: &mut Completions) {
+        let failed = self
+            .table
+            .lock()
+            .expect("slot table lock")
+            .fail_older(batch, out);
+        self.stats
+            .failed_by_disconnect
+            .fetch_add(failed, Ordering::Relaxed);
+    }
 }
 
 /// A pooled, reconnecting client transport to one socket server.
@@ -359,10 +469,11 @@ impl SocketTransport {
             let conn = Arc::new(Conn {
                 endpoint: endpoint.clone(),
                 index,
-                table: Mutex::new(SlotTable::new()),
+                table: Mutex::new(SlotTable::new(config.request_deadline)),
                 writer: Mutex::new(Writer {
                     stream: None,
                     buf: Vec::with_capacity(4096),
+                    wires: Vec::new(),
                 }),
                 generation: AtomicU64::new(0),
                 shutdown: Arc::clone(&shutdown),
@@ -397,28 +508,50 @@ impl SocketTransport {
         &self.stats
     }
 
-    /// Registers `request` on `conn`'s slot table and returns the wire
-    /// request carrying the slot-derived id.
-    fn register_on(&self, conn: &Conn, request: Request) -> WireRequest {
-        let wire_id = conn.table.lock().expect("slot table lock").register(
-            request.request_id,
-            request.server,
-            request.epoch,
-            request.reply,
-            Instant::now() + self.config.request_deadline,
-        );
-        WireRequest {
-            request_id: wire_id,
-            server: request.server,
-            epoch: request.epoch,
-            op: request.op,
-        }
-    }
-
-    /// Silently drops a registered wire request whose write failed (no
-    /// in-band reply: `send`'s `false` return is the refusal signal).
-    fn unregister_on(&self, conn: &Conn, wire_id: u64) {
-        let _ = conn.table.lock().expect("slot table lock").take(wire_id);
+    /// Registers `requests` on `conn` and writes them as one coalesced run
+    /// (a single request is one plain frame). Registration and write happen
+    /// under the writer lock, so slot order is write order. On a failed
+    /// write the requests are unregistered silently: the `false` return is
+    /// the refusal signal, and no reply will arrive.
+    fn send_on(&self, conn: &Arc<Conn>, requests: impl IntoIterator<Item = Request>) -> bool {
+        let mut failed = Completions::default();
+        let written = {
+            let mut guard = conn.writer.lock().expect("writer lock");
+            let writer = &mut *guard;
+            writer.wires.clear();
+            {
+                // Register before writing: the reply can race back before
+                // the write call even returns.
+                let mut table = conn.table.lock().expect("slot table lock");
+                let now = Instant::now();
+                for request in requests {
+                    writer.wires.push(WireRequest {
+                        request_id: table.register(
+                            now,
+                            request.request_id,
+                            request.server,
+                            request.epoch,
+                            request.reply,
+                        ),
+                        server: request.server,
+                        epoch: request.epoch,
+                        op: request.op,
+                    });
+                }
+            }
+            writer.buf.clear();
+            encode_request_batch(&writer.wires, &mut writer.buf);
+            let written = write_with_reconnect(conn, writer, &self.config, &mut failed);
+            if !written {
+                let mut table = conn.table.lock().expect("slot table lock");
+                for wire in &writer.wires {
+                    let _ = table.take(wire.request_id);
+                }
+            }
+            written
+        };
+        failed.deliver();
+        written
     }
 }
 
@@ -432,19 +565,7 @@ impl Transport for SocketTransport {
             return false;
         }
         let conn = &self.conns[request.server % self.conns.len()];
-        // Register before writing: the reply can race back before the write
-        // call even returns.
-        let wire = self.register_on(conn, request);
-        let written = {
-            let mut writer = conn.writer.lock().expect("writer lock");
-            writer.buf.clear();
-            encode_request(&wire, &mut writer.buf);
-            write_with_reconnect(conn, &mut writer, &self.config)
-        };
-        if !written {
-            self.unregister_on(conn, wire.request_id);
-        }
-        written
+        self.send_on(conn, [request])
     }
 
     /// Groups the fan-out by destination connection and writes one coalesced
@@ -474,42 +595,9 @@ impl Transport for SocketTransport {
             }
             per_conn[request.server % pool].push(request);
         }
-        let mut wires: Vec<WireRequest> = Vec::new();
         for (conn, batch) in self.conns.iter().zip(per_conn) {
-            if batch.is_empty() {
-                continue;
-            }
-            wires.clear();
-            {
-                let mut table = conn.table.lock().expect("slot table lock");
-                let deadline = Instant::now() + self.config.request_deadline;
-                for request in batch {
-                    let wire_id = table.register(
-                        request.request_id,
-                        request.server,
-                        request.epoch,
-                        request.reply,
-                        deadline,
-                    );
-                    wires.push(WireRequest {
-                        request_id: wire_id,
-                        server: request.server,
-                        epoch: request.epoch,
-                        op: request.op,
-                    });
-                }
-            }
-            let written = {
-                let mut writer = conn.writer.lock().expect("writer lock");
-                writer.buf.clear();
-                encode_request_batch(&wires, &mut writer.buf);
-                write_with_reconnect(conn, &mut writer, &self.config)
-            };
-            if !written {
-                for wire in &wires {
-                    self.unregister_on(conn, wire.request_id);
-                }
-                ok = false;
+            if !batch.is_empty() {
+                ok &= self.send_on(conn, batch);
             }
         }
         ok
@@ -549,10 +637,16 @@ fn reconnect_delay(seed: u64, conn_index: usize, attempt: u32, base: Duration) -
     base.mul_f64(f64::from(attempt) * (0.5 + unit))
 }
 
-/// Writes `writer.buf`, re-establishing the connection with jittered backoff
-/// when it is down. Returns `false` once the attempt budget is exhausted
-/// (the caller unregisters the affected requests).
-fn write_with_reconnect(conn: &Arc<Conn>, writer: &mut Writer, config: &NetConfig) -> bool {
+/// Writes `writer.buf` — the encoding of `writer.wires` — re-establishing
+/// the connection with jittered backoff when it is down. Returns `false`
+/// once the attempt budget is exhausted (the caller unregisters the batch).
+/// Requests that went down with a dead stream are failed into `failed`.
+fn write_with_reconnect(
+    conn: &Arc<Conn>,
+    writer: &mut Writer,
+    config: &NetConfig,
+    failed: &mut Completions,
+) -> bool {
     for attempt in 0..=config.reconnect_attempts {
         if conn.shutdown.load(Ordering::SeqCst) {
             return false;
@@ -576,17 +670,19 @@ fn write_with_reconnect(conn: &Arc<Conn>, writer: &mut Writer, config: &NetConfi
             return true;
         }
         // Dead connection: drop it so the next attempt redials, and fail
-        // whatever else was in flight on it (the reader usually beats us to
-        // this when the peer resets cleanly).
+        // what was in flight on it (the reader usually beats us to this when
+        // the peer resets cleanly) — everything older than this batch, which
+        // the next attempt rewrites on a fresh stream.
         stream.shutdown();
         writer.stream = None;
-        fail_all_pending(conn);
+        conn.fail_older(&writer.wires, failed);
     }
     false
 }
 
 /// Dials the connection's endpoint and spawns the reader thread for the new
-/// stream. Called under the writer lock.
+/// stream, forgetting the readers of earlier streams that have ended. Called
+/// under the writer lock.
 fn open_stream(conn: &Arc<Conn>, writer: &mut Writer) -> std::io::Result<()> {
     let stream = conn.endpoint.connect()?;
     let _ = stream.set_nodelay();
@@ -598,17 +694,21 @@ fn open_stream(conn: &Arc<Conn>, writer: &mut Writer) -> std::io::Result<()> {
         let conn = Arc::clone(conn);
         std::thread::spawn(move || read_replies(&conn, reader_stream, generation))
     };
-    conn.readers.lock().expect("reader registry").push(handle);
+    let mut readers = conn.readers.lock().expect("reader registry");
+    readers.retain(|reader| !reader.is_finished());
+    readers.push(handle);
     Ok(())
 }
 
 /// Reads reply frames off one stream and routes them to their waiting
-/// requests through the slot table; on stream death, fails this connection's
+/// requests through the slot table — one table lock per read chunk, one
+/// completion per caller per chunk; on stream death, fails this connection's
 /// in-flight requests in-band.
 fn read_replies(conn: &Arc<Conn>, mut stream: Stream, my_generation: u64) {
     use std::io::Read;
     let mut frames = FrameReader::new();
     let mut chunk = [0u8; 16 * 1024];
+    let mut completions = Completions::default();
     loop {
         if conn.shutdown.load(Ordering::SeqCst) {
             return;
@@ -617,95 +717,57 @@ fn read_replies(conn: &Arc<Conn>, mut stream: Stream, my_generation: u64) {
             Ok(0) => break,
             Ok(got) => {
                 frames.push(&chunk[..got]);
+                let mut table = conn.table.lock().expect("slot table lock");
                 while let Some(message) = frames.next_message() {
                     let reply = match message {
                         WireMessage::Reply(reply) => reply,
                         WireMessage::Request(_) => continue, // confused peer
                     };
-                    let taken = conn
-                        .table
-                        .lock()
-                        .expect("slot table lock")
-                        .take(reply.request_id);
-                    if let Some(taken) = taken {
-                        // The caller sees its own id, not the wire id, and
-                        // the server it *addressed*: the slot, not the frame,
-                        // says who was asked, so a peer cannot vote under
-                        // another server's name. Epoch and staleness pass
-                        // through from the wire: a fenced reply's epoch is
-                        // the *server's* current epoch.
-                        taken.reply.complete(Reply {
-                            server: taken.server,
-                            request_id: taken.caller_id,
-                            entry: reply.entry,
-                            epoch: reply.epoch,
-                            stale: reply.stale,
-                        });
+                    // The caller sees its own id, not the wire id, and the
+                    // server it *addressed*: the slot, not the frame, says
+                    // who was asked, so a peer cannot vote under another
+                    // server's name. Epoch and staleness pass through from
+                    // the wire: a fenced reply's epoch is the *server's*
+                    // current epoch.
+                    if let Some(taken) = table.take(reply.request_id) {
+                        completions.push(taken, reply.entry, reply.epoch, reply.stale);
                     }
                 }
+                drop(table);
+                completions.deliver();
             }
             Err(err) if Stream::is_timeout(&err) => continue,
             Err(_) => break,
         }
     }
     // Only tear down the stream if no reconnect has superseded this reader.
-    if conn.generation.load(Ordering::SeqCst) == my_generation {
-        if let Ok(mut writer) = conn.writer.lock() {
-            if conn.generation.load(Ordering::SeqCst) == my_generation {
-                writer.stream = None;
-            }
+    // Under the writer lock everything registered was written to this
+    // stream, so everything registered is what died with it.
+    if let Ok(mut writer) = conn.writer.lock() {
+        if conn.generation.load(Ordering::SeqCst) == my_generation {
+            writer.stream = None;
+            conn.fail_older(&[], &mut completions);
         }
-        fail_all_pending(conn);
     }
-}
-
-/// Answers every in-flight request on `conn` with the in-band no-answer
-/// frame: their connection is gone, and a lost reply is indistinguishable
-/// from a crashed server — which is exactly how the protocol treats it.
-fn fail_all_pending(conn: &Conn) {
-    let mut failed = Vec::new();
-    conn.table
-        .lock()
-        .expect("slot table lock")
-        .take_all(&mut failed);
-    for taken in failed {
-        conn.stats
-            .failed_by_disconnect
-            .fetch_add(1, Ordering::Relaxed);
-        taken.reply.complete(Reply {
-            server: taken.server,
-            request_id: taken.caller_id,
-            entry: None,
-            epoch: taken.epoch,
-            stale: false,
-        });
-    }
+    completions.deliver();
 }
 
 /// Expires requests whose reply deadline has passed, answering them in-band.
-/// Each sweep pops the per-connection deadline heap down to `now` —
-/// proportional to what actually expired, not to what is pending.
+/// Each sweep walks the per-connection deadline list from its head down to
+/// `now` — proportional to what actually expired, not to what is pending.
 fn sweep_deadlines(conns: &[Arc<Conn>], shutdown: &AtomicBool, stats: &NetStats) {
-    let mut expired = Vec::new();
+    let mut expired = Completions::default();
     while !shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(TICK);
         let now = Instant::now();
         for conn in conns {
-            debug_assert!(expired.is_empty());
-            conn.table
+            let count = conn
+                .table
                 .lock()
                 .expect("slot table lock")
                 .pop_expired(now, &mut expired);
-            for taken in expired.drain(..) {
-                stats.deadline_expiries.fetch_add(1, Ordering::Relaxed);
-                taken.reply.complete(Reply {
-                    server: taken.server,
-                    request_id: taken.caller_id,
-                    entry: None,
-                    epoch: taken.epoch,
-                    stale: false,
-                });
-            }
+            stats.deadline_expiries.fetch_add(count, Ordering::Relaxed);
+            expired.deliver();
         }
     }
 }
@@ -721,70 +783,110 @@ mod tests {
         (mb, handle)
     }
 
+    const ALLOWANCE: Duration = Duration::from_millis(40);
+
+    fn caller_ids(out: &Completions) -> Vec<u64> {
+        out.replies.iter().map(|reply| reply.request_id).collect()
+    }
+
     #[test]
-    fn slot_table_expires_in_deadline_order() {
-        let mut table = SlotTable::new();
-        let t0 = Instant::now();
+    fn requests_expire_in_registration_order() {
+        let mut table = SlotTable::new(ALLOWANCE);
         let (_mb, handle) = sink();
-        // Registered out of deadline order on purpose.
-        let late = table.register(3, 0, 0, Arc::clone(&handle), t0 + Duration::from_millis(30));
-        let early = table.register(1, 1, 0, Arc::clone(&handle), t0 + Duration::from_millis(10));
-        let mid = table.register(2, 2, 0, Arc::clone(&handle), t0 + Duration::from_millis(20));
+        let t0 = Instant::now();
+        let later = t0 + Duration::from_millis(5);
+        let first = table.register(t0, 3, 0, 7, Arc::clone(&handle));
+        let second = table.register(later, 1, 1, 7, Arc::clone(&handle));
+        let third = table.register(later, 2, 2, 7, Arc::clone(&handle));
         assert_eq!(table.pending, 3);
 
-        let mut out = Vec::new();
-        table.pop_expired(t0 + Duration::from_millis(15), &mut out);
+        let mut out = Completions::default();
+        assert_eq!(table.pop_expired(later, &mut out), 0);
+        // Between the first deadline and the others': only the head goes.
+        assert_eq!(table.pop_expired(t0 + ALLOWANCE, &mut out), 1);
+        assert_eq!(caller_ids(&out), vec![3]);
         assert_eq!(
-            out.iter().map(|t| t.caller_id).collect::<Vec<_>>(),
-            vec![1],
-            "only the earliest deadline has passed"
+            table.pop_expired(later + ALLOWANCE, &mut out),
+            2,
+            "the rest expire oldest first"
         );
-        out.clear();
-        table.pop_expired(t0 + Duration::from_millis(60), &mut out);
-        assert_eq!(
-            out.iter().map(|t| t.caller_id).collect::<Vec<_>>(),
-            vec![2, 3],
-            "remaining requests expire in deadline order, not registration order"
-        );
+        assert_eq!(caller_ids(&out), vec![3, 1, 2]);
+        for (reply, server) in out.replies.iter().zip([0, 1, 2]) {
+            // The in-band no-answer frame, under the request's own stamps.
+            assert_eq!((reply.server, reply.entry, reply.epoch), (server, None, 7));
+            assert!(!reply.stale);
+        }
         assert_eq!(table.pending, 0);
+        assert_eq!((table.oldest, table.newest), (None, None));
         // All three wire ids are now stale.
-        for id in [early, mid, late] {
+        for id in [first, second, third] {
             assert!(table.take(id).is_none());
         }
     }
 
     #[test]
-    fn completed_requests_are_lazily_deleted_from_the_heap() {
-        let mut table = SlotTable::new();
-        let t0 = Instant::now();
+    fn a_completed_request_leaves_the_deadline_list_at_once() {
+        let mut table = SlotTable::new(ALLOWANCE);
         let (_mb, handle) = sink();
-        let a = table.register(10, 0, 0, Arc::clone(&handle), t0 + Duration::from_millis(5));
-        let _b = table.register(
-            11,
-            1,
-            0,
-            Arc::clone(&handle),
-            t0 + Duration::from_millis(50),
+        let ids: Vec<u64> = (0..5)
+            .map(|i| table.register(Instant::now(), 10 + i, i as usize, 0, Arc::clone(&handle)))
+            .collect();
+        // Middle, head, tail: every unlink case.
+        for id in [ids[2], ids[0], ids[4]] {
+            assert!(table.take(id).is_some());
+        }
+        assert_eq!(table.pending, 2);
+        let mut out = Completions::default();
+        assert_eq!(table.pop_expired(Instant::now() + ALLOWANCE, &mut out), 2);
+        assert_eq!(
+            caller_ids(&out),
+            vec![11, 13],
+            "only what is still pending expires, still oldest first"
         );
-        // Complete `a` before it expires.
-        assert_eq!(table.take(a).map(|t| t.caller_id), Some(10));
-        let mut out = Vec::new();
-        table.pop_expired(t0 + Duration::from_millis(25), &mut out);
+        assert_eq!((table.oldest, table.newest), (None, None));
+    }
+
+    #[test]
+    fn the_table_is_as_long_as_the_peak_in_flight_count() {
+        // Memory is O(in flight), however long the deadline: a completed
+        // request leaves nothing behind to wait for its deadline.
+        let mut table = SlotTable::new(Duration::from_secs(3600));
+        let (_mb, handle) = sink();
+        let now = Instant::now();
+        let mut in_flight = std::collections::VecDeque::new();
+        let mut peak = 0;
+        let mut completed = 0;
+        for caller_id in 0..25_000u64 {
+            // A fan-out of 1..=9 goes out, 1..=9 of the oldest come back.
+            for server in 0..=caller_id % 9 {
+                let wire_id =
+                    table.register(now, caller_id, server as usize, 0, Arc::clone(&handle));
+                in_flight.push_back((wire_id, caller_id));
+            }
+            peak = peak.max(in_flight.len());
+            for _ in 0..=(caller_id + 4) % 9 {
+                if let Some((wire_id, caller_id)) = in_flight.pop_front() {
+                    assert_eq!(table.take(wire_id).map(|t| t.caller_id), Some(caller_id));
+                    completed += 1;
+                }
+            }
+        }
+        assert!(completed >= 100_000, "{completed} round trips");
+        assert_eq!(table.pending, in_flight.len());
         assert!(
-            out.is_empty(),
-            "a's heap entry is stale and must be skipped, b has not expired"
+            table.slots.len() <= peak,
+            "{} slots for a peak of {peak} in flight",
+            table.slots.len()
         );
-        assert_eq!(table.pending, 1);
     }
 
     #[test]
     fn freed_slots_are_reused_with_a_new_generation() {
-        let mut table = SlotTable::new();
-        let t0 = Instant::now();
+        let mut table = SlotTable::new(ALLOWANCE);
         let (_mb, handle) = sink();
-        let first = table.register(1, 0, 0, Arc::clone(&handle), t0 + Duration::from_secs(1));
+        let first = table.register(Instant::now(), 1, 0, 0, Arc::clone(&handle));
         assert!(table.take(first).is_some());
-        let second = table.register(2, 0, 0, Arc::clone(&handle), t0 + Duration::from_secs(1));
+        let second = table.register(Instant::now(), 2, 0, 0, Arc::clone(&handle));
         // Same slot index, different generation: the stale id misses.
         assert_eq!(first & 0xffff_ffff, second & 0xffff_ffff);
         assert_ne!(first, second);
@@ -794,23 +896,70 @@ mod tests {
     }
 
     #[test]
-    fn take_all_fails_everything_pending() {
-        let mut table = SlotTable::new();
-        let t0 = Instant::now();
+    fn fail_older_spares_the_batch_being_written() {
+        let mut table = SlotTable::new(ALLOWANCE);
         let (_mb, handle) = sink();
-        for i in 0..5 {
-            table.register(
-                i,
-                i as usize,
-                0,
-                Arc::clone(&handle),
-                t0 + Duration::from_secs(1),
-            );
+        let wire = |request_id| WireRequest {
+            request_id,
+            server: 0,
+            epoch: 0,
+            op: bqs_service::transport::Operation::Read,
+        };
+        let now = Instant::now();
+        for i in 0..3 {
+            table.register(now, i, i as usize, 0, Arc::clone(&handle));
         }
-        let mut out = Vec::new();
-        table.take_all(&mut out);
-        assert_eq!(out.len(), 5);
+        let batch: Vec<WireRequest> = (3..5)
+            .map(|i| wire(table.register(now, i, i as usize, 0, Arc::clone(&handle))))
+            .collect();
+        let mut out = Completions::default();
+        assert_eq!(table.fail_older(&batch, &mut out), 3);
+        assert_eq!(caller_ids(&out), vec![0, 1, 2]);
+        assert_eq!(table.pending, 2, "the batch stays registered");
+        // With no batch to spare (a dead stream's reader), everything goes.
+        assert_eq!(table.fail_older(&[], &mut out), 2);
+        assert_eq!(caller_ids(&out), vec![0, 1, 2, 3, 4]);
         assert_eq!(table.pending, 0);
+    }
+
+    #[test]
+    fn readers_of_dead_streams_are_reaped_on_reconnect() {
+        use crate::server::SocketServer;
+        use bqs_service::transport::Operation;
+        use bqs_sim::fault::FaultPlan;
+
+        let server = SocketServer::bind_tcp_loopback(&FaultPlan::none(3), 1, 1).unwrap();
+        let config = NetConfig {
+            pool: 1,
+            reconnect_backoff: Duration::from_millis(1),
+            ..NetConfig::default()
+        };
+        let transport = SocketTransport::connect(server.endpoint().clone(), 3, config).unwrap();
+        let conn = &transport.conns[0];
+        let (mb, handle) = sink();
+        let mut replies = Vec::new();
+        let mut most_readers = 0;
+        for cycle in 0..200 {
+            // Kill the stream under the transport; the next send redials.
+            if let Some(stream) = &conn.writer.lock().unwrap().stream {
+                stream.shutdown();
+            }
+            assert!(transport.send(Request {
+                server: 0,
+                op: Operation::Read,
+                request_id: cycle,
+                origin: 0,
+                epoch: 0,
+                reply: Arc::clone(&handle),
+            }));
+            assert!(mb.drain_blocking(&mut replies));
+            assert!(replies.drain(..).all(|reply| reply.request_id == cycle));
+            most_readers = most_readers.max(conn.readers.lock().unwrap().len());
+        }
+        assert_eq!(transport.stats.reconnects.load(Ordering::Relaxed), 200);
+        // The live stream's reader, and the few dead streams' whose threads
+        // were still on their way out at the last redial.
+        assert!(most_readers <= 8, "{most_readers} reader handles held");
     }
 
     #[test]

@@ -328,3 +328,188 @@ fn a_reply_is_attributed_to_the_addressed_server_not_the_wire_claim() {
         peer.join().unwrap();
     }
 }
+
+/// Holds the transport's reader thread inside `complete` until released, so
+/// the test decides who finds the dead stream first: the writer.
+#[derive(Debug)]
+struct StallReader {
+    entered: std::sync::mpsc::SyncSender<Reply>,
+    release: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+}
+
+impl ReplySink for StallReader {
+    fn complete(&self, reply: Reply) {
+        let _ = self.entered.send(reply);
+        let _ = self.release.lock().unwrap().recv();
+    }
+}
+
+/// A batch whose write finds the connection dead is rewritten on a fresh
+/// one, so it must not be failed along with the requests that died on the
+/// old stream: its callers get the server's real answers (and nothing
+/// else), while every older in-flight request gets exactly one in-band
+/// no-answer. The peer answers one request of the first connection — its
+/// sink stalls the transport's reader, so the reader cannot notice the
+/// close — then closes it, and serves the second connection honestly.
+#[test]
+fn a_retried_batch_gets_the_servers_answers_not_a_no_answer() {
+    use std::sync::mpsc;
+
+    let path = std::env::temp_dir().join(format!("bqs-retried-batch-{}.sock", std::process::id()));
+    let listener = Listener::bind_uds(path).unwrap();
+    let endpoint = listener.endpoint().unwrap();
+    let (close_first, closing) = mpsc::channel::<()>();
+    let (closed_tx, closed) = mpsc::channel::<()>();
+    let peer = std::thread::spawn(move || {
+        let answer = |request: &WireRequest, wire: &mut Vec<u8>| {
+            let reply = Reply {
+                server: request.server,
+                request_id: request.request_id,
+                entry: Some(HONEST),
+                epoch: request.epoch,
+                stale: false,
+            };
+            encode_reply(&reply, wire);
+        };
+        // Connection one: take the three older requests, answer the first.
+        let mut first = listener.accept().unwrap();
+        let mut reader = FrameReader::new();
+        let mut chunk = [0u8; 512];
+        let mut seen = Vec::new();
+        while seen.len() < 3 {
+            let got = first.read(&mut chunk).unwrap();
+            assert!(got > 0, "the client hung up early");
+            reader.push(&chunk[..got]);
+            while let Some(WireMessage::Request(request)) = reader.next_message() {
+                seen.push(request);
+            }
+        }
+        let mut wire = Vec::new();
+        answer(&seen[0], &mut wire);
+        first.write_all(&wire).unwrap();
+        closing.recv().unwrap();
+        drop(first);
+        closed_tx.send(()).unwrap();
+        // Connection two: an honest server.
+        let mut second = listener.accept().unwrap();
+        let mut reader = FrameReader::new();
+        loop {
+            let got = match second.read(&mut chunk) {
+                Ok(0) | Err(_) => return, // the client hung up
+                Ok(got) => got,
+            };
+            reader.push(&chunk[..got]);
+            let mut wire = Vec::new();
+            while let Some(WireMessage::Request(request)) = reader.next_message() {
+                answer(&request, &mut wire);
+            }
+            second.write_all(&wire).unwrap();
+        }
+    });
+
+    let transport = SocketTransport::connect(
+        endpoint,
+        5,
+        NetConfig {
+            pool: 1,
+            // Long: every no-answer below comes from the disconnect.
+            request_deadline: Duration::from_secs(30),
+            reconnect_backoff: Duration::from_millis(1),
+            ..NetConfig::default()
+        },
+    )
+    .unwrap();
+    let read = |server: usize, request_id: u64, reply: ReplyHandle| Request {
+        server,
+        op: Operation::Read,
+        request_id,
+        origin: 0,
+        epoch: 0,
+        reply,
+    };
+
+    let (entered_tx, entered) = mpsc::sync_channel(4);
+    let (release, released) = mpsc::channel::<()>();
+    let stall: ReplyHandle = Arc::new(StallReader {
+        entered: entered_tx,
+        release: std::sync::Mutex::new(released),
+    });
+    let older = Arc::new(ReplyMailbox::new());
+    let mut batch = vec![
+        read(0, 10, stall),
+        read(1, 11, Arc::clone(&older) as ReplyHandle),
+        read(2, 12, Arc::clone(&older) as ReplyHandle),
+    ];
+    assert!(transport.send_batch(&mut batch));
+    let answered = entered.recv_timeout(Duration::from_secs(10)).unwrap();
+    assert_eq!((answered.request_id, answered.entry), (10, Some(HONEST)));
+
+    // The reader is parked in the sink; the peer closes; the writer is the
+    // one to find out.
+    close_first.send(()).unwrap();
+    closed.recv_timeout(Duration::from_secs(10)).unwrap();
+    let retried = Arc::new(ReplyMailbox::new());
+    let mut batch = vec![
+        read(3, 20, Arc::clone(&retried) as ReplyHandle),
+        read(4, 21, Arc::clone(&retried) as ReplyHandle),
+    ];
+    assert!(transport.send_batch(&mut batch), "the redial succeeds");
+
+    let mut answers = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while answers.len() < 2 {
+        assert!(
+            Instant::now() < deadline,
+            "the retried batch went unanswered"
+        );
+        let mut drained = Vec::new();
+        retried.drain_timeout(Duration::from_millis(100), &mut drained);
+        answers.append(&mut drained);
+    }
+    answers.sort_by_key(|reply| reply.request_id);
+    assert_eq!(
+        answers
+            .iter()
+            .map(|reply| (reply.request_id, reply.server, reply.entry))
+            .collect::<Vec<_>>(),
+        vec![(20, 3, Some(HONEST)), (21, 4, Some(HONEST))],
+        "the retried batch's callers were told something other than the server's answers"
+    );
+
+    // Let the reader go: it finds a stream that a reconnect has superseded.
+    // Dropping the transport joins it, so nothing is still on its way after.
+    release.send(()).unwrap();
+    assert_eq!(
+        transport
+            .stats()
+            .reconnects
+            .load(std::sync::atomic::Ordering::Relaxed),
+        1
+    );
+    assert_eq!(
+        transport
+            .stats()
+            .failed_by_disconnect
+            .load(std::sync::atomic::Ordering::Relaxed),
+        2
+    );
+    drop(transport);
+    peer.join().unwrap();
+    let mut failed = Vec::new();
+    older.drain_timeout(Duration::ZERO, &mut failed);
+    failed.sort_by_key(|reply| reply.request_id);
+    assert_eq!(
+        failed
+            .iter()
+            .map(|reply| (reply.request_id, reply.server, reply.entry))
+            .collect::<Vec<_>>(),
+        vec![(11, 1, None), (12, 2, None)],
+        "each older in-flight request gets exactly one in-band no-answer"
+    );
+    let mut late = Vec::new();
+    retried.drain_timeout(Duration::ZERO, &mut late);
+    assert!(
+        late.is_empty(),
+        "the retried batch was answered twice: {late:?}"
+    );
+}

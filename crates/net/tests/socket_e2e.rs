@@ -247,3 +247,96 @@ fn loopback_and_socket_backends_agree_on_replica_state() {
         );
     }
 }
+
+/// One thread serves a connection, so a client that never reads its replies
+/// eventually blocks that thread in its write — and must block nothing else:
+/// another connection's operations still complete well inside the deadline,
+/// and the server still shuts down.
+#[test]
+fn a_client_that_stops_reading_stalls_only_its_own_connection() {
+    use bqs_net::codec::encode_request;
+    use std::io::Write;
+
+    let system = GridSystem::new(5, 1).unwrap();
+    let server = SocketServer::bind_uds(uds_path("slow"), &FaultPlan::none(25), 2, 15).unwrap();
+
+    // Connection A: writes reads of a stored entry (the replies are the
+    // bigger frames) and never reads one. A write that cannot make progress
+    // for a quarter of a second means both directions' buffers are full: the
+    // server's thread for A is parked in `write_all`.
+    let slow = server.endpoint().connect().unwrap();
+    let Stream::Uds(ref socket) = slow else {
+        panic!("a Unix-domain endpoint connects Unix-domain streams");
+    };
+    socket
+        .set_write_timeout(Some(Duration::from_millis(250)))
+        .unwrap();
+    let mut wire = Vec::new();
+    encode_request(
+        &WireRequest {
+            request_id: 0,
+            server: 7,
+            epoch: 0,
+            op: Operation::Write(Entry {
+                timestamp: 1,
+                value: authentic_value(1),
+            }),
+        },
+        &mut wire,
+    );
+    let reads: Vec<WireRequest> = (1..=512u64)
+        .map(|request_id| WireRequest {
+            request_id,
+            server: 7,
+            epoch: 0,
+            op: Operation::Read,
+        })
+        .collect();
+    encode_request_batch(&reads, &mut wire);
+    let mut socket = socket;
+    let filled = Instant::now() + Duration::from_secs(30);
+    loop {
+        assert!(Instant::now() < filled, "the socket buffers never filled");
+        match socket.write(&wire) {
+            Ok(_) => {}
+            Err(err) if Stream::is_timeout(&err) => break,
+            Err(err) => panic!("the slow client's write failed: {err}"),
+        }
+    }
+
+    // Connection B, while A is wedged.
+    let deadline = Duration::from_secs(5);
+    let transport = SocketTransport::connect(
+        server.endpoint().clone(),
+        25,
+        NetConfig {
+            pool: 1,
+            request_deadline: deadline,
+            ..NetConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = ServiceClient::new(&system, &transport, server.responsive_set().clone(), 1);
+    let mut rng = StdRng::seed_from_u64(3);
+    let started = Instant::now();
+    for round in 2..=21u64 {
+        let entry = Entry {
+            timestamp: round,
+            value: authentic_value(round),
+        };
+        client.write(entry, &mut rng).unwrap();
+        assert_eq!(client.read(&mut rng).unwrap().entry, entry);
+    }
+    assert!(
+        started.elapsed() < deadline / 5,
+        "40 operations took {:?} next to a wedged connection",
+        started.elapsed()
+    );
+    let expiries = &transport.stats().deadline_expiries;
+    assert_eq!(expiries.load(std::sync::atomic::Ordering::Relaxed), 0);
+    drop(client);
+    drop(transport);
+    // A's thread is still parked in its write; shutdown must wake it.
+    drop(server);
+    drop(slow);
+}

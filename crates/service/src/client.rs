@@ -9,7 +9,7 @@
 //!    [`bqs_core::strategic::StrategicQuorumSystem`]), retry a few times under
 //!    sporadic failures, fall back to deterministic live-quorum discovery;
 //! 2. fan the operation out to every quorum member in **one**
-//!    [`Transport::send_batch`] call (one shard wake / one syscall per
+//!    [`Transport::send_batch`] call (one shard lock / one syscall per
 //!    destination, not one per member);
 //! 3. gather replies from the client's private reply mailbox — ids are
 //!    strictly increasing across the client's lifetime, so stragglers from an
@@ -58,7 +58,7 @@ pub enum ServiceError {
     /// meaning to the simulator's [`ProtocolError`].
     Protocol(ProtocolError),
     /// The transport refused a request or a reply never arrived — the service
-    /// is shutting down or a shard died.
+    /// is shutting down or went away mid-request.
     TransportFailure,
     /// The servers fenced the operation: the epoch this client is stamped
     /// with has been retired by a reconfiguration. `current` is the newest
@@ -448,7 +448,7 @@ mod tests {
 
         fn send(&self, request: Request) -> bool {
             // Drop the reply sender on the floor: the client's channel hangs
-            // up-less, exactly like a shard dying mid-request.
+            // up-less, exactly like a service dying mid-request.
             drop(request);
             self.swallowed
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);

@@ -14,11 +14,12 @@
 //!   loopback can later be swapped for a network backend;
 //! * [`mailbox`] — [`mailbox::Mailbox`]: the swap-buffer queue
 //!   (`Mutex<Vec>` + `Condvar`, drain the whole batch per wakeup) that
-//!   carries every hot-path message, and [`mailbox::ReplySink`], the
-//!   allocation-free completion handle replies are delivered through;
+//!   carries replies back to a waiting client, and [`mailbox::ReplySink`],
+//!   the allocation-free completion handle replies are delivered through;
 //! * [`shard`] — [`shard::LoopbackService`]: replicas partitioned across
-//!   worker threads that own them outright (per-shard mailboxes, no locks),
-//!   reusing the simulator's `Replica`/`FaultPlan` fault machinery, plus the
+//!   lock-striped shards, every request applied on its sender's thread (no
+//!   service threads, sinks completed with no shard lock held), reusing the
+//!   simulator's `Replica`/`FaultPlan` fault machinery, plus the
 //!   [`shard::TimestampOracle`] ordering concurrent writers;
 //! * [`metrics`] — lock-free relaxed-atomic per-server access counters, a
 //!   fixed-bucket latency histogram, and throughput counters;
@@ -32,7 +33,7 @@
 //!   single-writer read-your-writes) — [`runner::judge_read`] and the
 //!   [`runner::OpTally`] every generator's report is filled from;
 //!   [`runner::run_service_on`] runs the same workload against an existing
-//!   service so repeated trials can reuse one shard pool;
+//!   service so repeated trials can reuse one service;
 //! * [`openloop`] — [`openloop::run_open_loop`]: an open-loop generator
 //!   (Poisson arrivals at a configured *offered* rate, virtual clients
 //!   multiplexed on a few worker threads, operation pipelining) that works

@@ -1,10 +1,7 @@
 //! Swap-buffer mailboxes and the reply-completion sink.
 //!
-//! Every queue on the request path used to be an `mpsc` channel, which costs
-//! one allocation per channel, one atomic handoff per message, and one
-//! futex wake per `recv`. At socket rates the wakes dominate: a shard worker
-//! paid a park/unpark round trip *per operation*. [`Mailbox`] replaces that
-//! with the classic swap-buffer scheme:
+//! [`Mailbox`] is the queue a client waits on for its replies, built so that
+//! a batch costs one wake, not one per message:
 //!
 //! * producers lock a plain `Mutex<Vec<T>>`, push, and signal the condvar
 //!   **only when the queue was empty** (a consumer might be parked);
@@ -16,11 +13,20 @@
 //! capacity, so the steady state allocates nothing.
 //!
 //! [`ReplySink`] is the completion half: a [`crate::transport::Request`]
-//! carries an [`ReplyHandle`] (a shared sink) instead of a per-operation
-//! `mpsc::Sender`, so issuing an operation no longer allocates a channel
-//! pair. [`ReplyMailbox`] is the standard sink — clients drain whole batches
-//! of replies per wakeup and match them back by
+//! carries an [`ReplyHandle`] (a shared sink), so issuing an operation
+//! allocates no channel. [`ReplyMailbox`] is the standard sink — clients
+//! drain whole batches of replies per wakeup and match them back by
 //! [`crate::transport::Reply::request_id`].
+//!
+//! Sinks are completed by whichever thread produced the reply, and that can
+//! be the *sending* thread: the loopback service applies a request on its
+//! caller's thread, and the chaos interposer answers a detected loss on the
+//! spot, so a sink may be completed **before** the `send`/`send_batch` call
+//! that carried its request returns. Producers hold none of their own locks
+//! while they complete a sink, so a sink may re-enter the transport. A
+//! producer that has several replies for one sink delivers them through
+//! [`ReplySink::complete_batch`] — for a [`ReplyMailbox`] one lock and at
+//! most one wake for the whole fan-in ([`complete_runs`] does the grouping).
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -103,6 +109,25 @@ impl<T> Mailbox<T> {
         }
         drop(state);
         if was_empty {
+            self.available.notify_one();
+        }
+        true
+    }
+
+    /// Enqueues a copy of every item of `items` under one lock acquisition.
+    /// Returns `false`, enqueuing nothing, when the mailbox is closed.
+    pub fn push_slice(&self, items: &[T]) -> bool
+    where
+        T: Copy,
+    {
+        let mut state = self.state.lock().expect("mailbox lock");
+        if state.closed {
+            return false;
+        }
+        let was_empty = state.queue.is_empty();
+        state.queue.extend_from_slice(items);
+        drop(state);
+        if was_empty && !items.is_empty() {
             self.available.notify_one();
         }
         true
@@ -227,6 +252,15 @@ impl DrainStatus {
 pub trait ReplySink: Send + Sync + std::fmt::Debug {
     /// Delivers one reply. Must not block beyond a short critical section.
     fn complete(&self, reply: Reply);
+
+    /// Delivers several replies at once, in order. The default is a
+    /// [`ReplySink::complete`] loop; sinks that pay a lock or a wake per
+    /// delivery override it to pay them once per batch.
+    fn complete_batch(&self, replies: &[Reply]) {
+        for &reply in replies {
+            self.complete(reply);
+        }
+    }
 }
 
 /// A shared, cloneable handle to a reply sink. Cloning is one atomic
@@ -240,6 +274,32 @@ pub type ReplyMailbox = Mailbox<Reply>;
 impl ReplySink for ReplyMailbox {
     fn complete(&self, reply: Reply) {
         let _ = self.push(reply);
+    }
+
+    fn complete_batch(&self, replies: &[Reply]) {
+        let _ = self.push_slice(replies);
+    }
+}
+
+/// Completes `replies[i]` on `sinks[i]`, with one
+/// [`ReplySink::complete_batch`] call per run of consecutive replies that
+/// share a sink — a quorum fan-in to one client is one call. Callers hold no
+/// lock of their own across this (see the module docs).
+///
+/// # Panics
+///
+/// Panics if the two slices differ in length.
+pub fn complete_runs(sinks: &[ReplyHandle], replies: &[Reply]) {
+    assert_eq!(sinks.len(), replies.len(), "one sink per reply");
+    let mut start = 0;
+    while start < sinks.len() {
+        let sink = &sinks[start];
+        let run = sinks[start..]
+            .iter()
+            .take_while(|other| std::ptr::addr_eq(Arc::as_ptr(sink), Arc::as_ptr(other)))
+            .count();
+        sink.complete_batch(&replies[start..start + run]);
+        start += run;
     }
 }
 
@@ -361,6 +421,69 @@ mod tests {
         assert!(mb.drain_blocking(&mut batch));
         assert_eq!(batch, vec![42]);
         producer.join().unwrap();
+    }
+
+    fn reply(request_id: u64) -> Reply {
+        Reply {
+            server: 0,
+            request_id,
+            entry: None,
+            epoch: 0,
+            stale: false,
+        }
+    }
+
+    #[test]
+    fn complete_runs_hands_each_sink_its_consecutive_replies_as_one_batch() {
+        /// Records the ids of each delivery it receives.
+        #[derive(Debug, Default)]
+        struct Recorder(Mutex<Vec<Vec<u64>>>);
+        impl ReplySink for Recorder {
+            fn complete(&self, reply: Reply) {
+                self.0.lock().unwrap().push(vec![reply.request_id]);
+            }
+            fn complete_batch(&self, replies: &[Reply]) {
+                let ids = replies.iter().map(|r| r.request_id).collect();
+                self.0.lock().unwrap().push(ids);
+            }
+        }
+        /// Takes the default `complete_batch`.
+        #[derive(Debug, Default)]
+        struct OneByOne(Mutex<Vec<u64>>);
+        impl ReplySink for OneByOne {
+            fn complete(&self, reply: Reply) {
+                self.0.lock().unwrap().push(reply.request_id);
+            }
+        }
+
+        let (a, b, c) = (
+            Arc::new(Recorder::default()),
+            Arc::new(Recorder::default()),
+            Arc::new(OneByOne::default()),
+        );
+        let mailbox = Arc::new(ReplyMailbox::new());
+        let sinks: Vec<ReplyHandle> = vec![
+            a.clone(),
+            a.clone(),
+            b.clone(),
+            a.clone(),
+            c.clone(),
+            c.clone(),
+            mailbox.clone(),
+            mailbox.clone(),
+        ];
+        let replies: Vec<Reply> = (0..8).map(reply).collect();
+        complete_runs(&sinks, &replies);
+        assert_eq!(*a.0.lock().unwrap(), vec![vec![0, 1], vec![3]]);
+        assert_eq!(*b.0.lock().unwrap(), vec![vec![2]]);
+        assert_eq!(*c.0.lock().unwrap(), vec![4, 5], "the default is a loop");
+        let mut drained = Vec::new();
+        assert_eq!(
+            mailbox.drain_timeout(Duration::ZERO, &mut drained),
+            DrainStatus::Drained(2)
+        );
+        assert_eq!(drained, vec![reply(6), reply(7)]);
+        complete_runs(&[], &[]);
     }
 
     #[test]

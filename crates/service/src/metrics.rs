@@ -173,8 +173,8 @@ impl ServiceMetrics {
         self.accesses.len()
     }
 
-    /// Records one protocol message delivered to `server` (relaxed; called by
-    /// shard workers on every request).
+    /// Records one protocol message delivered to `server` (relaxed; called
+    /// under the owning shard's lock on every request).
     pub fn record_access(&self, server: usize) {
         self.accesses[server].fetch_add(1, Ordering::Relaxed);
     }

@@ -24,7 +24,7 @@
 //! * Operations **pipeline**: a worker fires a new arrival's quorum fan-out
 //!   without waiting for earlier operations, keeping up to
 //!   `max_in_flight_per_worker` operations outstanding. Each fan-out goes
-//!   through **one** [`Transport::send_batch`] call (one shard wake or one
+//!   through **one** [`Transport::send_batch`] call (one shard lock or one
 //!   coalesced wire frame per destination), and replies come back through
 //!   one swap-buffer reply mailbox per worker, drained in whole batches and
 //!   matched by [`Reply::request_id`] (the ids encode the owning operation)

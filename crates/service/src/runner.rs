@@ -46,7 +46,7 @@ use crate::transport::Transport;
 pub struct ServiceConfig {
     /// Number of concurrent client threads.
     pub clients: usize,
-    /// Number of shard worker threads owning the replicas.
+    /// Number of shards (lock stripes) the replicas are partitioned into.
     pub shards: usize,
     /// Closed-loop operations each client performs.
     pub ops_per_client: usize,
@@ -280,17 +280,14 @@ where
     );
     assert!(config.shards > 0, "need at least one shard");
     let service = LoopbackService::spawn(plan, config.shards, config.seed);
-    let report = run_service_on(&service, system, b, config);
-    drop(service); // join shard workers before returning
-    report
+    run_service_on(&service, system, b, config)
 }
 
 /// Runs the closed-loop workload against an **existing** service pool,
 /// leaving the pool alive afterwards. This is the amortised path for
 /// repeated-trial harnesses: spawn one [`LoopbackService`], then alternate
-/// [`LoopbackService::reset_plan`] and `run_service_on` — per-trial thread
-/// spin-up no longer dominates, which is what lets the availability
-/// validation in `bench_service` run at `n ≥ 100`.
+/// [`LoopbackService::reset_plan`] and `run_service_on`, as the availability
+/// validation in `bench_service` does.
 ///
 /// `config.shards` is ignored (the pool's shard count was fixed at spawn);
 /// `config.seed` still derives every per-client RNG. The pool's metrics are

@@ -1,21 +1,29 @@
 //! Sharded in-process replica ownership — the loopback [`Transport`].
 //!
 //! The universe of `n` replicas is partitioned round-robin across `shards`
-//! worker threads. Each worker *owns* its replicas outright (no locks, no
-//! sharing) and drains a private swap-buffer mailbox of [`Request`]s, so
-//! replica state is only ever touched by one thread — the same single-writer
-//! discipline a networked replica server would have, which is what lets a
-//! network backend replace [`LoopbackService`] behind the [`Transport`] trait
-//! without touching client code (`bqs-net`'s `SocketServer` in fact *wraps* a
-//! `LoopbackService`, keeping one replica-ownership implementation).
+//! lock stripes: server `i` lives on shard `i % shards`, and each shard's
+//! replicas and RNG sit behind one `Mutex`. There are no service threads. A
+//! request runs to completion on the thread that sends it:
+//! [`Transport::send`] takes the owning shard's lock, applies the operation,
+//! releases the lock and completes the reply sink, so a round trip through
+//! the loopback costs no hand-off at all and clients that address different
+//! shards proceed in parallel. Replica state is still only ever touched by
+//! one thread at a time — the same discipline a networked replica server
+//! would have, which is what lets a network backend replace
+//! [`LoopbackService`] behind the [`Transport`] trait without touching client
+//! code (`bqs-net`'s `SocketServer` in fact *wraps* a `LoopbackService`,
+//! keeping one replica-ownership implementation).
 //!
-//! The mailbox is the batching stage of the request path ([`crate::mailbox`]):
-//! a worker drains its **whole** backlog per wakeup and applies the drained
-//! operations back-to-back while the replica state is cache-hot, so under
-//! load a shard pays one lock acquisition and at most one futex wake per
-//! batch instead of per operation. [`LoopbackService::send_batch`] completes
-//! the picture on the producer side — a quorum fan-out is bucketed by owning
-//! shard and each bucket lands in its mailbox under a single lock.
+//! [`LoopbackService::send_batch`] is the batching stage of the request path:
+//! a quorum fan-out is bucketed by owning shard, each bucket is applied
+//! back-to-back under **one** lock acquisition while the replica state is
+//! cache-hot, and the replies are handed to their sinks one
+//! [`ReplySink::complete_batch`](crate::mailbox::ReplySink::complete_batch)
+//! per sink. Sinks are always completed with **no shard lock held**, so a
+//! sink may re-enter the service (and a slow sink stalls only its sender).
+//! Within a shard, requests are applied in the order they were sent, so a
+//! shard's RNG stream — what an equivocating replica answers with — is a
+//! function of the seed and that order alone.
 //!
 //! Fault injection reuses the simulator's [`FaultPlan`]/[`Replica`] machinery
 //! wholesale: a crashed replica ignores writes and reads as `None`, Byzantine
@@ -23,12 +31,11 @@
 //! failure-detector view ([`LoopbackService::responsive_set`]) that clients
 //! use for probe-and-fallback quorum selection.
 //!
-//! Besides protocol requests, shard mailboxes accept two control messages:
+//! Two control operations mutate the shards directly:
 //! [`LoopbackService::reset_plan`] swaps every shard's replicas for a fresh
-//! set built from a new [`FaultPlan`] without respawning the worker threads
-//! (repeated-trial harnesses — the availability validation in
-//! `bench_service` — rely on this: per-trial thread spin-up used to dominate
-//! at n ≥ 100), and [`LoopbackService::crash_servers`] kills a chosen set of
+//! set built from a new [`FaultPlan`] (repeated-trial harnesses — the
+//! availability validation in `bench_service` — re-arm one service per trial
+//! this way), and [`LoopbackService::crash_servers`] kills a chosen set of
 //! replicas *at runtime* through `&self`, which is what reconfiguration
 //! harnesses use to fail servers under load.
 //!
@@ -39,9 +46,7 @@
 //! boundary (see `bqs_sim::epoch` for the safety argument).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use bqs_core::bitset::ServerSet;
 use bqs_sim::epoch::EpochGate;
@@ -50,49 +55,43 @@ use bqs_sim::server::{Behavior, Replica};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::mailbox::Mailbox;
+use crate::mailbox::{complete_runs, ReplyHandle};
 use crate::metrics::ServiceMetrics;
 use crate::transport::{Operation, Reply, Request, Transport};
 
-/// A shard mailbox message: a protocol request, the control message that
-/// re-arms the shard with fresh replicas between trials, or the control
-/// message that crashes a set of replicas at runtime.
+/// One lock stripe: the replicas of servers `shard_id, shard_id + shards, …`
+/// in index order (server `i` is `replicas[i / shards]`), and the RNG their
+/// equivocating members draw from.
 #[derive(Debug)]
-enum ShardMsg {
-    Op(Request),
-    Reset {
-        replicas: Vec<(usize, Replica)>,
-        rng: StdRng,
-        ack: mpsc::Sender<()>,
-    },
-    Crash {
-        servers: Vec<usize>,
-        ack: mpsc::Sender<()>,
-    },
+struct Shard {
+    replicas: Vec<Replica>,
+    rng: StdRng,
 }
 
-/// An in-process sharded quorum service: replicas owned by worker threads,
-/// per-shard swap-buffer mailboxes drained in whole batches, lock-free
-/// metrics.
-///
-/// Dropping the service closes every mailbox and joins the workers.
+/// An in-process sharded quorum service: replicas in lock-striped shards,
+/// every request applied on its sender's thread, lock-free metrics.
 #[derive(Debug)]
 pub struct LoopbackService {
-    mailboxes: Vec<Arc<Mailbox<ShardMsg>>>,
-    workers: Vec<JoinHandle<()>>,
+    shards: Vec<Mutex<Shard>>,
     n: usize,
     responsive: ServerSet,
     metrics: Arc<ServiceMetrics>,
     gate: Arc<EpochGate>,
 }
 
-/// Round-robin partition of a plan's replicas into per-shard ownership lists.
-fn partition_replicas(plan: &FaultPlan, shards: usize) -> Vec<Vec<(usize, Replica)>> {
-    let mut shard_replicas: Vec<Vec<(usize, Replica)>> = (0..shards).map(|_| Vec::new()).collect();
+/// Round-robin partition of a plan's replicas into shards, each with its
+/// private RNG derived from the service seed and the shard id.
+fn build_shards(plan: &FaultPlan, shards: usize, seed: u64) -> Vec<Shard> {
+    let mut built: Vec<Shard> = (0..shards)
+        .map(|shard_id| Shard {
+            replicas: Vec::new(),
+            rng: StdRng::seed_from_u64(seed ^ (0x5a5a_0001u64.wrapping_mul(shard_id as u64 + 1))),
+        })
+        .collect();
     for (i, replica) in plan.build_replicas().into_iter().enumerate() {
-        shard_replicas[i % shards].push((i, replica));
+        built[i % shards].replicas.push(replica);
     }
-    shard_replicas
+    built
 }
 
 /// The failure detector's view of a plan: servers that answer protocol
@@ -109,16 +108,11 @@ fn responsive_view(plan: &FaultPlan) -> ServerSet {
     )
 }
 
-/// A shard's private RNG, derived from the service seed and the shard id
-/// (used by equivocating Byzantine replicas).
-fn shard_rng(seed: u64, shard_id: usize) -> StdRng {
-    StdRng::seed_from_u64(seed ^ (0x5a5a_0001u64.wrapping_mul(shard_id as u64 + 1)))
-}
-
 impl LoopbackService {
-    /// Spawns `shards` worker threads owning the replicas described by
-    /// `plan` (server `i` lives on shard `i % shards`). `seed` derives each
-    /// shard's private RNG (used by equivocating Byzantine replicas).
+    /// Builds the replicas described by `plan` into `shards` lock stripes
+    /// (server `i` lives on shard `i % shards`). `seed` derives each shard's
+    /// private RNG (used by equivocating Byzantine replicas). No thread is
+    /// started: requests run on the threads that send them.
     ///
     /// # Panics
     ///
@@ -128,122 +122,69 @@ impl LoopbackService {
         let n = plan.universe_size();
         assert!(shards > 0, "a service needs at least one shard");
         assert!(n > 0, "a service needs at least one server");
-        let shards = shards.min(n);
-        let responsive = responsive_view(plan);
-        let metrics = Arc::new(ServiceMetrics::new(n));
-        let gate = Arc::new(EpochGate::new());
-
-        let mut mailboxes = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for (shard_id, owned) in partition_replicas(plan, shards).into_iter().enumerate() {
-            let mailbox = Arc::new(Mailbox::new());
-            let worker_mailbox = Arc::clone(&mailbox);
-            let metrics = Arc::clone(&metrics);
-            let gate = Arc::clone(&gate);
-            let rng = shard_rng(seed, shard_id);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("bqs-shard-{shard_id}"))
-                    .spawn(move || shard_worker(owned, &worker_mailbox, &metrics, &gate, rng))
-                    .expect("spawning a shard worker"),
-            );
-            mailboxes.push(mailbox);
-        }
         LoopbackService {
-            mailboxes,
-            workers,
+            shards: build_shards(plan, shards.min(n), seed)
+                .into_iter()
+                .map(Mutex::new)
+                .collect(),
             n,
-            responsive,
-            metrics,
-            gate,
+            responsive: responsive_view(plan),
+            metrics: Arc::new(ServiceMetrics::new(n)),
+            gate: Arc::new(EpochGate::new()),
         }
     }
 
-    /// Re-arms the service with fresh replicas built from `plan`, without
-    /// respawning the shard worker threads: every shard swaps its ownership
-    /// list (and reseeds its RNG from `seed`), the failure-detector view is
-    /// recomputed, and the metrics are zeroed. Taking `&mut self` guarantees
-    /// no client holds the service across the swap, so no request can observe
-    /// half-old half-new replicas.
-    ///
-    /// This is what lets repeated-trial harnesses amortise thread spin-up:
-    /// one pool serves hundreds of independently drawn fault plans.
+    /// Re-arms the service with fresh replicas built from `plan`: every shard
+    /// swaps its replicas (and reseeds its RNG from `seed`), the
+    /// failure-detector view is recomputed, and the metrics and the epoch
+    /// gate are reset. Taking `&mut self` guarantees no client holds the
+    /// service across the swap, so no request can observe half-old half-new
+    /// replicas.
     ///
     /// # Panics
     ///
     /// Panics if `plan` covers a different universe than the one the service
-    /// was spawned with, or if a shard worker has died.
+    /// was spawned with.
     pub fn reset_plan(&mut self, plan: &FaultPlan, seed: u64) {
         assert_eq!(
             plan.universe_size(),
             self.n,
             "reset_plan must keep the universe size"
         );
-        let shards = self.mailboxes.len();
-        let (ack_tx, ack_rx) = mpsc::channel();
-        for (shard_id, replicas) in partition_replicas(plan, shards).into_iter().enumerate() {
-            assert!(
-                self.mailboxes[shard_id].push(ShardMsg::Reset {
-                    replicas,
-                    rng: shard_rng(seed, shard_id),
-                    ack: ack_tx.clone(),
-                }),
-                "shard mailboxes outlive the service"
-            );
-        }
-        drop(ack_tx);
-        for _ in 0..shards {
-            ack_rx.recv().expect("every shard acknowledges the reset");
+        let fresh = build_shards(plan, self.shards.len(), seed);
+        for (shard, fresh) in self.shards.iter_mut().zip(fresh) {
+            *shard
+                .get_mut()
+                .expect("no sender panicked under a shard lock") = fresh;
         }
         self.responsive = responsive_view(plan);
         self.metrics.reset();
         self.gate.reset();
     }
 
-    /// Crashes the listed servers at runtime: each owning shard swaps the
-    /// replica for a crashed one (writes ignored, reads answered `None`),
-    /// synchronously — when this returns, no later request observes the old
-    /// behaviour. Unlike [`LoopbackService::reset_plan`] this takes `&self`
-    /// (the control message rides the shard mailboxes), so a harness can
-    /// fail servers while clients are actively driving load — which is
-    /// exactly what the reconfiguration benches do. The failure-detector
-    /// view is deliberately *not* updated: discovering the crash from access
-    /// evidence is the suspicion engine's job.
+    /// Crashes the listed servers at runtime: each replica is swapped for a
+    /// crashed one (writes ignored, reads answered `None`) under its shard's
+    /// lock — when this returns, no later request observes the old
+    /// behaviour. Unlike [`LoopbackService::reset_plan`] this takes `&self`,
+    /// so a harness can fail servers while clients are actively driving load
+    /// — which is exactly what the reconfiguration benches do. The
+    /// failure-detector view is deliberately *not* updated: discovering the
+    /// crash from access evidence is the suspicion engine's job.
     ///
     /// # Panics
     ///
-    /// Panics if a server index is out of universe or a shard worker died.
+    /// Panics if a server index is out of universe.
     pub fn crash_servers(&self, servers: &[usize]) {
-        let shards = self.mailboxes.len();
-        let mut per_shard: Vec<Vec<usize>> = (0..shards).map(|_| Vec::new()).collect();
+        let shards = self.shards.len();
         for &server in servers {
             assert!(server < self.n, "crash target outside the universe");
-            per_shard[server % shards].push(server);
-        }
-        let (ack_tx, ack_rx) = mpsc::channel();
-        let mut expected = 0usize;
-        for (shard, targets) in per_shard.into_iter().enumerate() {
-            if targets.is_empty() {
-                continue;
-            }
-            expected += 1;
-            assert!(
-                self.mailboxes[shard].push(ShardMsg::Crash {
-                    servers: targets,
-                    ack: ack_tx.clone(),
-                }),
-                "shard mailboxes outlive the service"
-            );
-        }
-        drop(ack_tx);
-        for _ in 0..expected {
-            ack_rx.recv().expect("every shard acknowledges the crash");
+            self.lock(server % shards).replicas[server / shards] = Replica::new(Behavior::Crashed);
         }
     }
 
-    /// The epoch gate shared by every shard worker. Reconfiguration managers
-    /// hold a clone to run the open-window/finalise handoff; everything else
-    /// can ignore it (a fresh service accepts exactly epoch 0).
+    /// The epoch gate every request passes. Reconfiguration managers hold a
+    /// clone to run the open-window/finalise handoff; everything else can
+    /// ignore it (a fresh service accepts exactly epoch 0).
     #[must_use]
     pub fn epoch_gate(&self) -> &Arc<EpochGate> {
         &self.gate
@@ -264,10 +205,51 @@ impl LoopbackService {
         &self.metrics
     }
 
-    /// Number of worker shards.
+    /// Number of shards the replicas are partitioned into.
     #[must_use]
     pub fn shards(&self) -> usize {
-        self.mailboxes.len()
+        self.shards.len()
+    }
+
+    fn lock(&self, shard: usize) -> MutexGuard<'_, Shard> {
+        self.shards[shard]
+            .lock()
+            .expect("no sender panicked under a shard lock")
+    }
+
+    /// Applies one in-universe request to its replica, under the owning
+    /// shard's lock, and returns the reply frame — always one, with the
+    /// request's id echoed (in-band `None` for silent servers — see
+    /// [`Reply`]).
+    fn apply(&self, shard: &mut Shard, request: &Request) -> Reply {
+        if !self.gate.accepts(request.epoch) {
+            // Fenced: the access strategy this request was sampled under is
+            // retired. Answer in-band so the client both fails fast and
+            // learns the current epoch; the replica is never touched.
+            return Reply {
+                server: request.server,
+                request_id: request.request_id,
+                entry: None,
+                epoch: self.gate.current(),
+                stale: true,
+            };
+        }
+        let replica = &mut shard.replicas[request.server / self.shards.len()];
+        self.metrics.record_access(request.server);
+        let entry = match request.op {
+            Operation::Write(entry) => {
+                replica.deliver_write(entry);
+                None
+            }
+            Operation::Read => replica.deliver_read(request.origin, &mut shard.rng),
+        };
+        Reply {
+            server: request.server,
+            request_id: request.request_id,
+            entry,
+            epoch: request.epoch,
+            stale: false,
+        }
     }
 }
 
@@ -278,124 +260,35 @@ impl Transport for LoopbackService {
 
     fn send(&self, request: Request) -> bool {
         // An out-of-universe address is refused rather than wrapped: routed
-        // modulo-shards it would panic the owning worker's lookup and take
-        // every replica on that shard down with it.
+        // modulo-shards it would index past the owning shard's replicas.
         if request.server >= self.n {
             return false;
         }
-        let shard = request.server % self.mailboxes.len();
-        self.mailboxes[shard].push(ShardMsg::Op(request))
+        let reply = self.apply(&mut self.lock(request.server % self.shards.len()), &request);
+        // The shard lock is released: the sink may re-enter the service.
+        request.reply.complete(reply);
+        true
     }
 
-    /// Buckets the fan-out by owning shard and lands each bucket in its
-    /// mailbox under one lock acquisition — one wake per destination shard
-    /// per batch, however many requests the batch carries.
+    /// Buckets the fan-out by owning shard, applies each bucket under one
+    /// lock acquisition, and completes the sinks — one call per sink — after
+    /// the last lock is released.
     fn send_batch(&self, requests: &mut Vec<Request>) -> bool {
-        let shards = self.mailboxes.len();
-        let mut ok = true;
-        let mut buckets: Vec<Vec<ShardMsg>> = (0..shards).map(|_| Vec::new()).collect();
-        for request in requests.drain(..) {
-            if request.server >= self.n {
-                ok = false;
-                continue;
-            }
-            buckets[request.server % shards].push(ShardMsg::Op(request));
+        let shards = self.shards.len();
+        let before = requests.len();
+        requests.retain(|request| request.server < self.n);
+        let ok = requests.len() == before;
+        // Stable: requests of one shard keep the order they were sent in.
+        requests.sort_by_key(|request| request.server % shards);
+        let mut replies: Vec<Reply> = Vec::with_capacity(requests.len());
+        for bucket in requests.chunk_by(|a, b| a.server % shards == b.server % shards) {
+            let mut shard = self.lock(bucket[0].server % shards);
+            replies.extend(bucket.iter().map(|request| self.apply(&mut shard, request)));
         }
-        for (shard, mut bucket) in buckets.into_iter().enumerate() {
-            if !bucket.is_empty() {
-                ok &= self.mailboxes[shard].push_batch(&mut bucket);
-            }
-        }
+        // Every shard lock is released: the sinks may re-enter the service.
+        let sinks: Vec<ReplyHandle> = requests.drain(..).map(|request| request.reply).collect();
+        complete_runs(&sinks, &replies);
         ok
-    }
-}
-
-impl Drop for LoopbackService {
-    fn drop(&mut self) {
-        // Closing the mailboxes ends each worker's drain loop.
-        for mailbox in &self.mailboxes {
-            mailbox.close();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-/// One shard's event loop: drain the **whole** mailbox per wakeup, apply the
-/// drained operations back-to-back to the owned replicas (cache-hot, no
-/// per-op lock or wake), always produce a reply frame with the request's id
-/// echoed (in-band `None` for silent servers — see [`Reply`]); swap the
-/// ownership list on a reset.
-fn shard_worker(
-    mut owned: Vec<(usize, Replica)>,
-    mailbox: &Mailbox<ShardMsg>,
-    metrics: &ServiceMetrics,
-    gate: &EpochGate,
-    mut rng: StdRng,
-) {
-    owned.sort_by_key(|(i, _)| *i);
-    let mut batch = Vec::new();
-    while mailbox.drain_blocking(&mut batch) {
-        for msg in batch.drain(..) {
-            let request = match msg {
-                ShardMsg::Op(request) => request,
-                ShardMsg::Reset {
-                    mut replicas,
-                    rng: fresh_rng,
-                    ack,
-                } => {
-                    replicas.sort_by_key(|(i, _)| *i);
-                    owned = replicas;
-                    rng = fresh_rng;
-                    let _ = ack.send(());
-                    continue;
-                }
-                ShardMsg::Crash { servers, ack } => {
-                    for server in servers {
-                        let slot = owned
-                            .binary_search_by_key(&server, |(i, _)| *i)
-                            .expect("crash routed to the shard owning the server");
-                        owned[slot].1 = Replica::new(Behavior::Crashed);
-                    }
-                    let _ = ack.send(());
-                    continue;
-                }
-            };
-            if !gate.accepts(request.epoch) {
-                // Fenced: the access strategy this request was sampled under
-                // is retired. Answer in-band so the client both fails fast
-                // and learns the current epoch; the replica is never touched.
-                request.reply.complete(Reply {
-                    server: request.server,
-                    request_id: request.request_id,
-                    entry: None,
-                    epoch: gate.current(),
-                    stale: true,
-                });
-                continue;
-            }
-            let slot = owned
-                .binary_search_by_key(&request.server, |(i, _)| *i)
-                .expect("request routed to the shard owning the server");
-            let replica = &mut owned[slot].1;
-            metrics.record_access(request.server);
-            let entry = match request.op {
-                Operation::Write(entry) => {
-                    replica.deliver_write(entry);
-                    None
-                }
-                Operation::Read => replica.deliver_read(request.origin, &mut rng),
-            };
-            // A dead client (reply sink closed) is not the shard's problem.
-            request.reply.complete(Reply {
-                server: request.server,
-                request_id: request.request_id,
-                entry,
-                epoch: request.epoch,
-                stale: false,
-            });
-        }
     }
 }
 
@@ -416,7 +309,7 @@ impl TimestampOracle {
 
     /// Allocates the next timestamp (relaxed: the allocation itself is the
     /// only synchronisation needed; the value travels to readers through the
-    /// mailbox handoffs' release/acquire edges).
+    /// shard locks' release/acquire edges).
     pub fn allocate(&self) -> u64 {
         self.next.fetch_add(1, Ordering::Relaxed) + 1
     }

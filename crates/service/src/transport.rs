@@ -29,11 +29,14 @@
 //! `b + 1`-support rule treats lost messages and dead servers uniformly.
 //!
 //! What [`Transport::send`] returning `true` does **not** promise is that a
-//! reply will ever arrive. The loopback always answers (its shards reply even
-//! for crashed replicas) and `bqs-net`'s socket transport always answers
-//! (a deadline sweeper synthesises the in-band no-answer frame), but the
-//! trait cannot enforce liveness on implementations — a shard can die
-//! mid-request, a transport can be torn down with requests in flight.
+//! reply will ever arrive. The loopback always answers (before `send` even
+//! returns, crashed replicas included) and `bqs-net`'s socket transport
+//! always answers (a deadline sweeper synthesises the in-band no-answer
+//! frame), but the trait cannot enforce liveness on implementations — a
+//! server process can die mid-request, a transport can be torn down with
+//! requests in flight. Nor does it promise the reply comes *later*: a
+//! transport may complete a request's sink on the sending thread, before
+//! `send` returns (see [`crate::mailbox`]).
 //! Clients therefore MUST bound every wait on the reply sink and surface
 //! expiry as a transport-level failure rather than blocking forever;
 //! [`crate::client::ServiceClient`] does exactly that (see
@@ -61,7 +64,7 @@
 //! so the natural unit of work is a *batch* of requests, not one.
 //! [`Transport::send_batch`] hands the whole fan-out over in a single call;
 //! batching-aware transports (the sharded loopback, the socket transport)
-//! exploit it to pay one lock+wake per destination shard and one syscall per
+//! exploit it to pay one lock per destination shard and one syscall per
 //! destination connection instead of one per request. The default
 //! implementation degrades to a `send` loop, so the batch entry point is an
 //! optimisation surface, never a semantic one: delivery, correlation, and the
@@ -118,8 +121,8 @@ pub struct Request {
     /// the rest (see the module docs); epoch 0 is the pre-reconfiguration
     /// state every service starts in.
     pub epoch: u64,
-    /// Where the owning shard must deliver the [`Reply`]. A shared handle —
-    /// cloning it is an atomic increment, not a channel allocation.
+    /// Where the replica's owner must deliver the [`Reply`]. A shared handle
+    /// — cloning it is an atomic increment, not a channel allocation.
     pub reply: ReplyHandle,
 }
 
@@ -178,8 +181,9 @@ pub trait Transport: Send + Sync {
     /// exactly as for a `false` from [`Transport::send`].
     ///
     /// The default implementation is a plain `send` loop; batching-aware
-    /// transports override it to coalesce per-shard wakes or per-connection
-    /// writes. Semantics are identical either way (see the module docs).
+    /// transports override it to coalesce per-shard locking or
+    /// per-connection writes. Semantics are identical either way (see the
+    /// module docs).
     fn send_batch(&self, requests: &mut Vec<Request>) -> bool {
         let mut ok = true;
         for request in requests.drain(..) {

@@ -21,7 +21,7 @@
 //!   simultaneously protects the register and tells the lagging client what
 //!   epoch to re-synchronise to.
 //!
-//! The gate is a pair of atomics shared by every shard worker; checks are
+//! The gate is a pair of atomics shared by every replica owner; checks are
 //! two relaxed loads on the request hot path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
