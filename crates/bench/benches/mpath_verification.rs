@@ -1,7 +1,8 @@
 //! Criterion benchmarks for the M-Path machinery (the ablation called out in
 //! DESIGN.md): straight-line quorum discovery versus general max-flow discovery, the
-//! max-flow quorum verifier itself, and a single percolation trial — the costs
-//! behind Proposition 7.3's experimental reproduction.
+//! availability *decision* (capped blocking-path search) beside quorum *extraction*
+//! (max-flow), and a single percolation trial — the costs behind Proposition 7.3's
+//! experimental reproduction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -54,6 +55,15 @@ fn bench_quorum_verification(c: &mut Criterion) {
     let alive = sample_alive_set(1024, 0.125, &mut rng);
     group.bench_function("find_live_quorum_n1024_p0.125", |b| {
         b.iter(|| sys.find_live_quorum(&alive))
+    });
+    // The decision alone, on the same configuration and on one past the
+    // percolation threshold (where the search gives up early the other way).
+    let heavy = sample_alive_set(1024, 0.45, &mut rng);
+    group.bench_function("is_available_n1024_p0.125", |b| {
+        b.iter(|| sys.is_available(&alive))
+    });
+    group.bench_function("is_available_n1024_p0.45", |b| {
+        b.iter(|| sys.is_available(&heavy))
     });
     group.finish();
 }

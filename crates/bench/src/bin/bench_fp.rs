@@ -120,6 +120,18 @@ struct MethodSpeedup {
     ratio: f64,
 }
 
+/// A timing ratio with three significant digits at any magnitude: `{:.2}`
+/// prints everything under 0.005 as `0.00`, which is what the M-Path row —
+/// where the sampled estimate is the cheaper one — would read.
+fn fmt_ratio(ratio: f64) -> String {
+    let leading_zeros = if ratio > 0.0 && ratio < 1.0 {
+        (-ratio.log10()).ceil() as usize
+    } else {
+        0
+    };
+    format!("{ratio:.*}", 2 + leading_zeros)
+}
+
 fn method_speedup(
     evaluator: &Evaluator,
     sys: &dyn QuorumSystem,
@@ -382,7 +394,7 @@ fn main() {
     // ---- Front (b): ε-pruned transfer-matrix DP past the exact wall. ----
     // Side 7 runs in every mode (the CI smoke gate for the certified-interval
     // path); side 8 — minutes on one core — only in the full run.
-    eprintln!("front (b): pruned-DP certified interval at M-Path side 7 (~25 s on one core)...");
+    eprintln!("front (b): pruned-DP certified interval at M-Path side 7 (~10 s on one core)...");
     let mpath7 = MPathSystem::new(7, 1).unwrap();
     let (est7, side7_seconds) = time(|| evaluator.crash_probability(&mpath7, p25));
     expect("M-Path(side=7)", est7.method, FpMethod::DpPruned);
@@ -399,7 +411,7 @@ fn main() {
     let side8 = if quick {
         None
     } else {
-        eprintln!("front (b): side 8 (a few minutes on one core)...");
+        eprintln!("front (b): side 8 (~2 min on one core)...");
         let mpath8 = MPathSystem::new(8, 1).unwrap();
         let (est8, side8_seconds) = time(|| evaluator.crash_probability(&mpath8, p25));
         expect("M-Path(side=8)", est8.method, FpMethod::DpPruned);
@@ -501,7 +513,7 @@ fn main() {
         ("mpath", &mpath_speedup, true),
     ] {
         json.push_str(&format!(
-            "    \"{key}\": {{\"construction\": \"{}\", \"p\": {}, \"method\": \"{}\", \"exact_fp\": {:e}, \"exact_seconds\": {:e}, \"mc_trials\": {}, \"mc_fp\": {:e}, \"mc_upper95\": {:e}, \"mc_seconds\": {:e}, \"ratio\": {:.2}}}{}\n",
+            "    \"{key}\": {{\"construction\": \"{}\", \"p\": {}, \"method\": \"{}\", \"exact_fp\": {:e}, \"exact_seconds\": {:e}, \"mc_trials\": {}, \"mc_fp\": {:e}, \"mc_upper95\": {:e}, \"mc_seconds\": {:e}, \"ratio_is\": \"mc_seconds / exact_seconds\", \"ratio\": {}}}{}\n",
             json_escape(&s.construction),
             s.p,
             s.exact_method,
@@ -511,7 +523,7 @@ fn main() {
             s.mc_fp,
             s.mc_upper95,
             s.mc_seconds,
-            s.ratio,
+            fmt_ratio(s.ratio),
             if last { "" } else { "," }
         ));
     }
@@ -566,7 +578,7 @@ fn main() {
     println!();
     for s in [&boost_speedup, &mpath_speedup] {
         println!(
-            "{} at p = {}: {} {:.6}s (exact fp {:.6e}) vs {}-trial Monte-Carlo {:.6}s -> {:.2}x",
+            "{} at p = {}: {} {:.6}s (exact fp {:.6e}) vs {}-trial Monte-Carlo {:.6}s -> Monte-Carlo time / exact time = {}{}",
             s.construction,
             s.p,
             s.exact_method,
@@ -574,7 +586,12 @@ fn main() {
             s.exact_fp,
             s.mc_trials,
             s.mc_seconds,
-            s.ratio
+            fmt_ratio(s.ratio),
+            if s.ratio < 1.0 {
+                " (the sampled estimate is the cheaper one; the exact method buys the digits sampling cannot reach)"
+            } else {
+                ""
+            }
         );
     }
     println!(

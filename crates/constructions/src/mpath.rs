@@ -10,9 +10,16 @@
 //! probability vanishes exponentially for *every* `p < 1/2` by a percolation argument
 //! (Proposition 7.3) — `F_p ≤ exp(−Ω(√n − √b))`.
 //!
-//! Operationally, quorum discovery under failures uses max-flow (Menger) on the
-//! node-split grid from the `bqs-graph` crate; the load-optimal sampling strategy
-//! uses straight rows and columns only, exactly as in the proof of Proposition 7.2.
+//! Operationally, whether a crash configuration leaves a quorum alive is *decided*
+//! by the self-matching duality of the triangular lattice: `√(2b+1)` disjoint alive
+//! crossings exist one way iff no crossing path the other way has fewer than
+//! `√(2b+1)` alive vertices, which a capped 0-1 BFS from `bqs-graph` answers
+//! without building a network ([`QuorumSystem::is_available`],
+//! [`MPathSystem::contains_quorum`]). Quorum *discovery* — the paths themselves,
+//! [`QuorumSystem::find_live_quorum`] — uses max-flow (Menger) on the node-split
+//! grid, entered only once the decision says a quorum exists. The load-optimal
+//! sampling strategy uses straight rows and columns only, exactly as in the proof of
+//! Proposition 7.2.
 //!
 //! Crash-probability evaluation is **exact** up to grid side
 //! [`EXACT_DP_MAX_SIDE`] via the transfer-matrix DP of
@@ -26,6 +33,8 @@
 //! since exact crossing probabilities are exponential in `√n` for every
 //! known method.
 
+use std::cell::RefCell;
+
 use rand::RngCore;
 
 use bqs_core::bitset::ServerSet;
@@ -34,23 +43,25 @@ use bqs_core::eval::FpMethod;
 use bqs_core::oracle::MinWeightQuorumOracle;
 use bqs_core::quorum::QuorumSystem;
 use bqs_graph::crossing_dp::{
-    mpath_crash_probability_exact, mpath_crash_probability_pruned,
-    mpath_crash_probability_pruned_grid, ProbabilityInterval,
+    min_crossing_cost_capped, mpath_crash_probability_exact, mpath_crash_probability_pruned,
+    mpath_crash_probability_pruned_grid, CrossingScratch, ProbabilityInterval,
 };
 use bqs_graph::disjoint_paths::{
     find_disjoint_paths, find_straight_disjoint_paths, min_price_crossing,
 };
 use bqs_graph::grid::{Axis, TriangulatedGrid};
-use bqs_graph::maxflow::max_vertex_disjoint_paths;
 
 use crate::AnalyzedConstruction;
 
 /// Largest grid side for which [`MPathSystem::crash_probability_exact`] runs
 /// the transfer-matrix sweep of [`bqs_graph::crossing_dp`] by default. The
 /// DP's interface-state count is exponential in the side (like every known
-/// exact method for crossing probabilities); up to side 6 (`n = 36`, already
-/// beyond the `2^25` enumeration limit) a sweep point costs milliseconds to a
-/// few seconds, while side 7 crosses into minutes.
+/// exact method for crossing probabilities). Up to side 6 (`n = 36`, already
+/// beyond the `2^25` enumeration limit) a sweep point costs milliseconds to
+/// half a second on one core (side 6: 0.5 s at `k = 2`, 0.35 s at `k = 3`).
+/// An unpruned side-7 sweep at `k = 2` takes 8.5 s and fits the pruned
+/// budget, but side 7 is dispatched to the ε-pruned sweep (7 s, certified to
+/// `2e-13`), so the exact gate stays where its cost is interactive.
 pub const EXACT_DP_MAX_SIDE: usize = 6;
 
 /// Interface-state budget handed to the transfer-matrix sweep; at
@@ -64,14 +75,14 @@ pub const EXACT_DP_STATE_BUDGET: usize = 4_000_000;
 /// explodes, but the mass distribution over interface states is so skewed
 /// that dropping states below [`PRUNED_DP_EPSILON`] certifies `F_p` to
 /// widths orders of magnitude under `1e-9` at paper-scale `p` (measured at
-/// the dispatch settings: `~1e-12` at side 7 and `~5e-11` at side 8 for a
+/// the dispatch settings: `2e-13` at side 7 and `9e-12` at side 8 for a
 /// single point at `p = 0.125`; grid sweeps certify tighter still — a state
-/// survives if *any* lane keeps it, so a three-point paper `p`-grid at side
-/// 8 stays below `5e-12` everywhere). Sides 9–10 remain
+/// survives if *any* lane keeps it). Sides 9–10 remain
 /// reachable through [`bqs_graph::crossing_dp`] directly with a
-/// caller-chosen ε and budget, but a single sweep there costs tens of
-/// minutes on one core, so the evaluator hands them to Monte-Carlo with
-/// Wilson bounds instead.
+/// caller-chosen ε and budget, but a single sweep there costs a quarter of
+/// an hour on one core at side 9 (certifying `2e-10` at `p = 0.125` with the
+/// dispatch ε) and more at side 10, so the evaluator hands them to
+/// Monte-Carlo with Wilson bounds instead.
 pub const PRUNED_DP_MAX_SIDE: usize = 8;
 
 /// Surviving-state budget handed to the ε-pruned sweep. Sized so that at
@@ -86,21 +97,23 @@ pub const PRUNED_DP_STATE_BUDGET: usize = 1 << 26;
 
 /// Mass floor for the dispatched ε-pruned sweep. The certified width
 /// scales linearly in ε (states dropped per step ≈ states alive × ε), so
-/// `1e-16` lands the side-8 widths three to six orders of magnitude under
-/// the `1e-9` acceptance gate while keeping a side-7 sweep around 25 s and
-/// a side-8 sweep around 5 min on one core. The library default
+/// `1e-16` lands the side-8 widths two to six orders of magnitude under
+/// the `1e-9` acceptance gate while keeping a side-7 sweep under 10 s and a
+/// side-8 sweep under 2 min on one core (`BENCH_fp.json`: 9.0 s and 109 s,
+/// widths `2.0e-13` and `9.1e-12`). The library default
 /// ([`bqs_graph::crossing_dp::DEFAULT_PRUNE_EPSILON`] `= 1e-24`) is tighter
 /// than needed here and roughly doubles the sweep time.
 pub const PRUNED_DP_EPSILON: f64 = 1e-16;
 
-/// Largest path count `k = ⌈√(2b+1)⌉` dispatched to the ε-pruned sweep. The
-/// interface alphabet is combinatorial in `k` (states track pairwise
-/// connectivity among `k` frontier paths per direction), so the sweep cost
-/// jumps by orders of magnitude from `k = 2` to `k = 3`: every dispatch
-/// measurement above (widths, sweep times) is at `k = 2`, while a `k = 3`
-/// side-8 sweep at the dispatch ε and budget runs for hours on one core.
-/// Systems with `b ≥ 2` (hence `k ≥ 3`) therefore decline the pruned entry
-/// and fall through to Monte-Carlo with Wilson bounds.
+/// Largest path count `k = ⌈√(2b+1)⌉` dispatched to the ε-pruned sweep.
+/// Every dispatch measurement above (widths, sweep times) is at `k = 2`.
+/// The interface alphabet grows with `k` (matrix entries range over
+/// `0..=k`), but so does the share of states decided early: at the dispatch
+/// ε and budget a `k = 3` sweep takes 10 s at side 7 and 3 min at side 8 on
+/// one core and certifies `2e-13` and `8e-12` at `p = 0.125`. One point is
+/// not a `p`-grid, and `k = 4` is unmeasured, so systems with `b ≥ 2`
+/// (hence `k ≥ 3`) still decline the pruned entry and fall through to
+/// Monte-Carlo with Wilson bounds.
 pub const PRUNED_DP_MAX_PATHS: usize = 2;
 
 /// The M-Path(b) quorum system over a triangulated `side × side` grid.
@@ -203,9 +216,26 @@ impl MPathSystem {
     /// `⌈√(2b+1)⌉` vertex-disjoint LR crossings and as many TB crossings.
     #[must_use]
     pub fn contains_quorum(&self, candidate: &ServerSet) -> bool {
-        let alive = self.to_mask(candidate);
-        max_vertex_disjoint_paths(&self.grid, &alive, Axis::LeftRight) >= self.paths
-            && max_vertex_disjoint_paths(&self.grid, &alive, Axis::TopBottom) >= self.paths
+        self.has_disjoint_crossings(|v| candidate.contains(v))
+    }
+
+    /// The availability verdict for one configuration: `k = ⌈√(2b+1)⌉`
+    /// disjoint alive crossings each way. By the self-matching duality that
+    /// is "no top-bottom path with fewer than `k` alive vertices" (left-right
+    /// flow) and the same with the axes swapped, so two searches capped at
+    /// `k` decide it — on an available configuration each visits only the
+    /// vertices within cost `k` of its source side.
+    fn has_disjoint_crossings(&self, alive: impl Fn(usize) -> bool) -> bool {
+        thread_local! {
+            /// `is_available` is the innermost call of every Monte-Carlo
+            /// trial and enumeration step and has no scratch parameter.
+            static SCRATCH: RefCell<CrossingScratch> = RefCell::default();
+        }
+        let (side, k) = (self.grid.side(), self.paths);
+        SCRATCH.with_borrow_mut(|scratch| {
+            min_crossing_cost_capped(side, &alive, Axis::TopBottom, k, scratch) >= k
+                && min_crossing_cost_capped(side, &alive, Axis::LeftRight, k, scratch) >= k
+        })
     }
 
     fn to_mask(&self, set: &ServerSet) -> Vec<bool> {
@@ -376,6 +406,9 @@ impl QuorumSystem for MPathSystem {
     }
 
     fn find_live_quorum(&self, alive: &ServerSet) -> Option<ServerSet> {
+        if !self.is_available(alive) {
+            return None;
+        }
         let mask = self.to_mask(alive);
         // Fast path: enough fully-alive straight lines.
         let straight_lr =
@@ -405,6 +438,14 @@ impl QuorumSystem for MPathSystem {
             }
         }
         Some(out)
+    }
+
+    fn is_available(&self, alive: &ServerSet) -> bool {
+        self.has_disjoint_crossings(|v| alive.contains(v))
+    }
+
+    fn is_available_u64(&self, alive: u64, _scratch: &mut ServerSet) -> bool {
+        self.has_disjoint_crossings(|v| alive >> v & 1 == 1)
     }
 
     fn crash_probability_closed_form(&self, p: f64) -> Option<f64> {
@@ -712,9 +753,9 @@ mod tests {
         assert_eq!(fp.method, FpMethod::MonteCarlo);
         assert!(!fp.is_certified());
         // Inside the side range but past the path gate (b = 3 gives k = 3,
-        // whose interface alphabet makes the pruned sweep run for hours) the
-        // entry must decline *instantly* so capped-effort evaluators — like
-        // the analysis sweeps — land on Monte-Carlo, not a surprise DP.
+        // minutes of sweep at side 8) the entry must decline *instantly* so
+        // capped-effort evaluators — like the analysis sweeps — land on
+        // Monte-Carlo, not a surprise DP.
         let wide = MPathSystem::new(PRUNED_DP_MAX_SIDE, 3).unwrap();
         assert!(wide.paths_per_direction() > PRUNED_DP_MAX_PATHS);
         assert!(wide.crash_probability_pruned(0.125).is_none());
@@ -730,7 +771,7 @@ mod tests {
     #[test]
     #[cfg_attr(
         debug_assertions,
-        ignore = "side-7 pruned sweeps take ≈25 s in release and ~20× that without optimizations"
+        ignore = "side-7 pruned sweeps take ≈7 s each in release and ~20× that without optimizations"
     )]
     fn engine_dispatches_past_exact_wall_to_pruned_dp() {
         // Side 7 (n = 49) is past both the 2^25 enumeration limit and the

@@ -2,10 +2,11 @@
 //!
 //! The M-Path availability event is *`k` vertex-disjoint alive left-right
 //! crossings AND `k` vertex-disjoint alive top-bottom crossings*. Evaluating
-//! its probability by enumeration costs `2^n` max-flow runs; Monte-Carlo gives
-//! only sampled estimates (and literal zeros in the low-`p` tail). This module
-//! computes the probability **exactly** with a column-sweep dynamic program
-//! over boundary-interface states.
+//! its probability by enumeration costs `2^n` availability checks; Monte-Carlo
+//! gives only sampled estimates (and literal zeros in the low-`p` tail). This
+//! module computes the probability **exactly** with a column-sweep dynamic
+//! program over boundary-interface states — and decides the event for one
+//! configuration with a capped shortest-path search, by the same duality.
 //!
 //! # The duality that makes a sweep possible
 //!
@@ -20,9 +21,14 @@
 //! (Weak direction: any TB path meets any LR path in a vertex, so the alive
 //! vertices of a TB path form an LR cut; strong direction: a minimum LR vertex
 //! cut, together with the dead vertices, contains a TB path because the
-//! lattice is self-matching. [`min_crossing_cost`] lets the test suite pin
-//! this identity against the Dinic max-flow in [`crate::maxflow`]
-//! configuration by configuration.)
+//! lattice is self-matching. The test suite pins this identity against the
+//! Dinic max-flow in [`crate::maxflow`] configuration by configuration.)
+//!
+//! For a single configuration this is all the M-Path availability event
+//! needs: `k` disjoint crossings exist iff the cheapest blocking path costs at
+//! least `k`, and a search that gives up at cost `k`
+//! ([`min_crossing_cost_capped`]) answers that without a flow network. Flow is
+//! only needed to *extract* the crossings.
 //!
 //! # The interface state
 //!
@@ -43,6 +49,33 @@
 //! of cost `< k` exists, so every value `≥ k` is equivalent and the state
 //! space collapses accordingly. Two states that agree on the capped matrix
 //! and the frontier bits are merged, summing their probabilities.
+//!
+//! # Absorbing decided states
+//!
+//! Adding a cell only adds paths, so every matrix entry is non-increasing
+//! along the sweep. `d[T][B]` is the cost of a complete top-bottom blocking
+//! path through the region processed so far: once it is below `k` it stays
+//! below `k`, so the configuration is left-right blocked — and hence crashed —
+//! whatever the remaining cells do. A successor with `d[T][B] < k` is therefore
+//! not inserted into the next state map; its mass is banked per lane into a
+//! compensated `decided` total that is added to both outcomes at the end. A
+//! decided state's descendants are all decided, so the saving compounds: at
+//! side 6, `k = 3` the map after the last cell holds 36 836 states where the
+//! sweep that carried decided states to the end held 294 143, and none of the
+//! difference was packed, hashed, stored or expanded.
+//!
+//! Only `T–B` can be decided mid-sweep. The left-right blocking path runs
+//! from `L` to the *right column*, which does not exist until the last column
+//! is swept: `d[L][frontier]` falling below `k` says a cheap path reaches the
+//! current frontier, not that it reaches the far side. (`T` and `B`, by
+//! contrast, touch every column.)
+//!
+//! In the ε-pruned sweep, absorbed mass counts toward the certified lower
+//! bound and can no longer be pruned: it leaves the map before the ε and
+//! budget filters run. Enclosures therefore only narrow — with fewer live
+//! states, the same budget also evicts less.
+//!
+//! # Cost
 //!
 //! The number of reachable states still grows quickly with the side length —
 //! the DP is exponential in `√n`, like every known exact method for crossing
@@ -133,60 +166,165 @@ impl ProbabilityInterval {
     }
 }
 
-/// Minimum alive-vertex count over all crossing paths of `axis` (dead
-/// vertices cost nothing). By the self-matching duality this equals the
-/// maximum number of vertex-disjoint alive crossings of the *perpendicular*
-/// axis — the identity the tests pin against [`crate::maxflow`].
-///
-/// Implemented as a multi-source 0-1 BFS; the grid is connected, so a
-/// crossing path (possibly through dead vertices) always exists.
-#[must_use]
-pub fn min_crossing_cost(grid: &TriangulatedGrid, alive: &[bool], axis: Axis) -> usize {
-    let n = grid.num_vertices();
-    assert_eq!(alive.len(), n, "alive mask must cover every vertex");
-    let mut dist = vec![usize::MAX; n];
-    let mut deque: VecDeque<usize> = VecDeque::new();
-    for s in grid.sources(axis) {
-        let c = usize::from(alive[s]);
-        if c < dist[s] {
-            dist[s] = c;
-            if c == 0 {
-                deque.push_front(s);
-            } else {
-                deque.push_back(s);
-            }
-        }
-    }
-    while let Some(v) = deque.pop_front() {
-        for u in grid.neighbors(v) {
-            let c = usize::from(alive[u]);
-            let nd = dist[v] + c;
-            if nd < dist[u] {
-                dist[u] = nd;
-                if c == 0 {
-                    deque.push_front(u);
-                } else {
-                    deque.push_back(u);
-                }
-            }
-        }
-    }
-    grid.sinks(axis)
-        .into_iter()
-        .map(|t| dist[t])
-        .min()
-        .expect("grid has at least one sink")
+/// Reusable working memory of [`min_crossing_cost_capped`]: the distance
+/// array and the 0-1 BFS deque. One scratch serves calls of any side and
+/// axis; after the first call at a given size nothing is allocated.
+#[derive(Debug, Default)]
+pub struct CrossingScratch {
+    dist: Vec<u32>,
+    deque: VecDeque<usize>,
 }
 
-/// Outcome distribution of one DP sweep: the probabilities of the three
-/// "blocked" events, from which both the joint M-Path crash probability and
-/// single-direction crossing probabilities follow.
+/// `min(cap, c)` where `c` is the minimum alive-vertex count over all
+/// crossing paths of `axis` on the `side × side` triangulated grid (dead
+/// vertices cost nothing; `alive(v)` answers for vertex `v = row·side +
+/// col`). By the self-matching duality `c` equals the maximum number of
+/// vertex-disjoint alive crossings of the *perpendicular* axis — the
+/// identity the tests pin against [`crate::maxflow`] — so "are there `k`
+/// disjoint alive crossings" is `min_crossing_cost_capped(.., k, ..) >= k`
+/// of the other axis.
+///
+/// A multi-source 0-1 BFS that stops at the cap: a vertex at cost `≥ cap` is
+/// never queued, and the search returns the moment it pops a sink (pops come
+/// in non-decreasing cost order, so the first sink popped is a cheapest
+/// one). When the answer is `cap` — the common case for an available M-Path
+/// configuration — only the band of vertices within cost `cap` of the source
+/// side is visited, not the grid.
+///
+/// # Panics
+///
+/// Panics if `side == 0`.
+pub fn min_crossing_cost_capped(
+    side: usize,
+    alive: impl Fn(usize) -> bool,
+    axis: Axis,
+    cap: usize,
+    scratch: &mut CrossingScratch,
+) -> usize {
+    assert!(side > 0, "grid side must be positive");
+    // A crossing costs at most `side`, so a cap beyond u32 is no cap.
+    let cap32 = u32::try_from(cap).unwrap_or(u32::MAX);
+    scratch.dist.clear();
+    scratch.dist.resize(side * side, u32::MAX);
+    scratch.deque.clear();
+    let reach = |scratch: &mut CrossingScratch, u: usize, from: u32| {
+        // Costs are non-negative: a vertex already this cheap cannot improve.
+        if scratch.dist[u] <= from {
+            return;
+        }
+        let cost = u32::from(alive(u));
+        let nd = from + cost;
+        if nd < scratch.dist[u] && nd < cap32 {
+            scratch.dist[u] = nd;
+            if cost == 0 {
+                scratch.deque.push_front(u);
+            } else {
+                scratch.deque.push_back(u);
+            }
+        }
+    };
+    for i in 0..side {
+        let source = match axis {
+            Axis::LeftRight => i * side,
+            Axis::TopBottom => i,
+        };
+        reach(scratch, source, 0);
+    }
+    loop {
+        let Some(v) = scratch.deque.pop_front() else {
+            return cap;
+        };
+        let (r, c) = (v / side, v % side);
+        let at_sink = match axis {
+            Axis::LeftRight => c + 1 == side,
+            Axis::TopBottom => r + 1 == side,
+        };
+        let dv = scratch.dist[v];
+        if at_sink {
+            return dv as usize;
+        }
+        // The six lattice neighbours, as `TriangulatedGrid::neighbors` lists
+        // them.
+        if c > 0 {
+            reach(scratch, v - 1, dv);
+        }
+        if c + 1 < side {
+            reach(scratch, v + 1, dv);
+        }
+        if r > 0 {
+            reach(scratch, v - side, dv);
+        }
+        if r + 1 < side {
+            reach(scratch, v + side, dv);
+        }
+        if r > 0 && c + 1 < side {
+            reach(scratch, v - side + 1, dv);
+        }
+        if r + 1 < side && c > 0 {
+            reach(scratch, v + side - 1, dv);
+        }
+    }
+}
+
+/// [`min_crossing_cost_capped`] with no cap, over an `alive` mask: the
+/// minimum alive-vertex count over all crossing paths of `axis`. The grid is
+/// connected, so a crossing path (possibly through dead vertices) always
+/// exists.
+#[must_use]
+pub fn min_crossing_cost(grid: &TriangulatedGrid, alive: &[bool], axis: Axis) -> usize {
+    assert_eq!(
+        alive.len(),
+        grid.num_vertices(),
+        "alive mask must cover every vertex"
+    );
+    min_crossing_cost_capped(
+        grid.side(),
+        |v| alive[v],
+        axis,
+        usize::MAX,
+        &mut CrossingScratch::default(),
+    )
+}
+
+/// Where one lane's unit of probability mass is after the last cell. Both
+/// the joint M-Path crash probability and the single-direction crossing
+/// probabilities are sums of these parts, and the parts sum to 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct SweepOutcome {
-    /// `P[maxflow_LR < k or maxflow_TB < k]` — the M-Path crash probability.
-    either_blocked: f64,
-    /// `P[maxflow_LR < k]` alone.
-    lr_blocked: f64,
+struct LaneMass {
+    /// Absorbed mid-sweep with `d[T][B] < k`: `maxflow_LR < k` for good (see
+    /// "Absorbing decided states" in the module docs).
+    decided: f64,
+    /// Surviving states whose cheapest left-right blocking path costs `< k`:
+    /// `maxflow_TB < k` although `maxflow_LR ≥ k`.
+    tb_blocked: f64,
+    /// Surviving states with `k` disjoint crossings both ways.
+    open: f64,
+    /// Dropped by ε- or budget-pruning; outcome unknown.
+    discarded: f64,
+}
+
+impl LaneMass {
+    /// All mass in one part: `decided` (every configuration blocked) or
+    /// `open` (none blocked) — the analytic `p = 1` and `p = 0` lanes.
+    fn all(decided: f64, open: f64) -> Self {
+        LaneMass {
+            decided,
+            tb_blocked: 0.0,
+            open,
+            discarded: 0.0,
+        }
+    }
+
+    /// `P[maxflow_LR < k]` (up to the discarded mass).
+    fn lr_blocked(&self) -> f64 {
+        self.decided.clamp(0.0, 1.0)
+    }
+
+    /// `P[maxflow_LR < k or maxflow_TB < k]` — the M-Path crash probability
+    /// (up to the discarded mass).
+    fn either_blocked(&self) -> f64 {
+        (self.decided + self.tb_blocked).clamp(0.0, 1.0)
+    }
 }
 
 /// Exact M-Path crash probability: the probability that the grid does **not**
@@ -206,7 +344,7 @@ pub fn mpath_crash_probability_exact(
     p: f64,
     max_states: usize,
 ) -> Option<f64> {
-    run_sweep_grid(side, k, &[p], max_states).map(|o| o[0].either_blocked)
+    run_sweep_grid(side, k, &[p], max_states, 0.0).map(|o| o[0].either_blocked())
 }
 
 /// The ε-pruned variant of [`mpath_crash_probability_exact`]: interface
@@ -253,9 +391,8 @@ pub fn mpath_crash_probability_pruned_grid(
     run_sweep_grid_pruned(side, k, ps, max_states, epsilon)
 }
 
-/// Shared driver for the pruned entry points: maps each swept lane's
-/// `(blocked mass, discarded mass)` pair into a certified interval, handling
-/// the analytic boundary points exactly as the unpruned driver does.
+/// Shared driver for the pruned entry points: maps each lane's blocked and
+/// discarded mass into a certified interval.
 fn run_sweep_grid_pruned(
     side: usize,
     k: usize,
@@ -263,18 +400,19 @@ fn run_sweep_grid_pruned(
     max_states: usize,
     epsilon: f64,
 ) -> Option<Vec<ProbabilityInterval>> {
-    let outcomes = run_sweep_grid_with(side, k, ps, max_states, epsilon)?;
+    let lanes = run_sweep_grid(side, k, ps, max_states, epsilon)?;
     Some(
-        outcomes
+        lanes
             .into_iter()
-            .map(|(o, discarded)| {
-                if o.either_blocked.is_nan() {
-                    ProbabilityInterval::exact(f64::NAN)
-                } else {
-                    ProbabilityInterval {
-                        lower: o.either_blocked,
-                        upper: (o.either_blocked + discarded).min(1.0),
-                    }
+            .map(|lane| {
+                let lower = lane.either_blocked();
+                ProbabilityInterval {
+                    lower,
+                    upper: if lower.is_nan() {
+                        lower
+                    } else {
+                        (lower + lane.discarded).min(1.0)
+                    },
                 }
             })
             .collect(),
@@ -295,8 +433,8 @@ pub fn mpath_crash_probability_exact_grid(
     ps: &[f64],
     max_states: usize,
 ) -> Option<Vec<f64>> {
-    run_sweep_grid(side, k, ps, max_states)
-        .map(|outcomes| outcomes.iter().map(|o| o.either_blocked).collect())
+    run_sweep_grid(side, k, ps, max_states, 0.0)
+        .map(|lanes| lanes.iter().map(LaneMass::either_blocked).collect())
 }
 
 /// Exact probability of an alive crossing along `axis` (`k = 1` flow event)
@@ -313,7 +451,7 @@ pub fn crossing_probability_exact(
     _axis: Axis,
     max_states: usize,
 ) -> Option<f64> {
-    run_sweep_grid(side, 1, &[p], max_states).map(|o| 1.0 - o[0].lr_blocked)
+    run_sweep_grid(side, 1, &[p], max_states, 0.0).map(|o| 1.0 - o[0].lr_blocked())
 }
 
 /// [`crossing_probability_exact`] over a whole `p`-grid in one shared sweep
@@ -325,8 +463,8 @@ pub fn crossing_probability_exact_grid(
     _axis: Axis,
     max_states: usize,
 ) -> Option<Vec<f64>> {
-    run_sweep_grid(side, 1, ps, max_states)
-        .map(|outcomes| outcomes.iter().map(|o| 1.0 - o.lr_blocked).collect())
+    run_sweep_grid(side, 1, ps, max_states, 0.0)
+        .map(|lanes| lanes.iter().map(|o| 1.0 - o.lr_blocked()).collect())
 }
 
 /// Node layout of the interface matrix: three virtual terminals, then one
@@ -398,8 +536,19 @@ fn packed_slots_needed(side: usize) -> usize {
 /// codec this removes the per-inserted-state heap allocation and shrinks
 /// hashing and equality from a ~60-byte memcmp/SipHash to four words — the
 /// dominant non-arithmetic cost of the sweep's hot loop.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 struct PackedKey([u64; 4]);
+
+/// Four `write_u64` rounds. The derived impl hashes the array as a slice — a
+/// length prefix plus one `write` of 32 bytes, which [`FxHasher`] would take
+/// a byte at a time.
+impl std::hash::Hash for PackedKey {
+    fn hash<H: std::hash::Hasher>(&self, hasher: &mut H) {
+        for &word in &self.0 {
+            hasher.write_u64(word);
+        }
+    }
+}
 
 impl SweepKey for PackedKey {
     type Build = BuildHasherDefault<FxHasher>;
@@ -477,28 +626,16 @@ impl std::hash::Hasher for FxHasher {
     }
 }
 
+/// The common driver behind the exact and pruned entry points: one
+/// [`LaneMass`] per requested `p`. With `epsilon = 0.0` no state is ever
+/// pruned and every lane's discarded mass is exactly zero.
 fn run_sweep_grid(
     side: usize,
     k: usize,
     ps: &[f64],
     max_states: usize,
-) -> Option<Vec<SweepOutcome>> {
-    run_sweep_grid_with(side, k, ps, max_states, 0.0)
-        .map(|outcomes| outcomes.into_iter().map(|(o, _)| o).collect())
-}
-
-/// The common driver behind the exact and pruned entry points: each returned
-/// pair is `(outcome, discarded mass)` for one requested `p`. With
-/// `epsilon = 0.0` no state is ever pruned, the discarded mass is exactly
-/// zero, and the swept values are bit-identical to the historical unpruned
-/// sweep.
-fn run_sweep_grid_with(
-    side: usize,
-    k: usize,
-    ps: &[f64],
-    max_states: usize,
     epsilon: f64,
-) -> Option<Vec<(SweepOutcome, f64)>> {
+) -> Option<Vec<LaneMass>> {
     if side == 0 || k == 0 || k > side || side > 31 {
         return None;
     }
@@ -514,12 +651,12 @@ fn run_sweep_grid_with(
         .copied()
         .filter(|&p| p > 0.0 && p < 1.0)
         .collect();
-    let (swept, discarded) = if interior.is_empty() {
-        (Vec::new(), Vec::new())
+    let swept = if interior.is_empty() {
+        Vec::new()
     } else {
         sweep_interior(side, k, &interior, max_states, epsilon)?
     };
-    let mut swept_iter = swept.into_iter().zip(discarded);
+    let mut swept_iter = swept.into_iter();
     Some(
         clamped
             .iter()
@@ -528,31 +665,13 @@ fn run_sweep_grid_with(
                     // Garbage in, garbage out — but never a panic (matching
                     // the historical single-point behaviour, where a NaN `p`
                     // produced NaN weights throughout the sweep).
-                    (
-                        SweepOutcome {
-                            either_blocked: f64::NAN,
-                            lr_blocked: f64::NAN,
-                        },
-                        0.0,
-                    )
+                    LaneMass::all(f64::NAN, f64::NAN)
                 } else if p <= 0.0 {
-                    (
-                        SweepOutcome {
-                            either_blocked: 0.0,
-                            lr_blocked: 0.0,
-                        },
-                        0.0,
-                    )
+                    LaneMass::all(0.0, 1.0)
                 } else if p >= 1.0 {
-                    (
-                        SweepOutcome {
-                            either_blocked: 1.0,
-                            lr_blocked: 1.0,
-                        },
-                        0.0,
-                    )
+                    LaneMass::all(1.0, 0.0)
                 } else {
-                    swept_iter.next().expect("one swept outcome per interior p")
+                    swept_iter.next().expect("one swept lane per interior p")
                 }
             })
             .collect(),
@@ -560,19 +679,52 @@ fn run_sweep_grid_with(
 }
 
 /// The shared column sweep over interior points (`0 < p < 1` each): one
-/// state enumeration, `ps.len()` probability lanes. Returns the per-lane
-/// outcomes together with each lane's total discarded (pruned) mass.
+/// state enumeration, `ps.len()` probability lanes.
 fn sweep_interior(
     side: usize,
     k: usize,
     ps: &[f64],
     max_states: usize,
     epsilon: f64,
-) -> Option<(Vec<SweepOutcome>, Vec<f64>)> {
+) -> Option<Vec<LaneMass>> {
     if k <= 7 && packed_slots_needed(side) <= PACKED_SLOTS {
         sweep_interior_keyed::<PackedKey>(side, k, ps, max_states, epsilon)
     } else {
         sweep_interior_keyed::<Vec<u8>>(side, k, ps, max_states, epsilon)
+    }
+}
+
+/// One Neumaier-compensated running sum per lane. The absorbed mass is the
+/// sum of millions of terms spanning many orders of magnitude, and it is most
+/// of a crash probability's value, so it is summed with an error term rather
+/// than as a plain chain.
+struct CompensatedLanes {
+    sum: Vec<f64>,
+    err: Vec<f64>,
+}
+
+impl CompensatedLanes {
+    fn new(lanes: usize) -> Self {
+        CompensatedLanes {
+            sum: vec![0.0; lanes],
+            err: vec![0.0; lanes],
+        }
+    }
+
+    fn add(&mut self, terms: &[f64]) {
+        for ((sum, err), &x) in self.sum.iter_mut().zip(&mut self.err).zip(terms) {
+            let t = *sum + x;
+            *err += if sum.abs() >= x.abs() {
+                (*sum - t) + x
+            } else {
+                (x - t) + *sum
+            };
+            *sum = t;
+        }
+    }
+
+    fn total(&self, lane: usize) -> f64 {
+        self.sum[lane] + self.err[lane]
     }
 }
 
@@ -583,7 +735,7 @@ fn sweep_interior_keyed<K: SweepKey>(
     ps: &[f64],
     max_states: usize,
     epsilon: f64,
-) -> Option<(Vec<SweepOutcome>, Vec<f64>)> {
+) -> Option<Vec<LaneMass>> {
     let kcap = u8::try_from(k).ok()?;
     let lanes = ps.len();
     let n_nodes = CELLS + side;
@@ -598,6 +750,7 @@ fn sweep_interior_keyed<K: SweepKey>(
     let mut initial_key = K::empty();
     initial_key.pack(&initial, n_nodes);
     states.insert(initial_key, 0);
+    let mut decided = CompensatedLanes::new(lanes);
     let mut discarded: Vec<f64> = vec![0.0; lanes];
 
     // Reusable scratch for the unpacked base state, the mutated successor and
@@ -621,15 +774,25 @@ fn sweep_interior_keyed<K: SweepKey>(
             for (key, &mass_idx) in &states {
                 let mass = &masses[mass_idx * lanes..(mass_idx + 1) * lanes];
                 key.unpack(n_nodes, &mut base);
+                debug_assert!(
+                    base.d[T * n_nodes + B] >= kcap,
+                    "a decided state was kept in the map"
+                );
                 for cell_alive in [false, true] {
                     scratch.d.copy_from_slice(&base.d);
                     scratch.alive = base.alive;
                     add_cell(&mut scratch, side, kcap, row, col, cell_alive, &mut newrow);
-                    keybuf.pack(&scratch, n_nodes);
                     for ((mb, &m), &p) in massbuf.iter_mut().zip(mass).zip(ps) {
                         let weight = if cell_alive { 1.0 - p } else { p };
                         *mb = m * weight;
                     }
+                    // `d[T][B]` only falls as cells are added: below `k` the
+                    // verdict is final, so the mass is banked, not carried.
+                    if scratch.d[T * n_nodes + B] < kcap {
+                        decided.add(&massbuf);
+                        continue;
+                    }
+                    keybuf.pack(&scratch, n_nodes);
                     // Only a first-seen successor pays a key allocation; its
                     // masses go into the flat arena.
                     if let Some(&idx) = next.get(&keybuf) {
@@ -700,43 +863,38 @@ fn sweep_interior_keyed<K: SweepKey>(
         }
     }
 
-    let mut either_blocked = vec![0.0; lanes];
-    let mut lr_blocked = vec![0.0; lanes];
+    // Every survivor has `d[T][B] ≥ k`, i.e. `maxflow_LR ≥ k` by the
+    // self-matching duality; what is left to read is `maxflow_TB = min
+    // LR-path cost`. The final frontier is exactly the right column, where LR
+    // blocking paths terminate (paying their own aliveness).
+    let mut tb_blocked = vec![0.0; lanes];
+    let mut open = vec![0.0; lanes];
     for (key, &mass_idx) in &states {
         let mass = &masses[mass_idx * lanes..(mass_idx + 1) * lanes];
         key.unpack(n_nodes, &mut base);
-        let st = &base;
-        // Self-matching duality: maxflow_LR = min TB-path cost, maxflow_TB =
-        // min LR-path cost. The final frontier is exactly the right column,
-        // where LR blocking paths terminate (paying their own aliveness).
-        let min_tb_cost = st.d[T * n_nodes + B];
         let min_lr_cost = (0..side)
-            .map(|r| st.d[L * n_nodes + CELLS + r].saturating_add((st.alive >> r & 1) as u8))
+            .map(|r| base.d[L * n_nodes + CELLS + r].saturating_add((base.alive >> r & 1) as u8))
             .min()
-            .unwrap_or(kcap)
-            .min(kcap);
-        if min_tb_cost < kcap {
-            for (acc, &m) in lr_blocked.iter_mut().zip(mass) {
-                *acc += m;
-            }
-        }
-        if min_tb_cost < kcap || min_lr_cost < kcap {
-            for (acc, &m) in either_blocked.iter_mut().zip(mass) {
-                *acc += m;
-            }
+            .unwrap_or(kcap);
+        let part = if min_lr_cost < kcap {
+            &mut tb_blocked
+        } else {
+            &mut open
+        };
+        for (acc, &m) in part.iter_mut().zip(mass) {
+            *acc += m;
         }
     }
-    Some((
-        either_blocked
-            .into_iter()
-            .zip(lr_blocked)
-            .map(|(e, l)| SweepOutcome {
-                either_blocked: e.clamp(0.0, 1.0),
-                lr_blocked: l.clamp(0.0, 1.0),
+    Some(
+        (0..lanes)
+            .map(|lane| LaneMass {
+                decided: decided.total(lane),
+                tb_blocked: tb_blocked[lane],
+                open: open[lane],
+                discarded: discarded[lane],
             })
             .collect(),
-        discarded,
-    ))
+    )
 }
 
 fn init_matrix(n_nodes: usize, kcap: u8) -> Vec<u8> {
@@ -1148,6 +1306,114 @@ mod tests {
         assert_pruned_tracks_exact(&[(6, 3)]);
     }
 
+    /// `(side, k, p, budget, ε, width at the parent commit)`: the sweep
+    /// before absorption, same arguments. Absorbed mass can no longer be
+    /// pruned, so the enclosure may only have narrowed — ε-pruned and
+    /// budget-pruned alike.
+    type WidthCase = (usize, usize, f64, usize, f64, f64);
+
+    fn assert_pruned_no_wider_than_before_absorption(cases: &[WidthCase]) {
+        for &(side, k, p, budget, epsilon, width_before) in cases {
+            let exact = mpath_crash_probability_exact(side, k, p, 1 << 22).unwrap();
+            let interval = mpath_crash_probability_pruned(side, k, p, budget, epsilon).unwrap();
+            assert!(
+                interval.contains(exact, 1e-15),
+                "side={side} k={k} p={p} budget={budget} ε={epsilon}: exact {exact} outside \
+                 [{}, {}]",
+                interval.lower,
+                interval.upper
+            );
+            assert!(
+                interval.width() <= width_before,
+                "side={side} k={k} p={p} budget={budget} ε={epsilon}: width {} > {width_before}",
+                interval.width()
+            );
+        }
+    }
+
+    #[test]
+    fn pruned_interval_is_no_wider_than_before_absorption_side_5() {
+        assert_pruned_no_wider_than_before_absorption(&[
+            (5, 2, 0.125, 1 << 22, 1e-12, 1.270_489_269_344_921e-11),
+            (5, 3, 0.125, 1 << 22, 1e-10, 1.667_284_160_733_473_2e-8),
+            (5, 2, 0.125, 300, 1e-16, 2.030_480_395_461_517e-1),
+            (5, 2, 0.3, 300, 1e-16, 8.740_371_415_983_557e-1),
+        ]);
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "side-6 sweeps take minutes without optimizations; covered by the release suite"
+    )]
+    fn pruned_interval_is_no_wider_than_before_absorption_side_6() {
+        assert_pruned_no_wider_than_before_absorption(&[
+            (6, 2, 0.125, 1 << 22, 1e-12, 3.924_975_362_085_137e-9),
+            (6, 3, 0.3, 1 << 22, 1e-10, 2.352_291_387_230_920_3e-7),
+            (6, 3, 0.125, 5000, 1e-16, 1.383_694_478_831_423_7e-1),
+            (6, 2, 0.3, 2000, 1e-16, 8.550_015_332_662_162e-1),
+        ]);
+    }
+
+    /// After the last cell every lane's unit of mass is absorbed, surviving
+    /// (blocked or open) or pruned — nothing is lost and nothing counted
+    /// twice, in the exact sweep, under ε-pruning and under a forced budget.
+    #[test]
+    fn sweep_conserves_mass_per_lane() {
+        let ps = [0.05, 0.125, 0.3, 0.5, 0.77];
+        let cases: [(usize, usize, usize, f64); 6] = [
+            (3, 1, 1 << 22, 0.0),
+            (4, 2, 1 << 22, 0.0),
+            (5, 3, 1 << 22, 0.0),
+            (5, 2, 1 << 22, 1e-4),
+            (5, 3, 1 << 22, 1e-3),
+            (5, 2, 300, 1e-16),
+        ];
+        for (side, k, budget, epsilon) in cases {
+            let lanes = sweep_interior(side, k, &ps, budget, epsilon).unwrap();
+            assert_eq!(lanes.len(), ps.len());
+            for (lane, p) in lanes.iter().zip(ps) {
+                let total = lane.decided + lane.tb_blocked + lane.open + lane.discarded;
+                assert!(
+                    (total - 1.0).abs() <= 1e-12,
+                    "side={side} k={k} ε={epsilon} budget={budget} p={p}: {lane:?} sums to {total}"
+                );
+                assert!(lane.decided > 0.0 && lane.open > 0.0, "{lane:?}");
+            }
+            let pruned_mass: f64 = lanes.iter().map(|lane| lane.discarded).sum();
+            assert_eq!(
+                pruned_mass > 0.0,
+                epsilon > 0.0,
+                "side={side} k={k} ε={epsilon} budget={budget}: pruned {pruned_mass}"
+            );
+        }
+    }
+
+    /// `k = 1` is plain site percolation: the swept crossing probability is
+    /// the enumerated probability of an open crossing.
+    #[test]
+    fn k1_sweep_matches_enumerated_open_crossing_probability() {
+        for side in [3usize, 4] {
+            let est = PercolationEstimator::new(side);
+            let n = side * side;
+            for p in [0.1_f64, 0.33, 0.5, 0.77] {
+                let mut enumerated = 0.0;
+                for mask in 0u32..(1 << n) {
+                    let alive: Vec<bool> = (0..n).map(|i| mask >> i & 1 == 1).collect();
+                    if est.has_open_crossing(&alive, Axis::LeftRight) {
+                        let a = mask.count_ones() as i32;
+                        enumerated += (1.0 - p).powi(a) * p.powi(n as i32 - a);
+                    }
+                }
+                let swept = crossing_probability_exact(side, p, Axis::LeftRight, 1 << 22).unwrap();
+                assert!(
+                    (swept - enumerated).abs() <= 1e-12,
+                    "side={side} p={p}: swept {swept} vs enumerated {enumerated}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn pruned_with_zero_epsilon_is_bit_identical_to_exact() {
         for (side, k, p) in [(4usize, 2usize, 0.125f64), (5, 3, 0.3)] {
@@ -1162,7 +1428,7 @@ mod tests {
     #[test]
     #[cfg_attr(
         debug_assertions,
-        ignore = "≈25 s in release but ~20× that without optimizations; covered by the release suite"
+        ignore = "≈7 s in release (22 s before absorption) but ~20× that without optimizations; covered by the release suite"
     )]
     fn pruned_reaches_side_7_within_width_gate() {
         // Past the exact side-6 wall with a certified enclosure far tighter

@@ -19,6 +19,52 @@ pub enum Axis {
     TopBottom,
 }
 
+impl Axis {
+    /// The other axis: the direction of the paths that block crossings of
+    /// this one.
+    #[must_use]
+    pub fn perpendicular(self) -> Axis {
+        match self {
+            Axis::LeftRight => Axis::TopBottom,
+            Axis::TopBottom => Axis::LeftRight,
+        }
+    }
+}
+
+/// The neighbours of one vertex, held inline: a lattice vertex has at most
+/// six, and [`TriangulatedGrid::neighbors`] sits in the inner loop of every
+/// search and network build, where a heap allocation per call would dominate.
+/// Dereferences to the slice of neighbours and iterates by value.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Neighbors {
+    items: [usize; 6],
+    len: usize,
+}
+
+impl Neighbors {
+    fn push(&mut self, v: usize) {
+        self.items[self.len] = v;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Neighbors {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        &self.items[..self.len]
+    }
+}
+
+impl IntoIterator for Neighbors {
+    type Item = usize;
+    type IntoIter = std::iter::Take<std::array::IntoIter<usize, 6>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.items.into_iter().take(self.len)
+    }
+}
+
 /// A `side × side` triangulated grid.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TriangulatedGrid {
@@ -69,12 +115,13 @@ impl TriangulatedGrid {
         (v / self.side, v % self.side)
     }
 
-    /// Returns the neighbours of vertex `v` in the triangulated grid.
+    /// Returns the neighbours of vertex `v` in the triangulated grid, in the
+    /// fixed order left, right, up, down, up-right, down-left.
     #[must_use]
-    pub fn neighbors(&self, v: usize) -> Vec<usize> {
+    pub fn neighbors(&self, v: usize) -> Neighbors {
         let (r, c) = self.coords(v);
         let s = self.side;
-        let mut out = Vec::with_capacity(6);
+        let mut out = Neighbors::default();
         // Horizontal: (r, c-1), (r, c+1)
         if c > 0 {
             out.push(self.index(r, c - 1));
@@ -184,6 +231,21 @@ mod tests {
         // Interior vertex has 6 neighbours in a triangular lattice.
         assert_eq!(g.neighbors(g.index(1, 1)).len(), 6);
         assert_eq!(g.neighbors(g.index(2, 2)).len(), 6);
+    }
+
+    #[test]
+    fn neighbours_come_in_the_documented_order() {
+        // Dinic's augmentation order, hence every extracted path, follows it.
+        let g = TriangulatedGrid::new(4);
+        let at = |r, c| g.index(r, c);
+        let interior = g.neighbors(at(1, 2));
+        assert_eq!(
+            &*interior,
+            &[at(1, 1), at(1, 3), at(0, 2), at(2, 2), at(0, 3), at(2, 1)]
+        );
+        assert_eq!(interior.into_iter().collect::<Vec<_>>(), interior.to_vec());
+        assert_eq!(&*g.neighbors(at(0, 0)), &[at(0, 1), at(1, 0)]);
+        assert_eq!(&*g.neighbors(at(3, 0)), &[at(3, 1), at(2, 0), at(2, 1)]);
     }
 
     #[test]

@@ -8,14 +8,18 @@
 //! * [`grid`] — the triangulated grid graph itself (the triangular lattice of
 //!   [WB92]/[Baz96] used by the paper),
 //! * [`maxflow`] — Dinic's algorithm on unit-capacity node-split networks, giving the
-//!   maximum number of vertex-disjoint paths between two vertex sets (Menger),
+//!   maximum number of vertex-disjoint paths between two vertex sets (Menger): the
+//!   engine behind path *extraction*, and the reference the tests hold the duality to,
 //! * [`disjoint_paths`] — extraction of explicit disjoint paths from a flow,
+//! * [`crossing_dp`] — the self-matching duality `maxflow = min blocking-path cost`,
+//!   twice: per configuration, a capped 0-1 BFS that *decides* "are there `k`
+//!   disjoint alive crossings" without building a network
+//!   ([`min_crossing_cost_capped`]); over all configurations, **exact** crossing and
+//!   M-Path crash probabilities by a column-sweep transfer-matrix DP over
+//!   boundary-interface states,
 //! * [`percolation`] — Monte-Carlo site percolation on the triangulated grid, used to
-//!   reproduce the availability results of Section 7 / Appendix B,
-//! * [`crossing_dp`] — **exact** crossing and M-Path crash probabilities by a
-//!   column-sweep transfer-matrix DP over boundary-interface states, built on the
-//!   self-matching duality `maxflow = min blocking-path cost`,
-//! * [`union_find`] — disjoint-set forest for fast connectivity / cluster analysis.
+//!   reproduce the availability results of Section 7 / Appendix B; every trial is one
+//!   or two calls of the capped search.
 //!
 //! # Example
 //!
@@ -37,11 +41,11 @@ pub mod disjoint_paths;
 pub mod grid;
 pub mod maxflow;
 pub mod percolation;
-pub mod union_find;
 
 pub use crossing_dp::{
     crossing_probability_exact, crossing_probability_exact_grid, min_crossing_cost,
-    mpath_crash_probability_exact, mpath_crash_probability_exact_grid,
+    min_crossing_cost_capped, mpath_crash_probability_exact, mpath_crash_probability_exact_grid,
+    CrossingScratch,
 };
 pub use disjoint_paths::min_price_crossing;
 pub use grid::{Axis, TriangulatedGrid};
@@ -49,4 +53,3 @@ pub use maxflow::{
     max_vertex_disjoint_lr_paths, max_vertex_disjoint_paths, max_vertex_disjoint_tb_paths,
 };
 pub use percolation::PercolationEstimator;
-pub use union_find::UnionFind;

@@ -3,8 +3,11 @@
 //! By Menger's theorem, the maximum number of vertex-disjoint paths between two
 //! vertex sets equals the max flow of the unit-capacity network obtained by splitting
 //! each vertex `v` into `v_in → v_out` with capacity 1. This is how the library
-//! verifies M-Path quorums (a candidate set must contain `√(2b+1)` disjoint LR paths
-//! and as many TB paths) and how the percolation estimator counts open crossings.
+//! *extracts* the paths of an M-Path quorum ([`crate::disjoint_paths`]). Whether a
+//! configuration holds `√(2b+1)` disjoint crossings at all — availability, quorum
+//! verification, every percolation trial — is decided without a network, by the capped
+//! blocking-path search of [`crate::crossing_dp::min_crossing_cost_capped`]; the tests
+//! hold that search to the flow values computed here, configuration by configuration.
 
 use crate::grid::{Axis, TriangulatedGrid};
 

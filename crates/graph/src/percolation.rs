@@ -11,12 +11,16 @@
 //! `k` vertex-disjoint open crossings, and the crash probability of the M-Path quorum
 //! system (no quorum alive ⇔ fewer than `√(2b+1)` disjoint open crossings in at least
 //! one of the two directions).
+//!
+//! Every trial is decided by the capped blocking-path search of
+//! [`crate::crossing_dp::min_crossing_cost_capped`]: `k` disjoint open crossings of an
+//! axis exist iff no crossing path of the *other* axis has fewer than `k` alive
+//! vertices (the self-matching duality), and `k = 1` is plain connectivity.
 
 use rand::Rng;
 
+use crate::crossing_dp::{min_crossing_cost_capped, CrossingScratch};
 use crate::grid::{Axis, TriangulatedGrid};
-use crate::maxflow::max_vertex_disjoint_paths;
-use crate::union_find::UnionFind;
 
 /// Monte-Carlo estimate together with its sampling error.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,34 +80,22 @@ impl PercolationEstimator {
             .collect()
     }
 
-    /// Returns true if an open (all-alive) crossing along `axis` exists, using
-    /// union-find connectivity (faster than max-flow when only existence matters).
+    /// Whether `k` vertex-disjoint open (all-alive) crossings along `axis` exist.
+    fn has_disjoint_crossings(
+        &self,
+        alive: &[bool],
+        axis: Axis,
+        k: usize,
+        scratch: &mut CrossingScratch,
+    ) -> bool {
+        let blocking = axis.perpendicular();
+        min_crossing_cost_capped(self.grid.side(), |v| alive[v], blocking, k, scratch) >= k
+    }
+
+    /// Returns true if an open (all-alive) crossing along `axis` exists.
     #[must_use]
     pub fn has_open_crossing(&self, alive: &[bool], axis: Axis) -> bool {
-        let n = self.grid.num_vertices();
-        // Two virtual nodes: n = source side, n+1 = sink side.
-        let mut uf = UnionFind::new(n + 2);
-        for v in 0..n {
-            if !alive[v] {
-                continue;
-            }
-            for u in self.grid.neighbors(v) {
-                if u < v && alive[u] {
-                    uf.union(u, v);
-                }
-            }
-        }
-        for s in self.grid.sources(axis) {
-            if alive[s] {
-                uf.union(n, s);
-            }
-        }
-        for t in self.grid.sinks(axis) {
-            if alive[t] {
-                uf.union(n + 1, t);
-            }
-        }
-        uf.connected(n, n + 1)
+        self.has_disjoint_crossings(alive, axis, 1, &mut CrossingScratch::default())
     }
 
     /// Estimates `P[an open crossing along `axis` exists]` when each vertex crashes
@@ -115,15 +107,7 @@ impl PercolationEstimator {
         trials: usize,
         rng: &mut R,
     ) -> Estimate {
-        assert!(trials > 0, "at least one trial required");
-        let mut successes = 0usize;
-        for _ in 0..trials {
-            let alive = self.sample_alive(p, rng);
-            if self.has_open_crossing(&alive, axis) {
-                successes += 1;
-            }
-        }
-        Estimate::from_successes(successes, trials)
+        self.estimate_disjoint_crossings_probability(p, axis, 1, trials, rng)
     }
 
     /// Estimates `P[at least k vertex-disjoint open crossings along `axis` exist]`
@@ -137,14 +121,11 @@ impl PercolationEstimator {
         rng: &mut R,
     ) -> Estimate {
         assert!(trials > 0, "at least one trial required");
+        let mut scratch = CrossingScratch::default();
         let mut successes = 0usize;
         for _ in 0..trials {
             let alive = self.sample_alive(p, rng);
-            // Cheap necessary condition first: an open crossing must exist at all.
-            if !self.has_open_crossing(&alive, axis) {
-                continue;
-            }
-            if k <= 1 || max_vertex_disjoint_paths(&self.grid, &alive, axis) >= k {
+            if self.has_disjoint_crossings(&alive, axis, k, &mut scratch) {
                 successes += 1;
             }
         }
@@ -162,18 +143,13 @@ impl PercolationEstimator {
         rng: &mut R,
     ) -> Estimate {
         assert!(trials > 0, "at least one trial required");
+        let mut scratch = CrossingScratch::default();
         let mut failures = 0usize;
         for _ in 0..trials {
             let alive = self.sample_alive(p, rng);
-            let lr_ok = self.has_open_crossing(&alive, Axis::LeftRight)
-                && (k <= 1 || max_vertex_disjoint_paths(&self.grid, &alive, Axis::LeftRight) >= k);
-            if !lr_ok {
-                failures += 1;
-                continue;
-            }
-            let tb_ok = self.has_open_crossing(&alive, Axis::TopBottom)
-                && (k <= 1 || max_vertex_disjoint_paths(&self.grid, &alive, Axis::TopBottom) >= k);
-            if !tb_ok {
+            if !(self.has_disjoint_crossings(&alive, Axis::LeftRight, k, &mut scratch)
+                && self.has_disjoint_crossings(&alive, Axis::TopBottom, k, &mut scratch))
+            {
                 failures += 1;
             }
         }
