@@ -29,10 +29,12 @@
 //! lane-widening PR, each with its own timings and acceptance gates:
 //!
 //! * `a_lane_enumeration`: the batched (`u64x4`) enumeration loop plus the
-//!   structure-specialised range kernel for the line-quorum grids —
-//!   bit-parity asserted against the historical scalar loop, the n = 25 Grid
-//!   timed against both that loop and the committed v3 engine time
-//!   (gate: ≥ 2× over v3);
+//!   count kernels of Threshold and the line-quorum grids — the engine's
+//!   integer availability profile asserted equal to the naive per-mask
+//!   reference's (at n = 25 for every thread count in {1, 2, 3, 8}), the
+//!   n = 25 Grid timed against both that reference and the committed v3
+//!   engine time (gate: ≥ 2× over v3), and its 26 profile integers emitted
+//!   (`p`-free, so comparable across machines);
 //! * `b_pruned_dp`: the ε-pruned M-Path transfer-matrix sweep past the
 //!   exact-DP wall — certified `[lower, upper]` widths recorded at side 7
 //!   (every mode) and side 8 (full mode), gate: width ≤ 1e-9 at paper `p`;
@@ -54,7 +56,7 @@
 
 use bqs_bench::{json_escape, time};
 use bqs_constructions::prelude::*;
-use bqs_core::availability::exact_crash_probability_naive;
+use bqs_core::availability::availability_profile_naive;
 use bqs_core::eval::{Evaluator, FpEstimate, FpMethod};
 use bqs_core::quorum::{QuorumSystem, AVAILABILITY_LANES};
 
@@ -335,17 +337,17 @@ fn main() {
         (cores > 1).then(|| (serial_seconds, serial_seconds / batched_seconds.max(1e-12)));
     let sweep_points = sweep_systems.len() * sweep_ps.len();
 
-    // ---- Front (a): lane-widened enumeration + grid range kernels. ----
-    // The parity gate runs in every mode: the engine's enumeration — the
-    // structure-specialised range kernel for the line-quorum grids, the
-    // 4-lane batched loop for everything else — must be *bit-identical* to
-    // the historical scalar loop.
+    // ---- Front (a): lane-widened enumeration + count kernels. ----
+    // The parity gate runs in every mode: the engine's availability profile
+    // — count kernels for Threshold and the line-quorum grids, the 4-lane
+    // batched loop for everything else — must equal the naive per-mask
+    // reference's, integer for integer.
     let mut front_failures: Vec<String> = Vec::new();
     assert_eq!(
         AVAILABILITY_LANES, 4,
         "enumeration lane width changed; re-baseline the front (a) gates"
     );
-    eprintln!("front (a): enumeration parity gates (range kernel and lane loop)...");
+    eprintln!("front (a): enumeration parity gates (count kernels and lane loop)...");
     let lane_parity_seconds = {
         let t = std::time::Instant::now();
         let g16 = GridSystem::new(4, 1).unwrap();
@@ -354,14 +356,16 @@ fn main() {
             ("Grid(n=16)", &g16 as &dyn QuorumSystem),
             ("Threshold(n=16)", &th16),
         ] {
-            for &p in &[0.05, 0.125, 0.3] {
-                let engine = evaluator.exact(sys, p).expect("n = 16 is enumerable");
-                let naive = exact_crash_probability_naive(sys, p).expect("n = 16 is enumerable");
-                if engine.to_bits() != naive.to_bits() {
-                    front_failures.push(format!(
-                        "front (a): {name} at p = {p}: engine {engine:e} is not bit-identical to the scalar loop's {naive:e}"
-                    ));
-                }
+            let engine = evaluator
+                .availability_profile(sys)
+                .expect("n = 16 is enumerable");
+            let naive = availability_profile_naive(sys).expect("n = 16 is enumerable");
+            if engine != naive {
+                front_failures.push(format!(
+                    "front (a): {name}: engine profile {:?} differs from the naive reference's {:?}",
+                    engine.unavailable_by_alive(),
+                    naive.unavailable_by_alive()
+                ));
             }
         }
         t.elapsed().as_secs_f64()
@@ -371,19 +375,29 @@ fn main() {
     // continuity), now also judged against the committed v3 engine time.
     let grid25 = GridSystem::new(5, 1).unwrap();
     let p25 = 0.125;
-    let (grid25_speedup, engine_fp, naive_secs, engine_secs) = if quick {
-        (None, 0.0, 0.0, 0.0)
+    let (grid25_speedup, engine_fp, grid25_profile, naive_secs, engine_secs) = if quick {
+        (None, 0.0, Vec::new(), 0.0, 0.0)
     } else {
-        eprintln!("front (a): n = 25 Grid vs the old scalar loop and the v3 baseline...");
+        eprintln!("front (a): n = 25 Grid vs the naive reference and the v3 baseline...");
         let (engine_fp, engine_secs) = time(|| evaluator.exact(&grid25, p25).unwrap());
-        let (naive_fp, naive_secs) = time(|| exact_crash_probability_naive(&grid25, p25).unwrap());
-        assert!(
-            (engine_fp - naive_fp).abs() < 1e-9,
-            "engine {engine_fp} disagrees with naive {naive_fp}"
+        let (naive, naive_secs) = time(|| availability_profile_naive(&grid25).unwrap());
+        assert_eq!(
+            engine_fp.to_bits(),
+            naive.crash_probability(p25).to_bits(),
+            "engine F_p differs from the naive reference's"
         );
+        for threads in [1, 2, 3, 8] {
+            let engine = evaluator.clone().with_threads(threads);
+            if engine.availability_profile(&grid25).unwrap() != naive {
+                front_failures.push(format!(
+                    "front (a): n = 25 Grid profile at {threads} threads differs from the naive reference's"
+                ));
+            }
+        }
         (
             Some(naive_secs / engine_secs.max(1e-12)),
             engine_fp,
+            naive.unavailable_by_alive().to_vec(),
             naive_secs,
             engine_secs,
         )
@@ -478,11 +492,11 @@ fn main() {
     json.push_str("  ],\n");
     json.push_str("  \"fronts\": {\n");
     json.push_str(&format!(
-        "    \"a_lane_enumeration\": {{\"availability_lanes\": {AVAILABILITY_LANES}, \"parity\": \"bit-identical to the scalar loop (asserted)\", \"parity_gate_seconds\": {lane_parity_seconds:e}"
+        "    \"a_lane_enumeration\": {{\"availability_lanes\": {AVAILABILITY_LANES}, \"parity\": \"integer availability profile equal to the naive per-mask reference (asserted)\", \"parity_gate_seconds\": {lane_parity_seconds:e}"
     ));
     if let (Some(vs_naive), Some(vs_v3)) = (grid25_speedup, grid25_v3_speedup) {
         json.push_str(&format!(
-            ", \"grid25\": {{\"construction\": \"{}\", \"p\": {p25}, \"fp\": {engine_fp:e}, \"naive_seconds\": {naive_secs:e}, \"engine_seconds\": {engine_secs:e}, \"speedup_vs_naive\": {vs_naive:.2}, \"v3_engine_seconds\": {V3_GRID25_ENGINE_SECONDS}, \"speedup_vs_v3\": {vs_v3:.2}}}",
+            ", \"grid25\": {{\"construction\": \"{}\", \"p\": {p25}, \"fp\": {engine_fp:e}, \"unavailable_by_alive\": {grid25_profile:?}, \"naive_seconds\": {naive_secs:e}, \"engine_seconds\": {engine_secs:e}, \"speedup_vs_naive\": {vs_naive:.2}, \"v3_engine_seconds\": {V3_GRID25_ENGINE_SECONDS}, \"speedup_vs_v3\": {vs_v3:.2}}}",
             json_escape(&grid25.name())
         ));
     }

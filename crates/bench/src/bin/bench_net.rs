@@ -19,11 +19,9 @@
 //!
 //! `--quick` sweeps small rates on loopback + UDS only and **asserts the
 //! gate**: zero safety violations in every row, exact arrival accounting,
-//! knee sanity (the lowest offered rate must not saturate), and batching
-//! parity (an unbatched UDS point at a below-knee rate must complete like
-//! its batched twin — coalescing must never be load-bearing for
-//! correctness). CI runs this mode on every push, next to
-//! `bench_fp`/`bench_load`/`bench_service --quick`.
+//! and knee sanity (the lowest offered rate must not saturate). CI runs this
+//! mode on every push, next to `bench_fp`/`bench_load`/`bench_service
+//! --quick`.
 //!
 //! The full run additionally gates the tentpole: each socket backend's knee
 //! must sit at `>= KNEE_GATE_RATIO` times the committed v1 baseline knee
@@ -109,9 +107,6 @@ struct SweepPoint {
     n: usize,
     b: usize,
     offered_rate: f64,
-    /// Whether the socket transport coalesced fan-outs into `WireBatch`
-    /// frames (always `true` on loopback, whose batching has no switch).
-    batching: bool,
     saturated: bool,
     report: OpenLoopReport,
     /// Load validation against the certified `L(Q)`; only meaningful below
@@ -164,7 +159,6 @@ fn run_point<S>(
     rate: f64,
     config: &OpenLoopConfig,
     point_tag: usize,
-    batching: bool,
     failures: &mut Vec<String>,
 ) -> SweepPoint
 where
@@ -181,10 +175,9 @@ where
         ..*config
     };
     eprintln!(
-        "bench_net: {} / {name} at {rate:.0} offered ops/s ({} arrivals{})...",
+        "bench_net: {} / {name} at {rate:.0} offered ops/s ({} arrivals)...",
         backend.name(),
-        config.total_arrivals,
-        if batching { "" } else { ", batching off" }
+        config.total_arrivals
     );
     let ((report, access_counts), seconds) = time(|| match backend {
         Backend::Loopback => {
@@ -205,7 +198,6 @@ where
                 NetConfig {
                     pool: 2,
                     request_deadline: Duration::from_secs(3),
-                    batching,
                     ..NetConfig::default()
                 },
             )
@@ -255,7 +247,6 @@ where
         n,
         b,
         offered_rate: rate,
-        batching,
         saturated,
         report,
         load_check,
@@ -295,7 +286,6 @@ where
             rate,
             &config,
             tag_base + i,
-            true,
             failures,
         ));
     }
@@ -403,38 +393,6 @@ fn main() {
                 ));
             }
         }
-        // Batching parity: the same below-knee rate with coalescing disabled
-        // must behave like its batched twin — safe, fully accounted (both
-        // asserted inside `run_point`) and unsaturated. Batching is a
-        // throughput optimisation and must never be load-bearing for
-        // correctness.
-        let parity_rate = rates[2];
-        let parity = run_point(
-            Backend::Uds,
-            &grid,
-            1,
-            grid_load,
-            parity_rate,
-            &OpenLoopConfig {
-                total_arrivals: arrivals(parity_rate),
-                ..base_config
-            },
-            900,
-            false,
-            &mut failures,
-        );
-        if parity.saturated {
-            failures.push(format!(
-                "uds/unbatched parity point saturated at {parity_rate:.0} ops/s"
-            ));
-        }
-        if parity.report.completed() * 10 < parity.report.scheduled * 9 {
-            failures.push(format!(
-                "uds/unbatched parity point lost arrivals below the knee: {:?}",
-                parity.report
-            ));
-        }
-        points.push(parity);
     } else {
         let mgrid = MGridSystem::new(5, 2).unwrap();
         let mgrid_cert = optimal_load_oracle(&mgrid).expect("m-grid certifies");
@@ -519,12 +477,11 @@ fn main() {
             None => "\"certified_load\": null, \"empirical_max_load\": null, \"sigma\": null, \"tolerance\": null, \"z\": null, \"within_tolerance\": null".to_string(),
         };
         json.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"construction\": \"{}\", \"n\": {}, \"b\": {}, \"generator\": \"open_loop\", \"batching\": {}, \"offered_ops_per_sec\": {:.1}, \"realized_offered_ops_per_sec\": {:.1}, \"achieved_ops_per_sec\": {:.1}, \"saturated\": {}, \"scheduled\": {}, \"completed_writes\": {}, \"completed_reads\": {}, \"inconclusive_reads\": {}, \"shed\": {}, \"timed_out\": {}, \"no_live_quorum\": {}, \"rejected_sends\": {}, \"safety_violations\": {}, \"peak_in_flight\": {}, \"latency_mean_ns\": {}, \"latency_p50_ns\": {}, \"latency_p90_ns\": {}, \"latency_p99_ns\": {}, \"latency_max_ns\": {}, \"latency_hist_p50_ns\": {}, \"latency_hist_p99_ns\": {}, \"latency_hist_p999_ns\": {}, \"elapsed_seconds\": {:e}, \"seconds\": {:e}, {}}}{}\n",
+            "    {{\"backend\": \"{}\", \"construction\": \"{}\", \"n\": {}, \"b\": {}, \"generator\": \"open_loop\", \"offered_ops_per_sec\": {:.1}, \"realized_offered_ops_per_sec\": {:.1}, \"achieved_ops_per_sec\": {:.1}, \"saturated\": {}, \"scheduled\": {}, \"completed_writes\": {}, \"completed_reads\": {}, \"inconclusive_reads\": {}, \"shed\": {}, \"timed_out\": {}, \"no_live_quorum\": {}, \"rejected_sends\": {}, \"safety_violations\": {}, \"peak_in_flight\": {}, \"latency_mean_ns\": {}, \"latency_p50_ns\": {}, \"latency_p90_ns\": {}, \"latency_p99_ns\": {}, \"latency_max_ns\": {}, \"latency_hist_p50_ns\": {}, \"latency_hist_p99_ns\": {}, \"latency_hist_p999_ns\": {}, \"elapsed_seconds\": {:e}, \"seconds\": {:e}, {}}}{}\n",
             p.backend,
             json_escape(&p.construction),
             p.n,
             p.b,
-            p.batching,
             p.offered_rate,
             r.realized_offered_ops_per_sec,
             r.achieved_ops_per_sec,

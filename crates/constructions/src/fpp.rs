@@ -26,6 +26,7 @@ use rand::RngCore;
 use bqs_combinatorics::projective::ProjectivePlane;
 use bqs_core::bitset::ServerSet;
 use bqs_core::error::QuorumError;
+use bqs_core::eval::AvailabilityProfile;
 use bqs_core::oracle::MinWeightQuorumOracle;
 use bqs_core::quorum::{ExplicitQuorumSystem, QuorumSystem};
 
@@ -39,7 +40,7 @@ pub struct FppSystem {
     /// Lazily-computed line-free profile of the plane (`None` inside means the
     /// plane is too large for the one-time enumeration); shared by every
     /// closed-form evaluation so sweeps pay the `2^n` cost at most once.
-    line_free_profile: OnceLock<Option<Vec<u64>>>,
+    line_free_profile: OnceLock<Option<AvailabilityProfile>>,
 }
 
 impl FppSystem {
@@ -68,7 +69,10 @@ impl FppSystem {
     /// surviving point set contains no complete line, so with `N_m` the number
     /// of line-free `m`-subsets ([`ProjectivePlane::line_free_profile`]),
     ///
-    /// `F_p(FPP) = Σ_m N_m (1 − p)^m p^{n − m}`.
+    /// `F_p(FPP) = Σ_m N_m (1 − p)^m p^{n − m}`
+    ///
+    /// — the plane's [`AvailabilityProfile`], evaluated by the same pass the
+    /// enumeration engine uses.
     ///
     /// Returns `None` for planes whose one-time profile computation is gated
     /// out (`q ≥ 7`, the measured interface wall of the counting DP); the
@@ -76,19 +80,12 @@ impl FppSystem {
     /// counting sweep at most once per system.
     #[must_use]
     pub fn crash_probability_exact(&self, p: f64) -> Option<f64> {
-        let profile = self
-            .line_free_profile
-            .get_or_init(|| self.plane.line_free_profile())
-            .as_ref()?;
-        let p = p.clamp(0.0, 1.0);
-        let q = 1.0 - p;
-        let n = self.universe_size() as i32;
-        let fp: f64 = profile
-            .iter()
-            .enumerate()
-            .map(|(m, &count)| count as f64 * q.powi(m as i32) * p.powi(n - m as i32))
-            .sum();
-        Some(fp.clamp(0.0, 1.0))
+        let profile = self.line_free_profile.get_or_init(|| {
+            self.plane
+                .line_free_profile()
+                .map(AvailabilityProfile::from_counts)
+        });
+        Some(profile.as_ref()?.crash_probability(p))
     }
 
     /// The plane order `q`.

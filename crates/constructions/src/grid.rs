@@ -159,23 +159,13 @@ impl QuorumSystem for GridSystem {
             && self.grid.fully_alive_column_count_u64(alive) >= 1
     }
 
-    #[inline]
-    fn is_available_u64x4(
-        &self,
-        alive: [u64; bqs_core::quorum::AVAILABILITY_LANES],
-        _scratch: &mut bqs_core::quorum::LaneScratch,
-    ) -> [bool; bqs_core::quorum::AVAILABILITY_LANES] {
-        // One lane-parallel pass over the rows answers all four masks.
-        let counts = self.grid.fully_alive_counts_u64x4(alive);
-        std::array::from_fn(|i| counts[i].0 > 2 * self.b && counts[i].1 >= 1)
-    }
-
-    fn unavailable_mass_u64_range(&self, weights: &[f64], start: u64, end: u64) -> Option<f64> {
+    fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) -> bool {
         // Exact-enumeration fast path: build the packed line tables once for
         // the whole range (≲ 64 KiB, microseconds) and let the table kernel
-        // stream the masks — bit-identical to the lane loop it replaces.
+        // stream the masks.
         let tables = self.grid.line_count_tables();
-        Some(tables.unavailable_mass_range(2 * self.b + 1, 1, weights, start, end))
+        tables.unavailable_profile_range(2 * self.b + 1, 1, start, end, profile);
+        true
     }
 
     fn crash_probability_closed_form(&self, p: f64) -> Option<f64> {

@@ -213,21 +213,11 @@ impl QuorumSystem for MGridSystem {
             && self.grid.fully_alive_column_count_u64(alive) >= self.lines
     }
 
-    #[inline]
-    fn is_available_u64x4(
-        &self,
-        alive: [u64; bqs_core::quorum::AVAILABILITY_LANES],
-        _scratch: &mut bqs_core::quorum::LaneScratch,
-    ) -> [bool; bqs_core::quorum::AVAILABILITY_LANES] {
-        // One lane-parallel pass over the rows answers all four masks.
-        let counts = self.grid.fully_alive_counts_u64x4(alive);
-        std::array::from_fn(|i| counts[i].0 >= self.lines && counts[i].1 >= self.lines)
-    }
-
-    fn unavailable_mass_u64_range(&self, weights: &[f64], start: u64, end: u64) -> Option<f64> {
-        // Exact-enumeration fast path — see `GridSystem::unavailable_mass_u64_range`.
+    fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) -> bool {
+        // Exact-enumeration fast path — see `GridSystem::unavailable_profile_u64_range`.
         let tables = self.grid.line_count_tables();
-        Some(tables.unavailable_mass_range(self.lines, self.lines, weights, start, end))
+        tables.unavailable_profile_range(self.lines, self.lines, start, end, profile);
+        true
     }
 
     fn crash_probability_closed_form(&self, p: f64) -> Option<f64> {

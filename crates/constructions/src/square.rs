@@ -154,40 +154,10 @@ impl SquareGrid {
         (folded & row).count_ones() as usize
     }
 
-    /// Fully-alive row and column counts for four masks at once: one pass
-    /// over the rows answers every lane (`counts[i] = (rows, cols)` for
-    /// `alive[i]`), with the per-row slice extraction, row test and column
-    /// AND-fold running lane-parallel — the `u64x4` shape the autovectorizer
-    /// lifts to SIMD inside `2^n` exact enumeration.
-    #[must_use]
-    #[inline]
-    pub fn fully_alive_counts_u64x4(
-        &self,
-        alive: [u64; bqs_core::quorum::AVAILABILITY_LANES],
-    ) -> [(usize, usize); bqs_core::quorum::AVAILABILITY_LANES] {
-        debug_assert!(self.universe_size() <= 64);
-        const LANES: usize = bqs_core::quorum::AVAILABILITY_LANES;
-        let row = if self.side == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.side) - 1
-        };
-        let mut rows = [0usize; LANES];
-        let mut folds = [row; LANES];
-        for r in 0..self.side {
-            let shift = r * self.side;
-            for i in 0..LANES {
-                let slice = (alive[i] >> shift) & row;
-                rows[i] += usize::from(slice == row);
-                folds[i] &= slice;
-            }
-        }
-        std::array::from_fn(|i| (rows[i], folds[i].count_ones() as usize))
-    }
-
     /// Builds the packed line tables for this side — the table-driven
-    /// sibling of [`SquareGrid::fully_alive_counts_u64x4`] for enumeration
-    /// sweeps (see [`LineCountTables`]).
+    /// sibling of [`SquareGrid::fully_alive_row_count_u64`] /
+    /// [`SquareGrid::fully_alive_column_count_u64`] for enumeration sweeps
+    /// (see [`LineCountTables`]).
     #[must_use]
     pub fn line_count_tables(&self) -> LineCountTables {
         LineCountTables::new(self.side)
@@ -220,11 +190,11 @@ impl SquareGrid {
 /// `u16` entry holds the chunk's fully-alive row count (high byte) and its
 /// column AND-fold (low byte, valid for `side ≤ 8` — exactly the `n ≤ 64`
 /// range of the word-level availability API). The payoff comes from
-/// [`LineCountTables::unavailable_mass_range`], which runs the whole
+/// [`LineCountTables::unavailable_profile_range`], which runs the whole
 /// exact-enumeration inner loop against the tables: the low chunk's index
 /// walks sequentially so the probes stream through L1, the build cost
 /// (≲ 64 KiB of tables) is paid once per range, and on the n = 25 Grid the
-/// sweep runs ~4× faster than the per-batch row pass it replaces.
+/// sweep runs ~4× faster than a shift-and-compare row pass per mask.
 #[derive(Debug, Clone)]
 pub struct LineCountTables {
     side: usize,
@@ -285,7 +255,7 @@ impl LineCountTables {
     }
 
     /// Fully-alive `(rows, columns)` counts for one mask via table probes —
-    /// bit-identical to
+    /// equal to
     /// ([`SquareGrid::fully_alive_row_count_u64`],
     /// [`SquareGrid::fully_alive_column_count_u64`]).
     #[must_use]
@@ -301,39 +271,34 @@ impl LineCountTables {
         (rows as usize, (fold & 0xff).count_ones() as usize)
     }
 
-    /// Sums `weights[popcount(m)]` over every mask `m` in `start..end` with
-    /// fewer than `min_rows` fully-alive rows or fewer than `min_cols`
+    /// Adds one to `profile[popcount(m)]` for every mask `m` in `start..end`
+    /// with fewer than `min_rows` fully-alive rows or fewer than `min_cols`
     /// fully-alive columns — the entire inner loop of exact `F_p`
     /// enumeration for the line-quorum grids, in the shape
-    /// [`bqs_core::quorum::QuorumSystem::unavailable_mass_u64_range`]
-    /// requires: a single `f64` accumulation chain in ascending mask order,
-    /// bit-identical to testing each mask through the scalar availability
-    /// path.
+    /// [`bqs_core::quorum::QuorumSystem::unavailable_profile_u64_range`]
+    /// asks for.
     ///
     /// The common one- and two-chunk layouts (`side ≤ 5`, every universe the
     /// engine actually enumerates) get dedicated loops: the two-chunk loop
     /// probes the high table once per 2^`lo_bits` masks and streams the low
     /// table sequentially, so each mask costs one L1 load, one popcount and
     /// a compare.
-    #[must_use]
-    pub fn unavailable_mass_range(
+    pub fn unavailable_profile_range(
         &self,
         min_rows: usize,
         min_cols: usize,
-        weights: &[f64],
         start: u64,
         end: u64,
-    ) -> f64 {
-        let mut acc = 0.0;
+        profile: &mut [u64],
+    ) {
+        let unavailable = |rows: u16, fold: u16| {
+            (rows as usize) < min_rows || ((fold & 0xff).count_ones() as usize) < min_cols
+        };
         match self.chunks.as_slice() {
             [only] => {
                 for m in start..end {
                     let e = only.table[((m >> only.shift) & only.index_mask) as usize];
-                    if ((e >> 8) as usize) < min_rows
-                        || (((e & 0xff).count_ones()) as usize) < min_cols
-                    {
-                        acc += weights[m.count_ones() as usize];
-                    }
+                    profile[m.count_ones() as usize] += u64::from(unavailable(e >> 8, e));
                 }
             }
             [lo, hi] => {
@@ -342,16 +307,12 @@ impl LineCountTables {
                 while m < end {
                     let hi_idx = (m >> hi.shift) & hi.index_mask;
                     let hi_entry = hi.table[hi_idx as usize];
-                    let hi_rows = hi_entry >> 8;
                     let seg_end = end.min((hi_idx + 1) << hi.shift);
                     while m < seg_end {
                         let lo_entry = lo.table[(m & lo.index_mask) as usize];
-                        let fold = hi_entry & lo_entry & 0xff;
-                        if (((hi_rows + (lo_entry >> 8)) as usize) < min_rows)
-                            || ((fold.count_ones() as usize) < min_cols)
-                        {
-                            acc += weights[m.count_ones() as usize];
-                        }
+                        let rows = (hi_entry >> 8) + (lo_entry >> 8);
+                        profile[m.count_ones() as usize] +=
+                            u64::from(unavailable(rows, hi_entry & lo_entry));
                         m += 1;
                     }
                 }
@@ -359,13 +320,11 @@ impl LineCountTables {
             _ => {
                 for m in start..end {
                     let (rows, cols) = self.counts_u64(m);
-                    if rows < min_rows || cols < min_cols {
-                        acc += weights[m.count_ones() as usize];
-                    }
+                    profile[m.count_ones() as usize] +=
+                        u64::from(rows < min_rows || cols < min_cols);
                 }
             }
         }
-        acc
     }
 }
 
@@ -799,43 +758,6 @@ mod tests {
                 g.fully_alive_column_count_u64(mask),
             );
             assert_eq!(t.counts_u64(mask), direct, "side=6 mask={mask:#x}");
-        }
-    }
-
-    #[test]
-    fn unavailable_mass_range_is_bit_identical_to_scalar_chain() {
-        // The kernel must reproduce the engine's generic accumulation chain
-        // exactly (single f64 chain, ascending masks) — compare with
-        // `to_bits`, over full ranges and over split sub-ranges.
-        for (side, min_rows, min_cols) in [(3usize, 2usize, 1usize), (4, 3, 1), (4, 2, 2)] {
-            let g = SquareGrid::new(side).unwrap();
-            let t = g.line_count_tables();
-            let n = side * side;
-            let p = 0.125f64;
-            let q = 1.0 - p;
-            let weights: Vec<f64> = (0..=n as i32)
-                .map(|k| q.powi(k) * p.powi(n as i32 - k))
-                .collect();
-            let total = 1u64 << n;
-            let mut reference = 0.0f64;
-            for m in 0..total {
-                let rows = g.fully_alive_row_count_u64(m);
-                let cols = g.fully_alive_column_count_u64(m);
-                if rows < min_rows || cols < min_cols {
-                    reference += weights[m.count_ones() as usize];
-                }
-            }
-            let whole = t.unavailable_mass_range(min_rows, min_cols, &weights, 0, total);
-            assert_eq!(
-                whole.to_bits(),
-                reference.to_bits(),
-                "side={side} rows>={min_rows} cols>={min_cols}"
-            );
-            // Arbitrary (unaligned) sub-ranges must also run the same chain.
-            let cut = total / 3 + 1;
-            let head = t.unavailable_mass_range(min_rows, min_cols, &weights, 0, cut);
-            let tail = t.unavailable_mass_range(min_rows, min_cols, &weights, cut, total);
-            assert!((head + tail - reference).abs() < 1e-15);
         }
     }
 

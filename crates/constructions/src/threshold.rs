@@ -157,13 +157,12 @@ impl QuorumSystem for ThresholdSystem {
         alive.count_ones() as usize >= self.quorum_size
     }
 
-    #[inline]
-    fn is_available_u64x4(
-        &self,
-        alive: [u64; bqs_core::quorum::AVAILABILITY_LANES],
-        _scratch: &mut bqs_core::quorum::LaneScratch,
-    ) -> [bool; bqs_core::quorum::AVAILABILITY_LANES] {
-        std::array::from_fn(|i| alive[i].count_ones() as usize >= self.quorum_size)
+    fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) -> bool {
+        for mask in start..end {
+            let alive = mask.count_ones() as usize;
+            profile[alive] += u64::from(alive < self.quorum_size);
+        }
+        true
     }
 
     fn crash_probability_closed_form(&self, p: f64) -> Option<f64> {

@@ -5,13 +5,14 @@
 //! is unavailable. Three engines are provided:
 //!
 //! * [`exact_crash_probability`] — exact enumeration of all `2^n` crash
-//!   configurations. Since the evaluation-engine refactor this iterates raw
-//!   `u64` masks against a reusable scratch set (zero allocation per
-//!   configuration) and fans large mask ranges out across threads via
-//!   [`crate::eval::Evaluator`];
-//! * [`exact_crash_probability_naive`] — the historical scalar loop that heap-
-//!   allocates a fresh [`ServerSet`] per configuration, kept as the reference
-//!   the engine is validated (and its speedup measured) against;
+//!   configurations into the integer availability profile
+//!   ([`crate::eval::AvailabilityProfile`]) on the shared engine
+//!   ([`crate::eval::Evaluator`]): raw `u64` masks, zero allocation per
+//!   configuration, large mask ranges fanned out across threads;
+//! * `availability_profile_naive` — the same profile filled by the
+//!   simplest possible loop (one fresh [`ServerSet`] and one `is_available`
+//!   call per configuration), kept as the reference the engine is validated
+//!   (and its speedup measured) against;
 //! * [`monte_carlo_crash_probability`] — an unbiased estimator with a binomial
 //!   confidence interval, usable for any [`QuorumSystem`], including the large
 //!   structured constructions. For parallel estimation with per-thread RNG
@@ -25,7 +26,7 @@ use rand::Rng;
 
 use crate::bitset::ServerSet;
 use crate::error::QuorumError;
-use crate::eval::Evaluator;
+use crate::eval::{AvailabilityProfile, Evaluator};
 use crate::quorum::QuorumSystem;
 
 /// Largest universe size accepted by the exact enumerator (`2^25` configurations).
@@ -104,11 +105,10 @@ pub fn wilson_score_interval(mean: f64, trials: usize) -> (f64, f64) {
 
 /// Exact crash probability by enumerating every crash configuration.
 ///
-/// Runs on the shared evaluation engine: allocation-free mask iteration with
-/// a `u64` fast path, parallel across all cores once the mask space exceeds
-/// [`crate::eval::PARALLEL_MASK_THRESHOLD`] (below it, the ascending-mask
-/// scalar order is preserved, so results match the historical loop
-/// bit-for-bit). Closed forms are deliberately *not* consulted — this
+/// Runs on the shared evaluation engine: allocation-free mask iteration into
+/// the integer availability profile, parallel across all cores once the mask
+/// space exceeds [`crate::eval::PARALLEL_MASK_THRESHOLD`], and the same bits
+/// at any thread count. Closed forms are deliberately *not* consulted — this
 /// function is the ground truth they are tested against; use
 /// [`crate::eval::Evaluator::crash_probability`] for dispatching evaluation.
 ///
@@ -123,19 +123,20 @@ pub fn exact_crash_probability<Q: QuorumSystem + ?Sized>(
     Evaluator::new().exact(system, p)
 }
 
-/// The pre-refactor scalar enumerator: single-threaded, one fresh heap
-/// [`ServerSet`] per crash configuration. Kept (not deprecated) as the
-/// bit-for-bit reference for the evaluation engine and as the baseline the
-/// `bench_fp` binary measures the engine's speedup against.
+/// The reference availability profile: single-threaded, one fresh heap
+/// [`ServerSet`] and one [`QuorumSystem::is_available`] call per crash
+/// configuration — no word-level path, no lanes, no count kernel. The tests
+/// compare the engine's profile against it as integer vectors and
+/// `bench_fp` measures the engine's speedup over it.
 ///
 /// # Errors
 ///
 /// Returns [`QuorumError::UniverseTooLarge`] when the universe exceeds
 /// [`EXACT_ENUMERATION_LIMIT`] servers.
-pub fn exact_crash_probability_naive<Q: QuorumSystem + ?Sized>(
+#[doc(hidden)]
+pub fn availability_profile_naive<Q: QuorumSystem + ?Sized>(
     system: &Q,
-    p: f64,
-) -> Result<f64, QuorumError> {
+) -> Result<AvailabilityProfile, QuorumError> {
     let n = system.universe_size();
     if n > EXACT_ENUMERATION_LIMIT {
         return Err(QuorumError::UniverseTooLarge {
@@ -143,18 +144,14 @@ pub fn exact_crash_probability_naive<Q: QuorumSystem + ?Sized>(
             limit: EXACT_ENUMERATION_LIMIT,
         });
     }
-    let p = p.clamp(0.0, 1.0);
-    let q = 1.0 - p;
-    let mut crash_prob = 0.0;
+    let mut unavailable_by_alive = vec![0u64; n + 1];
     for mask in 0u64..(1u64 << n) {
         let alive = ServerSet::from_indices(n, (0..n).filter(|&i| mask & (1 << i) != 0));
         if !system.is_available(&alive) {
-            let alive_count = alive.len() as i32;
-            let crashed_count = (n as i32) - alive_count;
-            crash_prob += q.powi(alive_count) * p.powi(crashed_count);
+            unavailable_by_alive[alive.len()] += 1;
         }
     }
-    Ok(crash_prob.clamp(0.0, 1.0))
+    Ok(AvailabilityProfile::from_counts(unavailable_by_alive))
 }
 
 /// Monte-Carlo estimate of the crash probability.

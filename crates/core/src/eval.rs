@@ -1,31 +1,35 @@
 //! The shared evaluation engine for crash probability `F_p(Q)`.
 //!
 //! Every figure, table and sweep in the workspace ultimately asks the same
-//! question — *how likely is it that no quorum survives?* — and before this
-//! module each caller hand-rolled its own loop: single-threaded, allocating a
-//! fresh [`ServerSet`] per crash configuration (`2^n` heap allocations per
-//! exact evaluation). [`Evaluator`] replaces those loops with one engine:
+//! question — *how likely is it that no quorum survives?* — and
+//! [`Evaluator`] is the one engine that answers it:
 //!
 //! * **Closed forms first.** Constructions whose structure admits an exact
 //!   closed-form `F_p` ([`QuorumSystem::crash_probability_closed_form`]) skip
 //!   enumeration entirely — Threshold, Grid, M-Grid and RT all answer in
 //!   microseconds at any `n`.
-//! * **Allocation-free exact enumeration.** Crash configurations are iterated
-//!   as raw `u64` masks (the exact limit is far below 64 servers) and checked
-//!   through [`QuorumSystem::is_available_u64`] against one reusable scratch
-//!   set per worker — zero heap allocation per configuration.
+//! * **One integer availability profile.** `F_p(Q) = Σ_j a_j (1−p)^j p^(n−j)`
+//!   where `a_j` counts the alive-sets of size `j` that contain no quorum
+//!   (Definition 3.10). Exact enumeration walks the `2^n` crash
+//!   configurations as raw `u64` masks — allocation-free, through
+//!   [`QuorumSystem::unavailable_profile_u64_range`] where the construction
+//!   has a count kernel and four masks at a time through
+//!   [`QuorumSystem::is_available_u64x4`] otherwise — and tallies them into
+//!   the `u64` counters of an [`AvailabilityProfile`]. Chunk partials add as
+//!   integers, so the serial path, any chunking and any thread count produce
+//!   the *same* profile, and [`AvailabilityProfile::crash_probability`] is
+//!   the single place where counts become a probability.
 //! * **Parallel by default.** Mask ranges are chunked across a scoped thread
-//!   pool; Monte-Carlo trials run on independent per-thread RNG streams
+//!   pool; Monte-Carlo trials run on independent per-block RNG streams
 //!   (deterministic for a fixed seed, regardless of thread count).
 //! * **Batched sweeps.** [`Evaluator::sweep`] / [`Evaluator::sweep_systems`]
-//!   evaluate whole `(system, p)` grids on one persistent worker pool,
-//!   amortising thread-spawn cost across points and overlapping expensive
-//!   points (Monte-Carlo, the M-Path transfer-matrix DP) in wall-clock time.
+//!   evaluate whole `(system, p)` grids on one persistent worker pool: every
+//!   exact or certified method answers a system's whole `p`-grid in one job
+//!   (one profile, `|ps|` evaluations), and only Monte-Carlo points are
+//!   scheduled individually.
 //!
-//! Small universes (`2^n` below [`PARALLEL_MASK_THRESHOLD`]) are evaluated on
-//! the calling thread in ascending mask order, which keeps the result
-//! *bit-for-bit identical* to the historical scalar loop — a property the
-//! regression tests pin down.
+//! Universes of at most [`PARALLEL_MASK_THRESHOLD`] masks are enumerated on
+//! the calling thread, purely because spawning would cost more than the walk.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,11 +44,67 @@ use crate::quorum::{LaneScratch, QuorumSystem, AVAILABILITY_LANES};
 /// hard ceiling being 63 bits of mask space).
 pub const DEFAULT_EXACT_LIMIT: usize = 25;
 
-/// Mask-count threshold below which exact enumeration stays on the calling
-/// thread (in ascending mask order, matching the historical scalar loop
-/// bit-for-bit). `2^17` configurations evaluate in well under a millisecond,
-/// so threads would only add overhead there.
+/// Mask-count threshold up to which exact enumeration stays on the calling
+/// thread. Purely a spawn-cost cutoff — `2^17` configurations evaluate in
+/// well under a millisecond — with no effect on the result.
 pub const PARALLEL_MASK_THRESHOLD: u64 = 1 << 17;
+
+/// The availability profile of a quorum system over `n` servers:
+/// `a_j = #{alive-sets of size j that contain no quorum}` for `j = 0..=n`.
+///
+/// The profile is the `p`-free, integer content of Definition 3.10 —
+/// `F_p(Q) = Σ_j a_j (1−p)^j p^(n−j)` — so it is identical on every machine
+/// and for every enumeration order, and one profile answers a whole
+/// `p`-sweep.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AvailabilityProfile {
+    unavailable_by_alive: Vec<u64>,
+}
+
+impl AvailabilityProfile {
+    /// Wraps counts obtained without the engine (FPP's line-free counting
+    /// DP): `counts[j]` is the number of alive-sets of size `j` that contain
+    /// no quorum, for a universe of `counts.len() - 1` servers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counts` is empty.
+    #[must_use]
+    pub fn from_counts(counts: Vec<u64>) -> Self {
+        assert!(!counts.is_empty(), "a profile has n + 1 >= 1 entries");
+        AvailabilityProfile {
+            unavailable_by_alive: counts,
+        }
+    }
+
+    /// The counters `a_0, ..., a_n`, indexed by the number of alive servers.
+    #[must_use]
+    pub fn unavailable_by_alive(&self) -> &[u64] {
+        &self.unavailable_by_alive
+    }
+
+    /// `F_p = Σ_j a_j (1−p)^j p^(n−j)`, summed in ascending `j` with Neumaier
+    /// compensation — the workspace's one reduction from per-configuration
+    /// mass to a crash probability.
+    #[must_use]
+    pub fn crash_probability(&self, p: f64) -> f64 {
+        let p = p.clamp(0.0, 1.0);
+        let q = 1.0 - p;
+        let n = self.unavailable_by_alive.len() as i32 - 1;
+        let (mut sum, mut compensation) = (0.0f64, 0.0f64);
+        for (j, &count) in self.unavailable_by_alive.iter().enumerate() {
+            let term = count as f64 * q.powi(j as i32) * p.powi(n - j as i32);
+            let next = sum + term;
+            compensation += if sum >= term {
+                (sum - next) + term
+            } else {
+                (term - next) + sum
+            };
+            sum = next;
+        }
+        (sum + compensation).clamp(0.0, 1.0)
+    }
+}
 
 /// How the engine arrived at a crash-probability value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,6 +156,17 @@ pub struct FpEstimate {
 }
 
 impl FpEstimate {
+    /// An answer with no sampling error and no enclosure.
+    fn certain(value: f64, method: FpMethod) -> Self {
+        FpEstimate {
+            value,
+            std_error: None,
+            trials: None,
+            method,
+            interval: None,
+        }
+    }
+
     /// Half-width of the 95% confidence interval (zero for exact methods).
     ///
     /// For Monte-Carlo estimates with zero observed failures this degenerates
@@ -253,62 +324,81 @@ impl Evaluator {
         self.mc_trials
     }
 
-    /// Evaluates `F_p(Q)`, choosing the cheapest method that answers exactly:
-    /// a closed form when the construction has one, exhaustive enumeration
-    /// when `2^n` is tractable, Monte-Carlo estimation otherwise.
+    /// Evaluates `F_p(Q)` by the cheapest method that answers: a closed form
+    /// when the construction has one, the availability profile when `2^n` is
+    /// tractable, a certified enclosure when the construction can compute
+    /// one, Monte-Carlo estimation otherwise.
     pub fn crash_probability<Q: QuorumSystem + ?Sized>(&self, system: &Q, p: f64) -> FpEstimate {
         let p = p.clamp(0.0, 1.0);
-        if let Some(value) = system.crash_probability_closed_form(p) {
-            return FpEstimate {
-                value,
-                std_error: None,
-                trials: None,
-                method: system.closed_form_method(),
-                interval: None,
-            };
-        }
-        match self.exact(system, p) {
-            Ok(value) => FpEstimate {
-                value,
-                std_error: None,
-                trials: None,
-                method: FpMethod::Exact,
-                interval: None,
-            },
-            Err(_) => {
-                // Past the enumeration limit, a certified enclosure (the
-                // ε-pruned DP) still beats sampling: rigorous bounds at any
-                // width the construction can certify.
-                if let Some((lower, upper)) = system.crash_probability_interval(p) {
-                    return FpEstimate {
-                        value: 0.5 * (lower + upper),
-                        std_error: None,
-                        trials: None,
-                        method: FpMethod::DpPruned,
-                        interval: Some((lower, upper)),
-                    };
-                }
-                let est = self.monte_carlo(system, p);
-                FpEstimate {
-                    value: est.mean,
-                    std_error: Some(est.std_error),
-                    trials: Some(est.trials),
-                    method: FpMethod::MonteCarlo,
-                    interval: None,
-                }
-            }
+        match self.certified(system, &[p]) {
+            Some(one) => one[0],
+            None => self.sampled(system, p),
         }
     }
 
-    /// Exact `F_p(Q)` by (parallel, allocation-free) enumeration of every
-    /// crash configuration. Never consults closed forms, which makes it the
-    /// reference the closed forms are validated against.
+    /// The engine's dispatch order, for a single point and a sweep alike:
+    /// closed form → availability profile → certified interval. `None` means
+    /// only Monte-Carlo is left ([`Evaluator::sampled`]).
+    fn certified<Q: QuorumSystem + ?Sized>(
+        &self,
+        system: &Q,
+        ps: &[f64],
+    ) -> Option<Vec<FpEstimate>> {
+        if let Some(values) = system.crash_probability_closed_form_batch(ps) {
+            let method = system.closed_form_method();
+            return Some(
+                values
+                    .into_iter()
+                    .map(|value| FpEstimate::certain(value, method))
+                    .collect(),
+            );
+        }
+        if let Ok(profile) = self.availability_profile(system) {
+            return Some(
+                ps.iter()
+                    .map(|&p| FpEstimate::certain(profile.crash_probability(p), FpMethod::Exact))
+                    .collect(),
+            );
+        }
+        // Past the enumeration limit, a certified enclosure (the ε-pruned DP)
+        // still beats sampling: rigorous bounds at any width the construction
+        // can certify.
+        system
+            .crash_probability_interval_batch(ps)
+            .map(|intervals| {
+                intervals
+                    .into_iter()
+                    .map(|(lower, upper)| FpEstimate {
+                        interval: Some((lower, upper)),
+                        ..FpEstimate::certain(0.5 * (lower + upper), FpMethod::DpPruned)
+                    })
+                    .collect()
+            })
+    }
+
+    /// The Monte-Carlo answer, for points no exact or certified method covers.
+    fn sampled<Q: QuorumSystem + ?Sized>(&self, system: &Q, p: f64) -> FpEstimate {
+        let est = self.monte_carlo(system, p);
+        FpEstimate {
+            std_error: Some(est.std_error),
+            trials: Some(est.trials),
+            ..FpEstimate::certain(est.mean, FpMethod::MonteCarlo)
+        }
+    }
+
+    /// The availability profile of `system` by (parallel, allocation-free)
+    /// enumeration of every crash configuration. Mask ranges are counted into
+    /// per-chunk `u64` partials that add as integers, so the result does not
+    /// depend on the chunking or the thread count.
     ///
     /// # Errors
     ///
     /// Returns [`QuorumError::UniverseTooLarge`] when `n` exceeds the
     /// configured exact limit.
-    pub fn exact<Q: QuorumSystem + ?Sized>(&self, system: &Q, p: f64) -> Result<f64, QuorumError> {
+    pub fn availability_profile<Q: QuorumSystem + ?Sized>(
+        &self,
+        system: &Q,
+    ) -> Result<AvailabilityProfile, QuorumError> {
         let n = system.universe_size();
         if n > self.exact_limit {
             return Err(QuorumError::UniverseTooLarge {
@@ -316,173 +406,89 @@ impl Evaluator {
                 limit: self.exact_limit,
             });
         }
-        let p = p.clamp(0.0, 1.0);
         let total: u64 = 1u64 << n;
-        if self.threads <= 1 || total <= PARALLEL_MASK_THRESHOLD {
-            return Ok(enumerate_masks(system, p, 0, total).clamp(0.0, 1.0));
-        }
         // Oversplit relative to the worker count so an unlucky chunk (for
         // example one whose masks are mostly available and exit the quorum
         // scan late) cannot straggle the whole evaluation.
-        let chunks =
-            (self.threads * 8).min(usize::try_from(total / 1024).unwrap_or(usize::MAX).max(1));
+        let chunks = if self.threads <= 1 || total <= PARALLEL_MASK_THRESHOLD {
+            1
+        } else {
+            (self.threads * 8).min(usize::try_from(total / 1024).unwrap_or(usize::MAX))
+        };
         let chunk_len = total.div_ceil(chunks as u64);
-        let crash_prob: f64 = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..chunks as u64)
-                .map(|c| {
-                    let start = c * chunk_len;
-                    let end = total.min(start + chunk_len);
-                    scope.spawn(move || enumerate_masks(system, p, start, end))
-                })
-                .collect();
-            // Joining in spawn order keeps the reduction deterministic for a
-            // fixed chunk count.
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .sum()
+        let partials = run_pool(self.threads, chunks, |c| {
+            let start = total.min(c as u64 * chunk_len);
+            enumerate_masks(system, start, total.min(start + chunk_len))
         });
-        Ok(crash_prob.clamp(0.0, 1.0))
+        let mut unavailable_by_alive = vec![0u64; n + 1];
+        for partial in partials {
+            for (count, part) in unavailable_by_alive.iter_mut().zip(partial) {
+                *count += part;
+            }
+        }
+        Ok(AvailabilityProfile {
+            unavailable_by_alive,
+        })
     }
 
-    /// Evaluates `F_p(Q)` at every point of `ps` on a persistent scoped
-    /// worker pool: the pool is spawned **once** for the whole sweep and the
-    /// `(system, p)` points are pulled off a shared atomic counter, so the
-    /// per-call thread-spawn cost of [`Evaluator::crash_probability`] is paid
-    /// once instead of once per point, and expensive points (Monte-Carlo,
-    /// M-Path's transfer-matrix DP) run concurrently across sweep points
-    /// rather than sequentially.
+    /// Exact `F_p(Q)` from the enumerated availability profile. Never
+    /// consults closed forms, which makes it the reference the closed forms
+    /// are validated against; bit-identical at every thread count.
     ///
-    /// Threads are split between the two levels: with `j` jobs and `t`
-    /// configured threads, `min(j, t)` pool workers each evaluate points with
-    /// a `⌊t / workers⌋`-thread per-point policy — so a one-point sweep keeps
-    /// the full intra-point parallelism of [`Evaluator::crash_probability`],
-    /// and a wide grid runs one point per core. Results are deterministic for
-    /// a fixed evaluator configuration and job grid; when the grid has at
-    /// least `t` points every point runs single-threaded and matches
-    /// `self.with_threads(1).crash_probability(system, p)` bit-for-bit.
-    /// (Closed-form, DP and Monte-Carlo answers are bit-identical at *any*
-    /// thread count; only parallel exact enumeration's summation order
-    /// depends on it.)
+    /// # Errors
+    ///
+    /// Returns [`QuorumError::UniverseTooLarge`] when `n` exceeds the
+    /// configured exact limit.
+    pub fn exact<Q: QuorumSystem + ?Sized>(&self, system: &Q, p: f64) -> Result<f64, QuorumError> {
+        Ok(self.availability_profile(system)?.crash_probability(p))
+    }
+
+    /// Evaluates `F_p(Q)` at every point of `ps`; the one-system form of
+    /// [`Evaluator::sweep_systems`].
     pub fn sweep(&self, system: &dyn QuorumSystem, ps: &[f64]) -> Vec<FpEstimate> {
         self.sweep_systems(&[system], ps).pop().unwrap_or_default()
     }
 
-    /// The many-systems variant of [`Evaluator::sweep`]: evaluates the full
-    /// `systems × ps` grid on one persistent worker pool and returns the
-    /// estimates as `out[system_index][p_index]`.
+    /// Evaluates the full `systems × ps` grid on one persistent worker pool
+    /// and returns the estimates as `out[system_index][p_index]`, each by the
+    /// method `self.crash_probability(system, p)` would use and with the same
+    /// bits (a batched `DpPruned` enclosure may be tighter than a per-point
+    /// one — never less rigorous).
     ///
-    /// Closed-form-capable systems are evaluated through
-    /// [`QuorumSystem::crash_probability_closed_form_batch`], one batch job
-    /// per system, so constructions with `p`-independent scaffolding (the
-    /// M-Path transfer-matrix DP) build it once per sweep instead of once
-    /// per point. Systems without a closed form fall through to the usual
-    /// per-`(system, p)` jobs (exact enumeration / Monte-Carlo), keeping
-    /// their points parallel. Batch answers are bit-identical to per-point
-    /// ones, so results are unchanged.
+    /// Every exact or certified method answers a system's whole `p`-grid in
+    /// **one** job: closed forms through
+    /// [`QuorumSystem::crash_probability_closed_form_batch`] (so the M-Path
+    /// transfer-matrix DP builds its `p`-independent scaffolding once per
+    /// sweep), enumerable systems through one availability profile evaluated
+    /// `|ps|` times, certified intervals through
+    /// [`QuorumSystem::crash_probability_interval_batch`]. Only Monte-Carlo
+    /// points become per-`(system, p)` jobs. With `j` jobs and `t` configured
+    /// threads each phase runs `min(j, t)` pool workers with `⌊t / workers⌋`
+    /// threads inside each job, so a one-system sweep keeps the full
+    /// intra-job parallelism of [`Evaluator::crash_probability`] and a wide
+    /// grid runs one job per core; no answer depends on that split.
     pub fn sweep_systems(&self, systems: &[&dyn QuorumSystem], ps: &[f64]) -> Vec<Vec<FpEstimate>> {
-        // Phase A: one closed-form batch attempt per system, on the pool.
-        let batch_results: Vec<Option<Vec<FpEstimate>>> = {
-            let slots: Vec<std::sync::OnceLock<Option<Vec<FpEstimate>>>> =
-                systems.iter().map(|_| std::sync::OnceLock::new()).collect();
-            let workers = self.threads.min(systems.len()).max(1);
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let run = |i: usize| -> Option<Vec<FpEstimate>> {
-                let sys = systems[i];
-                sys.crash_probability_closed_form_batch(ps)
-                    .map(|values| {
-                        values
-                            .into_iter()
-                            .map(|value| FpEstimate {
-                                value,
-                                std_error: None,
-                                trials: None,
-                                method: sys.closed_form_method(),
-                                interval: None,
-                            })
-                            .collect()
-                    })
-                    .or_else(|| {
-                        // No exact batch: a certified-interval batch (the
-                        // ε-pruned DP sharing one state enumeration across
-                        // the whole p-grid) still beats per-point sampling.
-                        sys.crash_probability_interval_batch(ps).map(|intervals| {
-                            intervals
-                                .into_iter()
-                                .map(|(lower, upper)| FpEstimate {
-                                    value: 0.5 * (lower + upper),
-                                    std_error: None,
-                                    trials: None,
-                                    method: FpMethod::DpPruned,
-                                    interval: Some((lower, upper)),
-                                })
-                                .collect()
-                        })
-                    })
-            };
-            if workers <= 1 {
-                systems.iter().enumerate().for_each(|(i, _)| {
-                    let _ = slots[i].set(run(i));
-                });
-            } else {
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(|| loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if i >= systems.len() {
-                                break;
-                            }
-                            let _ = slots[i].set(run(i));
-                        });
-                    }
-                });
-            }
-            slots
-                .into_iter()
-                .map(|s| s.into_inner().expect("pool completed every batch job"))
-                .collect()
+        let split = |jobs: usize| {
+            let workers = self.threads.min(jobs).max(1);
+            (workers, self.clone().with_threads(self.threads / workers))
         };
-
-        // Phase B: per-(system, p) jobs for the systems the batch declined.
-        let jobs: Vec<(usize, f64)> = systems
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| batch_results[i].is_none())
-            .flat_map(|(i, _)| ps.iter().map(move |&p| (i, p)))
+        let (workers, per_system) = split(systems.len());
+        let mut out = run_pool(workers, systems.len(), |i| {
+            per_system.certified(systems[i], ps)
+        });
+        let mc_jobs: Vec<(usize, f64)> = (0..systems.len())
+            .filter(|&i| out[i].is_none())
+            .flat_map(|i| ps.iter().map(move |&p| (i, p)))
             .collect();
-        let workers = self.threads.min(jobs.len()).max(1);
-        // Leftover cores go to the points themselves (see [`Evaluator::sweep`]).
-        let per_point = self.clone().with_threads(self.threads / workers);
-        let slots: Vec<std::sync::OnceLock<FpEstimate>> =
-            jobs.iter().map(|_| std::sync::OnceLock::new()).collect();
-        if workers <= 1 {
-            for (slot, &(sys_idx, p)) in slots.iter().zip(&jobs) {
-                let _ = slot.set(per_point.crash_probability(systems[sys_idx], p));
-            }
-        } else {
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(&(sys_idx, p)) = jobs.get(i) else {
-                            break;
-                        };
-                        let est = per_point.crash_probability(systems[sys_idx], p);
-                        let _ = slots[i].set(est);
-                    });
-                }
-            });
+        let (workers, per_point) = split(mc_jobs.len());
+        let sampled = run_pool(workers, mc_jobs.len(), |j| {
+            let (i, p) = mc_jobs[j];
+            per_point.sampled(systems[i], p)
+        });
+        for (&(i, _), est) in mc_jobs.iter().zip(sampled) {
+            out[i].get_or_insert_with(Vec::new).push(est);
         }
-
-        let mut out: Vec<Vec<FpEstimate>> = batch_results
-            .into_iter()
-            .map(|b| b.unwrap_or_else(|| Vec::with_capacity(ps.len())))
-            .collect();
-        for (slot, &(sys_idx, _)) in slots.iter().zip(&jobs) {
-            out[sys_idx].push(*slot.get().expect("pool completed every job"));
-        }
-        out
+        out.into_iter().map(Option::unwrap_or_default).collect()
     }
 
     /// Monte-Carlo `F_p(Q)` with `self.trials()` trials fanned out over
@@ -515,38 +521,12 @@ impl Evaluator {
                 MC_BLOCK_TRIALS
             }
         };
-        let workers = self.threads.min(blocks);
-        let failures: usize = if workers <= 1 {
-            (0..blocks)
-                .map(|b| mc_failures(system, p, block_trials(b), stream_seed(self.seed, b as u64)))
-                .sum()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            // Strided block assignment; the sum over blocks is
-                            // independent of which worker ran which block.
-                            (w..blocks)
-                                .step_by(workers)
-                                .map(|b| {
-                                    mc_failures(
-                                        system,
-                                        p,
-                                        block_trials(b),
-                                        stream_seed(self.seed, b as u64),
-                                    )
-                                })
-                                .sum::<usize>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .sum()
-            })
-        };
+        // The sum over blocks is independent of which worker ran which block.
+        let failures: usize = run_pool(self.threads, blocks, |b| {
+            mc_failures(system, p, block_trials(b), stream_seed(self.seed, b as u64))
+        })
+        .into_iter()
+        .sum();
         let mean = failures as f64 / trials as f64;
         CrashEstimate {
             mean,
@@ -561,54 +541,68 @@ impl Evaluator {
 /// reproducible across machines with different core counts.
 pub const MC_BLOCK_TRIALS: usize = 1024;
 
-/// Sums the probability mass of the *unavailable* alive-masks in
-/// `start..end`, allocation-free: one scratch pool for the whole range.
+/// Runs `job(0), ..., job(jobs - 1)` on up to `workers` scoped threads that
+/// pull indices off a shared counter, and returns the results in index order.
+fn run_pool<T: Send + Sync>(
+    workers: usize,
+    jobs: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    if workers.min(jobs) <= 1 {
+        return (0..jobs).map(job).collect();
+    }
+    let slots: Vec<std::sync::OnceLock<T>> =
+        (0..jobs).map(|_| std::sync::OnceLock::new()).collect();
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers.min(jobs) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if i >= jobs {
+                    break;
+                }
+                let _ = slots[i].set(job(i));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("pool completed every job"))
+        .collect()
+}
+
+/// Counts the *unavailable* alive-masks in `start..end` by popcount,
+/// allocation-free: one scratch pool for the whole range.
 ///
-/// The per-mask probability depends only on the popcount, so the `n + 1`
-/// possible weights are computed once up front — with the exact expression
-/// the historical scalar loop used per mask, which keeps the summed terms
-/// unchanged.
-///
-/// Masks are checked [`AVAILABILITY_LANES`] at a time through
+/// Constructions with a count kernel swallow the whole range at once
+/// ([`QuorumSystem::unavailable_profile_u64_range`]); everything else is
+/// checked [`AVAILABILITY_LANES`] masks at a time through
 /// [`QuorumSystem::is_available_u64x4`] — the availability test is where the
-/// cycles go, and the batched form lets structure-aware systems answer four
-/// masks per pass (SIMD-shaped for the autovectorizer). The weight
-/// accumulation stays a single scalar chain in ascending mask order, so the
-/// sum — and hence the bit-for-bit parity with the historical scalar loop
-/// that the regression tests pin down — is untouched by the lane width.
-fn enumerate_masks<Q: QuorumSystem + ?Sized>(system: &Q, p: f64, start: u64, end: u64) -> f64 {
+/// cycles go, and the batched form lets mask-list systems answer four masks
+/// per pass over their structure.
+fn enumerate_masks<Q: QuorumSystem + ?Sized>(system: &Q, start: u64, end: u64) -> Vec<u64> {
     let n = system.universe_size();
-    let q = 1.0 - p;
-    let weight: Vec<f64> = (0..=n as i32)
-        .map(|k| q.powi(k) * p.powi(n as i32 - k))
-        .collect();
-    // Structure-aware systems can swallow the whole range in one specialised
-    // kernel (bit-identical by contract); the lane loop below is the generic
-    // fallback.
-    if let Some(mass) = system.unavailable_mass_u64_range(&weight, start, end) {
-        return mass;
+    let mut profile = vec![0u64; n + 1];
+    if system.unavailable_profile_u64_range(start, end, &mut profile) {
+        return profile;
     }
     let mut scratch = LaneScratch::new(n);
-    let mut crash_prob = 0.0;
     let lanes = AVAILABILITY_LANES as u64;
     let mut mask = start;
     while mask + lanes <= end {
         let batch: [u64; AVAILABILITY_LANES] = std::array::from_fn(|i| mask + i as u64);
         let available = system.is_available_u64x4(batch, &mut scratch);
         for (&m, &ok) in batch.iter().zip(&available) {
-            if !ok {
-                crash_prob += weight[m.count_ones() as usize];
-            }
+            profile[m.count_ones() as usize] += u64::from(!ok);
         }
         mask += lanes;
     }
     while mask < end {
-        if !system.is_available_u64(mask, scratch.lane_mut(0)) {
-            crash_prob += weight[mask.count_ones() as usize];
-        }
+        let ok = system.is_available_u64(mask, scratch.lane_mut(0));
+        profile[mask.count_ones() as usize] += u64::from(!ok);
         mask += 1;
     }
-    crash_prob
+    profile
 }
 
 /// Runs `trials` independent crash experiments on one RNG stream, reusing a
@@ -643,7 +637,7 @@ fn stream_seed(base: u64, worker: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::availability::{exact_crash_probability_naive, threshold_crash_probability};
+    use crate::availability::threshold_crash_probability;
     use crate::quorum::ExplicitQuorumSystem;
     use bqs_combinatorics::subsets::KSubsets;
 
@@ -652,25 +646,6 @@ mod tests {
             .map(|s| ServerSet::from_indices(n, s))
             .collect();
         ExplicitQuorumSystem::new(n, quorums).unwrap()
-    }
-
-    #[test]
-    fn exact_matches_naive_reference_bit_for_bit_on_small_universes() {
-        // Below PARALLEL_MASK_THRESHOLD the engine keeps the historical
-        // ascending-mask order, so the sum is identical to the last ulp.
-        let eval = Evaluator::new();
-        for (n, k) in [(4usize, 3usize), (6, 4), (9, 6), (11, 7)] {
-            let sys = k_of_n_system(n, k);
-            for &p in &[0.05, 0.125, 0.3, 0.5, 0.77] {
-                let engine = eval.exact(&sys, p).unwrap();
-                let naive = exact_crash_probability_naive(&sys, p).unwrap();
-                assert_eq!(
-                    engine.to_bits(),
-                    naive.to_bits(),
-                    "n={n} k={k} p={p}: {engine} vs {naive}"
-                );
-            }
-        }
     }
 
     /// A majority-of-n system answering availability by popcount alone, so the
@@ -704,21 +679,6 @@ mod tests {
         }
         fn min_quorum_size(&self) -> usize {
             self.n / 2 + 1
-        }
-    }
-
-    #[test]
-    fn parallel_enumeration_matches_serial() {
-        // n = 19 exceeds the 2^17-mask threshold, forcing the chunked path.
-        let sys = CheapMajority { n: 19 };
-        let serial = Evaluator::new().with_threads(1);
-        let parallel = Evaluator::new().with_threads(4);
-        for &p in &[0.1, 0.5] {
-            let a = serial.exact(&sys, p).unwrap();
-            let b = parallel.exact(&sys, p).unwrap();
-            assert!((a - b).abs() < 1e-12, "p={p}: {a} vs {b}");
-            let closed = threshold_crash_probability(19, 10, p);
-            assert!((a - closed).abs() < 1e-9, "p={p}: {a} vs closed {closed}");
         }
     }
 
@@ -781,11 +741,38 @@ mod tests {
         }
     }
 
+    /// A k-of-n system that also offers a certified interval, like an M-Path
+    /// instance would past its exact-DP wall.
+    struct WithInterval(ExplicitQuorumSystem);
+
+    impl QuorumSystem for WithInterval {
+        fn universe_size(&self) -> usize {
+            self.0.universe_size()
+        }
+        fn name(&self) -> String {
+            "with-interval".into()
+        }
+        fn sample_quorum(&self, rng: &mut dyn rand::RngCore) -> ServerSet {
+            self.0.sample_quorum(rng)
+        }
+        fn find_live_quorum(&self, alive: &ServerSet) -> Option<ServerSet> {
+            self.0.find_live_quorum(alive)
+        }
+        fn crash_probability_interval(&self, _p: f64) -> Option<(f64, f64)> {
+            Some((0.25, 0.75))
+        }
+        fn min_quorum_size(&self) -> usize {
+            self.0.min_quorum_size()
+        }
+    }
+
     #[test]
-    fn sweep_matches_single_point_evaluation_bit_for_bit() {
-        let sys = k_of_n_system(9, 6);
+    fn sweep_and_single_point_share_one_dispatch_order() {
+        // One system per rung below the closed form: enumerable and offering
+        // an interval (the profile must win), offering an interval past the
+        // exact limit, and neither (a 30-server explicit system: Monte-Carlo).
+        let both = WithInterval(k_of_n_system(9, 6));
         let mc_sys = {
-            // A 30-server explicit system forces the Monte-Carlo path.
             let quorums: Vec<ServerSet> = (0..4)
                 .map(|i| ServerSet::from_indices(30, (0..16).map(|j| (i + j) % 30)))
                 .collect();
@@ -796,22 +783,22 @@ mod tests {
             .with_trials(2000)
             .with_seed(23)
             .with_threads(4);
-        let serial = eval.clone().with_threads(1);
-        let grid = eval.sweep_systems(&[&sys, &mc_sys], &ps);
-        assert_eq!(grid.len(), 2);
-        for (s, sys) in [(&grid[0], &sys as &dyn QuorumSystem), (&grid[1], &mc_sys)] {
-            assert_eq!(s.len(), ps.len());
-            for (est, &p) in s.iter().zip(&ps) {
-                let direct = serial.crash_probability(sys, p);
-                assert_eq!(est.method, direct.method);
-                assert_eq!(est.value.to_bits(), direct.value.to_bits(), "p={p}");
+        let expect = |eval: &Evaluator, sys: &dyn QuorumSystem, method: FpMethod| {
+            let serial = eval.clone().with_threads(1);
+            let swept = eval.sweep(sys, &ps);
+            assert_eq!(swept.len(), ps.len());
+            for (est, &p) in swept.iter().zip(&ps) {
+                assert_eq!(est.method, method, "{} p={p}", sys.name());
+                assert_eq!(*est, serial.crash_probability(sys, p), "p={p}");
             }
-        }
-        // The single-system convenience wrapper agrees with the grid form.
-        let single = eval.sweep(&sys, &ps);
-        for (a, b) in single.iter().zip(&grid[0]) {
-            assert_eq!(a.value.to_bits(), b.value.to_bits());
-        }
+        };
+        expect(&eval, &both, FpMethod::Exact);
+        expect(&eval.clone().with_exact_limit(8), &both, FpMethod::DpPruned);
+        expect(&eval, &mc_sys, FpMethod::MonteCarlo);
+        // The grid form keeps row order and agrees with the one-system form.
+        let grid = eval.sweep_systems(&[&mc_sys, &both], &ps);
+        assert_eq!(grid[0], eval.sweep(&mc_sys, &ps));
+        assert_eq!(grid[1], eval.sweep(&both, &ps));
     }
 
     #[test]

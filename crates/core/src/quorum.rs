@@ -103,10 +103,12 @@ pub trait QuorumSystem: Send + Sync {
     }
 
     /// Batched word-level availability: answers [`AVAILABILITY_LANES`] masks
-    /// per call. This is the innermost call of exact `F_p` enumeration — the
-    /// engine walks the `2^n` configurations four at a time so that
-    /// structure-aware implementations can evaluate all four lanes inside one
-    /// pass over their structure (a shape the autovectorizer lifts to SIMD).
+    /// per call. This is the innermost call of exact `F_p` enumeration for
+    /// systems without a count kernel
+    /// ([`QuorumSystem::unavailable_profile_u64_range`]) — the engine walks
+    /// the `2^n` configurations four at a time so that mask-list
+    /// implementations can evaluate all four lanes inside one pass over their
+    /// structure (a shape the autovectorizer lifts to SIMD).
     ///
     /// The default forwards to [`QuorumSystem::is_available_u64`] lane by
     /// lane, so overriding is purely a performance decision; implementations
@@ -128,27 +130,24 @@ pub trait QuorumSystem: Send + Sync {
         out
     }
 
-    /// Structure-specialised bulk enumeration: sums `weights[popcount(m)]`
-    /// over every mask `m` in `start..end` for which the system is
-    /// *unavailable*, or `None` when the system has no specialised kernel.
+    /// Structure-specialised count kernel: adds one to `profile[popcount(m)]`
+    /// for every mask `m` in `start..end` for which the system is
+    /// *unavailable* and returns `true`, or returns `false` (leaving
+    /// `profile` untouched) when the system has no specialised kernel.
     ///
     /// This is the whole inner loop of exact `F_p` enumeration handed to the
     /// construction at once. The per-batch lane API
     /// ([`QuorumSystem::is_available_u64x4`]) cannot amortise anything across
     /// batches — each call re-derives its structure walk — whereas a range
     /// kernel hoists table builds, pointer loads and loop-invariant masks out
-    /// of the `2^n` loop entirely. On the `n = 25` Grid this is the
-    /// difference between ≈0.18 s and ≈0.07 s per sweep.
+    /// of the `2^n` loop entirely.
     ///
-    /// `weights[k]` is the probability of one specific configuration with
-    /// exactly `k` alive servers (`(1-p)^k p^(n-k)`), exactly as the engine
-    /// precomputes it. Implementations **must** accumulate into a single
-    /// `f64` chain in ascending mask order so the result is bit-identical to
-    /// the engine's generic lane loop — the engine's parity tests compare
-    /// with `f64::to_bits`.
-    fn unavailable_mass_u64_range(&self, weights: &[f64], start: u64, end: u64) -> Option<f64> {
-        let _ = (weights, start, end);
-        None
+    /// `profile` has `n + 1` counters (see
+    /// [`crate::eval::AvailabilityProfile`]); the counts are integers, so the
+    /// kernel is free to visit the range in any order.
+    fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) -> bool {
+        let _ = (start, end, profile);
+        false
     }
 
     /// Exact crash probability in closed form, when the construction's

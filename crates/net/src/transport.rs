@@ -43,9 +43,8 @@
 //! registers every request's slot, and writes **one** coalesced
 //! `WireBatch` frame per connection ([`crate::codec::encode_request_batch`])
 //! — a quorum-of-9 fan-out over a 2-connection pool costs 2 syscalls instead
-//! of 9. [`NetConfig::batching`] (default on) gates the coalescing so
-//! batched and single-frame paths can be compared like for like; semantics
-//! are identical either way.
+//! of 9. [`Transport::send`] writes the single-message frame; semantics are
+//! identical either way.
 //!
 //! # Failure honesty
 //!
@@ -105,11 +104,6 @@ pub struct NetConfig {
     /// connections of one transport) with the same base backoff but
     /// different seeds/indices retry on diverging schedules.
     pub backoff_seed: u64,
-    /// Coalesce batched sends into multi-message `WireBatch` frames (one
-    /// write per destination connection). Off, every request is its own
-    /// frame and syscall — semantically identical, measurably slower; the
-    /// switch exists so the two paths can be compared like for like.
-    pub batching: bool,
 }
 
 impl Default for NetConfig {
@@ -120,7 +114,6 @@ impl Default for NetConfig {
             reconnect_backoff: Duration::from_millis(50),
             reconnect_attempts: 4,
             backoff_seed: 0xb05c_0ff5,
-            batching: true,
         }
     }
 }
@@ -572,15 +565,6 @@ impl Transport for SocketTransport {
     /// `WireBatch` run per connection — the syscall count is the number of
     /// distinct connections touched, not the number of requests.
     fn send_batch(&self, requests: &mut Vec<Request>) -> bool {
-        if !self.config.batching {
-            // Comparison mode: identical semantics, one frame+write per
-            // request.
-            let mut ok = true;
-            for request in requests.drain(..) {
-                ok &= self.send(request);
-            }
-            return ok;
-        }
         if self.shutdown.load(Ordering::SeqCst) {
             requests.clear();
             return false;

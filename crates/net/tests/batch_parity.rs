@@ -1,8 +1,9 @@
 //! Batched-vs-unbatched parity: coalescing is a transport optimisation, not
 //! a semantic change. The same deterministic operation sequence must produce
 //! the identical reply stream whether requests travel as per-request frames
-//! or as coalesced `WireBatch` frames, and whether the backend is the
-//! in-process loopback, a Unix-domain socket, or TCP.
+//! ([`Transport::send`], one at a time) or as coalesced `WireBatch` frames
+//! ([`Transport::send_batch`]), and whether the backend is the in-process
+//! loopback, a Unix-domain socket, or TCP.
 
 use std::time::Duration;
 
@@ -18,12 +19,38 @@ const SHARDS: usize = 2;
 const SERVICE_SEED: u64 = 41;
 const CLIENT_SEED: u64 = 42;
 
-fn net(batching: bool) -> NetConfig {
+fn net() -> NetConfig {
     NetConfig {
         pool: 2,
         request_deadline: Duration::from_secs(5),
-        batching,
         ..NetConfig::default()
+    }
+}
+
+/// Hides the socket transport's `send_batch`, so a fan-out falls through to
+/// the trait's default: one `send` — one single-message frame, one write —
+/// per request.
+struct PerRequest(SocketTransport);
+
+impl Transport for PerRequest {
+    fn universe_size(&self) -> usize {
+        self.0.universe_size()
+    }
+
+    fn send(&self, request: Request) -> bool {
+        self.0.send(request)
+    }
+}
+
+/// Connects to `server` and runs the canonical sequence, coalescing fan-outs
+/// or sending them request by request.
+fn run_over_socket(server: &SocketServer, batched: bool) -> Vec<Entry> {
+    let transport = SocketTransport::connect(server.endpoint().clone(), UNIVERSE, net()).unwrap();
+    let responsive = server.responsive_set().clone();
+    if batched {
+        run_sequence(&transport, responsive)
+    } else {
+        run_sequence(&PerRequest(transport), responsive)
     }
 }
 
@@ -61,7 +88,7 @@ fn reply_streams_agree_across_backends_and_batching_modes() {
     assert_eq!(reference.len(), 30);
 
     // Every socket variant must reproduce the reference stream exactly.
-    for (label, batching, tcp) in [
+    for (label, batched, tcp) in [
         ("uds batched", true, false),
         ("uds unbatched", false, false),
         ("tcp batched", true, true),
@@ -72,11 +99,9 @@ fn reply_streams_agree_across_backends_and_batching_modes() {
         } else {
             SocketServer::bind_uds(uds_path(label), &plan, SHARDS, SERVICE_SEED).unwrap()
         };
-        let transport =
-            SocketTransport::connect(server.endpoint().clone(), UNIVERSE, net(batching)).unwrap();
-        let observed = run_sequence(&transport, server.responsive_set().clone());
         assert_eq!(
-            observed, reference,
+            run_over_socket(&server, batched),
+            reference,
             "{label}: reply stream diverged from the loopback reference"
         );
     }
@@ -92,11 +117,9 @@ fn batching_survives_a_byzantine_plan_identically() {
             ByzantineStrategy::FabricateHighTimestamp { value: 0xbad },
         )
         .with_crashed(7);
-    let run = |batching: bool| {
+    let run = |batched: bool| {
         let server = SocketServer::bind_tcp_loopback(&plan, SHARDS, SERVICE_SEED).unwrap();
-        let transport =
-            SocketTransport::connect(server.endpoint().clone(), UNIVERSE, net(batching)).unwrap();
-        run_sequence(&transport, server.responsive_set().clone())
+        run_over_socket(&server, batched)
     };
     let batched = run(true);
     let unbatched = run(false);

@@ -196,66 +196,10 @@ proptest! {
             p, seed, exact, est.mean, est.ci95_half_width()
         );
     }
-
-    /// The new evaluation engine reproduces the historical scalar loop
-    /// *bit for bit* on every universe up to n = 16: below the parallel
-    /// threshold it keeps the ascending-mask summation order, and the per-mask
-    /// term `q^alive * p^crashed` is computed identically.
-    #[test]
-    fn engine_matches_scalar_reference_bit_for_bit(
-        n in 5usize..17,
-        p in 0.0f64..1.0,
-        shape in 0usize..3,
-    ) {
-        use byzantine_quorums::core::availability::exact_crash_probability_naive;
-        let sys: Box<dyn QuorumSystem> = match shape {
-            0 => Box::new(ThresholdSystem::new(n, n / 2 + 1).unwrap()),
-            1 => Box::new(GridSystem::new(4, 1).unwrap()),
-            _ => Box::new(MGridSystem::new(4, 1).unwrap()),
-        };
-        let engine = exact_crash_probability(sys.as_ref(), p).unwrap();
-        let naive = exact_crash_probability_naive(sys.as_ref(), p).unwrap();
-        prop_assert_eq!(
-            engine.to_bits(),
-            naive.to_bits(),
-            "shape={} n={} p={}: engine {} vs naive {}",
-            shape, sys.universe_size(), p, engine, naive
-        );
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The lane-batched exact enumeration ([`QuorumSystem::is_available_u64x4`]
-    /// under the hood) is bit-identical to the historical scalar loop for
-    /// every construction family with a universe of at most 20 servers.
-    /// (boostFPP's smallest instance already exceeds 20 servers and is exact
-    /// through Theorem 4.7 rather than enumeration, so it has no lane path.)
-    #[test]
-    fn lane_batched_enumeration_bit_identical_to_scalar(
-        n in 12usize..21,
-        p in 0.0f64..1.0,
-        shape in 0usize..6,
-    ) {
-        use byzantine_quorums::core::availability::exact_crash_probability_naive;
-        let sys: Box<dyn QuorumSystem> = match shape {
-            0 => Box::new(ThresholdSystem::new(n, n / 2 + 1).unwrap()),
-            1 => Box::new(GridSystem::new(4, 1).unwrap()),
-            2 => Box::new(MGridSystem::new(4, 1).unwrap()),
-            3 => Box::new(FppSystem::new(3).unwrap()),
-            4 => Box::new(MPathSystem::new(3, 1).unwrap()),
-            _ => Box::new(RtSystem::new(4, 3, 2).unwrap()),
-        };
-        let lanes = exact_crash_probability(sys.as_ref(), p).unwrap();
-        let scalar = exact_crash_probability_naive(sys.as_ref(), p).unwrap();
-        prop_assert_eq!(
-            lanes.to_bits(),
-            scalar.to_bits(),
-            "shape={} n={} p={}: lanes {} vs scalar {}",
-            shape, sys.universe_size(), p, lanes, scalar
-        );
-    }
 
     /// On every side the unpruned M-Path sweep affords, the ε-pruned sweep's
     /// certified interval contains the exact value at random `p`, and the
@@ -308,5 +252,114 @@ fn composed_crash_probability_for_grid_over_threshold() {
             (s_of_r - direct).abs() < 1e-9,
             "p={p}: {s_of_r} vs {direct}"
         );
+    }
+}
+
+/// PROFILE-PARITY: for every construction family the engine's availability
+/// profile equals the naive per-mask reference *as integer vectors* — at
+/// every thread count, and when the count kernel is fed split, unaligned
+/// sub-ranges — so `exact` is `to_bits`-identical across thread counts and
+/// to the naive value. Threshold(18) and the 18-server wheel sit above
+/// `PARALLEL_MASK_THRESHOLD` and so run chunked (through the count kernel
+/// and the lane loop respectively) whenever `t > 1`.
+///
+/// The profile's own invariants are integer facts too: the empty alive-set
+/// contains no quorum, the full one does, and on the systems with a quorum
+/// list nothing below `c(Q)` servers can and the complement of a minimum
+/// transversal cannot (Proposition 4.3).
+#[test]
+fn availability_profile_equals_naive_reference_at_every_thread_count() {
+    use byzantine_quorums::core::availability::availability_profile_naive;
+    use byzantine_quorums::core::eval::PARALLEL_MASK_THRESHOLD;
+
+    let big_threshold = ThresholdSystem::new(18, 10).unwrap();
+    let threshold = ThresholdSystem::new(7, 5).unwrap();
+    let grid3 = GridSystem::new(3, 0).unwrap();
+    let grid4 = GridSystem::new(4, 1).unwrap();
+    let mgrid = MGridSystem::new(4, 1).unwrap();
+    let fpp = FppSystem::new(3).unwrap();
+    let mpath = MPathSystem::new(3, 1).unwrap();
+    let rt = RtSystem::new(4, 3, 2).unwrap();
+    let wheel = ExplicitQuorumSystem::from_indices(
+        18,
+        (1..18).map(|i| vec![0, i]).chain([(1..18).collect()]),
+    )
+    .unwrap();
+    // Each system with its quorum list where one is affordable: `c(Q)` and
+    // `MT(Q)` are checked against it.
+    let families: [(&dyn QuorumSystem, Option<ExplicitQuorumSystem>); 9] = [
+        (&big_threshold, None),
+        (&threshold, Some(threshold.to_explicit(1 << 10).unwrap())),
+        (&grid3, Some(grid3.to_explicit(1 << 10).unwrap())),
+        (&grid4, Some(grid4.to_explicit(1 << 10).unwrap())),
+        (&mgrid, Some(mgrid.to_explicit(1 << 10).unwrap())),
+        (&fpp, Some(fpp.to_explicit().unwrap())),
+        (&mpath, None),
+        (&rt, Some(rt.to_explicit(1 << 10).unwrap())),
+        (&wheel, Some(wheel.clone())),
+    ];
+    assert!(families
+        .iter()
+        .any(|(sys, _)| 1u64 << sys.universe_size() > PARALLEL_MASK_THRESHOLD));
+
+    for (sys, quorums) in families {
+        let name = sys.name();
+        let n = sys.universe_size();
+        let naive = availability_profile_naive(sys).unwrap();
+        let a = naive.unavailable_by_alive();
+
+        assert_eq!(a.len(), n + 1, "{name}");
+        assert_eq!(a[0], 1, "{name}");
+        assert_eq!(a[n], 0, "{name}");
+        let full_below = quorums.as_ref().map_or(0, |_| sys.min_quorum_size());
+        for (j, &count) in a.iter().enumerate() {
+            let subsets = binomial(n as u64, j as u64);
+            assert!(u128::from(count) <= subsets, "{name} j={j}");
+            if j < full_below {
+                assert_eq!(u128::from(count), subsets, "{name} j={j}");
+            }
+        }
+        if let Some(explicit) = &quorums {
+            let mt = min_transversal_size(explicit.quorums(), n);
+            assert!(a[n - mt] >= 1, "{name}: MT={mt}");
+        }
+
+        for threads in [1, 2, 3, 8] {
+            let eval = Evaluator::new().with_threads(threads);
+            assert_eq!(
+                eval.availability_profile(sys).unwrap(),
+                naive,
+                "{name} threads={threads}"
+            );
+            for p in [0.125, 0.816009719876748] {
+                assert_eq!(
+                    eval.exact(sys, p).unwrap().to_bits(),
+                    naive.crash_probability(p).to_bits(),
+                    "{name} threads={threads} p={p}"
+                );
+            }
+        }
+
+        let total = 1u64 << n;
+        let cut = total / 3 + 1;
+        let mut split = vec![0u64; n + 1];
+        if sys.unavailable_profile_u64_range(0, cut, &mut split) {
+            assert!(sys.unavailable_profile_u64_range(cut, total, &mut split));
+            assert_eq!(split, a, "{name}: split count kernel");
+        }
+    }
+
+    // The count-kernel families again at n = 25 — the one universe size
+    // above the threshold the grids have, where a debug build cannot afford
+    // the naive loop: every chunking must reproduce the serial profile.
+    let grid5 = GridSystem::new(5, 1).unwrap();
+    let mgrid5 = MGridSystem::new(5, 2).unwrap();
+    let threshold25 = ThresholdSystem::new(25, 13).unwrap();
+    for sys in [&grid5 as &dyn QuorumSystem, &mgrid5, &threshold25] {
+        let serial = Evaluator::new().with_threads(1).availability_profile(sys);
+        for threads in [2, 3, 8] {
+            let chunked = Evaluator::new().with_threads(threads);
+            assert_eq!(chunked.availability_profile(sys), serial, "{}", sys.name());
+        }
     }
 }
