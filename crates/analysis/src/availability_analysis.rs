@@ -10,19 +10,21 @@
 //! * [`exact_vs_monte_carlo`] — the ablation of DESIGN.md: exact enumeration against
 //!   the Monte-Carlo estimator on small instances.
 //!
-//! All sweeps run through [`Evaluator::sweep`] on its persistent worker pool:
-//! each system's `(p)` grid is evaluated as one batch (thread spawn paid once
-//! per sweep, points overlapped on multicore hosts). Structure-aware
-//! constructions report *exact* values — closed forms for Threshold, Grid,
-//! M-Grid, RT and now boostFPP (survivor-profile composition), the
-//! transfer-matrix DP for M-Path up to the side-6 gate — small universes are
-//! enumerated in parallel, and only the remaining large M-Path instances fall
-//! back to Monte-Carlo with per-thread RNG streams.
+//! Each sweep takes its instances from the paper roster
+//! ([`PaperConstruction`]) and is one [`Evaluator::sweep_systems`] call over
+//! them with the caller's `trials`. Structure-aware constructions report
+//! *exact* values — closed forms for Threshold, Grid, M-Grid, RT and boostFPP
+//! (survivor-profile composition, plane orders up to 4), the transfer-matrix
+//! DP for M-Path up to the side-6 gate — small universes are enumerated in
+//! parallel, and only what is left (large M-Path grids, large plane orders)
+//! is sampled, with per-block RNG streams.
 
 use bqs_constructions::prelude::*;
 use bqs_core::availability::CrashEstimate;
 use bqs_core::eval::{Evaluator, FpEstimate};
 use bqs_core::quorum::QuorumSystem;
+
+use crate::load_analysis::{CertifiableConstruction, PaperConstruction};
 
 /// A single `(p, F_p)` measurement for one system.
 #[derive(Debug, Clone)]
@@ -42,24 +44,32 @@ pub struct AvailabilityPoint {
     pub fp_lower_bound: Option<f64>,
 }
 
-/// Sweeps one system over the whole `p` grid on the evaluator's persistent
-/// worker pool and appends a point per grid value.
-fn sweep_into(
-    points: &mut Vec<AvailabilityPoint>,
-    evaluator: &Evaluator,
-    sys: &dyn AnalyzedConstruction,
+/// Sweeps `systems × ps` in one batch and flattens the grid system-major.
+fn sweep_points(
+    systems: &[Box<dyn CertifiableConstruction>],
     ps: &[f64],
-) {
-    for (est, &p) in evaluator.sweep(sys, ps).iter().zip(ps) {
-        points.push(AvailabilityPoint {
-            system: sys.name(),
-            n: sys.universe_size(),
-            p,
-            fp: *est,
-            fp_upper_bound: sys.crash_probability_upper_bound(p),
-            fp_lower_bound: sys.crash_probability_lower_bound(p),
-        });
+    trials: usize,
+    seed: u64,
+) -> Vec<AvailabilityPoint> {
+    let evaluator = Evaluator::new().with_trials(trials.max(1)).with_seed(seed);
+    let refs: Vec<&dyn QuorumSystem> = systems
+        .iter()
+        .map(|sys| sys.as_ref() as &dyn QuorumSystem)
+        .collect();
+    let mut points = Vec::new();
+    for (sys, fps) in systems.iter().zip(evaluator.sweep_systems(&refs, ps)) {
+        for (fp, &p) in fps.into_iter().zip(ps) {
+            points.push(AvailabilityPoint {
+                system: sys.name(),
+                n: sys.universe_size(),
+                p,
+                fp,
+                fp_upper_bound: sys.crash_probability_upper_bound(p),
+                fp_lower_bound: sys.crash_probability_lower_bound(p),
+            });
+        }
     }
+    points
 }
 
 /// Sweeps `F_p` over the given `p` values for the standard comparison set of
@@ -72,41 +82,12 @@ pub fn fp_vs_p(
     trials: usize,
     seed: u64,
 ) -> Vec<AvailabilityPoint> {
-    let evaluator = Evaluator::new().with_trials(trials.max(1)).with_seed(seed);
-    // Large M-Path grids are past the transfer-matrix DP gate, and running a
-    // max-flow per enumerated configuration is never worth it in a sweep:
-    // force Monte-Carlo there with capped effort. (Sides within the gate
-    // dispatch to the exact DP before this policy is consulted.)
-    let mpath_evaluator = evaluator
-        .clone()
-        .with_trials(trials.clamp(1, 300))
-        .with_exact_limit(0);
-    let n = side * side;
-    let mut points = Vec::new();
-
-    let depth = ((n as f64).ln() / 4f64.ln()).round().max(1.0) as u32;
-    let copies = (n / (4 * b + 1)).max(7);
-    let q = (2u64..=64)
-        .filter(|&q| bqs_combinatorics::primes::prime_power(q).is_some())
-        .min_by_key(|&q| ((q * q + q + 1) as usize).abs_diff(copies))
-        .unwrap_or(2);
-
-    if let Ok(sys) = ThresholdSystem::masking(n, b) {
-        sweep_into(&mut points, &evaluator, &sys, ps);
-    }
-    if let Ok(sys) = MGridSystem::new(side, b.min(MGridSystem::max_b(side))) {
-        sweep_into(&mut points, &evaluator, &sys, ps);
-    }
-    if let Ok(sys) = RtSystem::new(4, 3, depth) {
-        sweep_into(&mut points, &evaluator, &sys, ps);
-    }
-    if let Ok(sys) = BoostFppSystem::new(q, b) {
-        sweep_into(&mut points, &evaluator, &sys, ps);
-    }
-    if let Ok(sys) = MPathSystem::new(side, b.min(MPathSystem::max_b(side))) {
-        sweep_into(&mut points, &mpath_evaluator, &sys, ps);
-    }
-    points
+    use PaperConstruction::{BoostFpp, MGrid, MPath, Rt, Threshold};
+    let systems: Vec<_> = [Threshold, MGrid, Rt, BoostFpp, MPath]
+        .iter()
+        .filter_map(|kind| kind.instance(side, b))
+        .collect();
+    sweep_points(&systems, ps, trials, seed)
 }
 
 /// Sweeps `F_p` at fixed `p` while the universe grows, for the Condorcet comparison
@@ -120,27 +101,13 @@ pub fn fp_vs_n(
     trials: usize,
     seed: u64,
 ) -> Vec<AvailabilityPoint> {
-    let evaluator = Evaluator::new().with_trials(trials.max(1)).with_seed(seed);
-    let mpath_evaluator = evaluator
-        .clone()
-        .with_trials(trials.clamp(1, 300))
-        .with_exact_limit(0);
-    let mut points = Vec::new();
-    let ps = [p];
-    for &side in sides {
-        if let Ok(sys) = MGridSystem::new(side, b.min(MGridSystem::max_b(side))) {
-            sweep_into(&mut points, &evaluator, &sys, &ps);
-        }
-        let n = side * side;
-        let depth = ((n as f64).ln() / 4f64.ln()).round().max(1.0) as u32;
-        if let Ok(sys) = RtSystem::new(4, 3, depth) {
-            sweep_into(&mut points, &evaluator, &sys, &ps);
-        }
-        if let Ok(sys) = MPathSystem::new(side, b.min(MPathSystem::max_b(side))) {
-            sweep_into(&mut points, &mpath_evaluator, &sys, &ps);
-        }
-    }
-    points
+    use PaperConstruction::{MGrid, MPath, Rt};
+    let systems: Vec<_> = sides
+        .iter()
+        .flat_map(|&side| [MGrid, Rt, MPath].map(|kind| kind.instance(side, b)))
+        .flatten()
+        .collect();
+    sweep_points(&systems, &[p], trials, seed)
 }
 
 /// One step of the RT fixed-point sweep of Proposition 5.6.

@@ -4,11 +4,12 @@
 //! the resilience `f`, the load `L`, and the asymptotic behaviour of the crash
 //! probability `F_p`. This module instantiates every construction at a concrete
 //! universe size, computes those quantities numerically, and tags each with the
-//! paper's asymptotic claim so the bench binary can print both.
+//! paper's asymptotic claim so `paper table2` can print both.
 
-use bqs_constructions::prelude::*;
 use bqs_core::eval::{Evaluator, FpEstimate};
 use bqs_core::quorum::QuorumSystem;
+
+use crate::load_analysis::PaperConstruction::{self, BoostFpp, Grid, MGrid, MPath, Rt, Threshold};
 
 /// One row of the reproduced Table 2.
 #[derive(Debug, Clone)]
@@ -45,124 +46,77 @@ pub struct Table2Row {
 /// The reference crash probability used for the numeric `F_p` columns.
 pub const REFERENCE_CRASH_P: f64 = 0.125;
 
+/// Table 2's rows, in the paper's order: the roster kind and the paper's
+/// asymptotic claims for its maximum `b`, its load and its `F_p`.
+const TABLE2_ROWS: [(PaperConstruction, &str, &str, &str); 6] = [
+    (Threshold, "n/4", "1/2 + O(b/n)", "exp(-Omega(f)) *"),
+    (Grid, "sqrt(n)/3", "O(b/sqrt(n))", "-> 1"),
+    (MGrid, "sqrt(n)/2", "O(sqrt(b/n)) +", "-> 1"),
+    (
+        Rt,
+        "O(min{n^a1, n^a2})",
+        "n^-(1-log_k l)",
+        "exp(-Omega(f)) *",
+    ),
+    (
+        BoostFpp,
+        "n/4",
+        "O(sqrt(b/n)) +",
+        "exp(-Omega(b - log(n/b)))",
+    ),
+    (
+        MPath,
+        "(1-o(1)) sqrt(n)",
+        "O(sqrt(b/n)) +",
+        "exp(-Omega(f)) *",
+    ),
+];
+
 /// Builds the Table 2 comparison at a universe of (approximately) `n = side²`
 /// servers, masking roughly `b` failures where each construction permits.
 ///
-/// `side` is the grid side used by the grid-family constructions; the Threshold,
-/// RT and boostFPP rows pick the nearest parameterisations with a comparable
-/// universe size (exactly as the paper's Section 8 example does for n = 1024).
+/// `side` is the grid side used by the grid-family constructions; the
+/// Threshold, RT and boostFPP rows are the roster's instances of comparable
+/// universe size (exactly as the paper's Section 8 example does for
+/// n = 1024), and a construction with no such instance has no row.
 #[must_use]
 pub fn build_table2(side: usize, b: usize) -> Vec<Table2Row> {
-    let n = side * side;
-    let mut systems: Vec<(
-        Box<dyn AnalyzedConstruction>,
-        &'static str,
-        &'static str,
-        &'static str,
-    )> = Vec::new();
-
-    if let Ok(sys) = ThresholdSystem::masking(n, b) {
-        systems.push((Box::new(sys), "n/4", "1/2 + O(b/n)", "exp(-Omega(f)) *"));
-    }
-    let grid_b = b.min(side.saturating_sub(1) / 3);
-    if let Ok(sys) = GridSystem::new(side, grid_b) {
-        systems.push((Box::new(sys), "sqrt(n)/3", "O(b/sqrt(n))", "-> 1"));
-    }
-    if let Ok(sys) = MGridSystem::new(side, b.min(MGridSystem::max_b(side))) {
-        systems.push((Box::new(sys), "sqrt(n)/2", "O(sqrt(b/n)) +", "-> 1"));
-    }
-    // RT(4,3) at the depth that best matches n.
-    let depth = ((n as f64).ln() / 4f64.ln()).round().max(1.0) as u32;
-    if let Ok(sys) = RtSystem::new(4, 3, depth) {
-        systems.push((
-            Box::new(sys),
-            "O(min{n^a1, n^a2})",
-            "n^-(1-log_k l)",
-            "exp(-Omega(f)) *",
-        ));
-    }
-    // boostFPP with a plane order giving roughly n servers for the requested b.
-    let target_copies = (n / (4 * b + 1)).max(7);
-    let q = best_plane_order(target_copies);
-    if let Ok(sys) = BoostFppSystem::new(q, b) {
-        systems.push((
-            Box::new(sys),
-            "n/4",
-            "O(sqrt(b/n)) +",
-            "exp(-Omega(b - log(n/b)))",
-        ));
-    }
-    if let Ok(sys) = MPathSystem::new(side, b.min(MPathSystem::max_b(side))) {
-        systems.push((
-            Box::new(sys),
-            "(1-o(1)) sqrt(n)",
-            "O(sqrt(b/n)) +",
-            "exp(-Omega(f)) *",
-        ));
-    }
-
-    // One batched sweep over every row (exact where the construction allows,
-    // capped Monte-Carlo otherwise — the M-Path row at paper scale runs a
-    // max-flow per trial, so keep the sampling effort modest).
-    let evaluator = Evaluator::new().with_trials(400).with_seed(0x7AB2);
-    let refs: Vec<&dyn QuorumSystem> = systems
+    let rows: Vec<_> = TABLE2_ROWS
         .iter()
-        .map(|(sys, _, _, _)| sys.as_ref() as &dyn QuorumSystem)
+        .filter_map(|&(kind, max_b, load, fp)| Some((kind.instance(side, b)?, max_b, load, fp)))
+        .collect();
+
+    // One batched sweep over every row: exact where the construction allows,
+    // Monte-Carlo otherwise.
+    let evaluator = Evaluator::new().with_trials(400).with_seed(0x7AB2);
+    let refs: Vec<&dyn QuorumSystem> = rows
+        .iter()
+        .map(|(sys, ..)| sys.as_ref() as &dyn QuorumSystem)
         .collect();
     let fp_grid = evaluator.sweep_systems(&refs, &[REFERENCE_CRASH_P]);
 
-    systems
-        .iter()
+    rows.iter()
         .zip(fp_grid)
-        .map(|((sys, paper_max_b, paper_load, paper_fp), fps)| {
-            row(sys.as_ref(), fps[0], paper_max_b, paper_load, paper_fp)
-        })
+        .map(
+            |(&(ref sys, paper_max_b, paper_load, paper_fp), fps)| Table2Row {
+                system: sys.name(),
+                n: sys.universe_size(),
+                b: sys.masking_b(),
+                f: sys.resilience(),
+                load: sys.analytic_load(),
+                load_optimality_ratio: sys.load_optimality_ratio(),
+                fp_upper: sys.crash_probability_upper_bound(REFERENCE_CRASH_P),
+                fp_lower: sys.crash_probability_lower_bound(REFERENCE_CRASH_P),
+                fp_engine: fps[0],
+                paper_max_b,
+                paper_load,
+                paper_fp,
+            },
+        )
         .collect()
 }
 
-/// Picks the prime-power plane order `q` whose plane has the number of points
-/// closest to `target_copies`.
-fn best_plane_order(target_copies: usize) -> u64 {
-    let mut best_q = 2u64;
-    let mut best_err = usize::MAX;
-    for q in 2u64..=64 {
-        if bqs_combinatorics::primes::prime_power(q).is_none() {
-            continue;
-        }
-        let points = (q * q + q + 1) as usize;
-        let err = points.abs_diff(target_copies);
-        if err < best_err {
-            best_err = err;
-            best_q = q;
-        }
-    }
-    best_q
-}
-
-fn row(
-    sys: &dyn AnalyzedConstruction,
-    fp_engine: FpEstimate,
-    paper_max_b: &'static str,
-    paper_load: &'static str,
-    paper_fp: &'static str,
-) -> Table2Row {
-    Table2Row {
-        system: sys.name(),
-        n: sys.universe_size(),
-        b: sys.masking_b(),
-        f: sys.resilience(),
-        load: sys.analytic_load(),
-        load_optimality_ratio: sys.load_optimality_ratio(),
-        fp_upper: sys.crash_probability_upper_bound(REFERENCE_CRASH_P),
-        fp_lower: sys.crash_probability_lower_bound(REFERENCE_CRASH_P),
-        fp_engine,
-        paper_max_b,
-        paper_load,
-        paper_fp,
-    }
-}
-
-/// Renders the rows as a text table (used by the `table2` bench binary).
+/// Renders the rows as a text table (used by `paper table2`).
 #[must_use]
 pub fn render_table2(rows: &[Table2Row]) -> String {
     let mut table = crate::report::TextTable::new([
@@ -311,12 +265,5 @@ mod tests {
         let rendered = render_table2(&rows);
         assert!(rendered.contains("system"));
         assert!(rendered.lines().count() >= rows.len() + 2);
-    }
-
-    #[test]
-    fn plane_order_selection() {
-        assert_eq!(best_plane_order(7), 2);
-        assert_eq!(best_plane_order(13), 3);
-        assert_eq!(best_plane_order(70), 8); // 8^2+8+1 = 73
     }
 }

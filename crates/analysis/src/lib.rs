@@ -5,10 +5,12 @@
 //!
 //! * [`comparison`] — Table 2 (the construction-by-construction comparison);
 //! * [`scenario`] — the Section 8 worked example (`n = 1024`, `L ≈ 1/4`, `p = 1/8`);
-//! * [`load_analysis`] — load-versus-n sweeps, the certified column-generation
-//!   sweep `lp_load_vs_n` (pinning closed-form loads against the LP up to
-//!   `n = 1024`), the Theorem 4.1 envelope, and the LP-versus-closed-form
-//!   ablation;
+//! * [`load_analysis`] — the paper roster ([`PaperConstruction`]: which
+//!   instance stands for each construction at a universe size and masking
+//!   level, asked by every figure and table here), load-versus-n sweeps, the
+//!   certified column-generation sweep `lp_load_vs_n` (pinning closed-form
+//!   loads against the LP up to `n = 1024`), the Theorem 4.1 envelope, and
+//!   the LP-versus-closed-form ablation;
 //! * [`availability_analysis`] — `F_p` versus `p` and versus `n`, the RT fixed-point
 //!   sweep, and the exact-versus-Monte-Carlo ablation;
 //! * [`percolation_threshold`] — the finite-size percolation estimates behind the
@@ -16,11 +18,10 @@
 //! * [`empirical`] — statistically honest comparisons of the concurrent
 //!   service runtime's measurements (per-server access counts, per-plan
 //!   availability outcomes) against the certified `L(Q)` and `F_p`;
-//! * [`report`] — the text-table rendering shared by the bench binaries.
+//! * [`report`] — the text-table rendering shared by the `paper` subcommands.
 //!
-//! Each bench binary in `bqs-bench` is a thin wrapper that calls one of these
-//! functions and prints the rendered table; EXPERIMENTS.md records the outputs next
-//! to the values the paper reports.
+//! Each subcommand of `bqs-bench`'s `paper` binary is a thin wrapper that calls
+//! one of these functions and prints the rendered table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +44,7 @@ pub use empirical::{
 };
 pub use load_analysis::{
     boost_fpp_order_for, certified_constructions, load_vs_n, lower_bound_envelope, lp_load_vs_n,
-    lp_vs_fair_load, CertifiableConstruction, CertifiedLoadPoint,
+    lp_vs_fair_load, CertifiableConstruction, CertifiedLoadPoint, PaperConstruction,
 };
 pub use percolation_threshold::{crossing_curve, estimate_critical_probability};
 pub use report::TextTable;

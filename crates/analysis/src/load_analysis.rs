@@ -1,5 +1,11 @@
-//! Load analysis: the figure-style sweeps behind Sections 4–7's load claims.
+//! Load analysis: the figure-style sweeps behind Sections 4–7's load claims,
+//! and the one roster every paper figure and table draws its instances from.
 //!
+//! * [`PaperConstruction`] — which instance stands for each of the paper's
+//!   constructions on a `side × side` universe at masking level `b`: the only
+//!   place the per-construction `b` clamp, the RT depth rule and the plane
+//!   order rule live. [`certified_constructions`], [`load_vs_n`], the `F_p`
+//!   sweeps and Table 2 all name the kinds they want and ask it.
 //! * [`load_vs_n`] — load of each construction as the universe grows at (roughly)
 //!   fixed masking level `b`, against the universal lower bound `√((2b+1)/n)` of
 //!   Corollary 4.2 (reproduces the "optimal load" claims of Propositions 5.2, 6.2
@@ -10,10 +16,9 @@
 //!   closed-form fair load on small instances of every construction.
 
 use bqs_constructions::prelude::*;
-use bqs_core::bounds::{load_lower_bound, load_lower_bound_universal};
+use bqs_core::bounds::load_lower_bound;
 use bqs_core::load::{optimal_load, optimal_load_oracle};
 use bqs_core::oracle::MinWeightQuorumOracle;
-use bqs_core::quorum::QuorumSystem;
 
 /// One point of the load-versus-n sweep.
 #[derive(Debug, Clone)]
@@ -30,45 +35,89 @@ pub struct LoadPoint {
     pub lower_bound: f64,
 }
 
-/// Sweeps the load of every construction over grid sides `sides`, at masking level
-/// `b` (clamped per construction to its feasible range).
+/// Sweeps the load of every masking construction of the roster over grid
+/// sides `sides`, at masking level `b` (clamped per construction to its
+/// feasible range).
 #[must_use]
 pub fn load_vs_n(sides: &[usize], b: usize) -> Vec<LoadPoint> {
+    use PaperConstruction::{BoostFpp, Grid, MGrid, MPath, Rt, Threshold};
     let mut points = Vec::new();
     for &side in sides {
-        let n = side * side;
-        let mut push = |sys: &dyn AnalyzedConstruction| {
+        let kinds = [Threshold, Grid, MGrid, MPath, Rt, BoostFpp];
+        for sys in kinds.into_iter().filter_map(|kind| kind.instance(side, b)) {
             points.push(LoadPoint {
                 system: sys.name(),
                 n: sys.universe_size(),
                 b: sys.masking_b(),
                 load: sys.analytic_load(),
-                lower_bound: load_lower_bound_universal(sys.universe_size(), sys.masking_b()),
+                lower_bound: sys.load_lower_bound(),
             });
-        };
-        if let Ok(sys) = ThresholdSystem::masking(n, b) {
-            push(&sys);
-        }
-        if let Ok(sys) = GridSystem::new(side, b.min(side.saturating_sub(1) / 3)) {
-            push(&sys);
-        }
-        if let Ok(sys) = MGridSystem::new(side, b.min(MGridSystem::max_b(side))) {
-            push(&sys);
-        }
-        if let Ok(sys) = MPathSystem::new(side, b.min(MPathSystem::max_b(side))) {
-            push(&sys);
-        }
-        let depth = ((n as f64).ln() / 4f64.ln()).round().max(1.0) as u32;
-        if let Ok(sys) = RtSystem::new(4, 3, depth) {
-            push(&sys);
-        }
-        if let Some(q) = boost_fpp_order_for(n, b) {
-            if let Ok(sys) = BoostFppSystem::new(q, b) {
-                push(&sys);
-            }
         }
     }
     points
+}
+
+/// The paper's constructions, as kinds of instance a figure or table can ask
+/// the roster for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PaperConstruction {
+    /// The masking threshold system over all `side²` servers.
+    Threshold,
+    /// The Grid of [MR98a].
+    Grid,
+    /// The multi-grid of Section 5.1.
+    MGrid,
+    /// The multi-path system of Section 7.
+    MPath,
+    /// The recursive threshold RT(4, 3) of Section 5.2.
+    Rt,
+    /// The boosted finite projective plane of Section 6.
+    BoostFpp,
+    /// The plain projective plane: regular (`b = 0`), the load-optimal
+    /// baseline.
+    Fpp,
+}
+
+impl PaperConstruction {
+    /// Every kind, in roster order.
+    pub const ALL: [Self; 7] = [
+        Self::Threshold,
+        Self::Grid,
+        Self::MGrid,
+        Self::MPath,
+        Self::Rt,
+        Self::BoostFpp,
+        Self::Fpp,
+    ];
+
+    /// The instance standing for this construction on a `side × side`
+    /// universe at masking level `b`: `b` is clamped to the construction's
+    /// feasible range, RT(4, 3) takes the depth whose `4^h` is nearest `n`,
+    /// and the two plane constructions take the nearest admissible order
+    /// ([`nearest_plane_order`]). `None` when the construction has no
+    /// instance there — a point a sweep then skips rather than plotting a
+    /// system of wildly different size on the same x-coordinate.
+    #[must_use]
+    pub fn instance(self, side: usize, b: usize) -> Option<Box<dyn CertifiableConstruction>> {
+        fn boxed<S: CertifiableConstruction + 'static, E>(
+            sys: Result<S, E>,
+        ) -> Option<Box<dyn CertifiableConstruction>> {
+            sys.ok().map(|sys| Box::new(sys) as _)
+        }
+        let n = side * side;
+        match self {
+            Self::Threshold => boxed(ThresholdSystem::masking(n, b)),
+            Self::Grid => boxed(GridSystem::new(side, b.min(side.saturating_sub(1) / 3))),
+            Self::MGrid => boxed(MGridSystem::new(side, b.min(MGridSystem::max_b(side)))),
+            Self::MPath => boxed(MPathSystem::new(side, b.min(MPathSystem::max_b(side)))),
+            Self::Rt => {
+                let depth = ((n as f64).ln() / 4f64.ln()).round().max(1.0) as u32;
+                boxed(RtSystem::new(4, 3, depth))
+            }
+            Self::BoostFpp => boxed(BoostFppSystem::new(boost_fpp_order_for(n, b)?, b)),
+            Self::Fpp => boxed(FppSystem::new(nearest_plane_order(n, 1)?)),
+        }
+    }
 }
 
 /// The plane order whose boostFPP(q, b) universe `n(q) = (4b+1)(q²+q+1)`
@@ -152,46 +201,16 @@ pub fn lp_load_vs_n(sides: &[usize], b: usize) -> Vec<CertifiedLoadPoint> {
 pub trait CertifiableConstruction: AnalyzedConstruction + MinWeightQuorumOracle {}
 impl<T: AnalyzedConstruction + MinWeightQuorumOracle> CertifiableConstruction for T {}
 
-/// The shared instance roster of the certified load sweep: one instance per
-/// construction for a `side × side` universe at masking level `b` (clamped
-/// per construction to its feasible range; the boostFPP and FPP instances
-/// take the nearest admissible size within a factor of two, see
-/// [`boost_fpp_order_for`]). [`lp_load_vs_n`] and the `bench_load` CI gate
-/// both iterate exactly this list, so the gate certifies the same systems
-/// the sweep reports.
+/// The whole roster at `(side, b)`: one instance per
+/// [`PaperConstruction`] that has one there, in roster order.
+/// [`lp_load_vs_n`] and the `bench_load` CI gate both iterate exactly this
+/// list, so the gate certifies the same systems the sweep reports.
 #[must_use]
 pub fn certified_constructions(side: usize, b: usize) -> Vec<Box<dyn CertifiableConstruction>> {
-    let n = side * side;
-    let mut systems: Vec<Box<dyn CertifiableConstruction>> = Vec::new();
-    if let Ok(sys) = ThresholdSystem::masking(n, b) {
-        systems.push(Box::new(sys));
-    }
-    if let Ok(sys) = GridSystem::new(side, b.min(side.saturating_sub(1) / 3)) {
-        systems.push(Box::new(sys));
-    }
-    if let Ok(sys) = MGridSystem::new(side, b.min(MGridSystem::max_b(side))) {
-        systems.push(Box::new(sys));
-    }
-    if let Ok(sys) = MPathSystem::new(side, b.min(MPathSystem::max_b(side))) {
-        systems.push(Box::new(sys));
-    }
-    let depth = ((n as f64).ln() / 4f64.ln()).round().max(1.0) as u32;
-    if let Ok(sys) = RtSystem::new(4, 3, depth) {
-        systems.push(Box::new(sys));
-    }
-    if let Some(q) = boost_fpp_order_for(n, b) {
-        if let Ok(sys) = BoostFppSystem::new(q, b) {
-            systems.push(Box::new(sys));
-        }
-    }
-    // The plain FPP (regular, b = 0): the load-optimal regular baseline, at
-    // the nearest plane order within a factor of two of n.
-    if let Some(q) = nearest_plane_order(n, 1) {
-        if let Ok(sys) = FppSystem::new(q) {
-            systems.push(Box::new(sys));
-        }
-    }
-    systems
+    PaperConstruction::ALL
+        .iter()
+        .filter_map(|kind| kind.instance(side, b))
+        .collect()
 }
 
 fn certify(sys: &dyn CertifiableConstruction) -> Option<CertifiedLoadPoint> {
@@ -252,54 +271,36 @@ pub struct LoadAblation {
 /// construction that can be materialised.
 #[must_use]
 pub fn lp_vs_fair_load() -> Vec<LoadAblation> {
-    let mut out = Vec::new();
-    let mut push =
-        |name: String, quorums: &[bqs_core::bitset::ServerSet], n: usize, analytic: f64| {
-            if let Ok((lp, _)) = optimal_load(quorums, n) {
-                out.push(LoadAblation {
-                    system: name,
-                    lp_load: lp,
-                    analytic_load: analytic,
-                });
-            }
-        };
-
     let t = ThresholdSystem::minimal_masking(1).expect("valid");
-    let te = t.to_explicit(10_000).expect("small");
-    push(t.name(), te.quorums(), t.universe_size(), t.analytic_load());
-
     let g = GridSystem::new(5, 1).expect("valid");
-    let ge = g.to_explicit(10_000).expect("small");
-    push(g.name(), ge.quorums(), g.universe_size(), g.analytic_load());
-
     let m = MGridSystem::new(5, 2).expect("valid");
-    let me = m.to_explicit(10_000).expect("small");
-    push(m.name(), me.quorums(), m.universe_size(), m.analytic_load());
-
     let rt = RtSystem::new(4, 3, 2).expect("valid");
-    let rte = rt.to_explicit(10_000).expect("small");
-    push(
-        rt.name(),
-        rte.quorums(),
-        rt.universe_size(),
-        rt.analytic_load(),
-    );
-
     let fpp = FppSystem::new(3).expect("valid");
-    let fe = fpp.to_explicit().expect("small");
-    push(
-        fpp.name(),
-        fe.quorums(),
-        fpp.universe_size(),
-        fpp.analytic_load(),
-    );
-
-    out
+    let instances: [(&dyn AnalyzedConstruction, _); 5] = [
+        (&t, t.to_explicit(10_000)),
+        (&g, g.to_explicit(10_000)),
+        (&m, m.to_explicit(10_000)),
+        (&rt, rt.to_explicit(10_000)),
+        (&fpp, fpp.to_explicit()),
+    ];
+    instances
+        .into_iter()
+        .filter_map(|(sys, explicit)| {
+            let explicit = explicit.expect("small");
+            let (lp_load, _) = optimal_load(explicit.quorums(), sys.universe_size()).ok()?;
+            Some(LoadAblation {
+                system: sys.name(),
+                lp_load,
+                analytic_load: sys.analytic_load(),
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bqs_core::bounds::load_lower_bound_universal;
 
     #[test]
     fn optimal_family_tracks_lower_bound() {
@@ -348,6 +349,88 @@ mod tests {
             if let Some(q) = boost_fpp_order_for(n, b) {
                 let achieved = (4 * b + 1) * ((q * q + q + 1) as usize);
                 assert!(achieved <= 2 * n && n <= 2 * achieved, "n={n} b={b} q={q}");
+            }
+        }
+    }
+
+    #[test]
+    fn roster_at_b7_is_the_list_the_benchmark_certifies() {
+        // `benchmark/`'s `analysis-pass` certifies exactly these instances,
+        // in this order: a change here changes what that workload measures.
+        let names = |side: usize| -> Vec<String> {
+            certified_constructions(side, 7)
+                .iter()
+                .map(|sys| sys.name())
+                .collect()
+        };
+        assert_eq!(
+            names(16),
+            [
+                "Threshold(136-of-256)",
+                "Grid(n=256, b=5)",
+                "M-Grid(n=256, b=7)",
+                "M-Path(n=256, b=7)",
+                "RT(4, 3) depth 4",
+                "boostFPP(q=2, b=7)",
+                "FPP(q=16)",
+            ]
+        );
+        assert_eq!(
+            names(24),
+            [
+                "Threshold(296-of-576)",
+                "Grid(n=576, b=7)",
+                "M-Grid(n=576, b=7)",
+                "M-Path(n=576, b=7)",
+                "RT(4, 3) depth 5",
+                "boostFPP(q=4, b=7)",
+                "FPP(q=23)",
+            ]
+        );
+        assert_eq!(
+            names(32),
+            [
+                "Threshold(520-of-1024)",
+                "Grid(n=1024, b=7)",
+                "M-Grid(n=1024, b=7)",
+                "M-Path(n=1024, b=7)",
+                "RT(4, 3) depth 5",
+                "boostFPP(q=5, b=7)",
+                "FPP(q=31)",
+            ]
+        );
+    }
+
+    #[test]
+    fn every_figure_and_table_plots_roster_instances_only() {
+        use crate::availability_analysis::{fp_vs_n, fp_vs_p};
+        use crate::comparison::build_table2;
+        // (8, 40) is the drift case `boost_fpp_order_selection_minimises_
+        // size_mismatch` documents: no plane order puts boostFPP(q, 40)
+        // within 2x of 64 servers, so nobody may plot one there (the
+        // per-sweep copies of the rule used to emit the n = 1127 instance).
+        for (side, b) in [(16usize, 3usize), (12, 5), (8, 40)] {
+            let roster: Vec<String> = certified_constructions(side, b)
+                .iter()
+                .map(|sys| sys.name())
+                .collect();
+            let load = load_vs_n(&[side], b).into_iter().map(|p| p.system);
+            let by_p = fp_vs_p(side, b, &[0.125], 10, 1)
+                .into_iter()
+                .map(|p| p.system);
+            let by_n = fp_vs_n(&[side], b, 0.125, 10, 1)
+                .into_iter()
+                .map(|p| p.system);
+            let table = build_table2(side, b).into_iter().map(|r| r.system);
+            for name in load.chain(by_p).chain(by_n).chain(table) {
+                assert!(
+                    roster.contains(&name),
+                    "({side}, {b}): {name} is not a roster instance ({roster:?})"
+                );
+                assert!(
+                    (side, b) != (8, 40) || !name.starts_with("boostFPP"),
+                    "{name} plotted on a 64-server axis"
+                );
             }
         }
     }

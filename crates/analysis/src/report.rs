@@ -1,8 +1,8 @@
 //! Plain-text table rendering for experiment reports.
 //!
-//! Every bench binary in `bqs-bench` prints its table or figure series through this
-//! module so that the output of `cargo run -p bqs-bench --bin <experiment>` looks the
-//! same across experiments and can be diffed against EXPERIMENTS.md.
+//! Every `paper` subcommand in `bqs-bench` prints its table or figure series through
+//! this module so that the output of `cargo run -p bqs-bench --bin paper -- <experiment>`
+//! looks the same across experiments and can be diffed between commits.
 
 /// A simple column-aligned text table.
 #[derive(Debug, Clone, Default)]

@@ -101,11 +101,7 @@ pub fn build_scenario(trials: usize) -> Vec<ScenarioRow> {
         true,
         "Fp <= 0.001",
         29,
-        // max-flow verification is costlier per trial: always sample
-        &evaluator
-            .clone()
-            .with_trials(trials.clamp(1, 400))
-            .with_exact_limit(0),
+        &evaluator,
     ));
 
     // RT(4,3) depth 5: n = 1024, b = 15.

@@ -35,7 +35,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use bqs_bench::{json_escape, time};
+use bqs_bench::{bench_args, exit_on_failures, json_escape, time};
 use bqs_chaos::prelude::*;
 use bqs_constructions::prelude::*;
 use bqs_core::quorum::QuorumSystem;
@@ -49,29 +49,6 @@ const B: usize = 1;
 /// gate must hold for every seed independently.
 const SEEDS: &[u64] = &[0xC4A0_5EED, 0x00BD_CAFE];
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    Loopback,
-    Uds,
-    Tcp,
-}
-
-impl Backend {
-    const ALL: [Backend; 3] = [Backend::Loopback, Backend::Uds, Backend::Tcp];
-
-    fn name(self) -> &'static str {
-        match self {
-            Backend::Loopback => "loopback",
-            Backend::Uds => "uds",
-            Backend::Tcp => "tcp",
-        }
-    }
-}
-
-fn uds_path(tag: usize) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("bqs-bench-chaos-{}-{tag}.sock", std::process::id()))
-}
-
 /// One measured cell of the matrix.
 struct Run {
     backend: &'static str,
@@ -80,83 +57,44 @@ struct Run {
     seconds: f64,
 }
 
-/// Runs one (scenario, backend, faults, seed) cell. The socket backends wrap
-/// the pooled transport in the chaos interposer with `pool = 1`, so the
-/// server-side connection id — the origin Byzantine servers key per-client
-/// equivocation on — is one-to-one with the client, exactly like loopback.
-fn run_cell(
+/// Runs one (scenario, backend, faults, seed) workload on a fresh
+/// deployment of the scenario's fault plan. The transport under the chaos
+/// interposer has `pool = 1`, so the server-side connection id — the origin
+/// Byzantine servers key per-client equivocation on — is one-to-one with the
+/// client on the socket backends, exactly like loopback.
+fn run_on(
     backend: Backend,
     scenario: ChaosScenario,
     system: &ThresholdSystem,
     faults: usize,
-    weights: Option<&[f64]>,
+    weights: &[f64],
     config: &ScenarioConfig,
-    tag: usize,
-) -> Run {
+) -> ScenarioOutcome {
     let n = system.universe_size();
-    eprintln!(
-        "bench_chaos: {} / {} at {faults} fault(s), seed {:#x}...",
-        backend.name(),
-        scenario.name(),
-        config.seed
+    let plan = scenario.fault_plan(n, faults, Some(weights));
+    let net = NetConfig {
+        pool: 1,
+        // Far above the client's reply deadline: chaos-induced silence is
+        // the *client's* failure detector to catch, never the socket
+        // sweeper's.
+        request_deadline: Duration::from_secs(5),
+        ..NetConfig::default()
+    };
+    let deployment = Arc::new(
+        Deployment::start(backend, &plan, 2, config.seed, net).expect("start the deployment"),
     );
-    let (outcome, seconds) = time(|| match backend {
-        Backend::Loopback => run_scenario_loopback(scenario, system, B, faults, weights, config),
-        Backend::Uds | Backend::Tcp => {
-            let plan = scenario.fault_plan(n, faults, weights);
-            let server = match backend {
-                Backend::Uds => SocketServer::bind_uds(uds_path(tag), &plan, 2, config.seed),
-                _ => SocketServer::bind_tcp_loopback(&plan, 2, config.seed),
-            }
-            .expect("bind socket server");
-            let transport = SocketTransport::connect(
-                server.endpoint().clone(),
-                n,
-                NetConfig {
-                    pool: 1,
-                    // Far above the client's reply deadline: chaos-induced
-                    // silence is the *client's* failure detector to catch,
-                    // never the socket sweeper's.
-                    request_deadline: Duration::from_secs(5),
-                    ..NetConfig::default()
-                },
-            )
-            .expect("connect transport pool");
-            let chaos = ChaosTransport::new(
-                Arc::new(transport),
-                config.seed,
-                scenario.id(),
-                scenario.chaos_config_for(n, faults),
-            );
-            run_scenario(
-                scenario,
-                system,
-                B,
-                faults,
-                server.responsive_set().clone(),
-                &chaos,
-                config,
-            )
-        }
-    });
-    Run {
-        backend: backend.name(),
-        outcome,
-        seed: config.seed,
-        seconds,
-    }
+    let chaos = ChaosTransport::new(
+        Arc::clone(&deployment),
+        config.seed,
+        scenario.id(),
+        scenario.chaos_config_for(n, faults),
+    );
+    let responsive = deployment.service().responsive_set().clone();
+    run_scenario(scenario, system, B, faults, responsive, &chaos, config)
 }
 
 fn main() {
-    let mut quick = false;
-    let mut output = "BENCH_chaos.json".to_string();
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else {
-            output = arg;
-        }
-    }
+    let (quick, output) = bench_args("bench_chaos", "BENCH_chaos.json");
 
     let system = ThresholdSystem::minimal_masking(B).expect("n = 4b + 1 threshold system");
     let n = system.universe_size();
@@ -182,26 +120,29 @@ fn main() {
 
     let mut failures: Vec<String> = Vec::new();
     let mut runs: Vec<Run> = Vec::new();
-    let mut tag = 0usize;
 
     for &seed in SEEDS {
         for backend in Backend::ALL {
             for scenario in ChaosScenario::ALL {
                 for faults in [B, B + 1] {
-                    tag += 1;
                     let config = ScenarioConfig {
                         seed: seed ^ (faults as u64) << 32,
                         ..base.clone()
                     };
-                    let run = run_cell(
-                        backend,
-                        scenario,
-                        &system,
-                        faults,
-                        Some(&weights),
-                        &config,
-                        tag,
+                    eprintln!(
+                        "bench_chaos: {} / {} at {faults} fault(s), seed {:#x}...",
+                        backend.name(),
+                        scenario.name(),
+                        config.seed
                     );
+                    let (outcome, seconds) =
+                        time(|| run_on(backend, scenario, &system, faults, &weights, &config));
+                    let run = Run {
+                        backend: backend.name(),
+                        outcome,
+                        seed: config.seed,
+                        seconds,
+                    };
                     let o = &run.outcome;
                     if faults <= B {
                         if o.safety_violations() > 0 {
@@ -253,8 +194,17 @@ fn main() {
                 seed: SEEDS[0] ^ (faults as u64) << 32,
                 ..base.clone()
             };
-            let a = run_scenario_loopback(scenario, &system, B, faults, Some(&weights), &config);
-            let b = run_scenario_loopback(scenario, &system, B, faults, Some(&weights), &config);
+            let replay = || {
+                run_on(
+                    Backend::Loopback,
+                    scenario,
+                    &system,
+                    faults,
+                    &weights,
+                    &config,
+                )
+            };
+            let (a, b) = (replay(), replay());
             let outcome_match = a.trace_events == b.trace_events
                 && a.safety_violations() == b.safety_violations()
                 && a.ops.reads == b.ops.reads
@@ -294,12 +244,12 @@ fn main() {
         reply_deadline: Duration::from_millis(100),
         ..ScenarioConfig::default()
     };
-    let suspicion_outcome = run_scenario_loopback(
+    let suspicion_outcome = run_on(
+        Backend::Loopback,
         suspicion_scenario,
         &system,
         B,
-        B,
-        Some(&weights),
+        &weights,
         &suspicion_run_config,
     );
     let suspicion_metrics = &suspicion_outcome.metrics;
@@ -477,10 +427,5 @@ fn main() {
     );
     println!("wrote {output}");
 
-    if !gate_passed {
-        for f in &failures {
-            eprintln!("ERROR: {f}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_failures(&failures);
 }

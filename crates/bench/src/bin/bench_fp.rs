@@ -54,7 +54,7 @@
 //! or a front gate above fails, the process exits non-zero — the CI smoke
 //! step runs this mode on every push.
 
-use bqs_bench::{json_escape, time};
+use bqs_bench::{bench_args, json_escape, time};
 use bqs_constructions::prelude::*;
 use bqs_core::availability::availability_profile_naive;
 use bqs_core::eval::{Evaluator, FpEstimate, FpMethod};
@@ -169,15 +169,7 @@ fn method_speedup(
 }
 
 fn main() {
-    let mut quick = false;
-    let mut output = "BENCH_fp.json".to_string();
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else {
-            output = arg;
-        }
-    }
+    let (quick, output) = bench_args("bench_fp", "BENCH_fp.json");
     let evaluator = Evaluator::new().with_trials(20_000).with_seed(0xBE7C);
     let ps: &[f64] = if quick {
         &[0.125]

@@ -20,7 +20,7 @@
 //! every push, mirroring `bench_fp --quick`.
 
 use bqs_analysis::load_analysis::{certified_constructions, CertifiableConstruction};
-use bqs_bench::{json_escape, time};
+use bqs_bench::{bench_args, exit_on_failures, json_escape, time};
 use bqs_constructions::prelude::*;
 use bqs_core::load::{optimal_load, optimal_load_oracle, CertifiedLoad};
 use bqs_core::quorum::QuorumSystem;
@@ -94,15 +94,7 @@ fn certify(sys: &dyn CertifiableConstruction, failures: &mut Vec<String>) -> Opt
 }
 
 fn main() {
-    let mut quick = false;
-    let mut output = "BENCH_load.json".to_string();
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else {
-            output = arg;
-        }
-    }
+    let (quick, output) = bench_args("bench_load", "BENCH_load.json");
     let sides: &[usize] = if quick { &[32] } else { &[16, 24, 32] };
     let b = 15usize;
     let mut rows: Vec<Row> = Vec::new();
@@ -213,10 +205,5 @@ fn main() {
     }
     println!("wrote {output}");
 
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("ERROR: {f}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_failures(&failures);
 }

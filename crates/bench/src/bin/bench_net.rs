@@ -31,7 +31,7 @@
 use std::time::Duration;
 
 use bqs_analysis::empirical::{empirical_load_check, EmpiricalLoadCheck};
-use bqs_bench::{json_escape, time};
+use bqs_bench::{bench_args, exit_on_failures, json_escape, time};
 use bqs_constructions::prelude::*;
 use bqs_core::load::optimal_load_oracle;
 use bqs_core::oracle::MinWeightQuorumOracle;
@@ -82,24 +82,6 @@ fn baseline_knee(backend: &str, construction: &str) -> Option<f64> {
         .and_then(|(_, _, knee)| *knee)
 }
 
-/// One transport backend under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    Loopback,
-    Uds,
-    Tcp,
-}
-
-impl Backend {
-    fn name(self) -> &'static str {
-        match self {
-            Backend::Loopback => "loopback",
-            Backend::Uds => "uds",
-            Backend::Tcp => "tcp",
-        }
-    }
-}
-
 /// One measured point of a sweep.
 struct SweepPoint {
     backend: &'static str,
@@ -144,10 +126,6 @@ impl KneeRow {
     }
 }
 
-fn uds_path(tag: usize) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("bqs-bench-net-{}-{tag}.sock", std::process::id()))
-}
-
 /// Measures one (backend, construction, rate) point on a freshly spawned
 /// service, and validates the below-knee load against the certified value.
 #[allow(clippy::too_many_arguments)]
@@ -179,33 +157,17 @@ where
         backend.name(),
         config.total_arrivals
     );
-    let ((report, access_counts), seconds) = time(|| match backend {
-        Backend::Loopback => {
-            let service = LoopbackService::spawn(&plan, shards, seed);
-            let report = run_open_loop(strategic, b, &service, service.responsive_set(), &config);
-            let counts = service.metrics().access_counts();
-            (report, counts)
-        }
-        Backend::Uds | Backend::Tcp => {
-            let server = match backend {
-                Backend::Uds => SocketServer::bind_uds(uds_path(point_tag), &plan, shards, seed),
-                _ => SocketServer::bind_tcp_loopback(&plan, shards, seed),
-            }
-            .expect("bind socket server");
-            let transport = SocketTransport::connect(
-                server.endpoint().clone(),
-                n,
-                NetConfig {
-                    pool: 2,
-                    request_deadline: Duration::from_secs(3),
-                    ..NetConfig::default()
-                },
-            )
-            .expect("connect transport pool");
-            let report = run_open_loop(strategic, b, &transport, server.responsive_set(), &config);
-            let counts = server.metrics().access_counts();
-            (report, counts)
-        }
+    let ((report, access_counts), seconds) = time(|| {
+        let net = NetConfig {
+            pool: 2,
+            request_deadline: Duration::from_secs(3),
+            ..NetConfig::default()
+        };
+        let deployment =
+            Deployment::start(backend, &plan, shards, seed, net).expect("start the deployment");
+        let service = deployment.service();
+        let report = run_open_loop(strategic, b, &deployment, service.responsive_set(), &config);
+        (report, service.metrics().access_counts())
     });
 
     // Gates that hold at every rate, saturated or not.
@@ -314,15 +276,7 @@ where
 }
 
 fn main() {
-    let mut quick = false;
-    let mut output = "BENCH_net.json".to_string();
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else {
-            output = arg;
-        }
-    }
+    let (quick, output) = bench_args("bench_net", "BENCH_net.json");
     let mut failures: Vec<String> = Vec::new();
     let mut points: Vec<SweepPoint> = Vec::new();
     let mut knees: Vec<KneeRow> = Vec::new();
@@ -586,10 +540,5 @@ fn main() {
     }
     println!("wrote {output}");
 
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("ERROR: {f}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_failures(&failures);
 }

@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bqs_analysis::empirical_load_check;
-use bqs_bench::{json_escape, time};
+use bqs_bench::{bench_args, exit_on_failures, json_escape, time};
 use bqs_chaos::prelude::*;
 use bqs_chaos::ReconfigScenario;
 use bqs_constructions::prelude::*;
@@ -54,42 +54,6 @@ const KILL: usize = 3;
 
 /// Base seed of every cell (mixed per scenario and backend below).
 const SEED: u64 = 0x2ec0_4f16;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    Loopback,
-    Uds,
-    Tcp,
-}
-
-impl Backend {
-    const ALL: [Backend; 3] = [Backend::Loopback, Backend::Uds, Backend::Tcp];
-
-    fn name(self) -> &'static str {
-        match self {
-            Backend::Loopback => "loopback",
-            Backend::Uds => "uds",
-            Backend::Tcp => "tcp",
-        }
-    }
-
-    /// Stable id mixed into the cell seed, so every (scenario, backend)
-    /// cell runs its own deterministic stream.
-    fn id(self) -> u64 {
-        match self {
-            Backend::Loopback => 1,
-            Backend::Uds => 2,
-            Backend::Tcp => 3,
-        }
-    }
-}
-
-fn uds_path(tag: usize) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "bqs-bench-reconfig-{}-{tag}.sock",
-        std::process::id()
-    ))
-}
 
 /// The candidate pools every drill re-certifies over: the paper's Grid and
 /// M-Grid over the same 25 servers. On the healthy universe the M-Grid
@@ -125,96 +89,41 @@ struct Run {
     seconds: f64,
 }
 
-/// Runs one (scenario, backend) drill. The socket backends spawn a healthy
-/// sharded server, wrap the pooled transport in the chaos interposer with
-/// `pool = 1` (client-side decision stream, same as loopback), and hand the
-/// drill the server's own epoch gate and crash hook.
-fn run_cell(
-    backend: Backend,
-    scenario: ReconfigScenario,
-    config: &ReconfigConfig,
-    tag: usize,
-) -> Run {
-    let n = SIDE * SIDE;
-    eprintln!(
-        "bench_reconfig: {} / {} killing {KILL} of {n}, seed {:#x}...",
-        backend.name(),
-        scenario.name(),
-        config.seed
+/// Runs one (scenario, backend) drill on a fresh healthy deployment (the
+/// crash comes from the drill itself). The transport under the chaos
+/// interposer has `pool = 1`: a client-side decision stream, the same on
+/// every backend.
+fn drill(backend: Backend, scenario: ReconfigScenario, config: &ReconfigConfig) -> ReconfigOutcome {
+    let net = NetConfig {
+        pool: 1,
+        // Far above the drill's operation deadline: chaos-induced silence is
+        // the open-loop deadline's to catch, never the socket sweeper's.
+        request_deadline: Duration::from_secs(5),
+        ..NetConfig::default()
+    };
+    let plan = FaultPlan::none(SIDE * SIDE);
+    let deployment = Arc::new(
+        Deployment::start(backend, &plan, 2, config.seed, net).expect("start the deployment"),
     );
-    let (outcome, seconds) = time(|| match backend {
-        Backend::Loopback => run_reconfigure_loopback(
-            scenario,
-            planner(),
-            SuspicionConfig::counters_only(),
-            2,
-            config,
-        )
-        .expect("loopback drill"),
-        Backend::Uds | Backend::Tcp => {
-            let plan = FaultPlan::none(n);
-            let server = match backend {
-                Backend::Uds => SocketServer::bind_uds(uds_path(tag), &plan, 2, config.seed),
-                _ => SocketServer::bind_tcp_loopback(&plan, 2, config.seed),
-            }
-            .expect("bind socket server");
-            let transport = SocketTransport::connect(
-                server.endpoint().clone(),
-                n,
-                NetConfig {
-                    pool: 1,
-                    // Far above the drill's operation deadline: chaos-induced
-                    // silence is the open-loop deadline's to catch, never the
-                    // socket sweeper's.
-                    request_deadline: Duration::from_secs(5),
-                    ..NetConfig::default()
-                },
-            )
-            .expect("connect transport pool");
-            let chaos = ChaosTransport::new(
-                Arc::new(transport),
-                config.seed,
-                scenario.id(),
-                scenario.chaos_config(),
-            );
-            let gate = Arc::clone(server.epoch_gate());
-            run_reconfigure(
-                scenario,
-                planner(),
-                SuspicionConfig::counters_only(),
-                &chaos,
-                gate,
-                &|dead: &[usize]| server.crash_servers(dead),
-                config,
-            )
-            .expect("socket drill")
-        }
-    });
-    let check = empirical_load_check(
-        format!("{}/{}", backend.name(), scenario.name()),
-        &outcome.access_counts,
-        outcome.load_operations.max(1),
-        outcome.recertified_load,
+    let chaos = ChaosTransport::new(
+        Arc::clone(&deployment),
+        config.seed,
+        scenario.id(),
+        scenario.chaos_config(),
     );
-    Run {
-        backend: backend.name(),
-        outcome,
-        check,
-        seed: config.seed,
-        seconds,
-    }
+    run_reconfigure(
+        scenario,
+        planner(),
+        SuspicionConfig::counters_only(),
+        &chaos,
+        deployment.service(),
+        config,
+    )
+    .expect("reconfiguration drill")
 }
 
 fn main() {
-    let mut quick = false;
-    let mut output = "BENCH_reconfig.json".to_string();
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else {
-            output = arg;
-        }
-    }
+    let (quick, output) = bench_args("bench_reconfig", "BENCH_reconfig.json");
 
     let n = SIDE * SIDE;
     let base = if quick {
@@ -237,16 +146,33 @@ fn main() {
 
     let mut failures: Vec<String> = Vec::new();
     let mut runs: Vec<Run> = Vec::new();
-    let mut tag = 0usize;
 
     for backend in Backend::ALL {
         for scenario in ReconfigScenario::ALL {
-            tag += 1;
             let config = ReconfigConfig {
                 seed: cell_seed(scenario, backend),
                 ..base
             };
-            let run = run_cell(backend, scenario, &config, tag);
+            eprintln!(
+                "bench_reconfig: {} / {} killing {KILL} of {n}, seed {:#x}...",
+                backend.name(),
+                scenario.name(),
+                config.seed
+            );
+            let (outcome, seconds) = time(|| drill(backend, scenario, &config));
+            let check = empirical_load_check(
+                format!("{}/{}", backend.name(), scenario.name()),
+                &outcome.access_counts,
+                outcome.load_operations.max(1),
+                outcome.recertified_load,
+            );
+            let run = Run {
+                backend: backend.name(),
+                outcome,
+                check,
+                seed: config.seed,
+                seconds,
+            };
             let o = &run.outcome;
             let cell = format!("{}/{}", run.backend, o.scenario.name());
             if !o.healthy_steady {
@@ -312,18 +238,8 @@ fn main() {
             seed: cell_seed(scenario, Backend::Loopback) ^ 0x002e_91a7,
             ..base
         };
-        let drill = || {
-            run_reconfigure_loopback(
-                scenario,
-                planner(),
-                SuspicionConfig::counters_only(),
-                2,
-                &config,
-            )
-            .expect("replay drill")
-        };
-        let a = drill();
-        let b = drill();
+        let a = drill(Backend::Loopback, scenario, &config);
+        let b = drill(Backend::Loopback, scenario, &config);
         let trace_match = a.trace_fingerprint == b.trace_fingerprint;
         let outcome_match = a.epochs == b.epochs
             && a.suspects == b.suspects
@@ -451,10 +367,5 @@ fn main() {
     );
     println!("wrote {output}");
 
-    if !gate_passed {
-        for f in &failures {
-            eprintln!("ERROR: {f}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_failures(&failures);
 }

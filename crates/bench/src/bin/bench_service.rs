@@ -28,7 +28,7 @@ use bqs_analysis::empirical::{
     empirical_availability_check, empirical_load_check, EmpiricalAvailabilityCheck,
     EmpiricalLoadCheck,
 };
-use bqs_bench::{json_escape, time};
+use bqs_bench::{bench_args, exit_on_failures, json_escape, time};
 use bqs_constructions::prelude::*;
 use bqs_core::eval::Evaluator;
 use bqs_core::load::optimal_load_oracle;
@@ -118,7 +118,6 @@ where
     });
     let config = ServiceConfig {
         clients,
-        shards,
         ops_per_client,
         write_fraction: 0.2,
         writers: 1,
@@ -127,7 +126,10 @@ where
     eprintln!(
         "load validation: {name} (n = {n}), {clients} clients x {ops_per_client} ops, {shards} shards, {byz} Byzantine..."
     );
-    let (report, seconds) = time(|| run_service(&strategic, b, &plan, &config));
+    let (report, seconds) = time(|| {
+        let service = LoopbackService::spawn(&plan, shards, config.seed);
+        run_service(&service, &strategic, b, &config)
+    });
     let check = empirical_load_check(
         &name,
         &report.access_counts,
@@ -182,13 +184,13 @@ fn thread_scaling<S: QuorumSystem>(
         );
         let config = ServiceConfig {
             clients,
-            shards,
             ops_per_client,
             write_fraction: 0.2,
             writers: 1,
             seed: 0x7_5ca1e ^ shards as u64,
         };
-        let report = run_service(sys, b, &FaultPlan::none(n), &config);
+        let service = LoopbackService::spawn(&FaultPlan::none(n), shards, config.seed);
+        let report = run_service(&service, sys, b, &config);
         assert!(report.is_safe(), "{}: unsafe scaling run", sys.name());
         rows.push(ScalingRow {
             construction: sys.name(),
@@ -219,7 +221,7 @@ fn validate_availability<S: QuorumSystem>(
     p: f64,
     trials: usize,
     failures: &mut Vec<String>,
-) -> (EmpiricalAvailabilityCheck, f64) {
+) -> AvailabilityRow {
     let n = sys.universe_size();
     let analytic = Evaluator::new().crash_probability(sys, p).value;
     eprintln!(
@@ -235,13 +237,12 @@ fn validate_availability<S: QuorumSystem>(
             service.reset_plan(&plan, 0xdead ^ trial as u64);
             let config = ServiceConfig {
                 clients: 2,
-                shards: 1,
                 ops_per_client: 8,
                 write_fraction: 0.5,
                 writers: 1,
                 seed: 0xdead ^ trial as u64,
             };
-            let report = run_service_on(&service, sys, b, &config);
+            let report = run_service(&service, sys, b, &config);
             if report.safety_violations > 0 {
                 failures.push(format!(
                     "{}: safety violation under a crash-only plan",
@@ -265,19 +266,11 @@ fn validate_availability<S: QuorumSystem>(
             check.system, check.empirical_fp, check.ci95.0, check.ci95.1, check.analytic_fp
         ));
     }
-    (check, seconds)
+    AvailabilityRow { check, n, seconds }
 }
 
 fn main() {
-    let mut quick = false;
-    let mut output = "BENCH_service.json".to_string();
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else {
-            output = arg;
-        }
-    }
+    let (quick, output) = bench_args("bench_service", "BENCH_service.json");
     let mut failures: Vec<String> = Vec::new();
 
     // --- Thread scaling: one mid-size instance across shard counts. -------
@@ -360,30 +353,12 @@ fn main() {
         let mgrid = MGridSystem::new(5, 2).unwrap();
         let grid_large = GridSystem::new(10, 1).unwrap();
         let mgrid_large = MGridSystem::new(11, 2).unwrap();
-        let mut rows = Vec::new();
-        for (check, n, seconds) in [
-            (
-                validate_availability(&grid, 1, 0.20, 500, &mut failures),
-                25,
-            ),
-            (
-                validate_availability(&mgrid, 2, 0.15, 500, &mut failures),
-                25,
-            ),
-            (
-                validate_availability(&grid_large, 1, 0.15, 500, &mut failures),
-                100,
-            ),
-            (
-                validate_availability(&mgrid_large, 2, 0.10, 500, &mut failures),
-                121,
-            ),
+        vec![
+            validate_availability(&grid, 1, 0.20, 500, &mut failures),
+            validate_availability(&mgrid, 2, 0.15, 500, &mut failures),
+            validate_availability(&grid_large, 1, 0.15, 500, &mut failures),
+            validate_availability(&mgrid_large, 2, 0.10, 500, &mut failures),
         ]
-        .map(|((check, seconds), n)| (check, n, seconds))
-        {
-            rows.push(AvailabilityRow { check, n, seconds });
-        }
-        rows
     };
 
     // --- Emit JSON. --------------------------------------------------------
@@ -506,10 +481,5 @@ fn main() {
     }
     println!("wrote {output}");
 
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("ERROR: {f}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_failures(&failures);
 }

@@ -43,9 +43,7 @@ pub use prelude::*;
 /// Convenient glob import for benches and tests — also the crate root's re-exports.
 pub mod prelude {
     pub use crate::reconfig::ReconfigScenario;
-    pub use crate::scenario::{
-        run_scenario, run_scenario_loopback, ChaosScenario, ScenarioConfig, ScenarioOutcome,
-    };
+    pub use crate::scenario::{run_scenario, ChaosScenario, ScenarioConfig, ScenarioOutcome};
     pub use crate::transport::{
         ChaosConfig, ChaosStats, ChaosStatsSnapshot, ChaosTransport, Decision, TraceEvent,
     };

@@ -10,6 +10,12 @@
 //! empirical form of the paper's claim that the `2b + 1` intersection bound
 //! is exactly tight.
 //!
+//! [`run_scenario`] is the one entry point, for every backend: the caller
+//! stands the family's [`ChaosScenario::fault_plan`] up behind a transport
+//! (the in-process `LoopbackService`, or `bqs-net`'s `Deployment` on any
+//! backend), wraps it in a [`ChaosTransport`] keyed by the same scenario, and
+//! hands both over.
+//!
 //! The runner is deliberately a *single-writer* closed loop: the paper's
 //! register is single-writer, which makes read-your-writes a sharp invariant
 //! (any completed read older than the last completed write is a violation,
@@ -24,7 +30,7 @@ use bqs_core::quorum::QuorumSystem;
 use bqs_service::client::ServiceClient;
 use bqs_service::metrics::ServiceMetrics;
 use bqs_service::runner::{authentic_value, OpTally};
-use bqs_service::shard::{LoopbackService, TimestampOracle};
+use bqs_service::shard::TimestampOracle;
 use bqs_service::transport::Transport;
 use bqs_sim::fault::FaultPlan;
 use bqs_sim::server::{ByzantineStrategy, Entry};
@@ -292,9 +298,10 @@ impl ScenarioOutcome {
 /// (which wraps any backend transport) and reports what it observed.
 ///
 /// The caller builds the backend from [`ChaosScenario::fault_plan`] and wraps
-/// it in a [`ChaosTransport`] keyed by the same scenario; `responsive` is the
-/// failure detector's view (partitioned servers deliberately stay *in* the
-/// view — the detector does not know about the cut).
+/// it in a [`ChaosTransport`] keyed by the same scenario (see the module
+/// docs); `responsive` is the failure detector's view (partitioned servers
+/// deliberately stay *in* the view — the detector does not know about the
+/// cut).
 pub fn run_scenario<Q, T>(
     scenario: ChaosScenario,
     system: &Q,
@@ -359,39 +366,32 @@ where
     }
 }
 
-/// Convenience wrapper for the in-process backend: builds the family's fault
-/// plan, spawns a sharded [`LoopbackService`] over it, wraps it in a
-/// [`ChaosTransport`], and runs the workload. Socket backends compose the
-/// same pieces around a `bqs-net` server/transport pair instead (see
-/// `bench_chaos`).
-pub fn run_scenario_loopback<Q>(
-    scenario: ChaosScenario,
-    system: &Q,
-    b: usize,
-    faults: usize,
-    weights: Option<&[f64]>,
-    config: &ScenarioConfig,
-) -> ScenarioOutcome
-where
-    Q: QuorumSystem + ?Sized,
-{
-    let n = system.universe_size();
-    let plan = scenario.fault_plan(n, faults, weights);
-    let service = Arc::new(LoopbackService::spawn(&plan, 2, config.seed));
-    let responsive = service.responsive_set().clone();
-    let chaos = ChaosTransport::new(
-        Arc::clone(&service),
-        config.seed,
-        scenario.id(),
-        scenario.chaos_config_for(n, faults),
-    );
-    run_scenario(scenario, system, b, faults, responsive, &chaos, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bqs_constructions::threshold::ThresholdSystem;
+    use bqs_service::shard::LoopbackService;
+
+    /// `run_scenario` on the in-process backend, with the default plan
+    /// placement (no published weights).
+    fn run_loopback(
+        scenario: ChaosScenario,
+        system: &ThresholdSystem,
+        faults: usize,
+        config: &ScenarioConfig,
+    ) -> ScenarioOutcome {
+        let n = system.universe_size();
+        let plan = scenario.fault_plan(n, faults, None);
+        let service = Arc::new(LoopbackService::spawn(&plan, 2, config.seed));
+        let responsive = service.responsive_set().clone();
+        let chaos = ChaosTransport::new(
+            service,
+            config.seed,
+            scenario.id(),
+            scenario.chaos_config_for(n, faults),
+        );
+        run_scenario(scenario, system, 1, faults, responsive, &chaos, config)
+    }
 
     fn quick() -> ScenarioConfig {
         ScenarioConfig {
@@ -404,7 +404,7 @@ mod tests {
     fn every_family_masks_at_b_and_detects_at_b_plus_1_on_loopback() {
         let system = ThresholdSystem::minimal_masking(1).unwrap(); // n = 5, b = 1
         for scenario in ChaosScenario::ALL {
-            let at_b = run_scenario_loopback(scenario, &system, 1, 1, None, &quick());
+            let at_b = run_loopback(scenario, &system, 1, &quick());
             assert_eq!(
                 at_b.safety_violations(),
                 0,
@@ -416,7 +416,7 @@ mod tests {
                 "{}: degradation must stay graceful at b ({at_b:?})",
                 scenario.name()
             );
-            let over_b = run_scenario_loopback(scenario, &system, 1, 2, None, &quick());
+            let over_b = run_loopback(scenario, &system, 2, &quick());
             assert!(
                 over_b.detected(),
                 "{}: b + 1 faults must break masking detectably ({over_b:?})",
@@ -433,8 +433,8 @@ mod tests {
             ChaosScenario::Duplicate,
             ChaosScenario::SlowServers,
         ] {
-            let first = run_scenario_loopback(scenario, &system, 1, 2, None, &quick());
-            let second = run_scenario_loopback(scenario, &system, 1, 2, None, &quick());
+            let first = run_loopback(scenario, &system, 2, &quick());
+            let second = run_loopback(scenario, &system, 2, &quick());
             assert_eq!(
                 first.trace_fingerprint,
                 second.trace_fingerprint,
@@ -451,12 +451,10 @@ mod tests {
             assert_eq!(first.ops.reads, second.ops.reads);
             assert_eq!(first.ops.writes, second.ops.writes);
             // And a different seed genuinely perturbs differently.
-            let reseeded = run_scenario_loopback(
+            let reseeded = run_loopback(
                 scenario,
                 &system,
-                1,
                 2,
-                None,
                 &ScenarioConfig {
                     seed: 0x0DD_5EED,
                     ..quick()

@@ -45,8 +45,6 @@ pub use prelude::*;
 pub mod prelude {
     pub use crate::config::{EpochConfig, EpochPlanner, StrategySource};
     pub use crate::manager::{EpochManager, EpochTransition, TickOutcome};
-    pub use crate::runner::{
-        run_reconfigure, run_reconfigure_loopback, PhaseSummary, ReconfigConfig, ReconfigOutcome,
-    };
+    pub use crate::runner::{run_reconfigure, PhaseSummary, ReconfigConfig, ReconfigOutcome};
     pub use crate::suspicion::{SuspicionConfig, SuspicionEngine};
 }

@@ -1,10 +1,12 @@
 //! The end-to-end reconfiguration drill.
 //!
-//! [`run_reconfigure`] plays the whole story against a live service through
-//! a chaos-wrapped transport, in strictly ordered phases (each phase is one
-//! open-loop burst; bursts join their workers, so every phase boundary is an
-//! operation-stream boundary — exactly where [`EpochManager::tick`] is
-//! allowed to run):
+//! [`run_reconfigure`] — the one entry point, for every backend — plays the
+//! whole story against a live service through a chaos-wrapped transport to
+//! it (the `LoopbackService` itself, or `bqs-net`'s `Deployment` on any
+//! backend, which exposes its server side as the same type), in strictly
+//! ordered phases (each phase is one open-loop burst; bursts join their
+//! workers, so every phase boundary is an operation-stream boundary —
+//! exactly where [`EpochManager::tick`] is allowed to run):
 //!
 //! 1. **healthy** — open-loop load at epoch 0; one manager tick must stay
 //!    steady (hysteresis under whatever chaos the scenario runs).
@@ -45,8 +47,6 @@ use bqs_service::openloop::{
 };
 use bqs_service::shard::{LoopbackService, TimestampOracle};
 use bqs_service::transport::Transport;
-use bqs_sim::epoch::EpochGate;
-use bqs_sim::fault::FaultPlan;
 use bqs_sim::server::mix64;
 
 use crate::config::{EpochPlanner, StrategySource};
@@ -174,10 +174,9 @@ pub struct ReconfigOutcome {
     pub phases: Vec<PhaseSummary>,
 }
 
-/// Runs the drill against an existing chaos-wrapped transport. `gate` must
-/// be the transport's server-side gate and `crash` must crash servers of
-/// that same service; the loopback convenience
-/// [`run_reconfigure_loopback`] wires all three.
+/// Runs the drill through a chaos-wrapped transport to `service`, the
+/// server side the transport reaches: the drill crashes its replicas and
+/// the manager drives its epoch gate.
 ///
 /// # Errors
 ///
@@ -193,14 +192,13 @@ pub fn run_reconfigure<T: Transport + 'static>(
     planner: EpochPlanner,
     suspicion: SuspicionConfig,
     transport: &ChaosTransport<T>,
-    gate: Arc<EpochGate>,
-    crash: &dyn Fn(&[usize]),
+    service: &LoopbackService,
     config: &ReconfigConfig,
 ) -> Result<ReconfigOutcome, QuorumError> {
     let n = planner.universe_size();
     let b = planner.masking_b();
     let killed = scenario.kill_set(n, config.kill);
-    let mut manager = EpochManager::new(planner, suspicion, gate)?;
+    let mut manager = EpochManager::new(planner, suspicion, Arc::clone(service.epoch_gate()))?;
     let initial_load = manager.current().load();
 
     // Shared across every phase: the writer clock (freshness checks span
@@ -269,7 +267,7 @@ pub fn run_reconfigure<T: Transport + 'static>(
     let healthy_steady = manager.tick(&evidence)? == TickOutcome::Steady;
 
     // Phase 2: the crash.
-    crash(&killed);
+    service.crash_servers(&killed);
 
     // Phase 3: keep serving at epoch 0 until the evidence reconfigures.
     let mut detect_ticks = 0usize;
@@ -386,48 +384,10 @@ pub fn run_reconfigure<T: Transport + 'static>(
     })
 }
 
-/// Runs the drill on an in-process loopback service: spawns the service
-/// (healthy — the crash comes from the drill itself), wraps it in the
-/// scenario's [`ChaosTransport`], and wires gate and crash hooks.
-///
-/// # Errors
-///
-/// As [`run_reconfigure`].
-pub fn run_reconfigure_loopback(
-    scenario: ReconfigScenario,
-    planner: EpochPlanner,
-    suspicion: SuspicionConfig,
-    shards: usize,
-    config: &ReconfigConfig,
-) -> Result<ReconfigOutcome, QuorumError> {
-    let n = planner.universe_size();
-    let service = Arc::new(LoopbackService::spawn(
-        &FaultPlan::none(n),
-        shards,
-        config.seed,
-    ));
-    let gate = Arc::clone(service.epoch_gate());
-    let chaos = ChaosTransport::new(
-        Arc::clone(&service),
-        config.seed,
-        scenario.id(),
-        scenario.chaos_config(),
-    );
-    let svc = Arc::clone(&service);
-    run_reconfigure(
-        scenario,
-        planner,
-        suspicion,
-        &chaos,
-        gate,
-        &move |dead: &[usize]| svc.crash_servers(dead),
-        config,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bqs_sim::fault::FaultPlan;
 
     /// All 5-subsets of 7 servers: 1-masking (any two share >= 3).
     fn five_of_seven() -> Vec<ServerSet> {
@@ -457,12 +417,21 @@ mod tests {
     }
 
     fn drill(seed: u64) -> ReconfigOutcome {
+        let scenario = ReconfigScenario::CleanCrash;
         let planner = EpochPlanner::new(7, 1).with_pool("5of7", five_of_seven());
-        run_reconfigure_loopback(
-            ReconfigScenario::CleanCrash,
+        let service = Arc::new(LoopbackService::spawn(&FaultPlan::none(7), 2, seed));
+        let chaos = ChaosTransport::new(
+            Arc::clone(&service),
+            seed,
+            scenario.id(),
+            scenario.chaos_config(),
+        );
+        run_reconfigure(
+            scenario,
             planner,
             SuspicionConfig::counters_only(),
-            2,
+            &chaos,
+            &service,
             &ReconfigConfig { seed, ..quick() },
         )
         .unwrap()

@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use bqs_chaos::ReconfigScenario;
+use bqs_chaos::{ChaosTransport, ReconfigScenario};
 use bqs_core::bitset::ServerSet;
 use bqs_epoch::prelude::*;
 use bqs_service::prelude::*;
@@ -171,23 +171,33 @@ fn full_reconfigure_loop_replays_identically_under_chaos_drops() {
     // Drops, detection ticks, suspect set, epoch history, and the measure
     // phase's access counts must all be pure functions of (seed, scenario).
     let drill = || {
+        let scenario = ReconfigScenario::CrashWithDrops;
+        let config = ReconfigConfig {
+            seed: 0xd20b_5eed,
+            kill: 1,
+            offered_rate: 3_000.0,
+            healthy_arrivals: 300,
+            detect_arrivals: 200,
+            migrate_arrivals: 150,
+            measure_arrivals: 600,
+            probe_arrivals: 80,
+            ..ReconfigConfig::default()
+        };
         let planner = EpochPlanner::new(7, 1).with_pool("5of7", five_of_seven());
-        run_reconfigure_loopback(
-            ReconfigScenario::CrashWithDrops,
+        let service = Arc::new(LoopbackService::spawn(&FaultPlan::none(7), 2, config.seed));
+        let chaos = ChaosTransport::new(
+            Arc::clone(&service),
+            config.seed,
+            scenario.id(),
+            scenario.chaos_config(),
+        );
+        run_reconfigure(
+            scenario,
             planner,
             SuspicionConfig::counters_only(),
-            2,
-            &ReconfigConfig {
-                seed: 0xd20b_5eed,
-                kill: 1,
-                offered_rate: 3_000.0,
-                healthy_arrivals: 300,
-                detect_arrivals: 200,
-                migrate_arrivals: 150,
-                measure_arrivals: 600,
-                probe_arrivals: 80,
-                ..ReconfigConfig::default()
-            },
+            &chaos,
+            &service,
+            &config,
         )
         .unwrap()
     };

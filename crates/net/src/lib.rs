@@ -27,11 +27,16 @@
 //!   jittered reconnect backoff, and a deadline list threaded through the
 //!   slot table in registration order, whose expiries surface as in-band
 //!   "no answer" replies (timeouts as the failure detector, per the
-//!   transport contract).
+//!   transport contract);
+//! * [`deploy`] — [`deploy::Deployment`]: the replicas of a fault plan stood
+//!   up on a chosen [`deploy::Backend`] (loopback, UDS or TCP) together with
+//!   the transport that reaches them — itself a `Transport`, with the server
+//!   side exposed as the same `LoopbackService` on every backend. The one
+//!   place a harness picks a backend.
 //!
 //! Everything above the seam — `ServiceClient`, the closed-loop runner, the
 //! open-loop generator — runs unmodified over either backend; `bench_net`
-//! sweeps offered load across loopback, UDS, and TCP to locate each
+//! sweeps offered load across [`deploy::Backend::ALL`] to locate each
 //! backend's saturation knee (`BENCH_net.json`).
 //!
 //! # Example
@@ -65,6 +70,7 @@
 #![warn(missing_docs)]
 
 pub mod codec;
+pub mod deploy;
 pub mod server;
 pub mod stream;
 pub mod transport;
@@ -73,6 +79,7 @@ pub use codec::{
     encode_reply_batch, encode_request_batch, FrameReader, WireMessage, WireRequest, MAX_BATCH,
     MAX_PAYLOAD,
 };
+pub use deploy::{Backend, Deployment};
 pub use server::SocketServer;
 pub use stream::{Endpoint, Listener, Stream};
 pub use transport::{NetConfig, NetStats, SocketTransport};
@@ -83,6 +90,7 @@ pub mod prelude {
         encode_reply_batch, encode_request_batch, FrameReader, WireMessage, WireRequest, MAX_BATCH,
         MAX_PAYLOAD,
     };
+    pub use crate::deploy::{Backend, Deployment};
     pub use crate::server::SocketServer;
     pub use crate::stream::{Endpoint, Listener, Stream};
     pub use crate::transport::{NetConfig, NetStats, SocketTransport};

@@ -120,6 +120,12 @@ impl SocketServer {
         &self.endpoint
     }
 
+    /// The service behind the listener ([`crate::deploy::Deployment`]'s
+    /// server side).
+    pub(crate) fn service(&self) -> &LoopbackService {
+        &self.service
+    }
+
     /// Number of servers behind this endpoint.
     #[must_use]
     pub fn universe_size(&self) -> usize {

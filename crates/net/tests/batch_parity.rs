@@ -27,12 +27,12 @@ fn net() -> NetConfig {
     }
 }
 
-/// Hides the socket transport's `send_batch`, so a fan-out falls through to
-/// the trait's default: one `send` — one single-message frame, one write —
-/// per request.
-struct PerRequest(SocketTransport);
+/// Hides the wrapped transport's `send_batch`, so a fan-out falls through to
+/// the trait's default: one `send` — on a socket, one single-message frame
+/// and one write — per request.
+struct PerRequest<'a>(&'a dyn Transport);
 
-impl Transport for PerRequest {
+impl Transport for PerRequest<'_> {
     fn universe_size(&self) -> usize {
         self.0.universe_size()
     }
@@ -42,15 +42,15 @@ impl Transport for PerRequest {
     }
 }
 
-/// Connects to `server` and runs the canonical sequence, coalescing fan-outs
-/// or sending them request by request.
-fn run_over_socket(server: &SocketServer, batched: bool) -> Vec<Entry> {
-    let transport = SocketTransport::connect(server.endpoint().clone(), UNIVERSE, net()).unwrap();
-    let responsive = server.responsive_set().clone();
+/// Deploys `plan` on `backend` and runs the canonical sequence, coalescing
+/// fan-outs or sending them request by request.
+fn run_on(backend: Backend, plan: &FaultPlan, batched: bool) -> Vec<Entry> {
+    let deployment = Deployment::start(backend, plan, SHARDS, SERVICE_SEED, net()).unwrap();
+    let responsive = deployment.service().responsive_set().clone();
     if batched {
-        run_sequence(&transport, responsive)
+        run_sequence(&deployment, responsive)
     } else {
-        run_sequence(&PerRequest(transport), responsive)
+        run_sequence(&PerRequest(&deployment), responsive)
     }
 }
 
@@ -78,32 +78,23 @@ fn run_sequence(transport: &dyn Transport, responsive: bqs_core::bitset::ServerS
 #[test]
 fn reply_streams_agree_across_backends_and_batching_modes() {
     let plan = FaultPlan::none(UNIVERSE);
-    let uds_path = |tag: &str| {
-        std::env::temp_dir().join(format!("bqs-parity-{}-{tag}.sock", std::process::id()))
-    };
 
     // Reference: the in-process loopback (always batched via `send_batch`).
     let loopback = LoopbackService::spawn(&plan, SHARDS, SERVICE_SEED);
     let reference = run_sequence(&loopback, loopback.responsive_set().clone());
     assert_eq!(reference.len(), 30);
 
-    // Every socket variant must reproduce the reference stream exactly.
-    for (label, batched, tcp) in [
-        ("uds batched", true, false),
-        ("uds unbatched", false, false),
-        ("tcp batched", true, true),
-        ("tcp unbatched", false, true),
-    ] {
-        let server = if tcp {
-            SocketServer::bind_tcp_loopback(&plan, SHARDS, SERVICE_SEED).unwrap()
-        } else {
-            SocketServer::bind_uds(uds_path(label), &plan, SHARDS, SERVICE_SEED).unwrap()
-        };
-        assert_eq!(
-            run_over_socket(&server, batched),
-            reference,
-            "{label}: reply stream diverged from the loopback reference"
-        );
+    // Every deployment, batched or not, must reproduce the reference stream
+    // exactly.
+    for backend in Backend::ALL {
+        for batched in [true, false] {
+            assert_eq!(
+                run_on(backend, &plan, batched),
+                reference,
+                "{} (batched: {batched}): reply stream diverged from the loopback reference",
+                backend.name()
+            );
+        }
     }
 }
 
@@ -117,12 +108,8 @@ fn batching_survives_a_byzantine_plan_identically() {
             ByzantineStrategy::FabricateHighTimestamp { value: 0xbad },
         )
         .with_crashed(7);
-    let run = |batched: bool| {
-        let server = SocketServer::bind_tcp_loopback(&plan, SHARDS, SERVICE_SEED).unwrap();
-        run_over_socket(&server, batched)
-    };
-    let batched = run(true);
-    let unbatched = run(false);
+    let batched = run_on(Backend::Tcp, &plan, true);
+    let unbatched = run_on(Backend::Tcp, &plan, false);
     assert_eq!(batched, unbatched);
     // And the masking rule held throughout: every observed value authentic.
     for entry in &batched {

@@ -91,4 +91,21 @@ fn every_thread_of_the_stack_is_accounted_for() {
     settles_at(baseline + 1, "the connections' threads end with them");
     drop(server);
     assert_eq!(threads(), baseline, "a dropped server left a thread behind");
+
+    // A deployment is its parts and nothing more, on every backend, and its
+    // drop ends them all (a joined thread can linger in /proc for a moment).
+    for backend in Backend::ALL {
+        let net = NetConfig {
+            pool: POOL,
+            ..NetConfig::default()
+        };
+        let deployment = Deployment::start(backend, &plan, 4, 3, net).unwrap();
+        let expected = match backend {
+            Backend::Loopback => baseline,
+            Backend::Uds | Backend::Tcp => with_transport,
+        };
+        settles_at(expected, backend.name());
+        drop(deployment);
+        settles_at(baseline, "a dropped deployment left a thread behind");
+    }
 }

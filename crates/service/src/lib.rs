@@ -28,12 +28,11 @@
 //!   (fan-out, deadline, retry, straggler ids) around the one protocol core,
 //!   [`bqs_sim::quorum_op::QuorumOp`], which decides what counts;
 //! * [`runner`] — [`runner::run_service`]: a closed-loop load generator
-//!   (configurable client count, read/write mix, `FaultPlan` reuse) with
-//!   online safety checking sound under concurrency (value authenticity plus
+//!   (configurable client count and read/write mix) over a service the
+//!   caller spawned — and may reuse across trials — with online safety
+//!   checking sound under concurrency (value authenticity plus
 //!   single-writer read-your-writes) — [`runner::judge_read`] and the
 //!   [`runner::OpTally`] every generator's report is filled from;
-//!   [`runner::run_service_on`] runs the same workload against an existing
-//!   service so repeated trials can reuse one service;
 //! * [`openloop`] — [`openloop::run_open_loop`]: an open-loop generator
 //!   (Poisson arrivals at a configured *offered* rate, virtual clients
 //!   multiplexed on a few worker threads, operation pipelining) that works
@@ -58,13 +57,13 @@
 //! let system = ThresholdSystem::minimal_masking(1).unwrap();
 //! let plan = FaultPlan::none(5)
 //!     .with_byzantine(2, ByzantineStrategy::FabricateHighTimestamp { value: 666 });
+//! let service = LoopbackService::spawn(&plan, 2, 7);
 //! let report = run_service(
+//!     &service,
 //!     &system,
 //!     1,
-//!     &plan,
 //!     &ServiceConfig {
 //!         clients: 4,
-//!         shards: 2,
 //!         ops_per_client: 50,
 //!         ..ServiceConfig::default()
 //!     },
@@ -95,8 +94,8 @@ pub mod prelude {
         run_open_loop, run_open_loop_session, OpenLoopConfig, OpenLoopReport, OpenLoopSession,
     };
     pub use crate::runner::{
-        authentic_value, judge_read, run_service, run_service_on, OpTally, ReadVerdict,
-        ServiceConfig, ServiceReport,
+        authentic_value, judge_read, run_service, OpTally, ReadVerdict, ServiceConfig,
+        ServiceReport,
     };
     pub use crate::shard::{LoopbackService, TimestampOracle};
     pub use crate::transport::{Operation, Reply, Request, Transport};

@@ -1,10 +1,13 @@
 //! Closed-loop concurrent load generation with online safety checking.
 //!
-//! [`run_service`] spins up a sharded [`LoopbackService`] from a [`FaultPlan`]
-//! and drives it with many concurrent closed-loop clients (each a thread
-//! running a [`ServiceClient`]), then folds per-client tallies and the
-//! service's lock-free metrics into a [`ServiceReport`] — the concurrent
-//! analogue of the simulator's `run_workload`.
+//! [`run_service`] — the crate's one closed-loop entry point — drives an
+//! existing sharded [`LoopbackService`] with many concurrent closed-loop
+//! clients (each a thread running a [`ServiceClient`]), then folds per-client
+//! tallies and the service's lock-free metrics into a [`ServiceReport`] — the
+//! concurrent analogue of the simulator's `run_workload`. The caller spawns
+//! the service (fault plan, shard count, shard seed) and keeps it afterwards,
+//! so a repeated-trial harness alternates [`LoopbackService::reset_plan`] and
+//! `run_service` on one pool.
 //!
 //! # Safety checking under concurrency
 //!
@@ -32,7 +35,6 @@ use std::time::Instant;
 
 use bqs_core::quorum::QuorumSystem;
 use bqs_sim::client::ProtocolError;
-use bqs_sim::fault::FaultPlan;
 use bqs_sim::server::{Entry, Timestamp, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,8 +48,6 @@ use crate::transport::Transport;
 pub struct ServiceConfig {
     /// Number of concurrent client threads.
     pub clients: usize,
-    /// Number of shards (lock stripes) the replicas are partitioned into.
-    pub shards: usize,
     /// Closed-loop operations each client performs.
     pub ops_per_client: usize,
     /// Fraction of a *writer* client's operations that are writes (its first
@@ -58,7 +58,7 @@ pub struct ServiceConfig {
     /// one writer the runner additionally checks read-your-writes on the
     /// writer's own reads.
     pub writers: usize,
-    /// Base seed deriving every per-client and per-shard RNG.
+    /// Base seed deriving every per-client RNG.
     pub seed: u64,
 }
 
@@ -66,7 +66,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             clients: 8,
-            shards: 4,
             ops_per_client: 500,
             write_fraction: 0.2,
             writers: 1,
@@ -250,8 +249,9 @@ impl std::ops::AddAssign for OpTally {
 }
 
 /// Runs a concurrent closed-loop workload of `config.clients` clients over
-/// `system` (masking level `b`) against a sharded loopback service with the
-/// failures described by `plan`.
+/// `system` (masking level `b`) against `service`, which stays alive
+/// afterwards. Its metrics are zeroed at entry so the report covers exactly
+/// this run.
 ///
 /// Pass a [`bqs_core::strategic::StrategicQuorumSystem`] built from a
 /// [`bqs_core::load::CertifiedLoad`] to drive the service with the
@@ -260,46 +260,11 @@ impl std::ops::AddAssign for OpTally {
 ///
 /// # Panics
 ///
-/// Panics if the plan's universe differs from the system's, or the
-/// configuration is degenerate (zero clients/shards/operations, or more
-/// writers than clients).
-#[must_use]
-pub fn run_service<Q>(
-    system: &Q,
-    b: usize,
-    plan: &FaultPlan,
-    config: &ServiceConfig,
-) -> ServiceReport
-where
-    Q: QuorumSystem + ?Sized,
-{
-    assert_eq!(
-        plan.universe_size(),
-        system.universe_size(),
-        "fault plan and quorum system must cover the same universe"
-    );
-    assert!(config.shards > 0, "need at least one shard");
-    let service = LoopbackService::spawn(plan, config.shards, config.seed);
-    run_service_on(&service, system, b, config)
-}
-
-/// Runs the closed-loop workload against an **existing** service pool,
-/// leaving the pool alive afterwards. This is the amortised path for
-/// repeated-trial harnesses: spawn one [`LoopbackService`], then alternate
-/// [`LoopbackService::reset_plan`] and `run_service_on`, as the availability
-/// validation in `bench_service` does.
-///
-/// `config.shards` is ignored (the pool's shard count was fixed at spawn);
-/// `config.seed` still derives every per-client RNG. The pool's metrics are
-/// zeroed at entry so the report covers exactly this run.
-///
-/// # Panics
-///
 /// Panics if the service's universe differs from the system's, or the
 /// configuration is degenerate (zero clients/operations, or more writers
 /// than clients).
 #[must_use]
-pub fn run_service_on<Q>(
+pub fn run_service<Q>(
     service: &LoopbackService,
     system: &Q,
     b: usize,
@@ -423,18 +388,31 @@ mod tests {
     use bqs_constructions::prelude::*;
     use bqs_core::load::optimal_load_oracle;
     use bqs_core::strategic::StrategicQuorumSystem;
+    use bqs_sim::fault::FaultPlan;
     use bqs_sim::server::ByzantineStrategy;
+
+    /// `run_service` against a fresh service over `plan`.
+    fn run_fresh<Q: QuorumSystem + ?Sized>(
+        system: &Q,
+        b: usize,
+        plan: &FaultPlan,
+        shards: usize,
+        config: &ServiceConfig,
+    ) -> ServiceReport {
+        let service = LoopbackService::spawn(plan, shards, config.seed);
+        run_service(&service, system, b, config)
+    }
 
     #[test]
     fn failure_free_concurrent_run_is_safe_and_available() {
         let sys = MGridSystem::new(5, 2).unwrap();
-        let report = run_service(
+        let report = run_fresh(
             &sys,
             2,
             &FaultPlan::none(25),
+            3,
             &ServiceConfig {
                 clients: 6,
-                shards: 3,
                 ops_per_client: 150,
                 write_fraction: 0.3,
                 writers: 1,
@@ -465,13 +443,12 @@ mod tests {
         let strategic = StrategicQuorumSystem::from_certified(sys, &certified).unwrap();
         let config = ServiceConfig {
             clients: 32,
-            shards: 4,
             ops_per_client: 150,
             write_fraction: 0.3,
             writers: 1,
             seed: 7,
         };
-        let report = run_service(&strategic, 2, &FaultPlan::none(n), &config);
+        let report = run_fresh(&strategic, 2, &FaultPlan::none(n), 4, &config);
         assert!(report.is_safe(), "{report:?}");
         assert_eq!(report.unavailable_operations, 0);
         let l = certified.load;
@@ -494,13 +471,13 @@ mod tests {
                 ByzantineStrategy::FabricateHighTimestamp { value: 999_999 },
             )
             .with_byzantine(5, ByzantineStrategy::Equivocate);
-        let report = run_service(
+        let report = run_fresh(
             &sys,
             2,
             &plan,
+            3,
             &ServiceConfig {
                 clients: 8,
-                shards: 3,
                 ops_per_client: 120,
                 write_fraction: 0.25,
                 writers: 1,
@@ -522,13 +499,13 @@ mod tests {
             .with_byzantine(0, ByzantineStrategy::FabricateHighTimestamp { value: 666 })
             .with_byzantine(1, ByzantineStrategy::FabricateHighTimestamp { value: 666 })
             .with_byzantine(2, ByzantineStrategy::FabricateHighTimestamp { value: 666 });
-        let report = run_service(
+        let report = run_fresh(
             &sys,
             1,
             &plan,
+            2,
             &ServiceConfig {
                 clients: 6,
-                shards: 2,
                 ops_per_client: 80,
                 write_fraction: 0.2,
                 writers: 1,
@@ -545,13 +522,13 @@ mod tests {
     fn crashes_beyond_resilience_cause_unavailability_not_unsafety() {
         let sys = ThresholdSystem::minimal_masking(1).unwrap(); // 4-of-5, tolerates 1 crash
         let plan = FaultPlan::none(5).with_crashed(0).with_crashed(1);
-        let report = run_service(
+        let report = run_fresh(
             &sys,
             1,
             &plan,
+            2,
             &ServiceConfig {
                 clients: 4,
-                shards: 2,
                 ops_per_client: 25,
                 write_fraction: 0.5,
                 writers: 1,
@@ -569,13 +546,13 @@ mod tests {
     #[test]
     fn multi_writer_runs_disable_ryw_but_keep_authenticity() {
         let sys = ThresholdSystem::minimal_masking(2).unwrap();
-        let report = run_service(
+        let report = run_fresh(
             &sys,
             2,
             &FaultPlan::none(9),
+            2,
             &ServiceConfig {
                 clients: 6,
-                shards: 2,
                 ops_per_client: 100,
                 write_fraction: 0.5,
                 writers: 3,
@@ -593,7 +570,6 @@ mod tests {
         let sys = ThresholdSystem::minimal_masking(1).unwrap(); // 4-of-5
         let config = ServiceConfig {
             clients: 3,
-            shards: 2,
             ops_per_client: 30,
             write_fraction: 0.5,
             writers: 1,
@@ -601,19 +577,19 @@ mod tests {
         };
         let mut service = LoopbackService::spawn(&FaultPlan::none(5), 2, 29);
         // Trial 1: healthy — fully available.
-        let r1 = run_service_on(&service, &sys, 1, &config);
+        let r1 = run_service(&service, &sys, 1, &config);
         assert_eq!(r1.unavailable_operations, 0);
         assert!(r1.is_safe());
         // Trial 2: two crashes exceed the resilience — fully unavailable,
         // and the metrics reset means no load leaks over from trial 1.
         service.reset_plan(&FaultPlan::none(5).with_crashed(0).with_crashed(1), 31);
-        let r2 = run_service_on(&service, &sys, 1, &config);
+        let r2 = run_service(&service, &sys, 1, &config);
         assert_eq!(r2.unavailable_operations, r2.operations);
         assert_eq!(r2.load_operations, 0);
         assert!(r2.access_counts.iter().all(|&c| c == 0));
         // Trial 3: healthy again — the crash plan does not stick.
         service.reset_plan(&FaultPlan::none(5), 37);
-        let r3 = run_service_on(&service, &sys, 1, &config);
+        let r3 = run_service(&service, &sys, 1, &config);
         assert_eq!(r3.unavailable_operations, 0);
         assert!(r3.is_safe());
     }

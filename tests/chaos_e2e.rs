@@ -14,59 +14,34 @@ use byzantine_quorums::core::quorum::QuorumSystem;
 use byzantine_quorums::net::prelude::*;
 use byzantine_quorums::service::transport::Transport;
 
-enum Backend {
-    Uds,
-    Tcp,
-}
-
-fn uds_path(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("bqs-chaos-e2e-{}-{tag}.sock", std::process::id()))
-}
-
-/// Builds the scenario's fault plan behind a socket server, wraps the pooled
-/// transport (`pool = 1`, so connection id ≡ client at the replicas) in the
-/// chaos interposer, and runs the invariant-checking workload.
-fn run_socket(
+/// Stands the scenario's fault plan up on `backend`, wraps the deployment
+/// (`pool = 1`, so connection id ≡ client at the replicas) in the chaos
+/// interposer, and runs the invariant-checking workload.
+fn run_on(
     backend: Backend,
     scenario: ChaosScenario,
     system: &ThresholdSystem,
     faults: usize,
+    weights: Option<&[f64]>,
     config: &ScenarioConfig,
-    tag: &str,
 ) -> ScenarioOutcome {
     let n = system.universe_size();
-    let plan = scenario.fault_plan(n, faults, None);
-    let server = match backend {
-        Backend::Uds => SocketServer::bind_uds(uds_path(tag), &plan, 2, config.seed),
-        Backend::Tcp => SocketServer::bind_tcp_loopback(&plan, 2, config.seed),
-    }
-    .expect("bind socket server");
-    let transport = SocketTransport::connect(
-        server.endpoint().clone(),
-        n,
-        NetConfig {
-            pool: 1,
-            request_deadline: Duration::from_secs(5),
-            ..NetConfig::default()
-        },
-    )
-    .expect("connect transport pool");
+    let plan = scenario.fault_plan(n, faults, weights);
+    let net = NetConfig {
+        pool: 1,
+        request_deadline: Duration::from_secs(5),
+        ..NetConfig::default()
+    };
+    let deployment = Arc::new(Deployment::start(backend, &plan, 2, config.seed, net).unwrap());
     let chaos = ChaosTransport::new(
-        Arc::new(transport),
+        Arc::clone(&deployment),
         config.seed,
         scenario.id(),
         scenario.chaos_config_for(n, faults),
     );
     let _: &dyn Transport = &chaos; // the interposer is itself a Transport
-    run_scenario(
-        scenario,
-        system,
-        1,
-        faults,
-        server.responsive_set().clone(),
-        &chaos,
-        config,
-    )
+    let responsive = deployment.service().responsive_set().clone();
+    run_scenario(scenario, system, 1, faults, responsive, &chaos, config)
 }
 
 fn config() -> ScenarioConfig {
@@ -82,10 +57,10 @@ fn config() -> ScenarioConfig {
 fn uds_masks_at_b_and_detects_at_b_plus_1() {
     let system = ThresholdSystem::minimal_masking(1).unwrap();
     for scenario in [ChaosScenario::DropRetry, ChaosScenario::SlowServers] {
-        let at_b = run_socket(Backend::Uds, scenario, &system, 1, &config(), "b");
+        let at_b = run_on(Backend::Uds, scenario, &system, 1, None, &config());
         assert_eq!(at_b.safety_violations(), 0, "{}: {at_b:?}", scenario.name());
         assert!(at_b.ops.reads > 0, "{}: {at_b:?}", scenario.name());
-        let over = run_socket(Backend::Uds, scenario, &system, 2, &config(), "b1");
+        let over = run_on(Backend::Uds, scenario, &system, 2, None, &config());
         assert!(over.detected(), "{}: {over:?}", scenario.name());
     }
 }
@@ -94,10 +69,10 @@ fn uds_masks_at_b_and_detects_at_b_plus_1() {
 fn tcp_masks_at_b_and_detects_at_b_plus_1() {
     let system = ThresholdSystem::minimal_masking(1).unwrap();
     for scenario in [ChaosScenario::DelayJitter, ChaosScenario::Duplicate] {
-        let at_b = run_socket(Backend::Tcp, scenario, &system, 1, &config(), "b");
+        let at_b = run_on(Backend::Tcp, scenario, &system, 1, None, &config());
         assert_eq!(at_b.safety_violations(), 0, "{}: {at_b:?}", scenario.name());
         assert!(at_b.ops.reads > 0, "{}: {at_b:?}", scenario.name());
-        let over = run_socket(Backend::Tcp, scenario, &system, 2, &config(), "b1");
+        let over = run_on(Backend::Tcp, scenario, &system, 2, None, &config());
         assert!(over.detected(), "{}: {over:?}", scenario.name());
     }
 }
@@ -105,22 +80,17 @@ fn tcp_masks_at_b_and_detects_at_b_plus_1() {
 #[test]
 fn socket_runs_replay_deterministically() {
     let system = ThresholdSystem::minimal_masking(1).unwrap();
-    let first = run_socket(
-        Backend::Uds,
-        ChaosScenario::DropRetry,
-        &system,
-        2,
-        &config(),
-        "replay-a",
-    );
-    let second = run_socket(
-        Backend::Uds,
-        ChaosScenario::DropRetry,
-        &system,
-        2,
-        &config(),
-        "replay-b",
-    );
+    let replay = || {
+        run_on(
+            Backend::Uds,
+            ChaosScenario::DropRetry,
+            &system,
+            2,
+            None,
+            &config(),
+        )
+    };
+    let (first, second) = (replay(), replay());
     assert_eq!(
         first.trace_fingerprint, second.trace_fingerprint,
         "identical (seed, scenario) must replay the identical chaos trace over sockets"
@@ -152,7 +122,14 @@ fn loopback_fingerprints_match_the_committed_report() {
         (ChaosScenario::DropRetry, 11_382_509_204_790_503_797),
         (ChaosScenario::Duplicate, 16_675_201_985_952_284_031),
     ] {
-        let run = run_scenario_loopback(scenario, &system, 1, 1, Some(&weights), &config);
+        let run = run_on(
+            Backend::Loopback,
+            scenario,
+            &system,
+            1,
+            Some(&weights),
+            &config,
+        );
         assert_eq!(run.trace_fingerprint, committed, "{}", scenario.name());
         assert_eq!(run.safety_violations(), 0, "{}: {run:?}", scenario.name());
     }

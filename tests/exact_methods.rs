@@ -176,6 +176,27 @@ fn mpath_exact_inside_paper_envelope_beyond_enumeration() {
     }
 }
 
+/// No M-Path is answered by enumeration: the engine asks the closed form
+/// first, and every M-Path small enough to enumerate (side ≤ 5, `n ≤ 25`) is
+/// inside the exact-DP gate (side ≤ 6). An evaluator told never to enumerate
+/// therefore answers the same method with the same bits — which is why the
+/// figure sweeps need no M-Path-only evaluator.
+#[test]
+fn mpath_inside_the_enumeration_limit_answers_by_dp_whatever_the_limit() {
+    let plain = Evaluator::new().with_trials(50).with_seed(1);
+    let never_enumerates = plain.clone().with_exact_limit(0);
+    for side in 3..=5 {
+        let m = MPathSystem::new(side, 1).unwrap();
+        for p in [0.125, 0.4] {
+            let a = plain.crash_probability(&m, p);
+            let b = never_enumerates.crash_probability(&m, p);
+            assert_eq!(a.method, FpMethod::Dp, "side={side} p={p}");
+            assert_eq!(b.method, FpMethod::Dp, "side={side} p={p}");
+            assert_eq!(a.value.to_bits(), b.value.to_bits(), "side={side} p={p}");
+        }
+    }
+}
+
 /// Sweep parity: the batched engine returns bit-for-bit the same estimates
 /// and method tags as one-call-at-a-time single-threaded evaluation, across
 /// a mixed closed-form / DP / Monte-Carlo grid.
