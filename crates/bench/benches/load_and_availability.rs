@@ -2,12 +2,9 @@
 //! exact transversal search, exact crash-probability enumeration and Monte-Carlo
 //! estimation — the costs of the measures defined in Section 3 of the paper.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use bqs_constructions::prelude::*;
 use bqs_core::prelude::*;
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_load_lp(c: &mut Criterion) {
     let mut group = c.benchmark_group("exact_load_lp");
@@ -76,10 +73,10 @@ fn bench_crash_probability(c: &mut Criterion) {
     group.bench_function("closed_form_rt_n1024", |bencher| {
         bencher.iter(|| rt_big.crash_probability(0.125))
     });
-    let mut rng = StdRng::seed_from_u64(3);
+    let mc = Evaluator::new().with_seed(3);
     group.bench_function(
         BenchmarkId::new("monte_carlo_1000_trials", "boostfpp_n1001"),
-        |bencher| bencher.iter(|| monte_carlo_crash_probability(&boost, 0.125, 1000, &mut rng)),
+        |bencher| bencher.iter(|| mc.monte_carlo_with(&boost, 0.125, 1000)),
     );
     group.finish();
 }

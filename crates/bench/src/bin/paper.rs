@@ -26,7 +26,8 @@ use bqs_core::eval::Evaluator;
 use bqs_core::quorum::QuorumSystem;
 use bqs_graph::grid::Axis;
 use bqs_graph::percolation::PercolationEstimator;
-use bqs_sim::prelude::{run_workload, ByzantineStrategy, FaultPlan, WorkloadConfig};
+use bqs_service::prelude::{run_service, LoopbackService, ServiceConfig};
+use bqs_sim::prelude::{ByzantineStrategy, FaultPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -584,15 +585,14 @@ fn mpath_availability(args: Args) {
 
 /// One `protocol_validation` row: the register over `sys` with its full
 /// Byzantine budget plus `crashes` crashes, then failure-free.
-fn validate<S: AnalyzedConstruction + Clone>(
+fn validate<S: AnalyzedConstruction>(
     table: &mut TextTable,
-    config: WorkloadConfig,
+    ops: usize,
     sys: S,
     crashes: usize,
     seed: u64,
 ) {
     let (n, b) = (sys.universe_size(), sys.masking_b());
-    let mut rng = StdRng::seed_from_u64(seed);
     let plan = FaultPlan::random(
         n,
         b,
@@ -600,14 +600,25 @@ fn validate<S: AnalyzedConstruction + Clone>(
         ByzantineStrategy::FabricateHighTimestamp {
             value: u64::MAX / 3,
         },
-        &mut rng,
+        &mut StdRng::seed_from_u64(seed),
     );
+    // One sequential client, so every read is checked against the last
+    // completed write and the run is a function of `seed`.
+    let config = ServiceConfig {
+        clients: 1,
+        ops_per_client: ops,
+        write_fraction: 0.3,
+        writers: 1,
+        seed,
+    };
+    let run =
+        |plan: &FaultPlan| run_service(&LoopbackService::spawn(plan, 1, seed), &sys, b, &config);
     // Run 1 (attacked): checks safety and availability under b Byzantine + crashes.
-    let report = run_workload(sys.clone(), b, plan, config, &mut rng);
+    let report = run(&plan);
     // Run 2 (failure-free): measures the empirical load of the access strategy,
     // which is only meaningful when the sampled fast path is always taken
     // (the load of Definition 3.8 is a failure-free, best-strategy measure).
-    let clean = run_workload(sys.clone(), b, FaultPlan::none(n), config, &mut rng);
+    let clean = run(&FaultPlan::none(n));
     table.push_row([
         sys.name(),
         n.to_string(),
@@ -627,7 +638,7 @@ fn validate<S: AnalyzedConstruction + Clone>(
 /// load with the analytic L(Q) — the operational counterpart of the paper's
 /// load definition.
 fn protocol_validation(args: Args) {
-    let [operations] = args.take([("operations", 3000)]);
+    let [ops] = args.take([("operations", 3000)]);
 
     let mut table = TextTable::new([
         "system",
@@ -641,24 +652,20 @@ fn protocol_validation(args: Args) {
         "analytic load",
     ]);
 
-    let config = WorkloadConfig {
-        operations,
-        write_fraction: 0.3,
-    };
     validate(
         &mut table,
-        config,
+        ops,
         ThresholdSystem::minimal_masking(3).unwrap(),
         1,
         1,
     );
-    validate(&mut table, config, GridSystem::new(10, 3).unwrap(), 3, 2);
-    validate(&mut table, config, MGridSystem::new(10, 4).unwrap(), 4, 3);
-    validate(&mut table, config, RtSystem::new(4, 3, 3).unwrap(), 4, 4);
-    validate(&mut table, config, BoostFppSystem::new(3, 4).unwrap(), 8, 5);
-    validate(&mut table, config, MPathSystem::new(10, 4).unwrap(), 4, 6);
+    validate(&mut table, ops, GridSystem::new(10, 3).unwrap(), 3, 2);
+    validate(&mut table, ops, MGridSystem::new(10, 4).unwrap(), 4, 3);
+    validate(&mut table, ops, RtSystem::new(4, 3, 3).unwrap(), 4, 4);
+    validate(&mut table, ops, BoostFppSystem::new(3, 4).unwrap(), 8, 5);
+    validate(&mut table, ops, MPathSystem::new(10, 4).unwrap(), 4, 6);
 
-    println!("replicated register, {operations} operations per system, b fabricating Byzantine");
+    println!("replicated register, {ops} operations per system, b fabricating Byzantine");
     println!("servers plus random crashes injected into every run:\n");
     println!("{}", table.render());
     println!();

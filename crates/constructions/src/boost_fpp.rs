@@ -307,10 +307,10 @@ mod tests {
         // n = 35 is beyond enumeration; the closed form must sit inside the
         // Monte-Carlo confidence interval of the same system.
         let sys = BoostFppSystem::new(2, 1).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
+        let mc = Evaluator::new().with_seed(5);
         for &p in &[0.1, 0.2, 0.35] {
             let closed = sys.crash_probability_exact(p).unwrap();
-            let est = monte_carlo_crash_probability(&sys, p, 3000, &mut rng);
+            let est = mc.monte_carlo_with(&sys, p, 3000);
             assert!(
                 (closed - est.mean).abs() <= est.ci95_half_width() + 0.02,
                 "p={p}: closed {closed} vs mc {} ± {}",
@@ -472,9 +472,10 @@ mod tests {
     #[test]
     fn monte_carlo_crash_probability_respects_bounds() {
         let sys = BoostFppSystem::new(2, 2).unwrap();
-        let mut rng = StdRng::seed_from_u64(21);
         let p = 0.1;
-        let est = monte_carlo_crash_probability(&sys, p, 2000, &mut rng);
+        let est = Evaluator::new()
+            .with_seed(21)
+            .monte_carlo_with(&sys, p, 2000);
         let bound = sys.crash_probability_numeric_bound(p);
         assert!(
             est.mean <= bound + est.ci95_half_width() + 0.01,

@@ -311,8 +311,9 @@ mod tests {
         );
         // Proposition 4.3 lower bound with MT = q + 1.
         assert!(exact >= fpp.crash_probability_lower_bound(0.1).unwrap() - 1e-12);
-        let mut rng = StdRng::seed_from_u64(7);
-        let est = monte_carlo_crash_probability(&fpp, 0.1, 40_000, &mut rng);
+        let est = Evaluator::new()
+            .with_seed(7)
+            .monte_carlo_with(&fpp, 0.1, 40_000);
         assert!(
             (est.mean - exact).abs() <= 4.0 * est.ci95_half_width() + 1e-9,
             "exact {exact} vs MC {} ± {}",

@@ -932,9 +932,9 @@ mod tests {
     #[test]
     fn monte_carlo_crash_probability_small_below_half() {
         let m = MPathSystem::new(8, 2).unwrap();
-        let mut rng = StdRng::seed_from_u64(33);
-        let est_low = monte_carlo_crash_probability(&m, 0.05, 200, &mut rng);
-        let est_high = monte_carlo_crash_probability(&m, 0.6, 200, &mut rng);
+        let mc = Evaluator::new().with_seed(33);
+        let est_low = mc.monte_carlo_with(&m, 0.05, 200);
+        let est_high = mc.monte_carlo_with(&m, 0.6, 200);
         assert!(
             est_low.mean < 0.3,
             "Fp at p=0.05 should be small: {}",

@@ -2,7 +2,7 @@
 //!
 //! Assuming each server crashes independently with probability `p`, `F_p(Q)` is the
 //! probability that *every* quorum contains at least one crashed server — the system
-//! is unavailable. Three engines are provided:
+//! is unavailable. Two engines are provided:
 //!
 //! * [`exact_crash_probability`] — exact enumeration of all `2^n` crash
 //!   configurations into the integer availability profile
@@ -13,10 +13,10 @@
 //!   simplest possible loop (one fresh [`ServerSet`] and one `is_available`
 //!   call per configuration), kept as the reference the engine is validated
 //!   (and its speedup measured) against;
-//! * [`monte_carlo_crash_probability`] — an unbiased estimator with a binomial
-//!   confidence interval, usable for any [`QuorumSystem`], including the large
-//!   structured constructions. For parallel estimation with per-thread RNG
-//!   streams, use [`crate::eval::Evaluator::monte_carlo`].
+//! * [`crate::eval::Evaluator::monte_carlo`] — an unbiased estimator with a
+//!   binomial confidence interval ([`CrashEstimate`]), usable for any
+//!   [`QuorumSystem`], including the large structured constructions, over
+//!   per-block RNG streams that make it a function of the seed alone.
 //!
 //! The paper also cares about the *asymptotic* behaviour of `F_p`: a family of
 //! systems is **Condorcet** if `F_p → 0` as `n → ∞` for every `p < 1/2`.
@@ -154,48 +154,8 @@ pub fn availability_profile_naive<Q: QuorumSystem + ?Sized>(
     Ok(AvailabilityProfile::from_counts(unavailable_by_alive))
 }
 
-/// Monte-Carlo estimate of the crash probability.
-///
-/// # Panics
-///
-/// Panics if `trials == 0`.
-pub fn monte_carlo_crash_probability<Q, R>(
-    system: &Q,
-    p: f64,
-    trials: usize,
-    rng: &mut R,
-) -> CrashEstimate
-where
-    Q: QuorumSystem + ?Sized,
-    R: Rng + ?Sized,
-{
-    assert!(trials > 0, "at least one trial is required");
-    let n = system.universe_size();
-    let p = p.clamp(0.0, 1.0);
-    let mut failures = 0usize;
-    let mut alive = ServerSet::new(n);
-    for _ in 0..trials {
-        alive.clear();
-        for i in 0..n {
-            if rng.gen::<f64>() >= p {
-                alive.insert(i);
-            }
-        }
-        if !system.is_available(&alive) {
-            failures += 1;
-        }
-    }
-    let mean = failures as f64 / trials as f64;
-    CrashEstimate {
-        mean,
-        std_error: (mean * (1.0 - mean) / trials as f64).sqrt(),
-        trials,
-    }
-}
-
 /// Samples a single alive-set with independent crash probability `p` — the failure
-/// model of Definition 3.10 — for callers that drive their own experiments (e.g. the
-/// protocol simulator).
+/// model of Definition 3.10 — for callers that drive their own experiments.
 pub fn sample_alive_set<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> ServerSet {
     let mut alive = ServerSet::new(n);
     for i in 0..n {
@@ -276,32 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn monte_carlo_agrees_with_exact() {
-        let sys = k_of_n_system(7, 5);
-        let mut rng = StdRng::seed_from_u64(17);
-        for &p in &[0.1, 0.3, 0.5] {
-            let exact = exact_crash_probability(&sys, p).unwrap();
-            let mc = monte_carlo_crash_probability(&sys, p, 4000, &mut rng);
-            assert!(
-                mc.is_consistent_with(exact) || (mc.mean - exact).abs() < 0.03,
-                "p={p}: exact={exact} mc={} ± {}",
-                mc.mean,
-                mc.ci95_half_width()
-            );
-        }
-    }
-
-    #[test]
-    fn monte_carlo_estimate_statistics() {
-        let sys = k_of_n_system(5, 3);
-        let mut rng = StdRng::seed_from_u64(3);
-        let est = monte_carlo_crash_probability(&sys, 0.5, 1000, &mut rng);
-        assert_eq!(est.trials, 1000);
-        assert!(est.std_error > 0.0);
-        assert!(est.ci95_half_width() < 0.05);
-    }
-
-    #[test]
     fn zero_hit_estimate_reports_rule_of_three_upper_bound() {
         // 0 failures in 2000 trials: the point estimate is 0, but the Wilson
         // upper bound ~ 3.84/2000 stays informative and the estimate is
@@ -362,13 +296,5 @@ mod tests {
         for &p in &[0.0, 0.2, 0.7, 1.0] {
             assert!((exact_crash_probability(&sys, p).unwrap() - p).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one trial")]
-    fn monte_carlo_requires_trials() {
-        let sys = k_of_n_system(3, 2);
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = monte_carlo_crash_probability(&sys, 0.1, 0, &mut rng);
     }
 }

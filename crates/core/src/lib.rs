@@ -64,7 +64,7 @@ pub mod strategic;
 pub mod strategy;
 pub mod transversal;
 
-pub use availability::{exact_crash_probability, monte_carlo_crash_probability, CrashEstimate};
+pub use availability::{exact_crash_probability, CrashEstimate};
 pub use bitset::ServerSet;
 pub use composition::{compose_explicit, ComposedSystem};
 pub use error::QuorumError;
@@ -81,9 +81,7 @@ pub use transversal::{min_transversal, min_transversal_size, resilience};
 
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {
-    pub use crate::availability::{
-        exact_crash_probability, monte_carlo_crash_probability, sample_alive_set, CrashEstimate,
-    };
+    pub use crate::availability::{exact_crash_probability, sample_alive_set, CrashEstimate};
     pub use crate::bitset::ServerSet;
     pub use crate::bounds::{
         crash_probability_lower_bound_resilience, load_lower_bound, load_lower_bound_universal,

@@ -347,7 +347,6 @@ pub fn optimal_load_oracle_with<S: MinWeightQuorumOracle + ?Sized>(
         }
     }
 
-    let trace = std::env::var_os("BQS_CG_TRACE").is_some();
     let mut rounds = 0usize;
     loop {
         rounds += 1;
@@ -392,15 +391,6 @@ pub fn optimal_load_oracle_with<S: MinWeightQuorumOracle + ?Sized>(
         }
         let lower = lower_best.min(upper);
         let gap = upper - lower;
-        if trace {
-            eprintln!(
-                "cg[{}] round {rounds}: cols={} pivots={} upper={upper:.9} lower={lower:.9} gap={gap:.3e}",
-                system.name(),
-                columns.len(),
-                master.last_pivots(),
-            );
-        }
-
         if gap <= tolerance {
             // Keep only the support of the strategy.
             let mut support = Vec::new();

@@ -3,15 +3,16 @@
 //! The certified load engine ([`crate::load::optimal_load_oracle`]) returns a
 //! [`CertifiedLoad`]: an explicit family of quorum columns together with the
 //! [`AccessStrategy`] whose induced load *is* the certified `L(Q)`. To observe
-//! that load empirically — in the single-threaded simulator or the concurrent
-//! `bqs-service` runtime — clients must sample their access quorums from that
-//! strategy rather than from the construction's built-in sampler.
+//! that load empirically — in the `bqs-service` runtime — clients must sample
+//! their access quorums from that strategy rather than from the
+//! construction's built-in sampler.
 //!
 //! [`StrategicQuorumSystem`] is the bridge: it wraps any [`QuorumSystem`] and
 //! overrides only quorum *sampling* (O(1) through the strategy's alias table),
-//! while delegating availability queries and live-quorum fallback to the
-//! underlying construction, whose structure-aware search covers the full
-//! quorum set rather than just the strategy's columns.
+//! while delegating availability queries — every `F_p` hook the evaluation
+//! engine dispatches on included — and live-quorum fallback to the underlying
+//! construction, whose structure-aware search covers the full quorum set
+//! rather than just the strategy's columns.
 
 use rand::RngCore;
 
@@ -144,6 +145,11 @@ impl<S: QuorumSystem> QuorumSystem for StrategicQuorumSystem<S> {
         self.inner.is_available_u64(alive, scratch)
     }
 
+    fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) -> bool {
+        self.inner
+            .unavailable_profile_u64_range(start, end, profile)
+    }
+
     fn crash_probability_closed_form(&self, p: f64) -> Option<f64> {
         self.inner.crash_probability_closed_form(p)
     }
@@ -156,6 +162,14 @@ impl<S: QuorumSystem> QuorumSystem for StrategicQuorumSystem<S> {
         self.inner.closed_form_method()
     }
 
+    fn crash_probability_interval(&self, p: f64) -> Option<(f64, f64)> {
+        self.inner.crash_probability_interval(p)
+    }
+
+    fn crash_probability_interval_batch(&self, ps: &[f64]) -> Option<Vec<(f64, f64)>> {
+        self.inner.crash_probability_interval_batch(ps)
+    }
+
     fn min_quorum_size(&self) -> usize {
         self.inner.min_quorum_size()
     }
@@ -164,9 +178,11 @@ impl<S: QuorumSystem> QuorumSystem for StrategicQuorumSystem<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::{Evaluator, FpMethod};
     use crate::quorum::ExplicitQuorumSystem;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn majority3() -> ExplicitQuorumSystem {
         ExplicitQuorumSystem::from_indices(3, [vec![0, 1], vec![0, 2], vec![1, 2]]).unwrap()
@@ -226,6 +242,74 @@ mod tests {
         let sys = StrategicQuorumSystem::from_certified(inner, &certified).unwrap();
         assert!((sys.strategy_load() - certified.load).abs() < 1e-12);
         assert!((certified.load - 2.0 / 3.0).abs() < 1e-9);
+    }
+
+    /// `majority3` with the two hooks the engine dispatches on below the
+    /// closed form: a count kernel (as Grid, M-Grid and Threshold have) that
+    /// records its calls, and a certified interval (as M-Path has past its
+    /// exact-DP wall) whose batched form is tighter than the per-point one.
+    struct Hooked {
+        inner: ExplicitQuorumSystem,
+        kernel_calls: AtomicUsize,
+    }
+
+    impl QuorumSystem for Hooked {
+        fn universe_size(&self) -> usize {
+            3
+        }
+        fn name(&self) -> String {
+            "hooked".into()
+        }
+        fn sample_quorum(&self, rng: &mut dyn RngCore) -> ServerSet {
+            self.inner.sample_quorum(rng)
+        }
+        fn find_live_quorum(&self, alive: &ServerSet) -> Option<ServerSet> {
+            self.inner.find_live_quorum(alive)
+        }
+        fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) -> bool {
+            self.kernel_calls.fetch_add(1, Ordering::Relaxed);
+            for mask in start..end {
+                profile[mask.count_ones() as usize] += u64::from(mask.count_ones() < 2);
+            }
+            true
+        }
+        fn crash_probability_interval(&self, p: f64) -> Option<(f64, f64)> {
+            Some((0.0, p))
+        }
+        fn crash_probability_interval_batch(&self, ps: &[f64]) -> Option<Vec<(f64, f64)>> {
+            Some(ps.iter().map(|&p| (p / 4.0, p / 2.0)).collect())
+        }
+        fn min_quorum_size(&self) -> usize {
+            2
+        }
+    }
+
+    #[test]
+    fn fp_dispatch_hooks_reach_the_wrapped_system() {
+        let hooked = || Hooked {
+            inner: majority3(),
+            kernel_calls: AtomicUsize::new(0),
+        };
+        let columns = vec![ServerSet::from_indices(3, [0, 1])];
+        let strategy = AccessStrategy::uniform(1).unwrap();
+        let wrapped = StrategicQuorumSystem::new(hooked(), columns, strategy).unwrap();
+        let bare = hooked();
+        let eval = Evaluator::new();
+        // Enumerable: the profile is the inner count kernel's, not a
+        // mask-by-mask walk through `is_available_u64`.
+        assert_eq!(
+            eval.availability_profile(&wrapped).unwrap(),
+            eval.availability_profile(&bare).unwrap()
+        );
+        assert!(wrapped.inner().kernel_calls.load(Ordering::Relaxed) > 0);
+        // Past the exact limit: the inner enclosure, bit for bit, where the
+        // unforwarded hooks fell silently to Monte-Carlo.
+        let past_limit = eval.with_exact_limit(2);
+        let through_wrapper = past_limit.crash_probability(&wrapped, 0.3);
+        assert_eq!(through_wrapper.method, FpMethod::DpPruned);
+        assert_eq!(through_wrapper, past_limit.crash_probability(&bare, 0.3));
+        assert_eq!(through_wrapper.interval, Some((0.3 / 4.0, 0.3 / 2.0)));
+        assert_eq!(wrapped.crash_probability_interval(0.3), Some((0.0, 0.3)));
     }
 
     #[test]

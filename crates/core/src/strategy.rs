@@ -15,8 +15,7 @@ use crate::error::QuorumError;
 ///
 /// Construction precompiles a Vose alias table, so [`AccessStrategy::sample_index`]
 /// is O(1) regardless of how many quorums the strategy ranges over — the hot
-/// path of every strategy-driven client, from the single-threaded simulator to
-/// the concurrent `bqs-service` load generator.
+/// path of every strategy-driven client of the `bqs-service` load generators.
 #[derive(Debug, Clone)]
 pub struct AccessStrategy {
     weights: Vec<f64>,

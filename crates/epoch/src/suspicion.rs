@@ -19,7 +19,10 @@
 //!   request just under the deadline, so the ratio counters never move. Its
 //!   cumulative p99 round-trip does move: a server whose p99 reaches
 //!   [`SuspicionConfig::latency_factor`] times the fleet median p99 is
-//!   accused on this channel instead. Wall-clock evidence is inherently
+//!   accused on this channel instead — provided that p99 is at least
+//!   [`LATENCY_ACCUSAL_FLOOR_NS`]: on an in-process transport an honest p99
+//!   is under a microsecond, so the ratio alone would accuse a healthy
+//!   server of one scheduler preemption. Wall-clock evidence is inherently
 //!   non-deterministic, so replay-exact harnesses run with
 //!   [`SuspicionConfig::counters_only`], which disables this channel.
 //! * **Accrual with hysteresis** — accusals accumulate into a per-server
@@ -32,6 +35,14 @@
 
 use bqs_core::bitset::ServerSet;
 use bqs_service::metrics::ServiceMetrics;
+
+/// The latency channel's absolute floor, nanoseconds: a cumulative p99 under
+/// it accuses nobody whatever its ratio to the fleet median. 1 ms is below
+/// any round trip worth accusing and far under what a timeout-inflation
+/// coalition answers in (≥ 18 ms in the chaos scenarios), while one 25–50 µs
+/// preemption — 30–60× a loopback fleet's sub-microsecond median — stays
+/// well beneath it.
+pub const LATENCY_ACCUSAL_FLOOR_NS: u64 = 1_000_000;
 
 /// Tuning of the accrual detector. The defaults are deliberately slow to
 /// accuse and slower to forgive: three consecutive accusing ticks to suspect,
@@ -232,7 +243,8 @@ impl SuspicionEngine {
                 Some(median) if median > 0 => {
                     answers[i] >= self.config.latency_min_samples
                         && metrics.server_latency_quantile(i, 0.99).is_some_and(|p99| {
-                            p99 as f64 >= self.config.latency_factor * median as f64
+                            p99 >= LATENCY_ACCUSAL_FLOOR_NS
+                                && p99 as f64 >= self.config.latency_factor * median as f64
                         })
                 }
                 _ => false,
@@ -377,6 +389,32 @@ mod tests {
             e.suspects()
         };
         assert!(deterministic.is_empty());
+    }
+
+    #[test]
+    fn a_p99_under_the_absolute_floor_accuses_nobody_whatever_the_ratio() {
+        let n = 6;
+        let metrics = ServiceMetrics::new(n);
+        let mut engine = SuspicionEngine::new(n, SuspicionConfig::default());
+        // A loopback fleet: everybody answers in under a microsecond, healthy
+        // server 4 is preempted for 40 µs once per tick (its p99 over ~40
+        // samples is its maximum, 64x the fleet median), server 5 inflates
+        // every answer to 18 ms.
+        for _ in 0..3 {
+            for s in 0..4 {
+                feed(&metrics, s, 40, 0);
+            }
+            feed(&metrics, 4, 39, 0);
+            metrics.record_server_answer(4, 40_000);
+            for _ in 0..40 {
+                metrics.record_server_answer(5, 18_000_000);
+            }
+            engine.tick(&metrics);
+            assert_eq!(metrics.server_latency_quantile(0, 0.99), Some(768));
+            assert_eq!(metrics.server_latency_quantile(4, 0.99), Some(49_152));
+        }
+        assert_eq!(engine.suspects().to_vec(), vec![5]);
+        assert_eq!(engine.scores()[4], 0.0, "scores: {:?}", engine.scores());
     }
 
     #[test]

@@ -95,8 +95,6 @@ pub struct PackingLp {
     in_basis: Vec<bool>,
     /// Reduced costs, one per column (maintained through pivots).
     z: Vec<f64>,
-    /// Pivots performed by the most recent [`PackingLp::solve`] call.
-    last_pivots: usize,
 }
 
 impl PackingLp {
@@ -124,7 +122,6 @@ impl PackingLp {
             basis: (0..rows).collect(),
             in_basis: vec![true; rows],
             z: vec![0.0; rows],
-            last_pivots: 0,
         }
     }
 
@@ -140,13 +137,6 @@ impl PackingLp {
             }
         }
         b
-    }
-
-    /// Pivots performed by the most recent [`PackingLp::solve`] call — a
-    /// cheap signal for tuning warm-start behaviour.
-    #[must_use]
-    pub fn last_pivots(&self) -> usize {
-        self.last_pivots
     }
 
     /// Number of packing constraints.
@@ -196,11 +186,9 @@ impl PackingLp {
     /// current columns (or an iteration cap, to bound numerical stalls).
     pub fn solve(&mut self) -> PackingOutcome {
         let max_iters = 50_000usize;
-        self.last_pivots = 0;
         let mut rebuilt = false;
         let mut iter = 0usize;
         while iter < max_iters {
-            self.last_pivots = iter;
             iter += 1;
             let use_bland = iter > BLAND_AFTER;
             let mut entering = None;
@@ -284,7 +272,6 @@ impl PackingLp {
         for e in &entries {
             fresh.add_column(e);
         }
-        fresh.last_pivots = self.last_pivots;
         *self = fresh;
     }
 

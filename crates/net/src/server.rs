@@ -145,20 +145,6 @@ impl SocketServer {
     pub fn responsive_set(&self) -> &bqs_core::bitset::ServerSet {
         self.service.responsive_set()
     }
-
-    /// The epoch gate shared by every replica shard — the reconfiguration
-    /// manager's server-side handle (see [`bqs_sim::epoch::EpochGate`]).
-    #[must_use]
-    pub fn epoch_gate(&self) -> &Arc<bqs_sim::epoch::EpochGate> {
-        self.service.epoch_gate()
-    }
-
-    /// Crashes the named replicas at runtime (fault injection for
-    /// reconfiguration drills). The responsive view is deliberately left
-    /// stale — detecting the crash is the suspicion engine's job.
-    pub fn crash_servers(&self, servers: &[usize]) {
-        self.service.crash_servers(servers);
-    }
 }
 
 impl Drop for SocketServer {

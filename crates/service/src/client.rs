@@ -22,8 +22,12 @@
 //!    safe, the freshest safe entry wins.
 //!
 //! The client is deliberately transport-agnostic and system-generic — a
-//! message-passing shell around the same protocol core the single-threaded
-//! simulator's client uses, so many of them can run against shared shards.
+//! message-passing shell around the protocol core the open-loop generator
+//! also uses, so many of them can run against shared shards. It is the
+//! register's one client: a single writer stamps its own timestamps
+//! ([`ServiceClient::write`]), several writers share the register through
+//! the query-then-write timestamping of [MR98a]
+//! ([`ServiceClient::write_after_query`]).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,7 +36,7 @@ use bqs_core::bitset::ServerSet;
 use bqs_core::quorum::QuorumSystem;
 use bqs_sim::client::{choose_access_quorum, ProtocolError};
 use bqs_sim::quorum_op::{Admission, QuorumOp};
-use bqs_sim::server::{mix64, Entry};
+use bqs_sim::server::{mix64, Entry, Value};
 use rand::Rng;
 
 use crate::mailbox::{DrainStatus, ReplyHandle, ReplyMailbox};
@@ -54,8 +58,8 @@ const DEFAULT_REPLY_DEADLINE: Duration = Duration::from_secs(30);
 /// Errors surfaced by the concurrent client.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
-    /// A protocol-level failure (no live quorum / no safe value), identical in
-    /// meaning to the simulator's [`ProtocolError`].
+    /// A protocol-level failure: no live quorum, or no safe value (see
+    /// [`ProtocolError`]).
     Protocol(ProtocolError),
     /// The transport refused a request or a reply never arrived — the service
     /// is shutting down or went away mid-request.
@@ -362,8 +366,10 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Protocol`] with [`ProtocolError::NoLiveQuorum`] /
-    /// [`ProtocolError::NoSafeValue`] as in the simulator, or
+    /// [`ServiceError::Protocol`] with [`ProtocolError::NoLiveQuorum`] when no
+    /// quorum of responsive servers exists or [`ProtocolError::NoSafeValue`]
+    /// when no pair had `b + 1` supporters (an empty register, or concurrent
+    /// writes splitting the quorum's support), or
     /// [`ServiceError::TransportFailure`] when the service is gone.
     pub fn read<R: Rng>(&mut self, rng: &mut R) -> Result<ServiceReadOutcome, ServiceError> {
         self.operate(Operation::Read, rng)?;
@@ -373,15 +379,55 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
             quorum: self.op.take_quorum(),
         })
     }
+
+    /// The multi-writer write of [MR98a]: query a quorum for the highest safe
+    /// timestamp — masking the `b` possibly-lying servers exactly as a read
+    /// does; an empty register counts as timestamp 0 — then write `value`
+    /// under the next timestamp writer `writer_id` of `writers` owns,
+    /// `(highest / writers + 1) * writers + writer_id`, so two writers never
+    /// produce the same timestamp. Costs two quorum round trips; with
+    /// sequential operations every read returns the most recent completed
+    /// write, whichever writer made it. Returns the entry written.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServiceClient::read`] (except that an empty register is not an
+    /// error) for the query round and [`ServiceClient::write`] for the write
+    /// round.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `writers == 0` or `writer_id >= writers`.
+    pub fn write_after_query<R: Rng>(
+        &mut self,
+        value: Value,
+        writer_id: u64,
+        writers: u64,
+        rng: &mut R,
+    ) -> Result<Entry, ServiceError> {
+        assert!(writer_id < writers, "invalid writer identity");
+        let highest = match self.read(rng) {
+            Ok(read) => read.entry.timestamp,
+            Err(ServiceError::Protocol(ProtocolError::NoSafeValue)) => 0,
+            Err(e) => return Err(e),
+        };
+        let entry = Entry {
+            timestamp: (highest / writers + 1) * writers + writer_id,
+            value,
+        };
+        self.write(entry, rng)?;
+        Ok(entry)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::shard::LoopbackService;
+    use bqs_constructions::mgrid::MGridSystem;
     use bqs_constructions::threshold::ThresholdSystem;
     use bqs_sim::fault::FaultPlan;
-    use bqs_sim::server::ByzantineStrategy;
+    use bqs_sim::server::ByzantineStrategy::{Equivocate, FabricateHighTimestamp, StaleReplay};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -414,22 +460,103 @@ mod tests {
     }
 
     #[test]
-    fn fabrication_is_masked_concurrent_path() {
-        let system = ThresholdSystem::minimal_masking(1).unwrap();
-        let plan = FaultPlan::none(5)
-            .with_byzantine(2, ByzantineStrategy::FabricateHighTimestamp { value: 666 });
-        let service = LoopbackService::spawn(&plan, 2, 5);
-        let mut client = ServiceClient::new(&system, &service, service.responsive_set().clone(), 1);
-        let mut rng = StdRng::seed_from_u64(5);
-        let entry = Entry {
-            timestamp: 7,
-            value: 10,
-        };
-        client.write(entry, &mut rng).unwrap();
-        for _ in 0..20 {
-            let outcome = client.read(&mut rng).unwrap();
-            assert_eq!(outcome.entry, entry, "fabricated value leaked");
+    fn faults_within_the_design_bound_are_masked() {
+        // Thresh(3b+1 of 4b+1) under b Byzantine servers of each kind, or a
+        // crash within its resilience: every read returns the last write.
+        let cases = [
+            (
+                1,
+                FaultPlan::none(5).with_byzantine(2, FabricateHighTimestamp { value: 666 }),
+            ),
+            (1, FaultPlan::none(5).with_byzantine(0, StaleReplay)),
+            (
+                2,
+                FaultPlan::none(9)
+                    .with_byzantine(0, Equivocate)
+                    .with_byzantine(1, Equivocate),
+            ),
+            (1, FaultPlan::none(5).with_crashed(4)),
+        ];
+        for (b, plan) in cases {
+            let system = ThresholdSystem::minimal_masking(b).unwrap();
+            let service = LoopbackService::spawn(&plan, 2, 5);
+            let mut client =
+                ServiceClient::new(&system, &service, service.responsive_set().clone(), b);
+            let mut rng = StdRng::seed_from_u64(5);
+            // Three writes, so that a stale replayer has an older pair to push.
+            let entries = [1, 2, 3].map(|timestamp| Entry {
+                timestamp,
+                value: 10 * timestamp,
+            });
+            for entry in entries {
+                client.write(entry, &mut rng).unwrap();
+            }
+            for _ in 0..20 {
+                let outcome = client.read(&mut rng).unwrap();
+                assert_eq!(outcome.entry, entries[2], "a lie leaked under {plan:?}");
+            }
         }
+    }
+
+    #[test]
+    fn multi_writer_round_robin_reads_return_the_last_completed_write() {
+        let mgrid = MGridSystem::new(5, 2).unwrap();
+        let threshold2 = ThresholdSystem::minimal_masking(2).unwrap();
+        let threshold1 = ThresholdSystem::minimal_masking(1).unwrap();
+        let attacked = FaultPlan::none(9)
+            .with_byzantine(1, FabricateHighTimestamp { value: 0xE7 })
+            .with_byzantine(6, Equivocate);
+        let beyond_resilience = FaultPlan::none(5).with_crashed(0).with_crashed(1);
+        // (system, b, writers, plan, whether a live quorum exists)
+        let cases: [(&dyn QuorumSystem, usize, u64, FaultPlan, bool); 3] = [
+            (&mgrid, 2, 3, FaultPlan::none(25), true),
+            (&threshold2, 2, 2, attacked, true),
+            (&threshold1, 1, 2, beyond_resilience, false),
+        ];
+        for (system, b, writers, plan, available) in cases {
+            let service = LoopbackService::spawn(&plan, 2, 3);
+            // One client per writer and, last, the reader.
+            let mut clients: Vec<_> = (0..=writers)
+                .map(|origin| {
+                    ServiceClient::new(system, &service, service.responsive_set().clone(), b)
+                        .with_origin(origin)
+                })
+                .collect();
+            let mut rng = StdRng::seed_from_u64(2);
+            let mut last_timestamp = 0;
+            for op in 0..120u64 {
+                let writer = op % writers;
+                let wrote =
+                    clients[writer as usize].write_after_query(op + 1, writer, writers, &mut rng);
+                let read = clients[writers as usize]
+                    .read(&mut rng)
+                    .map(|outcome| outcome.entry);
+                if !available {
+                    // Past the resilience everything stalls and nothing lies.
+                    let stalled = Err(ServiceError::Protocol(ProtocolError::NoLiveQuorum));
+                    assert_eq!((wrote, read), (stalled.clone(), stalled));
+                    continue;
+                }
+                let entry = wrote.unwrap();
+                assert_eq!(entry.value, op + 1);
+                assert_eq!(entry.timestamp % writers, writer, "writer-owned timestamps");
+                assert!(
+                    entry.timestamp > last_timestamp,
+                    "timestamps strictly increase across writers: {entry:?} after {last_timestamp}"
+                );
+                last_timestamp = entry.timestamp;
+                assert_eq!(read.unwrap(), entry, "op {op} under {plan:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid writer identity")]
+    fn write_after_query_rejects_a_writer_id_out_of_range() {
+        let system = ThresholdSystem::minimal_masking(1).unwrap();
+        let service = LoopbackService::spawn(&FaultPlan::none(5), 1, 3);
+        let mut client = ServiceClient::new(&system, &service, service.responsive_set().clone(), 1);
+        let _ = client.write_after_query(1, 3, 3, &mut StdRng::seed_from_u64(0));
     }
 
     /// A transport that accepts every request and never replies — the worst

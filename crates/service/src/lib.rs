@@ -2,12 +2,14 @@
 //!
 //! The rest of the workspace *certifies* the paper's two headline measures —
 //! exact/bounded `F_p` and the column-generation-certified load `L(Q)` — and
-//! the `bqs-sim` crate *demonstrates* the masking register one operation at a
-//! time. This crate closes the remaining gap: it serves the same register
-//! under **many concurrent clients** against **sharded replica state**, so the
-//! certified numbers can be observed empirically under actual contention —
-//! per-server access frequency converging to the certified `L(Q)`, and
-//! unavailability under crash plans converging to `F_p`.
+//! the `bqs-sim` crate *states* the masking register: replicas, fault plans
+//! and the rules one operation follows. This crate is the register's one
+//! implementation: it serves it to **one client or many concurrent ones**
+//! against **sharded replica state**, so the protocol's safety can be
+//! checked operation by operation and the certified numbers observed
+//! empirically under actual contention — per-server access frequency
+//! converging to the certified `L(Q)`, and unavailability under crash plans
+//! converging to `F_p`.
 //!
 //! * [`transport`] — the [`transport::Transport`] trait: protocol messages
 //!   addressed to server indices with in-band replies, so the in-process
@@ -18,15 +20,17 @@
 //!   the allocation-free completion handle replies are delivered through;
 //! * [`shard`] — [`shard::LoopbackService`]: replicas partitioned across
 //!   lock-striped shards, every request applied on its sender's thread (no
-//!   service threads, sinks completed with no shard lock held), reusing the
-//!   simulator's `Replica`/`FaultPlan` fault machinery, plus the
+//!   service threads, sinks completed with no shard lock held), built from
+//!   `bqs-sim`'s `Replica`/`FaultPlan` fault model, plus the
 //!   [`shard::TimestampOracle`] ordering concurrent writers;
 //! * [`metrics`] — lock-free relaxed-atomic per-server access counters, a
 //!   fixed-bucket latency histogram, and throughput counters;
 //! * [`client`] — [`client::ServiceClient`]: the masking read/write protocol
 //!   over any [`bqs_core::quorum::QuorumSystem`] — a message-passing shell
 //!   (fan-out, deadline, retry, straggler ids) around the one protocol core,
-//!   [`bqs_sim::quorum_op::QuorumOp`], which decides what counts;
+//!   [`bqs_sim::quorum_op::QuorumOp`], which decides what counts, with the
+//!   [MR98a] query-then-write timestamping for registers shared by several
+//!   writers ([`client::ServiceClient::write_after_query`]);
 //! * [`runner`] — [`runner::run_service`]: a closed-loop load generator
 //!   (configurable client count and read/write mix) over a service the
 //!   caller spawned — and may reuse across trials — with online safety

@@ -329,9 +329,9 @@ impl ServiceMetrics {
     }
 
     /// Per-server empirical load: access count over the given operation
-    /// count (callers pass the number of quorum-contacting operations) — the
-    /// concurrent analogue of `bqs_sim::Cluster::empirical_loads`, whose
-    /// maximum converges to the access strategy's induced system load.
+    /// count (callers pass the number of quorum-contacting operations); the
+    /// maximum converges to the access strategy's induced system load, the
+    /// `L_w(Q)` of Definition 3.8.
     #[must_use]
     pub fn empirical_loads(&self, operations: u64) -> Vec<f64> {
         self.accesses

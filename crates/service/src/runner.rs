@@ -3,19 +3,21 @@
 //! [`run_service`] — the crate's one closed-loop entry point — drives an
 //! existing sharded [`LoopbackService`] with many concurrent closed-loop
 //! clients (each a thread running a [`ServiceClient`]), then folds per-client
-//! tallies and the service's lock-free metrics into a [`ServiceReport`] — the
-//! concurrent analogue of the simulator's `run_workload`. The caller spawns
-//! the service (fault plan, shard count, shard seed) and keeps it afterwards,
-//! so a repeated-trial harness alternates [`LoopbackService::reset_plan`] and
-//! `run_service` on one pool.
+//! tallies and the service's lock-free metrics into a [`ServiceReport`]. The
+//! caller spawns the service (fault plan, shard count, shard seed) and keeps
+//! it afterwards, so a repeated-trial harness alternates
+//! [`LoopbackService::reset_plan`] and `run_service` on one pool. With one
+//! client the run is sequential, and — timings aside — a function of the two
+//! seeds alone: the same counts and per-server access counts on every replay.
 //!
 //! # Safety checking under concurrency
 //!
-//! The single-threaded simulator can compare every read against "the last
-//! completed write" because it is the only actor. Under concurrent clients
-//! that predicate is ill-defined (reads may race in-flight writes, which the
-//! masking register legitimately serves old-or-new), so the runner checks the
-//! two predicates that remain sound:
+//! A lone client can compare every read against "the last completed write"
+//! because it is the only actor. Under concurrent clients that predicate is
+//! ill-defined (reads may race in-flight writes, which the masking register
+//! legitimately serves old-or-new), so the runner checks the two predicates
+//! that remain sound — and that, for a lone client, add up to that
+//! comparison:
 //!
 //! * **authenticity** — writers derive each value deterministically from its
 //!   globally unique timestamp ([`authentic_value`]); any read whose value
@@ -490,32 +492,37 @@ mod tests {
 
     #[test]
     fn exceeding_b_byzantine_coalition_is_detected_concurrently() {
-        // Negative control (satellite): 2b+1 colluding fabricators defeat the
-        // b+1 support threshold, and the concurrent runner's authenticity
-        // check must catch the leaked pair — exercising the safety checker
-        // itself.
+        // Negative controls (satellite), exercising the safety checker
+        // itself: 2b+1 colluding fabricators defeat the b+1 support
+        // threshold and the authenticity check must catch the leaked pair;
+        // b+1 stale replayers give the first write b+1 votes for ever, and
+        // the single writer's read-your-writes floor must catch it winning.
         let sys = ThresholdSystem::minimal_masking(1).unwrap(); // n = 5, b = 1
-        let plan = FaultPlan::none(5)
-            .with_byzantine(0, ByzantineStrategy::FabricateHighTimestamp { value: 666 })
-            .with_byzantine(1, ByzantineStrategy::FabricateHighTimestamp { value: 666 })
-            .with_byzantine(2, ByzantineStrategy::FabricateHighTimestamp { value: 666 });
-        let report = run_fresh(
-            &sys,
-            1,
-            &plan,
-            2,
-            &ServiceConfig {
-                clients: 6,
-                ops_per_client: 80,
-                write_fraction: 0.2,
-                writers: 1,
-                seed: 13,
-            },
-        );
-        assert!(
-            report.safety_violations > 0,
-            "3 fabricators against b = 1 must break the authenticity check: {report:?}"
-        );
+        let fabricate = ByzantineStrategy::FabricateHighTimestamp { value: 666 };
+        for (coalition, strategy, clients) in
+            [(3, fabricate, 6), (2, ByzantineStrategy::StaleReplay, 1)]
+        {
+            let plan = (0..coalition).fold(FaultPlan::none(5), |plan, server| {
+                plan.with_byzantine(server, strategy)
+            });
+            let report = run_fresh(
+                &sys,
+                1,
+                &plan,
+                2,
+                &ServiceConfig {
+                    clients,
+                    ops_per_client: 480 / clients,
+                    write_fraction: 0.2,
+                    writers: 1,
+                    seed: 13,
+                },
+            );
+            assert!(
+                report.safety_violations > 0,
+                "{coalition} x {strategy:?} against b = 1 must be detected: {report:?}"
+            );
+        }
     }
 
     #[test]
@@ -592,6 +599,29 @@ mod tests {
         let r3 = run_service(&service, &sys, 1, &config);
         assert_eq!(r3.unavailable_operations, 0);
         assert!(r3.is_safe());
+        // Trials 4 and 5: a lone client's run is a function of the seeds —
+        // a re-armed pool and a fresh spawn replay it count for count, down
+        // to which server was accessed how often (an equivocator draws from
+        // the shard RNG, so the shard seed is part of the replay).
+        let plan = FaultPlan::none(5).with_byzantine(3, ByzantineStrategy::Equivocate);
+        let lone = ServiceConfig {
+            clients: 1,
+            ops_per_client: 200,
+            ..config
+        };
+        service.reset_plan(&plan, 41);
+        let r4 = run_service(&service, &sys, 1, &lone);
+        let r5 = run_service(&LoopbackService::spawn(&plan, 2, 41), &sys, 1, &lone);
+        let counts = |r: &ServiceReport| {
+            (
+                (r.operations, r.writes_completed, r.reads_completed),
+                (r.unavailable_operations, r.inconclusive_reads),
+                (r.safety_violations, r.transport_failures),
+                (r.load_operations, r.access_counts.clone()),
+            )
+        };
+        assert_eq!(counts(&r4), counts(&r5));
+        assert!(r4.is_safe() && r4.reads_completed > 0);
     }
 
     #[test]

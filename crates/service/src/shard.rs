@@ -25,7 +25,7 @@
 //! shard's RNG stream — what an equivocating replica answers with — is a
 //! function of the seed and that order alone.
 //!
-//! Fault injection reuses the simulator's [`FaultPlan`]/[`Replica`] machinery
+//! Fault injection is `bqs-sim`'s [`FaultPlan`]/[`Replica`] model, used
 //! wholesale: a crashed replica ignores writes and reads as `None`, Byzantine
 //! replicas answer through their attack strategy, and the service exposes the
 //! failure-detector view ([`LoopbackService::responsive_set`]) that clients
@@ -192,8 +192,8 @@ impl LoopbackService {
 
     /// The failure detector's view: servers that answer protocol messages
     /// (everything except crashed and silent-Byzantine replicas). Static
-    /// between [`LoopbackService::reset_plan`] calls, exactly as in the
-    /// simulator's model.
+    /// between [`LoopbackService::reset_plan`] calls: the model's failure
+    /// detector is perfect and failures are fixed by the plan.
     #[must_use]
     pub fn responsive_set(&self) -> &ServerSet {
         &self.responsive

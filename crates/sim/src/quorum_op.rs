@@ -1,10 +1,10 @@
 //! The sans-I/O core of one masking-register operation.
 //!
 //! A [`QuorumOp`] is one read or write against one quorum under one epoch.
-//! Shells (the simulator's clients, `bqs-service`'s closed- and open-loop
-//! clients) choose the quorum ([`crate::client::choose_access_quorum`]), move
-//! messages, keep clocks and metrics, and decide what a fence or a deadline
-//! *means*; whether a reply may count is decided here and nowhere else:
+//! Shells (`bqs-service`'s closed- and open-loop clients) choose the quorum
+//! ([`crate::client::choose_access_quorum`]), move messages, keep clocks and
+//! metrics, and decide what a fence or a deadline *means*; whether a reply
+//! may count is decided here and nowhere else:
 //!
 //! ```text
 //! restart(Q, kind, e):  votes := {}

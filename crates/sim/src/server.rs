@@ -1,4 +1,4 @@
-//! Simulated replica servers.
+//! Replica servers of the register model.
 //!
 //! Each server stores the latest timestamped value it has accepted and follows one
 //! of three behaviours: correct, crashed (never replies), or Byzantine (replies with
@@ -84,7 +84,7 @@ pub enum Behavior {
     Byzantine(ByzantineStrategy),
 }
 
-/// A simulated replica.
+/// One replica: its failure mode and the register state it holds.
 #[derive(Debug, Clone)]
 pub struct Replica {
     behavior: Behavior,
@@ -94,8 +94,6 @@ pub struct Replica {
     first: Option<Entry>,
     /// Newest entry of the last *completed* epoch (used by `StaleEpochReplay`).
     epoch_stale: Option<Entry>,
-    /// Number of protocol messages this replica has received (for load accounting).
-    accesses: u64,
 }
 
 impl Replica {
@@ -107,7 +105,6 @@ impl Replica {
             current: None,
             first: None,
             epoch_stale: None,
-            accesses: 0,
         }
     }
 
@@ -115,12 +112,6 @@ impl Replica {
     #[must_use]
     pub fn behavior(&self) -> Behavior {
         self.behavior
-    }
-
-    /// Number of read/write messages the replica has received.
-    #[must_use]
-    pub fn accesses(&self) -> u64 {
-        self.accesses
     }
 
     /// The replica's current stored entry (what a correct replica would report).
@@ -133,7 +124,6 @@ impl Replica {
     /// newer than what they hold; crashed servers ignore it; Byzantine servers accept
     /// it too (they may lie later, but remembering the truth lets `StaleReplay` work).
     pub fn deliver_write(&mut self, entry: Entry) {
-        self.accesses += 1;
         match self.behavior {
             Behavior::Crashed => {}
             Behavior::Correct | Behavior::Byzantine(_) => {
@@ -165,7 +155,6 @@ impl Replica {
     /// it so that different clients receive contradictory — yet individually
     /// self-consistent — replies for the same timestamp.
     pub fn deliver_read<R: Rng + ?Sized>(&mut self, origin: u64, rng: &mut R) -> Option<Entry> {
-        self.accesses += 1;
         match self.behavior {
             Behavior::Correct => self.current,
             Behavior::Crashed => None,
@@ -236,7 +225,6 @@ mod tests {
                 value: 30
             })
         );
-        assert_eq!(r.accesses(), 5);
     }
 
     #[test]

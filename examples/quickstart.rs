@@ -4,8 +4,6 @@
 //! Run with: `cargo run --example quickstart`
 
 use byzantine_quorums::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Byzantine quorum systems quickstart ==\n");
@@ -62,17 +60,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_byzantine(24, ByzantineStrategy::Equivocate)
         .with_byzantine(33, ByzantineStrategy::StaleReplay)
         .with_crashed(0);
-    let mut rng = StdRng::seed_from_u64(2024);
-    let report = run_workload(
-        mgrid,
-        3,
-        plan,
-        WorkloadConfig {
-            operations: 2000,
-            write_fraction: 0.25,
-        },
-        &mut rng,
-    );
+    // One sequential client: every read is checked against the last write.
+    let service = LoopbackService::spawn(&plan, 1, 2024);
+    let config = ServiceConfig {
+        clients: 1,
+        ops_per_client: 2000,
+        write_fraction: 0.25,
+        writers: 1,
+        seed: 2024,
+    };
+    let report = run_service(&service, &mgrid, 3, &config);
     println!("writes completed   : {}", report.writes_completed);
     println!("reads completed    : {}", report.reads_completed);
     println!("safety violations  : {}", report.safety_violations);

@@ -3,9 +3,9 @@
 //! A from-scratch Rust implementation of *The Load and Availability of Byzantine
 //! Quorum Systems* (Dahlia Malkhi, Michael K. Reiter, Avishai Wool — PODC 1997 /
 //! SIAM Journal on Computing): b-masking quorum system constructions, their load and
-//! availability analysis, the quorum-composition ("boosting") machinery, and a
-//! replicated-data protocol simulator that exercises them under Byzantine and crash
-//! faults.
+//! availability analysis, the quorum-composition ("boosting") machinery, and the
+//! replicated read/write register the masking property exists for, served over
+//! them under Byzantine and crash faults.
 //!
 //! This crate is a facade that re-exports the workspace members:
 //!
@@ -14,8 +14,8 @@
 //! | [`core`] | `bqs-core` (`crates/core`) | the [`core::quorum::QuorumSystem`] trait and explicit systems, measures (`c`, `IS`, `MT`, load via LP, `F_p`), masking, composition, lower bounds, and the [`core::eval::Evaluator`] — the shared allocation-free, parallel crash-probability engine |
 //! | [`constructions`] | `bqs-constructions` (`crates/constructions`) | Threshold, Grid, M-Grid, RT(k, ℓ), FPP, boostFPP, M-Path and the regular baselines, each with closed-form analytics (and exact closed-form `F_p` where the structure admits one) |
 //! | [`analysis`] | `bqs-analysis` (`crates/analysis`) | Table 2, the Section 8 scenario, load/availability sweeps and ablations, all driven by one shared `Evaluator` |
-//! | [`sim`] | `bqs-sim` (`crates/sim`) | the masking read/write register protocol with Byzantine and crash fault injection |
-//! | [`service`] | `bqs-service` (`crates/service`) | the concurrent strategy-driven quorum service runtime: sharded replica ownership behind a pluggable transport, lock-free metrics, closed-loop and open-loop (Poisson-arrival) load generation with online safety checking |
+//! | [`sim`] | `bqs-sim` (`crates/sim`) | the masking read/write register *model*: replicas with correct, crashed and Byzantine behaviours, fault plans, the sans-I/O operation core, quorum choice and the `b + 1` read rule |
+//! | [`service`] | `bqs-service` (`crates/service`) | the register's one implementation and the strategy-driven quorum service runtime: one client (single-writer and query-then-write multi-writer timestamps), sharded replica ownership behind a pluggable transport, lock-free metrics, closed-loop and open-loop (Poisson-arrival) load generation with online safety checking |
 //! | [`net`] | `bqs-net` (`crates/net`) | the socket side of the transport seam: length-prefixed wire codec, TCP/Unix-domain server over the sharded runtime, pooled client transport with reconnect and per-request deadlines |
 //! | [`chaos`] | `bqs-chaos` (`crates/chaos`) | the deterministic adversarial scenario engine: a replayable chaos interposer at the transport seam plus named scenario families that verify masking holds at `b` faults and breaks detectably at `b + 1` |
 //! | [`epoch`] | `bqs-epoch` (`crates/epoch`) | epoch-based reconfiguration: accrual failure suspicion over service evidence, survivor re-certification through the load oracle (with construction switching and a rotation fallback), and the two-phase client migration that preserves masking across the handoff |

@@ -1,17 +1,34 @@
-//! Regression: the protocol simulator's empirical load converges to the
+//! Regression: the replicated register's empirical load converges to the
 //! LP-optimal system load `L(Q)`.
 //!
 //! For a *fair* system under its uniform access strategy, Proposition 3.9 says
 //! the load is `c(Q)/n`, and the exact LP of `bqs-core::load` computes the same
-//! value from first principles. The simulator samples quorums through that very
-//! strategy, so in a failure-free run the busiest server's empirical access
-//! frequency ([`SimReport::max_empirical_load`]) must converge to the
-//! LP-optimal `L(Q)` — pinning down that the simulator's accounting, the
-//! access strategy and the LP all describe the same quantity.
+//! value from first principles. The register's client samples quorums through
+//! that very strategy, so in a failure-free run the busiest server's empirical
+//! access frequency ([`ServiceReport::max_empirical_load`]) must converge to
+//! the LP-optimal `L(Q)` — pinning down that the service's per-server access
+//! counts, the access strategy and the LP all describe the same quantity.
 
 use byzantine_quorums::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+
+/// A failure-free register over `system`, driven by one sequential client.
+fn run_failure_free<Q: QuorumSystem>(
+    system: &Q,
+    b: usize,
+    operations: usize,
+    write_fraction: f64,
+    seed: u64,
+) -> ServiceReport {
+    let service = LoopbackService::spawn(&FaultPlan::none(system.universe_size()), 1, seed);
+    let config = ServiceConfig {
+        clients: 1,
+        ops_per_client: operations,
+        write_fraction,
+        writers: 1,
+        seed,
+    };
+    run_service(&service, system, b, &config)
+}
 
 fn lp_optimal_load(quorums: &[ServerSet], n: usize) -> f64 {
     let (load, _strategy) = optimal_load(quorums, n).expect("LP solves on these instances");
@@ -20,23 +37,13 @@ fn lp_optimal_load(quorums: &[ServerSet], n: usize) -> f64 {
 
 #[test]
 fn threshold_empirical_load_converges_to_lp_optimal() {
-    // Thresh(7 of 9): fair, so L = 7/9; the LP agrees and the simulator must too.
+    // Thresh(7 of 9): fair, so L = 7/9; the LP agrees and the service must too.
     let sys = ThresholdSystem::minimal_masking(2).unwrap();
     let n = sys.universe_size();
     let lp = lp_optimal_load(sys.to_explicit(1_000).unwrap().quorums(), n);
     assert!((lp - 7.0 / 9.0).abs() < 1e-6, "LP sanity: {lp}");
 
-    let mut rng = StdRng::seed_from_u64(0x10ad);
-    let report = run_workload(
-        sys,
-        2,
-        FaultPlan::none(n),
-        WorkloadConfig {
-            operations: 6_000,
-            write_fraction: 0.5,
-        },
-        &mut rng,
-    );
+    let report = run_failure_free(&sys, 2, 6_000, 0.5, 0x10ad);
     assert!(report.is_safe());
     assert_eq!(report.unavailable_operations, 0);
     let empirical = report.max_empirical_load();
@@ -48,13 +55,13 @@ fn threshold_empirical_load_converges_to_lp_optimal() {
 
 #[test]
 fn certified_strategy_empirical_load_tracks_certified_lq() {
-    // Satellite regression for the strategy wiring: drive `run_workload`
+    // Satellite regression for the strategy wiring: drive `run_service`
     // through `StrategicQuorumSystem::from_certified`, so every sampled access
     // quorum comes from the *certified-optimal* strategy returned by
-    // `optimal_load_oracle` — the single-threaded precursor of the concurrent
-    // `bqs-service` validation. The busiest server's empirical frequency must
-    // track the certified L(Q) itself (not merely the construction's built-in
-    // uniform strategy).
+    // `optimal_load_oracle` — the one-client, replayable form of
+    // `bench_service`'s concurrent validation. The busiest server's empirical
+    // frequency must track the certified L(Q) itself (not merely the
+    // construction's built-in uniform strategy).
     let sys = MGridSystem::new(7, 3).unwrap();
     let n = sys.universe_size();
     let certified = optimal_load_oracle(&sys).expect("M-Grid oracle certifies");
@@ -62,18 +69,8 @@ fn certified_strategy_empirical_load_tracks_certified_lq() {
     let strategic = StrategicQuorumSystem::from_certified(sys, &certified).unwrap();
     assert!((strategic.strategy_load() - certified.load).abs() < 1e-12);
 
-    let mut rng = StdRng::seed_from_u64(0x10ad + 2);
     let operations = 8_000usize;
-    let report = run_workload(
-        strategic,
-        3,
-        FaultPlan::none(n),
-        WorkloadConfig {
-            operations,
-            write_fraction: 0.4,
-        },
-        &mut rng,
-    );
+    let report = run_failure_free(&strategic, 3, operations, 0.4, 0x10ad + 2);
     assert!(report.is_safe());
     assert_eq!(report.unavailable_operations, 0);
     let empirical = report.max_empirical_load();
@@ -97,17 +94,7 @@ fn mgrid_empirical_load_converges_to_lp_optimal() {
     let lp = lp_optimal_load(sys.to_explicit(20_000).unwrap().quorums(), n);
     assert!((lp - sys.analytic_load()).abs() < 1e-6, "LP sanity: {lp}");
 
-    let mut rng = StdRng::seed_from_u64(0x10ad + 1);
-    let report = run_workload(
-        sys,
-        2,
-        FaultPlan::none(n),
-        WorkloadConfig {
-            operations: 6_000,
-            write_fraction: 0.5,
-        },
-        &mut rng,
-    );
+    let report = run_failure_free(&sys, 2, 6_000, 0.5, 0x10ad + 1);
     assert!(report.is_safe());
     let empirical = report.max_empirical_load();
     assert!(

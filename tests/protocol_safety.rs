@@ -9,20 +9,32 @@ use rand::SeedableRng;
 
 use byzantine_quorums::prelude::*;
 
-/// Runs one workload and asserts safety.
-fn assert_safe<Q: QuorumSystem + Clone>(system: Q, b: usize, plan: FaultPlan, seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let report = run_workload(
-        system,
-        b,
-        plan,
-        WorkloadConfig {
-            operations: 400,
-            write_fraction: 0.3,
-        },
-        &mut rng,
-    );
+/// The register over `system` under `plan`, driven by one sequential client
+/// (so every read is checked against the last completed write) from `seed`.
+fn run_register<Q: QuorumSystem>(
+    system: &Q,
+    b: usize,
+    plan: &FaultPlan,
+    operations: usize,
+    write_fraction: f64,
+    seed: u64,
+) -> ServiceReport {
+    let config = ServiceConfig {
+        clients: 1,
+        ops_per_client: operations,
+        write_fraction,
+        writers: 1,
+        seed,
+    };
+    run_service(&LoopbackService::spawn(plan, 1, seed), system, b, &config)
+}
+
+/// Runs one workload under a plan within the design envelope and asserts
+/// safety and progress.
+fn assert_safe<Q: QuorumSystem>(system: Q, b: usize, plan: FaultPlan, seed: u64) {
+    let report = run_register(&system, b, &plan, 400, 0.3, seed);
     assert!(report.is_safe(), "safety violated: {report:?}");
+    assert!(report.reads_completed > 0, "no progress: {report:?}");
 }
 
 #[test]
@@ -68,7 +80,8 @@ fn every_construction_masks_its_design_b_with_mixed_attacks() {
             for i in 0..b {
                 plan = plan.with_byzantine((i * 7) % n, strategies[i % strategies.len()]);
             }
-            assert_safe(sys, b, plan, seed);
+            // The paper's hybrid model: b Byzantine servers plus a crash.
+            assert_safe(sys, b, plan.with_crashed(n - 1), seed);
             seed += 1;
         }};
     }
@@ -88,17 +101,7 @@ fn crashes_beyond_resilience_never_produce_wrong_reads() {
         .with_crashed(0)
         .with_crashed(1)
         .with_crashed(2);
-    let mut rng = StdRng::seed_from_u64(3);
-    let report = run_workload(
-        sys,
-        1,
-        plan,
-        WorkloadConfig {
-            operations: 200,
-            write_fraction: 0.5,
-        },
-        &mut rng,
-    );
+    let report = run_register(&sys, 1, &plan, 200, 0.5, 3);
     assert!(report.is_safe());
     assert_eq!(report.reads_completed, 0);
     assert_eq!(report.writes_completed, 0);
@@ -136,13 +139,7 @@ proptest! {
         }
         let mut rng = StdRng::seed_from_u64(seed);
         let plan = FaultPlan::random(n, b, crashes, strategy, &mut rng);
-        let report = run_workload(
-            sys,
-            b,
-            plan,
-            WorkloadConfig { operations: 200, write_fraction: 0.3 },
-            &mut rng,
-        );
+        let report = run_register(&sys, b, &plan, 200, 0.3, seed);
         prop_assert!(report.is_safe(), "{report:?}");
         // Within the envelope the system must also make progress.
         if !matches!(strategy, ByzantineStrategy::Silent) && crashes <= f {
@@ -150,7 +147,7 @@ proptest! {
         }
     }
 
-    /// The empirical load measured by the simulator converges to the analytic load
+    /// The empirical load measured at the replicas converges to the analytic load
     /// of the sampled strategy in the failure-free case, for the M-Grid family.
     #[test]
     fn empirical_load_tracks_analytic_load(side in 4usize..8, seed in 0u64..100) {
@@ -158,14 +155,7 @@ proptest! {
         let sys = MGridSystem::new(side, b).unwrap();
         let analytic = sys.analytic_load();
         let n = sys.universe_size();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let report = run_workload(
-            sys,
-            b,
-            FaultPlan::none(n),
-            WorkloadConfig { operations: 1500, write_fraction: 0.5 },
-            &mut rng,
-        );
+        let report = run_register(&sys, b, &FaultPlan::none(n), 1500, 0.5, seed);
         prop_assert!(report.is_safe());
         let empirical = report.max_empirical_load();
         prop_assert!(
