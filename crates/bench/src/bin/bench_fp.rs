@@ -31,7 +31,9 @@
 //! * `a_lane_enumeration`: the batched (`u64x4`) enumeration loop plus the
 //!   count kernels of Threshold and the line-quorum grids — the engine's
 //!   integer availability profile asserted equal to the naive per-mask
-//!   reference's (at n = 25 for every thread count in {1, 2, 3, 8}), the
+//!   reference's (Grid, M-Grid and Threshold at n = 16 in every mode; Grid(5,1),
+//!   M-Grid(5,2), Threshold(24,18) and Threshold(25,13) at every thread count
+//!   in {1, 2, 3, 8} in the full run), the
 //!   n = 25 Grid timed against both that reference and the committed v3
 //!   engine time (gate: ≥ 2× over v3), and its 26 profile integers emitted
 //!   (`p`-free, so comparable across machines);
@@ -343,9 +345,11 @@ fn main() {
     let lane_parity_seconds = {
         let t = std::time::Instant::now();
         let g16 = GridSystem::new(4, 1).unwrap();
+        let mg16 = MGridSystem::new(4, 1).unwrap();
         let th16 = ThresholdSystem::masking(16, 3).unwrap();
         for (name, sys) in [
             ("Grid(n=16)", &g16 as &dyn QuorumSystem),
+            ("M-Grid(n=16)", &mg16),
             ("Threshold(n=16)", &th16),
         ] {
             let engine = evaluator
@@ -370,7 +374,7 @@ fn main() {
     let (grid25_speedup, engine_fp, grid25_profile, naive_secs, engine_secs) = if quick {
         (None, 0.0, Vec::new(), 0.0, 0.0)
     } else {
-        eprintln!("front (a): n = 25 Grid vs the naive reference and the v3 baseline...");
+        eprintln!("front (a): n = 24/25 count kernels vs the naive reference, the Grid vs the v3 baseline...");
         let (engine_fp, engine_secs) = time(|| evaluator.exact(&grid25, p25).unwrap());
         let (naive, naive_secs) = time(|| availability_profile_naive(&grid25).unwrap());
         assert_eq!(
@@ -378,12 +382,31 @@ fn main() {
             naive.crash_probability(p25).to_bits(),
             "engine F_p differs from the naive reference's"
         );
-        for threads in [1, 2, 3, 8] {
-            let engine = evaluator.clone().with_threads(threads);
-            if engine.availability_profile(&grid25).unwrap() != naive {
-                front_failures.push(format!(
-                    "front (a): n = 25 Grid profile at {threads} threads differs from the naive reference's"
-                ));
+        // The benchmark's three enumerated systems and the n = 25 Threshold:
+        // every count kernel, at every thread count.
+        let mgrid25 = MGridSystem::new(5, 2).unwrap();
+        let threshold24 = ThresholdSystem::new(24, 18).unwrap();
+        let threshold25 = ThresholdSystem::new(25, 13).unwrap();
+        for (sys, reference) in [
+            (&grid25 as &dyn QuorumSystem, naive.clone()),
+            (&mgrid25, availability_profile_naive(&mgrid25).unwrap()),
+            (
+                &threshold24,
+                availability_profile_naive(&threshold24).unwrap(),
+            ),
+            (
+                &threshold25,
+                availability_profile_naive(&threshold25).unwrap(),
+            ),
+        ] {
+            for threads in [1, 2, 3, 8] {
+                let engine = evaluator.clone().with_threads(threads);
+                if engine.availability_profile(sys).unwrap() != reference {
+                    front_failures.push(format!(
+                        "front (a): {} profile at {threads} threads differs from the naive reference's",
+                        sys.name()
+                    ));
+                }
             }
         }
         (

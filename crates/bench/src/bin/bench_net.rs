@@ -12,7 +12,9 @@
 //! the column-generation-certified optima, so the knee sweep doubles as a
 //! load-theorem validation through a real network stack). Past the knee,
 //! achieved throughput pins at capacity and tail latency explodes — the
-//! behaviour closed-loop generation structurally cannot show.
+//! behaviour closed-loop generation structurally cannot show. The knee is the
+//! ladder's first saturated rate, refined by two geometric bisection steps
+//! toward the last unsaturated one (the bisection points are sweep rows too).
 //!
 //! Run with: `cargo run --release -p bqs-bench --bin bench_net
 //! [--quick] [output.json]`
@@ -59,6 +61,10 @@ const LOSS_FRACTION: f64 = 0.01;
 /// (`~1/sqrt(arrivals)`) from tripping it on short sweeps.
 const INJECTION_FRACTION: f64 = 0.85;
 
+/// Geometric bisection steps between the ladder's last unsaturated and first
+/// saturated rate; the knee is the lowest rate found saturated.
+const KNEE_BISECTIONS: usize = 2;
+
 /// Required improvement of each socket backend's knee over the committed v1
 /// baseline (full mode only).
 const KNEE_GATE_RATIO: f64 = 1.5;
@@ -102,7 +108,8 @@ struct KneeRow {
     backend: &'static str,
     construction: String,
     n: usize,
-    /// Offered rate of the first saturated point, if the sweep saturated.
+    /// Offered rate of the first saturated point, if the sweep saturated,
+    /// refined by [`KNEE_BISECTIONS`] bisection steps below it.
     knee_offered_rate: Option<f64>,
     /// Highest offered rate the sweep tried — the lower bound on the knee
     /// when the sweep never saturated.
@@ -234,28 +241,46 @@ fn sweep<S>(
 where
     S: MinWeightQuorumOracle,
 {
-    let first = points.len();
-    for (i, &rate) in rates.iter().enumerate() {
+    let measure = |rate: f64, tag: usize, failures: &mut Vec<String>| {
         let config = OpenLoopConfig {
             total_arrivals: arrivals_for(rate),
             ..*base_config
         };
-        points.push(run_point(
+        run_point(
             backend,
             strategic,
             b,
             certified_load,
             rate,
             &config,
-            tag_base + i,
+            tag,
             failures,
-        ));
+        )
+    };
+    let first = points.len();
+    for (i, &rate) in rates.iter().enumerate() {
+        points.push(measure(rate, tag_base + i, failures));
+    }
+    // A ladder step past the knee can be 2× wide, so one noisy point would
+    // move the knee by a whole step: narrow the step around the first
+    // saturated rate by geometric bisection.
+    let ladder_knee = points[first..].iter().position(|p| p.saturated);
+    let mut knee_offered_rate = ladder_knee.map(|i| rates[i]);
+    if let Some(i) = ladder_knee.filter(|&i| i > 0) {
+        let (mut unsaturated, mut saturated) = (rates[i - 1], rates[i]);
+        for step in 0..KNEE_BISECTIONS {
+            let rate = (unsaturated * saturated).sqrt().round();
+            let point = measure(rate, tag_base + rates.len() + step, failures);
+            if point.saturated {
+                saturated = rate;
+            } else {
+                unsaturated = rate;
+            }
+            points.push(point);
+        }
+        knee_offered_rate = Some(saturated);
     }
     let sweep_points = &points[first..];
-    let knee_offered_rate = sweep_points
-        .iter()
-        .find(|p| p.saturated)
-        .map(|p| p.offered_rate);
     let capacity = sweep_points
         .iter()
         .map(|p| p.report.achieved_ops_per_sec)

@@ -160,11 +160,15 @@ impl QuorumSystem for GridSystem {
     }
 
     fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) -> bool {
-        // Exact-enumeration fast path: build the packed line tables once for
-        // the whole range (≲ 64 KiB, microseconds) and let the table kernel
-        // stream the masks.
-        let tables = self.grid.line_count_tables();
-        tables.unavailable_profile_range(2 * self.b + 1, 1, start, end, profile);
+        // Exact-enumeration fast path: the side's line tables (built once per
+        // process) count the range by whole segments.
+        self.grid.line_count_tables().unavailable_profile_range(
+            2 * self.b + 1,
+            1,
+            start,
+            end,
+            profile,
+        );
         true
     }
 

@@ -44,6 +44,7 @@ pub mod majority;
 pub mod mgrid;
 pub mod mpath;
 pub mod rt;
+mod segments;
 pub mod square;
 pub mod threshold;
 

@@ -215,8 +215,9 @@ impl QuorumSystem for MGridSystem {
 
     fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) -> bool {
         // Exact-enumeration fast path — see `GridSystem::unavailable_profile_u64_range`.
-        let tables = self.grid.line_count_tables();
-        tables.unavailable_profile_range(self.lines, self.lines, start, end, profile);
+        self.grid
+            .line_count_tables()
+            .unavailable_profile_range(self.lines, self.lines, start, end, profile);
         true
     }
 

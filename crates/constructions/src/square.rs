@@ -1,8 +1,12 @@
 //! Shared helpers for constructions that arrange the universe in a `√n × √n` square
 //! (the Grid baseline of [MR98a] and the M-Grid of Section 5.1).
 
+use std::sync::OnceLock;
+
 use bqs_core::bitset::ServerSet;
 use bqs_core::error::QuorumError;
+
+use crate::segments::unavailable_profile_by_segments;
 
 /// A square arrangement of `side × side` servers, indexed row-major.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,7 +144,7 @@ impl SquareGrid {
     ///
     /// Column `c` is fully alive iff bit `c` survives the AND-fold of every
     /// row's slice of the mask, so the count is `side` shift-ANDs plus one
-    /// popcount — this runs once per mask inside `2^n` exact enumeration.
+    /// popcount.
     #[must_use]
     #[inline]
     pub fn fully_alive_column_count_u64(&self, alive: u64) -> usize {
@@ -154,13 +158,23 @@ impl SquareGrid {
         (folded & row).count_ones() as usize
     }
 
-    /// Builds the packed line tables for this side — the table-driven
-    /// sibling of [`SquareGrid::fully_alive_row_count_u64`] /
+    /// The packed line tables for this side — the table-driven sibling of
+    /// [`SquareGrid::fully_alive_row_count_u64`] /
     /// [`SquareGrid::fully_alive_column_count_u64`] for enumeration sweeps
-    /// (see [`LineCountTables`]).
+    /// (see [`LineCountTables`]). They depend on the side alone, so each
+    /// side's are built once per process, on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `side > 8` (the word-level availability API only covers
+    /// universes of at most 64 servers).
     #[must_use]
-    pub fn line_count_tables(&self) -> LineCountTables {
-        LineCountTables::new(self.side)
+    pub fn line_count_tables(&self) -> &'static LineCountTables {
+        static TABLES: [OnceLock<LineCountTables>; 8] = [const { OnceLock::new() }; 8];
+        TABLES
+            .get(self.side - 1)
+            .expect("line tables need 1 <= side <= 8")
+            .get_or_init(|| LineCountTables::new(self.side))
     }
 
     /// The union of the given rows and columns as a server set.
@@ -182,23 +196,33 @@ impl SquareGrid {
 }
 
 /// Packed lookup tables answering "how many fully-alive rows / which
-/// columns survive the AND-fold" for a `side × side` mask in a handful of
-/// table probes instead of a shift-and-compare pass over every row.
+/// columns survive the AND-fold" for a `side × side` mask, plus the
+/// histogram that lets exact enumeration count whole segments of masks.
 ///
 /// The `side²`-bit mask is cut into chunks of whole rows, each at most 15
 /// bits wide, and every chunk gets a `2^bits`-entry table whose packed
 /// `u16` entry holds the chunk's fully-alive row count (high byte) and its
 /// column AND-fold (low byte, valid for `side ≤ 8` — exactly the `n ≤ 64`
-/// range of the word-level availability API). The payoff comes from
-/// [`LineCountTables::unavailable_profile_range`], which runs the whole
-/// exact-enumeration inner loop against the tables: the low chunk's index
-/// walks sequentially so the probes stream through L1, the build cost
-/// (≲ 64 KiB of tables) is paid once per range, and on the n = 25 Grid the
-/// sweep runs ~4× faster than a shift-and-compare row pass per mask.
+/// range of the word-level availability API). Entries of disjoint chunks
+/// join by adding rows and AND-ing folds, so a mask's entry is a handful of
+/// probes ([`LineCountTables::counts_u64`]).
+///
+/// The low chunk's `2^bits` values are also grouped once, by entry and
+/// popcount, into a histogram. That is what
+/// [`LineCountTables::unavailable_profile_range`] joins against the high
+/// chunks' entry to count a whole segment of `2^bits` masks at once (see
+/// `segments.rs`). Nothing here depends on `p`, on the range or on the
+/// quorum shape, so [`SquareGrid::line_count_tables`] builds it once per
+/// side.
 #[derive(Debug, Clone)]
 pub struct LineCountTables {
     side: usize,
     chunks: Vec<LineChunk>,
+    /// The distinct entries of the low chunk's table.
+    lo_entries: Vec<u16>,
+    /// `lo_hist[i * (lo_bits + 1) + k]`: how many low-chunk values of
+    /// popcount `k` have entry `lo_entries[i]`.
+    lo_hist: Vec<u64>,
 }
 
 #[derive(Debug, Clone)]
@@ -207,6 +231,14 @@ struct LineChunk {
     index_mask: u64,
     /// `(full_rows << 8) | column_fold` per chunk value.
     table: Vec<u16>,
+}
+
+/// The entry of no rows at all: zero full rows, every column still alive.
+const EMPTY_ENTRY: u16 = 0x00ff;
+
+/// The entry of two disjoint sets of rows: full rows add, folds AND.
+fn join(a: u16, b: u16) -> u16 {
+    ((a & 0xff00) + (b & 0xff00)) | (a & b & 0xff)
 }
 
 impl LineCountTables {
@@ -221,7 +253,7 @@ impl LineCountTables {
         assert!(side > 0 && side <= 8, "line tables need 1 <= side <= 8");
         let row = (1u16 << side) - 1;
         let rows_per_chunk = (15 / side).clamp(1, side);
-        let chunks = (0..side)
+        let chunks: Vec<LineChunk> = (0..side)
             .step_by(rows_per_chunk)
             .map(|first_row| {
                 let rows = rows_per_chunk.min(side - first_row);
@@ -245,13 +277,43 @@ impl LineCountTables {
                 }
             })
             .collect();
-        LineCountTables { side, chunks }
+        let width = chunks[0].index_mask.count_ones() as usize + 1;
+        let mut lo_entries: Vec<u16> = Vec::new();
+        let mut lo_hist: Vec<u64> = Vec::new();
+        // Entries are below `(rows_per_chunk + 1) << 8`: index them directly.
+        let mut slot = vec![usize::MAX; (rows_per_chunk + 1) << 8];
+        for (v, &entry) in chunks[0].table.iter().enumerate() {
+            let i = &mut slot[usize::from(entry)];
+            if *i == usize::MAX {
+                *i = lo_entries.len();
+                lo_entries.push(entry);
+                lo_hist.resize(lo_hist.len() + width, 0);
+            }
+            lo_hist[*i * width + v.count_ones() as usize] += 1;
+        }
+        LineCountTables {
+            side,
+            chunks,
+            lo_entries,
+            lo_hist,
+        }
     }
 
     /// The side the tables were built for.
     #[must_use]
     pub fn side(&self) -> usize {
         self.side
+    }
+
+    /// The joined entry of `alive`'s slices under `chunks`.
+    #[inline]
+    fn entry(chunks: &[LineChunk], alive: u64) -> u16 {
+        chunks.iter().fold(EMPTY_ENTRY, |acc, chunk| {
+            join(
+                acc,
+                chunk.table[((alive >> chunk.shift) & chunk.index_mask) as usize],
+            )
+        })
     }
 
     /// Fully-alive `(rows, columns)` counts for one mask via table probes —
@@ -261,14 +323,11 @@ impl LineCountTables {
     #[must_use]
     #[inline]
     pub fn counts_u64(&self, alive: u64) -> (usize, usize) {
-        let mut rows = 0u16;
-        let mut fold = 0xffu16;
-        for chunk in &self.chunks {
-            let entry = chunk.table[((alive >> chunk.shift) & chunk.index_mask) as usize];
-            rows += entry >> 8;
-            fold &= entry;
-        }
-        (rows as usize, (fold & 0xff).count_ones() as usize)
+        let entry = Self::entry(&self.chunks, alive);
+        (
+            usize::from(entry >> 8),
+            (entry & 0xff).count_ones() as usize,
+        )
     }
 
     /// Adds one to `profile[popcount(m)]` for every mask `m` in `start..end`
@@ -278,11 +337,12 @@ impl LineCountTables {
     /// [`bqs_core::quorum::QuorumSystem::unavailable_profile_u64_range`]
     /// asks for.
     ///
-    /// The common one- and two-chunk layouts (`side ≤ 5`, every universe the
-    /// engine actually enumerates) get dedicated loops: the two-chunk loop
-    /// probes the high table once per 2^`lo_bits` masks and streams the low
-    /// table sequentially, so each mask costs one L1 load, one popcount and
-    /// a compare.
+    /// The range is walked by aligned segments of `2^lo_bits` masks, `lo_bits`
+    /// the low chunk's width. A whole segment shares its high chunks' entry
+    /// `e`, so it adds `U[e][k]` to `profile[popcount(base) + k]`, where
+    /// `U[e]` sums the low histogram's rows whose join with `e` is
+    /// unavailable; `U[e]` is computed once per distinct `e` and call. Only
+    /// the masks of segments the range cuts are probed one by one.
     pub fn unavailable_profile_range(
         &self,
         min_rows: usize,
@@ -291,40 +351,48 @@ impl LineCountTables {
         end: u64,
         profile: &mut [u64],
     ) {
-        let unavailable = |rows: u16, fold: u16| {
-            (rows as usize) < min_rows || ((fold & 0xff).count_ones() as usize) < min_cols
+        let unavailable = |entry: u16| {
+            usize::from(entry >> 8) < min_rows || ((entry & 0xff).count_ones() as usize) < min_cols
         };
-        match self.chunks.as_slice() {
-            [only] => {
-                for m in start..end {
-                    let e = only.table[((m >> only.shift) & only.index_mask) as usize];
-                    profile[m.count_ones() as usize] += u64::from(unavailable(e >> 8, e));
-                }
-            }
-            [lo, hi] => {
-                debug_assert_eq!(lo.shift, 0);
-                let mut m = start;
-                while m < end {
-                    let hi_idx = (m >> hi.shift) & hi.index_mask;
-                    let hi_entry = hi.table[hi_idx as usize];
-                    let seg_end = end.min((hi_idx + 1) << hi.shift);
-                    while m < seg_end {
-                        let lo_entry = lo.table[(m & lo.index_mask) as usize];
-                        let rows = (hi_entry >> 8) + (lo_entry >> 8);
-                        profile[m.count_ones() as usize] +=
-                            u64::from(unavailable(rows, hi_entry & lo_entry));
-                        m += 1;
+        let (lo, high_chunks) = self.chunks.split_first().expect("at least one chunk");
+        let lo_bits = lo.index_mask.count_ones();
+        let mut segment_rows: Vec<(u16, Vec<u64>)> = Vec::new();
+        unavailable_profile_by_segments(
+            start,
+            end,
+            lo_bits,
+            profile,
+            |base, row| {
+                let high = Self::entry(high_chunks, base);
+                let i = match segment_rows.iter().position(|&(e, _)| e == high) {
+                    Some(i) => i,
+                    None => {
+                        segment_rows.push((high, self.segment_counts(high, unavailable)));
+                        segment_rows.len() - 1
                     }
+                };
+                for (r, c) in row.iter_mut().zip(&segment_rows[i].1) {
+                    *r += c;
                 }
-            }
-            _ => {
-                for m in start..end {
-                    let (rows, cols) = self.counts_u64(m);
-                    profile[m.count_ones() as usize] +=
-                        u64::from(rows < min_rows || cols < min_cols);
+            },
+            |mask| unavailable(Self::entry(&self.chunks, mask)),
+        );
+    }
+
+    /// `U[high]`: the unavailable masks of a segment whose high chunks'
+    /// entry is `high`, by low popcount — the sum of the low histogram's
+    /// rows whose join with `high` is unavailable.
+    fn segment_counts(&self, high: u16, unavailable: impl Fn(u16) -> bool) -> Vec<u64> {
+        let width = self.lo_hist.len() / self.lo_entries.len();
+        let mut counts = vec![0u64; width];
+        for (&entry, hist) in self.lo_entries.iter().zip(self.lo_hist.chunks(width)) {
+            if unavailable(join(high, entry)) {
+                for (c, h) in counts.iter_mut().zip(hist) {
+                    *c += h;
                 }
             }
         }
+        counts
     }
 }
 
@@ -737,7 +805,7 @@ mod tests {
     #[test]
     fn line_count_tables_match_direct_counts() {
         // Sides 3 and 4 exercise the one- and two-chunk layouts exhaustively;
-        // side 6 spot-checks the generic (>2 chunk) per-mask path.
+        // side 6 spot-checks a three-chunk layout.
         for side in [3usize, 4] {
             let g = SquareGrid::new(side).unwrap();
             let t = g.line_count_tables();
@@ -758,6 +826,74 @@ mod tests {
                 g.fully_alive_column_count_u64(mask),
             );
             assert_eq!(t.counts_u64(mask), direct, "side=6 mask={mask:#x}");
+        }
+    }
+
+    /// The `(min_rows, min_cols)` pairs Grid and M-Grid use at `side`.
+    fn line_quorum_shapes(side: usize) -> Vec<(usize, usize)> {
+        let mut shapes: Vec<(usize, usize)> = (0..side)
+            .flat_map(|b| {
+                let grid = crate::GridSystem::new(side, b)
+                    .ok()
+                    .map(|g| (g.rows_per_quorum(), 1));
+                let mgrid = crate::MGridSystem::new(side, b)
+                    .ok()
+                    .map(|m| (m.lines_per_quorum(), m.lines_per_quorum()));
+                grid.into_iter().chain(mgrid)
+            })
+            .collect();
+        shapes.sort_unstable();
+        shapes.dedup();
+        shapes
+    }
+
+    #[test]
+    fn segment_kernel_matches_per_mask_count() {
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for side in 1..=8usize {
+            let g = SquareGrid::new(side).unwrap();
+            let n = side * side;
+            let tables = g.line_count_tables();
+            let segment = 1u64 << tables.chunks[0].index_mask.count_ones();
+            // A range that starts and ends inside a segment and straddles
+            // three more.
+            let ragged = |base: u64| (base + segment / 3 + 1, base + 3 * segment + segment / 2);
+            // The top of the mask space: 2^n, or for side 8, where the last
+            // segment ends at 2^64, the largest `end` a range can have.
+            let top = if n == 64 { u64::MAX } else { 1u64 << n };
+            let windows: Vec<(u64, u64)> = if side <= 4 {
+                // (Sides 1-3 are one segment: `ragged` is cut at the top.)
+                let (start, end) = ragged(0);
+                vec![(0, top), (1, top - 1), (start, end.min(top))]
+            } else {
+                let bases = (0..3).map(|_| (next() % (top - 4 * segment)) & !(segment - 1));
+                bases
+                    .map(ragged)
+                    .chain([(top - 2 * segment - segment / 4, top)])
+                    .collect()
+            };
+            for (min_rows, min_cols) in line_quorum_shapes(side) {
+                for &(start, end) in &windows {
+                    let mut kernel = vec![0u64; n + 1];
+                    tables.unavailable_profile_range(min_rows, min_cols, start, end, &mut kernel);
+                    let mut direct = vec![0u64; n + 1];
+                    for mask in start..end {
+                        let unavailable = g.fully_alive_row_count_u64(mask) < min_rows
+                            || g.fully_alive_column_count_u64(mask) < min_cols;
+                        direct[mask.count_ones() as usize] += u64::from(unavailable);
+                    }
+                    assert_eq!(
+                        kernel, direct,
+                        "side={side} shape=({min_rows}, {min_cols}) range={start:#x}..{end:#x}"
+                    );
+                }
+            }
         }
     }
 

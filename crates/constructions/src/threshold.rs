@@ -20,6 +20,11 @@ use bqs_core::quorum::{ExplicitQuorumSystem, QuorumSystem};
 
 use crate::AnalyzedConstruction;
 
+/// Width of the count kernel's segments (`2^12` masks per step). Any width
+/// costs Threshold the same per segment; a narrow one keeps the evaluation
+/// engine's chunks whole numbers of segments on many-core machines too.
+const SEGMENT_BITS: usize = 12;
+
 /// An `ℓ-of-n` threshold quorum system: every `ℓ`-subset of the universe is a quorum.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThresholdSystem {
@@ -158,10 +163,26 @@ impl QuorumSystem for ThresholdSystem {
     }
 
     fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) -> bool {
-        for mask in start..end {
-            let alive = mask.count_ones() as usize;
-            profile[alive] += u64::from(alive < self.quorum_size);
-        }
+        // Availability is popcount alone: of a segment's 2^lo masks, C(lo, k)
+        // have popcount `high + k`, and they are unavailable iff that is
+        // below ℓ.
+        let lo_bits = self.n.min(SEGMENT_BITS);
+        let binomials: Vec<u64> = (0..=lo_bits)
+            .map(|k| bqs_combinatorics::binomial::binomial(lo_bits as u64, k as u64) as u64)
+            .collect();
+        crate::segments::unavailable_profile_by_segments(
+            start,
+            end,
+            lo_bits as u32,
+            profile,
+            |base, row| {
+                let short = self.quorum_size.saturating_sub(base.count_ones() as usize);
+                for (r, c) in row.iter_mut().zip(&binomials).take(short) {
+                    *r += c;
+                }
+            },
+            |mask| (mask.count_ones() as usize) < self.quorum_size,
+        );
         true
     }
 
@@ -325,6 +346,43 @@ mod tests {
                 let dispatched = Evaluator::new().crash_probability(&t, p);
                 assert_eq!(dispatched.method, FpMethod::ClosedForm);
                 assert!((dispatched.value - closed).abs() < 1e-15);
+            }
+        }
+    }
+
+    #[test]
+    fn segment_kernel_matches_per_mask_count() {
+        for n in [1usize, 15, 16, 17, 24] {
+            let total = 1u64 << n;
+            let segment = 1u64 << n.min(SEGMENT_BITS);
+            // Ranges that start and end inside a segment and straddle
+            // several, and one ending at the top of the mask space.
+            let mut windows = vec![
+                (1, total - 1),
+                (total.saturating_sub(3 * segment + 5), total),
+            ];
+            windows.extend((1..=3u64).map(|i| {
+                let base = (i * 0x9e37_79b9 % (total / segment)) * segment;
+                (
+                    base + segment / 3,
+                    (base + 2 * segment + segment / 2).min(total),
+                )
+            }));
+            if n <= 17 {
+                windows.push((0, total));
+            }
+            for quorum_size in [n / 2 + 1, (3 * n).div_ceil(4), n] {
+                let t = ThresholdSystem::new(n, quorum_size).unwrap();
+                for &(start, end) in &windows {
+                    let mut kernel = vec![0u64; n + 1];
+                    assert!(t.unavailable_profile_u64_range(start, end, &mut kernel));
+                    let mut direct = vec![0u64; n + 1];
+                    for mask in start..end {
+                        let alive = mask.count_ones() as usize;
+                        direct[alive] += u64::from(alive < quorum_size);
+                    }
+                    assert_eq!(kernel, direct, "{} range={start}..{end}", t.name());
+                }
             }
         }
     }

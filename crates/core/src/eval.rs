@@ -10,12 +10,14 @@
 //!   microseconds at any `n`.
 //! * **One integer availability profile.** `F_p(Q) = Σ_j a_j (1−p)^j p^(n−j)`
 //!   where `a_j` counts the alive-sets of size `j` that contain no quorum
-//!   (Definition 3.10). Exact enumeration walks the `2^n` crash
-//!   configurations as raw `u64` masks — allocation-free, through
-//!   [`QuorumSystem::unavailable_profile_u64_range`] where the construction
-//!   has a count kernel and four masks at a time through
-//!   [`QuorumSystem::is_available_u64x4`] otherwise — and tallies them into
-//!   the `u64` counters of an [`AvailabilityProfile`]. Chunk partials add as
+//!   (Definition 3.10). Exact enumeration accounts for all `2^n` crash
+//!   configurations as raw `u64` masks, allocation-free, and tallies them
+//!   into the `u64` counters of an [`AvailabilityProfile`]. Where the
+//!   construction has a count kernel
+//!   ([`QuorumSystem::unavailable_profile_u64_range`]: Threshold and the
+//!   line-quorum grids) it counts whole aligned segments of masks without
+//!   visiting them; everything else is visited four masks at a time through
+//!   [`QuorumSystem::is_available_u64x4`]. Chunk partials add as
 //!   integers, so the serial path, any chunking and any thread count produce
 //!   the *same* profile, and [`AvailabilityProfile::crash_probability`] is
 //!   the single place where counts become a probability.
@@ -407,18 +409,21 @@ impl Evaluator {
             });
         }
         let total: u64 = 1u64 << n;
-        // Oversplit relative to the worker count so an unlucky chunk (for
-        // example one whose masks are mostly available and exit the quorum
-        // scan late) cannot straggle the whole evaluation.
+        // Oversplit relative to the worker count so that, on the per-mask
+        // path, an unlucky chunk (for example one whose masks are mostly
+        // available and exit the quorum scan late) cannot straggle the whole
+        // evaluation. The chunk length is a power of two, so every chunk edge
+        // is also a segment edge of the count kernels and none of their
+        // segments is cut.
         let chunks = if self.threads <= 1 || total <= PARALLEL_MASK_THRESHOLD {
             1
         } else {
             (self.threads * 8).min(usize::try_from(total / 1024).unwrap_or(usize::MAX))
         };
-        let chunk_len = total.div_ceil(chunks as u64);
-        let partials = run_pool(self.threads, chunks, |c| {
-            let start = total.min(c as u64 * chunk_len);
-            enumerate_masks(system, start, total.min(start + chunk_len))
+        let chunk_len = total.div_ceil(chunks as u64).next_power_of_two();
+        let partials = run_pool(self.threads, (total / chunk_len) as usize, |c| {
+            let start = c as u64 * chunk_len;
+            enumerate_masks(system, start, start + chunk_len)
         });
         let mut unavailable_by_alive = vec![0u64; n + 1];
         for partial in partials {

@@ -139,12 +139,18 @@ pub trait QuorumSystem: Send + Sync {
     /// construction at once. The per-batch lane API
     /// ([`QuorumSystem::is_available_u64x4`]) cannot amortise anything across
     /// batches — each call re-derives its structure walk — whereas a range
-    /// kernel hoists table builds, pointer loads and loop-invariant masks out
-    /// of the `2^n` loop entirely.
+    /// kernel need not visit every mask: when availability factors through
+    /// a small summary of each half of a mask (popcount for Threshold, full
+    /// rows and the column AND-fold for the grids), an aligned segment of
+    /// masks sharing their high half is counted at once from a histogram of
+    /// the low half.
     ///
     /// `profile` has `n + 1` counters (see
-    /// [`crate::eval::AvailabilityProfile`]); the counts are integers, so the
-    /// kernel is free to visit the range in any order.
+    /// [`crate::eval::AvailabilityProfile`]). However the kernel counts, the
+    /// result must equal the per-mask count — one for every unavailable
+    /// mask of the range, at its popcount — for every `start..end`,
+    /// including ranges that start or end inside a segment. The counts are
+    /// integers, so the kernel is free to visit the range in any order.
     fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) -> bool {
         let _ = (start, end, profile);
         false

@@ -351,7 +351,9 @@ fn availability_profile_equals_naive_reference_at_every_thread_count() {
 
     // The count-kernel families again at n = 25 — the one universe size
     // above the threshold the grids have, where a debug build cannot afford
-    // the naive loop: every chunking must reproduce the serial profile.
+    // the naive loop: every chunking must reproduce the serial profile, and
+    // the kernel must count seeded unaligned 2^16-mask windows as the
+    // per-mask availability test does.
     let grid5 = GridSystem::new(5, 1).unwrap();
     let mgrid5 = MGridSystem::new(5, 2).unwrap();
     let threshold25 = ThresholdSystem::new(25, 13).unwrap();
@@ -360,6 +362,19 @@ fn availability_profile_equals_naive_reference_at_every_thread_count() {
         for threads in [2, 3, 8] {
             let chunked = Evaluator::new().with_threads(threads);
             assert_eq!(chunked.availability_profile(sys), serial, "{}", sys.name());
+        }
+        let mut scratch = ServerSet::new(25);
+        for window in 1..=4u64 {
+            let start = window.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+            let end = start + (1 << 16);
+            let mut kernel = vec![0u64; 26];
+            assert!(sys.unavailable_profile_u64_range(start, end, &mut kernel));
+            let mut direct = vec![0u64; 26];
+            for mask in start..end {
+                direct[mask.count_ones() as usize] +=
+                    u64::from(!sys.is_available_u64(mask, &mut scratch));
+            }
+            assert_eq!(kernel, direct, "{} masks {start:#x}..{end:#x}", sys.name());
         }
     }
 }
