@@ -17,13 +17,17 @@
 //! table**: every construction must certify through its pricing oracle
 //! (method `column_generation`, never the explicit-LP fallback), with gap
 //! `≤ 1e-9`, within its time budget — the CI smoke step runs this mode on
-//! every push, mirroring `bench_fp --quick`.
+//! every push, mirroring `bench_fp --quick`. Both modes run the explicit-LP
+//! comparison, which asserts the explicit load is `18/24` and that the
+//! returned strategy induces exactly that load (both to `1e-9`).
 
 use bqs_analysis::load_analysis::{certified_constructions, CertifiableConstruction};
 use bqs_bench::{bench_args, exit_on_failures, json_escape, time};
+use bqs_combinatorics::subsets::KSubsets;
 use bqs_constructions::prelude::*;
 use bqs_core::load::{optimal_load, optimal_load_oracle, CertifiedLoad};
 use bqs_core::quorum::QuorumSystem;
+use bqs_core::ServerSet;
 
 /// Gap every certified result must beat (the engine's own default target).
 const GAP_TOLERANCE: f64 = 1e-9;
@@ -113,38 +117,38 @@ fn main() {
 
     // Explicit-LP versus column generation at the largest size the explicit
     // path can still solve: an 18-of-24 masking threshold with C(24, 18) =
-    // 134 596 explicit quorum variables.
-    let comparison = if quick {
-        None
-    } else {
-        eprintln!("timing the explicit LP against column generation (134596 quorums)...");
-        let t = ThresholdSystem::masking(24, 5).unwrap();
-        let explicit = t.to_explicit(200_000).expect("within cap");
-        let n = t.universe_size();
-        let ((explicit_load, _), explicit_seconds) =
-            time(|| optimal_load(explicit.quorums(), n).expect("explicit LP solves"));
-        let (cg, cg_seconds) = time(|| optimal_load_oracle(&t).expect("oracle certifies"));
-        assert!(
-            (explicit_load - cg.load).abs() <= 1e-6,
-            "explicit {explicit_load} vs certified {}",
-            cg.load
-        );
-        let ratio = explicit_seconds / cg_seconds.max(1e-12);
-        if ratio < 100.0 {
-            failures.push(format!(
-                "explicit-vs-CG speedup {ratio:.1}x is below the 100x acceptance threshold"
-            ));
-        }
-        Some((
-            t.name(),
-            explicit.num_quorums(),
-            explicit_load,
-            explicit_seconds,
-            cg.load,
-            cg_seconds,
-            ratio,
-        ))
-    };
+    // 134 596 explicit quorum variables. The list is built straight from
+    // `KSubsets`, in `ThresholdSystem::to_explicit`'s order (which would also
+    // check 9·10⁹ pairwise intersections the LP never reads).
+    eprintln!("timing the explicit LP against column generation (134596 quorums)...");
+    let t = ThresholdSystem::masking(24, 5).unwrap();
+    let n = t.universe_size();
+    let quorums: Vec<ServerSet> = KSubsets::new(n, t.quorum_size())
+        .map(|s| ServerSet::from_indices(n, s))
+        .collect();
+    let ((explicit_load, strategy), explicit_seconds) =
+        time(|| optimal_load(&quorums, n).expect("explicit LP solves"));
+    let (cg, cg_seconds) = time(|| optimal_load_oracle(&t).expect("oracle certifies"));
+    assert!(
+        (explicit_load - 18.0 / 24.0).abs() <= 1e-9,
+        "explicit {explicit_load} vs 18/24"
+    );
+    let induced = strategy.induced_system_load(&quorums, n);
+    assert!(
+        (induced - explicit_load).abs() <= 1e-9,
+        "explicit strategy induces {induced}, LP reports {explicit_load}"
+    );
+    assert!(
+        (explicit_load - cg.load).abs() <= 1e-6,
+        "explicit {explicit_load} vs certified {}",
+        cg.load
+    );
+    let ratio = explicit_seconds / cg_seconds.max(1e-12);
+    if ratio < 100.0 {
+        failures.push(format!(
+            "explicit-vs-CG speedup {ratio:.1}x is below the 100x acceptance threshold"
+        ));
+    }
 
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut json = String::new();
@@ -169,14 +173,12 @@ fn main() {
         ));
     }
     json.push_str("  ]");
-    if let Some((name, quorums, el, es, cl, cs, ratio)) = &comparison {
-        json.push_str(&format!(
-            ",\n  \"explicit_vs_cg\": {{\"construction\": \"{}\", \"explicit_quorums\": {quorums}, \"explicit_load\": {el:.12}, \"explicit_seconds\": {es:e}, \"cg_load\": {cl:.12}, \"cg_seconds\": {cs:e}, \"ratio\": {ratio:.1}}}\n",
-            json_escape(name)
-        ));
-    } else {
-        json.push('\n');
-    }
+    json.push_str(&format!(
+        ",\n  \"explicit_vs_cg\": {{\"construction\": \"{}\", \"explicit_quorums\": {}, \"explicit_load\": {explicit_load:.12}, \"explicit_seconds\": {explicit_seconds:e}, \"cg_load\": {:.12}, \"cg_seconds\": {cg_seconds:e}, \"ratio\": {ratio:.1}}}\n",
+        json_escape(&t.name()),
+        quorums.len(),
+        cg.load
+    ));
     json.push_str("}\n");
     std::fs::write(&output, &json).expect("write benchmark output");
 
@@ -198,11 +200,11 @@ fn main() {
             r.seconds
         );
     }
-    if let Some((name, quorums, _, es, _, cs, ratio)) = &comparison {
-        println!(
-            "\n{name} ({quorums} explicit quorums): explicit LP {es:.3}s vs column generation {cs:.5}s -> {ratio:.0}x"
-        );
-    }
+    println!(
+        "\n{} ({} explicit quorums): explicit LP {explicit_seconds:.3}s vs column generation {cg_seconds:.5}s -> {ratio:.0}x",
+        t.name(),
+        quorums.len()
+    );
     println!("wrote {output}");
 
     exit_on_failures(&failures);

@@ -46,10 +46,15 @@ use crate::strategy::AccessStrategy;
 ///
 /// Variables are one weight per quorum plus the bound `z`; constraints say each
 /// server's induced load is at most `z` and the weights form a distribution.
+/// The server rows are filled in one pass over each quorum's members; a server
+/// in no quorum never carries load and gets no row.
 ///
 /// # Errors
 ///
-/// Returns [`QuorumError::EmptySystem`] when no quorums are given, or
+/// Returns [`QuorumError::EmptySystem`] when no quorums are given,
+/// [`QuorumError::EmptyQuorum`] or [`QuorumError::UniverseMismatch`] for the
+/// first quorum that is empty or has a member outside `0..universe_size` (as
+/// [`crate::quorum::ExplicitQuorumSystem::new`] does), or
 /// [`QuorumError::InvalidStrategy`] if the LP solver fails to produce a valid
 /// distribution (which indicates a numerical problem and should not happen for
 /// well-formed inputs).
@@ -66,22 +71,27 @@ pub fn optimal_load(
     let mut objective = vec![0.0; num_vars];
     objective[m] = 1.0; // minimize z
 
-    let mut constraints = Vec::with_capacity(universe_size + 1);
-    for u in 0..universe_size {
-        let mut coeffs = vec![0.0; num_vars];
-        let mut touched = false;
-        for (qi, q) in quorums.iter().enumerate() {
-            if q.contains(u) {
-                coeffs[qi] = 1.0;
-                touched = true;
-            }
+    let mut rows: Vec<Option<Vec<f64>>> = vec![None; universe_size];
+    for (index, q) in quorums.iter().enumerate() {
+        if q.is_empty() {
+            return Err(QuorumError::EmptyQuorum { index });
         }
-        if !touched {
-            continue; // server in no quorum never carries load
+        for u in q.iter() {
+            let row = rows.get_mut(u).ok_or(QuorumError::UniverseMismatch {
+                index,
+                universe_size,
+            })?;
+            row.get_or_insert_with(|| vec![0.0; num_vars])[index] = 1.0;
         }
-        coeffs[m] = -1.0;
-        constraints.push(Constraint::new(coeffs, Relation::Le, 0.0));
     }
+    let mut constraints: Vec<Constraint> = rows
+        .into_iter()
+        .flatten()
+        .map(|mut coeffs| {
+            coeffs[m] = -1.0;
+            Constraint::new(coeffs, Relation::Le, 0.0)
+        })
+        .collect();
     let mut sum_coeffs = vec![1.0; num_vars];
     sum_coeffs[m] = 0.0;
     constraints.push(Constraint::new(sum_coeffs, Relation::Eq, 1.0));
@@ -568,6 +578,36 @@ mod tests {
             optimal_load(&[], 3),
             Err(QuorumError::EmptySystem)
         ));
+    }
+
+    #[test]
+    fn member_outside_the_universe_is_an_error() {
+        // Server 4 would get no row, so its load would be silently ignored.
+        let quorums = vec![
+            ServerSet::from_indices(3, [0, 1]),
+            ServerSet::from_indices(5, [1, 4]),
+        ];
+        let expected = QuorumError::UniverseMismatch {
+            index: 1,
+            universe_size: 3,
+        };
+        assert_eq!(optimal_load(&quorums, 3).unwrap_err(), expected);
+        assert_eq!(
+            crate::quorum::ExplicitQuorumSystem::new(3, quorums).unwrap_err(),
+            expected
+        );
+    }
+
+    #[test]
+    fn empty_quorum_is_an_error() {
+        // An empty quorum would take all the weight and report load 0.
+        let quorums = vec![ServerSet::from_indices(3, [0, 1]), ServerSet::new(3)];
+        let expected = QuorumError::EmptyQuorum { index: 1 };
+        assert_eq!(optimal_load(&quorums, 3).unwrap_err(), expected);
+        assert_eq!(
+            crate::quorum::ExplicitQuorumSystem::new(3, quorums).unwrap_err(),
+            expected
+        );
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! quorum systems an LP solver is required to compute `L(Q)` exactly. This crate
 //! provides two dependency-free solvers:
 //!
-//! * [`simplex`] — a dense two-phase tableau simplex for general small LPs
-//!   (hundreds of variables/constraints), used by the explicit-quorum load path;
+//! * [`simplex`] — a dense two-phase tableau simplex for general LPs with few
+//!   constraints, used by the explicit-quorum load path: pricing costs
+//!   `O(cols × cost-bearing rows)` and a pivot `O(rows × cols)`, which solves
+//!   the 134 597-variable, 25-row load LP of the 18-of-24 threshold in ≈ 0.15 s;
 //! * [`packing`] — an incremental packing LP (`max Σx, Ax ≤ 1`) with sparse
 //!   columns and warm-started re-solves, the restricted master behind the
 //!   column-generation load engine that scales `L(Q)` to constructions whose

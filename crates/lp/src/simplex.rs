@@ -2,10 +2,13 @@
 //!
 //! The implementation is a textbook tableau simplex with Bland's anti-cycling rule:
 //! phase 1 drives artificial variables to zero to find a basic feasible solution,
-//! phase 2 optimises the user objective. Problem sizes in this workspace are modest
-//! (the load LP for an explicit quorum system has one variable per quorum and one
-//! constraint per server), so clarity and numerical robustness are preferred over
-//! sparse-matrix performance.
+//! phase 2 optimises the user objective. The tableau is dense and row-major, shaped
+//! for the load LP of an explicit quorum system: one variable per quorum, one row
+//! per server, so few rows and many columns (134 597 variables × 25 rows for the
+//! 18-of-24 threshold). Pricing costs `O(cols × cost-bearing rows)`: only rows whose
+//! basic variable has a non-zero objective coefficient contribute to a reduced cost
+//! (one row in phase 2 of the load LP). A pivot costs `O(rows × cols)`, streamed as
+//! one slice update per row.
 
 /// The sense of a linear constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,12 +111,14 @@ struct Tableau {
     b: Vec<f64>,
     /// Index of the basic variable for each row.
     basis: Vec<usize>,
+    /// `basic[j]` iff column `j` is in `basis`.
+    basic: Vec<bool>,
     /// Total number of columns (structural + slack/surplus + artificial).
     cols: usize,
     /// Number of structural (user) variables.
     n_user: usize,
-    /// Columns that are artificial variables.
-    artificial: Vec<usize>,
+    /// First artificial column: the artificials are the columns `first_artificial..cols`.
+    first_artificial: usize,
     /// User objective (maximization form) padded to `cols`.
     objective: Vec<f64>,
     /// Whether the user asked to maximize.
@@ -149,41 +154,43 @@ impl Tableau {
         }
         let cols = n + n_slack + n_art;
 
-        let mut a = vec![vec![0.0; cols]; m];
+        let mut a = Vec::with_capacity(m);
         let mut b = vec![0.0; m];
         let mut basis = vec![0usize; m];
-        let mut artificial = Vec::new();
+        let mut basic = vec![false; cols];
 
         let mut slack_col = n;
-        let mut art_col = n + n_slack;
+        let first_artificial = n + n_slack;
+        let mut art_col = first_artificial;
 
         for (i, c) in lp.constraints.iter().enumerate() {
-            let (rel, rhs, coeffs) = normalised_full(c);
-            for (j, &v) in coeffs.iter().enumerate() {
-                a[i][j] = v;
+            let (rel, rhs) = normalised(c);
+            let mut row = vec![0.0; cols];
+            for (x, &v) in row.iter_mut().zip(&c.coeffs) {
+                *x = if c.rhs < 0.0 { -v } else { v };
             }
             b[i] = rhs;
             match rel {
                 Relation::Le => {
-                    a[i][slack_col] = 1.0;
+                    row[slack_col] = 1.0;
                     basis[i] = slack_col;
                     slack_col += 1;
                 }
                 Relation::Ge => {
-                    a[i][slack_col] = -1.0;
+                    row[slack_col] = -1.0;
                     slack_col += 1;
-                    a[i][art_col] = 1.0;
+                    row[art_col] = 1.0;
                     basis[i] = art_col;
-                    artificial.push(art_col);
                     art_col += 1;
                 }
                 Relation::Eq => {
-                    a[i][art_col] = 1.0;
+                    row[art_col] = 1.0;
                     basis[i] = art_col;
-                    artificial.push(art_col);
                     art_col += 1;
                 }
             }
+            basic[basis[i]] = true;
+            a.push(row);
         }
 
         // Objective in maximization form, padded.
@@ -196,9 +203,10 @@ impl Tableau {
             a,
             b,
             basis,
+            basic,
             cols,
             n_user: n,
-            artificial,
+            first_artificial,
             objective,
             user_maximize: lp.maximize,
         }
@@ -206,11 +214,9 @@ impl Tableau {
 
     fn solve(mut self) -> LpOutcome {
         // Phase 1: maximize -(sum of artificials).
-        if !self.artificial.is_empty() {
+        if self.first_artificial < self.cols {
             let mut phase1 = vec![0.0; self.cols];
-            for &j in &self.artificial {
-                phase1[j] = -1.0;
-            }
+            phase1[self.first_artificial..].fill(-1.0);
             match self.optimize(&phase1) {
                 SimplexResult::Unbounded => return LpOutcome::Infeasible,
                 SimplexResult::Optimal(value) => {
@@ -256,21 +262,26 @@ impl Tableau {
         for iteration in 0..max_iter {
             // Compute reduced costs: c_j - c_B^T B^{-1} A_j. With an explicit
             // tableau (A already transformed), c_B^T A_j uses current rows.
+            // Only rows whose basic variable carries cost contribute: every
+            // skipped term is exactly ±0.0, so no comparison with EPS changes.
+            let cost_rows: Vec<(usize, f64)> = self
+                .basis
+                .iter()
+                .enumerate()
+                .filter(|&(_, &bv)| obj[bv] != 0.0)
+                .map(|(row, &bv)| (row, obj[bv]))
+                .collect();
             let use_bland = iteration >= bland_after;
             let mut entering = None;
             let mut best_reduced = EPS;
-            for j in 0..self.cols {
-                if self.is_artificial(j) && obj[j] == 0.0 {
-                    // During phase 2 never bring artificials back in.
+            for (j, (&c_j, &basic)) in obj.iter().zip(&self.basic).enumerate() {
+                // During phase 2 never bring artificials back in.
+                if basic || (self.is_artificial(j) && c_j == 0.0) {
                     continue;
                 }
-                if self.basis.contains(&j) {
-                    continue;
-                }
-                let mut reduced = obj[j];
-                for (row, &bv) in self.basis.iter().enumerate() {
-                    reduced -= obj[bv] * self.a[row][j];
-                }
+                let reduced = cost_rows
+                    .iter()
+                    .fold(c_j, |reduced, &(row, cost)| reduced - cost * self.a[row][j]);
                 if reduced > EPS {
                     if use_bland {
                         entering = Some(j); // Bland: smallest index with positive reduced cost
@@ -322,7 +333,7 @@ impl Tableau {
     }
 
     fn is_artificial(&self, col: usize) -> bool {
-        self.artificial.contains(&col)
+        col >= self.first_artificial
     }
 
     /// After phase 1, replace basic artificial variables by structural/slack columns
@@ -333,8 +344,9 @@ impl Tableau {
             if !self.is_artificial(self.basis[row]) {
                 continue;
             }
-            let pivot_col =
-                (0..self.cols).find(|&j| !self.is_artificial(j) && self.a[row][j].abs() > 1e-7);
+            let pivot_col = self.a[row][..self.first_artificial]
+                .iter()
+                .position(|v| v.abs() > 1e-7);
             if let Some(j) = pivot_col {
                 self.pivot(row, j);
             }
@@ -342,29 +354,34 @@ impl Tableau {
     }
 
     fn pivot(&mut self, row: usize, col: usize) {
-        let pivot = self.a[row][col];
+        // The pivot row is taken out so every other row updates with one slice zip.
+        let mut pivot_row = std::mem::take(&mut self.a[row]);
+        let pivot = pivot_row[col];
         debug_assert!(pivot.abs() > 1e-12, "pivot element too small");
         let inv = 1.0 / pivot;
-        for j in 0..self.cols {
-            self.a[row][j] *= inv;
+        for x in &mut pivot_row {
+            *x *= inv;
         }
         self.b[row] *= inv;
-        for r in 0..self.a.len() {
+        for (r, other) in self.a.iter_mut().enumerate() {
             if r == row {
                 continue;
             }
-            let factor = self.a[r][col];
+            let factor = other[col];
             if factor.abs() < 1e-14 {
                 continue;
             }
-            for j in 0..self.cols {
-                self.a[r][j] -= factor * self.a[row][j];
+            for (x, &p) in other.iter_mut().zip(&pivot_row) {
+                *x -= factor * p;
             }
             self.b[r] -= factor * self.b[row];
             if self.b[r].abs() < 1e-12 {
                 self.b[r] = 0.0;
             }
         }
+        self.a[row] = pivot_row;
+        self.basic[self.basis[row]] = false;
+        self.basic[col] = true;
         self.basis[row] = col;
     }
 }
@@ -389,19 +406,6 @@ fn normalised(c: &Constraint) -> (Relation, f64) {
     }
 }
 
-fn normalised_full(c: &Constraint) -> (Relation, f64, Vec<f64>) {
-    if c.rhs < 0.0 {
-        let rel = match c.relation {
-            Relation::Le => Relation::Ge,
-            Relation::Ge => Relation::Le,
-            Relation::Eq => Relation::Eq,
-        };
-        (rel, -c.rhs, c.coeffs.iter().map(|v| -v).collect())
-    } else {
-        (c.relation, c.rhs, c.coeffs.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,6 +415,15 @@ mod tests {
             LpOutcome::Optimal(s) => s,
             other => panic!("expected optimal, got {other:?}"),
         }
+    }
+
+    /// Pins a solution bit for bit. The pivot path decides every bit, so a
+    /// change to pricing or pivoting that alters it fails here even where a
+    /// tolerance would pass.
+    fn assert_bits(s: &Solution, objective: u64, values: &[u64]) {
+        assert_eq!(s.objective_value.to_bits(), objective, "{s:?}");
+        let bits: Vec<u64> = s.values.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, values, "{s:?}");
     }
 
     #[test]
@@ -429,6 +442,7 @@ mod tests {
         assert!((s.objective_value - 12.0).abs() < 1e-8);
         assert!((s.values[0] - 4.0).abs() < 1e-8);
         assert!(s.values[1].abs() < 1e-8);
+        assert_bits(&s, 0x4028_0000_0000_0000, &[0x4010_0000_0000_0000, 0]);
     }
 
     #[test]
@@ -447,6 +461,11 @@ mod tests {
         assert!((s.objective_value - 21.0).abs() < 1e-8);
         assert!((s.values[0] - 3.0).abs() < 1e-8);
         assert!((s.values[1] - 1.5).abs() < 1e-8);
+        assert_bits(
+            &s,
+            0x4035_0000_0000_0000,
+            &[0x4008_0000_0000_0000, 0x3ff7_ffff_ffff_ffff],
+        );
     }
 
     #[test]
@@ -464,6 +483,7 @@ mod tests {
         };
         let s = optimal(&lp);
         assert!((s.objective_value - 8.0).abs() < 1e-8, "{s:?}");
+        assert_bits(&s, 0x4020_0000_0000_0000, &[0x4010_0000_0000_0000, 0]);
     }
 
     #[test]
@@ -482,6 +502,11 @@ mod tests {
         assert!((s.objective_value - 1.0).abs() < 1e-8);
         assert!((s.values[0] + s.values[1] - 1.0).abs() < 1e-8);
         assert!(s.values[0] <= 0.3 + 1e-8);
+        assert_bits(
+            &s,
+            0x3ff0_0000_0000_0000,
+            &[0x3fd3_3333_3333_3333, 0x3fe6_6666_6666_6666],
+        );
     }
 
     #[test]
@@ -522,6 +547,7 @@ mod tests {
         };
         let s = optimal(&lp);
         assert!((s.objective_value - 2.0).abs() < 1e-8);
+        assert_bits(&s, 0x4000_0000_0000_0000, &[0x4000_0000_0000_0000]);
     }
 
     #[test]
@@ -540,6 +566,11 @@ mod tests {
         let s = optimal(&lp);
         assert!(s.objective_value >= -1e-9);
         assert!(s.objective_value <= 10.0 + 1e-9);
+        assert_bits(
+            &s,
+            0x3ff0_0000_0000_0000,
+            &[0x3ff0_0000_0000_0000, 0, 0x3ff0_0000_0000_0000],
+        );
     }
 
     #[test]
@@ -564,6 +595,16 @@ mod tests {
         };
         let s = optimal(&lp);
         assert!((s.objective_value - 2.0 / 3.0).abs() < 1e-8, "{s:?}");
+        assert_bits(
+            &s,
+            0x3fe5_5555_5555_5555,
+            &[
+                0x3fd5_5555_5555_5555,
+                0x3fd5_5555_5555_5555,
+                0x3fd5_5555_5555_5555,
+                0x3fe5_5555_5555_5555,
+            ],
+        );
     }
 
     #[test]
@@ -586,5 +627,93 @@ mod tests {
         };
         let s = optimal(&lp);
         assert!((s.objective_value - 10.0).abs() < 1e-7);
+        assert_bits(
+            &s,
+            0x4024_0000_0000_0000,
+            &[[0x3ff0_0000_0000_0000; 10].as_slice(), &[0; 15]].concat(),
+        );
+    }
+
+    #[test]
+    fn redundant_equality_keeps_an_artificial_basic_that_never_reenters() {
+        // min x s.t. x + y = 1, 2x + 2y = 2 (the same row twice), y <= 0.4
+        // -> x = 0.6, y = 0.4. Phase 1 pivots x into the first equality and
+        // leaves the second with no structural or slack coefficient, so its
+        // artificial stays basic at 0. In phase 2 the other artificial prices
+        // positive (the equality's dual is negative): taking it would drive
+        // x to 0 and report a wrong optimum.
+        let lp = LinearProgram {
+            num_vars: 2,
+            maximize: false,
+            objective: vec![1.0, 0.0],
+            constraints: vec![
+                Constraint::new(vec![1.0, 1.0], Relation::Eq, 1.0),
+                Constraint::new(vec![2.0, 2.0], Relation::Eq, 2.0),
+                Constraint::new(vec![0.0, 1.0], Relation::Le, 0.4),
+            ],
+        };
+        let mut t = Tableau::build(&lp);
+        let mut phase1 = vec![0.0; t.cols];
+        phase1[t.first_artificial..].fill(-1.0);
+        assert!(matches!(t.optimize(&phase1), SimplexResult::Optimal(v) if v == 0.0));
+        t.evict_artificials();
+        let stuck: Vec<usize> = (0..t.basis.len())
+            .filter(|&row| t.is_artificial(t.basis[row]))
+            .collect();
+        assert_eq!(stuck, [1], "basis {:?}", t.basis);
+        assert_eq!(t.b[1], 0.0);
+        let objective = t.objective.clone();
+        assert!(matches!(t.optimize(&objective), SimplexResult::Optimal(_)));
+        assert_eq!(
+            (0..t.cols)
+                .filter(|&j| t.basic[j] && t.is_artificial(j))
+                .collect::<Vec<_>>(),
+            [t.basis[1]],
+            "phase 2 brought an artificial back: basis {:?}",
+            t.basis
+        );
+
+        let s = optimal(&lp);
+        assert!((s.objective_value - 0.6).abs() < 1e-12, "{s:?}");
+        assert!((s.values[1] - 0.4).abs() < 1e-12, "{s:?}");
+        assert_bits(
+            &s,
+            0x3fe3_3333_3333_3333,
+            &[0x3fe3_3333_3333_3333, 0x3fd9_9999_9999_999a],
+        );
+    }
+
+    #[test]
+    fn pricing_sums_every_cost_bearing_row() {
+        // max 3x + 2y + z s.t. x + y + z <= 4, x <= 1, y <= 2 -> (1, 2, 1), 8.
+        // At the optimum x, y and z are all basic, so the final pricing pass
+        // subtracts three cost-bearing rows from every reduced cost.
+        let lp = LinearProgram {
+            num_vars: 3,
+            maximize: true,
+            objective: vec![3.0, 2.0, 1.0],
+            constraints: vec![
+                Constraint::new(vec![1.0, 1.0, 1.0], Relation::Le, 4.0),
+                Constraint::new(vec![1.0], Relation::Le, 1.0),
+                Constraint::new(vec![0.0, 1.0], Relation::Le, 2.0),
+            ],
+        };
+        let mut t = Tableau::build(&lp);
+        let objective = t.objective.clone();
+        assert!(matches!(t.optimize(&objective), SimplexResult::Optimal(v) if v == 8.0));
+        let cost_rows = t.basis.iter().filter(|&&bv| objective[bv] != 0.0).count();
+        assert_eq!(cost_rows, 3, "basis {:?}", t.basis);
+
+        let s = optimal(&lp);
+        assert_eq!(s.values, [1.0, 2.0, 1.0]);
+        assert_bits(
+            &s,
+            0x4020_0000_0000_0000,
+            &[
+                0x3ff0_0000_0000_0000,
+                0x4000_0000_0000_0000,
+                0x3ff0_0000_0000_0000,
+            ],
+        );
     }
 }
