@@ -11,13 +11,13 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use bqs_graph::crossing_dp::{crossing_probability_exact, DEFAULT_DP_STATE_BUDGET};
+use bqs_graph::crossing_dp::{crossing_probability, DEFAULT_DP_STATE_BUDGET};
 use bqs_graph::grid::Axis;
 use bqs_graph::percolation::PercolationEstimator;
 
 /// Largest grid side for which [`exact_crossing_curve`] runs the
 /// transfer-matrix DP (the `k = 1` sweep of [`bqs_graph::crossing_dp`]);
-/// side 7 already takes tens of seconds per point.
+/// side 7 already takes tens of seconds.
 pub const EXACT_CURVE_MAX_SIDE: usize = 6;
 
 /// One point of the crossing-probability curve.
@@ -48,26 +48,26 @@ pub fn crossing_curve(side: usize, ps: &[f64], trials: usize, seed: u64) -> Vec<
         .collect()
 }
 
-/// The **exact** crossing-probability curve by the transfer-matrix DP —
-/// no sampling error, so finite-size effects around `p_c = 1/2` are visible
-/// without Monte-Carlo noise. Returns `None` when `side >`
-/// [`EXACT_CURVE_MAX_SIDE`] (use [`crossing_curve`] there).
+/// The **exact** crossing-probability curve by the transfer-matrix DP, one
+/// sweep for the whole `p`-grid — no sampling error, so finite-size effects
+/// around `p_c = 1/2` are visible without Monte-Carlo noise. Returns `None`
+/// when `side >` [`EXACT_CURVE_MAX_SIDE`] (use [`crossing_curve`] there).
 #[must_use]
 pub fn exact_crossing_curve(side: usize, ps: &[f64]) -> Option<Vec<CrossingPoint>> {
     if side > EXACT_CURVE_MAX_SIDE {
         return None;
     }
-    ps.iter()
-        .map(|&p| {
-            crossing_probability_exact(side, p, Axis::LeftRight, DEFAULT_DP_STATE_BUDGET).map(|c| {
-                CrossingPoint {
-                    p,
-                    crossing_probability: c,
-                    ci95: 0.0,
-                }
+    let curve = crossing_probability(side, ps, DEFAULT_DP_STATE_BUDGET)?;
+    Some(
+        ps.iter()
+            .zip(curve)
+            .map(|(&p, crossing_probability)| CrossingPoint {
+                p,
+                crossing_probability,
+                ci95: 0.0,
             })
-        })
-        .collect()
+            .collect(),
+    )
 }
 
 /// Estimates the critical probability as the `p` at which the crossing probability

@@ -1,6 +1,6 @@
 //! Machine-readable crash-probability benchmark: times the evaluation engine
 //! across constructions, universe sizes and crash probabilities, and emits
-//! `BENCH_fp.json` (schema v4) so future changes have a performance
+//! `BENCH_fp.json` (schema v5) so future changes have a performance
 //! trajectory to compare against.
 //!
 //! Schema v2 records, beyond the v1 per-point rows:
@@ -25,11 +25,11 @@
 //!   batched transfer-matrix sweep (the state enumeration is shared across
 //!   the grid), versus the single-point cost it previously paid per point.
 //!
-//! Schema v4 adds a `fronts` section for the three raw-speed fronts of the
-//! lane-widening PR, each with its own timings and acceptance gates:
+//! Schema v4 adds a `fronts` section for three raw-speed fronts, each with
+//! its own timings and acceptance gates:
 //!
-//! * `a_lane_enumeration`: the batched (`u64x4`) enumeration loop plus the
-//!   count kernels of Threshold and the line-quorum grids — the engine's
+//! * `a_lane_enumeration`: exact enumeration through the count kernels of
+//!   Threshold and the line-quorum grids — the engine's
 //!   integer availability profile asserted equal to the naive per-mask
 //!   reference's (Grid, M-Grid and Threshold at n = 16 in every mode; Grid(5,1),
 //!   M-Grid(5,2), Threshold(24,18) and Threshold(25,13) at every thread count
@@ -44,9 +44,9 @@
 //!   q = 5 (n = 31, past the `2^n` wall), gate: exact dispatch; and the
 //!   measured-infeasible q = 7 declining instantly rather than hanging.
 //!
-//! The top level also records `availability_lanes` (the enumeration lane
-//! width) next to the thread counts, so trajectory comparisons know both
-//! axes of parallelism.
+//! Schema v5 drops the two `availability_lanes` fields: the enumeration
+//! lane width is no longer part of the engine's interface (an explicit
+//! quorum list scans four masks per pass inside its own count kernel).
 //!
 //! Run with: `cargo run --release -p bqs-bench --bin bench_fp [--quick] [output.json]`
 //!
@@ -60,7 +60,7 @@ use bqs_bench::{bench_args, json_escape, time};
 use bqs_constructions::prelude::*;
 use bqs_core::availability::availability_profile_naive;
 use bqs_core::eval::{Evaluator, FpEstimate, FpMethod};
-use bqs_core::quorum::{QuorumSystem, AVAILABILITY_LANES};
+use bqs_core::quorum::QuorumSystem;
 
 /// The committed v3 engine time for exact `F_p` on the n = 25 Grid at
 /// `p = 0.125` (BENCH_fp.json, one core) — the baseline the lane-widened
@@ -331,17 +331,12 @@ fn main() {
         (cores > 1).then(|| (serial_seconds, serial_seconds / batched_seconds.max(1e-12)));
     let sweep_points = sweep_systems.len() * sweep_ps.len();
 
-    // ---- Front (a): lane-widened enumeration + count kernels. ----
+    // ---- Front (a): enumeration through the count kernels. ----
     // The parity gate runs in every mode: the engine's availability profile
-    // — count kernels for Threshold and the line-quorum grids, the 4-lane
-    // batched loop for everything else — must equal the naive per-mask
-    // reference's, integer for integer.
+    // — the count kernels of Threshold and the line-quorum grids — must
+    // equal the naive per-mask reference's, integer for integer.
     let mut front_failures: Vec<String> = Vec::new();
-    assert_eq!(
-        AVAILABILITY_LANES, 4,
-        "enumeration lane width changed; re-baseline the front (a) gates"
-    );
-    eprintln!("front (a): enumeration parity gates (count kernels and lane loop)...");
+    eprintln!("front (a): enumeration parity gates (count kernels)...");
     let lane_parity_seconds = {
         let t = std::time::Instant::now();
         let g16 = GridSystem::new(4, 1).unwrap();
@@ -467,7 +462,8 @@ fn main() {
         ));
     }
     let boost7 = BoostFppSystem::new(7, 2).unwrap();
-    let (q7_declined, q7_decline_seconds) = time(|| boost7.crash_probability_exact(p25).is_none());
+    let (q7_declined, q7_decline_seconds) =
+        time(|| boost7.certified_crash_probabilities(&[p25]).is_none());
     if !q7_declined {
         front_failures.push(
             "front (c): boostFPP q = 7 produced a closed form past the measured interface wall"
@@ -483,7 +479,7 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(&format!(
-        "  \"schema\": \"bench_fp/v4\",\n  \"threads\": {},\n  \"available_parallelism\": {cores},\n  \"availability_lanes\": {AVAILABILITY_LANES},\n  \"quick\": {},\n  \"results\": [\n",
+        "  \"schema\": \"bench_fp/v5\",\n  \"threads\": {},\n  \"available_parallelism\": {cores},\n  \"quick\": {},\n  \"results\": [\n",
         evaluator.threads(),
         quick
     ));
@@ -507,7 +503,7 @@ fn main() {
     json.push_str("  ],\n");
     json.push_str("  \"fronts\": {\n");
     json.push_str(&format!(
-        "    \"a_lane_enumeration\": {{\"availability_lanes\": {AVAILABILITY_LANES}, \"parity\": \"integer availability profile equal to the naive per-mask reference (asserted)\", \"parity_gate_seconds\": {lane_parity_seconds:e}"
+        "    \"a_lane_enumeration\": {{\"parity\": \"integer availability profile equal to the naive per-mask reference (asserted)\", \"parity_gate_seconds\": {lane_parity_seconds:e}"
     ));
     if let (Some(vs_naive), Some(vs_v3)) = (grid25_speedup, grid25_v3_speedup) {
         json.push_str(&format!(

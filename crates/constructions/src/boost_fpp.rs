@@ -21,13 +21,15 @@
 //! paper's Section 8 instance `boostFPP(3, 19)` at `n = 1001`): Theorem 4.7
 //! gives `F_p = F_{r(p)}(FPP)` with `r(p)` the inner threshold's binomial
 //! tail, and the FPP factor is evaluated through the plane's line-free
-//! survivor profile — see [`BoostFppSystem::crash_probability_exact`].
+//! survivor profile — see the system's
+//! [`QuorumSystem::certified_crash_probabilities`].
 
 use rand::RngCore;
 
 use bqs_core::bitset::ServerSet;
 use bqs_core::composition::ComposedSystem;
 use bqs_core::error::QuorumError;
+use bqs_core::eval::FpEstimate;
 use bqs_core::oracle::MinWeightQuorumOracle;
 use bqs_core::quorum::QuorumSystem;
 
@@ -95,20 +97,6 @@ impl BoostFppSystem {
         (self.b + 1) * (self.q as usize + 1)
     }
 
-    /// Exact crash probability via Theorem 4.7's composition law:
-    /// `F_p(boostFPP) = F_{r(p)}(FPP)` with `r(p)` the exact crash probability
-    /// of the inner `Thresh(3b+1 of 4b+1)` (a binomial tail) and the outer FPP
-    /// evaluated through its line-free survivor profile. Exact for **any** `b`
-    /// whenever the plane is small enough to profile (`q ≤ 5` via the
-    /// counting-DP profile — which covers the paper's Section 8 instance
-    /// `boostFPP(q=3, b=19)` at `n = 1001` and reaches `boostFPP(q=5, ·)` at
-    /// 31 copies); `None` for larger plane orders (`q ≥ 7`, the measured
-    /// interface wall of the counting profile).
-    #[must_use]
-    pub fn crash_probability_exact(&self, p: f64) -> Option<f64> {
-        self.composed.crash_probability_closed_form(p)
-    }
-
     /// The Chernoff-based upper bound of Proposition 6.3:
     /// `F_p ≤ (q+1) e^{−b(1−4p)²/2}`.
     ///
@@ -116,9 +104,9 @@ impl BoostFppSystem {
     /// `−b(1−4p)²/2` stops decaying there, and in fact `F_p → 1` for
     /// `p > 1/4` (the inner threshold needs fewer than a quarter of each
     /// copy's servers to crash), so no sub-unit upper bound of this shape
-    /// exists. Callers wanting a value at every `p` can fall back to
-    /// [`BoostFppSystem::crash_probability_exact`] (exact, `q ≤ 4`) or the
-    /// trivial bound `1`.
+    /// exists. Callers wanting a value at every `p` can fall back to the
+    /// exact composition ([`QuorumSystem::certified_crash_probabilities`],
+    /// `q ≤ 5`) or the trivial bound `1`.
     #[must_use]
     pub fn crash_probability_prop_6_3_bound(&self, p: f64) -> Option<f64> {
         if p >= 0.25 {
@@ -155,8 +143,17 @@ impl QuorumSystem for BoostFppSystem {
         self.composed.find_live_quorum(alive)
     }
 
-    fn crash_probability_closed_form(&self, p: f64) -> Option<f64> {
-        self.crash_probability_exact(p)
+    /// Exact crash probability via Theorem 4.7's composition law:
+    /// `F_p(boostFPP) = F_{r(p)}(FPP)` with `r(p)` the exact crash probability
+    /// of the inner `Thresh(3b+1 of 4b+1)` (a binomial tail) and the outer FPP
+    /// evaluated through its line-free survivor profile. Exact for **any** `b`
+    /// whenever the plane is small enough to profile (`q ≤ 5` via the
+    /// counting-DP profile — which covers the paper's Section 8 instance
+    /// `boostFPP(q=3, b=19)` at `n = 1001` and reaches `boostFPP(q=5, ·)` at
+    /// 31 copies); declines for larger plane orders (`q ≥ 7`, the measured
+    /// interface wall of the counting profile).
+    fn certified_crash_probabilities(&self, ps: &[f64]) -> Option<Vec<FpEstimate>> {
+        self.composed.certified_crash_probabilities(ps)
     }
 
     fn min_quorum_size(&self) -> usize {
@@ -207,6 +204,7 @@ impl AnalyzedConstruction for BoostFppSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::own_answer;
     use bqs_core::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -293,7 +291,7 @@ mod tests {
         let sys = BoostFppSystem::new(2, 0).unwrap();
         assert_eq!(sys.universe_size(), 7);
         for &p in &[0.0, 0.05, 0.125, 0.3, 0.5, 0.8, 1.0] {
-            let closed = sys.crash_probability_exact(p).unwrap();
+            let closed = own_answer(&sys, p).unwrap();
             let enumerated = exact_crash_probability(&sys, p).unwrap();
             assert!(
                 (closed - enumerated).abs() < 1e-12,
@@ -309,7 +307,7 @@ mod tests {
         let sys = BoostFppSystem::new(2, 1).unwrap();
         let mc = Evaluator::new().with_seed(5);
         for &p in &[0.1, 0.2, 0.35] {
-            let closed = sys.crash_probability_exact(p).unwrap();
+            let closed = own_answer(&sys, p).unwrap();
             let est = mc.monte_carlo_with(&sys, p, 3000);
             assert!(
                 (closed - est.mean).abs() <= est.ci95_half_width() + 0.02,
@@ -329,7 +327,7 @@ mod tests {
             let sys = BoostFppSystem::new(q, b).unwrap();
             for i in 1..20 {
                 let p = i as f64 * 0.05;
-                let exact = sys.crash_probability_exact(p).unwrap();
+                let exact = own_answer(&sys, p).unwrap();
                 assert!((0.0..=1.0).contains(&exact), "q={q} b={b} p={p}");
                 if p < 0.25 {
                     let numeric = sys.crash_probability_numeric_bound(p);
@@ -361,9 +359,9 @@ mod tests {
         let sys = BoostFppSystem::new(5, 2).unwrap();
         let fpp = FppSystem::new(5).unwrap();
         for &p in &[0.05, 0.125, 0.3] {
-            let closed = sys.crash_probability_exact(p).unwrap();
+            let closed = own_answer(&sys, p).unwrap();
             let r = sys.threshold().crash_probability(p);
-            let outer = fpp.crash_probability_exact(r).unwrap();
+            let outer = own_answer(&fpp, r).unwrap();
             assert!(
                 (closed - outer).abs() <= 1e-12,
                 "p={p}: composed {closed} vs outer-at-r {outer}"
@@ -382,7 +380,7 @@ mod tests {
         // q = 7 is past the counting profile's measured interface wall: no
         // survivor profile, no closed form.
         let sys = BoostFppSystem::new(7, 2).unwrap();
-        assert!(sys.crash_probability_exact(0.1).is_none());
+        assert!(own_answer(&sys, 0.1).is_none());
     }
 
     #[test]
@@ -391,10 +389,10 @@ mod tests {
         // (no Monte-Carlo trial hit the tail at p = 0.05): the exact value is
         // tiny but positive, and still below the paper's p = 1/8 bound.
         let sys = BoostFppSystem::new(3, 19).unwrap();
-        let fp_low = sys.crash_probability_exact(0.05).unwrap();
+        let fp_low = own_answer(&sys, 0.05).unwrap();
         assert!(fp_low > 0.0, "fp={fp_low}");
         assert!(fp_low < 1e-6, "fp={fp_low}");
-        let fp_paper = sys.crash_probability_exact(0.125).unwrap();
+        let fp_paper = own_answer(&sys, 0.125).unwrap();
         assert!(fp_paper <= 0.372, "fp={fp_paper}");
     }
 

@@ -12,9 +12,9 @@
 //! `p < 1/4`.
 //!
 //! For planes up to order `q = 5` the crash probability is computed
-//! **exactly** from the plane's line-free survivor profile
-//! ([`FppSystem::crash_probability_exact`]) — the outer factor of boostFPP's
-//! exact evaluation via Theorem 4.7. The profile comes from a counting
+//! **exactly** from the plane's line-free survivor profile (the system's
+//! [`QuorumSystem::certified_crash_probabilities`]) — the outer factor of
+//! boostFPP's exact evaluation via Theorem 4.7. The profile comes from a counting
 //! interface DP ([`ProjectivePlane::line_free_profile`]), so `q = 5`
 //! (31 points, far past the `2^n` enumeration wall) is exact too; `q = 7`'s
 //! interface was measured to exceed the DP's state budget and declines.
@@ -26,7 +26,7 @@ use rand::RngCore;
 use bqs_combinatorics::projective::ProjectivePlane;
 use bqs_core::bitset::ServerSet;
 use bqs_core::error::QuorumError;
-use bqs_core::eval::AvailabilityProfile;
+use bqs_core::eval::{AvailabilityProfile, FpEstimate, FpMethod};
 use bqs_core::oracle::MinWeightQuorumOracle;
 use bqs_core::quorum::{ExplicitQuorumSystem, QuorumSystem};
 
@@ -63,29 +63,6 @@ impl FppSystem {
             lines,
             line_free_profile: OnceLock::new(),
         })
-    }
-
-    /// Exact crash probability of the FPP: the system is unavailable iff the
-    /// surviving point set contains no complete line, so with `N_m` the number
-    /// of line-free `m`-subsets ([`ProjectivePlane::line_free_profile`]),
-    ///
-    /// `F_p(FPP) = Σ_m N_m (1 − p)^m p^{n − m}`
-    ///
-    /// — the plane's [`AvailabilityProfile`], evaluated by the same pass the
-    /// enumeration engine uses.
-    ///
-    /// Returns `None` for planes whose one-time profile computation is gated
-    /// out (`q ≥ 7`, the measured interface wall of the counting DP); the
-    /// profile is cached, so sweeps over many `p` values pay the one-time
-    /// counting sweep at most once per system.
-    #[must_use]
-    pub fn crash_probability_exact(&self, p: f64) -> Option<f64> {
-        let profile = self.line_free_profile.get_or_init(|| {
-            self.plane
-                .line_free_profile()
-                .map(AvailabilityProfile::from_counts)
-        });
-        Some(profile.as_ref()?.crash_probability(p))
     }
 
     /// The plane order `q`.
@@ -147,8 +124,31 @@ impl QuorumSystem for FppSystem {
         self.lines.iter().find(|l| l.is_subset_of(alive)).cloned()
     }
 
-    fn crash_probability_closed_form(&self, p: f64) -> Option<f64> {
-        self.crash_probability_exact(p)
+    /// Exact crash probability of the FPP: the system is unavailable iff the
+    /// surviving point set contains no complete line, so with `N_m` the number
+    /// of line-free `m`-subsets ([`ProjectivePlane::line_free_profile`]),
+    ///
+    /// `F_p(FPP) = Σ_m N_m (1 − p)^m p^{n − m}`
+    ///
+    /// — the plane's [`AvailabilityProfile`], evaluated by the same pass the
+    /// enumeration engine uses, tagged [`FpMethod::ClosedForm`].
+    ///
+    /// Declines for planes whose one-time profile computation is gated out
+    /// (`q ≥ 7`, the measured interface wall of the counting DP); the
+    /// profile is cached, so every sweep after the first pays only its
+    /// evaluations.
+    fn certified_crash_probabilities(&self, ps: &[f64]) -> Option<Vec<FpEstimate>> {
+        let profile = self.line_free_profile.get_or_init(|| {
+            self.plane
+                .line_free_profile()
+                .map(AvailabilityProfile::from_counts)
+        });
+        let profile = profile.as_ref()?;
+        Some(
+            ps.iter()
+                .map(|&p| FpEstimate::certain(profile.crash_probability(p), FpMethod::ClosedForm))
+                .collect(),
+        )
     }
 
     fn min_quorum_size(&self) -> usize {
@@ -209,6 +209,7 @@ impl AnalyzedConstruction for FppSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::own_answer;
     use bqs_core::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -287,7 +288,7 @@ mod tests {
         for q in [2u64, 3] {
             let fpp = FppSystem::new(q).unwrap();
             for &p in &[0.0, 0.05, 0.125, 0.3, 0.5, 0.8, 1.0] {
-                let closed = fpp.crash_probability_exact(p).unwrap();
+                let closed = own_answer(&fpp, p).unwrap();
                 let enumerated = exact_crash_probability(&fpp, p).unwrap();
                 assert!(
                     (closed - enumerated).abs() < 1e-12,
@@ -303,12 +304,8 @@ mod tests {
         // counting profile makes its closed form exact. Pin it against the
         // Monte-Carlo estimator and the analytic envelope.
         let fpp = FppSystem::new(5).unwrap();
-        let exact = fpp.crash_probability_exact(0.1).unwrap();
+        let exact = own_answer(&fpp, 0.1).unwrap();
         assert!((0.0..=1.0).contains(&exact));
-        assert_eq!(
-            fpp.crash_probability_closed_form(0.1).unwrap().to_bits(),
-            exact.to_bits()
-        );
         // Proposition 4.3 lower bound with MT = q + 1.
         assert!(exact >= fpp.crash_probability_lower_bound(0.1).unwrap() - 1e-12);
         let est = Evaluator::new()
@@ -321,9 +318,9 @@ mod tests {
             est.ci95_half_width()
         );
         // F_p is monotone in p and the profile evaluation respects the edges.
-        assert_eq!(fpp.crash_probability_exact(0.0).unwrap(), 0.0);
-        assert_eq!(fpp.crash_probability_exact(1.0).unwrap(), 1.0);
-        assert!(fpp.crash_probability_exact(0.3).unwrap() > exact);
+        assert_eq!(own_answer(&fpp, 0.0).unwrap(), 0.0);
+        assert_eq!(own_answer(&fpp, 1.0).unwrap(), 1.0);
+        assert!(own_answer(&fpp, 0.3).unwrap() > exact);
     }
 
     #[test]
@@ -332,8 +329,7 @@ mod tests {
         // measured past the state budget: the closed form declines (fast) and
         // the engine falls back to its usual dispatch.
         let fpp = FppSystem::new(7).unwrap();
-        assert!(fpp.crash_probability_exact(0.1).is_none());
-        assert!(fpp.crash_probability_closed_form(0.1).is_none());
+        assert!(own_answer(&fpp, 0.1).is_none());
     }
 
     #[test]

@@ -111,6 +111,14 @@ pub mod prelude {
     pub use crate::AnalyzedConstruction;
 }
 
+/// A system's own `F_p` answer at one point (closed form or DP), without
+/// the engine's fallbacks.
+#[cfg(test)]
+pub(crate) fn own_answer(sys: &dyn bqs_core::quorum::QuorumSystem, p: f64) -> Option<f64> {
+    sys.certified_crash_probabilities(&[p])
+        .map(|one| one[0].value)
+}
+
 #[cfg(test)]
 mod tests {
     use super::prelude::*;

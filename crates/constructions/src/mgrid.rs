@@ -14,6 +14,7 @@ use rand::RngCore;
 
 use bqs_core::bitset::ServerSet;
 use bqs_core::error::QuorumError;
+use bqs_core::eval::{FpEstimate, FpMethod};
 use bqs_core::oracle::MinWeightQuorumOracle;
 use bqs_core::quorum::{ExplicitQuorumSystem, QuorumSystem};
 
@@ -221,8 +222,12 @@ impl QuorumSystem for MGridSystem {
         true
     }
 
-    fn crash_probability_closed_form(&self, p: f64) -> Option<f64> {
-        Some(self.crash_probability(p))
+    fn certified_crash_probabilities(&self, ps: &[f64]) -> Option<Vec<FpEstimate>> {
+        Some(
+            ps.iter()
+                .map(|&p| FpEstimate::certain(self.crash_probability(p), FpMethod::ClosedForm))
+                .collect(),
+        )
     }
 
     fn min_quorum_size(&self) -> usize {

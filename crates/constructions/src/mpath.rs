@@ -23,8 +23,8 @@
 //!
 //! Crash-probability evaluation is **exact** up to grid side
 //! [`EXACT_DP_MAX_SIDE`] via the transfer-matrix DP of
-//! [`bqs_graph::crossing_dp`] (dispatched through
-//! [`QuorumSystem::crash_probability_closed_form`] and tagged
+//! [`bqs_graph::crossing_dp`] (answered by
+//! [`QuorumSystem::certified_crash_probabilities`] and tagged
 //! [`FpMethod::Dp`]); sides up to [`PRUNED_DP_MAX_SIDE`] with at most
 //! [`PRUNED_DP_MAX_PATHS`] paths per direction get a **certified enclosure**
 //! from the ε-pruned sweep (tagged [`FpMethod::DpPruned`], with the rigorous
@@ -39,13 +39,10 @@ use rand::RngCore;
 
 use bqs_core::bitset::ServerSet;
 use bqs_core::error::QuorumError;
-use bqs_core::eval::FpMethod;
+use bqs_core::eval::{FpEstimate, FpMethod};
 use bqs_core::oracle::MinWeightQuorumOracle;
 use bqs_core::quorum::QuorumSystem;
-use bqs_graph::crossing_dp::{
-    min_crossing_cost_capped, mpath_crash_probability_exact, mpath_crash_probability_pruned,
-    mpath_crash_probability_pruned_grid, CrossingScratch, ProbabilityInterval,
-};
+use bqs_graph::crossing_dp::{min_crossing_cost_capped, mpath_crash_probability, CrossingScratch};
 use bqs_graph::disjoint_paths::{
     find_disjoint_paths, find_straight_disjoint_paths, min_price_crossing,
 };
@@ -53,8 +50,8 @@ use bqs_graph::grid::{Axis, TriangulatedGrid};
 
 use crate::AnalyzedConstruction;
 
-/// Largest grid side for which [`MPathSystem::crash_probability_exact`] runs
-/// the transfer-matrix sweep of [`bqs_graph::crossing_dp`] by default. The
+/// Largest grid side for which the system answers `F_p` with the exact
+/// transfer-matrix sweep of [`bqs_graph::crossing_dp`]. The
 /// DP's interface-state count is exponential in the side (like every known
 /// exact method for crossing probabilities). Up to side 6 (`n = 36`, already
 /// beyond the `2^25` enumeration limit) a sweep point costs milliseconds to
@@ -69,9 +66,8 @@ pub const EXACT_DP_MAX_SIDE: usize = 6;
 /// within it.
 pub const EXACT_DP_STATE_BUDGET: usize = 4_000_000;
 
-/// Largest grid side dispatched to the **ε-pruned** transfer-matrix sweep
-/// ([`MPathSystem::crash_probability_pruned`], tagged
-/// [`FpMethod::DpPruned`]). Past [`EXACT_DP_MAX_SIDE`] the exact state set
+/// Largest grid side answered by the **ε-pruned** transfer-matrix sweep
+/// (tagged [`FpMethod::DpPruned`]). Past [`EXACT_DP_MAX_SIDE`] the exact state set
 /// explodes, but the mass distribution over interface states is so skewed
 /// that dropping states below [`PRUNED_DP_EPSILON`] certifies `F_p` to
 /// widths orders of magnitude under `1e-9` at paper-scale `p` (measured at
@@ -92,7 +88,7 @@ pub const PRUNED_DP_MAX_SIDE: usize = 8;
 /// concentrated in few states). The budget still bounds memory, not
 /// correctness: overflow is force-pruned into the interval width rather
 /// than aborting (see
-/// [`bqs_graph::crossing_dp::mpath_crash_probability_pruned`]).
+/// [`bqs_graph::crossing_dp::mpath_crash_probability`]).
 pub const PRUNED_DP_STATE_BUDGET: usize = 1 << 26;
 
 /// Mass floor for the dispatched ε-pruned sweep. The certified width
@@ -112,7 +108,7 @@ pub const PRUNED_DP_EPSILON: f64 = 1e-16;
 /// ε and budget a `k = 3` sweep takes 10 s at side 7 and 3 min at side 8 on
 /// one core and certifies `2e-13` and `8e-12` at `p = 0.125`. One point is
 /// not a `p`-grid, and `k = 4` is unmeasured, so systems with `b ≥ 2`
-/// (hence `k ≥ 3`) still decline the pruned entry and fall through to
+/// (hence `k ≥ 3`) past the exact wall still decline and fall through to
 /// Monte-Carlo with Wilson bounds.
 pub const PRUNED_DP_MAX_PATHS: usize = 2;
 
@@ -263,55 +259,6 @@ impl MPathSystem {
         out
     }
 
-    /// Exact crash probability by the boundary-interface transfer-matrix DP of
-    /// [`bqs_graph::crossing_dp`]: the probability that the grid does not
-    /// simultaneously contain `⌈√(2b+1)⌉` vertex-disjoint alive left-right
-    /// crossings and as many top-bottom crossings, computed by a column sweep
-    /// over capped shortest-blocking-path matrices (exact to floating-point
-    /// rounding; see the module docs for the self-matching duality it rests
-    /// on).
-    ///
-    /// Returns `None` when `side >` [`EXACT_DP_MAX_SIDE`] or the sweep
-    /// exceeds its state budget — the DP, like every known exact method for
-    /// percolation crossing probabilities, is exponential in `√n`, so large
-    /// grids still need Monte-Carlo.
-    #[must_use]
-    pub fn crash_probability_exact(&self, p: f64) -> Option<f64> {
-        if self.grid.side() > EXACT_DP_MAX_SIDE {
-            return None;
-        }
-        mpath_crash_probability_exact(self.grid.side(), self.paths, p, EXACT_DP_STATE_BUDGET)
-    }
-
-    /// Certified enclosure of the crash probability by the **ε-pruned**
-    /// transfer-matrix sweep, for grids past the exact wall
-    /// ([`EXACT_DP_MAX_SIDE`]`< side ≤`[`PRUNED_DP_MAX_SIDE`]): interface
-    /// states below the mass floor — or beyond the state budget, lowest
-    /// mass first — are dropped and their total mass is banked into the
-    /// interval width, so the true `F_p` lies in the returned `[lower,
-    /// upper]` by construction. At paper-scale `p` the width is orders of
-    /// magnitude below `1e-9` (pinned in tests).
-    ///
-    /// Returns `None` outside the side range or above
-    /// [`PRUNED_DP_MAX_PATHS`] paths per direction — small grids should use
-    /// the exact sweep, larger grids and wider path counts Monte-Carlo.
-    #[must_use]
-    pub fn crash_probability_pruned(&self, p: f64) -> Option<ProbabilityInterval> {
-        let side = self.grid.side();
-        if !(EXACT_DP_MAX_SIDE + 1..=PRUNED_DP_MAX_SIDE).contains(&side)
-            || self.paths > PRUNED_DP_MAX_PATHS
-        {
-            return None;
-        }
-        mpath_crash_probability_pruned(
-            side,
-            self.paths,
-            p,
-            PRUNED_DP_STATE_BUDGET,
-            PRUNED_DP_EPSILON,
-        )
-    }
-
     /// The percolation-flavoured crash-probability upper bound used in the worked
     /// example of Section 8: combine the counting bound on the crossing probability
     /// (remark after Theorem B.1, valid for `p' < 1/3`) with the ACCFR interior-event
@@ -332,7 +279,8 @@ impl MPathSystem {
     /// The asymptotic Proposition 7.3 still holds for all `p < 1/2`, but
     /// needs the full Menshikov-type theorem rather than a computable
     /// constant; callers wanting true values where the bound degenerates can
-    /// use [`MPathSystem::crash_probability_exact`] on small grids.
+    /// ask [`QuorumSystem::certified_crash_probabilities`] (the exact DP) on
+    /// small grids.
     #[must_use]
     pub fn crash_probability_counting_bound(&self, p: f64) -> Option<f64> {
         if p >= 1.0 / 3.0 {
@@ -448,56 +396,45 @@ impl QuorumSystem for MPathSystem {
         self.has_disjoint_crossings(|v| alive >> v & 1 == 1)
     }
 
-    fn crash_probability_closed_form(&self, p: f64) -> Option<f64> {
-        self.crash_probability_exact(p)
-    }
-
-    fn crash_probability_closed_form_batch(&self, ps: &[f64]) -> Option<Vec<f64>> {
-        if self.grid.side() > EXACT_DP_MAX_SIDE {
+    /// `F_p` by the boundary-interface transfer-matrix DP of
+    /// [`bqs_graph::crossing_dp`]: the probability that the grid does not
+    /// simultaneously contain `⌈√(2b+1)⌉` vertex-disjoint alive left-right
+    /// crossings and as many top-bottom crossings, computed by one column
+    /// sweep over capped shortest-blocking-path matrices for the whole grid
+    /// of points (the interface state space depends only on `(side, k)`).
+    ///
+    /// Up to [`EXACT_DP_MAX_SIDE`] the sweep is exact to floating-point
+    /// rounding ([`FpMethod::Dp`]). Past it, up to [`PRUNED_DP_MAX_SIDE`]
+    /// and [`PRUNED_DP_MAX_PATHS`] paths per direction, the ε-pruned sweep
+    /// banks every dropped state's mass into a certified `[lower, upper]`
+    /// ([`FpMethod::DpPruned`]); each lane keeps its own discarded mass, and
+    /// a state survives if any lane keeps it, so a grid's enclosures can be
+    /// *tighter* than single-point ones — never less rigorous. Larger grids,
+    /// wider path counts and an exceeded exact budget decline at once: the
+    /// DP, like every known exact method for percolation crossing
+    /// probabilities, is exponential in `√n`.
+    fn certified_crash_probabilities(&self, ps: &[f64]) -> Option<Vec<FpEstimate>> {
+        let (side, k) = (self.grid.side(), self.paths);
+        if side <= EXACT_DP_MAX_SIDE {
+            let lanes = mpath_crash_probability(side, k, ps, EXACT_DP_STATE_BUDGET, 0.0)?;
+            return Some(
+                lanes
+                    .iter()
+                    .map(|iv| FpEstimate::certain(iv.lower, FpMethod::Dp))
+                    .collect(),
+            );
+        }
+        if side > PRUNED_DP_MAX_SIDE || k > PRUNED_DP_MAX_PATHS {
             return None;
         }
-        // One transfer-matrix sweep for the whole grid: the interface state
-        // space depends only on (side, k), so every point shares the
-        // enumeration and pays only its own multiply-adds. Bit-identical to
-        // per-point evaluation (pinned in bqs-graph's tests).
-        bqs_graph::crossing_dp::mpath_crash_probability_exact_grid(
-            self.grid.side(),
-            self.paths,
-            ps,
-            EXACT_DP_STATE_BUDGET,
+        let lanes =
+            mpath_crash_probability(side, k, ps, PRUNED_DP_STATE_BUDGET, PRUNED_DP_EPSILON)?;
+        Some(
+            lanes
+                .iter()
+                .map(|iv| FpEstimate::enclosure(iv.lower, iv.upper))
+                .collect(),
         )
-    }
-
-    fn closed_form_method(&self) -> FpMethod {
-        // The "closed form" is the transfer-matrix sweep, not an algebraic
-        // expression — tag it so dispatch tables and benchmarks can tell.
-        FpMethod::Dp
-    }
-
-    fn crash_probability_interval(&self, p: f64) -> Option<(f64, f64)> {
-        self.crash_probability_pruned(p)
-            .map(|iv| (iv.lower, iv.upper))
-    }
-
-    fn crash_probability_interval_batch(&self, ps: &[f64]) -> Option<Vec<(f64, f64)>> {
-        let side = self.grid.side();
-        if !(EXACT_DP_MAX_SIDE + 1..=PRUNED_DP_MAX_SIDE).contains(&side)
-            || self.paths > PRUNED_DP_MAX_PATHS
-        {
-            return None;
-        }
-        // One pruned sweep for the whole grid; each lane keeps its own
-        // discarded-mass total so every interval is certified for its own p.
-        // (A state survives if any lane keeps it, so batch intervals can be
-        // *tighter* than per-point ones — never less rigorous.)
-        mpath_crash_probability_pruned_grid(
-            side,
-            self.paths,
-            ps,
-            PRUNED_DP_STATE_BUDGET,
-            PRUNED_DP_EPSILON,
-        )
-        .map(|ivs| ivs.into_iter().map(|iv| (iv.lower, iv.upper)).collect())
     }
 
     fn min_quorum_size(&self) -> usize {
@@ -578,6 +515,7 @@ impl AnalyzedConstruction for MPathSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::own_answer;
     use bqs_core::bounds::load_lower_bound_universal;
     use bqs_core::prelude::*;
     use rand::rngs::StdRng;
@@ -687,7 +625,7 @@ mod tests {
         for &(side, b, ps) in cases {
             let m = MPathSystem::new(side, b).unwrap();
             for &p in ps {
-                let dp = m.crash_probability_exact(p).unwrap();
+                let dp = own_answer(&m, p).unwrap();
                 let enumerated = eval.exact(&m, p).unwrap();
                 assert!(
                     (dp - enumerated).abs() < 1e-12,
@@ -704,18 +642,18 @@ mod tests {
         // last bit, both directly and through the Evaluator sweep.
         let m = MPathSystem::new(4, 1).unwrap();
         let ps = [0.05, 0.125, 0.3, 0.5];
-        let batch = m.crash_probability_closed_form_batch(&ps).unwrap();
+        let batch = m.certified_crash_probabilities(&ps).unwrap();
         let eval = Evaluator::new();
         let swept = eval.sweep(&m, &ps);
-        for ((&p, &b), est) in ps.iter().zip(&batch).zip(&swept) {
-            let single = m.crash_probability_exact(p).unwrap();
-            assert_eq!(b.to_bits(), single.to_bits(), "p={p}");
-            assert_eq!(est.value.to_bits(), single.to_bits(), "p={p}");
+        for ((&p, b), est) in ps.iter().zip(&batch).zip(&swept) {
+            let single = own_answer(&m, p).unwrap();
+            assert_eq!(b.value.to_bits(), single.to_bits(), "p={p}");
+            assert_eq!(est, b, "p={p}");
             assert_eq!(est.method, FpMethod::Dp);
         }
-        // Beyond the DP gate the batch declines as a whole.
+        // Beyond the DP gates the grid declines as a whole.
         let big = MPathSystem::new(12, 3).unwrap();
-        assert!(big.crash_probability_closed_form_batch(&ps).is_none());
+        assert!(big.certified_crash_probabilities(&ps).is_none());
     }
 
     #[test]
@@ -725,9 +663,9 @@ mod tests {
         assert_eq!(fp.method, FpMethod::Dp);
         assert!(fp.is_exact());
         assert_eq!(fp.method.label(), "dp");
-        // Beyond the DP gate the closed form declines and the engine samples.
+        // Beyond the DP gates the hook declines and the engine samples.
         let big = MPathSystem::new(12, 3).unwrap();
-        assert!(big.crash_probability_exact(0.125).is_none());
+        assert!(own_answer(&big, 0.125).is_none());
         let fp_big = Evaluator::new()
             .with_trials(50)
             .with_exact_limit(0)
@@ -737,15 +675,10 @@ mod tests {
 
     #[test]
     fn pruned_dispatch_boundaries_are_sharp() {
-        // Below the exact wall the pruned entry declines (the exact sweep is
-        // the right tool); above PRUNED_DP_MAX_SIDE it declines instantly so
-        // the evaluator can fall through to Monte-Carlo.
-        let small = MPathSystem::new(EXACT_DP_MAX_SIDE, 2).unwrap();
-        assert!(small.crash_probability_pruned(0.125).is_none());
+        // Above PRUNED_DP_MAX_SIDE the hook declines instantly so the
+        // evaluator can fall through to Monte-Carlo.
         let big = MPathSystem::new(PRUNED_DP_MAX_SIDE + 1, 2).unwrap();
-        assert!(big.crash_probability_pruned(0.125).is_none());
-        assert!(big.crash_probability_interval(0.125).is_none());
-        assert!(big.crash_probability_interval_batch(&[0.125]).is_none());
+        assert!(big.certified_crash_probabilities(&[0.125]).is_none());
         let fp = Evaluator::new()
             .with_trials(50)
             .with_exact_limit(0)
@@ -753,14 +686,12 @@ mod tests {
         assert_eq!(fp.method, FpMethod::MonteCarlo);
         assert!(!fp.is_certified());
         // Inside the side range but past the path gate (b = 3 gives k = 3,
-        // minutes of sweep at side 8) the entry must decline *instantly* so
+        // minutes of sweep at side 8) the hook must decline *instantly* so
         // capped-effort evaluators — like the analysis sweeps — land on
         // Monte-Carlo, not a surprise DP.
         let wide = MPathSystem::new(PRUNED_DP_MAX_SIDE, 3).unwrap();
         assert!(wide.paths_per_direction() > PRUNED_DP_MAX_PATHS);
-        assert!(wide.crash_probability_pruned(0.125).is_none());
-        assert!(wide.crash_probability_interval(0.125).is_none());
-        assert!(wide.crash_probability_interval_batch(&[0.125]).is_none());
+        assert!(wide.certified_crash_probabilities(&[0.125]).is_none());
         let fp_wide = Evaluator::new()
             .with_trials(50)
             .with_exact_limit(0)
@@ -809,7 +740,7 @@ mod tests {
             let m = MPathSystem::new(side, b).unwrap();
             for i in [1usize, 3, 5, 7, 9, 13] {
                 let p = i as f64 * 0.05;
-                let exact = m.crash_probability_exact(p).unwrap();
+                let exact = own_answer(&m, p).unwrap();
                 assert!((0.0..=1.0).contains(&exact), "side={side} b={b} p={p}");
                 if let Some(upper) = m.crash_probability_counting_bound(p) {
                     assert!(

@@ -17,6 +17,7 @@ use rand::RngCore;
 
 use bqs_core::bitset::ServerSet;
 use bqs_core::error::QuorumError;
+use bqs_core::eval::{FpEstimate, FpMethod};
 use bqs_core::oracle::MinWeightQuorumOracle;
 use bqs_core::quorum::{ExplicitQuorumSystem, QuorumSystem};
 
@@ -286,11 +287,15 @@ impl QuorumSystem for RtSystem {
         self.find_rec(0, self.universe_size(), alive)
     }
 
-    fn crash_probability_closed_form(&self, p: f64) -> Option<f64> {
+    fn certified_crash_probabilities(&self, ps: &[f64]) -> Option<Vec<FpEstimate>> {
         // The recurrence of Proposition 5.6 is exact: sibling subtrees fail
         // independently, so F(h) = g(F(h-1)) with g the ℓ-of-k failure
         // polynomial (validated against enumeration in this module's tests).
-        Some(self.crash_probability(p))
+        Some(
+            ps.iter()
+                .map(|&p| FpEstimate::certain(self.crash_probability(p), FpMethod::ClosedForm))
+                .collect(),
+        )
     }
 
     fn min_quorum_size(&self) -> usize {

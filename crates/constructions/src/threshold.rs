@@ -15,6 +15,7 @@ use rand::RngCore;
 
 use bqs_core::bitset::ServerSet;
 use bqs_core::error::QuorumError;
+use bqs_core::eval::{FpEstimate, FpMethod};
 use bqs_core::oracle::MinWeightQuorumOracle;
 use bqs_core::quorum::{ExplicitQuorumSystem, QuorumSystem};
 
@@ -186,8 +187,12 @@ impl QuorumSystem for ThresholdSystem {
         true
     }
 
-    fn crash_probability_closed_form(&self, p: f64) -> Option<f64> {
-        Some(self.crash_probability(p))
+    fn certified_crash_probabilities(&self, ps: &[f64]) -> Option<Vec<FpEstimate>> {
+        Some(
+            ps.iter()
+                .map(|&p| FpEstimate::certain(self.crash_probability(p), FpMethod::ClosedForm))
+                .collect(),
+        )
     }
 
     fn min_quorum_size(&self) -> usize {

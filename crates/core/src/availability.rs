@@ -125,7 +125,7 @@ pub fn exact_crash_probability<Q: QuorumSystem + ?Sized>(
 
 /// The reference availability profile: single-threaded, one fresh heap
 /// [`ServerSet`] and one [`QuorumSystem::is_available`] call per crash
-/// configuration — no word-level path, no lanes, no count kernel. The tests
+/// configuration — no word-level path, no count kernel. The tests
 /// compare the engine's profile against it as integer vectors and
 /// `bench_fp` measures the engine's speedup over it.
 ///

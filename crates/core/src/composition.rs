@@ -22,6 +22,7 @@ use rand::RngCore;
 
 use crate::bitset::ServerSet;
 use crate::error::QuorumError;
+use crate::eval::{FpEstimate, FpMethod};
 use crate::quorum::{ExplicitQuorumSystem, QuorumSystem};
 
 /// The composition `S ∘ R` of two quorum systems, evaluated lazily.
@@ -127,12 +128,27 @@ impl<S: QuorumSystem, R: QuorumSystem> QuorumSystem for ComposedSystem<S, R> {
     /// Theorem 4.7: the copies of `R` fail independently with probability
     /// `r(p) = F_p(R)`, and the composed system is unavailable exactly when
     /// the surviving copies contain no quorum of `S`, so
-    /// `F_p(S ∘ R) = F_{r(p)}(S)`. When both components answer in closed form
-    /// the composition does too — this is what makes boostFPP (FPP over a
-    /// threshold) exactly evaluable at `n ≈ 1000` in microseconds.
-    fn crash_probability_closed_form(&self, p: f64) -> Option<f64> {
-        let r = self.inner.crash_probability_closed_form(p)?;
-        self.outer.crash_probability_closed_form(r.clamp(0.0, 1.0))
+    /// `F_p(S ∘ R) = F_{r(p)}(S)`: the inner grid gives the `r` values, the
+    /// outer grid runs on them. When both components answer exactly the
+    /// composition does too, as a closed form — this is what makes boostFPP
+    /// (FPP over a threshold) exactly evaluable at `n ≈ 1000` in
+    /// microseconds. A component that declines, or only encloses, declines
+    /// the composition.
+    fn certified_crash_probabilities(&self, ps: &[f64]) -> Option<Vec<FpEstimate>> {
+        let exact = |estimates: Option<Vec<FpEstimate>>| -> Option<Vec<f64>> {
+            estimates?
+                .iter()
+                .map(|est| est.is_exact().then_some(est.value))
+                .collect()
+        };
+        let r = exact(self.inner.certified_crash_probabilities(ps))?;
+        let r: Vec<f64> = r.iter().map(|r| r.clamp(0.0, 1.0)).collect();
+        let s = exact(self.outer.certified_crash_probabilities(&r))?;
+        Some(
+            s.into_iter()
+                .map(|value| FpEstimate::certain(value, FpMethod::ClosedForm))
+                .collect(),
+        )
     }
 
     fn min_quorum_size(&self) -> usize {
@@ -431,9 +447,14 @@ mod tests {
                 None
             }
         }
-        fn crash_probability_closed_form(&self, p: f64) -> Option<f64> {
+        fn certified_crash_probabilities(&self, ps: &[f64]) -> Option<Vec<FpEstimate>> {
             // Fails iff >= 2 of 3 crash.
-            Some(3.0 * p * p * (1.0 - p) + p * p * p)
+            let fp = |p: f64| 3.0 * p * p * (1.0 - p) + p * p * p;
+            Some(
+                ps.iter()
+                    .map(|&p| FpEstimate::certain(fp(p), FpMethod::ClosedForm))
+                    .collect(),
+            )
         }
         fn min_quorum_size(&self) -> usize {
             2
@@ -447,8 +468,11 @@ mod tests {
         use crate::availability::exact_crash_probability;
         let explicit = compose_explicit(&k_of_n_system(3, 2), &k_of_n_system(3, 2), 1000).unwrap();
         let lazy = ComposedSystem::new(ClosedMajority3, ClosedMajority3);
-        for &p in &[0.0, 0.1, 0.3, 0.5, 0.9, 1.0] {
-            let closed = lazy.crash_probability_closed_form(p).unwrap();
+        let ps = [0.0, 0.1, 0.3, 0.5, 0.9, 1.0];
+        let closed = lazy.certified_crash_probabilities(&ps).unwrap();
+        for (&p, est) in ps.iter().zip(&closed) {
+            assert_eq!(est.method, FpMethod::ClosedForm);
+            let closed = est.value;
             let direct = exact_crash_probability(&explicit, p).unwrap();
             assert!(
                 (closed - direct).abs() < 1e-12,
@@ -483,9 +507,9 @@ mod tests {
         // Explicit systems expose no closed form, so neither does the
         // composition built from them.
         let lazy = ComposedSystem::new(k_of_n_system(3, 2), k_of_n_system(3, 2));
-        assert!(lazy.crash_probability_closed_form(0.2).is_none());
+        assert!(lazy.certified_crash_probabilities(&[0.2]).is_none());
         let half = ComposedSystem::new(ClosedMajority3, k_of_n_system(3, 2));
-        assert!(half.crash_probability_closed_form(0.2).is_none());
+        assert!(half.certified_crash_probabilities(&[0.2]).is_none());
     }
 
     #[test]

@@ -2,33 +2,35 @@
 //!
 //! Every figure, table and sweep in the workspace ultimately asks the same
 //! question — *how likely is it that no quorum survives?* — and
-//! [`Evaluator`] is the one engine that answers it:
+//! [`Evaluator`] is the one engine that answers it, in one dispatch order:
 //!
-//! * **Closed forms first.** Constructions whose structure admits an exact
-//!   closed-form `F_p` ([`QuorumSystem::crash_probability_closed_form`]) skip
-//!   enumeration entirely — Threshold, Grid, M-Grid and RT all answer in
-//!   microseconds at any `n`.
+//! * **The construction's own answer first.** A construction whose
+//!   structure answers `F_p` without sampling
+//!   ([`QuorumSystem::certified_crash_probabilities`]) skips enumeration
+//!   entirely: closed forms (Threshold, Grid, M-Grid, RT, FPP, boostFPP,
+//!   compositions) answer in microseconds at any `n`, M-Path runs its exact
+//!   transfer-matrix DP or, past the exact wall, its certified ε-pruned
+//!   enclosure.
 //! * **One integer availability profile.** `F_p(Q) = Σ_j a_j (1−p)^j p^(n−j)`
 //!   where `a_j` counts the alive-sets of size `j` that contain no quorum
 //!   (Definition 3.10). Exact enumeration accounts for all `2^n` crash
 //!   configurations as raw `u64` masks, allocation-free, and tallies them
 //!   into the `u64` counters of an [`AvailabilityProfile`]. Where the
 //!   construction has a count kernel
-//!   ([`QuorumSystem::unavailable_profile_u64_range`]: Threshold and the
-//!   line-quorum grids) it counts whole aligned segments of masks without
-//!   visiting them; everything else is visited four masks at a time through
-//!   [`QuorumSystem::is_available_u64x4`]. Chunk partials add as
+//!   ([`QuorumSystem::unavailable_profile_u64_range`]: Threshold, the
+//!   line-quorum grids and explicit quorum lists) it counts the range
+//!   itself; everything else is asked
+//!   [`QuorumSystem::is_available_u64`] mask by mask. Chunk partials add as
 //!   integers, so the serial path, any chunking and any thread count produce
 //!   the *same* profile, and [`AvailabilityProfile::crash_probability`] is
 //!   the single place where counts become a probability.
-//! * **Parallel by default.** Mask ranges are chunked across a scoped thread
-//!   pool; Monte-Carlo trials run on independent per-block RNG streams
+//! * **Monte-Carlo last.** Trials run on independent per-block RNG streams
 //!   (deterministic for a fixed seed, regardless of thread count).
 //! * **Batched sweeps.** [`Evaluator::sweep`] / [`Evaluator::sweep_systems`]
 //!   evaluate whole `(system, p)` grids on one persistent worker pool: every
 //!   exact or certified method answers a system's whole `p`-grid in one job
-//!   (one profile, `|ps|` evaluations), and only Monte-Carlo points are
-//!   scheduled individually.
+//!   (one construction call, or one profile and `|ps|` evaluations), and only
+//!   Monte-Carlo points are scheduled individually.
 //!
 //! Universes of at most [`PARALLEL_MASK_THRESHOLD`] masks are enumerated on
 //! the calling thread, purely because spawning would cost more than the walk.
@@ -39,7 +41,7 @@ use rand::{Rng, SeedableRng};
 use crate::availability::CrashEstimate;
 use crate::bitset::ServerSet;
 use crate::error::QuorumError;
-use crate::quorum::{LaneScratch, QuorumSystem, AVAILABILITY_LANES};
+use crate::quorum::QuorumSystem;
 
 /// Largest universe size accepted by the exact enumerator (`2^25`
 /// configurations by default; raise with [`Evaluator::with_exact_limit`], the
@@ -159,13 +161,24 @@ pub struct FpEstimate {
 
 impl FpEstimate {
     /// An answer with no sampling error and no enclosure.
-    fn certain(value: f64, method: FpMethod) -> Self {
+    #[must_use]
+    pub fn certain(value: f64, method: FpMethod) -> Self {
         FpEstimate {
             value,
             std_error: None,
             trials: None,
             method,
             interval: None,
+        }
+    }
+
+    /// A certified enclosure `[lower, upper]` of the true value, tagged
+    /// [`FpMethod::DpPruned`], whose point value is the midpoint.
+    #[must_use]
+    pub fn enclosure(lower: f64, upper: f64) -> Self {
+        FpEstimate {
+            interval: Some((lower, upper)),
+            ..FpEstimate::certain(0.5 * (lower + upper), FpMethod::DpPruned)
         }
     }
 
@@ -326,12 +339,10 @@ impl Evaluator {
         self.mc_trials
     }
 
-    /// Evaluates `F_p(Q)` by the cheapest method that answers: a closed form
-    /// when the construction has one, the availability profile when `2^n` is
-    /// tractable, a certified enclosure when the construction can compute
-    /// one, Monte-Carlo estimation otherwise.
+    /// Evaluates `F_p(Q)` by the cheapest method that answers: the
+    /// construction's own certified answer when it has one, the availability
+    /// profile when `2^n` is tractable, Monte-Carlo estimation otherwise.
     pub fn crash_probability<Q: QuorumSystem + ?Sized>(&self, system: &Q, p: f64) -> FpEstimate {
-        let p = p.clamp(0.0, 1.0);
         match self.certified(system, &[p]) {
             Some(one) => one[0],
             None => self.sampled(system, p),
@@ -339,43 +350,23 @@ impl Evaluator {
     }
 
     /// The engine's dispatch order, for a single point and a sweep alike:
-    /// closed form → availability profile → certified interval. `None` means
-    /// only Monte-Carlo is left ([`Evaluator::sampled`]).
+    /// the construction's hook → availability profile. `None` means only
+    /// Monte-Carlo is left ([`Evaluator::sampled`]).
     fn certified<Q: QuorumSystem + ?Sized>(
         &self,
         system: &Q,
         ps: &[f64],
     ) -> Option<Vec<FpEstimate>> {
-        if let Some(values) = system.crash_probability_closed_form_batch(ps) {
-            let method = system.closed_form_method();
-            return Some(
-                values
-                    .into_iter()
-                    .map(|value| FpEstimate::certain(value, method))
-                    .collect(),
-            );
+        let ps: Vec<f64> = ps.iter().map(|&p| p.clamp(0.0, 1.0)).collect();
+        if let Some(estimates) = system.certified_crash_probabilities(&ps) {
+            return Some(estimates);
         }
-        if let Ok(profile) = self.availability_profile(system) {
-            return Some(
-                ps.iter()
-                    .map(|&p| FpEstimate::certain(profile.crash_probability(p), FpMethod::Exact))
-                    .collect(),
-            );
-        }
-        // Past the enumeration limit, a certified enclosure (the ε-pruned DP)
-        // still beats sampling: rigorous bounds at any width the construction
-        // can certify.
-        system
-            .crash_probability_interval_batch(ps)
-            .map(|intervals| {
-                intervals
-                    .into_iter()
-                    .map(|(lower, upper)| FpEstimate {
-                        interval: Some((lower, upper)),
-                        ..FpEstimate::certain(0.5 * (lower + upper), FpMethod::DpPruned)
-                    })
-                    .collect()
-            })
+        let profile = self.availability_profile(system).ok()?;
+        Some(
+            ps.iter()
+                .map(|&p| FpEstimate::certain(profile.crash_probability(p), FpMethod::Exact))
+                .collect(),
+        )
     }
 
     /// The Monte-Carlo answer, for points no exact or certified method covers.
@@ -461,15 +452,14 @@ impl Evaluator {
     /// one — never less rigorous).
     ///
     /// Every exact or certified method answers a system's whole `p`-grid in
-    /// **one** job: closed forms through
-    /// [`QuorumSystem::crash_probability_closed_form_batch`] (so the M-Path
+    /// **one** job: the construction's own answers through one
+    /// [`QuorumSystem::certified_crash_probabilities`] call (so the M-Path
     /// transfer-matrix DP builds its `p`-independent scaffolding once per
     /// sweep), enumerable systems through one availability profile evaluated
-    /// `|ps|` times, certified intervals through
-    /// [`QuorumSystem::crash_probability_interval_batch`]. Only Monte-Carlo
-    /// points become per-`(system, p)` jobs. With `j` jobs and `t` configured
-    /// threads each phase runs `min(j, t)` pool workers with `⌊t / workers⌋`
-    /// threads inside each job, so a one-system sweep keeps the full
+    /// `|ps|` times. Only Monte-Carlo points become per-`(system, p)` jobs.
+    /// With `j` jobs and `t` configured threads each phase runs `min(j, t)`
+    /// pool workers with `⌊t / workers⌋` threads inside each job, so a
+    /// one-system sweep keeps the full
     /// intra-job parallelism of [`Evaluator::crash_probability`] and a wide
     /// grid runs one job per core; no answer depends on that split.
     pub fn sweep_systems(&self, systems: &[&dyn QuorumSystem], ps: &[f64]) -> Vec<Vec<FpEstimate>> {
@@ -577,35 +567,20 @@ fn run_pool<T: Send + Sync>(
 }
 
 /// Counts the *unavailable* alive-masks in `start..end` by popcount,
-/// allocation-free: one scratch pool for the whole range.
-///
-/// Constructions with a count kernel swallow the whole range at once
-/// ([`QuorumSystem::unavailable_profile_u64_range`]); everything else is
-/// checked [`AVAILABILITY_LANES`] masks at a time through
-/// [`QuorumSystem::is_available_u64x4`] — the availability test is where the
-/// cycles go, and the batched form lets mask-list systems answer four masks
-/// per pass over their structure.
+/// allocation-free: the construction's count kernel
+/// ([`QuorumSystem::unavailable_profile_u64_range`]) when it has one,
+/// otherwise [`QuorumSystem::is_available_u64`] per mask with one scratch
+/// set for the whole range.
 fn enumerate_masks<Q: QuorumSystem + ?Sized>(system: &Q, start: u64, end: u64) -> Vec<u64> {
     let n = system.universe_size();
     let mut profile = vec![0u64; n + 1];
     if system.unavailable_profile_u64_range(start, end, &mut profile) {
         return profile;
     }
-    let mut scratch = LaneScratch::new(n);
-    let lanes = AVAILABILITY_LANES as u64;
-    let mut mask = start;
-    while mask + lanes <= end {
-        let batch: [u64; AVAILABILITY_LANES] = std::array::from_fn(|i| mask + i as u64);
-        let available = system.is_available_u64x4(batch, &mut scratch);
-        for (&m, &ok) in batch.iter().zip(&available) {
-            profile[m.count_ones() as usize] += u64::from(!ok);
-        }
-        mask += lanes;
-    }
-    while mask < end {
-        let ok = system.is_available_u64(mask, scratch.lane_mut(0));
+    let mut scratch = ServerSet::new(n);
+    for mask in start..end {
+        let ok = system.is_available_u64(mask, &mut scratch);
         profile[mask.count_ones() as usize] += u64::from(!ok);
-        mask += 1;
     }
     profile
 }
@@ -746,8 +721,8 @@ mod tests {
         }
     }
 
-    /// A k-of-n system that also offers a certified interval, like an M-Path
-    /// instance would past its exact-DP wall.
+    /// A k-of-n system that also offers a certified interval, as an M-Path
+    /// instance does past its exact-DP wall.
     struct WithInterval(ExplicitQuorumSystem);
 
     impl QuorumSystem for WithInterval {
@@ -763,8 +738,12 @@ mod tests {
         fn find_live_quorum(&self, alive: &ServerSet) -> Option<ServerSet> {
             self.0.find_live_quorum(alive)
         }
-        fn crash_probability_interval(&self, _p: f64) -> Option<(f64, f64)> {
-            Some((0.25, 0.75))
+        fn certified_crash_probabilities(&self, ps: &[f64]) -> Option<Vec<FpEstimate>> {
+            Some(
+                ps.iter()
+                    .map(|_| FpEstimate::enclosure(0.25, 0.75))
+                    .collect(),
+            )
         }
         fn min_quorum_size(&self) -> usize {
             self.0.min_quorum_size()
@@ -773,10 +752,12 @@ mod tests {
 
     #[test]
     fn sweep_and_single_point_share_one_dispatch_order() {
-        // One system per rung below the closed form: enumerable and offering
-        // an interval (the profile must win), offering an interval past the
-        // exact limit, and neither (a 30-server explicit system: Monte-Carlo).
+        // One system per rung: enumerable and offering an interval (the
+        // construction's answer comes first, so the interval must win),
+        // enumerable and offering nothing (the profile), and neither (a
+        // 30-server explicit system: Monte-Carlo).
         let both = WithInterval(k_of_n_system(9, 6));
+        let enumerable = k_of_n_system(9, 6);
         let mc_sys = {
             let quorums: Vec<ServerSet> = (0..4)
                 .map(|i| ServerSet::from_indices(30, (0..16).map(|j| (i + j) % 30)))
@@ -797,9 +778,13 @@ mod tests {
                 assert_eq!(*est, serial.crash_probability(sys, p), "p={p}");
             }
         };
-        expect(&eval, &both, FpMethod::Exact);
-        expect(&eval.clone().with_exact_limit(8), &both, FpMethod::DpPruned);
+        expect(&eval, &both, FpMethod::DpPruned);
+        expect(&eval, &enumerable, FpMethod::Exact);
         expect(&eval, &mc_sys, FpMethod::MonteCarlo);
+        assert_eq!(
+            eval.crash_probability(&both, 0.125).interval,
+            Some((0.25, 0.75))
+        );
         // The grid form keeps row order and agrees with the one-system form.
         let grid = eval.sweep_systems(&[&mc_sys, &both], &ps);
         assert_eq!(grid[0], eval.sweep(&mc_sys, &ps));
@@ -822,8 +807,12 @@ mod tests {
             fn find_live_quorum(&self, _alive: &ServerSet) -> Option<ServerSet> {
                 unreachable!("the engine must not probe availability")
             }
-            fn crash_probability_closed_form(&self, p: f64) -> Option<f64> {
-                Some(p * p)
+            fn certified_crash_probabilities(&self, ps: &[f64]) -> Option<Vec<FpEstimate>> {
+                Some(
+                    ps.iter()
+                        .map(|&p| FpEstimate::certain(p * p, FpMethod::ClosedForm))
+                        .collect(),
+                )
             }
             fn min_quorum_size(&self) -> usize {
                 100
@@ -898,8 +887,12 @@ mod tests {
             fn find_live_quorum(&self, _alive: &ServerSet) -> Option<ServerSet> {
                 unreachable!("the engine must not probe availability")
             }
-            fn crash_probability_closed_form(&self, p: f64) -> Option<f64> {
-                Some(p * p)
+            fn certified_crash_probabilities(&self, ps: &[f64]) -> Option<Vec<FpEstimate>> {
+                Some(
+                    ps.iter()
+                        .map(|&p| FpEstimate::certain(p * p, FpMethod::ClosedForm))
+                        .collect(),
+                )
             }
             fn min_quorum_size(&self) -> usize {
                 100

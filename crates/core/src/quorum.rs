@@ -10,45 +10,20 @@
 //!   system's access strategy, and find a live quorum given the set of responsive
 //!   servers. Large structured constructions (M-Path, boostFPP, deep RT) implement it
 //!   directly without enumerating their (exponentially many) quorums.
+//!
+//! Beyond that operational core the trait carries the two hooks the evaluation
+//! engine ([`crate::eval::Evaluator`]) dispatches on, both optional: the
+//! construction's own `F_p` answer over a whole `p`-grid
+//! ([`QuorumSystem::certified_crash_probabilities`]: a closed form, an exact
+//! DP or a certified enclosure), and a count kernel for exact enumeration
+//! ([`QuorumSystem::unavailable_profile_u64_range`]).
 
 use rand::RngCore;
 
 use crate::bitset::ServerSet;
 use crate::error::QuorumError;
+use crate::eval::FpEstimate;
 use crate::strategy::AccessStrategy;
-
-/// Lane width of the batched availability check
-/// ([`QuorumSystem::is_available_u64x4`]): four `u64` masks per call, the
-/// `u64x4` shape the autovectorizer lifts onto 256-bit registers.
-pub const AVAILABILITY_LANES: usize = 4;
-
-/// Reusable per-lane scratch sets for batched word-level availability: one
-/// [`ServerSet`] per lane so the *default* batched implementation (four
-/// scalar calls) stays allocation-free, exactly like the scalar hot path.
-#[derive(Debug, Clone)]
-pub struct LaneScratch {
-    lanes: [ServerSet; AVAILABILITY_LANES],
-}
-
-impl LaneScratch {
-    /// Scratch for a universe of `capacity` servers.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        LaneScratch {
-            lanes: std::array::from_fn(|_| ServerSet::new(capacity)),
-        }
-    }
-
-    /// Mutable access to one lane's scratch set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= AVAILABILITY_LANES`.
-    #[must_use]
-    pub fn lane_mut(&mut self, lane: usize) -> &mut ServerSet {
-        &mut self.lanes[lane]
-    }
-}
 
 /// Operational interface to a quorum system over the universe `{0, ..., n-1}`.
 ///
@@ -102,48 +77,20 @@ pub trait QuorumSystem: Send + Sync {
         self.is_available(scratch)
     }
 
-    /// Batched word-level availability: answers [`AVAILABILITY_LANES`] masks
-    /// per call. This is the innermost call of exact `F_p` enumeration for
-    /// systems without a count kernel
-    /// ([`QuorumSystem::unavailable_profile_u64_range`]) — the engine walks
-    /// the `2^n` configurations four at a time so that mask-list
-    /// implementations can evaluate all four lanes inside one pass over their
-    /// structure (a shape the autovectorizer lifts to SIMD).
-    ///
-    /// The default forwards to [`QuorumSystem::is_available_u64`] lane by
-    /// lane, so overriding is purely a performance decision; implementations
-    /// must return exactly what four scalar calls would.
-    ///
-    /// # Panics
-    ///
-    /// May panic under the same conditions as
-    /// [`QuorumSystem::is_available_u64`].
-    fn is_available_u64x4(
-        &self,
-        alive: [u64; AVAILABILITY_LANES],
-        scratch: &mut LaneScratch,
-    ) -> [bool; AVAILABILITY_LANES] {
-        let mut out = [false; AVAILABILITY_LANES];
-        for (lane, (&mask, slot)) in alive.iter().zip(&mut out).enumerate() {
-            *slot = self.is_available_u64(mask, scratch.lane_mut(lane));
-        }
-        out
-    }
-
     /// Structure-specialised count kernel: adds one to `profile[popcount(m)]`
     /// for every mask `m` in `start..end` for which the system is
     /// *unavailable* and returns `true`, or returns `false` (leaving
     /// `profile` untouched) when the system has no specialised kernel.
     ///
     /// This is the whole inner loop of exact `F_p` enumeration handed to the
-    /// construction at once. The per-batch lane API
-    /// ([`QuorumSystem::is_available_u64x4`]) cannot amortise anything across
-    /// batches — each call re-derives its structure walk — whereas a range
-    /// kernel need not visit every mask: when availability factors through
-    /// a small summary of each half of a mask (popcount for Threshold, full
-    /// rows and the column AND-fold for the grids), an aligned segment of
-    /// masks sharing their high half is counted at once from a histogram of
-    /// the low half.
+    /// construction at once; without a kernel the engine asks
+    /// [`QuorumSystem::is_available_u64`] mask by mask. A kernel need not
+    /// visit every mask: when availability factors through a small summary
+    /// of each half of a mask (popcount for Threshold, full rows and the
+    /// column AND-fold for the grids), an aligned segment of masks sharing
+    /// their high half is counted at once from a histogram of the low half.
+    /// An explicit quorum list answers several masks per pass over its
+    /// quorums instead.
     ///
     /// `profile` has `n + 1` counters (see
     /// [`crate::eval::AvailabilityProfile`]). However the kernel counts, the
@@ -156,60 +103,28 @@ pub trait QuorumSystem: Send + Sync {
         false
     }
 
-    /// Exact crash probability in closed form, when the construction's
-    /// structure admits one (`None` otherwise). Implementations must agree
-    /// with exhaustive enumeration to within floating-point error; the
-    /// evaluation engine uses this to skip enumeration entirely.
-    fn crash_probability_closed_form(&self, _p: f64) -> Option<f64> {
-        None
-    }
-
-    /// Batched form of [`QuorumSystem::crash_probability_closed_form`] over
-    /// a grid of crash probabilities: `Some` with one value per point iff
-    /// every point has a closed-form answer.
+    /// `F_p(Q)` at every point of `ps` without sampling, when the
+    /// construction's structure answers it more cheaply than enumerating
+    /// `2^n` crash configurations: one estimate per point, tagged
+    /// [`FpMethod::ClosedForm`] (an algebraic closed form),
+    /// [`FpMethod::Dp`] (an exact dynamic program) or [`FpMethod::DpPruned`]
+    /// (a certified enclosure, [`FpEstimate::enclosure`]). `None` — the
+    /// default — declines the whole grid, and the engine falls through to
+    /// the availability profile, then Monte-Carlo.
     ///
-    /// The default evaluates point by point, which is right for algebraic
-    /// closed forms (microseconds each). Constructions whose "closed form"
-    /// is an expensive structure-aware computation with `p`-independent
-    /// scaffolding override this to amortise it — the M-Path transfer-matrix
-    /// DP enumerates its interface state space once for the whole grid.
-    /// Implementations must return values bit-identical to the per-point
-    /// method ([`crate::eval::Evaluator::sweep`] relies on it).
-    fn crash_probability_closed_form_batch(&self, ps: &[f64]) -> Option<Vec<f64>> {
-        ps.iter()
-            .map(|&p| self.crash_probability_closed_form(p.clamp(0.0, 1.0)))
-            .collect()
-    }
-
-    /// How [`QuorumSystem::crash_probability_closed_form`] answers are
-    /// obtained, for the engine's method tagging: an algebraic closed form by
-    /// default; constructions whose "closed form" is really a structure-aware
-    /// exact dynamic program (M-Path's boundary-interface sweep) override this
-    /// to [`crate::eval::FpMethod::Dp`].
-    fn closed_form_method(&self) -> crate::eval::FpMethod {
-        crate::eval::FpMethod::ClosedForm
-    }
-
-    /// A certified `(lower, upper)` enclosure of `F_p(Q)` when the
-    /// construction can compute one more cheaply than exactly — e.g. the
-    /// ε-pruned M-Path transfer-matrix sweep past its exact side wall. The
-    /// engine consults this only after the closed form declines and exact
-    /// enumeration is out of reach, tagging answers
-    /// [`crate::eval::FpMethod::DpPruned`]. The bound must be *rigorous*
-    /// (the true value inside `[lower, upper]`), not statistical.
-    fn crash_probability_interval(&self, _p: f64) -> Option<(f64, f64)> {
+    /// The engine calls this once per sweep with every point already
+    /// clamped to `[0, 1]`, so constructions with `p`-independent
+    /// scaffolding (the M-Path transfer-matrix sweep) build it once. An
+    /// enclosure must be *rigorous* (the true value inside `[lower, upper]`),
+    /// not statistical.
+    ///
+    /// [`FpMethod::ClosedForm`]: crate::eval::FpMethod::ClosedForm
+    /// [`FpMethod::Dp`]: crate::eval::FpMethod::Dp
+    /// [`FpMethod::DpPruned`]: crate::eval::FpMethod::DpPruned
+    /// [`FpEstimate::enclosure`]: crate::eval::FpEstimate::enclosure
+    fn certified_crash_probabilities(&self, ps: &[f64]) -> Option<Vec<FpEstimate>> {
+        let _ = ps;
         None
-    }
-
-    /// Batched form of [`QuorumSystem::crash_probability_interval`] over a
-    /// grid of crash probabilities, with the same amortisation contract as
-    /// [`QuorumSystem::crash_probability_closed_form_batch`]: `Some` iff
-    /// every point has an enclosure, each lane bit-identical to its
-    /// per-point answer.
-    fn crash_probability_interval_batch(&self, ps: &[f64]) -> Option<Vec<(f64, f64)>> {
-        ps.iter()
-            .map(|&p| self.crash_probability_interval(p.clamp(0.0, 1.0)))
-            .collect()
     }
 
     /// The cardinality `c(Q)` of the smallest quorum.
@@ -368,47 +283,42 @@ impl QuorumSystem for ExplicitQuorumSystem {
 
     fn is_available(&self, alive: &ServerSet) -> bool {
         // Unlike the default (via `find_live_quorum`), never clones the
-        // surviving quorum: this runs once per crash configuration in exact
-        // enumeration.
+        // surviving quorum: this runs once per Monte-Carlo trial.
         self.quorums.iter().any(|q| q.is_subset_of(alive))
     }
 
-    fn is_available_u64(&self, alive: u64, _scratch: &mut ServerSet) -> bool {
+    fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) -> bool {
         // Hard assert (not debug): with n > 64 `masks64` is empty and the
-        // loop below would silently report every configuration unavailable.
+        // scan below would silently count every configuration unavailable.
         assert!(
             self.universe_size <= 64,
-            "is_available_u64 requires a universe of at most 64 servers (got {})",
+            "unavailable_profile_u64_range requires a universe of at most 64 servers (got {})",
             self.universe_size
         );
-        self.masks64.iter().any(|&q| q & !alive == 0)
-    }
-
-    fn is_available_u64x4(
-        &self,
-        alive: [u64; AVAILABILITY_LANES],
-        _scratch: &mut LaneScratch,
-    ) -> [bool; AVAILABILITY_LANES] {
-        assert!(
-            self.universe_size <= 64,
-            "is_available_u64x4 requires a universe of at most 64 servers (got {})",
-            self.universe_size
-        );
-        // One pass over the quorum masks answers all four lanes: the subset
-        // tests against the four alive words are independent, so the compiler
+        // One pass over the quorum masks answers four alive masks: the subset
+        // tests against the four words are independent, so the compiler
         // vectorises the inner block, and a single early exit fires once
         // every lane has found a live quorum.
-        let miss: [u64; AVAILABILITY_LANES] = std::array::from_fn(|i| !alive[i]);
-        let mut found = [false; AVAILABILITY_LANES];
-        for &q in &self.masks64 {
-            for (f, &m) in found.iter_mut().zip(&miss) {
-                *f |= q & m == 0;
+        let mut mask = start;
+        while mask < end {
+            let lanes = (end - mask).min(4) as usize;
+            let miss: [u64; 4] = std::array::from_fn(|i| !mask.wrapping_add(i as u64));
+            let mut found = [false; 4];
+            found[lanes..].fill(true);
+            for &q in &self.masks64 {
+                for (f, &m) in found.iter_mut().zip(&miss) {
+                    *f |= q & m == 0;
+                }
+                if found == [true; 4] {
+                    break;
+                }
             }
-            if found == [true; AVAILABILITY_LANES] {
-                break;
+            for (i, &ok) in found[..lanes].iter().enumerate() {
+                profile[(mask + i as u64).count_ones() as usize] += u64::from(!ok);
             }
+            mask += lanes as u64;
         }
-        found
+        true
     }
 
     fn min_quorum_size(&self) -> usize {
@@ -540,6 +450,18 @@ mod tests {
                 q.is_available(&reference),
                 "mask={mask:#x}"
             );
+        }
+        // The four-mask count kernel equals the per-mask count on every
+        // range, including ranges whose ends cut a group of four.
+        for (start, end) in [(0, 64), (1, 7), (3, 3), (5, 62), (61, 64)] {
+            let mut kernel = vec![0u64; 7];
+            assert!(q.unavailable_profile_u64_range(start, end, &mut kernel));
+            let mut per_mask = vec![0u64; 7];
+            for mask in start..end {
+                reference.assign_mask_u64(mask);
+                per_mask[mask.count_ones() as usize] += u64::from(!q.is_available(&reference));
+            }
+            assert_eq!(kernel, per_mask, "{start}..{end}");
         }
     }
 }

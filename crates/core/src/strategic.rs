@@ -18,6 +18,7 @@ use rand::RngCore;
 
 use crate::bitset::ServerSet;
 use crate::error::QuorumError;
+use crate::eval::FpEstimate;
 use crate::load::CertifiedLoad;
 use crate::quorum::QuorumSystem;
 use crate::strategy::AccessStrategy;
@@ -150,24 +151,8 @@ impl<S: QuorumSystem> QuorumSystem for StrategicQuorumSystem<S> {
             .unavailable_profile_u64_range(start, end, profile)
     }
 
-    fn crash_probability_closed_form(&self, p: f64) -> Option<f64> {
-        self.inner.crash_probability_closed_form(p)
-    }
-
-    fn crash_probability_closed_form_batch(&self, ps: &[f64]) -> Option<Vec<f64>> {
-        self.inner.crash_probability_closed_form_batch(ps)
-    }
-
-    fn closed_form_method(&self) -> crate::eval::FpMethod {
-        self.inner.closed_form_method()
-    }
-
-    fn crash_probability_interval(&self, p: f64) -> Option<(f64, f64)> {
-        self.inner.crash_probability_interval(p)
-    }
-
-    fn crash_probability_interval_batch(&self, ps: &[f64]) -> Option<Vec<(f64, f64)>> {
-        self.inner.crash_probability_interval_batch(ps)
+    fn certified_crash_probabilities(&self, ps: &[f64]) -> Option<Vec<FpEstimate>> {
+        self.inner.certified_crash_probabilities(ps)
     }
 
     fn min_quorum_size(&self) -> usize {
@@ -244,10 +229,9 @@ mod tests {
         assert!((certified.load - 2.0 / 3.0).abs() < 1e-9);
     }
 
-    /// `majority3` with the two hooks the engine dispatches on below the
-    /// closed form: a count kernel (as Grid, M-Grid and Threshold have) that
-    /// records its calls, and a certified interval (as M-Path has past its
-    /// exact-DP wall) whose batched form is tighter than the per-point one.
+    /// `majority3` with both hooks the engine dispatches on: a count kernel
+    /// (as Grid, M-Grid and Threshold have) that records its calls, and a
+    /// certified interval (as M-Path has past its exact-DP wall).
     struct Hooked {
         inner: ExplicitQuorumSystem,
         kernel_calls: AtomicUsize,
@@ -273,11 +257,12 @@ mod tests {
             }
             true
         }
-        fn crash_probability_interval(&self, p: f64) -> Option<(f64, f64)> {
-            Some((0.0, p))
-        }
-        fn crash_probability_interval_batch(&self, ps: &[f64]) -> Option<Vec<(f64, f64)>> {
-            Some(ps.iter().map(|&p| (p / 4.0, p / 2.0)).collect())
+        fn certified_crash_probabilities(&self, ps: &[f64]) -> Option<Vec<FpEstimate>> {
+            Some(
+                ps.iter()
+                    .map(|&p| FpEstimate::enclosure(p / 4.0, p / 2.0))
+                    .collect(),
+            )
         }
         fn min_quorum_size(&self) -> usize {
             2
@@ -292,7 +277,8 @@ mod tests {
         };
         let columns = vec![ServerSet::from_indices(3, [0, 1])];
         let strategy = AccessStrategy::uniform(1).unwrap();
-        let wrapped = StrategicQuorumSystem::new(hooked(), columns, strategy).unwrap();
+        let wrapped =
+            StrategicQuorumSystem::new(hooked(), columns.clone(), strategy.clone()).unwrap();
         let bare = hooked();
         let eval = Evaluator::new();
         // Enumerable: the profile is the inner count kernel's, not a
@@ -302,14 +288,21 @@ mod tests {
             eval.availability_profile(&bare).unwrap()
         );
         assert!(wrapped.inner().kernel_calls.load(Ordering::Relaxed) > 0);
-        // Past the exact limit: the inner enclosure, bit for bit, where the
-        // unforwarded hooks fell silently to Monte-Carlo.
-        let past_limit = eval.with_exact_limit(2);
-        let through_wrapper = past_limit.crash_probability(&wrapped, 0.3);
+        // The inner enclosure, bit for bit, where an unforwarded hook falls
+        // through to the profile.
+        let through_wrapper = eval.crash_probability(&wrapped, 0.3);
         assert_eq!(through_wrapper.method, FpMethod::DpPruned);
-        assert_eq!(through_wrapper, past_limit.crash_probability(&bare, 0.3));
+        assert_eq!(through_wrapper, eval.crash_probability(&bare, 0.3));
         assert_eq!(through_wrapper.interval, Some((0.3 / 4.0, 0.3 / 2.0)));
-        assert_eq!(wrapped.crash_probability_interval(0.3), Some((0.0, 0.3)));
+        // An explicit quorum list's kernel — its four-mask scan — is reached
+        // through the wrapper too: without the forwarding the wrapper has no
+        // kernel and answers `false`.
+        let explicit = StrategicQuorumSystem::new(majority3(), columns, strategy).unwrap();
+        let mut through_kernel = vec![0u64; 4];
+        assert!(explicit.unavailable_profile_u64_range(0, 8, &mut through_kernel));
+        let naive = crate::availability::availability_profile_naive(&majority3()).unwrap();
+        assert_eq!(through_kernel, naive.unavailable_by_alive());
+        assert_eq!(eval.availability_profile(&explicit).unwrap(), naive);
     }
 
     #[test]

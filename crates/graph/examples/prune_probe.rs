@@ -5,7 +5,7 @@
 //!
 //! Run with: cargo run --release -p bqs-graph --example prune_probe
 
-use bqs_graph::crossing_dp::mpath_crash_probability_pruned;
+use bqs_graph::crossing_dp::mpath_crash_probability;
 
 fn main() {
     let p = 0.125;
@@ -13,16 +13,16 @@ fn main() {
     for &(side, k) in &[(8usize, 2usize), (9, 3), (10, 4)] {
         for &eps in &[1e-12f64, 1e-15, 1e-18] {
             let t = std::time::Instant::now();
-            let iv = mpath_crash_probability_pruned(side, k, p, budget, eps);
+            let iv = mpath_crash_probability(side, k, &[p], budget, eps);
             let dt = t.elapsed().as_secs_f64();
-            match iv {
-                Some(iv) => println!(
+            match iv.as_deref() {
+                Some([iv]) => println!(
                     "side={side} k={k} eps={eps:.0e}: F_p in [{:.6e}, {:.6e}] width={:.3e} in {dt:.2}s",
                     iv.lower,
                     iv.upper,
                     iv.width()
                 ),
-                None => println!("side={side} k={k} eps={eps:.0e}: DECLINED in {dt:.2}s"),
+                _ => println!("side={side} k={k} eps={eps:.0e}: DECLINED in {dt:.2}s"),
             }
         }
     }

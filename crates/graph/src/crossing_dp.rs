@@ -8,6 +8,13 @@
 //! program over boundary-interface states — and decides the event for one
 //! configuration with a capped shortest-path search, by the same duality.
 //!
+//! Two probability entry points share one sweep, each over a whole `p`-grid:
+//! [`mpath_crash_probability`] (exact at `ε = 0`, a certified ε-pruned
+//! enclosure above it) and [`crossing_probability`] (the `k = 1` crossing
+//! event). Both return `None` for `side == 0` or `k` outside `1..=side`,
+//! beyond the bit-packed interface state (`k > 7` or `side > 10`), and,
+//! when exact, past the state budget.
+//!
 //! # The duality that makes a sweep possible
 //!
 //! The triangular lattice is *self-matching*: a set of vertices blocks every
@@ -84,28 +91,33 @@
 //! budgets) the result is exact to floating-point rounding, which extends
 //! exact M-Path evaluation well past the `2^25` enumeration limit
 //! (side 5): a side-7 grid has `2^49` configurations.
+//!
+//! # Determinism
+//!
+//! A lane's value is a sum of f64 masses, and the order of that sum is the
+//! order in which the state maps are iterated. The maps use a seedless
+//! multiply-rotate hasher (`FxHasher`), so that order — and hence every lane's bits — is a function
+//! of `(side, k, ε, budget, ps)` alone: the same in every run, process and
+//! thread count (the sweep is single-threaded). A golden test pins the bits.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
 
 use crate::grid::{Axis, TriangulatedGrid};
 
-/// Deterministic hashing for the state maps: with the std `RandomState`,
-/// state iteration (and hence the f64 accumulation order) would differ
-/// between processes, making DP results reproducible only up to the last
-/// ulp. Both key codecs use a fixed, seedless hasher so every run is
-/// bit-identical.
+/// The interface-state map of the sweep: packed state → index into a flat
+/// `lanes`-strided mass arena.
 ///
 /// Each state carries one probability mass *per sweep point*: the reachable
 /// state space and its transition structure depend only on `(side, k)` —
 /// never on `p` — so a whole `p`-grid shares a single enumeration, paying
 /// the hashing/packing cost once instead of once per point (the lanes are
 /// independent, so each lane's accumulation order, and hence its bits,
-/// matches a single-point sweep exactly). The map value is an index into a
-/// flat `lanes`-strided mass arena rather than a per-state `Vec<f64>`, so
-/// carrying lanes costs no extra heap allocation per state — in particular
-/// the single-point path allocates exactly what it did before batching.
-type StateMap<K> = HashMap<K, usize, <K as SweepKey>::Build>;
+/// matches a single-point sweep exactly). Storing an arena index rather than
+/// a per-state `Vec<f64>` keeps the lanes free of per-state heap
+/// allocation. The hasher is the seedless [`FxHasher`]; see "Determinism"
+/// in the module docs.
+type StateMap = HashMap<PackedKey, usize, BuildHasherDefault<FxHasher>>;
 
 /// Default cap on the number of simultaneous interface states before the DP
 /// gives up and returns `None`. 2 million states × ~100-byte keys keeps the
@@ -114,21 +126,21 @@ type StateMap<K> = HashMap<K, usize, <K as SweepKey>::Build>;
 pub const DEFAULT_DP_STATE_BUDGET: usize = 2_000_000;
 
 /// Default per-state mass threshold for the ε-pruned sweep
-/// ([`mpath_crash_probability_pruned`]). A state is discarded only when its
-/// mass is below ε in **every** lane, and all discarded mass is carried
-/// forward into the interval width, so the choice of ε trades state count
-/// against interval width rather than against correctness. `1e-24` is a
-/// conservative floor; the state budget (which force-prunes the lowest-mass
-/// states when the ε-survivors overflow it, see
-/// [`mpath_crash_probability_pruned`]) is the knob that actually bounds
-/// memory, and at paper-scale `p` the banked mass stays orders of magnitude
-/// below the `1e-9` reporting gate.
+/// ([`mpath_crash_probability`] with `epsilon > 0`). A state is discarded
+/// only when its mass is below ε in **every** lane, and all discarded mass is
+/// carried forward into the interval width, so the choice of ε trades state
+/// count against interval width rather than against correctness. `1e-24` is
+/// a conservative floor; the state budget (which force-prunes the
+/// lowest-mass states when the ε-survivors overflow it) is the knob that
+/// actually bounds memory, and at paper-scale `p` the banked mass stays
+/// orders of magnitude below the `1e-9` reporting gate.
 pub const DEFAULT_PRUNE_EPSILON: f64 = 1e-24;
 
 /// A rigorous enclosure `[lower, upper]` of a probability computed by the
-/// ε-pruned sweep: the lower end is the blocked mass the surviving states
-/// account for, the upper end additionally charges **all** discarded mass to
-/// the event. The true (unpruned) probability is contained by construction.
+/// sweep: the lower end is the blocked mass the surviving states account
+/// for, the upper end additionally charges **all** discarded mass to the
+/// event. The true (unpruned) probability is contained by construction; an
+/// exact sweep discards nothing, so its intervals have width 0.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbabilityInterval {
     /// Certified lower bound on the probability.
@@ -138,25 +150,10 @@ pub struct ProbabilityInterval {
 }
 
 impl ProbabilityInterval {
-    /// A degenerate (width-zero) interval at `value`.
-    #[must_use]
-    pub fn exact(value: f64) -> Self {
-        ProbabilityInterval {
-            lower: value,
-            upper: value,
-        }
-    }
-
     /// The certified width `upper - lower`.
     #[must_use]
     pub fn width(&self) -> f64 {
         self.upper - self.lower
-    }
-
-    /// The midpoint, the natural point estimate.
-    #[must_use]
-    pub fn midpoint(&self) -> f64 {
-        0.5 * (self.lower + self.upper)
     }
 
     /// Whether `value` lies inside the enclosure (within `tol` slack).
@@ -327,73 +324,35 @@ impl LaneMass {
     }
 }
 
-/// Exact M-Path crash probability: the probability that the grid does **not**
-/// contain `k` vertex-disjoint alive left-right crossings and `k`
-/// vertex-disjoint alive top-bottom crossings simultaneously, when every
-/// vertex crashes independently with probability `p`.
+/// The M-Path crash probability at every point of `ps`: the probability
+/// that the grid does **not** contain `k` vertex-disjoint alive left-right
+/// crossings and `k` vertex-disjoint alive top-bottom crossings
+/// simultaneously, when every vertex crashes independently with probability
+/// `p`. One sweep answers the whole grid: the interface-state enumeration
+/// and transition structure depend only on `(side, k)`, so each extra point
+/// costs a few multiply-adds per transition, and every lane is bit-identical
+/// to a run of that point alone.
 ///
-/// Returns `None` when the interface-state count exceeds `max_states`
-/// (the DP is exponential in `side`; see the module docs), when `side == 0`,
-/// or when `k` is not in `1..=side` (with `k > side` no configuration has
-/// `k` disjoint crossings, so the crash probability is trivially 1 — callers
-/// should not need a sweep for that).
-#[must_use]
-pub fn mpath_crash_probability_exact(
-    side: usize,
-    k: usize,
-    p: f64,
-    max_states: usize,
-) -> Option<f64> {
-    run_sweep_grid(side, k, &[p], max_states, 0.0).map(|o| o[0].either_blocked())
-}
-
-/// The ε-pruned variant of [`mpath_crash_probability_exact`]: interface
-/// states whose probability mass falls below `epsilon` (in every lane) are
-/// dropped from the sweep, and the total dropped mass is carried forward as
-/// a rigorous enclosure — the true crash probability is certified to lie in
-/// the returned `[lower, upper]` interval. With `epsilon = 0.0` no state is
-/// ever dropped and the interval degenerates to the exact value.
+/// With `epsilon = 0.0` the sweep is exact and every interval has width 0.
+/// With `epsilon > 0` interface states whose mass falls below `epsilon` in
+/// **every** lane are dropped, and each lane's dropped mass is carried
+/// forward as a rigorous enclosure: the true crash probability lies in the
+/// returned `[lower, upper]`. Pruning is what pushes the sweep past the
+/// exact side-6 wall: the mass distribution over interface states is
+/// extremely skewed, so a small high-mass core carries almost all of the
+/// probability. When the ε-survivors still exceed `max_states` the sweep
+/// keeps exactly the `max_states` highest-mass states and banks the rest,
+/// so the budget bounds *memory* rather than aborting the run — a
+/// too-tight budget surfaces as interval width, never as a wrong value.
 ///
-/// Pruning is what pushes the sweep past the exact side-6 wall: the mass
-/// distribution over interface states is extremely skewed, so a small
-/// high-mass core carries almost all of the probability. When the
-/// ε-survivors still exceed `max_states` the sweep keeps exactly the
-/// `max_states` highest-mass states and banks the rest, so the budget bounds
-/// *memory* rather than aborting the run — a too-tight budget surfaces as
-/// interval width, never as a wrong value.
-///
-/// With `epsilon > 0` the sweep therefore only returns `None` on invalid
-/// parameters (`side == 0` or `k` outside `1..=side`); with `epsilon = 0.0`
-/// it returns `None` when the exact state set exceeds `max_states`, exactly
-/// like [`mpath_crash_probability_exact`].
+/// Returns `None` when `side == 0`, when `k` is not in `1..=side` (with
+/// `k > side` no configuration has `k` disjoint crossings, so the crash
+/// probability is trivially 1 — callers should not need a sweep for that),
+/// beyond the bit-packed interface state (`k > 7` or `side > 10`), or, with
+/// `epsilon = 0.0`, when the exact state set exceeds `max_states` (the DP is
+/// exponential in `side`; see the module docs).
 #[must_use]
-pub fn mpath_crash_probability_pruned(
-    side: usize,
-    k: usize,
-    p: f64,
-    max_states: usize,
-    epsilon: f64,
-) -> Option<ProbabilityInterval> {
-    run_sweep_grid_pruned(side, k, &[p], max_states, epsilon).map(|o| o[0])
-}
-
-/// [`mpath_crash_probability_pruned`] over a whole `p`-grid in one shared
-/// sweep (see [`mpath_crash_probability_exact_grid`]; each lane keeps its own
-/// discarded-mass total, so every interval is certified for its own `p`).
-#[must_use]
-pub fn mpath_crash_probability_pruned_grid(
-    side: usize,
-    k: usize,
-    ps: &[f64],
-    max_states: usize,
-    epsilon: f64,
-) -> Option<Vec<ProbabilityInterval>> {
-    run_sweep_grid_pruned(side, k, ps, max_states, epsilon)
-}
-
-/// Shared driver for the pruned entry points: maps each lane's blocked and
-/// discarded mass into a certified interval.
-fn run_sweep_grid_pruned(
+pub fn mpath_crash_probability(
     side: usize,
     k: usize,
     ps: &[f64],
@@ -419,50 +378,14 @@ fn run_sweep_grid_pruned(
     )
 }
 
-/// [`mpath_crash_probability_exact`] over a whole `p`-grid in **one** sweep:
-/// the interface-state enumeration and transition structure depend only on
-/// `(side, k)`, so all points share them and each extra point costs a few
-/// multiply-adds per transition instead of a full re-enumeration. Results
-/// are bit-identical to evaluating each point on its own.
+/// Exact probability of an alive left-right crossing (the `k = 1` flow
+/// event) at every point of `ps`, in one shared sweep. By the square grid's
+/// transpose symmetry the top-bottom crossing probability is the same.
 ///
-/// Returns `None` under the same conditions as the single-point form.
+/// Returns `None` under the same conditions as the exact
+/// [`mpath_crash_probability`].
 #[must_use]
-pub fn mpath_crash_probability_exact_grid(
-    side: usize,
-    k: usize,
-    ps: &[f64],
-    max_states: usize,
-) -> Option<Vec<f64>> {
-    run_sweep_grid(side, k, ps, max_states, 0.0)
-        .map(|lanes| lanes.iter().map(LaneMass::either_blocked).collect())
-}
-
-/// Exact probability of an alive crossing along `axis` (`k = 1` flow event)
-/// when every vertex crashes independently with probability `p`. By the
-/// square grid's transpose symmetry the two axes give the same value; the
-/// parameter exists for call-site clarity.
-///
-/// Returns `None` under the same conditions as
-/// [`mpath_crash_probability_exact`].
-#[must_use]
-pub fn crossing_probability_exact(
-    side: usize,
-    p: f64,
-    _axis: Axis,
-    max_states: usize,
-) -> Option<f64> {
-    run_sweep_grid(side, 1, &[p], max_states, 0.0).map(|o| 1.0 - o[0].lr_blocked())
-}
-
-/// [`crossing_probability_exact`] over a whole `p`-grid in one shared sweep
-/// (see [`mpath_crash_probability_exact_grid`]).
-#[must_use]
-pub fn crossing_probability_exact_grid(
-    side: usize,
-    ps: &[f64],
-    _axis: Axis,
-    max_states: usize,
-) -> Option<Vec<f64>> {
+pub fn crossing_probability(side: usize, ps: &[f64], max_states: usize) -> Option<Vec<f64>> {
     run_sweep_grid(side, 1, ps, max_states, 0.0)
         .map(|lanes| lanes.iter().map(|o| 1.0 - o.lr_blocked()).collect())
 }
@@ -483,40 +406,6 @@ struct State {
     alive: u32,
 }
 
-/// Key codec for the interface-state maps: how a [`State`] is canonicalised
-/// into a hashable map key. Two codecs exist — the bit-packed [`PackedKey`]
-/// fast path (no per-key heap allocation, 4-word hashing and equality) that
-/// covers every practically reachable parameterisation (`side ≤ 10`,
-/// `k ≤ 7`), and the byte-vector fallback for parameters beyond it, kept for
-/// API completeness (those sweeps exceed any realistic state budget anyway).
-trait SweepKey: Eq + std::hash::Hash + Clone {
-    /// Hasher family for maps keyed by this codec (fixed-seed, so state
-    /// iteration order — and hence f64 accumulation — is reproducible).
-    type Build: std::hash::BuildHasher + Default;
-    /// An empty reusable key buffer.
-    fn empty() -> Self;
-    /// Canonicalises `state` into `self`.
-    fn pack(&mut self, state: &State, n_nodes: usize);
-    /// Rehydrates the key into a full-matrix `State`.
-    fn unpack(&self, n_nodes: usize, out: &mut State);
-}
-
-impl SweepKey for Vec<u8> {
-    type Build = BuildHasherDefault<std::hash::DefaultHasher>;
-
-    fn empty() -> Self {
-        Vec::new()
-    }
-
-    fn pack(&mut self, state: &State, n_nodes: usize) {
-        pack_into(state, n_nodes, self);
-    }
-
-    fn unpack(&self, n_nodes: usize, out: &mut State) {
-        unpack_into(self, n_nodes, out);
-    }
-}
-
 /// 3-bit slots per `u64` word of a [`PackedKey`]: 21 slots use 63 bits, so a
 /// slot never straddles a word boundary.
 const PACKED_SLOTS_PER_WORD: usize = 21;
@@ -531,11 +420,11 @@ fn packed_slots_needed(side: usize) -> usize {
     n_nodes * (n_nodes - 1) / 2 + side.div_ceil(3)
 }
 
-/// The interface state bit-packed into four words: capped cost entries are at
-/// most `kcap ≤ 7`, so each fits a 3-bit slot. Compared to the byte-vector
-/// codec this removes the per-inserted-state heap allocation and shrinks
-/// hashing and equality from a ~60-byte memcmp/SipHash to four words — the
-/// dominant non-arithmetic cost of the sweep's hot loop.
+/// The interface state bit-packed into four words, the key of the sweep's
+/// state maps: capped cost entries are at most `kcap ≤ 7`, so each fits a
+/// 3-bit slot, and `side ≤ 10` fits the matrix and the frontier bits in 84
+/// slots. A key needs no heap allocation, and hashing and equality are four
+/// words — the dominant non-arithmetic cost of the sweep's hot loop.
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct PackedKey([u64; 4]);
 
@@ -550,13 +439,8 @@ impl std::hash::Hash for PackedKey {
     }
 }
 
-impl SweepKey for PackedKey {
-    type Build = BuildHasherDefault<FxHasher>;
-
-    fn empty() -> Self {
-        PackedKey([0; 4])
-    }
-
+impl PackedKey {
+    /// Canonicalises `state` into `self`.
     fn pack(&mut self, state: &State, n_nodes: usize) {
         self.0 = [0; 4];
         let mut slot = 0usize;
@@ -574,6 +458,7 @@ impl SweepKey for PackedKey {
         }
     }
 
+    /// Rehydrates the key into a full-matrix `State`.
     fn unpack(&self, n_nodes: usize, out: &mut State) {
         let mut slot = 0usize;
         for i in 0..n_nodes {
@@ -601,8 +486,10 @@ impl SweepKey for PackedKey {
 /// Seedless multiply-rotate hasher for [`PackedKey`] maps: four
 /// rotate-xor-multiply rounds instead of SipHash over a ~60-byte buffer.
 /// Deterministic by construction (no per-process seed), which is what keeps
-/// sweep results bit-identical run to run; it is never fed attacker-chosen
-/// keys, so SipHash's flooding resistance buys nothing here.
+/// sweep results bit-identical run to run (with the std `RandomState`, state
+/// iteration — and hence each lane's f64 accumulation order — would differ
+/// between processes); it is never fed attacker-chosen keys, so SipHash's
+/// flooding resistance buys nothing here.
 #[derive(Default)]
 struct FxHasher(u64);
 
@@ -620,15 +507,11 @@ impl std::hash::Hasher for FxHasher {
     fn write_u64(&mut self, w: u64) {
         self.0 = (self.0.rotate_left(26) ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     }
-
-    fn write_usize(&mut self, w: usize) {
-        self.write_u64(w as u64);
-    }
 }
 
-/// The common driver behind the exact and pruned entry points: one
-/// [`LaneMass`] per requested `p`. With `epsilon = 0.0` no state is ever
-/// pruned and every lane's discarded mass is exactly zero.
+/// The sweep behind both entry points: one [`LaneMass`] per
+/// requested `p`. With `epsilon = 0.0` no state is ever pruned and every
+/// lane's discarded mass is exactly zero.
 fn run_sweep_grid(
     side: usize,
     k: usize,
@@ -636,7 +519,7 @@ fn run_sweep_grid(
     max_states: usize,
     epsilon: f64,
 ) -> Option<Vec<LaneMass>> {
-    if side == 0 || k == 0 || k > side || side > 31 {
+    if side == 0 || k == 0 || k > side.min(7) || packed_slots_needed(side) > PACKED_SLOTS {
         return None;
     }
     // Boundary points are analytic (p = 0: the fully alive grid has `k ≤
@@ -678,22 +561,6 @@ fn run_sweep_grid(
     )
 }
 
-/// The shared column sweep over interior points (`0 < p < 1` each): one
-/// state enumeration, `ps.len()` probability lanes.
-fn sweep_interior(
-    side: usize,
-    k: usize,
-    ps: &[f64],
-    max_states: usize,
-    epsilon: f64,
-) -> Option<Vec<LaneMass>> {
-    if k <= 7 && packed_slots_needed(side) <= PACKED_SLOTS {
-        sweep_interior_keyed::<PackedKey>(side, k, ps, max_states, epsilon)
-    } else {
-        sweep_interior_keyed::<Vec<u8>>(side, k, ps, max_states, epsilon)
-    }
-}
-
 /// One Neumaier-compensated running sum per lane. The absorbed mass is the
 /// sum of millions of terms spanning many orders of magnitude, and it is most
 /// of a crash probability's value, so it is summed with an error term rather
@@ -728,15 +595,16 @@ impl CompensatedLanes {
     }
 }
 
-/// The sweep body, generic over the state-key codec (see [`SweepKey`]).
-fn sweep_interior_keyed<K: SweepKey>(
+/// The shared column sweep over interior points (`0 < p < 1` each): one
+/// state enumeration, `ps.len()` probability lanes.
+fn sweep_interior(
     side: usize,
     k: usize,
     ps: &[f64],
     max_states: usize,
     epsilon: f64,
 ) -> Option<Vec<LaneMass>> {
-    let kcap = u8::try_from(k).ok()?;
+    let kcap = u8::try_from(k).expect("run_sweep_grid checked k <= 7");
     let lanes = ps.len();
     let n_nodes = CELLS + side;
     let initial = State {
@@ -745,9 +613,9 @@ fn sweep_interior_keyed<K: SweepKey>(
         d: init_matrix(n_nodes, kcap),
         alive: 0,
     };
-    let mut states: StateMap<K> = StateMap::<K>::default();
+    let mut states = StateMap::default();
     let mut masses: Vec<f64> = vec![1.0; lanes];
-    let mut initial_key = K::empty();
+    let mut initial_key = PackedKey([0; 4]);
     initial_key.pack(&initial, n_nodes);
     states.insert(initial_key, 0);
     let mut decided = CompensatedLanes::new(lanes);
@@ -761,15 +629,13 @@ fn sweep_interior_keyed<K: SweepKey>(
         alive: 0,
     };
     let mut scratch = base.clone();
-    let mut keybuf = K::empty();
+    let mut keybuf = PackedKey([0; 4]);
     let mut newrow = vec![0u8; n_nodes];
     let mut massbuf: Vec<f64> = vec![0.0; lanes];
     for col in 0..side {
         for row in 0..side {
-            let mut next = StateMap::<K>::with_capacity_and_hasher(
-                states.len().saturating_mul(2),
-                <_>::default(),
-            );
+            let mut next =
+                StateMap::with_capacity_and_hasher(states.len().saturating_mul(2), <_>::default());
             let mut next_masses: Vec<f64> = Vec::with_capacity(masses.len().saturating_mul(2));
             for (key, &mass_idx) in &states {
                 let mass = &masses[mass_idx * lanes..(mass_idx + 1) * lanes];
@@ -793,14 +659,13 @@ fn sweep_interior_keyed<K: SweepKey>(
                         continue;
                     }
                     keybuf.pack(&scratch, n_nodes);
-                    // Only a first-seen successor pays a key allocation; its
-                    // masses go into the flat arena.
+                    // A first-seen successor's masses go into the flat arena.
                     if let Some(&idx) = next.get(&keybuf) {
                         for (a, &mb) in next_masses[idx * lanes..].iter_mut().zip(&massbuf) {
                             *a += mb;
                         }
                     } else {
-                        next.insert(keybuf.clone(), next_masses.len() / lanes);
+                        next.insert(keybuf, next_masses.len() / lanes);
                         next_masses.extend_from_slice(&massbuf);
                     }
                 }
@@ -903,33 +768,6 @@ fn init_matrix(n_nodes: usize, kcap: u8) -> Vec<u8> {
         d[i * n_nodes + i] = 0;
     }
     d
-}
-
-/// Packs the upper triangle of the (symmetric) matrix plus the frontier bits
-/// into a canonical byte-vector key (the fallback codec's hot-loop packer;
-/// the reused buffer is cleared first).
-fn pack_into(state: &State, n_nodes: usize, key: &mut Vec<u8>) {
-    key.clear();
-    for i in 0..n_nodes {
-        for j in (i + 1)..n_nodes {
-            key.push(state.d[i * n_nodes + j]);
-        }
-    }
-    key.extend_from_slice(&state.alive.to_le_bytes());
-}
-
-/// Rehydrates a packed key into a reused full-matrix `State`.
-fn unpack_into(key: &[u8], n_nodes: usize, out: &mut State) {
-    let mut pos = 0;
-    for i in 0..n_nodes {
-        out.d[i * n_nodes + i] = 0;
-        for j in (i + 1)..n_nodes {
-            out.d[i * n_nodes + j] = key[pos];
-            out.d[j * n_nodes + i] = key[pos];
-            pos += 1;
-        }
-    }
-    out.alive = u32::from_le_bytes(key[pos..pos + 4].try_into().expect("key length"));
 }
 
 /// Extends the region by cell `(row, col)`, replacing the frontier slot of
@@ -1108,12 +946,33 @@ mod tests {
         total
     }
 
+    /// One exact lane.
+    fn exact_at(side: usize, k: usize, p: f64, max_states: usize) -> Option<f64> {
+        mpath_crash_probability(side, k, &[p], max_states, 0.0).map(|lanes| lanes[0].lower)
+    }
+
+    /// One ε-pruned lane.
+    fn pruned_at(
+        side: usize,
+        k: usize,
+        p: f64,
+        max_states: usize,
+        epsilon: f64,
+    ) -> Option<ProbabilityInterval> {
+        mpath_crash_probability(side, k, &[p], max_states, epsilon).map(|lanes| lanes[0])
+    }
+
+    /// One crossing-probability lane.
+    fn crossing_at(side: usize, p: f64, max_states: usize) -> Option<f64> {
+        crossing_probability(side, &[p], max_states).map(|lanes| lanes[0])
+    }
+
     #[test]
     fn dp_matches_brute_force_on_small_grids() {
         for side in [1usize, 2, 3] {
             for k in 1..=side {
                 for &p in &[0.0, 0.1, 0.33, 0.5, 0.77, 1.0] {
-                    let dp = mpath_crash_probability_exact(side, k, p, 1 << 22).unwrap();
+                    let dp = exact_at(side, k, p, 1 << 22).unwrap();
                     let brute = brute_force_crash_probability(side, k, p);
                     assert!(
                         (dp - brute).abs() < 1e-12,
@@ -1130,7 +989,7 @@ mod tests {
         // small but cover every k the M-Path construction can ask for.
         for k in [1usize, 2, 3] {
             for &p in &[0.125, 0.4] {
-                let dp = mpath_crash_probability_exact(4, k, p, 1 << 22).unwrap();
+                let dp = exact_at(4, k, p, 1 << 22).unwrap();
                 let brute = brute_force_crash_probability(4, k, p);
                 assert!(
                     (dp - brute).abs() < 1e-12,
@@ -1148,19 +1007,20 @@ mod tests {
         // endpoints.
         let ps = [0.0, 0.05, 0.125, 0.3, 0.5, 0.77, 1.0];
         for (side, k) in [(3usize, 1usize), (4, 2), (5, 3)] {
-            let grid = mpath_crash_probability_exact_grid(side, k, &ps, 1 << 22).unwrap();
-            for (&p, &g) in ps.iter().zip(&grid) {
-                let single = mpath_crash_probability_exact(side, k, p, 1 << 22).unwrap();
+            let grid = mpath_crash_probability(side, k, &ps, 1 << 22, 0.0).unwrap();
+            for (&p, g) in ps.iter().zip(&grid) {
+                let single = exact_at(side, k, p, 1 << 22).unwrap();
+                assert_eq!(g.width(), 0.0, "side={side} k={k} p={p}");
                 assert_eq!(
-                    g.to_bits(),
+                    g.lower.to_bits(),
                     single.to_bits(),
-                    "side={side} k={k} p={p}: grid {g} vs single {single}"
+                    "side={side} k={k} p={p}: grid {} vs single {single}",
+                    g.lower
                 );
             }
-            let crossing_grid =
-                crossing_probability_exact_grid(side, &ps, Axis::LeftRight, 1 << 22).unwrap();
+            let crossing_grid = crossing_probability(side, &ps, 1 << 22).unwrap();
             for (&p, &g) in ps.iter().zip(&crossing_grid) {
-                let single = crossing_probability_exact(side, p, Axis::LeftRight, 1 << 22).unwrap();
+                let single = crossing_at(side, p, 1 << 22).unwrap();
                 assert_eq!(g.to_bits(), single.to_bits(), "side={side} p={p}");
             }
         }
@@ -1168,40 +1028,79 @@ mod tests {
 
     #[test]
     fn grid_sweep_handles_empty_and_boundary_only_grids() {
-        assert_eq!(
-            mpath_crash_probability_exact_grid(4, 2, &[], 1 << 20).unwrap(),
-            Vec::<f64>::new()
-        );
-        assert_eq!(
-            mpath_crash_probability_exact_grid(4, 2, &[0.0, 1.0], 1 << 20).unwrap(),
-            vec![0.0, 1.0]
-        );
+        let exact_grid = |ps: &[f64]| -> Vec<f64> {
+            mpath_crash_probability(4, 2, ps, 1 << 20, 0.0)
+                .unwrap()
+                .iter()
+                .map(|iv| iv.lower)
+                .collect()
+        };
+        assert_eq!(exact_grid(&[]), Vec::<f64>::new());
+        assert_eq!(exact_grid(&[0.0, 1.0]), vec![0.0, 1.0]);
         // A NaN point propagates as NaN (no panic) without disturbing the
         // other lanes.
-        let mixed = mpath_crash_probability_exact_grid(4, 2, &[0.25, f64::NAN], 1 << 20).unwrap();
+        let mixed = exact_grid(&[0.25, f64::NAN]);
         assert!(mixed[0].is_finite());
         assert!(mixed[1].is_nan());
-        assert!(mpath_crash_probability_exact(4, 2, f64::NAN, 1 << 20)
-            .unwrap()
-            .is_nan());
+    }
+
+    /// Every lane's bits, recorded before the entry points were merged. The
+    /// seedless hasher makes the state map's iteration order — and hence the
+    /// order in which each lane's masses are summed — a function of the
+    /// arguments alone, so these bits may not move between runs, processes
+    /// or machines; a tolerance would not notice if they did.
+    #[test]
+    fn sweep_lanes_are_pinned_bit_for_bit() {
+        let ps = [0.05, 0.125, 0.3, 0.5];
+        let exact_cases: [(usize, usize, [u64; 4]); 2] = [
+            (
+                4,
+                2,
+                [
+                    0x3f85_daa7_9080_0d85,
+                    0x3fbe_e181_ddc0_5200,
+                    0x3fe5_07cb_9b43_6b2d,
+                    0x3fee_ef40_0000_0000,
+                ],
+            ),
+            (
+                5,
+                3,
+                [
+                    0x3fa2_3563_e6e9_b300,
+                    0x3fd3_aecf_1d2d_3ba4,
+                    0x3fed_5413_c828_0581,
+                    0x3fef_f907_e000_0000,
+                ],
+            ),
+        ];
+        for (side, k, bits) in exact_cases {
+            let lanes = mpath_crash_probability(side, k, &ps, 1 << 22, 0.0).unwrap();
+            for ((iv, want), p) in lanes.iter().zip(bits).zip(ps) {
+                assert_eq!(iv.lower.to_bits(), want, "side={side} k={k} p={p}");
+                assert_eq!(iv.upper.to_bits(), want, "side={side} k={k} p={p}");
+            }
+        }
+        let pruned_lanes = mpath_crash_probability(5, 2, &[0.05, 0.125], 1 << 22, 1e-12).unwrap();
+        let want: [(u64, u64); 2] = [
+            (0x3f5c_2daf_a672_955a, 0x3f5c_2daf_a672_967e),
+            (0x3fa9_55e9_a7ef_26b0, 0x3fa9_55e9_a7f7_cf39),
+        ];
+        for (iv, (lower, upper)) in pruned_lanes.iter().zip(want) {
+            assert_eq!((iv.lower.to_bits(), iv.upper.to_bits()), (lower, upper));
+        }
     }
 
     #[test]
     fn dp_extremes_and_monotonicity() {
         for side in [3usize, 5] {
             for k in [1usize, 2] {
-                assert_eq!(
-                    mpath_crash_probability_exact(side, k, 0.0, 1 << 22).unwrap(),
-                    0.0
-                );
-                assert_eq!(
-                    mpath_crash_probability_exact(side, k, 1.0, 1 << 22).unwrap(),
-                    1.0
-                );
+                assert_eq!(exact_at(side, k, 0.0, 1 << 22).unwrap(), 0.0);
+                assert_eq!(exact_at(side, k, 1.0, 1 << 22).unwrap(), 1.0);
                 let mut prev = 0.0;
                 for i in 0..=10 {
                     let p = f64::from(i) / 10.0;
-                    let fp = mpath_crash_probability_exact(side, k, p, 1 << 22).unwrap();
+                    let fp = exact_at(side, k, p, 1 << 22).unwrap();
                     assert!(fp >= prev - 1e-12, "side={side} k={k} p={p}");
                     prev = fp;
                 }
@@ -1214,7 +1113,7 @@ mod tests {
         let est = PercolationEstimator::new(6);
         let mut rng = StdRng::seed_from_u64(9);
         for &p in &[0.15, 0.5, 0.8] {
-            let exact = crossing_probability_exact(6, p, Axis::LeftRight, 1 << 22).unwrap();
+            let exact = crossing_at(6, p, 1 << 22).unwrap();
             let mc = est.estimate_crossing_probability(p, Axis::LeftRight, 2000, &mut rng);
             assert!(
                 (exact - mc.mean).abs() <= mc.ci95_half_width() + 0.02,
@@ -1231,7 +1130,7 @@ mod tests {
         // LR crossing exists iff no dead TB crossing does, so at p = 1/2 the
         // crossing probability is exactly 1/2 on a square patch.
         for side in [2usize, 4, 6] {
-            let c = crossing_probability_exact(side, 0.5, Axis::LeftRight, 1 << 22).unwrap();
+            let c = crossing_at(side, 0.5, 1 << 22).unwrap();
             assert!((c - 0.5).abs() < 1e-12, "side={side}: {c}");
         }
     }
@@ -1245,7 +1144,7 @@ mod tests {
                     continue;
                 }
                 let start = std::time::Instant::now();
-                let fp = mpath_crash_probability_exact(side, k, 0.125, 8_000_000);
+                let fp = exact_at(side, k, 0.125, 8_000_000);
                 println!(
                     "side={side} k={k}: fp={fp:?} in {:.3}s",
                     start.elapsed().as_secs_f64()
@@ -1257,9 +1156,9 @@ mod tests {
     #[test]
     #[ignore = "k=1 state-space probe for the crossing-curve gate; run with --ignored --nocapture"]
     fn probe_state_growth_k1() {
-        for side in [6usize, 8, 10, 12] {
+        for side in [6usize, 8, 10] {
             let start = std::time::Instant::now();
-            let c = crossing_probability_exact(side, 0.125, Axis::LeftRight, 4_000_000);
+            let c = crossing_at(side, 0.125, 4_000_000);
             println!(
                 "side={side}: P(cross)={c:?} in {:.3}s",
                 start.elapsed().as_secs_f64()
@@ -1270,20 +1169,18 @@ mod tests {
     fn assert_pruned_tracks_exact(cases: &[(usize, usize)]) {
         for &(side, k) in cases {
             for &p in &[0.05, 0.125, 0.3, 0.5] {
-                let exact = mpath_crash_probability_exact(side, k, p, 1 << 22).unwrap();
-                let interval =
-                    mpath_crash_probability_pruned(side, k, p, 1 << 22, DEFAULT_PRUNE_EPSILON)
-                        .unwrap();
+                let exact = exact_at(side, k, p, 1 << 22).unwrap();
+                let interval = pruned_at(side, k, p, 1 << 22, DEFAULT_PRUNE_EPSILON).unwrap();
                 assert!(
                     interval.contains(exact, 0.0),
                     "side={side} k={k} p={p}: exact {exact} outside [{}, {}]",
                     interval.lower,
                     interval.upper
                 );
+                let midpoint = 0.5 * (interval.lower + interval.upper);
                 assert!(
-                    (interval.midpoint() - exact).abs() <= 1e-12,
-                    "side={side} k={k} p={p}: midpoint {} vs exact {exact}",
-                    interval.midpoint()
+                    (midpoint - exact).abs() <= 1e-12,
+                    "side={side} k={k} p={p}: midpoint {midpoint} vs exact {exact}"
                 );
             }
         }
@@ -1314,8 +1211,8 @@ mod tests {
 
     fn assert_pruned_no_wider_than_before_absorption(cases: &[WidthCase]) {
         for &(side, k, p, budget, epsilon, width_before) in cases {
-            let exact = mpath_crash_probability_exact(side, k, p, 1 << 22).unwrap();
-            let interval = mpath_crash_probability_pruned(side, k, p, budget, epsilon).unwrap();
+            let exact = exact_at(side, k, p, 1 << 22).unwrap();
+            let interval = pruned_at(side, k, p, budget, epsilon).unwrap();
             assert!(
                 interval.contains(exact, 1e-15),
                 "side={side} k={k} p={p} budget={budget} ε={epsilon}: exact {exact} outside \
@@ -1405,23 +1302,12 @@ mod tests {
                         enumerated += (1.0 - p).powi(a) * p.powi(n as i32 - a);
                     }
                 }
-                let swept = crossing_probability_exact(side, p, Axis::LeftRight, 1 << 22).unwrap();
+                let swept = crossing_at(side, p, 1 << 22).unwrap();
                 assert!(
                     (swept - enumerated).abs() <= 1e-12,
                     "side={side} p={p}: swept {swept} vs enumerated {enumerated}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn pruned_with_zero_epsilon_is_bit_identical_to_exact() {
-        for (side, k, p) in [(4usize, 2usize, 0.125f64), (5, 3, 0.3)] {
-            let exact = mpath_crash_probability_exact(side, k, p, 1 << 22).unwrap();
-            let interval = mpath_crash_probability_pruned(side, k, p, 1 << 22, 0.0).unwrap();
-            assert_eq!(interval.lower.to_bits(), exact.to_bits());
-            assert_eq!(interval.upper.to_bits(), exact.to_bits());
-            assert_eq!(interval.width(), 0.0);
         }
     }
 
@@ -1434,7 +1320,7 @@ mod tests {
         // Past the exact side-6 wall with a certified enclosure far tighter
         // than 1e-9 at a paper-scale p, using the dispatch-tuned ε and a
         // state budget large enough that forced pruning never fires.
-        let interval = mpath_crash_probability_pruned(7, 2, 0.125, 1 << 26, 1e-16).unwrap();
+        let interval = pruned_at(7, 2, 0.125, 1 << 26, 1e-16).unwrap();
         assert!(interval.width() <= 1e-9, "width {}", interval.width());
         assert!(interval.lower >= 0.0 && interval.upper <= 1.0);
         assert!(interval.upper > 0.0);
@@ -1446,7 +1332,7 @@ mod tests {
         // The tentpole claim: side 8 (n = 64, far past both the 2^25
         // enumeration limit and the exact-DP side-6 wall) with a certified
         // enclosure within the 1e-9 acceptance gate at a paper-scale p.
-        let interval = mpath_crash_probability_pruned(8, 2, 0.125, 1 << 26, 1e-16).unwrap();
+        let interval = pruned_at(8, 2, 0.125, 1 << 26, 1e-16).unwrap();
         assert!(interval.width() <= 1e-9, "width {}", interval.width());
         assert!(interval.lower >= 0.0 && interval.upper <= 1.0);
         assert!(interval.upper > 0.0);
@@ -1455,9 +1341,9 @@ mod tests {
     #[test]
     fn pruned_grid_lanes_match_single_point_runs() {
         let ps = [0.0, 0.1, 0.25, 1.0];
-        let grid = mpath_crash_probability_pruned_grid(5, 2, &ps, 1 << 22, 1e-20).unwrap();
+        let grid = mpath_crash_probability(5, 2, &ps, 1 << 22, 1e-20).unwrap();
         for (&p, iv) in ps.iter().zip(&grid) {
-            let single = mpath_crash_probability_pruned(5, 2, p, 1 << 22, 1e-20).unwrap();
+            let single = pruned_at(5, 2, p, 1 << 22, 1e-20).unwrap();
             assert_eq!(iv.lower.to_bits(), single.lower.to_bits(), "p={p}");
             assert_eq!(iv.upper.to_bits(), single.upper.to_bits(), "p={p}");
         }
@@ -1474,13 +1360,7 @@ mod tests {
         for side in [8usize, 9, 10] {
             for k in [2usize, 3] {
                 let start = std::time::Instant::now();
-                let iv = mpath_crash_probability_pruned(
-                    side,
-                    k,
-                    0.125,
-                    8_000_000,
-                    DEFAULT_PRUNE_EPSILON,
-                );
+                let iv = pruned_at(side, k, 0.125, 8_000_000, DEFAULT_PRUNE_EPSILON);
                 println!(
                     "side={side} k={k}: {iv:?} in {:.3}s",
                     start.elapsed().as_secs_f64()
@@ -1491,10 +1371,13 @@ mod tests {
 
     #[test]
     fn invalid_parameters_and_budget_give_none() {
-        assert!(mpath_crash_probability_exact(0, 1, 0.1, 1 << 20).is_none());
-        assert!(mpath_crash_probability_exact(4, 0, 0.1, 1 << 20).is_none());
-        assert!(mpath_crash_probability_exact(4, 5, 0.1, 1 << 20).is_none());
+        assert!(exact_at(0, 1, 0.1, 1 << 20).is_none());
+        assert!(exact_at(4, 0, 0.1, 1 << 20).is_none());
+        assert!(exact_at(4, 5, 0.1, 1 << 20).is_none());
+        // Beyond the packed interface state, without sweeping.
+        assert!(exact_at(10, 8, 0.1, 1 << 20).is_none());
+        assert!(crossing_at(11, 0.1, 1 << 20).is_none());
         // A budget of 1 state cannot hold the distribution at p in (0, 1).
-        assert!(mpath_crash_probability_exact(5, 2, 0.3, 1).is_none());
+        assert!(exact_at(5, 2, 0.3, 1).is_none());
     }
 }

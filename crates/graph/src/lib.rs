@@ -43,8 +43,7 @@ pub mod maxflow;
 pub mod percolation;
 
 pub use crossing_dp::{
-    crossing_probability_exact, crossing_probability_exact_grid, min_crossing_cost,
-    min_crossing_cost_capped, mpath_crash_probability_exact, mpath_crash_probability_exact_grid,
+    crossing_probability, min_crossing_cost, min_crossing_cost_capped, mpath_crash_probability,
     CrossingScratch,
 };
 pub use disjoint_paths::min_price_crossing;

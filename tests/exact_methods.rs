@@ -11,12 +11,22 @@
 //!   counting bound / resilience lower bound across a `p` grid;
 //! * the **batched sweep engine** — bit-for-bit parity between
 //!   `Evaluator::sweep` and one-call-at-a-time evaluation, with method tags
-//!   preserved.
+//!   preserved;
+//! * the **dispatch table** — every method tag and value bit of the paper
+//!   roster and the exact-method instances, pinned.
 
+use byzantine_quorums::analysis::load_analysis::{CertifiableConstruction, PaperConstruction};
 use byzantine_quorums::combinatorics::projective::ProjectivePlane;
 use byzantine_quorums::prelude::*;
 
 const P_GRID: [f64; 9] = [0.01, 0.05, 0.1, 0.125, 0.2, 0.25, 0.33, 0.4, 0.5];
+
+/// The system's own answer at one point (closed form or DP), without the
+/// engine's fallbacks.
+fn own_answer(sys: &dyn QuorumSystem, p: f64) -> Option<f64> {
+    sys.certified_crash_probabilities(&[p])
+        .map(|one| one[0].value)
+}
 
 /// The FPP survivor-profile closed form is bit-level exact against full
 /// enumeration for every enumerable plane, and the profile identity
@@ -27,7 +37,7 @@ fn fpp_closed_form_parity_with_enumeration() {
     for q in [2u64, 3] {
         let fpp = FppSystem::new(q).unwrap();
         for &p in &P_GRID {
-            let closed = fpp.crash_probability_exact(p).unwrap();
+            let closed = own_answer(&fpp, p).unwrap();
             let enumerated = eval.exact(&fpp, p).unwrap();
             assert!(
                 (closed - enumerated).abs() < 1e-9,
@@ -54,7 +64,7 @@ fn boostfpp_closed_form_parity_with_enumeration() {
     let eval = Evaluator::new();
     let sys = BoostFppSystem::new(2, 0).unwrap();
     for &p in &P_GRID {
-        let closed = sys.crash_probability_exact(p).unwrap();
+        let closed = own_answer(&sys, p).unwrap();
         let enumerated = eval.exact(&sys, p).unwrap();
         assert!(
             (closed - enumerated).abs() < 1e-9,
@@ -70,9 +80,7 @@ fn boostfpp_exact_inside_paper_envelope() {
     for (q, b) in [(2u64, 1usize), (3, 7), (3, 19), (4, 10)] {
         let sys = BoostFppSystem::new(q, b).unwrap();
         for &p in &P_GRID {
-            let exact = sys
-                .crash_probability_exact(p)
-                .expect("q <= 4 planes have profiles");
+            let exact = own_answer(&sys, p).expect("q <= 4 planes have profiles");
             assert!((0.0..=1.0).contains(&exact), "q={q} b={b} p={p}");
             if let Some(chernoff) = sys.crash_probability_prop_6_3_bound(p) {
                 assert!(
@@ -100,7 +108,7 @@ fn boostfpp_exact_inside_paper_envelope() {
         let mut prev = 0.0;
         for i in 0..=20 {
             let p = f64::from(i) / 20.0;
-            let fp = sys.crash_probability_exact(p).unwrap();
+            let fp = own_answer(&sys, p).unwrap();
             assert!(fp >= prev - 1e-12, "q={q} b={b} p={p}");
             prev = fp;
         }
@@ -143,7 +151,7 @@ fn mpath_dp_parity_with_enumeration() {
     for &(side, b, ps) in cases {
         let m = MPathSystem::new(side, b).unwrap();
         for &p in ps {
-            let dp = m.crash_probability_exact(p).unwrap();
+            let dp = own_answer(&m, p).unwrap();
             let enumerated = eval.exact(&m, p).unwrap();
             assert!(
                 (dp - enumerated).abs() < 1e-9,
@@ -162,7 +170,7 @@ fn mpath_exact_inside_paper_envelope_beyond_enumeration() {
     let m = MPathSystem::new(5, 2).unwrap();
     let mut prev = 0.0;
     for &p in &[0.05, 0.125, 0.25, 0.4, 0.6] {
-        let exact = m.crash_probability_exact(p).unwrap();
+        let exact = own_answer(&m, p).unwrap();
         if let Some(upper) = m.crash_probability_counting_bound(p) {
             assert!(exact <= upper + 1e-12, "p={p}: {exact} above {upper}");
         }
@@ -176,7 +184,7 @@ fn mpath_exact_inside_paper_envelope_beyond_enumeration() {
     }
 }
 
-/// No M-Path is answered by enumeration: the engine asks the closed form
+/// No M-Path is answered by enumeration: the engine asks the construction
 /// first, and every M-Path small enough to enumerate (side ≤ 5, `n ≤ 25`) is
 /// inside the exact-DP gate (side ≤ 6). An evaluator told never to enumerate
 /// therefore answers the same method with the same bits — which is why the
@@ -235,3 +243,68 @@ fn sweep_is_bit_for_bit_consistent_across_methods() {
         assert!(e.ci95_upper_bound() >= e.value);
     }
 }
+
+/// The dispatch table, recorded before the construction hooks were merged
+/// into one: every paper-roster instance at `(side, b)` = (16, 3) and
+/// (24, 7), M-Path sides 3–6, FPP q = 2–4 and boostFPP q = 3 and 5 keep the
+/// method tag and the value bits of every point — Monte-Carlo rows at a
+/// fixed seed and 200 trials, whose bits only the availability decision
+/// moves.
+#[test]
+fn dispatch_table_keeps_every_method_and_value_bit() {
+    let eval = Evaluator::new().with_trials(200).with_seed(23);
+    let ps = [0.05, 0.125, 0.25, 0.4];
+    let mut systems: Vec<Box<dyn CertifiableConstruction>> = [(16, 3), (24, 7)]
+        .into_iter()
+        .flat_map(|(side, b)| {
+            PaperConstruction::ALL
+                .into_iter()
+                .filter_map(move |kind| kind.instance(side, b))
+        })
+        .collect();
+    for side in 3..=6 {
+        systems.push(Box::new(MPathSystem::new(side, 1).unwrap()));
+    }
+    for q in 2..=4 {
+        systems.push(Box::new(FppSystem::new(q).unwrap()));
+    }
+    systems.push(Box::new(BoostFppSystem::new(3, 19).unwrap()));
+    systems.push(Box::new(BoostFppSystem::new(5, 2).unwrap()));
+    let table: Vec<String> = systems
+        .iter()
+        .map(|sys| {
+            let sys: &dyn QuorumSystem = sys.as_ref();
+            let mut row = sys.name();
+            for est in eval.sweep(sys, &ps) {
+                row += &format!(" {}:{:016x}", est.method.label(), est.value.to_bits());
+            }
+            row
+        })
+        .collect();
+    assert_eq!(table, DISPATCH_TABLE.lines().collect::<Vec<_>>());
+}
+
+const DISPATCH_TABLE: &str = "\
+Threshold(132-of-256) closed_form:2d4a50a40c232f77 closed_form:36a7b2341de18c9b closed_form:3cac0b9f8e3a8a09 closed_form:3f6523b6d7bd2e34
+Grid(n=256, b=3) closed_form:3fd9637437ea2db8 closed_form:3feff4bf035ddf7b closed_form:3feffffffff598af closed_form:3ff0000000000000
+M-Grid(n=256, b=3) closed_form:3f644f2c425d3e00 closed_form:3fe3d3c1e636cce0 closed_form:3feffd4687ad82bf closed_form:3fefffffffa0ac91
+M-Path(n=256, b=3) monte_carlo:0000000000000000 monte_carlo:0000000000000000 monte_carlo:3fa70a3d70a3d70a monte_carlo:3feb851eb851eb85
+RT(4, 3) depth 4 closed_form:3dfa89a79fb62c2f closed_form:3f30288eaa43f4f3 closed_form:3fd81cdbb461bd3c closed_form:3feff6b2dbae6be3
+boostFPP(q=4, b=3) closed_form:3d9a930a15647367 closed_form:3f03d37831a9db5e closed_form:3fd6244c4b51c347 closed_form:3fefe8c30b2ce350
+FPP(q=16) monte_carlo:0000000000000000 monte_carlo:0000000000000000 monte_carlo:3fcd70a3d70a3d71 monte_carlo:3fef0a3d70a3d70a
+Threshold(296-of-576) closed_form:1658d16119b9c867 closed_form:2b62fb4320e4ad8f closed_form:38e042cae7d2dca7 closed_form:3ee92f49b0905b41
+Grid(n=576, b=7) closed_form:3feffa1da834a16a closed_form:3feffffffffffff5 closed_form:3ff0000000000000 closed_form:3ff0000000000000
+M-Grid(n=576, b=7) closed_form:3f9c647f2d348340 closed_form:3fefabbeef73aa88 closed_form:3feffffffff8e57f closed_form:3ff0000000000000
+M-Path(n=576, b=7) monte_carlo:0000000000000000 monte_carlo:0000000000000000 monte_carlo:3f747ae147ae147b monte_carlo:3fed47ae147ae148
+RT(4, 3) depth 5 closed_form:3c3081806789b5d4 closed_form:3e987836e48ab14f closed_form:3fdefeb40513fdd2 closed_form:3feffffffcdbfb50
+boostFPP(q=4, b=7) closed_form:3bdc984c904b1e15 closed_form:3e80ce04a68315b0 closed_form:3fdb2735f314b711 closed_form:3fefffe5889746e5
+FPP(q=23) monte_carlo:0000000000000000 monte_carlo:0000000000000000 monte_carlo:3fe0cccccccccccd monte_carlo:3fefd70a3d70a3d7
+M-Path(n=9, b=1) dp:3fac5e4bbf71199d dp:3fd06d7d80000000 dp:3fe3e5c000000000 dp:3fec5b6adfc7d13a
+M-Path(n=16, b=1) dp:3f85daa790800d85 dp:3fbee181ddc05200 dp:3fe027f345400000 dp:3febe40b68ac084b
+M-Path(n=25, b=1) dp:3f5c2dafa672967e dp:3fa955e9a7f7cf3a dp:3fd8c912f8360c80 dp:3feb29a6378339ee
+M-Path(n=36, b=1) dp:3f30792773f6f424 dp:3f9307d506e77a3e dp:3fd239797f54ea02 dp:3fea523c90e6b30d
+FPP(q=2) closed_form:3f4c77b1e844f859 closed_form:3f8ad88000000000 closed_form:3fb7f80000000000 closed_form:3fd3c90aa06cf274
+FPP(q=3) closed_form:3f15fce6ffd83b97 closed_form:3f6cfd6e2e800000 closed_form:3fad217500000000 closed_form:3fd299c371be4372
+FPP(q=4) closed_form:3eddaa88d06be1ec closed_form:3f4ee5133d3b224a closed_form:3fa40a3b900f0000 closed_form:3fd36520b8ab088a
+boostFPP(q=3, b=19) closed_form:38a49e235847941b closed_form:3dadce8bb5ee0fec closed_form:3fdc588af7f9f97d closed_form:3feffffffef53c21
+boostFPP(q=5, b=2) closed_form:3da74c25adcd76da closed_form:3eff483d0be313bb closed_form:3fd59802e104fe65 closed_form:3fefd901429cda61";

@@ -212,13 +212,10 @@ proptest! {
         k in 1usize..3,
         p in 0.0f64..1.0,
     ) {
-        use byzantine_quorums::graph::crossing_dp::{
-            mpath_crash_probability_exact, mpath_crash_probability_pruned, DEFAULT_PRUNE_EPSILON,
-        };
+        use byzantine_quorums::graph::crossing_dp::{mpath_crash_probability, DEFAULT_PRUNE_EPSILON};
         prop_assume!(k <= side);
-        let exact = mpath_crash_probability_exact(side, k, p, 1 << 22).unwrap();
-        let iv = mpath_crash_probability_pruned(side, k, p, 1 << 22, DEFAULT_PRUNE_EPSILON)
-            .unwrap();
+        let exact = mpath_crash_probability(side, k, &[p], 1 << 22, 0.0).unwrap()[0].lower;
+        let iv = mpath_crash_probability(side, k, &[p], 1 << 22, DEFAULT_PRUNE_EPSILON).unwrap()[0];
         prop_assert!(
             iv.lower <= exact && exact <= iv.upper,
             "side={} k={} p={}: exact {} outside [{}, {}]",
@@ -260,8 +257,8 @@ fn composed_crash_probability_for_grid_over_threshold() {
 /// every thread count, and when the count kernel is fed split, unaligned
 /// sub-ranges — so `exact` is `to_bits`-identical across thread counts and
 /// to the naive value. Threshold(18) and the 18-server wheel sit above
-/// `PARALLEL_MASK_THRESHOLD` and so run chunked (through the count kernel
-/// and the lane loop respectively) whenever `t > 1`.
+/// `PARALLEL_MASK_THRESHOLD` and so run chunked (through Threshold's
+/// segment kernel and the explicit list's four-mask scan) whenever `t > 1`.
 ///
 /// The profile's own invariants are integer facts too: the empty alive-set
 /// contains no quorum, the full one does, and on the systems with a quorum
