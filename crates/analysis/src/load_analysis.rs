@@ -63,7 +63,7 @@ pub fn load_vs_n(sides: &[usize], b: usize) -> Vec<LoadPoint> {
 pub enum PaperConstruction {
     /// The masking threshold system over all `side²` servers.
     Threshold,
-    /// The Grid of [MR98a].
+    /// The Grid of \[MR98a\].
     Grid,
     /// The multi-grid of Section 5.1.
     MGrid,

@@ -1,7 +1,7 @@
 //! Percolation-threshold estimation for the M-Path availability argument.
 //!
 //! Proposition 7.3 rests on the fact that site percolation on the triangular lattice
-//! has critical probability `p_c = 1/2` [Kes80]: below it, left-right crossings of a
+//! has critical probability `p_c = 1/2` \[Kes80\]: below it, left-right crossings of a
 //! `√n × √n` patch exist with probability `1 − e^{−ψ(p)√n}` (Theorem B.1). This
 //! module estimates the finite-size crossing curve and locates its inflection —
 //! reproducing, numerically, the `p_c = 1/2` input the paper takes from the

@@ -238,11 +238,10 @@ fn main() {
     let suspicion_run_config = ScenarioConfig {
         seed: SEEDS[0] ^ 0x1a7e_0bed,
         // Enough operations that every server clears the engine's
-        // latency_min_samples floor, regardless of --quick.
+        // LATENCY_MIN_SAMPLES floor, regardless of --quick.
         writes: 16,
         reads: 64,
         reply_deadline: Duration::from_millis(100),
-        ..ScenarioConfig::default()
     };
     let suspicion_outcome = run_on(
         Backend::Loopback,

@@ -173,7 +173,14 @@ where
         let deployment =
             Deployment::start(backend, &plan, shards, seed, net).expect("start the deployment");
         let service = deployment.service();
-        let report = run_open_loop(strategic, b, &deployment, service.responsive_set(), &config);
+        let report = run_open_loop_session(
+            strategic,
+            b,
+            &deployment,
+            service.responsive_set(),
+            &config,
+            &OpenLoopSession::default(),
+        );
         (report, service.metrics().access_counts())
     });
 

@@ -183,7 +183,7 @@ fn main() {
             if !o.reconfigured {
                 failures.push(format!(
                     "{cell}: no reconfiguration within {} detection bursts",
-                    base.max_detect_ticks
+                    o.detect_ticks
                 ));
             }
             if !o.detection_exact {

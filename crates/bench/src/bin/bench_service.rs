@@ -120,7 +120,6 @@ where
         clients,
         ops_per_client,
         write_fraction: 0.2,
-        writers: 1,
         seed: 0x05e2_11ce ^ n as u64 ^ name_tag,
     };
     eprintln!(
@@ -186,7 +185,6 @@ fn thread_scaling<S: QuorumSystem>(
             clients,
             ops_per_client,
             write_fraction: 0.2,
-            writers: 1,
             seed: 0x7_5ca1e ^ shards as u64,
         };
         let service = LoopbackService::spawn(&FaultPlan::none(n), shards, config.seed);
@@ -239,7 +237,6 @@ fn validate_availability<S: QuorumSystem>(
                 clients: 2,
                 ops_per_client: 8,
                 write_fraction: 0.5,
-                writers: 1,
                 seed: 0xdead ^ trial as u64,
             };
             let report = run_service(&service, sys, b, &config);

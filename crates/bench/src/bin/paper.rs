@@ -255,7 +255,7 @@ fn boostfpp_availability(args: Args) {
 
 /// The Condorcet comparison: crash probability versus universe size at a
 /// fixed per-server crash probability. Reproduces the claims that
-/// Fp(M-Grid) -> 1 (as for the Grid of [MR98a]) while Fp(RT) -> 0 below its
+/// Fp(M-Grid) -> 1 (as for the Grid of \[MR98a\]) while Fp(RT) -> 0 below its
 /// critical probability and Fp(M-Path) -> 0 for every p < 1/2 (Propositions
 /// 5.6 and 7.3).
 fn fig_fp_vs_n(mut args: Args) {
@@ -608,7 +608,6 @@ fn validate<S: AnalyzedConstruction>(
         clients: 1,
         ops_per_client: ops,
         write_fraction: 0.3,
-        writers: 1,
         seed,
     };
     let run =
@@ -632,7 +631,7 @@ fn validate<S: AnalyzedConstruction>(
     ]);
 }
 
-/// Protocol-level validation: runs the [MR98a] replicated register over
+/// Protocol-level validation: runs the \[MR98a\] replicated register over
 /// every construction with its full Byzantine budget plus crashes,
 /// confirming zero safety violations and comparing the empirical per-server
 /// load with the analytic L(Q) — the operational counterpart of the paper's

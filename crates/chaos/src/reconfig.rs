@@ -79,7 +79,6 @@ impl ReconfigScenario {
             },
             ReconfigScenario::CrashWithDrops => ChaosConfig {
                 drop_per_mille: 12,
-                detected_drops: false, // true silence: deadlines catch it
                 ..ChaosConfig::default()
             },
         }

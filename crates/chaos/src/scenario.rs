@@ -20,7 +20,10 @@
 //! register is single-writer, which makes read-your-writes a sharp invariant
 //! (any completed read older than the last completed write is a violation,
 //! no concurrency excuses), and a sequential client makes the chaos decision
-//! stream — and therefore the whole run — a pure function of the seed.
+//! stream — and therefore the whole run — a pure function of the seed. The
+//! workload's shape is fixed — a fresh write before every eighth read, three
+//! retries from a 200 µs jittered backoff — and [`ScenarioConfig`] sets only
+//! the seed, the operation counts and the reply deadline.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -135,7 +138,6 @@ impl ChaosScenario {
             },
             ChaosScenario::DropRetry => ChaosConfig {
                 drop_per_mille: 30,
-                detected_drops: false, // true silence: deadlines + retries
                 ..ChaosConfig::default()
             },
             ChaosScenario::Duplicate => ChaosConfig {
@@ -214,6 +216,15 @@ impl ChaosScenario {
     }
 }
 
+/// A fresh write is interleaved before every `WRITE_EVERY`-th read.
+const WRITE_EVERY: usize = 8;
+
+/// The client's retry budget per operation.
+const RETRIES: u32 = 3;
+
+/// The client's base retry backoff (doubled per attempt, jittered).
+const BACKOFF: Duration = Duration::from_micros(200);
+
 /// Workload knobs for [`run_scenario`].
 #[derive(Debug, Clone)]
 pub struct ScenarioConfig {
@@ -224,15 +235,9 @@ pub struct ScenarioConfig {
     pub writes: usize,
     /// Reads issued in the read phase.
     pub reads: usize,
-    /// A fresh write is interleaved every `write_every` reads (0 disables).
-    pub write_every: usize,
     /// The client's per-rendezvous reply deadline (the failure detector for
     /// silent losses). Must comfortably exceed every chaos delay.
     pub reply_deadline: Duration,
-    /// The client's retry budget per operation.
-    pub retries: u32,
-    /// The client's base retry backoff (doubled per attempt, jittered).
-    pub backoff: Duration,
 }
 
 impl Default for ScenarioConfig {
@@ -241,10 +246,7 @@ impl Default for ScenarioConfig {
             seed: 0xC4A0_5EED,
             writes: 12,
             reads: 48,
-            write_every: 8,
             reply_deadline: Duration::from_millis(40),
-            retries: 3,
-            backoff: Duration::from_micros(200),
         }
     }
 }
@@ -320,7 +322,7 @@ where
     let mut client = ServiceClient::new(system, chaos, responsive, b)
         .with_origin(1)
         .with_reply_deadline(config.reply_deadline)
-        .with_retries(config.retries, config.backoff)
+        .with_retries(RETRIES, BACKOFF)
         .with_metrics(Arc::clone(&metrics));
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5ce0_a210);
     let mut tally = OpTally::default();
@@ -329,11 +331,11 @@ where
     let mut last_completed_write = 0u64;
 
     // The write phase, then the reads with a fresh write before every
-    // `write_every`-th one.
+    // `WRITE_EVERY`-th one.
     let schedule = (0..config.writes)
         .map(|_| true)
         .chain((0..config.reads).flat_map(|read| {
-            let write_first = config.write_every > 0 && read > 0 && read % config.write_every == 0;
+            let write_first = read > 0 && read % WRITE_EVERY == 0;
             write_first.then_some(true).into_iter().chain([false])
         }));
     for is_write in schedule {
@@ -450,6 +452,31 @@ mod tests {
             );
             assert_eq!(first.ops.reads, second.ops.reads);
             assert_eq!(first.ops.writes, second.ops.writes);
+            // Golden values for the two families without delays, whose runs
+            // timing cannot move: a change to the workload constants, the
+            // chaos keying or the decision fold codes shows up here.
+            let golden = match scenario {
+                ChaosScenario::DropRetry => Some((0x7bbe_8471_7c47_03b7, 292, 31)),
+                ChaosScenario::Duplicate => Some((0xd32c_cdcd_5c4c_6dfa, 260, 29)),
+                _ => None,
+            };
+            if let Some((fingerprint, events, fabricated)) = golden {
+                assert_eq!(
+                    (first.trace_fingerprint, first.trace_events, first.ops),
+                    (
+                        fingerprint,
+                        events,
+                        OpTally {
+                            writes: 17,
+                            reads: 48,
+                            fabricated,
+                            ..OpTally::default()
+                        }
+                    ),
+                    "{}",
+                    scenario.name()
+                );
+            }
             // And a different seed genuinely perturbs differently.
             let reseeded = run_loopback(
                 scenario,

@@ -23,15 +23,9 @@
 //!
 //! Requests are perturbed *before* they reach the wrapped transport:
 //!
-//! * **drop** — the request vanishes. For reads the loss can be *detected*
-//!   ([`ChaosConfig::detected_drops`]): the interposer synthesises the same
-//!   in-band `entry = None` frame a crashed server produces, so the client's
-//!   `b + 1`-support rule absorbs the loss without waiting. Undetected drops
-//!   are true silence: the client's reply deadline is the failure detector,
-//!   and its bounded retry (with jittered backoff) is the recovery path.
-//!   Write requests are always dropped silently — a fake write ack would
-//!   *cause* the very read-your-writes violation the invariant checker hunts,
-//!   and real networks cannot forge acks either.
+//! * **drop** — the request vanishes, read or write, and nothing answers for
+//!   it: the client's reply deadline is the failure detector, and its
+//!   bounded retry (with jittered backoff) is the recovery path.
 //! * **delay / jitter / slow servers** — the request is parked on a virtual
 //!   scheduler (a min-heap ordered by due time, drained by one background
 //!   thread) and forwarded when due. Jitter across requests *reorders* them.
@@ -44,7 +38,7 @@
 //!   hold or a single Byzantine server's echo would reach `b + 1` support.
 //! * **asymmetric partition** — a server set unreachable on the request
 //!   direction only, and only through *this* interposer (other clients are
-//!   unaffected): reads are answered with the detected-loss frame, writes
+//!   unaffected): reads are answered with the in-band no-answer frame, writes
 //!   are silently swallowed.
 
 use std::cmp::Reverse;
@@ -54,7 +48,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bqs_service::metrics::ServiceMetrics;
 use bqs_service::transport::{Operation, Reply, Request, Transport};
 use bqs_sim::server::mix64;
 
@@ -67,17 +60,13 @@ pub struct ChaosConfig {
     /// Additional uniform delay in `[0, delay_jitter)` per request — the
     /// reordering knob.
     pub delay_jitter: Duration,
-    /// Chance (‰) that a request is dropped in transit.
+    /// Chance (‰) that a request is dropped in transit (silently: the
+    /// client's reply deadline fires).
     pub drop_per_mille: u32,
-    /// When `true`, dropped *read* requests are answered with the in-band
-    /// "no answer" frame (loss detected by the failure detector); when
-    /// `false` they vanish and the client's reply deadline fires. Dropped
-    /// writes are always silent (acks cannot be forged).
-    pub detected_drops: bool,
     /// Chance (‰) that a request is delivered twice.
     pub duplicate_per_mille: u32,
     /// Servers unreachable on the request direction (asymmetric partition):
-    /// reads get the detected-loss frame, writes are swallowed.
+    /// reads get the in-band no-answer frame, writes are swallowed.
     pub partitioned: Vec<usize>,
     /// Servers whose requests incur [`ChaosConfig::slow_extra`] on top of the
     /// base delay (slow-reply / timeout-inflation).
@@ -92,7 +81,6 @@ impl Default for ChaosConfig {
             delay_base: Duration::ZERO,
             delay_jitter: Duration::ZERO,
             drop_per_mille: 0,
-            detected_drops: true,
             duplicate_per_mille: 0,
             partitioned: Vec::new(),
             slow_servers: Vec::new(),
@@ -112,8 +100,6 @@ pub enum Decision {
     Duplicate,
     /// Dropped silently; the client's deadline is the only witness.
     DropSilent,
-    /// Dropped with the in-band no-answer frame synthesised (detected loss).
-    DropDetected,
     /// Swallowed by the partition (write direction: silent).
     PartitionSilent,
     /// Cut by the partition with the in-band frame synthesised (read).
@@ -144,7 +130,8 @@ impl TraceEvent {
             Decision::Delay => 2,
             Decision::Duplicate => 3,
             Decision::DropSilent => 4,
-            Decision::DropDetected => 5,
+            // 5 is unused: every recorded fingerprint folds these codes, so
+            // they are never renumbered.
             Decision::PartitionSilent => 6,
             Decision::PartitionDetected => 7,
         };
@@ -178,7 +165,7 @@ pub struct ChaosStatsSnapshot {
     pub delayed: u64,
     /// Requests forwarded twice.
     pub duplicated: u64,
-    /// Requests dropped (silently or detected), partitions not included.
+    /// Requests dropped, partitions not included.
     pub dropped: u64,
     /// Requests cut by the partition.
     pub partitioned: u64,
@@ -315,7 +302,6 @@ pub struct ChaosTransport<T: Transport + 'static> {
     worker: Option<JoinHandle<()>>,
     stats: ChaosStats,
     trace: Mutex<Trace>,
-    metrics: Option<Arc<ServiceMetrics>>,
 }
 
 impl<T: Transport + 'static> ChaosTransport<T> {
@@ -342,16 +328,7 @@ impl<T: Transport + 'static> ChaosTransport<T> {
                 fingerprint: 0,
                 total: 0,
             }),
-            metrics: None,
         }
-    }
-
-    /// Records drops and partition cuts into `metrics`
-    /// ([`ServiceMetrics::record_drop`]) in addition to the internal stats.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: Arc<ServiceMetrics>) -> Self {
-        self.metrics = Some(metrics);
-        self
     }
 
     /// The wrapped transport.
@@ -372,7 +349,8 @@ impl<T: Transport + 'static> ChaosTransport<T> {
         }
     }
 
-    /// The recorded event trace (first [`TRACE_CAP`] events verbatim).
+    /// The recorded event trace (the first 2^16 events verbatim; the
+    /// fingerprint covers every event).
     #[must_use]
     pub fn trace(&self) -> Vec<TraceEvent> {
         self.trace.lock().expect("chaos trace lock").events.clone()
@@ -402,13 +380,7 @@ impl<T: Transport + 'static> ChaosTransport<T> {
         }
     }
 
-    fn record_loss(&self) {
-        if let Some(metrics) = &self.metrics {
-            metrics.record_drop();
-        }
-    }
-
-    /// Synthesises the in-band "no answer" frame for a detected loss —
+    /// Synthesises the in-band "no answer" frame for a partitioned read —
     /// byte-identical to what a crashed server's replica would produce.
     fn synthesize_no_answer(request: &Request) {
         request.reply.complete(Reply {
@@ -443,7 +415,6 @@ impl<T: Transport + 'static> ChaosTransport<T> {
 
         if self.config.partitioned.contains(&request.server) {
             self.stats.partitioned.fetch_add(1, Ordering::Relaxed);
-            self.record_loss();
             if is_write {
                 event.decision = Decision::PartitionSilent;
             } else {
@@ -457,13 +428,7 @@ impl<T: Transport + 'static> ChaosTransport<T> {
         if self.config.drop_per_mille > 0 && roll(1) % 1000 < u64::from(self.config.drop_per_mille)
         {
             self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-            self.record_loss();
-            if !is_write && self.config.detected_drops {
-                event.decision = Decision::DropDetected;
-                Self::synthesize_no_answer(&request);
-            } else {
-                event.decision = Decision::DropSilent;
-            }
+            event.decision = Decision::DropSilent;
             self.record(event);
             return true;
         }
@@ -654,33 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn detected_drops_synthesize_the_no_answer_frame() {
-        let inner = Arc::new(EchoTransport::default());
-        let metrics = Arc::new(ServiceMetrics::new(8));
-        let chaos = ChaosTransport::new(
-            Arc::clone(&inner),
-            7,
-            2,
-            ChaosConfig {
-                drop_per_mille: 1000, // everything drops
-                detected_drops: true,
-                ..ChaosConfig::default()
-            },
-        )
-        .with_metrics(Arc::clone(&metrics));
-        let mailbox = Arc::new(ReplyMailbox::new());
-        let mut batch: Vec<Request> = (0..4).map(|s| request(s, s as u64, &mailbox)).collect();
-        assert!(chaos.send_batch(&mut batch));
-        // Nothing reached the inner transport, yet every read got its frame.
-        assert_eq!(inner.deliveries.load(Ordering::Relaxed), 0);
-        let replies = drain_all(&mailbox, 4);
-        assert_eq!(replies.len(), 4);
-        assert!(replies.iter().all(|r| r.entry.is_none()));
-        assert_eq!(chaos.stats().dropped, 4);
-        assert_eq!(metrics.drops(), 4, "drops land in ServiceMetrics too");
-    }
-
-    #[test]
     fn dropped_writes_are_always_silent() {
         let inner = Arc::new(EchoTransport::default());
         let chaos = ChaosTransport::new(
@@ -688,8 +626,7 @@ mod tests {
             7,
             2,
             ChaosConfig {
-                drop_per_mille: 1000,
-                detected_drops: true, // still silent for writes
+                drop_per_mille: 1000, // everything drops
                 ..ChaosConfig::default()
             },
         );
@@ -705,6 +642,7 @@ mod tests {
             epoch: 0,
             reply: Arc::clone(&mailbox) as ReplyHandle,
         }));
+        assert!(chaos.send(request(1, 10, &mailbox)));
         assert_eq!(inner.deliveries.load(Ordering::Relaxed), 0);
         let mut batch = Vec::new();
         assert_eq!(
@@ -712,7 +650,11 @@ mod tests {
             bqs_service::mailbox::DrainStatus::TimedOut,
             "a forged write ack would fabricate read-your-writes"
         );
-        assert_eq!(chaos.trace()[0].decision, Decision::DropSilent);
+        assert_eq!(chaos.stats().dropped, 2);
+        assert!(chaos
+            .trace()
+            .iter()
+            .all(|event| event.decision == Decision::DropSilent));
     }
 
     #[test]

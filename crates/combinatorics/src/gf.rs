@@ -111,13 +111,6 @@ impl GfField {
         GfElem(1)
     }
 
-    /// Converts an integer to a field element by reduction (mod q for the index
-    /// space; for prime fields this is ordinary mod p).
-    #[must_use]
-    pub fn elem(&self, v: u64) -> GfElem {
-        GfElem(v % self.q)
-    }
-
     /// Iterates over all field elements in index order.
     pub fn elements(&self) -> impl Iterator<Item = GfElem> {
         (0..self.q).map(GfElem)

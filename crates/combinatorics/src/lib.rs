@@ -3,7 +3,7 @@
 //! This crate provides the from-scratch combinatorial machinery that the quorum
 //! constructions and analyses of Malkhi, Reiter & Wool require:
 //!
-//! * [`binomial`] — exact and floating-point binomial coefficients, binomial tail
+//! * [`binomial`](mod@binomial) — exact and floating-point binomial coefficients, binomial tail
 //!   probabilities, the Chernoff bound used in Proposition 6.3, and the tail
 //!   inequalities of Lemmas A.1 and A.2 of the paper.
 //! * [`primes`] — primality and prime-power testing, needed to pick valid finite

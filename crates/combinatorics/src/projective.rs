@@ -5,7 +5,7 @@
 //! and any two distinct lines meet in exactly one point. The lines therefore form a
 //! *regular* quorum system with quorums of size `q + 1` and pairwise intersections of
 //! size exactly 1 — the FPP component of the boostFPP construction (Section 6 of the
-//! paper), whose load `(q+1)/n ≈ 1/√n` is optimal for regular quorum systems [NW98].
+//! paper), whose load `(q+1)/n ≈ 1/√n` is optimal for regular quorum systems \[NW98\].
 //!
 //! We build the classical construction over GF(q): points are the 1-dimensional
 //! subspaces of GF(q)³ and lines the 2-dimensional subspaces, with incidence given by
@@ -131,12 +131,6 @@ impl ProjectivePlane {
     /// Iterates over all lines as slices of point indices.
     pub fn lines(&self) -> impl Iterator<Item = &[usize]> {
         self.lines.iter().map(Vec::as_slice)
-    }
-
-    /// The normalised homogeneous coordinates of point `i`.
-    #[must_use]
-    pub fn point_coordinates(&self, i: usize) -> [GfElem; 3] {
-        self.points[i]
     }
 
     /// Counts, for every subset size `m`, how many `m`-subsets of the points

@@ -3,7 +3,7 @@
 //! The lines of a projective plane of order `q` form a regular quorum system over
 //! `n = q² + q + 1` servers: every line has `q + 1` points and any two lines meet in
 //! exactly one point (so `IS = 1` — it masks no Byzantine failures on its own). Its
-//! load `(q+1)/n ≈ 1/√n` is optimal for regular quorum systems [NW98], which is why
+//! load `(q+1)/n ≈ 1/√n` is optimal for regular quorum systems \[NW98\], which is why
 //! the paper boosts it: composing FPP over a masking threshold (boostFPP) inherits
 //! the optimal load while acquiring the threshold's masking ability.
 //!
@@ -175,7 +175,7 @@ impl MinWeightQuorumOracle for FppSystem {
 
     /// The uniform mixture over all lines: every point lies on exactly
     /// `q + 1` of the `q² + q + 1` lines, so it equalises loads at
-    /// `(q+1)/n` — the regular-system optimum of [NW98].
+    /// `(q+1)/n` — the regular-system optimum of \[NW98\].
     fn symmetric_strategy_hint(&self) -> Option<(Vec<ServerSet>, Vec<f64>)> {
         Some((self.lines.clone(), vec![1.0; self.lines.len()]))
     }

@@ -1,4 +1,4 @@
-//! The Grid masking construction of [MR98a] (baseline for Table 2).
+//! The Grid masking construction of \[MR98a\] (baseline for Table 2).
 //!
 //! Servers form a `√n × √n` grid; a quorum is the union of `2b + 1` full rows and one
 //! full column. Any two quorums intersect in at least `2(2b+1)` servers (each
@@ -18,7 +18,7 @@ use bqs_core::quorum::{ExplicitQuorumSystem, QuorumSystem};
 use crate::square::{min_price_rows_and_columns, SquareGrid};
 use crate::AnalyzedConstruction;
 
-/// The [MR98a] Grid b-masking quorum system over a `side × side` universe.
+/// The \[MR98a\] Grid b-masking quorum system over a `side × side` universe.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridSystem {
     grid: SquareGrid,

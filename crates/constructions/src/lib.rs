@@ -5,8 +5,8 @@
 //!
 //! | System | Paper section | Module | Headline property |
 //! |---|---|---|---|
-//! | Threshold | [MR98a] baseline (Table 2) | [`threshold`] | masks up to `b < n/4`, load `≈ 1/2` |
-//! | Grid | [MR98a] baseline (Table 2) | [`grid`] | load `≈ 2b/√n`, availability → 0 |
+//! | Threshold | \[MR98a\] baseline (Table 2) | [`threshold`] | masks up to `b < n/4`, load `≈ 1/2` |
+//! | Grid | \[MR98a\] baseline (Table 2) | [`grid`] | load `≈ 2b/√n`, availability → 0 |
 //! | M-Grid | Section 5.1 | [`mgrid`] | **optimal load** `≈ 2√((b+1)/n)` for `b ≤ (√n−1)/2` |
 //! | RT(k, ℓ) | Section 5.2 | [`rt`] | masks `b = O(n^α)`, near-optimal crash probability |
 //! | boostFPP | Section 6 | [`boost_fpp`] | **optimal load** `≈ 3/(4q)`, masks up to `b → n/4` |

@@ -4,7 +4,7 @@
 //! a b-masking one by composing it over a masking threshold. These baselines supply
 //! the regular systems used in examples, tests and the boosting ablation:
 //!
-//! * [`MajoritySystem`] — quorums are all `⌊n/2⌋ + 1`-subsets ([Tho79]); maximal
+//! * [`MajoritySystem`] — quorums are all `⌊n/2⌋ + 1`-subsets (\[Tho79\]); maximal
 //!   availability, poor load;
 //! * [`RegularGridSystem`] — quorums are one full row plus one full column of a
 //!   `√n × √n` grid ([Mae85, CAA92]); load `≈ 2/√n`, poor availability;
@@ -37,12 +37,6 @@ impl MajoritySystem {
         Ok(MajoritySystem {
             inner: ThresholdSystem::new(n, n / 2 + 1)?,
         })
-    }
-
-    /// Access to the underlying threshold representation.
-    #[must_use]
-    pub fn as_threshold(&self) -> &ThresholdSystem {
-        &self.inner
     }
 
     /// Materialises all majority quorums.

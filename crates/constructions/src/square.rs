@@ -1,5 +1,5 @@
 //! Shared helpers for constructions that arrange the universe in a `√n × √n` square
-//! (the Grid baseline of [MR98a] and the M-Grid of Section 5.1).
+//! (the Grid baseline of \[MR98a\] and the M-Grid of Section 5.1).
 
 use std::sync::OnceLock;
 

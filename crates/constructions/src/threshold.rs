@@ -3,7 +3,7 @@
 //! The `ℓ-of-k` threshold system takes every `ℓ`-subset of the `k` servers as a
 //! quorum. Three roles in the paper:
 //!
-//! * the **Threshold construction of [MR98a]** (first row of Table 2): over `n`
+//! * the **Threshold construction of \[MR98a\]** (first row of Table 2): over `n`
 //!   servers with `4b < n`, quorums of size `⌈(n + 2b + 1)/2⌉` give a b-masking
 //!   system with load `1/2 + O(b/n)` and resilience `n − c(Q)`;
 //! * the **minimal masking threshold** `Thresh(3b+1 of 4b+1)`, the inner component
@@ -55,7 +55,7 @@ impl ThresholdSystem {
         Ok(ThresholdSystem { n, quorum_size })
     }
 
-    /// The b-masking threshold construction of [MR98a] over `n` servers: quorums of
+    /// The b-masking threshold construction of \[MR98a\] over `n` servers: quorums of
     /// size `⌈(n + 2b + 1) / 2⌉`.
     ///
     /// # Errors

@@ -54,12 +54,6 @@ impl<S: QuorumSystem, R: QuorumSystem> ComposedSystem<S, R> {
         &self.inner
     }
 
-    /// Maps a copy index and a local server index to the global index.
-    #[must_use]
-    pub fn global_index(&self, copy: usize, local: usize) -> usize {
-        copy * self.inner.universe_size() + local
-    }
-
     /// Restricts a global alive-set to the servers of copy `copy`, re-indexed locally.
     fn restrict_to_copy(&self, alive: &ServerSet, copy: usize) -> ServerSet {
         let n_r = self.inner.universe_size();

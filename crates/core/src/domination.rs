@@ -1,6 +1,6 @@
 //! Coteries, domination and minimal-quorum reduction.
 //!
-//! The quorum-system literature the paper builds on ([GB85], [NW98]) distinguishes
+//! The quorum-system literature the paper builds on (\[GB85\], \[NW98\]) distinguishes
 //! *coteries* — quorum systems that are antichains (no quorum contains another) —
 //! and calls a coterie *dominated* when another coterie is strictly "better"
 //! (every quorum of the first contains a quorum of the second). Dominated systems
@@ -66,7 +66,7 @@ pub fn minimize_system(system: &ExplicitQuorumSystem) -> Result<ExplicitQuorumSy
 }
 
 /// Returns true if coterie `better` dominates coterie `worse` in the sense of
-/// [GB85]: they are different, and every quorum of `worse` contains some quorum of
+/// \[GB85\]: they are different, and every quorum of `worse` contains some quorum of
 /// `better`.
 #[must_use]
 pub fn dominates(better: &[ServerSet], worse: &[ServerSet]) -> bool {

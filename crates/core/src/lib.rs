@@ -92,7 +92,7 @@ pub mod prelude {
     pub use crate::eval::{Evaluator, FpEstimate, FpMethod};
     pub use crate::load::{
         fair_load, optimal_load, optimal_load_oracle, optimal_load_oracle_for_quorums,
-        optimal_load_oracle_with, strategy_load, CertifiedLoad,
+        CertifiedLoad,
     };
     pub use crate::masking::{is_b_masking, mask_votes, masking_feasible, masking_level};
     pub use crate::measures::{

@@ -118,8 +118,8 @@ pub fn optimal_load(
     }
 }
 
-/// Default certification tolerance of [`optimal_load_oracle`]: the engine
-/// keeps generating columns until `load − lower_bound ≤ 1e-9`.
+/// Certification tolerance of [`optimal_load_oracle`]: the engine keeps
+/// generating columns until `load − lower_bound ≤ 1e-9`.
 pub const CERTIFIED_GAP_TOLERANCE: f64 = 1e-9;
 
 /// A certified load computation from the column-generation engine.
@@ -132,8 +132,8 @@ pub struct CertifiedLoad {
     /// A rigorous lower bound on `L(Q)` from the pricing oracle's last
     /// evaluation (weak duality; see the module docs).
     pub lower_bound: f64,
-    /// `load − lower_bound`. At most the requested tolerance unless the
-    /// round cap was reached (which the engine reports as an error).
+    /// `load − lower_bound`, at most [`CERTIFIED_GAP_TOLERANCE`] (an instance
+    /// that does not get there within the round cap is an error).
     pub gap: f64,
     /// The working-set quorums carrying positive strategy weight.
     pub quorums: Vec<ServerSet>,
@@ -158,34 +158,6 @@ const DIVERSIFY_PER_ROUND: usize = 8;
 /// symmetry groups could otherwise keep producing fresh balanced columns
 /// forever.
 const SEED_CAP: usize = 256;
-
-/// The certified system load by column generation, for constructions with a
-/// polynomial pricing oracle — the large-`n` path that replaces materialising
-/// exponentially many quorum variables.
-///
-/// Runs the restricted-master / pricing-oracle loop described in the module
-/// docs with the default tolerance [`CERTIFIED_GAP_TOLERANCE`] and a round
-/// cap proportional to the universe size.
-///
-/// # Errors
-///
-/// * [`QuorumError::InvalidParameters`] when the oracle declines the instance
-///   (e.g. an M-Grid whose per-quorum line count makes exact pricing
-///   infeasible) — callers should fall back to [`optimal_load`] on an
-///   explicit quorum list, or when the gap cannot be certified within the
-///   round cap (a numerical failure that does not occur for the paper's
-///   constructions).
-/// * [`QuorumError::InvalidStrategy`] if the master produces no usable
-///   strategy (cannot happen for well-formed oracles).
-pub fn optimal_load_oracle<S: MinWeightQuorumOracle + ?Sized>(
-    system: &S,
-) -> Result<CertifiedLoad, QuorumError> {
-    optimal_load_oracle_with(
-        system,
-        CERTIFIED_GAP_TOLERANCE,
-        64 + 16 * system.universe_size(),
-    )
-}
 
 /// The certified load of a **hand-built explicit quorum list** — the entry
 /// point for custom systems that are not one of the paper's constructions
@@ -242,20 +214,32 @@ pub fn optimal_load_oracle_for_survivors(
     optimal_load_oracle_for_quorums(universe_size, surviving)
 }
 
-/// [`optimal_load_oracle`] with an explicit gap tolerance and round cap.
+/// The certified system load by column generation, for constructions with a
+/// polynomial pricing oracle — the large-`n` path that replaces materialising
+/// exponentially many quorum variables.
+///
+/// Runs the restricted-master / pricing-oracle loop described in the module
+/// docs until the gap is at most [`CERTIFIED_GAP_TOLERANCE`], with a round
+/// cap of `64 + 16n`.
 ///
 /// # Errors
 ///
-/// As [`optimal_load_oracle`].
-pub fn optimal_load_oracle_with<S: MinWeightQuorumOracle + ?Sized>(
+/// * [`QuorumError::InvalidParameters`] when the oracle declines the instance
+///   (e.g. an M-Grid whose per-quorum line count makes exact pricing
+///   infeasible) — callers should fall back to [`optimal_load`] on an
+///   explicit quorum list, or when the gap cannot be certified within the
+///   round cap (a numerical failure that does not occur for the paper's
+///   constructions).
+/// * [`QuorumError::InvalidStrategy`] if the master produces no usable
+///   strategy (cannot happen for well-formed oracles).
+pub fn optimal_load_oracle<S: MinWeightQuorumOracle + ?Sized>(
     system: &S,
-    tolerance: f64,
-    max_rounds: usize,
 ) -> Result<CertifiedLoad, QuorumError> {
     let n = system.universe_size();
     if n == 0 {
         return Err(QuorumError::EmptySystem);
     }
+    let max_rounds = 64 + 16 * n;
     let oracle_unavailable = || {
         QuorumError::InvalidParameters(format!(
             "no pricing oracle answer for {} — fall back to the explicit LP",
@@ -316,7 +300,7 @@ pub fn optimal_load_oracle_with<S: MinWeightQuorumOracle + ?Sized>(
             if let Ok(strategy) = AccessStrategy::normalized(hint_weights.clone()) {
                 let upper = strategy.induced_system_load(hint_quorums, n);
                 let gap = upper - lower_best;
-                if gap <= tolerance {
+                if gap <= CERTIFIED_GAP_TOLERANCE {
                     return Ok(CertifiedLoad {
                         load: upper,
                         lower_bound: upper - gap.max(0.0),
@@ -401,7 +385,7 @@ pub fn optimal_load_oracle_with<S: MinWeightQuorumOracle + ?Sized>(
         }
         let lower = lower_best.min(upper);
         let gap = upper - lower;
-        if gap <= tolerance {
+        if gap <= CERTIFIED_GAP_TOLERANCE {
             // Keep only the support of the strategy.
             let mut support = Vec::new();
             let mut weights = Vec::new();
@@ -469,17 +453,6 @@ pub fn fair_load(quorums: &[ServerSet], universe_size: usize) -> Result<f64, Quo
     Ok(measures::min_quorum_size(quorums) as f64 / universe_size as f64)
 }
 
-/// The load induced by a specific strategy (`L_w(Q)`), for comparing candidate
-/// strategies against the optimum.
-#[must_use]
-pub fn strategy_load(
-    quorums: &[ServerSet],
-    universe_size: usize,
-    strategy: &AccessStrategy,
-) -> f64 {
-    strategy.induced_system_load(quorums, universe_size)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,7 +474,7 @@ mod tests {
             let expected = k as f64 / n as f64;
             assert!((load - expected).abs() < 1e-6, "n={n} load={load}");
             // The returned strategy must achieve (close to) the optimal load.
-            let achieved = strategy_load(&q, n, &strategy);
+            let achieved = strategy.induced_system_load(&q, n);
             assert!(achieved <= load + 1e-6);
             // And it must agree with the fair-system closed form.
             assert!((fair_load(&q, n).unwrap() - expected).abs() < 1e-12);
@@ -750,15 +723,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn certified_gap_tolerance_is_honoured_when_loosened() {
-        let sys = explicit(5, k_of_n(5, 3));
-        let loose = optimal_load_oracle_with(&sys, 1e-2, 10_000).unwrap();
-        assert!(loose.gap <= 1e-2);
-        // The loose answer is still a valid upper bound on the true load.
-        assert!(loose.load >= 3.0 / 5.0 - 1e-9);
-    }
-
     /// A pure-oracle threshold stand-in (no quorum list): lets the probe
     /// exercise the engine at sizes where even `KSubsets` is unthinkable.
     struct ThresholdOracle {
@@ -845,7 +809,7 @@ mod tests {
             ServerSet::from_indices(3, [0, 1]),
         ];
         let uniform = AccessStrategy::uniform(4).unwrap();
-        let uniform_load = strategy_load(&q, 3, &uniform);
+        let uniform_load = uniform.induced_system_load(&q, 3);
         let (opt, _) = optimal_load(&q, 3).unwrap();
         assert!(opt <= uniform_load + 1e-9);
         assert!((opt - 2.0 / 3.0).abs() < 1e-6);

@@ -52,7 +52,7 @@ pub fn has_masking_intersections(quorums: &[ServerSet], b: usize) -> bool {
 }
 
 /// The necessary condition `4b < n` for a b-masking system to exist over `n` servers
-/// ([MR98a], quoted in Section 3 of the paper).
+/// (\[MR98a\], quoted in Section 3 of the paper).
 #[must_use]
 pub fn masking_feasible(universe_size: usize, b: usize) -> bool {
     4 * b < universe_size
@@ -62,7 +62,7 @@ pub fn masking_feasible(universe_size: usize, b: usize) -> bool {
 /// votes returned by a read quorum, returns the values that are *safe* — reported by
 /// at least `b + 1` servers — so a correct value written to a full write quorum
 /// always survives and any value fabricated by at most `b` Byzantine servers never
-/// does. This is the core of the [MR98a] replicated-variable protocol that b-masking
+/// does. This is the core of the \[MR98a\] replicated-variable protocol that b-masking
 /// intersections make sound; the full protocol lives in the `bqs-sim` crate.
 #[must_use]
 pub fn mask_votes<V: Eq + Clone>(votes: &[(usize, V)], b: usize) -> Vec<V> {

@@ -53,7 +53,22 @@ use crate::config::{EpochPlanner, StrategySource};
 use crate::manager::{EpochManager, TickOutcome};
 use crate::suspicion::SuspicionConfig;
 
-/// Shape of one reconfiguration drill.
+/// Detection bursts to attempt before giving up.
+const MAX_DETECT_TICKS: usize = 12;
+
+/// Write fraction of every burst.
+const WRITE_FRACTION: f64 = 0.2;
+
+/// Per-operation deadline (also bounds the per-phase priming wait):
+/// comfortably above every scenario's chaos delays, so healthy servers are
+/// never accused of timing out.
+const OP_DEADLINE: Duration = Duration::from_millis(250);
+
+/// Post-arrival drain window per burst.
+const TAIL_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Shape of one reconfiguration drill: its seed, how many servers it
+/// crashes, and the rate and length of its bursts.
 #[derive(Debug, Clone, Copy)]
 pub struct ReconfigConfig {
     /// Base seed: service shards, chaos stream, and every burst's rng.
@@ -72,16 +87,6 @@ pub struct ReconfigConfig {
     pub measure_arrivals: usize,
     /// Arrivals in the stale-epoch probe.
     pub probe_arrivals: usize,
-    /// Detection bursts to attempt before giving up.
-    pub max_detect_ticks: usize,
-    /// Write fraction of every burst.
-    pub write_fraction: f64,
-    /// Per-operation deadline (also bounds the per-phase priming wait); must
-    /// comfortably exceed the scenario's chaos delays so healthy servers are
-    /// never accused of timing out.
-    pub op_deadline: Duration,
-    /// Post-arrival drain window per burst.
-    pub tail_deadline: Duration,
 }
 
 impl Default for ReconfigConfig {
@@ -95,10 +100,6 @@ impl Default for ReconfigConfig {
             migrate_arrivals: 300,
             measure_arrivals: 3_000,
             probe_arrivals: 120,
-            max_detect_ticks: 12,
-            write_fraction: 0.2,
-            op_deadline: Duration::from_millis(250),
-            tail_deadline: Duration::from_secs(2),
         }
     }
 }
@@ -137,8 +138,8 @@ pub struct ReconfigOutcome {
     pub healthy_steady: bool,
     /// Whether a reconfiguration fired within the detection budget.
     pub reconfigured: bool,
-    /// Detection bursts consumed before the reconfiguration fired (equals
-    /// `max_detect_ticks` when it never did).
+    /// Detection bursts consumed before the reconfiguration fired (the whole
+    /// detection budget when it never did).
     pub detect_ticks: usize,
     /// The final suspect set.
     pub suspects: Vec<usize>,
@@ -223,10 +224,10 @@ pub fn run_reconfigure<T: Transport + 'static>(
             // decision fold is replayed in a deterministic order.
             workers: 1,
             virtual_clients: 64,
-            write_fraction: config.write_fraction,
+            write_fraction: WRITE_FRACTION,
             max_in_flight_per_worker: 1 << 14,
-            op_deadline: config.op_deadline,
-            tail_deadline: config.tail_deadline,
+            op_deadline: OP_DEADLINE,
+            tail_deadline: TAIL_DEADLINE,
             seed: config.seed ^ mix64(salt),
         };
         let report = run_open_loop_session(
@@ -272,7 +273,7 @@ pub fn run_reconfigure<T: Transport + 'static>(
     // Phase 3: keep serving at epoch 0 until the evidence reconfigures.
     let mut detect_ticks = 0usize;
     let mut reconfigured = false;
-    while detect_ticks < config.max_detect_ticks {
+    while detect_ticks < MAX_DETECT_TICKS {
         let _ = run_phase(
             "detect",
             0,
@@ -482,6 +483,9 @@ mod tests {
         let a = drill(0xfeed);
         let b = drill(0xfeed);
         assert_eq!(a.fingerprint, b.fingerprint);
+        // Golden value: a change to the drill's constants, the suspicion
+        // engine's or the chaos stream moves it.
+        assert_eq!(a.fingerprint, 0x479b_9a26_59d5_fabd);
         assert_eq!(a.trace_fingerprint, b.trace_fingerprint);
         assert_eq!(a.epochs, b.epochs);
         assert_eq!(a.suspects, b.suspects);

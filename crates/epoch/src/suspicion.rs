@@ -9,12 +9,11 @@
 //!
 //! * **Ratio evidence** — per tick, the engine looks at the evidence *delta*
 //!   since the previous tick; a server whose no-answer fraction over the
-//!   delta reaches [`SuspicionConfig::accuse_ratio`] (with at least
-//!   [`SuspicionConfig::min_samples`] samples) is accused for that tick.
-//!   Crashed replicas acknowledge writes in-band but serve reads `None`, so
-//!   under any read-leaning mix their accusal fraction sits near the read
-//!   fraction — far above a healthy server's (whose only `None`s come from
-//!   still-empty registers early on).
+//!   delta reaches [`ACCUSE_RATIO`] (with at least [`MIN_SAMPLES`] samples)
+//!   is accused for that tick. Crashed replicas acknowledge writes in-band
+//!   but serve reads `None`, so under any read-leaning mix their accusal
+//!   fraction sits near the read fraction — far above a healthy server's
+//!   (whose only `None`s come from still-empty registers early on).
 //! * **Latency evidence** — a timeout-inflation adversary answers *every*
 //!   request just under the deadline, so the ratio counters never move. Its
 //!   cumulative p99 round-trip does move: a server whose p99 reaches
@@ -26,12 +25,13 @@
 //!   non-deterministic, so replay-exact harnesses run with
 //!   [`SuspicionConfig::counters_only`], which disables this channel.
 //! * **Accrual with hysteresis** — accusals accumulate into a per-server
-//!   score (+1 per accusing tick, −[`SuspicionConfig::decay`] per clean
-//!   tick, floored at zero). A server becomes suspected only when its score
-//!   reaches [`SuspicionConfig::suspect_score`] and is cleared only when it
-//!   decays back to [`SuspicionConfig::clear_score`] — a one-tick burst of
-//!   jitter or loss never flips anybody, and a flapping server cannot make
-//!   the configuration flap with it.
+//!   score (+1 per accusing tick, −[`DECAY`] per clean tick, floored at
+//!   zero). A server becomes suspected only when its score reaches
+//!   [`SUSPECT_SCORE`] and is cleared only when it decays back to
+//!   [`CLEAR_SCORE`] — a one-tick burst of jitter or loss never flips
+//!   anybody, and a flapping server cannot make the configuration flap with
+//!   it. The detector is deliberately slow to accuse and slower to forgive:
+//!   three consecutive accusing ticks to suspect, two clean ticks to clear.
 
 use bqs_core::bitset::ServerSet;
 use bqs_service::metrics::ServiceMetrics;
@@ -44,60 +44,56 @@ use bqs_service::metrics::ServiceMetrics;
 /// well beneath it.
 pub const LATENCY_ACCUSAL_FLOOR_NS: u64 = 1_000_000;
 
-/// Tuning of the accrual detector. The defaults are deliberately slow to
-/// accuse and slower to forgive: three consecutive accusing ticks to suspect,
-/// two clean ticks to clear.
+/// Minimum evidence samples (answers + no-answers) in a tick's delta before
+/// the ratio channel may accuse: starves rumors of single lost packets.
+pub const MIN_SAMPLES: u64 = 8;
+
+/// No-answer fraction of the tick's delta at which the ratio channel
+/// accuses. Sits above the background accusal fraction of a healthy fleet
+/// (empty-register reads, occasional drops) and below a dead server's (its
+/// read fraction).
+pub const ACCUSE_RATIO: f64 = 0.5;
+
+/// Score at which a server becomes suspected.
+pub const SUSPECT_SCORE: f64 = 3.0;
+
+/// Score at which an already-suspected server is cleared; below
+/// [`SUSPECT_SCORE`] — the hysteresis band.
+pub const CLEAR_SCORE: f64 = 1.0;
+
+/// Score subtracted per non-accusing tick (floored at zero).
+pub const DECAY: f64 = 1.0;
+
+/// Minimum cumulative answers from a server before its p99 is trusted as
+/// latency evidence.
+pub const LATENCY_MIN_SAMPLES: u64 = 32;
+
+/// Whether the detector's latency channel is on, and how sharp it is.
 #[derive(Debug, Clone, Copy)]
 pub struct SuspicionConfig {
-    /// Minimum evidence samples (answers + no-answers) in a tick's delta
-    /// before the ratio channel may accuse: starves rumors of single lost
-    /// packets.
-    pub min_samples: u64,
-    /// No-answer fraction of the tick's delta at which the ratio channel
-    /// accuses. Must sit above the background accusal fraction of a healthy
-    /// fleet (empty-register reads, occasional drops) and below a dead
-    /// server's (its read fraction).
-    pub accuse_ratio: f64,
-    /// Score at which a server becomes suspected.
-    pub suspect_score: f64,
-    /// Score at which an already-suspected server is cleared. Strictly below
-    /// [`SuspicionConfig::suspect_score`] — the hysteresis band.
-    pub clear_score: f64,
-    /// Score subtracted per non-accusing tick (floored at zero).
-    pub decay: f64,
     /// Latency channel: accuse a server whose cumulative p99 round-trip is
     /// at least this factor times the fleet median p99. `f64::INFINITY`
     /// disables the channel (see [`SuspicionConfig::counters_only`]).
     pub latency_factor: f64,
-    /// Minimum cumulative answers from a server before its p99 is trusted as
-    /// latency evidence.
-    pub latency_min_samples: u64,
 }
 
 impl Default for SuspicionConfig {
     fn default() -> Self {
         SuspicionConfig {
-            min_samples: 8,
-            accuse_ratio: 0.5,
-            suspect_score: 3.0,
-            clear_score: 1.0,
-            decay: 1.0,
             latency_factor: 8.0,
-            latency_min_samples: 32,
         }
     }
 }
 
 impl SuspicionConfig {
-    /// The default configuration with the latency channel disabled: every
-    /// accusal derives from deterministic counters, so a drill replayed from
-    /// the same `(seed, scenario)` pair reproduces the identical suspect set
-    /// and detection tick. This is what the reconfiguration runner uses.
+    /// The latency channel disabled: every accusal derives from
+    /// deterministic counters, so a drill replayed from the same `(seed,
+    /// scenario)` pair reproduces the identical suspect set and detection
+    /// tick. This is what the reconfiguration runner uses.
     #[must_use]
     pub fn counters_only() -> Self {
         SuspicionConfig {
             latency_factor: f64::INFINITY,
-            ..SuspicionConfig::default()
         }
     }
 }
@@ -118,23 +114,8 @@ pub struct SuspicionEngine {
 
 impl SuspicionEngine {
     /// A fresh engine over `n` servers.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a degenerate configuration: `accuse_ratio` outside `(0, 1]`,
-    /// a non-positive `decay`, or a hysteresis band that is not a band
-    /// (`clear_score >= suspect_score`).
     #[must_use]
     pub fn new(n: usize, config: SuspicionConfig) -> Self {
-        assert!(
-            config.accuse_ratio > 0.0 && config.accuse_ratio <= 1.0,
-            "accuse_ratio is a fraction of a tick's evidence"
-        );
-        assert!(config.decay > 0.0, "scores must be able to decay");
-        assert!(
-            config.clear_score < config.suspect_score,
-            "hysteresis needs clear_score < suspect_score"
-        );
         SuspicionEngine {
             config,
             last_answers: vec![0; n],
@@ -236,12 +217,12 @@ impl SuspicionEngine {
             self.last_no_answers[i] = no_answers[i];
 
             let samples = d_answers + d_accusals;
-            let ratio_accuses = samples >= self.config.min_samples
-                && d_accusals as f64 >= self.config.accuse_ratio * samples as f64;
+            let ratio_accuses =
+                samples >= MIN_SAMPLES && d_accusals as f64 >= ACCUSE_RATIO * samples as f64;
 
             let latency_accuses = match median_p99 {
                 Some(median) if median > 0 => {
-                    answers[i] >= self.config.latency_min_samples
+                    answers[i] >= LATENCY_MIN_SAMPLES
                         && metrics.server_latency_quantile(i, 0.99).is_some_and(|p99| {
                             p99 >= LATENCY_ACCUSAL_FLOOR_NS
                                 && p99 as f64 >= self.config.latency_factor * median as f64
@@ -253,13 +234,13 @@ impl SuspicionEngine {
             if ratio_accuses || latency_accuses {
                 self.scores[i] += 1.0;
             } else {
-                self.scores[i] = (self.scores[i] - self.config.decay).max(0.0);
+                self.scores[i] = (self.scores[i] - DECAY).max(0.0);
             }
 
-            if !self.suspected[i] && self.scores[i] >= self.config.suspect_score {
+            if !self.suspected[i] && self.scores[i] >= SUSPECT_SCORE {
                 self.suspected[i] = true;
                 changed = true;
-            } else if self.suspected[i] && self.scores[i] <= self.config.clear_score {
+            } else if self.suspected[i] && self.scores[i] <= CLEAR_SCORE {
                 self.suspected[i] = false;
                 changed = true;
             }
@@ -303,7 +284,7 @@ mod tests {
                 assert!(!changed, "accrual must not fire before the threshold");
                 assert!(!engine.is_suspected(2));
             } else {
-                assert!(changed, "third accusing tick crosses suspect_score = 3");
+                assert!(changed, "third accusing tick crosses SUSPECT_SCORE = 3");
                 assert!(engine.is_suspected(2));
             }
         }
@@ -325,7 +306,7 @@ mod tests {
         let metrics = ServiceMetrics::new(n);
         let mut engine = SuspicionEngine::new(n, SuspicionConfig::counters_only());
         // Two accusing ticks (a burst of loss), then clean ticks: the score
-        // reaches 2 < suspect_score and decays back to zero.
+        // reaches 2 < SUSPECT_SCORE and decays back to zero.
         for _ in 0..2 {
             healthy_tick(&metrics, n, &[1]);
             feed(&metrics, 1, 2, 18);
@@ -351,11 +332,11 @@ mod tests {
             engine.tick(&metrics);
         }
         assert!(engine.is_suspected(0));
-        // One clean tick: score 3 → 2, still above clear_score = 1.
+        // One clean tick: score 3 → 2, still above CLEAR_SCORE = 1.
         healthy_tick(&metrics, n, &[]);
         assert!(!engine.tick(&metrics), "one clean tick must not clear");
         assert!(engine.is_suspected(0));
-        // A second clean tick decays to 1 = clear_score: cleared.
+        // A second clean tick decays to 1 = CLEAR_SCORE: cleared.
         healthy_tick(&metrics, n, &[]);
         assert!(engine.tick(&metrics));
         assert!(!engine.is_suspected(0));
@@ -422,24 +403,11 @@ mod tests {
         let n = 2;
         let metrics = ServiceMetrics::new(n);
         let mut engine = SuspicionEngine::new(n, SuspicionConfig::counters_only());
-        // 100 % accusing but only 3 samples < min_samples = 8: no accusal.
+        // 100 % accusing but only 3 samples < MIN_SAMPLES = 8: no accusal.
         for _ in 0..5 {
             feed(&metrics, 1, 0, 3);
             assert!(!engine.tick(&metrics));
         }
         assert_eq!(engine.scores()[1], 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "hysteresis")]
-    fn inverted_hysteresis_band_is_rejected() {
-        let _ = SuspicionEngine::new(
-            3,
-            SuspicionConfig {
-                suspect_score: 1.0,
-                clear_score: 2.0,
-                ..SuspicionConfig::default()
-            },
-        );
     }
 }

@@ -181,7 +181,6 @@ fn full_reconfigure_loop_replays_identically_under_chaos_drops() {
             migrate_arrivals: 150,
             measure_arrivals: 600,
             probe_arrivals: 80,
-            ..ReconfigConfig::default()
         };
         let planner = EpochPlanner::new(7, 1).with_pool("5of7", five_of_seven());
         let service = Arc::new(LoopbackService::spawn(&FaultPlan::none(7), 2, config.seed));

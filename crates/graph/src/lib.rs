@@ -6,7 +6,7 @@
 //! Verifying and constructing such quorums, and analysing their availability, needs:
 //!
 //! * [`grid`] — the triangulated grid graph itself (the triangular lattice of
-//!   [WB92]/[Baz96] used by the paper),
+//!   \[WB92\]/\[Baz96\] used by the paper),
 //! * [`maxflow`] — Dinic's algorithm on unit-capacity node-split networks, giving the
 //!   maximum number of vertex-disjoint paths between two vertex sets (Menger): the
 //!   engine behind path *extraction*, and the reference the tests hold the duality to,

@@ -1,7 +1,7 @@
 //! Site percolation on the triangulated grid.
 //!
 //! Appendix B of the paper analyses M-Path availability via site percolation on the
-//! triangular lattice (critical probability `p_c = 1/2` [Kes80]): when each vertex is
+//! triangular lattice (critical probability `p_c = 1/2` \[Kes80\]): when each vertex is
 //! independently *closed* (crashed) with probability `p < 1/2`, long open crossings
 //! exist with probability `1 − e^{−ψ(p)√n}` (Theorem B.1), and `r+1` disjoint
 //! crossings exist with essentially the same behaviour (Theorem B.3).

@@ -145,12 +145,6 @@ impl PackingLp {
         self.rows
     }
 
-    /// Number of structural columns added so far.
-    #[must_use]
-    pub fn num_columns(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Appends a structural column touching the given rows (objective
     /// coefficient 1), without disturbing the current basis. Returns the
     /// column's structural index.

@@ -30,15 +30,6 @@ impl Endpoint {
             Endpoint::Uds(path) => UnixStream::connect(path).map(Stream::Uds),
         }
     }
-
-    /// A short human-readable backend label (`"tcp"` / `"uds"`).
-    #[must_use]
-    pub fn backend_name(&self) -> &'static str {
-        match self {
-            Endpoint::Tcp(_) => "tcp",
-            Endpoint::Uds(_) => "uds",
-        }
-    }
 }
 
 impl std::fmt::Display for Endpoint {

@@ -11,7 +11,7 @@
 //! Requests from many client threads multiplex onto the pooled connections,
 //! so replies must be matched back to their callers. Instead of a
 //! `Mutex<HashMap>` keyed by caller id (a hash, an allocation, and a map
-//! rebalance per operation), each connection owns a [`SlotTable`]: a
+//! rebalance per operation), each connection owns a slot table: a
 //! pre-allocated vector of completion slots with freelist reuse. Registering
 //! an in-flight request pops a free slot and stamps it with the caller's id
 //! and reply sink; the **wire** id is `generation << 32 | slot_index`, so
@@ -61,11 +61,12 @@
 //!   connection dead is *not* failed — it is rewritten on the new stream and
 //!   its callers get the server's answers. The pause before attempt `k` is
 //!   `reconnect_backoff * k` scaled by a deterministic per-connection jitter
-//!   factor in `[0.5, 1.5)` (a splitmix64 hash of the seed, connection index
-//!   and attempt — no RNG state, no `rand` dependency on the hot path), so
-//!   the clients of a restarted server do not redial in lockstep. Requests
-//!   that cannot be written after the attempt budget are refused (`send`
-//!   returns `false`), which callers already treat as transport failure.
+//!   factor in `[0.5, 1.5)` (a splitmix64 hash of a fixed seed, the
+//!   connection index and the attempt — no RNG state, no `rand` dependency on
+//!   the hot path), so the connections of a pool do not redial a restarted
+//!   server in lockstep. Requests that cannot be written after the attempt
+//!   budget are refused (`send` returns `false`), which callers already treat
+//!   as transport failure.
 //!
 //! One caller id must be in flight at most once per transport (expiry and
 //! straggler filtering assume it); the open-loop generator and
@@ -87,6 +88,9 @@ use crate::stream::{Endpoint, Stream};
 /// How often blocked reads and the deadline sweeper wake.
 const TICK: Duration = Duration::from_millis(20);
 
+/// Seed of the deterministic reconnect jitter.
+const BACKOFF_SEED: u64 = 0xb05c_0ff5;
+
 /// Tuning for a [`SocketTransport`].
 #[derive(Debug, Clone, Copy)]
 pub struct NetConfig {
@@ -100,10 +104,6 @@ pub struct NetConfig {
     pub reconnect_backoff: Duration,
     /// Reconnect attempts per send before the send is refused.
     pub reconnect_attempts: u32,
-    /// Seed for the deterministic reconnect jitter. Two transports (or two
-    /// connections of one transport) with the same base backoff but
-    /// different seeds/indices retry on diverging schedules.
-    pub backoff_seed: u64,
 }
 
 impl Default for NetConfig {
@@ -113,7 +113,6 @@ impl Default for NetConfig {
             request_deadline: Duration::from_secs(5),
             reconnect_backoff: Duration::from_millis(50),
             reconnect_attempts: 4,
-            backoff_seed: 0xb05c_0ff5,
         }
     }
 }
@@ -610,11 +609,13 @@ impl Drop for SocketTransport {
 
 /// The pause before reconnect attempt `attempt` (1-based) on connection
 /// `conn_index`: linear growth scaled by a deterministic jitter factor in
-/// `[0.5, 1.5)`, so distinct connections (or distinct seeds) back off on
-/// diverging schedules instead of redialling a restarted server in lockstep.
-fn reconnect_delay(seed: u64, conn_index: usize, attempt: u32, base: Duration) -> Duration {
+/// `[0.5, 1.5)`, so distinct connections back off on diverging schedules
+/// instead of redialling a restarted server in lockstep.
+fn reconnect_delay(conn_index: usize, attempt: u32, base: Duration) -> Duration {
     let hash = mix64(
-        seed ^ (conn_index as u64).wrapping_mul(0xd192_ed03_a5a5_0001) ^ (u64::from(attempt) << 48),
+        BACKOFF_SEED
+            ^ (conn_index as u64).wrapping_mul(0xd192_ed03_a5a5_0001)
+            ^ (u64::from(attempt) << 48),
     );
     // 53 high bits → uniform in [0, 1); jitter factor in [0.5, 1.5).
     let unit = (hash >> 11) as f64 / (1u64 << 53) as f64;
@@ -637,7 +638,6 @@ fn write_with_reconnect(
         }
         if attempt > 0 {
             std::thread::sleep(reconnect_delay(
-                config.backoff_seed,
                 conn.index,
                 attempt,
                 config.reconnect_backoff,
@@ -949,17 +949,14 @@ mod tests {
     #[test]
     fn reconnect_schedules_diverge_between_connections() {
         let base = Duration::from_millis(50);
-        let seed = NetConfig::default().backoff_seed;
         let schedule = |conn: usize| -> Vec<Duration> {
-            (1..=4)
-                .map(|a| reconnect_delay(seed, conn, a, base))
-                .collect()
+            (1..=4).map(|a| reconnect_delay(conn, a, base)).collect()
         };
         let a = schedule(0);
         let b = schedule(1);
         assert_ne!(a, b, "two connections must not retry in lockstep");
-        // Deterministic: the same (seed, conn, attempt) always yields the
-        // same pause.
+        // Deterministic: the same (conn, attempt) always yields the same
+        // pause.
         assert_eq!(a, schedule(0));
         // Jitter stays within the documented [0.5, 1.5) envelope around the
         // linear schedule.

@@ -21,7 +21,6 @@ fn quick_net() -> NetConfig {
         request_deadline: Duration::from_millis(500),
         reconnect_backoff: Duration::from_millis(20),
         reconnect_attempts: 3,
-        ..NetConfig::default()
     }
 }
 
@@ -89,7 +88,7 @@ fn open_loop_generator_runs_safely_over_uds() {
         },
     )
     .unwrap();
-    let report = run_open_loop(
+    let report = run_open_loop_session(
         &system,
         1,
         &transport,
@@ -101,6 +100,7 @@ fn open_loop_generator_runs_safely_over_uds() {
             virtual_clients: 100,
             ..OpenLoopConfig::default()
         },
+        &OpenLoopSession::default(),
     );
     assert!(report.is_safe(), "{report:?}");
     assert_eq!(

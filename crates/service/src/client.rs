@@ -26,7 +26,7 @@
 //! also uses, so many of them can run against shared shards. It is the
 //! register's one client: a single writer stamps its own timestamps
 //! ([`ServiceClient::write`]), several writers share the register through
-//! the query-then-write timestamping of [MR98a]
+//! the query-then-write timestamping of \[MR98a\]
 //! ([`ServiceClient::write_after_query`]).
 
 use std::sync::Arc;
@@ -380,7 +380,7 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
         })
     }
 
-    /// The multi-writer write of [MR98a]: query a quorum for the highest safe
+    /// The multi-writer write of \[MR98a\]: query a quorum for the highest safe
     /// timestamp — masking the `b` possibly-lying servers exactly as a read
     /// does; an empty register counts as timestamp 0 — then write `value`
     /// under the next timestamp writer `writer_id` of `writers` owns,

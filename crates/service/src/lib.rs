@@ -29,15 +29,15 @@
 //!   over any [`bqs_core::quorum::QuorumSystem`] — a message-passing shell
 //!   (fan-out, deadline, retry, straggler ids) around the one protocol core,
 //!   [`bqs_sim::quorum_op::QuorumOp`], which decides what counts, with the
-//!   [MR98a] query-then-write timestamping for registers shared by several
+//!   \[MR98a\] query-then-write timestamping for registers shared by several
 //!   writers ([`client::ServiceClient::write_after_query`]);
 //! * [`runner`] — [`runner::run_service`]: a closed-loop load generator
-//!   (configurable client count and read/write mix) over a service the
-//!   caller spawned — and may reuse across trials — with online safety
-//!   checking sound under concurrency (value authenticity plus
-//!   single-writer read-your-writes) — [`runner::judge_read`] and the
+//!   (configurable client count and read/write mix, client 0 the one writer)
+//!   over a service the caller spawned — and may reuse across trials — with
+//!   online safety checking sound under concurrency (value authenticity plus
+//!   the writer's read-your-writes) — [`runner::judge_read`] and the
 //!   [`runner::OpTally`] every generator's report is filled from;
-//! * [`openloop`] — [`openloop::run_open_loop`]: an open-loop generator
+//! * [`openloop`] — [`openloop::run_open_loop_session`]: an open-loop generator
 //!   (Poisson arrivals at a configured *offered* rate, virtual clients
 //!   multiplexed on a few worker threads, operation pipelining) that works
 //!   over any [`transport::Transport`] and exposes the saturation knee that
@@ -95,7 +95,7 @@ pub mod prelude {
     pub use crate::mailbox::{DrainStatus, Mailbox, ReplyHandle, ReplyMailbox, ReplySink};
     pub use crate::metrics::{LatencyHistogram, ServiceMetrics};
     pub use crate::openloop::{
-        run_open_loop, run_open_loop_session, OpenLoopConfig, OpenLoopReport, OpenLoopSession,
+        run_open_loop_session, OpenLoopConfig, OpenLoopReport, OpenLoopSession,
     };
     pub use crate::runner::{
         authentic_value, judge_read, run_service, OpTally, ReadVerdict, ServiceConfig,

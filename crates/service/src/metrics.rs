@@ -124,8 +124,6 @@ pub struct ServiceMetrics {
     operations: AtomicU64,
     /// End-to-end operation latency.
     latency: LatencyHistogram,
-    /// Requests known lost in transit (recorded by fault-injecting transports).
-    drops: AtomicU64,
     /// Reply-deadline expiries observed by clients waiting on a rendezvous.
     timeouts: AtomicU64,
     /// Operation attempts retried after a refused send or an expired deadline.
@@ -157,7 +155,6 @@ impl ServiceMetrics {
             accesses: (0..n).map(|_| AtomicU64::new(0)).collect(),
             operations: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
-            drops: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             aborts: AtomicU64::new(0),
@@ -183,11 +180,6 @@ impl ServiceMetrics {
     pub fn record_operation(&self, latency_nanos: u64) {
         self.operations.fetch_add(1, Ordering::Relaxed);
         self.latency.record(latency_nanos);
-    }
-
-    /// Records one request dropped in transit (chaos drops, partitions).
-    pub fn record_drop(&self) {
-        self.drops.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one reply-deadline expiry seen by a waiting client.
@@ -254,12 +246,6 @@ impl ServiceMetrics {
         self.server_latency[server].quantile(q)
     }
 
-    /// Requests known lost in transit so far.
-    #[must_use]
-    pub fn drops(&self) -> u64 {
-        self.drops.load(Ordering::Relaxed)
-    }
-
     /// Reply-deadline expiries so far.
     #[must_use]
     pub fn timeouts(&self) -> u64 {
@@ -308,7 +294,6 @@ impl ServiceMetrics {
             a.store(0, Ordering::Relaxed);
         }
         self.operations.store(0, Ordering::Relaxed);
-        self.drops.store(0, Ordering::Relaxed);
         self.timeouts.store(0, Ordering::Relaxed);
         self.retries.store(0, Ordering::Relaxed);
         self.aborts.store(0, Ordering::Relaxed);
@@ -398,22 +383,14 @@ mod tests {
     #[test]
     fn degradation_counters_accumulate_and_reset() {
         let m = ServiceMetrics::new(2);
-        m.record_drop();
-        m.record_drop();
         m.record_timeout();
         m.record_retry();
         m.record_retry();
         m.record_retry();
         m.record_abort();
-        assert_eq!(
-            (m.drops(), m.timeouts(), m.retries(), m.aborts()),
-            (2, 1, 3, 1)
-        );
+        assert_eq!((m.timeouts(), m.retries(), m.aborts()), (1, 3, 1));
         m.reset();
-        assert_eq!(
-            (m.drops(), m.timeouts(), m.retries(), m.aborts()),
-            (0, 0, 0, 0)
-        );
+        assert_eq!((m.timeouts(), m.retries(), m.aborts()), (0, 0, 0));
     }
 
     #[test]

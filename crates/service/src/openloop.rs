@@ -14,6 +14,10 @@
 //! the paper's load theory (`L(Q)` bounds how much capacity a strategy can
 //! extract per server) to real service capacity.
 //!
+//! [`run_open_loop_session`] is the one entry point: a standalone run passes
+//! `&OpenLoopSession::default()`, a phase of a longer session (the
+//! reconfiguration drill) passes its epoch, metrics and writer clock.
+//!
 //! # Mechanics
 //!
 //! * `virtual_clients` logical clients are multiplexed onto `workers` OS
@@ -27,8 +31,9 @@
 //!   through **one** [`Transport::send_batch`] call (one shard lock or one
 //!   coalesced wire frame per destination), and replies come back through
 //!   one swap-buffer reply mailbox per worker, drained in whole batches and
-//!   matched by [`Reply::request_id`] (the ids encode the owning operation)
-//!   — so thousands of in-flight operations share one completion path with
+//!   matched by [`Reply::request_id`] (the ids encode the owning operation
+//!   above a member field wide enough for every server of the universe) —
+//!   so thousands of in-flight operations share one completion path with
 //!   no per-op channel allocation.
 //! * When the in-flight cap is hit, further arrivals are **shed** (counted,
 //!   never silently dropped) — the open-loop semantics stay honest while
@@ -215,43 +220,8 @@ struct Run<'a, Q: ?Sized, T: ?Sized> {
     metrics: Option<&'a ServiceMetrics>,
     clock: &'a TimestampOracle,
     hist: LatencyHistogram,
-}
-
-/// Drives `transport` with Poisson arrivals at `config.offered_rate` and
-/// returns the achieved-rate / latency measurement. `responsive` is the
-/// failure detector's view used for quorum selection (pass the server side's
-/// view for in-process measurements, or a full set when no faults are
-/// injected); `b` is the masking level applied to reads.
-///
-/// The register is primed with one synchronous write before measurement
-/// starts (when a live quorum exists), so steady-state reads do not pay the
-/// cold-register inconclusive penalty.
-///
-/// # Panics
-///
-/// Panics if the transport's universe differs from the system's or the
-/// configuration is degenerate (zero rate/arrivals/workers/cap, or a
-/// write fraction outside `[0, 1]`).
-#[must_use]
-pub fn run_open_loop<Q, T>(
-    system: &Q,
-    b: usize,
-    transport: &T,
-    responsive: &ServerSet,
-    config: &OpenLoopConfig,
-) -> OpenLoopReport
-where
-    Q: QuorumSystem + ?Sized,
-    T: Transport + ?Sized,
-{
-    run_open_loop_session(
-        system,
-        b,
-        transport,
-        responsive,
-        config,
-        &OpenLoopSession::default(),
-    )
+    /// Width of the request id's member field (see [`worker_loop`]).
+    member_bits: u32,
 }
 
 /// Ambient state an open-loop run shares with the longer-lived session it is
@@ -273,8 +243,18 @@ pub struct OpenLoopSession<'a> {
     pub clock: Option<&'a TimestampOracle>,
 }
 
-/// [`run_open_loop`] as one phase of a multi-run session — the entry point
-/// reconfiguration harnesses use. The session supplies the epoch stamped on
+/// Drives `transport` with Poisson arrivals at `config.offered_rate` and
+/// returns the achieved-rate / latency measurement. `responsive` is the
+/// failure detector's view used for quorum selection (pass the server side's
+/// view for in-process measurements, or a full set when no faults are
+/// injected); `b` is the masking level applied to reads.
+///
+/// The register is primed with one synchronous write before measurement
+/// starts (when a live quorum exists), so steady-state reads do not pay the
+/// cold-register inconclusive penalty.
+///
+/// `session` places the run in a longer-lived session (a standalone run
+/// passes `&OpenLoopSession::default()`). It supplies the epoch stamped on
 /// every request (a service that has never reconfigured runs at epoch 0),
 /// the client-side metrics — completed operations record per-server access
 /// counts (feeding [`ServiceMetrics::empirical_loads`]) and every counted
@@ -284,8 +264,9 @@ pub struct OpenLoopSession<'a> {
 ///
 /// # Panics
 ///
-/// As [`run_open_loop`]; additionally if the session's metrics cover a
-/// different universe than the system.
+/// Panics if the transport's or the session metrics' universe differs from
+/// the system's, or the configuration is degenerate (zero
+/// rate/arrivals/workers/cap, or a write fraction outside `[0, 1]`).
 #[must_use]
 pub fn run_open_loop_session<Q, T>(
     system: &Q,
@@ -341,6 +322,10 @@ where
         metrics: session.metrics,
         clock: session.clock.unwrap_or(&owned_clock),
         hist: LatencyHistogram::new(),
+        // Wide enough for any member index of the universe, and at least 8
+        // bits: the committed chaos and drill fingerprints fold these ids.
+        member_bits: (usize::BITS - system.universe_size().saturating_sub(1).leading_zeros())
+            .max(8),
     };
     prime_register(&run);
 
@@ -504,9 +489,10 @@ where
     let mut drained: Vec<Reply> = Vec::new();
     let mut pending: HashMap<u64, PendingOp> = HashMap::new();
     let mut tally = WorkerTally::default();
-    // Request ids encode (worker, operation): the low 8 bits distinguish the
-    // members of one fan-out (transports need per-request uniqueness), the
-    // rest is the operation key the reply is matched back to.
+    // Request ids encode (worker, operation): the low `member_bits` bits
+    // distinguish the members of one fan-out (transports need per-request
+    // uniqueness), the rest is the operation key the reply is matched back
+    // to.
     let worker_tag = (worker_id as u64 + 1) << 48;
     let mut op_seq: u64 = 0;
     let vclients_here = (config.virtual_clients / config.workers.max(1)).max(1);
@@ -547,7 +533,7 @@ where
                 Operation::Read
             };
             op_seq += 1;
-            let op_key = worker_tag | (op_seq << 8);
+            let op_key = worker_tag | (op_seq << run.member_bits);
             let op_started = Instant::now();
             debug_assert!(fanout.is_empty());
             for (member, server) in quorum.iter().enumerate() {
@@ -652,7 +638,7 @@ fn handle_reply<Q: ?Sized, T: ?Sized>(
     pending: &mut HashMap<u64, PendingOp>,
     tally: &mut WorkerTally,
 ) {
-    let op_key = reply.request_id & !0xff;
+    let op_key = reply.request_id & !((1u64 << run.member_bits) - 1);
     let Some(pending_op) = pending.get_mut(&op_key) else {
         return;
     };
@@ -736,12 +722,13 @@ mod tests {
         let system = GridSystem::new(5, 1).unwrap();
         let plan = FaultPlan::none(25);
         let service = LoopbackService::spawn(&plan, 2, 42);
-        let report = run_open_loop(
+        let report = run_open_loop_session(
             &system,
             1,
             &service,
             service.responsive_set(),
             &quick(2_000.0, 400),
+            &OpenLoopSession::default(),
         );
         assert_eq!(
             report.scheduled,
@@ -790,12 +777,13 @@ mod tests {
                 ByzantineStrategy::FabricateHighTimestamp { value: 0xbad },
             );
         let service = LoopbackService::spawn(&plan, 2, 43);
-        let report = run_open_loop(
+        let report = run_open_loop_session(
             &system,
             2,
             &service,
             service.responsive_set(),
             &quick(2_000.0, 300),
+            &OpenLoopSession::default(),
         );
         assert!(report.is_safe(), "b = 2 masks two fabricators: {report:?}");
         assert!(report.completed_reads > 0);
@@ -814,7 +802,14 @@ mod tests {
             total_arrivals: 2_000,
             ..quick(0.0, 0)
         };
-        let report = run_open_loop(&system, 1, &service, service.responsive_set(), &config);
+        let report = run_open_loop_session(
+            &system,
+            1,
+            &service,
+            service.responsive_set(),
+            &config,
+            &OpenLoopSession::default(),
+        );
         assert!(
             report.shed > 0,
             "cap of 1 must shed at this rate: {report:?}"
@@ -841,12 +836,13 @@ mod tests {
             .with_crashed(2)
             .with_crashed(3);
         let service = LoopbackService::spawn(&plan, 1, 45);
-        let report = run_open_loop(
+        let report = run_open_loop_session(
             &system,
             1,
             &service,
             service.responsive_set(),
             &quick(1_000.0, 100),
+            &OpenLoopSession::default(),
         );
         assert_eq!(report.no_live_quorum, 100, "{report:?}");
         assert_eq!(report.completed(), 0);
@@ -931,12 +927,38 @@ mod tests {
         let system = ThresholdSystem::minimal_masking(1).unwrap();
         let plan = FaultPlan::none(5);
         let service = LoopbackService::spawn(&plan, 1, 46);
-        let _ = run_open_loop(
+        let _ = run_open_loop_session(
             &system,
             1,
             &service,
             service.responsive_set(),
             &quick(0.0, 10),
+            &OpenLoopSession::default(),
         );
+    }
+
+    #[test]
+    fn request_ids_stay_unique_past_256_quorum_members() {
+        // n = 345, quorums of 259 servers: member indices need 9 bits, and
+        // an 8-bit member field would hand member 256's reply to the next
+        // operation's key.
+        let system = ThresholdSystem::minimal_masking(86).unwrap();
+        let n = system.universe_size();
+        let service = LoopbackService::spawn(&FaultPlan::none(n), 2, 50);
+        let config = OpenLoopConfig {
+            op_deadline: Duration::from_millis(200),
+            ..quick(500.0, 40)
+        };
+        let report = run_open_loop_session(
+            &system,
+            86,
+            &service,
+            service.responsive_set(),
+            &config,
+            &OpenLoopSession::default(),
+        );
+        assert_eq!(report.completed(), 40, "{report:?}");
+        assert_eq!(report.timed_out, 0);
+        assert!(report.is_safe());
     }
 }

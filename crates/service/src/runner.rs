@@ -19,15 +19,20 @@
 //! that remain sound — and that, for a lone client, add up to that
 //! comparison:
 //!
-//! * **authenticity** — writers derive each value deterministically from its
-//!   globally unique timestamp ([`authentic_value`]); any read whose value
-//!   does not match its timestamp, or whose timestamp was never allocated,
+//! * **authenticity** — the writer derives each value deterministically from
+//!   its unique timestamp ([`authentic_value`]); any read whose value does
+//!   not match its timestamp, or whose timestamp was never allocated,
 //!   returned a *fabricated* pair — precisely what `b + 1`-support masking
 //!   must prevent while at most `b` servers are Byzantine;
-//! * **read-your-writes** (single-writer configurations only) — when the
-//!   designated writer reads, no write is in flight anywhere, so at least
-//!   `b + 1` correct servers of any read quorum hold its last completed
-//!   write's exact entry and the freshest safe timestamp cannot be older.
+//! * **read-your-writes** (the writer's own reads) — client 0 is the
+//!   register's one writer, as in the paper; when it reads, no write is in
+//!   flight anywhere, so at least `b + 1` correct servers of any read quorum
+//!   hold its last completed write's exact entry and the freshest safe
+//!   timestamp cannot be older. The other clients only read, and their reads
+//!   may race the writer's, so only authenticity is checked for them.
+//!
+//! Several writers sharing one register is \[MR98a\]'s protocol,
+//! [`ServiceClient::write_after_query`]; this runner does not drive it.
 //!
 //! Both checks flag real protocol violations with certainty (no false
 //! positives), and the fabrication check is exactly the one a `> b` Byzantine
@@ -52,14 +57,10 @@ pub struct ServiceConfig {
     pub clients: usize,
     /// Closed-loop operations each client performs.
     pub ops_per_client: usize,
-    /// Fraction of a *writer* client's operations that are writes (its first
-    /// operation is always a write so the register is initialised; reader
-    /// clients only read).
+    /// Fraction of the writer's (client 0's) operations that are writes
+    /// (its first operation is always a write so the register is
+    /// initialised; the other clients only read).
     pub write_fraction: f64,
-    /// How many clients are writers (client ids `0..writers`). With exactly
-    /// one writer the runner additionally checks read-your-writes on the
-    /// writer's own reads.
-    pub writers: usize,
     /// Base seed deriving every per-client RNG.
     pub seed: u64,
 }
@@ -70,7 +71,6 @@ impl Default for ServiceConfig {
             clients: 8,
             ops_per_client: 500,
             write_fraction: 0.2,
-            writers: 1,
             seed: 0xb9_51ce,
         }
     }
@@ -87,12 +87,12 @@ pub struct ServiceReport {
     pub reads_completed: u64,
     /// Operations that found no live quorum (availability loss).
     pub unavailable_operations: u64,
-    /// Reads whose safe set was empty. Before the first write lands this is
-    /// the only possible cause; in multi-writer runs concurrent in-flight
-    /// writes can also split a quorum's support below `b + 1` for every
-    /// entry — legitimate masking-register behaviour, not a protocol bug.
+    /// Reads whose safe set was empty: before the first write lands, or when
+    /// a read races an in-flight write that splits its quorum's support below
+    /// `b + 1` for every entry — legitimate masking-register behaviour, not a
+    /// protocol bug.
     pub inconclusive_reads: u64,
-    /// Fabricated pairs returned plus (single-writer runs) read-your-writes
+    /// Fabricated pairs returned plus the writer's read-your-writes
     /// violations — must be zero whenever the fault plan respects `b`.
     pub safety_violations: u64,
     /// Operations lost to transport failure (service shutdown mid-run).
@@ -133,7 +133,7 @@ impl ServiceReport {
     }
 }
 
-/// The deterministic value writers store for timestamp `ts`.
+/// The deterministic value a writer stores for timestamp `ts`.
 ///
 /// Reads verify `value == authentic_value(timestamp)`; a Byzantine server
 /// fabricating a pair (or equivocating randomly) cannot satisfy the relation
@@ -263,8 +263,7 @@ impl std::ops::AddAssign for OpTally {
 /// # Panics
 ///
 /// Panics if the service's universe differs from the system's, or the
-/// configuration is degenerate (zero clients/operations, or more writers
-/// than clients).
+/// configuration is degenerate (zero clients or operations).
 #[must_use]
 pub fn run_service<Q>(
     service: &LoopbackService,
@@ -282,14 +281,9 @@ where
     );
     assert!(config.clients > 0, "need at least one client");
     assert!(config.ops_per_client > 0, "need at least one operation");
-    assert!(
-        config.writers >= 1 && config.writers <= config.clients,
-        "writers must be within 1..=clients"
-    );
 
     service.metrics().reset();
     let clock = TimestampOracle::new();
-    let single_writer = config.writers == 1;
 
     let started = Instant::now();
     let tallies: Vec<OpTally> = std::thread::scope(|scope| {
@@ -302,7 +296,7 @@ where
                 );
                 let mut client =
                     ServiceClient::new(system, service, service.responsive_set().clone(), b);
-                let is_writer = client_id < config.writers;
+                let is_writer = client_id == 0;
                 let mut last_completed_write_ts: Timestamp = 0;
                 let mut tally = OpTally::default();
                 for op in 0..config.ops_per_client {
@@ -322,14 +316,9 @@ where
                     } else {
                         client.read(&mut rng).map(|read| Some(read.entry))
                     };
-                    // Read-your-writes is only sound for the single writer's
-                    // own reads (see the module docs).
-                    let ryw_floor = if single_writer && is_writer {
-                        last_completed_write_ts
-                    } else {
-                        0
-                    };
-                    if tally.record(do_write, outcome, clock, ryw_floor) {
+                    // Only the writer completes writes, so a reader's
+                    // read-your-writes floor stays 0 (see the module docs).
+                    if tally.record(do_write, outcome, clock, last_completed_write_ts) {
                         service
                             .metrics()
                             .record_operation(op_started.elapsed().as_nanos() as u64);
@@ -417,7 +406,6 @@ mod tests {
                 clients: 6,
                 ops_per_client: 150,
                 write_fraction: 0.3,
-                writers: 1,
                 seed: 42,
             },
         );
@@ -447,7 +435,6 @@ mod tests {
             clients: 32,
             ops_per_client: 150,
             write_fraction: 0.3,
-            writers: 1,
             seed: 7,
         };
         let report = run_fresh(&strategic, 2, &FaultPlan::none(n), 4, &config);
@@ -482,7 +469,6 @@ mod tests {
                 clients: 8,
                 ops_per_client: 120,
                 write_fraction: 0.25,
-                writers: 1,
                 seed: 11,
             },
         );
@@ -514,7 +500,6 @@ mod tests {
                     clients,
                     ops_per_client: 480 / clients,
                     write_fraction: 0.2,
-                    writers: 1,
                     seed: 13,
                 },
             );
@@ -538,7 +523,6 @@ mod tests {
                 clients: 4,
                 ops_per_client: 25,
                 write_fraction: 0.5,
-                writers: 1,
                 seed: 17,
             },
         );
@@ -551,26 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_writer_runs_disable_ryw_but_keep_authenticity() {
-        let sys = ThresholdSystem::minimal_masking(2).unwrap();
-        let report = run_fresh(
-            &sys,
-            2,
-            &FaultPlan::none(9),
-            2,
-            &ServiceConfig {
-                clients: 6,
-                ops_per_client: 100,
-                write_fraction: 0.5,
-                writers: 3,
-                seed: 23,
-            },
-        );
-        assert!(report.is_safe(), "{report:?}");
-        assert!(report.writes_completed >= 3);
-    }
-
-    #[test]
     fn pool_reuse_across_trials_matches_fresh_spawns() {
         // The amortised path (satellite): one pool, many plans. Each trial
         // must see exactly its own plan's availability and its own metrics.
@@ -579,7 +543,6 @@ mod tests {
             clients: 3,
             ops_per_client: 30,
             write_fraction: 0.5,
-            writers: 1,
             seed: 29,
         };
         let mut service = LoopbackService::spawn(&FaultPlan::none(5), 2, 29);

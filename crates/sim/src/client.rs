@@ -1,4 +1,4 @@
-//! The client-side rules of the masking-quorum read/write register ([MR98a]).
+//! The client-side rules of the masking-quorum read/write register (\[MR98a\]).
 //!
 //! * **Write(v)** — pick a quorum, send `(ts, v)` with a fresh timestamp to every
 //!   server in it.

@@ -2,7 +2,7 @@
 //!
 //! The constructions and measures in the rest of this workspace answer *how well* a
 //! b-masking quorum system performs; this crate states *what it is for*: the
-//! replicated read/write register of [MR98a] — the protocol whose consistency
+//! replicated read/write register of \[MR98a\] — the protocol whose consistency
 //! requirement (`|Q₁ ∩ Q₂| ≥ 2b + 1`, Definition 3.5 of the paper) motivates
 //! masking quorum systems — as replicas, faults and the rules one operation
 //! follows, with no clock, thread or transport inside. `bqs-service` runs the

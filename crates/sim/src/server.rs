@@ -6,7 +6,7 @@
 //! standard attacks against replicated read/write registers — fabricating a value
 //! with an inflated timestamp, replaying a stale value, and equivocating — exactly
 //! the behaviours that the `2b+1` intersection of a b-masking quorum system is
-//! designed to mask ([MR98a], Definition 3.5 of the paper).
+//! designed to mask (\[MR98a\], Definition 3.5 of the paper).
 
 use rand::Rng;
 

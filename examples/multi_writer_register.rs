@@ -2,7 +2,7 @@
 //!
 //! Several writers share one register: each write first queries a quorum for the
 //! highest (masked) timestamp, then writes with a larger timestamp tie-broken by the
-//! writer id — the read-modify-write timestamping of the [MR98a] protocols. The
+//! writer id — the read-modify-write timestamping of the \[MR98a\] protocols. The
 //! masking quorum system keeps the register consistent even though `b` servers lie.
 //!
 //! Run with: `cargo run --example multi_writer_register`

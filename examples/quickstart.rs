@@ -66,7 +66,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         clients: 1,
         ops_per_client: 2000,
         write_fraction: 0.25,
-        writers: 1,
         seed: 2024,
     };
     let report = run_service(&service, &mgrid, 3, &config);

@@ -32,7 +32,6 @@ fn run_case(name: &str, system: &impl QuorumSystem, b: usize, plan: FaultPlan) {
         clients: 1,
         ops_per_client: 1500,
         write_fraction: 0.3,
-        writers: 1,
         seed: 7,
     };
     let report = run_service(&service, system, b, &config);

@@ -24,7 +24,6 @@ fn run_failure_free<Q: QuorumSystem>(
         clients: 1,
         ops_per_client: operations,
         write_fraction,
-        writers: 1,
         seed,
     };
     run_service(&service, system, b, &config)

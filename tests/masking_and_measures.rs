@@ -88,7 +88,7 @@ fn analytic_loads_match_lp_loads() {
             "{name}: LP load {lp} vs analytic {claimed_load}"
         );
         // The optimal strategy really achieves the optimal load.
-        let achieved = strategy_load(explicit.quorums(), n, &strategy);
+        let achieved = strategy.induced_system_load(explicit.quorums(), n);
         assert!(achieved <= lp + 1e-6, "{name}");
         // And Theorem 4.1 holds.
         let b = masking_level(explicit.quorums(), n).unwrap();

@@ -23,7 +23,6 @@ fn run_register<Q: QuorumSystem>(
         clients: 1,
         ops_per_client: operations,
         write_fraction,
-        writers: 1,
         seed,
     };
     run_service(&LoopbackService::spawn(plan, 1, seed), system, b, &config)
