@@ -20,7 +20,6 @@
 //! is sampled, with per-block RNG streams.
 
 use bqs_constructions::prelude::*;
-use bqs_core::availability::CrashEstimate;
 use bqs_core::eval::{Evaluator, FpEstimate};
 use bqs_core::quorum::QuorumSystem;
 
@@ -145,7 +144,7 @@ pub struct ExactVsMc {
     /// Exact crash probability by enumeration.
     pub exact: f64,
     /// Monte-Carlo estimate.
-    pub estimate: CrashEstimate,
+    pub estimate: FpEstimate,
 }
 
 /// Compares exact enumeration with the Monte-Carlo estimator on small instances.
@@ -259,12 +258,12 @@ mod tests {
     fn exact_and_monte_carlo_agree() {
         for row in exact_vs_monte_carlo(3000, 13) {
             assert!(
-                (row.exact - row.estimate.mean).abs() <= row.estimate.ci95_half_width().max(0.03),
+                (row.exact - row.estimate.value).abs() <= row.estimate.ci95_half_width().max(0.03),
                 "{} p={}: exact {} vs MC {}",
                 row.system,
                 row.p,
                 row.exact,
-                row.estimate.mean
+                row.estimate.value
             );
         }
     }

@@ -68,15 +68,15 @@ fn bench_crash_probability(c: &mut Criterion) {
     let rt_big = RtSystem::new(4, 3, 5).unwrap();
     let boost = BoostFppSystem::new(3, 19).unwrap();
     group.bench_function("exact_enumeration_n9", |bencher| {
-        bencher.iter(|| exact_crash_probability(&rt_small, 0.125).unwrap())
+        bencher.iter(|| Evaluator::new().exact(&rt_small, 0.125).unwrap())
     });
     group.bench_function("closed_form_rt_n1024", |bencher| {
         bencher.iter(|| rt_big.crash_probability(0.125))
     });
-    let mc = Evaluator::new().with_seed(3);
+    let mc = Evaluator::new().with_seed(3).with_trials(1000);
     group.bench_function(
         BenchmarkId::new("monte_carlo_1000_trials", "boostfpp_n1001"),
-        |bencher| bencher.iter(|| mc.monte_carlo_with(&boost, 0.125, 1000)),
+        |bencher| bencher.iter(|| mc.monte_carlo(&boost, 0.125)),
     );
     group.finish();
 }

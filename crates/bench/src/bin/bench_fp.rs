@@ -148,14 +148,8 @@ fn method_speedup(
         "{} did not dispatch to an exact method",
         sys.name()
     );
-    let (mc, mc_seconds) = time(|| evaluator.monte_carlo_with(sys, p, mc_trials));
-    let mc_est = FpEstimate {
-        value: mc.mean,
-        std_error: Some(mc.std_error),
-        trials: Some(mc.trials),
-        method: FpMethod::MonteCarlo,
-        interval: None,
-    };
+    let mc_evaluator = evaluator.clone().with_trials(mc_trials);
+    let (mc, mc_seconds) = time(|| mc_evaluator.monte_carlo(sys, p));
     MethodSpeedup {
         construction: sys.name(),
         p,
@@ -163,8 +157,8 @@ fn method_speedup(
         exact_fp: exact.value,
         exact_seconds,
         mc_trials,
-        mc_fp: mc.mean,
-        mc_upper95: mc_est.ci95_upper_bound(),
+        mc_fp: mc.value,
+        mc_upper95: mc.ci95_upper_bound(),
         mc_seconds,
         ratio: mc_seconds / exact_seconds.max(1e-12),
     }

@@ -239,7 +239,7 @@ fn boostfpp_availability(args: Args) {
             ),
             format!(
                 "{} ± {}",
-                format_probability(mc.mean),
+                format_probability(mc.value),
                 format_probability(mc.ci95_half_width())
             ),
         ]);

@@ -292,7 +292,7 @@ mod tests {
         assert_eq!(sys.universe_size(), 7);
         for &p in &[0.0, 0.05, 0.125, 0.3, 0.5, 0.8, 1.0] {
             let closed = own_answer(&sys, p).unwrap();
-            let enumerated = exact_crash_probability(&sys, p).unwrap();
+            let enumerated = Evaluator::new().exact(&sys, p).unwrap();
             assert!(
                 (closed - enumerated).abs() < 1e-12,
                 "p={p}: closed {closed} vs enumerated {enumerated}"
@@ -305,14 +305,14 @@ mod tests {
         // n = 35 is beyond enumeration; the closed form must sit inside the
         // Monte-Carlo confidence interval of the same system.
         let sys = BoostFppSystem::new(2, 1).unwrap();
-        let mc = Evaluator::new().with_seed(5);
+        let mc = Evaluator::new().with_seed(5).with_trials(3000);
         for &p in &[0.1, 0.2, 0.35] {
             let closed = own_answer(&sys, p).unwrap();
-            let est = mc.monte_carlo_with(&sys, p, 3000);
+            let est = mc.monte_carlo(&sys, p);
             assert!(
-                (closed - est.mean).abs() <= est.ci95_half_width() + 0.02,
+                (closed - est.value).abs() <= est.ci95_half_width() + 0.02,
                 "p={p}: closed {closed} vs mc {} ± {}",
-                est.mean,
+                est.value,
                 est.ci95_half_width()
             );
         }
@@ -473,17 +473,18 @@ mod tests {
         let p = 0.1;
         let est = Evaluator::new()
             .with_seed(21)
-            .monte_carlo_with(&sys, p, 2000);
+            .with_trials(2000)
+            .monte_carlo(&sys, p);
         let bound = sys.crash_probability_numeric_bound(p);
         assert!(
-            est.mean <= bound + est.ci95_half_width() + 0.01,
+            est.value <= bound + est.ci95_half_width() + 0.01,
             "mc={} bound={bound}",
-            est.mean
+            est.value
         );
         // Lower bound of Proposition 4.3: p^{MT}.
         let lower =
             bqs_core::bounds::crash_probability_lower_bound_resilience(p, sys.min_transversal());
-        assert!(est.mean + est.ci95_half_width() >= lower);
+        assert!(est.value + est.ci95_half_width() >= lower);
     }
 
     #[test]

@@ -289,7 +289,7 @@ mod tests {
             let fpp = FppSystem::new(q).unwrap();
             for &p in &[0.0, 0.05, 0.125, 0.3, 0.5, 0.8, 1.0] {
                 let closed = own_answer(&fpp, p).unwrap();
-                let enumerated = exact_crash_probability(&fpp, p).unwrap();
+                let enumerated = Evaluator::new().exact(&fpp, p).unwrap();
                 assert!(
                     (closed - enumerated).abs() < 1e-12,
                     "q={q} p={p}: closed {closed} vs enumerated {enumerated}"
@@ -310,11 +310,12 @@ mod tests {
         assert!(exact >= fpp.crash_probability_lower_bound(0.1).unwrap() - 1e-12);
         let est = Evaluator::new()
             .with_seed(7)
-            .monte_carlo_with(&fpp, 0.1, 40_000);
+            .with_trials(40_000)
+            .monte_carlo(&fpp, 0.1);
         assert!(
-            (est.mean - exact).abs() <= 4.0 * est.ci95_half_width() + 1e-9,
+            (est.value - exact).abs() <= 4.0 * est.ci95_half_width() + 1e-9,
             "exact {exact} vs MC {} ± {}",
-            est.mean,
+            est.value,
             est.ci95_half_width()
         );
         // F_p is monotone in p and the profile evaluation respects the edges.

@@ -154,13 +154,7 @@ impl QuorumSystem for GridSystem {
             && self.grid.fully_alive_column_count(alive) >= 1
     }
 
-    #[inline]
-    fn is_available_u64(&self, alive: u64, _scratch: &mut ServerSet) -> bool {
-        self.grid.fully_alive_row_count_u64(alive) > 2 * self.b
-            && self.grid.fully_alive_column_count_u64(alive) >= 1
-    }
-
-    fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) -> bool {
+    fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) {
         // Exact-enumeration fast path: the side's line tables (built once per
         // process) count the range by whole segments.
         self.grid.line_count_tables().unavailable_profile_range(
@@ -170,7 +164,6 @@ impl QuorumSystem for GridSystem {
             end,
             profile,
         );
-        true
     }
 
     fn certified_crash_probabilities(&self, ps: &[f64]) -> Option<Vec<FpEstimate>> {
@@ -321,7 +314,7 @@ mod tests {
             let g = GridSystem::new(side, b).unwrap();
             for &p in &[0.0, 0.05, 0.125, 0.3, 0.5, 0.8, 1.0] {
                 let closed = g.crash_probability(p);
-                let enumerated = exact_crash_probability(&g, p).unwrap();
+                let enumerated = Evaluator::new().exact(&g, p).unwrap();
                 assert!(
                     (closed - enumerated).abs() < 1e-9,
                     "side={side} b={b} p={p}: closed {closed} vs enumerated {enumerated}"
@@ -335,22 +328,6 @@ mod tests {
         let fp = Evaluator::new().crash_probability(&big, 0.125);
         assert_eq!(fp.method, FpMethod::ClosedForm);
         assert!((0.0..=1.0).contains(&fp.value));
-    }
-
-    #[test]
-    fn word_level_availability_matches_set_availability() {
-        let g = GridSystem::new(4, 1).unwrap();
-        let n = g.universe_size();
-        let mut scratch = ServerSet::new(n);
-        let mut reference = ServerSet::new(n);
-        for mask in (0u64..1 << n).step_by(97) {
-            reference.assign_mask_u64(mask);
-            assert_eq!(
-                g.is_available_u64(mask, &mut scratch),
-                g.is_available(&reference),
-                "mask={mask:#x}"
-            );
-        }
     }
 
     #[test]

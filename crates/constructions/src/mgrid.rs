@@ -163,7 +163,7 @@ impl MGridSystem {
 }
 
 /// `⌈√x⌉` for small integers.
-fn integer_sqrt_ceil(x: usize) -> usize {
+pub(crate) fn integer_sqrt_ceil(x: usize) -> usize {
     let mut r = (x as f64).sqrt() as usize;
     while r * r < x {
         r += 1;
@@ -208,18 +208,11 @@ impl QuorumSystem for MGridSystem {
             && self.grid.fully_alive_column_count(alive) >= self.lines
     }
 
-    #[inline]
-    fn is_available_u64(&self, alive: u64, _scratch: &mut ServerSet) -> bool {
-        self.grid.fully_alive_row_count_u64(alive) >= self.lines
-            && self.grid.fully_alive_column_count_u64(alive) >= self.lines
-    }
-
-    fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) -> bool {
+    fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) {
         // Exact-enumeration fast path — see `GridSystem::unavailable_profile_u64_range`.
         self.grid
             .line_count_tables()
             .unavailable_profile_range(self.lines, self.lines, start, end, profile);
-        true
     }
 
     fn certified_crash_probabilities(&self, ps: &[f64]) -> Option<Vec<FpEstimate>> {
@@ -383,7 +376,7 @@ mod tests {
             let m = MGridSystem::new(side, b).unwrap();
             for &p in &[0.0, 0.05, 0.125, 0.3, 0.5, 0.8, 1.0] {
                 let closed = m.crash_probability(p);
-                let enumerated = exact_crash_probability(&m, p).unwrap();
+                let enumerated = Evaluator::new().exact(&m, p).unwrap();
                 assert!(
                     (closed - enumerated).abs() < 1e-9,
                     "side={side} b={b} p={p}: closed {closed} vs enumerated {enumerated}"
@@ -398,22 +391,6 @@ mod tests {
         let fp = Evaluator::new().crash_probability(&section8, 0.125);
         assert_eq!(fp.method, FpMethod::ClosedForm);
         assert!(fp.value >= 0.638 && fp.value <= 1.0, "fp={}", fp.value);
-    }
-
-    #[test]
-    fn word_level_availability_matches_set_availability() {
-        let m = MGridSystem::new(4, 1).unwrap();
-        let n = m.universe_size();
-        let mut scratch = ServerSet::new(n);
-        let mut reference = ServerSet::new(n);
-        for mask in (0u64..1 << n).step_by(89) {
-            reference.assign_mask_u64(mask);
-            assert_eq!(
-                m.is_available_u64(mask, &mut scratch),
-                m.is_available(&reference),
-                "mask={mask:#x}"
-            );
-        }
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! without building a network ([`QuorumSystem::is_available`],
 //! [`MPathSystem::contains_quorum`]). Quorum *discovery* — the paths themselves,
 //! [`QuorumSystem::find_live_quorum`] — uses max-flow (Menger) on the node-split
-//! grid, entered only once the decision says a quorum exists. The load-optimal
-//! sampling strategy uses straight rows and columns only, exactly as in the proof of
+//! grid, entered only once the decision says a quorum exists. The sampling
+//! strategy uses straight rows and columns only, exactly as in the proof of
 //! Proposition 7.2.
 //!
 //! Crash-probability evaluation is **exact** up to grid side
@@ -48,6 +48,8 @@ use bqs_graph::disjoint_paths::{
 };
 use bqs_graph::grid::{Axis, TriangulatedGrid};
 
+use crate::mgrid::integer_sqrt_ceil;
+use crate::square::SquareGrid;
 use crate::AnalyzedConstruction;
 
 /// Largest grid side for which the system answers `F_p` with the exact
@@ -160,13 +162,7 @@ impl MPathSystem {
     ///
     /// Same as [`MPathSystem::new`] plus the perfect-square requirement.
     pub fn for_universe(n: usize, b: usize) -> Result<Self, QuorumError> {
-        let side = (n as f64).sqrt().round() as usize;
-        if side * side != n || side == 0 {
-            return Err(QuorumError::InvalidParameters(format!(
-                "universe size {n} is not a perfect square"
-            )));
-        }
-        MPathSystem::new(side, b)
+        MPathSystem::new(SquareGrid::for_universe(n)?.side(), b)
     }
 
     /// The largest `b` accepted on a `side × side` grid.
@@ -313,18 +309,6 @@ impl MPathSystem {
     }
 }
 
-/// `⌈√x⌉` for small integers.
-fn integer_sqrt_ceil(x: usize) -> usize {
-    let mut r = (x as f64).sqrt() as usize;
-    while r * r < x {
-        r += 1;
-    }
-    while r > 0 && (r - 1) * (r - 1) >= x {
-        r -= 1;
-    }
-    r
-}
-
 impl QuorumSystem for MPathSystem {
     fn universe_size(&self) -> usize {
         self.grid.num_vertices()
@@ -337,20 +321,9 @@ impl QuorumSystem for MPathSystem {
     fn sample_quorum(&self, rng: &mut dyn RngCore) -> ServerSet {
         // Proposition 7.2's strategy: straight rows and columns chosen uniformly.
         let side = self.grid.side();
-        let rows = rand::seq::index::sample(rng, side, self.paths);
-        let cols = rand::seq::index::sample(rng, side, self.paths);
-        let mut out = ServerSet::new(self.universe_size());
-        for r in rows.iter() {
-            for v in self.grid.straight_path(Axis::LeftRight, r) {
-                out.insert(v);
-            }
-        }
-        for c in cols.iter() {
-            for v in self.grid.straight_path(Axis::TopBottom, c) {
-                out.insert(v);
-            }
-        }
-        out
+        let rows = rand::seq::index::sample(rng, side, self.paths).into_vec();
+        let cols = rand::seq::index::sample(rng, side, self.paths).into_vec();
+        self.straight_union(&rows, &cols)
     }
 
     fn find_live_quorum(&self, alive: &ServerSet) -> Option<ServerSet> {
@@ -390,10 +363,6 @@ impl QuorumSystem for MPathSystem {
 
     fn is_available(&self, alive: &ServerSet) -> bool {
         self.has_disjoint_crossings(|v| alive.contains(v))
-    }
-
-    fn is_available_u64(&self, alive: u64, _scratch: &mut ServerSet) -> bool {
-        self.has_disjoint_crossings(|v| alive >> v & 1 == 1)
     }
 
     /// `F_p` by the boundary-interface transfer-matrix DP of
@@ -438,9 +407,10 @@ impl QuorumSystem for MPathSystem {
     }
 
     fn min_quorum_size(&self) -> usize {
-        // Straight-line quorums: `paths` rows and `paths` columns overlapping in
-        // paths² cells; shortest possible quorums use shortest crossings, which on
-        // the triangulated grid are exactly the straight lines.
+        // The size of Proposition 7.2's straight-line quorums: `paths` rows and
+        // `paths` columns overlapping in paths² cells. This is an upper bound on
+        // c(Q): bent crossings can be shorter, because a diagonal step advances
+        // along both axes (see `ROADMAP.md`, direction 1).
         2 * self.paths * self.grid.side() - self.paths * self.paths
     }
 }
@@ -448,18 +418,17 @@ impl QuorumSystem for MPathSystem {
 impl MinWeightQuorumOracle for MPathSystem {
     /// Exact pricing over the **straight-line quorum family** of
     /// Proposition 7.2 — the `⌈√(2b+1)⌉` rows × `⌈√(2b+1)⌉` columns unions
-    /// that the load-optimal access strategy actually uses — via the same
-    /// enumeration as the M-Grid oracle.
+    /// that the access strategy uses — via the same enumeration as the
+    /// M-Grid oracle.
     ///
-    /// Restricting the family loses nothing for load purposes: Theorem 4.1
-    /// lower-bounds the *full* system's load by `c(Q)/n`, the straight-line
-    /// family's uniform strategy achieves exactly that, and adding the
-    /// (longer) bent-path quorums can only leave the optimum unchanged — so
-    /// the certified value over this family **is** `L(M-Path)`. Bent paths
-    /// are also individually dominated under any price vector down to the
-    /// overlap term: `k ·` [`min_price_crossing`] (Dijkstra over the priced
-    /// triangular lattice) lower-bounds any quorum's one-directional path
-    /// system, which the tests pin against this oracle's answers.
+    /// The family is a strict subset of M-Path's quorums, and not the
+    /// shortest part of it: bent crossings can be shorter than straight
+    /// lines. So the load certified over this family is an upper bound on
+    /// `L(M-Path)`, and `CertifiedLoad::lower_bound` bounds the straight-line
+    /// family only, not the full system (see `ROADMAP.md`, direction 1).
+    /// `k ·` [`min_price_crossing`] (Dijkstra over the priced triangular
+    /// lattice) lower-bounds any quorum's one-directional path system, which
+    /// the tests pin against this oracle's answers.
     fn min_weight_quorum(&self, prices: &[f64]) -> Option<(ServerSet, f64)> {
         let side = self.grid.side();
         let (rows, cols, price) = crate::square::min_price_rows_and_columns(
@@ -606,6 +575,19 @@ mod tests {
         let q = q.unwrap();
         assert!(q.is_subset_of(&alive));
         assert!(m.contains_quorum(&q));
+    }
+
+    #[test]
+    fn bent_crossings_hold_a_quorum_of_six_servers() {
+        // M-Path(3, 1) needs two crossings each way. The six servers off the
+        // main diagonal hold bent LR crossings {3, 1, 2} and {6, 7, 5} and
+        // bent TB crossings {1, 3, 6} and {2, 5, 7}, while every straight-line
+        // quorum has eight servers (see `ROADMAP.md`, direction 1).
+        let m = MPathSystem::new(3, 1).unwrap();
+        let alive = ServerSet::from_indices(9, [1, 2, 3, 5, 6, 7]);
+        assert!(m.is_available(&alive));
+        let q = m.find_live_quorum(&alive).unwrap();
+        assert!(q.is_subset_of(&alive));
     }
 
     #[test]
@@ -842,9 +824,8 @@ mod tests {
 
     #[test]
     fn certified_load_matches_proposition_7_2_at_section8_scale() {
-        // n = 1024, b = 7 (Section 8): Theorem 4.1 gives L >= c/n and the
-        // straight-line strategy achieves it; the certified LP must land on
-        // exactly that value.
+        // n = 1024, b = 7 (Section 8): over the straight-line family the
+        // certified LP must land on exactly Proposition 7.2's c/n.
         let m = MPathSystem::new(32, 7).unwrap();
         let certified = optimal_load_oracle(&m).unwrap();
         assert!(
@@ -863,18 +844,18 @@ mod tests {
     #[test]
     fn monte_carlo_crash_probability_small_below_half() {
         let m = MPathSystem::new(8, 2).unwrap();
-        let mc = Evaluator::new().with_seed(33);
-        let est_low = mc.monte_carlo_with(&m, 0.05, 200);
-        let est_high = mc.monte_carlo_with(&m, 0.6, 200);
+        let mc = Evaluator::new().with_seed(33).with_trials(200);
+        let est_low = mc.monte_carlo(&m, 0.05);
+        let est_high = mc.monte_carlo(&m, 0.6);
         assert!(
-            est_low.mean < 0.3,
+            est_low.value < 0.3,
             "Fp at p=0.05 should be small: {}",
-            est_low.mean
+            est_low.value
         );
         assert!(
-            est_high.mean > 0.7,
+            est_high.value > 0.7,
             "Fp at p=0.6 should be near 1: {}",
-            est_high.mean
+            est_high.value
         );
     }
 

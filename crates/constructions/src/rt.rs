@@ -507,7 +507,7 @@ mod tests {
         // Depth-2 RT(3,2) has 9 servers: exact enumeration is feasible.
         let rt = RtSystem::new(3, 2, 2).unwrap();
         for &p in &[0.1, 0.3, 0.5] {
-            let exact = exact_crash_probability(&rt, p).unwrap();
+            let exact = Evaluator::new().exact(&rt, p).unwrap();
             let recurrence = rt.crash_probability(p);
             assert!(
                 (exact - recurrence).abs() < 1e-9,

@@ -123,51 +123,14 @@ impl SquareGrid {
             .count()
     }
 
-    /// Number of fully-alive rows when the universe is given as a raw `u64`
-    /// mask (valid only for `side² <= 64`).
-    #[must_use]
-    #[inline]
-    pub fn fully_alive_row_count_u64(&self, alive: u64) -> usize {
-        debug_assert!(self.universe_size() <= 64);
-        let row = if self.side == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.side) - 1
-        };
-        (0..self.side)
-            .filter(|&r| (alive >> (r * self.side)) & row == row)
-            .count()
-    }
-
-    /// Number of fully-alive columns when the universe is given as a raw
-    /// `u64` mask (valid only for `side² <= 64`).
-    ///
-    /// Column `c` is fully alive iff bit `c` survives the AND-fold of every
-    /// row's slice of the mask, so the count is `side` shift-ANDs plus one
-    /// popcount.
-    #[must_use]
-    #[inline]
-    pub fn fully_alive_column_count_u64(&self, alive: u64) -> usize {
-        debug_assert!(self.universe_size() <= 64);
-        let row = if self.side == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.side) - 1
-        };
-        let folded = (0..self.side).fold(row, |acc, r| acc & (alive >> (r * self.side)));
-        (folded & row).count_ones() as usize
-    }
-
-    /// The packed line tables for this side — the table-driven sibling of
-    /// [`SquareGrid::fully_alive_row_count_u64`] /
-    /// [`SquareGrid::fully_alive_column_count_u64`] for enumeration sweeps
+    /// The packed line tables for this side, which count enumeration sweeps
     /// (see [`LineCountTables`]). They depend on the side alone, so each
     /// side's are built once per process, on first use.
     ///
     /// # Panics
     ///
-    /// Panics if `side > 8` (the word-level availability API only covers
-    /// universes of at most 64 servers).
+    /// Panics if `side > 8` (the count kernel only covers universes of at
+    /// most 64 servers).
     #[must_use]
     pub fn line_count_tables(&self) -> &'static LineCountTables {
         static TABLES: [OnceLock<LineCountTables>; 8] = [const { OnceLock::new() }; 8];
@@ -203,9 +166,8 @@ impl SquareGrid {
 /// bits wide, and every chunk gets a `2^bits`-entry table whose packed
 /// `u16` entry holds the chunk's fully-alive row count (high byte) and its
 /// column AND-fold (low byte, valid for `side ≤ 8` — exactly the `n ≤ 64`
-/// range of the word-level availability API). Entries of disjoint chunks
-/// join by adding rows and AND-ing folds, so a mask's entry is a handful of
-/// probes ([`LineCountTables::counts_u64`]).
+/// range of the count kernel). Entries of disjoint chunks join by adding
+/// rows and AND-ing folds, so a mask's entry is a handful of probes.
 ///
 /// The low chunk's `2^bits` values are also grouped once, by entry and
 /// popcount, into a histogram. That is what
@@ -216,7 +178,6 @@ impl SquareGrid {
 /// side.
 #[derive(Debug, Clone)]
 pub struct LineCountTables {
-    side: usize,
     chunks: Vec<LineChunk>,
     /// The distinct entries of the low chunk's table.
     lo_entries: Vec<u16>,
@@ -246,8 +207,8 @@ impl LineCountTables {
     ///
     /// # Panics
     ///
-    /// Panics if `side == 0` or `side > 8` (the word-level availability API
-    /// only covers universes of at most 64 servers).
+    /// Panics if `side == 0` or `side > 8` (the count kernel only covers
+    /// universes of at most 64 servers).
     #[must_use]
     pub fn new(side: usize) -> Self {
         assert!(side > 0 && side <= 8, "line tables need 1 <= side <= 8");
@@ -292,17 +253,10 @@ impl LineCountTables {
             lo_hist[*i * width + v.count_ones() as usize] += 1;
         }
         LineCountTables {
-            side,
             chunks,
             lo_entries,
             lo_hist,
         }
-    }
-
-    /// The side the tables were built for.
-    #[must_use]
-    pub fn side(&self) -> usize {
-        self.side
     }
 
     /// The joined entry of `alive`'s slices under `chunks`.
@@ -314,20 +268,6 @@ impl LineCountTables {
                 chunk.table[((alive >> chunk.shift) & chunk.index_mask) as usize],
             )
         })
-    }
-
-    /// Fully-alive `(rows, columns)` counts for one mask via table probes —
-    /// equal to
-    /// ([`SquareGrid::fully_alive_row_count_u64`],
-    /// [`SquareGrid::fully_alive_column_count_u64`]).
-    #[must_use]
-    #[inline]
-    pub fn counts_u64(&self, alive: u64) -> (usize, usize) {
-        let entry = Self::entry(&self.chunks, alive);
-        (
-            usize::from(entry >> 8),
-            (entry & 0xff).count_ones() as usize,
-        )
     }
 
     /// Adds one to `profile[popcount(m)]` for every mask `m` in `start..end`
@@ -802,33 +742,6 @@ pub fn rows_and_columns_alive_probability(
 mod tests {
     use super::*;
 
-    #[test]
-    fn line_count_tables_match_direct_counts() {
-        // Sides 3 and 4 exercise the one- and two-chunk layouts exhaustively;
-        // side 6 spot-checks a three-chunk layout.
-        for side in [3usize, 4] {
-            let g = SquareGrid::new(side).unwrap();
-            let t = g.line_count_tables();
-            assert_eq!(t.side(), side);
-            for mask in 0u64..1 << (side * side) {
-                let direct = (
-                    g.fully_alive_row_count_u64(mask),
-                    g.fully_alive_column_count_u64(mask),
-                );
-                assert_eq!(t.counts_u64(mask), direct, "side={side} mask={mask:#x}");
-            }
-        }
-        let g = SquareGrid::new(6).unwrap();
-        let t = g.line_count_tables();
-        for mask in (0u64..1 << 36).step_by((1 << 36) / 997) {
-            let direct = (
-                g.fully_alive_row_count_u64(mask),
-                g.fully_alive_column_count_u64(mask),
-            );
-            assert_eq!(t.counts_u64(mask), direct, "side=6 mask={mask:#x}");
-        }
-    }
-
     /// The `(min_rows, min_cols)` pairs Grid and M-Grid use at `side`.
     fn line_quorum_shapes(side: usize) -> Vec<(usize, usize)> {
         let mut shapes: Vec<(usize, usize)> = (0..side)
@@ -878,18 +791,26 @@ mod tests {
                     .chain([(top - 2 * segment - segment / 4, top)])
                     .collect()
             };
-            for (min_rows, min_cols) in line_quorum_shapes(side) {
-                for &(start, end) in &windows {
+            let shapes = line_quorum_shapes(side);
+            let mut alive = ServerSet::new(n);
+            for &(start, end) in &windows {
+                // The per-mask reference for every shape at once: full rows
+                // and columns are counted once per mask.
+                let mut direct = vec![vec![0u64; n + 1]; shapes.len()];
+                for mask in start..end {
+                    alive.assign_mask_u64(mask);
+                    let rows = g.fully_alive_row_count(&alive);
+                    let cols = g.fully_alive_column_count(&alive);
+                    for (profile, &(min_rows, min_cols)) in direct.iter_mut().zip(&shapes) {
+                        profile[mask.count_ones() as usize] +=
+                            u64::from(rows < min_rows || cols < min_cols);
+                    }
+                }
+                for (&(min_rows, min_cols), direct) in shapes.iter().zip(&direct) {
                     let mut kernel = vec![0u64; n + 1];
                     tables.unavailable_profile_range(min_rows, min_cols, start, end, &mut kernel);
-                    let mut direct = vec![0u64; n + 1];
-                    for mask in start..end {
-                        let unavailable = g.fully_alive_row_count_u64(mask) < min_rows
-                            || g.fully_alive_column_count_u64(mask) < min_cols;
-                        direct[mask.count_ones() as usize] += u64::from(unavailable);
-                    }
                     assert_eq!(
-                        kernel, direct,
+                        &kernel, direct,
                         "side={side} shape=({min_rows}, {min_cols}) range={start:#x}..{end:#x}"
                     );
                 }

@@ -158,12 +158,7 @@ impl QuorumSystem for ThresholdSystem {
         alive.len() >= self.quorum_size
     }
 
-    #[inline]
-    fn is_available_u64(&self, alive: u64, _scratch: &mut ServerSet) -> bool {
-        alive.count_ones() as usize >= self.quorum_size
-    }
-
-    fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) -> bool {
+    fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) {
         // Availability is popcount alone: of a segment's 2^lo masks, C(lo, k)
         // have popcount `high + k`, and they are unavailable iff that is
         // below ℓ.
@@ -184,7 +179,6 @@ impl QuorumSystem for ThresholdSystem {
             },
             |mask| (mask.count_ones() as usize) < self.quorum_size,
         );
-        true
     }
 
     fn certified_crash_probabilities(&self, ps: &[f64]) -> Option<Vec<FpEstimate>> {
@@ -329,7 +323,7 @@ mod tests {
         let t = ThresholdSystem::new(6, 4).unwrap();
         for &p in &[0.1, 0.3, 0.5] {
             let closed = t.crash_probability(p);
-            let exact = exact_crash_probability(&t, p).unwrap();
+            let exact = Evaluator::new().exact(&t, p).unwrap();
             assert!((closed - exact).abs() < 1e-9, "p={p}");
         }
     }
@@ -343,7 +337,7 @@ mod tests {
             let t = ThresholdSystem::masking(n, b).unwrap();
             for &p in &[0.05, 0.125, 0.3, 0.5, 0.8] {
                 let closed = t.crash_probability(p);
-                let enumerated = exact_crash_probability(&t, p).unwrap();
+                let enumerated = Evaluator::new().exact(&t, p).unwrap();
                 assert!(
                     (closed - enumerated).abs() < 1e-9,
                     "n={n} b={b} p={p}: closed {closed} vs enumerated {enumerated}"
@@ -380,7 +374,7 @@ mod tests {
                 let t = ThresholdSystem::new(n, quorum_size).unwrap();
                 for &(start, end) in &windows {
                     let mut kernel = vec![0u64; n + 1];
-                    assert!(t.unavailable_profile_u64_range(start, end, &mut kernel));
+                    t.unavailable_profile_u64_range(start, end, &mut kernel);
                     let mut direct = vec![0u64; n + 1];
                     for mask in start..end {
                         let alive = mask.count_ones() as usize;

@@ -98,8 +98,8 @@ fn every_decision_entry_point_agrees_with_dinic_on_random_configurations() {
     );
 }
 
-/// Word-level availability (the exact engine's entry point) is the same
-/// decision: every mask of M-Path(4,1) and a sample of M-Path(8,2)'s.
+/// The decision the exact engine's default count kernel asks mask by mask
+/// agrees with Dinic: every mask of M-Path(4,1) and a sample of M-Path(8,2)'s.
 #[test]
 fn word_level_availability_agrees_with_dinic() {
     let small = MPathSystem::new(4, 1).unwrap();
@@ -107,11 +107,7 @@ fn word_level_availability_agrees_with_dinic() {
     for mask in 0u64..(1 << 16) {
         scratch.assign_mask_u64(mask);
         let expected = dinic_verdict(&small, &scratch);
-        assert_eq!(
-            small.is_available_u64(mask, &mut scratch),
-            expected,
-            "{mask:#b}"
-        );
+        assert_eq!(small.is_available(&scratch), expected, "{mask:#b}");
     }
     let wide = MPathSystem::new(8, 2).unwrap();
     let mut scratch = ServerSet::new(64);
@@ -125,11 +121,7 @@ fn word_level_availability_agrees_with_dinic() {
         };
         scratch.assign_mask_u64(mask);
         let expected = dinic_verdict(&wide, &scratch);
-        assert_eq!(
-            wide.is_available_u64(mask, &mut scratch),
-            expected,
-            "{mask:#b}"
-        );
+        assert_eq!(wide.is_available(&scratch), expected, "{mask:#b}");
     }
 }
 
@@ -140,19 +132,20 @@ fn monte_carlo_is_bit_identical_to_the_dinic_backed_estimate() {
     for (side, b, p, trials) in [(8usize, 2usize, 0.3, 2500usize), (32, 7, 0.45, 1300)] {
         let system = MPathSystem::new(side, b).unwrap();
         let reference = DinicMPath(system.clone());
+        let base = Evaluator::new().with_seed(0xb175).with_trials(trials);
         for threads in [1usize, 3] {
-            let evaluator = Evaluator::new().with_seed(0xb175).with_threads(threads);
-            let got = evaluator.monte_carlo_with(&system, p, trials);
-            let want = evaluator.monte_carlo_with(&reference, p, trials);
-            assert_eq!(got.trials, trials);
+            let evaluator = base.clone().with_threads(threads);
+            let got = evaluator.monte_carlo(&system, p);
+            let want = evaluator.monte_carlo(&reference, p);
+            assert_eq!(got.trials, Some(trials));
             assert_eq!(
-                got.mean.to_bits(),
-                want.mean.to_bits(),
+                got.value.to_bits(),
+                want.value.to_bits(),
                 "side={side} p={p} threads={threads}: {got:?} vs {want:?}"
             );
-            assert_eq!(got.std_error.to_bits(), want.std_error.to_bits());
+            assert_eq!(got, want);
             assert!(
-                got.mean > 0.0 && got.mean < 1.0,
+                got.value > 0.0 && got.value < 1.0,
                 "both verdicts must occur: {got:?}"
             );
         }

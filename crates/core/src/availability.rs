@@ -2,80 +2,29 @@
 //!
 //! Assuming each server crashes independently with probability `p`, `F_p(Q)` is the
 //! probability that *every* quorum contains at least one crashed server — the system
-//! is unavailable. Two engines are provided:
+//! is unavailable. The engine ([`crate::eval::Evaluator`]) answers it; this module
+//! holds what it shares with its callers:
 //!
-//! * [`exact_crash_probability`] — exact enumeration of all `2^n` crash
-//!   configurations into the integer availability profile
-//!   ([`crate::eval::AvailabilityProfile`]) on the shared engine
-//!   ([`crate::eval::Evaluator`]): raw `u64` masks, zero allocation per
-//!   configuration, large mask ranges fanned out across threads;
-//! * `availability_profile_naive` — the same profile filled by the
-//!   simplest possible loop (one fresh [`ServerSet`] and one `is_available`
-//!   call per configuration), kept as the reference the engine is validated
-//!   (and its speedup measured) against;
-//! * [`crate::eval::Evaluator::monte_carlo`] — an unbiased estimator with a
-//!   binomial confidence interval ([`CrashEstimate`]), usable for any
-//!   [`QuorumSystem`], including the large structured constructions, over
-//!   per-block RNG streams that make it a function of the seed alone.
+//! * `availability_profile_naive` — the integer availability profile
+//!   ([`crate::eval::AvailabilityProfile`]) filled by the simplest possible
+//!   loop (one fresh [`ServerSet`] and one `is_available` call per
+//!   configuration), kept as the reference the engine is validated (and its
+//!   speedup measured) against;
+//! * [`wilson_score_interval`] — the binomial confidence interval a
+//!   Monte-Carlo [`crate::eval::FpEstimate`] reports, which stays informative
+//!   at zero observed failures;
+//! * [`sample_alive_set`] and [`threshold_crash_probability`] — the failure
+//!   model of Definition 3.10 and the `ℓ-of-k` binomial tail.
 //!
 //! The paper also cares about the *asymptotic* behaviour of `F_p`: a family of
 //! systems is **Condorcet** if `F_p → 0` as `n → ∞` for every `p < 1/2`.
-//! [`CrashEstimate`] carries the statistical context needed for such comparisons.
 
 use rand::Rng;
 
 use crate::bitset::ServerSet;
 use crate::error::QuorumError;
-use crate::eval::{AvailabilityProfile, Evaluator};
+use crate::eval::{AvailabilityProfile, DEFAULT_EXACT_LIMIT};
 use crate::quorum::QuorumSystem;
-
-/// Largest universe size accepted by the exact enumerator (`2^25` configurations).
-pub const EXACT_ENUMERATION_LIMIT: usize = crate::eval::DEFAULT_EXACT_LIMIT;
-
-/// A Monte-Carlo estimate of a probability, with sampling error.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CrashEstimate {
-    /// Point estimate.
-    pub mean: f64,
-    /// Standard error (binomial).
-    pub std_error: f64,
-    /// Number of trials behind the estimate.
-    pub trials: usize,
-}
-
-impl CrashEstimate {
-    /// Half-width of the 95% normal-approximation confidence interval.
-    ///
-    /// Degenerates to zero when no (or every) trial failed; use
-    /// [`CrashEstimate::wilson_ci95`] for bounds that stay meaningful at the
-    /// extremes.
-    #[must_use]
-    pub fn ci95_half_width(&self) -> f64 {
-        1.96 * self.std_error
-    }
-
-    /// The 95% Wilson score interval `(lower, upper)` for the estimated
-    /// probability. Unlike the normal approximation, it does not collapse at
-    /// zero observed failures: with `0` of `n` trials failing the upper bound
-    /// is `z²/(n + z²) ≈ 3.84/n` (the classical "rule of three" up to the
-    /// choice of `z`), which is what a sweep should report instead of a
-    /// degenerate `0 ± 0`.
-    #[must_use]
-    pub fn wilson_ci95(&self) -> (f64, f64) {
-        wilson_score_interval(self.mean, self.trials)
-    }
-
-    /// Whether `value` lies within the 95% Wilson confidence interval.
-    ///
-    /// (Formerly used the normal approximation, under which an estimate with
-    /// zero observed failures was "inconsistent" with every positive value —
-    /// exactly the regime where rare-event sweeps need the opposite verdict.)
-    #[must_use]
-    pub fn is_consistent_with(&self, value: f64) -> bool {
-        let (lower, upper) = self.wilson_ci95();
-        value >= lower - 1e-12 && value <= upper + 1e-12
-    }
-}
 
 /// The 95% Wilson score interval for a binomial proportion observed as
 /// `mean` over `trials` trials (`z = 1.96`).
@@ -103,26 +52,6 @@ pub fn wilson_score_interval(mean: f64, trials: usize) -> (f64, f64) {
     (lower, upper)
 }
 
-/// Exact crash probability by enumerating every crash configuration.
-///
-/// Runs on the shared evaluation engine: allocation-free mask iteration into
-/// the integer availability profile, parallel across all cores once the mask
-/// space exceeds [`crate::eval::PARALLEL_MASK_THRESHOLD`], and the same bits
-/// at any thread count. Closed forms are deliberately *not* consulted — this
-/// function is the ground truth they are tested against; use
-/// [`crate::eval::Evaluator::crash_probability`] for dispatching evaluation.
-///
-/// # Errors
-///
-/// Returns [`QuorumError::UniverseTooLarge`] when the universe exceeds
-/// [`EXACT_ENUMERATION_LIMIT`] servers.
-pub fn exact_crash_probability<Q: QuorumSystem + ?Sized>(
-    system: &Q,
-    p: f64,
-) -> Result<f64, QuorumError> {
-    Evaluator::new().exact(system, p)
-}
-
 /// The reference availability profile: single-threaded, one fresh heap
 /// [`ServerSet`] and one [`QuorumSystem::is_available`] call per crash
 /// configuration — no word-level path, no count kernel. The tests
@@ -132,16 +61,16 @@ pub fn exact_crash_probability<Q: QuorumSystem + ?Sized>(
 /// # Errors
 ///
 /// Returns [`QuorumError::UniverseTooLarge`] when the universe exceeds
-/// [`EXACT_ENUMERATION_LIMIT`] servers.
+/// [`DEFAULT_EXACT_LIMIT`] servers.
 #[doc(hidden)]
 pub fn availability_profile_naive<Q: QuorumSystem + ?Sized>(
     system: &Q,
 ) -> Result<AvailabilityProfile, QuorumError> {
     let n = system.universe_size();
-    if n > EXACT_ENUMERATION_LIMIT {
+    if n > DEFAULT_EXACT_LIMIT {
         return Err(QuorumError::UniverseTooLarge {
             universe_size: n,
-            limit: EXACT_ENUMERATION_LIMIT,
+            limit: DEFAULT_EXACT_LIMIT,
         });
     }
     let mut unavailable_by_alive = vec![0u64; n + 1];
@@ -179,6 +108,7 @@ pub fn threshold_crash_probability(k: usize, l: usize, p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::{Evaluator, FpEstimate, FpMethod};
     use crate::quorum::ExplicitQuorumSystem;
     use bqs_combinatorics::subsets::KSubsets;
     use rand::rngs::StdRng;
@@ -196,7 +126,7 @@ mod tests {
         for (n, k) in [(4usize, 3usize), (5, 3), (5, 4), (7, 5)] {
             let sys = k_of_n_system(n, k);
             for &p in &[0.0, 0.1, 0.25, 0.5, 0.9, 1.0] {
-                let exact = exact_crash_probability(&sys, p).unwrap();
+                let exact = Evaluator::new().exact(&sys, p).unwrap();
                 let closed = threshold_crash_probability(n, k, p);
                 assert!(
                     (exact - closed).abs() < 1e-9,
@@ -209,8 +139,8 @@ mod tests {
     #[test]
     fn exact_extremes() {
         let sys = k_of_n_system(5, 3);
-        assert_eq!(exact_crash_probability(&sys, 0.0).unwrap(), 0.0);
-        assert_eq!(exact_crash_probability(&sys, 1.0).unwrap(), 1.0);
+        assert_eq!(Evaluator::new().exact(&sys, 0.0).unwrap(), 0.0);
+        assert_eq!(Evaluator::new().exact(&sys, 1.0).unwrap(), 1.0);
     }
 
     #[test]
@@ -219,7 +149,7 @@ mod tests {
         let mut prev = 0.0;
         for i in 0..=10 {
             let p = i as f64 / 10.0;
-            let fp = exact_crash_probability(&sys, p).unwrap();
+            let fp = Evaluator::new().exact(&sys, p).unwrap();
             assert!(fp >= prev - 1e-12, "p={p}");
             prev = fp;
         }
@@ -230,9 +160,18 @@ mod tests {
         let quorums = vec![ServerSet::full(30)];
         let sys = ExplicitQuorumSystem::new(30, quorums).unwrap();
         assert!(matches!(
-            exact_crash_probability(&sys, 0.1),
+            Evaluator::new().exact(&sys, 0.1),
             Err(QuorumError::UniverseTooLarge { .. })
         ));
+    }
+
+    /// A Monte-Carlo estimate as [`Evaluator::monte_carlo`] reports it.
+    fn sampled(mean: f64, std_error: f64, trials: usize) -> FpEstimate {
+        FpEstimate {
+            std_error: Some(std_error),
+            trials: Some(trials),
+            ..FpEstimate::certain(mean, FpMethod::MonteCarlo)
+        }
     }
 
     #[test]
@@ -241,12 +180,8 @@ mod tests {
         // upper bound ~ 3.84/2000 stays informative and the estimate is
         // consistent with small positive truths (the boostFPP p = 0.05 case
         // that used to be reported as a bare `0e0`).
-        let est = CrashEstimate {
-            mean: 0.0,
-            std_error: 0.0,
-            trials: 2000,
-        };
-        let (lower, upper) = est.wilson_ci95();
+        let est = sampled(0.0, 0.0, 2000);
+        let (lower, upper) = est.ci95_bounds();
         assert_eq!(lower, 0.0);
         assert!((upper - 1.96f64.powi(2) / (2000.0 + 1.96f64.powi(2))).abs() < 1e-12);
         assert!(
@@ -256,24 +191,15 @@ mod tests {
         assert!(est.is_consistent_with(1e-4));
         assert!(!est.is_consistent_with(0.01));
         // All-failures mirror image.
-        let all = CrashEstimate {
-            mean: 1.0,
-            std_error: 0.0,
-            trials: 2000,
-        };
-        let (lo, hi) = all.wilson_ci95();
+        let (lo, hi) = sampled(1.0, 0.0, 2000).ci95_bounds();
         assert_eq!(hi, 1.0);
         assert!(lo < 1.0 && lo > 0.99);
     }
 
     #[test]
     fn wilson_interval_tracks_normal_approximation_mid_range() {
-        let est = CrashEstimate {
-            mean: 0.5,
-            std_error: (0.25f64 / 1000.0).sqrt(),
-            trials: 1000,
-        };
-        let (lower, upper) = est.wilson_ci95();
+        let est = sampled(0.5, (0.25f64 / 1000.0).sqrt(), 1000);
+        let (lower, upper) = est.ci95_bounds();
         assert!((lower - (0.5 - est.ci95_half_width())).abs() < 2e-3);
         assert!((upper - (0.5 + est.ci95_half_width())).abs() < 2e-3);
     }
@@ -294,7 +220,7 @@ mod tests {
         // One quorum {0}: system fails iff server 0 crashes.
         let sys = ExplicitQuorumSystem::from_indices(1, [vec![0usize]]).unwrap();
         for &p in &[0.0, 0.2, 0.7, 1.0] {
-            assert!((exact_crash_probability(&sys, p).unwrap() - p).abs() < 1e-12);
+            assert!((Evaluator::new().exact(&sys, p).unwrap() - p).abs() < 1e-12);
         }
     }
 }

@@ -459,7 +459,7 @@ mod tests {
     fn composed_closed_form_matches_enumeration() {
         // F_p(S∘R) = s(r(p)) in closed form, validated against exact
         // enumeration of the materialised 9-server composition.
-        use crate::availability::exact_crash_probability;
+        use crate::eval::Evaluator;
         let explicit = compose_explicit(&k_of_n_system(3, 2), &k_of_n_system(3, 2), 1000).unwrap();
         let lazy = ComposedSystem::new(ClosedMajority3, ClosedMajority3);
         let ps = [0.0, 0.1, 0.3, 0.5, 0.9, 1.0];
@@ -467,7 +467,7 @@ mod tests {
         for (&p, est) in ps.iter().zip(&closed) {
             assert_eq!(est.method, FpMethod::ClosedForm);
             let closed = est.value;
-            let direct = exact_crash_probability(&explicit, p).unwrap();
+            let direct = Evaluator::new().exact(&explicit, p).unwrap();
             assert!(
                 (closed - direct).abs() < 1e-12,
                 "p={p}: closed {closed} vs enumerated {direct}"
@@ -509,14 +509,14 @@ mod tests {
     #[test]
     fn composed_crash_probability_composes() {
         // Fp(S∘R) = s(r(p)) — verify by exact enumeration on 2-of-3 over 2-of-3.
-        use crate::availability::exact_crash_probability;
+        use crate::eval::Evaluator;
         let s = k_of_n_system(3, 2);
         let r = k_of_n_system(3, 2);
         let composed = compose_explicit(&s, &r, 100_000).unwrap();
         for &p in &[0.1, 0.3, 0.5] {
-            let r_p = exact_crash_probability(&r, p).unwrap();
-            let s_of_r = exact_crash_probability(&s, r_p).unwrap();
-            let direct = exact_crash_probability(&composed, p).unwrap();
+            let r_p = Evaluator::new().exact(&r, p).unwrap();
+            let s_of_r = Evaluator::new().exact(&s, r_p).unwrap();
+            let direct = Evaluator::new().exact(&composed, p).unwrap();
             assert!(
                 (s_of_r - direct).abs() < 1e-9,
                 "p={p}: {s_of_r} vs {direct}"

@@ -170,7 +170,7 @@ mod tests {
 
     #[test]
     fn reduction_preserves_availability_and_load() {
-        use crate::availability::exact_crash_probability;
+        use crate::eval::Evaluator;
         use crate::load::optimal_load;
         let original = ExplicitQuorumSystem::from_indices(
             4,
@@ -186,8 +186,8 @@ mod tests {
         let minimal = minimize_system(&original).unwrap();
         assert!(minimal.num_quorums() < original.num_quorums());
         for &p in &[0.1, 0.4, 0.7] {
-            let a = exact_crash_probability(&original, p).unwrap();
-            let b = exact_crash_probability(&minimal, p).unwrap();
+            let a = Evaluator::new().exact(&original, p).unwrap();
+            let b = Evaluator::new().exact(&minimal, p).unwrap();
             assert!((a - b).abs() < 1e-12, "p={p}");
         }
         let (l_orig, _) = optimal_load(original.quorums(), 4).unwrap();

@@ -15,17 +15,19 @@
 //!   where `a_j` counts the alive-sets of size `j` that contain no quorum
 //!   (Definition 3.10). Exact enumeration accounts for all `2^n` crash
 //!   configurations as raw `u64` masks, allocation-free, and tallies them
-//!   into the `u64` counters of an [`AvailabilityProfile`]. Where the
-//!   construction has a count kernel
-//!   ([`QuorumSystem::unavailable_profile_u64_range`]: Threshold, the
-//!   line-quorum grids and explicit quorum lists) it counts the range
-//!   itself; everything else is asked
-//!   [`QuorumSystem::is_available_u64`] mask by mask. Chunk partials add as
+//!   into the `u64` counters of an [`AvailabilityProfile`] through the
+//!   construction's count kernel
+//!   ([`QuorumSystem::unavailable_profile_u64_range`]): Threshold, the
+//!   line-quorum grids and explicit quorum lists count a range themselves,
+//!   everything else is asked `is_available` mask by mask by the default
+//!   kernel. Chunk partials add as
 //!   integers, so the serial path, any chunking and any thread count produce
 //!   the *same* profile, and [`AvailabilityProfile::crash_probability`] is
 //!   the single place where counts become a probability.
 //! * **Monte-Carlo last.** Trials run on independent per-block RNG streams
-//!   (deterministic for a fixed seed, regardless of thread count).
+//!   (deterministic for a fixed seed, regardless of thread count), and the
+//!   answer is an [`FpEstimate`] tagged [`FpMethod::MonteCarlo`] like every
+//!   other.
 //! * **Batched sweeps.** [`Evaluator::sweep`] / [`Evaluator::sweep_systems`]
 //!   evaluate whole `(system, p)` grids on one persistent worker pool: every
 //!   exact or certified method answers a system's whole `p`-grid in one job
@@ -38,7 +40,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::availability::CrashEstimate;
 use crate::bitset::ServerSet;
 use crate::error::QuorumError;
 use crate::quorum::QuorumSystem;
@@ -345,13 +346,13 @@ impl Evaluator {
     pub fn crash_probability<Q: QuorumSystem + ?Sized>(&self, system: &Q, p: f64) -> FpEstimate {
         match self.certified(system, &[p]) {
             Some(one) => one[0],
-            None => self.sampled(system, p),
+            None => self.monte_carlo(system, p),
         }
     }
 
     /// The engine's dispatch order, for a single point and a sweep alike:
     /// the construction's hook → availability profile. `None` means only
-    /// Monte-Carlo is left ([`Evaluator::sampled`]).
+    /// Monte-Carlo is left ([`Evaluator::monte_carlo`]).
     fn certified<Q: QuorumSystem + ?Sized>(
         &self,
         system: &Q,
@@ -367,16 +368,6 @@ impl Evaluator {
                 .map(|&p| FpEstimate::certain(profile.crash_probability(p), FpMethod::Exact))
                 .collect(),
         )
-    }
-
-    /// The Monte-Carlo answer, for points no exact or certified method covers.
-    fn sampled<Q: QuorumSystem + ?Sized>(&self, system: &Q, p: f64) -> FpEstimate {
-        let est = self.monte_carlo(system, p);
-        FpEstimate {
-            std_error: Some(est.std_error),
-            trials: Some(est.trials),
-            ..FpEstimate::certain(est.mean, FpMethod::MonteCarlo)
-        }
     }
 
     /// The availability profile of `system` by (parallel, allocation-free)
@@ -478,7 +469,7 @@ impl Evaluator {
         let (workers, per_point) = split(mc_jobs.len());
         let sampled = run_pool(workers, mc_jobs.len(), |j| {
             let (i, p) = mc_jobs[j];
-            per_point.sampled(systems[i], p)
+            per_point.monte_carlo(systems[i], p)
         });
         for (&(i, _), est) in mc_jobs.iter().zip(sampled) {
             out[i].get_or_insert_with(Vec::new).push(est);
@@ -486,27 +477,16 @@ impl Evaluator {
         out.into_iter().map(Option::unwrap_or_default).collect()
     }
 
-    /// Monte-Carlo `F_p(Q)` with `self.trials()` trials fanned out over
-    /// per-thread RNG streams. Deterministic for a fixed seed — the stream
-    /// split is by trial block, not by scheduling order.
-    pub fn monte_carlo<Q: QuorumSystem + ?Sized>(&self, system: &Q, p: f64) -> CrashEstimate {
-        self.monte_carlo_with(system, p, self.mc_trials)
-    }
-
-    /// [`Evaluator::monte_carlo`] with an explicit trial count.
+    /// Monte-Carlo `F_p(Q)` with `self.trials()` trials, tagged
+    /// [`FpMethod::MonteCarlo`] with its binomial standard error.
     ///
     /// Trials are partitioned into fixed-size blocks of [`MC_BLOCK_TRIALS`],
     /// each with its own RNG stream seeded from the block *index* — never
     /// from the worker count — and the failure counts are summed. The result
     /// is therefore a pure function of `(seed, trials, p, system)`, identical
     /// on a laptop, a CI runner, or any `with_threads` setting.
-    pub fn monte_carlo_with<Q: QuorumSystem + ?Sized>(
-        &self,
-        system: &Q,
-        p: f64,
-        trials: usize,
-    ) -> CrashEstimate {
-        let trials = trials.max(1);
+    pub fn monte_carlo<Q: QuorumSystem + ?Sized>(&self, system: &Q, p: f64) -> FpEstimate {
+        let trials = self.mc_trials;
         let p = p.clamp(0.0, 1.0);
         let blocks = trials.div_ceil(MC_BLOCK_TRIALS);
         let block_trials = |b: usize| {
@@ -523,10 +503,10 @@ impl Evaluator {
         .into_iter()
         .sum();
         let mean = failures as f64 / trials as f64;
-        CrashEstimate {
-            mean,
-            std_error: (mean * (1.0 - mean) / trials as f64).sqrt(),
-            trials,
+        FpEstimate {
+            std_error: Some((mean * (1.0 - mean) / trials as f64).sqrt()),
+            trials: Some(trials),
+            ..FpEstimate::certain(mean, FpMethod::MonteCarlo)
         }
     }
 }
@@ -566,22 +546,12 @@ fn run_pool<T: Send + Sync>(
         .collect()
 }
 
-/// Counts the *unavailable* alive-masks in `start..end` by popcount,
-/// allocation-free: the construction's count kernel
-/// ([`QuorumSystem::unavailable_profile_u64_range`]) when it has one,
-/// otherwise [`QuorumSystem::is_available_u64`] per mask with one scratch
-/// set for the whole range.
+/// Counts the *unavailable* alive-masks in `start..end` by popcount through
+/// the construction's count kernel
+/// ([`QuorumSystem::unavailable_profile_u64_range`]).
 fn enumerate_masks<Q: QuorumSystem + ?Sized>(system: &Q, start: u64, end: u64) -> Vec<u64> {
-    let n = system.universe_size();
-    let mut profile = vec![0u64; n + 1];
-    if system.unavailable_profile_u64_range(start, end, &mut profile) {
-        return profile;
-    }
-    let mut scratch = ServerSet::new(n);
-    for mask in start..end {
-        let ok = system.is_available_u64(mask, &mut scratch);
-        profile[mask.count_ones() as usize] += u64::from(!ok);
-    }
+    let mut profile = vec![0u64; system.universe_size() + 1];
+    system.unavailable_profile_u64_range(start, end, &mut profile);
     profile
 }
 
@@ -696,27 +666,30 @@ mod tests {
         let a = Evaluator::new()
             .with_seed(5)
             .with_threads(1)
-            .monte_carlo_with(&sys, 0.2, 4096);
+            .with_trials(4096)
+            .monte_carlo(&sys, 0.2);
         let b = Evaluator::new()
             .with_seed(5)
             .with_threads(4)
-            .monte_carlo_with(&sys, 0.2, 4096);
+            .with_trials(4096)
+            .monte_carlo(&sys, 0.2);
         // The RNG streams are defined by the fixed block partition, not the
         // worker partition: the estimate is a pure function of the seed and
         // trial count, identical for every thread count.
-        assert_eq!(a.mean, b.mean);
+        assert_eq!(a, b);
         let c = Evaluator::new()
             .with_seed(5)
             .with_threads(3)
-            .monte_carlo_with(&sys, 0.2, 4096);
-        assert_eq!(a.mean, c.mean);
+            .with_trials(4096)
+            .monte_carlo(&sys, 0.2);
+        assert_eq!(a, c);
         // And the deterministic value is statistically consistent with exact.
         let exact = Evaluator::new().exact(&sys, 0.2).unwrap();
         for est in [a, b] {
             assert!(
-                (est.mean - exact).abs() <= est.ci95_half_width() + 0.03,
+                (est.value - exact).abs() <= est.ci95_half_width() + 0.03,
                 "mc {} vs exact {exact}",
-                est.mean
+                est.value
             );
         }
     }

@@ -16,8 +16,8 @@
 //!   (Definition 3.8, Proposition 3.9), computed exactly by linear programming —
 //!   explicitly for materialised systems, or by certified column generation
 //!   against the pricing oracles of [`oracle`] for large-`n` constructions;
-//! * [`availability`] — the crash probability `F_p(Q)` (Definition 3.10), exact and
-//!   Monte-Carlo;
+//! * [`eval`] and [`availability`] — the crash probability `F_p(Q)`
+//!   (Definition 3.10), exact and Monte-Carlo;
 //! * [`bounds`] — the lower bounds of Theorem 4.1, Corollary 4.2 and
 //!   Propositions 4.3–4.5;
 //! * [`composition`] — quorum composition / boosting (Definition 4.6, Theorem 4.7).
@@ -64,7 +64,6 @@ pub mod strategic;
 pub mod strategy;
 pub mod transversal;
 
-pub use availability::{exact_crash_probability, CrashEstimate};
 pub use bitset::ServerSet;
 pub use composition::{compose_explicit, ComposedSystem};
 pub use error::QuorumError;
@@ -81,7 +80,7 @@ pub use transversal::{min_transversal, min_transversal_size, resilience};
 
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {
-    pub use crate::availability::{exact_crash_probability, sample_alive_set, CrashEstimate};
+    pub use crate::availability::sample_alive_set;
     pub use crate::bitset::ServerSet;
     pub use crate::bounds::{
         crash_probability_lower_bound_resilience, load_lower_bound, load_lower_bound_universal,

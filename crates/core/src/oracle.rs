@@ -25,10 +25,11 @@ use crate::quorum::{ExplicitQuorumSystem, QuorumSystem};
 /// covering LP, and the column generator of the primal packing LP.
 ///
 /// Implementations must return a **true minimiser over the system's quorum
-/// set** (or over a documented load-equivalent sub-family — see the M-Path
-/// oracle, which prices the straight-line quorums that Theorem 4.1 proves
-/// attain the full system's load): the certified lower bound of the load
-/// engine is only valid for exact oracles. The returned price must equal the
+/// set**: the certified lower bound of the load engine is only valid for
+/// exact oracles. The M-Path oracle is the documented exception: it prices
+/// Proposition 7.2's straight-line quorums only, so its certificate bounds
+/// that family, and M-Path's own `L(Q)` lies at or below it (bent quorums
+/// are shorter; see `ROADMAP.md`, direction 1). The returned price must equal the
 /// sum of `prices[u]` over the returned set (the engine re-derives it and
 /// debug-asserts agreement).
 pub trait MinWeightQuorumOracle: QuorumSystem {

@@ -12,11 +12,13 @@
 //!   directly without enumerating their (exponentially many) quorums.
 //!
 //! Beyond that operational core the trait carries the two hooks the evaluation
-//! engine ([`crate::eval::Evaluator`]) dispatches on, both optional: the
+//! engine ([`crate::eval::Evaluator`]) dispatches on, both with defaults: the
 //! construction's own `F_p` answer over a whole `p`-grid
 //! ([`QuorumSystem::certified_crash_probabilities`]: a closed form, an exact
-//! DP or a certified enclosure), and a count kernel for exact enumeration
-//! ([`QuorumSystem::unavailable_profile_u64_range`]).
+//! DP or a certified enclosure; none by default), and the count kernel of
+//! exact enumeration ([`QuorumSystem::unavailable_profile_u64_range`]: one
+//! [`QuorumSystem::is_available`] call per mask by default), the only
+//! word-level availability entry point.
 
 use rand::RngCore;
 
@@ -60,31 +62,14 @@ pub trait QuorumSystem: Send + Sync {
         self.find_live_quorum(alive).is_some()
     }
 
-    /// Word-level availability for universes of at most 64 servers: `alive` is
-    /// a raw bitmask over the universe. `scratch` is a caller-provided reusable
-    /// set with the system's capacity, so the default implementation performs
-    /// zero heap allocation per call.
-    ///
-    /// Structure-aware implementations (explicit mask lists, grids) override
-    /// this to skip the `ServerSet` round-trip entirely.
-    ///
-    /// # Panics
-    ///
-    /// May panic if `scratch.capacity() != self.universe_size()` or the
-    /// universe exceeds 64 servers.
-    fn is_available_u64(&self, alive: u64, scratch: &mut ServerSet) -> bool {
-        scratch.assign_mask_u64(alive);
-        self.is_available(scratch)
-    }
-
-    /// Structure-specialised count kernel: adds one to `profile[popcount(m)]`
-    /// for every mask `m` in `start..end` for which the system is
-    /// *unavailable* and returns `true`, or returns `false` (leaving
-    /// `profile` untouched) when the system has no specialised kernel.
+    /// Count kernel for universes of at most 64 servers: adds one to
+    /// `profile[popcount(m)]` for every alive-mask `m` in `start..end` for
+    /// which the system is *unavailable*.
     ///
     /// This is the whole inner loop of exact `F_p` enumeration handed to the
-    /// construction at once; without a kernel the engine asks
-    /// [`QuorumSystem::is_available_u64`] mask by mask. A kernel need not
+    /// construction at once. The default asks
+    /// [`QuorumSystem::is_available`] mask by mask through one reusable
+    /// scratch set. A specialised kernel need not
     /// visit every mask: when availability factors through a small summary
     /// of each half of a mask (popcount for Threshold, full rows and the
     /// column AND-fold for the grids), an aligned segment of masks sharing
@@ -98,9 +83,12 @@ pub trait QuorumSystem: Send + Sync {
     /// mask of the range, at its popcount — for every `start..end`,
     /// including ranges that start or end inside a segment. The counts are
     /// integers, so the kernel is free to visit the range in any order.
-    fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) -> bool {
-        let _ = (start, end, profile);
-        false
+    fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) {
+        let mut scratch = ServerSet::new(self.universe_size());
+        for mask in start..end {
+            scratch.assign_mask_u64(mask);
+            profile[mask.count_ones() as usize] += u64::from(!self.is_available(&scratch));
+        }
     }
 
     /// `F_p(Q)` at every point of `ps` without sampling, when the
@@ -287,7 +275,7 @@ impl QuorumSystem for ExplicitQuorumSystem {
         self.quorums.iter().any(|q| q.is_subset_of(alive))
     }
 
-    fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) -> bool {
+    fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) {
         // Hard assert (not debug): with n > 64 `masks64` is empty and the
         // scan below would silently count every configuration unavailable.
         assert!(
@@ -318,7 +306,6 @@ impl QuorumSystem for ExplicitQuorumSystem {
             }
             mask += lanes as u64;
         }
-        true
     }
 
     fn min_quorum_size(&self) -> usize {
@@ -441,21 +428,12 @@ mod tests {
     #[test]
     fn explicit_word_level_availability_matches_set_availability() {
         let q = majority(6);
-        let mut scratch = ServerSet::new(6);
         let mut reference = ServerSet::new(6);
-        for mask in 0u64..(1 << 6) {
-            reference.assign_mask_u64(mask);
-            assert_eq!(
-                q.is_available_u64(mask, &mut scratch),
-                q.is_available(&reference),
-                "mask={mask:#x}"
-            );
-        }
         // The four-mask count kernel equals the per-mask count on every
         // range, including ranges whose ends cut a group of four.
         for (start, end) in [(0, 64), (1, 7), (3, 3), (5, 62), (61, 64)] {
             let mut kernel = vec![0u64; 7];
-            assert!(q.unavailable_profile_u64_range(start, end, &mut kernel));
+            q.unavailable_profile_u64_range(start, end, &mut kernel);
             let mut per_mask = vec![0u64; 7];
             for mask in start..end {
                 reference.assign_mask_u64(mask);

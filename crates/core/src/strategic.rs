@@ -142,13 +142,9 @@ impl<S: QuorumSystem> QuorumSystem for StrategicQuorumSystem<S> {
         self.inner.is_available(alive)
     }
 
-    fn is_available_u64(&self, alive: u64, scratch: &mut ServerSet) -> bool {
-        self.inner.is_available_u64(alive, scratch)
-    }
-
-    fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) -> bool {
+    fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) {
         self.inner
-            .unavailable_profile_u64_range(start, end, profile)
+            .unavailable_profile_u64_range(start, end, profile);
     }
 
     fn certified_crash_probabilities(&self, ps: &[f64]) -> Option<Vec<FpEstimate>> {
@@ -250,12 +246,11 @@ mod tests {
         fn find_live_quorum(&self, alive: &ServerSet) -> Option<ServerSet> {
             self.inner.find_live_quorum(alive)
         }
-        fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) -> bool {
+        fn unavailable_profile_u64_range(&self, start: u64, end: u64, profile: &mut [u64]) {
             self.kernel_calls.fetch_add(1, Ordering::Relaxed);
             for mask in start..end {
                 profile[mask.count_ones() as usize] += u64::from(mask.count_ones() < 2);
             }
-            true
         }
         fn certified_crash_probabilities(&self, ps: &[f64]) -> Option<Vec<FpEstimate>> {
             Some(
@@ -281,8 +276,8 @@ mod tests {
             StrategicQuorumSystem::new(hooked(), columns.clone(), strategy.clone()).unwrap();
         let bare = hooked();
         let eval = Evaluator::new();
-        // Enumerable: the profile is the inner count kernel's, not a
-        // mask-by-mask walk through `is_available_u64`.
+        // Enumerable: the profile is the inner count kernel's, not the
+        // default kernel's mask-by-mask walk.
         assert_eq!(
             eval.availability_profile(&wrapped).unwrap(),
             eval.availability_profile(&bare).unwrap()
@@ -295,11 +290,10 @@ mod tests {
         assert_eq!(through_wrapper, eval.crash_probability(&bare, 0.3));
         assert_eq!(through_wrapper.interval, Some((0.3 / 4.0, 0.3 / 2.0)));
         // An explicit quorum list's kernel — its four-mask scan — is reached
-        // through the wrapper too: without the forwarding the wrapper has no
-        // kernel and answers `false`.
+        // through the wrapper too.
         let explicit = StrategicQuorumSystem::new(majority3(), columns, strategy).unwrap();
         let mut through_kernel = vec![0u64; 4];
-        assert!(explicit.unavailable_profile_u64_range(0, 8, &mut through_kernel));
+        explicit.unavailable_profile_u64_range(0, 8, &mut through_kernel);
         let naive = crate::availability::availability_profile_naive(&majority3()).unwrap();
         assert_eq!(through_kernel, naive.unavailable_by_alive());
         assert_eq!(eval.availability_profile(&explicit).unwrap(), naive);

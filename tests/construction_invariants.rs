@@ -120,7 +120,6 @@ proptest! {
     /// Domination reduction never changes availability on randomly augmented systems.
     #[test]
     fn minimization_preserves_availability(seed in 0u64..300) {
-        use byzantine_quorums::core::availability::exact_crash_probability;
         use byzantine_quorums::core::domination::minimize_system;
         let mut rng = StdRng::seed_from_u64(seed);
         // Start from a 2-of-3 majority and add random superset quorums.
@@ -136,8 +135,8 @@ proptest! {
         let system = ExplicitQuorumSystem::new(3, quorums).unwrap();
         let minimal = minimize_system(&system).unwrap();
         for &p in &[0.2, 0.5, 0.8] {
-            let a = exact_crash_probability(&system, p).unwrap();
-            let b = exact_crash_probability(&minimal, p).unwrap();
+            let a = Evaluator::new().exact(&system, p).unwrap();
+            let b = Evaluator::new().exact(&minimal, p).unwrap();
             prop_assert!((a - b).abs() < 1e-12);
         }
     }

@@ -167,21 +167,20 @@ fn sampled_quorums_always_contain_a_quorum_of_the_explicit_list() {
 
 #[test]
 fn availability_of_lazy_and_explicit_forms_agrees() {
-    use byzantine_quorums::core::availability::exact_crash_probability;
     // RT(3,2) depth 2 (9 servers) and Grid(4,1) (16 servers) are small enough for
     // exact enumeration through both code paths.
     let rt = RtSystem::new(3, 2, 2).unwrap();
     let rt_explicit = rt.to_explicit(10_000).unwrap();
     for &p in &[0.1, 0.3, 0.5] {
-        let lazy = exact_crash_probability(&rt, p).unwrap();
-        let explicit = exact_crash_probability(&rt_explicit, p).unwrap();
+        let lazy = Evaluator::new().exact(&rt, p).unwrap();
+        let explicit = Evaluator::new().exact(&rt_explicit, p).unwrap();
         assert!((lazy - explicit).abs() < 1e-12, "p={p}");
     }
     let g = GridSystem::new(4, 1).unwrap();
     let g_explicit = g.to_explicit(10_000).unwrap();
     for &p in &[0.1, 0.25] {
-        let lazy = exact_crash_probability(&g, p).unwrap();
-        let explicit = exact_crash_probability(&g_explicit, p).unwrap();
+        let lazy = Evaluator::new().exact(&g, p).unwrap();
+        let explicit = Evaluator::new().exact(&g_explicit, p).unwrap();
         assert!((lazy - explicit).abs() < 1e-12, "p={p}");
     }
 }

@@ -170,12 +170,12 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let sys = ThresholdSystem::new(n, n / 2 + 1).unwrap();
-        let exact = exact_crash_probability(&sys, p).unwrap();
+        let exact = Evaluator::new().exact(&sys, p).unwrap();
         let est = Evaluator::new().with_seed(seed).with_trials(4000).monte_carlo(&sys, p);
         prop_assert!(
-            (est.mean - exact).abs() <= 2.0 * est.ci95_half_width() + 1e-9,
+            (est.value - exact).abs() <= 2.0 * est.ci95_half_width() + 1e-9,
             "n={} p={} seed={}: exact {} vs MC {} ± {}",
-            n, p, seed, exact, est.mean, est.ci95_half_width()
+            n, p, seed, exact, est.value, est.ci95_half_width()
         );
     }
 
@@ -188,12 +188,12 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let sys = GridSystem::new(4, 1).unwrap();
-        let exact = exact_crash_probability(&sys, p).unwrap();
+        let exact = Evaluator::new().exact(&sys, p).unwrap();
         let est = Evaluator::new().with_seed(seed).with_trials(4000).monte_carlo(&sys, p);
         prop_assert!(
-            (est.mean - exact).abs() <= 2.0 * est.ci95_half_width() + 1e-9,
+            (est.value - exact).abs() <= 2.0 * est.ci95_half_width() + 1e-9,
             "p={} seed={}: exact {} vs MC {} ± {}",
-            p, seed, exact, est.mean, est.ci95_half_width()
+            p, seed, exact, est.value, est.ci95_half_width()
         );
     }
 }
@@ -234,7 +234,6 @@ proptest! {
 /// non-threshold composition as well.
 #[test]
 fn composed_crash_probability_for_grid_over_threshold() {
-    use byzantine_quorums::core::availability::exact_crash_probability;
     let outer = RegularGridSystem::new(2).unwrap().to_explicit().unwrap();
     let inner = ThresholdSystem::new(3, 2)
         .unwrap()
@@ -242,9 +241,9 @@ fn composed_crash_probability_for_grid_over_threshold() {
         .unwrap();
     let composed = compose_explicit(&outer, &inner, 1_000_000).unwrap();
     for &p in &[0.1, 0.3, 0.5, 0.7] {
-        let r = exact_crash_probability(&inner, p).unwrap();
-        let s_of_r = exact_crash_probability(&outer, r).unwrap();
-        let direct = exact_crash_probability(&composed, p).unwrap();
+        let r = Evaluator::new().exact(&inner, p).unwrap();
+        let s_of_r = Evaluator::new().exact(&outer, r).unwrap();
+        let direct = Evaluator::new().exact(&composed, p).unwrap();
         assert!(
             (s_of_r - direct).abs() < 1e-9,
             "p={p}: {s_of_r} vs {direct}"
@@ -340,10 +339,9 @@ fn availability_profile_equals_naive_reference_at_every_thread_count() {
         let total = 1u64 << n;
         let cut = total / 3 + 1;
         let mut split = vec![0u64; n + 1];
-        if sys.unavailable_profile_u64_range(0, cut, &mut split) {
-            assert!(sys.unavailable_profile_u64_range(cut, total, &mut split));
-            assert_eq!(split, a, "{name}: split count kernel");
-        }
+        sys.unavailable_profile_u64_range(0, cut, &mut split);
+        sys.unavailable_profile_u64_range(cut, total, &mut split);
+        assert_eq!(split, a, "{name}: split count kernel");
     }
 
     // The count-kernel families again at n = 25 — the one universe size
@@ -365,11 +363,11 @@ fn availability_profile_equals_naive_reference_at_every_thread_count() {
             let start = window.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
             let end = start + (1 << 16);
             let mut kernel = vec![0u64; 26];
-            assert!(sys.unavailable_profile_u64_range(start, end, &mut kernel));
+            sys.unavailable_profile_u64_range(start, end, &mut kernel);
             let mut direct = vec![0u64; 26];
             for mask in start..end {
-                direct[mask.count_ones() as usize] +=
-                    u64::from(!sys.is_available_u64(mask, &mut scratch));
+                scratch.assign_mask_u64(mask);
+                direct[mask.count_ones() as usize] += u64::from(!sys.is_available(&scratch));
             }
             assert_eq!(kernel, direct, "{} masks {start:#x}..{end:#x}", sys.name());
         }
