@@ -5,9 +5,10 @@
 //!   far off it can be (it seeds and prunes the exact search, so its quality matters
 //!   for running time).
 //! * [`mpath_discovery_ablation`] — the straight-line quorum discovery of
-//!   Proposition 7.2 versus general max-flow discovery on the M-Path grid: success
-//!   rate of the cheap path as the crash probability grows (beyond it the max-flow
-//!   fallback is required for availability).
+//!   Proposition 7.2 versus general flow discovery (the path kernel
+//!   [`min_cost_crossings`]) on the M-Path grid: success rate of the cheap path as
+//!   the crash probability grows (beyond it the flow fallback is required for
+//!   availability).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,7 +16,7 @@ use rand::SeedableRng;
 use bqs_constructions::prelude::*;
 use bqs_core::quorum::QuorumSystem;
 use bqs_core::transversal::{greedy_transversal, min_transversal_size};
-use bqs_graph::disjoint_paths::{find_disjoint_paths, find_straight_disjoint_paths};
+use bqs_graph::disjoint_paths::{find_straight_disjoint_paths, min_cost_crossings};
 use bqs_graph::grid::Axis;
 use bqs_graph::percolation::PercolationEstimator;
 
@@ -72,14 +73,15 @@ pub struct MPathDiscoveryAblation {
     pub p: f64,
     /// Fraction of trials where straight lines alone produced a full quorum.
     pub straight_success_rate: f64,
-    /// Fraction of trials where max-flow discovery produced a full quorum.
+    /// Fraction of trials where flow discovery (the path kernel) produced a
+    /// full quorum.
     pub maxflow_success_rate: f64,
     /// Number of trials.
     pub trials: usize,
 }
 
 /// Measures how far the straight-line strategy (Proposition 7.2) carries quorum
-/// discovery as failures accumulate, against the general max-flow discovery.
+/// discovery as failures accumulate, against the general flow discovery.
 #[must_use]
 pub fn mpath_discovery_ablation(
     side: usize,
@@ -103,12 +105,15 @@ pub fn mpath_discovery_ablation(
                 if s_lr.len() == k && s_tb.len() == k {
                     straight_ok += 1;
                 }
-                let f_lr = find_disjoint_paths(est.grid(), &alive, Axis::LeftRight, k);
-                if f_lr.len() == k {
-                    let f_tb = find_disjoint_paths(est.grid(), &alive, Axis::TopBottom, k);
-                    if f_tb.len() == k {
-                        flow_ok += 1;
-                    }
+                let prices: Vec<f64> = alive
+                    .iter()
+                    .map(|&a| if a { 1.0 } else { f64::INFINITY })
+                    .collect();
+                if [Axis::LeftRight, Axis::TopBottom]
+                    .into_iter()
+                    .all(|axis| min_cost_crossings(est.grid(), &prices, axis, k).len() == k)
+                {
+                    flow_ok += 1;
                 }
             }
             MPathDiscoveryAblation {

@@ -38,7 +38,13 @@ pub fn crossing_curve(side: usize, ps: &[f64], trials: usize, seed: u64) -> Vec<
     let mut rng = StdRng::seed_from_u64(seed);
     ps.iter()
         .map(|&p| {
-            let e = est.estimate_crossing_probability(p, Axis::LeftRight, trials.max(1), &mut rng);
+            let e = est.estimate_disjoint_crossings_probability(
+                p,
+                Axis::LeftRight,
+                1,
+                trials.max(1),
+                &mut rng,
+            );
             CrossingPoint {
                 p,
                 crossing_probability: e.mean,
@@ -82,7 +88,13 @@ pub fn estimate_critical_probability(side: usize, trials: usize, seed: u64) -> f
     let mut hi = 0.95;
     for _ in 0..12 {
         let mid = 0.5 * (lo + hi);
-        let e = est.estimate_crossing_probability(mid, Axis::LeftRight, trials.max(1), &mut rng);
+        let e = est.estimate_disjoint_crossings_probability(
+            mid,
+            Axis::LeftRight,
+            1,
+            trials.max(1),
+            &mut rng,
+        );
         if e.mean > 0.5 {
             lo = mid;
         } else {
@@ -110,11 +122,11 @@ pub fn estimate_decay_rate(
     let large = PercolationEstimator::new(large_side);
     let f_small = 1.0
         - small
-            .estimate_crossing_probability(p, Axis::LeftRight, trials.max(1), &mut rng)
+            .estimate_disjoint_crossings_probability(p, Axis::LeftRight, 1, trials.max(1), &mut rng)
             .mean;
     let f_large = 1.0
         - large
-            .estimate_crossing_probability(p, Axis::LeftRight, trials.max(1), &mut rng)
+            .estimate_disjoint_crossings_probability(p, Axis::LeftRight, 1, trials.max(1), &mut rng)
             .mean;
     if f_small <= 0.0 || f_large <= 0.0 {
         return None;

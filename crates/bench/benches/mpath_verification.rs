@@ -1,8 +1,8 @@
 //! Criterion benchmarks for the M-Path machinery (the ablation called out in
-//! DESIGN.md): straight-line quorum discovery versus general max-flow discovery, the
-//! availability *decision* (capped blocking-path search) beside quorum *extraction*
-//! (max-flow), and a single percolation trial — the costs behind Proposition 7.3's
-//! experimental reproduction.
+//! DESIGN.md): straight-line quorum discovery versus general discovery by the path
+//! kernel, the availability *decision* (capped blocking-path search) beside quorum
+//! *extraction* (successive shortest paths), and a single percolation trial — the
+//! costs behind Proposition 7.3's experimental reproduction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -10,7 +10,7 @@ use rand::SeedableRng;
 
 use bqs_constructions::mpath::MPathSystem;
 use bqs_core::prelude::*;
-use bqs_graph::disjoint_paths::{find_disjoint_paths, find_straight_disjoint_paths};
+use bqs_graph::disjoint_paths::{find_straight_disjoint_paths, min_cost_crossings};
 use bqs_graph::grid::{Axis, TriangulatedGrid};
 use bqs_graph::percolation::PercolationEstimator;
 
@@ -18,6 +18,15 @@ fn alive_mask(n: usize, p: f64, seed: u64) -> Vec<bool> {
     let mut rng = StdRng::seed_from_u64(seed);
     let set = sample_alive_set(n, p, &mut rng);
     (0..n).map(|i| set.contains(i)).collect()
+}
+
+/// Price 1 on the alive vertices and `∞` on the dead ones, as
+/// `find_live_quorum` prices them.
+fn unit_prices(alive: &[bool]) -> Vec<f64> {
+    alive
+        .iter()
+        .map(|&a| if a { 1.0 } else { f64::INFINITY })
+        .collect()
 }
 
 fn bench_path_discovery(c: &mut Criterion) {
@@ -28,16 +37,17 @@ fn bench_path_discovery(c: &mut Criterion) {
         let n = grid.num_vertices();
         // Light failures: straight lines usually survive on small grids.
         let light = alive_mask(n, 0.01, 7);
-        // Heavier failures: straight lines break, max-flow is needed.
+        // Heavier failures: straight lines break, the path kernel is needed.
         let heavy = alive_mask(n, 0.15, 8);
         group.bench_function(BenchmarkId::new("straight_lines_p0.01", side), |b| {
             b.iter(|| find_straight_disjoint_paths(&grid, &light, Axis::LeftRight, 4))
         });
-        group.bench_function(BenchmarkId::new("maxflow_p0.01", side), |b| {
-            b.iter(|| find_disjoint_paths(&grid, &light, Axis::LeftRight, 4))
+        let (light, heavy) = (unit_prices(&light), unit_prices(&heavy));
+        group.bench_function(BenchmarkId::new("min_cost_crossings_p0.01", side), |b| {
+            b.iter(|| min_cost_crossings(&grid, &light, Axis::LeftRight, 4))
         });
-        group.bench_function(BenchmarkId::new("maxflow_p0.15", side), |b| {
-            b.iter(|| find_disjoint_paths(&grid, &heavy, Axis::LeftRight, 4))
+        group.bench_function(BenchmarkId::new("min_cost_crossings_p0.15", side), |b| {
+            b.iter(|| min_cost_crossings(&grid, &heavy, Axis::LeftRight, 4))
         });
     }
     group.finish();
@@ -74,10 +84,7 @@ fn bench_percolation_trial(c: &mut Criterion) {
     let est = PercolationEstimator::new(32);
     let mut rng = StdRng::seed_from_u64(10);
     group.bench_function("crossing_check_32x32_p0.3", |b| {
-        b.iter(|| {
-            let alive = est.sample_alive(0.3, &mut rng);
-            est.has_open_crossing(&alive, Axis::LeftRight)
-        })
+        b.iter(|| est.estimate_disjoint_crossings_probability(0.3, Axis::LeftRight, 1, 1, &mut rng))
     });
     group.finish();
 }

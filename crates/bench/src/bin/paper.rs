@@ -544,6 +544,7 @@ fn mpath_availability(args: Args) {
         "counting bound (Sec. 8 style)",
     ]);
     let flow_trials = trials.min(300);
+    let sampler = Evaluator::new().with_trials(flow_trials).with_seed(0xA14);
     let sweep_ps = [0.05, 0.125, 0.2, 0.3, 0.4, 0.45, 0.55];
     // The exact column runs the transfer-matrix sweep through the batched
     // engine (one persistent pool for all seven points).
@@ -560,11 +561,11 @@ fn mpath_availability(args: Args) {
             flow_trials,
             &mut rng,
         );
-        let fp = est.estimate_mpath_crash_probability(p, k, flow_trials, &mut rng);
+        let fp = sampler.monte_carlo(&sys, p);
         t2.push_row([
             format!("{p:.3}"),
             format!("{:.4}", disjoint.mean),
-            format!("{:.4} ± {:.4}", fp.mean, fp.ci95_half_width()),
+            format!("{:.4} ± {:.4}", fp.value, fp.ci95_half_width()),
             exact_fps
                 .as_ref()
                 .map(|f| format!("{:.3e} ({})", f[i].value, f[i].method.label()))

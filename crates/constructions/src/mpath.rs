@@ -16,9 +16,12 @@
 //! `√(2b+1)` alive vertices, which a capped 0-1 BFS from `bqs-graph` answers
 //! without building a network ([`QuorumSystem::is_available`],
 //! [`MPathSystem::contains_quorum`]). Quorum *discovery* — the paths themselves,
-//! [`QuorumSystem::find_live_quorum`] — uses max-flow (Menger) on the node-split
-//! grid, entered only once the decision says a quorum exists. The sampling
-//! strategy uses straight rows and columns only, exactly as in the proof of
+//! [`QuorumSystem::find_live_quorum`] — takes fully-alive straight lines when
+//! enough survive and otherwise, per axis, the `√(2b+1)` disjoint alive
+//! crossings with the fewest servers from `bqs-graph`'s one path kernel
+//! ([`min_cost_crossings`], successive shortest paths on the node-split grid),
+//! entered only once the decision says a quorum exists. The sampling strategy
+//! uses straight rows and columns only, exactly as in the proof of
 //! Proposition 7.2.
 //!
 //! Crash-probability evaluation is **exact** up to grid side
@@ -43,9 +46,7 @@ use bqs_core::eval::{FpEstimate, FpMethod};
 use bqs_core::oracle::MinWeightQuorumOracle;
 use bqs_core::quorum::QuorumSystem;
 use bqs_graph::crossing_dp::{min_crossing_cost_capped, mpath_crash_probability, CrossingScratch};
-use bqs_graph::disjoint_paths::{
-    find_disjoint_paths, find_straight_disjoint_paths, min_price_crossing,
-};
+use bqs_graph::disjoint_paths::{find_straight_disjoint_paths, min_cost_crossings};
 use bqs_graph::grid::{Axis, TriangulatedGrid};
 
 use crate::mgrid::integer_sqrt_ceil;
@@ -236,6 +237,37 @@ impl MPathSystem {
             .collect()
     }
 
+    /// `⌈√(2b+1)⌉` disjoint alive crossings along `axis`, or fewer if they do
+    /// not exist: straight lines (Proposition 7.2's access shape) when enough
+    /// are fully alive, else the crossings with the fewest servers.
+    fn live_crossings(&self, alive: &[bool], axis: Axis) -> Vec<Vec<usize>> {
+        let straight = find_straight_disjoint_paths(&self.grid, alive, axis, self.paths);
+        if straight.len() == self.paths {
+            return straight;
+        }
+        let prices: Vec<f64> = alive
+            .iter()
+            .map(|&a| if a { 1.0 } else { f64::INFINITY })
+            .collect();
+        min_cost_crossings(&self.grid, &prices, axis, self.paths)
+    }
+
+    /// The larger over the two axes of the least total price of
+    /// `⌈√(2b+1)⌉` disjoint crossings: every quorum holds that many disjoint
+    /// crossings each way, so no quorum is cheaper.
+    fn crossings_price_bound(&self, prices: &[f64]) -> f64 {
+        [Axis::LeftRight, Axis::TopBottom]
+            .map(|axis| {
+                min_cost_crossings(&self.grid, prices, axis, self.paths)
+                    .iter()
+                    .flatten()
+                    .map(|&v| prices[v])
+                    .sum::<f64>()
+            })
+            .into_iter()
+            .fold(0.0, f64::max)
+    }
+
     /// The straight-line quorum made of the given rows (LR crossings) and
     /// columns (TB crossings) — the quorum shape of Proposition 7.2's
     /// access strategy, shared by the pricing oracle and the warm-start
@@ -331,30 +363,15 @@ impl QuorumSystem for MPathSystem {
             return None;
         }
         let mask = self.to_mask(alive);
-        // Fast path: enough fully-alive straight lines.
-        let straight_lr =
-            find_straight_disjoint_paths(&self.grid, &mask, Axis::LeftRight, self.paths);
-        let straight_tb =
-            find_straight_disjoint_paths(&self.grid, &mask, Axis::TopBottom, self.paths);
-        let lr = if straight_lr.len() == self.paths {
-            straight_lr
-        } else {
-            find_disjoint_paths(&self.grid, &mask, Axis::LeftRight, self.paths)
-        };
-        if lr.len() < self.paths {
-            return None;
-        }
-        let tb = if straight_tb.len() == self.paths {
-            straight_tb
-        } else {
-            find_disjoint_paths(&self.grid, &mask, Axis::TopBottom, self.paths)
-        };
-        if tb.len() < self.paths {
-            return None;
-        }
         let mut out = ServerSet::new(self.universe_size());
-        for p in lr.iter().chain(tb.iter()) {
-            for &v in p {
+        for axis in [Axis::LeftRight, Axis::TopBottom] {
+            let paths = self.live_crossings(&mask, axis);
+            debug_assert_eq!(
+                paths.len(),
+                self.paths,
+                "fewer {axis:?} crossings than the capped search promised"
+            );
+            for v in paths.into_iter().flatten() {
                 out.insert(v);
             }
         }
@@ -426,9 +443,9 @@ impl MinWeightQuorumOracle for MPathSystem {
     /// lines. So the load certified over this family is an upper bound on
     /// `L(M-Path)`, and `CertifiedLoad::lower_bound` bounds the straight-line
     /// family only, not the full system (see `ROADMAP.md`, direction 1).
-    /// `k ·` [`min_price_crossing`] (Dijkstra over the priced triangular
-    /// lattice) lower-bounds any quorum's one-directional path system, which
-    /// the tests pin against this oracle's answers.
+    /// The least total price of `⌈√(2b+1)⌉` disjoint crossings along either
+    /// axis ([`min_cost_crossings`]) lower-bounds every quorum's price; a
+    /// debug assertion and the tests hold this oracle's answers above it.
     fn min_weight_quorum(&self, prices: &[f64]) -> Option<(ServerSet, f64)> {
         let side = self.grid.side();
         let (rows, cols, price) = crate::square::min_price_rows_and_columns(
@@ -439,11 +456,8 @@ impl MinWeightQuorumOracle for MPathSystem {
             crate::mgrid::ORACLE_SUBSET_BUDGET,
         )?;
         debug_assert!(
-            price + 1e-9
-                >= self.paths as f64
-                    * min_price_crossing(&self.grid, prices, Axis::LeftRight)
-                        .max(min_price_crossing(&self.grid, prices, Axis::TopBottom)),
-            "straight-line oracle undercut the Dijkstra crossing bound"
+            price + 1e-9 >= self.crossings_price_bound(prices),
+            "straight-line oracle undercut the disjoint-crossings bound"
         );
         Some((self.straight_union(&rows, &cols), price))
     }
@@ -487,6 +501,7 @@ mod tests {
     use crate::own_answer;
     use bqs_core::bounds::load_lower_bound_universal;
     use bqs_core::prelude::*;
+    use bqs_graph::disjoint_paths::are_disjoint_crossings;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -563,7 +578,7 @@ mod tests {
     #[test]
     fn live_quorum_uses_non_straight_paths_when_needed() {
         // Kill one cell in every row but keep the grid percolating: straight rows are
-        // all broken but max-flow still finds disjoint crossings.
+        // all broken but the path kernel still finds disjoint crossings.
         let m = MPathSystem::new(6, 1).unwrap(); // needs 2 LR + 2 TB paths
         let n = m.universe_size();
         let mut alive = ServerSet::full(n);
@@ -591,13 +606,57 @@ mod tests {
     }
 
     #[test]
+    fn live_crossings_have_the_fewest_servers_when_no_straight_line_survives() {
+        // M-Path(4, 1) with one dead cell in every row and every column: no
+        // straight line survives, so each axis's two crossings come from the
+        // path kernel, and their total size is the least of any alive subset
+        // holding two disjoint crossings that way (brute force over subsets,
+        // decided by the capped search). Here that is 10, not 2 · 4: both
+        // pairs must bend around the dead cells.
+        let m = MPathSystem::new(4, 1).unwrap();
+        let dead = [3usize, 5, 10, 12]; // (0,3), (1,1), (2,2), (3,0)
+        let alive = ServerSet::from_indices(16, (0..16).filter(|v| !dead.contains(v)));
+        let alive_bits: u32 = alive.iter().fold(0, |bits, v| bits | 1 << v);
+        let mask = m.to_mask(&alive);
+        let k = m.paths_per_direction();
+        let mut scratch = CrossingScratch::default();
+        let mut union = ServerSet::new(16);
+        for axis in [Axis::LeftRight, Axis::TopBottom] {
+            assert!(find_straight_disjoint_paths(m.grid(), &mask, axis, 1).is_empty());
+            let paths = m.live_crossings(&mask, axis);
+            assert!(are_disjoint_crossings(m.grid(), axis, &paths));
+            assert!(paths.iter().flatten().all(|&v| mask[v]));
+            let fewest = (0..=alive_bits)
+                .filter(|&s| {
+                    s & !alive_bits == 0
+                        && min_crossing_cost_capped(
+                            4,
+                            |v| s >> v & 1 == 1,
+                            axis.perpendicular(),
+                            k,
+                            &mut scratch,
+                        ) >= k
+                })
+                .map(u32::count_ones)
+                .min()
+                .unwrap();
+            let size: usize = paths.iter().map(Vec::len).sum();
+            assert_eq!((size, fewest), (10, 10), "{axis:?}");
+            for v in paths.into_iter().flatten() {
+                union.insert(v);
+            }
+        }
+        assert_eq!(m.find_live_quorum(&alive), Some(union));
+    }
+
+    #[test]
     fn exact_dp_matches_enumeration_on_small_instances() {
         // Bit-level parity of the transfer-matrix sweep against the engine's
-        // full 2^n enumeration (which checks availability by max-flow), for
-        // every feasible (side <= 4, b) instance.
+        // full 2^n enumeration (which checks availability by the capped
+        // search), for every feasible (side <= 4, b) instance.
         let eval = Evaluator::new();
-        // Full p-grid on side 3; side 4 costs 2^16 max-flow availability
-        // checks per point, so sample the grid more sparsely there.
+        // Full p-grid on side 3; side 4 costs 2^16 availability checks per
+        // point, so sample the grid more sparsely there.
         let cases: &[(usize, usize, &[f64])] = &[
             (3, 0, &[0.05, 0.125, 0.3, 0.5, 0.85]),
             (3, 1, &[0.05, 0.125, 0.3, 0.5, 0.85]),
@@ -814,11 +873,19 @@ mod tests {
                 }
             }
             assert!((v - best).abs() < 1e-12, "seed={seed}: {v} vs {best}");
-            // The Dijkstra bound over the priced lattice never exceeds the
-            // straight-line optimum (bent paths only help the bound).
-            let dij = min_price_crossing(m.grid(), &prices, Axis::LeftRight)
-                .max(min_price_crossing(m.grid(), &prices, Axis::TopBottom));
-            assert!(k as f64 * dij <= v + 1e-9, "seed={seed}");
+            // The least price of `k` disjoint crossings never exceeds the
+            // straight-line optimum (bent paths only help the bound), and is
+            // at least `k` times the cheapest single crossing.
+            let bound = m.crossings_price_bound(&prices);
+            assert!(bound <= v + 1e-9, "seed={seed}: {bound} vs {v}");
+            let single = [Axis::LeftRight, Axis::TopBottom]
+                .map(|axis| {
+                    let path = min_cost_crossings(m.grid(), &prices, axis, 1);
+                    path.iter().flatten().map(|&u| prices[u]).sum::<f64>()
+                })
+                .into_iter()
+                .fold(0.0, f64::max);
+            assert!(k as f64 * single <= bound + 1e-12, "seed={seed}");
         }
     }
 

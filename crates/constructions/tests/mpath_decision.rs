@@ -1,33 +1,45 @@
 //! M-Path's availability decision (the capped blocking-path search) against
-//! the Dinic max-flow it replaced: the same verdict on every configuration,
-//! hence the same Monte-Carlo estimate to the bit, while `find_live_quorum`
-//! still extracts genuine disjoint crossings.
+//! the path count of the flow kernel (successive shortest paths): the same
+//! verdict on every configuration, hence the same Monte-Carlo estimate to the
+//! bit, while `find_live_quorum` extracts genuine disjoint crossings.
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use bqs_constructions::mpath::MPathSystem;
 use bqs_core::prelude::*;
-use bqs_graph::disjoint_paths::{are_disjoint_crossings, find_disjoint_paths};
-use bqs_graph::maxflow::max_vertex_disjoint_paths;
-use bqs_graph::Axis;
+use bqs_graph::disjoint_paths::are_disjoint_crossings;
+use bqs_graph::{min_cost_crossings, Axis};
 
-/// The verdict as the parent commit computed it: two full max-flows.
-fn dinic_verdict(system: &MPathSystem, alive: &ServerSet) -> bool {
-    let mask: Vec<bool> = (0..system.universe_size())
-        .map(|v| alive.contains(v))
-        .collect();
-    let k = system.paths_per_direction();
-    max_vertex_disjoint_paths(system.grid(), &mask, Axis::LeftRight) >= k
-        && max_vertex_disjoint_paths(system.grid(), &mask, Axis::TopBottom) >= k
+/// The alive servers free and the crashed ones unusable.
+fn alive_prices(system: &MPathSystem, alive: &ServerSet) -> Vec<f64> {
+    (0..system.universe_size())
+        .map(|v| {
+            if alive.contains(v) {
+                0.0
+            } else {
+                f64::INFINITY
+            }
+        })
+        .collect()
 }
 
-/// An M-Path system whose availability is answered by Dinic; everything
-/// else forwards. The Monte-Carlo engine draws the same configurations for
-/// it as for the wrapped system.
-struct DinicMPath(MPathSystem);
+/// The verdict by flow: the kernel finds `k` disjoint alive crossings each
+/// way.
+fn flow_verdict(system: &MPathSystem, alive: &ServerSet) -> bool {
+    let prices = alive_prices(system, alive);
+    let k = system.paths_per_direction();
+    [Axis::LeftRight, Axis::TopBottom]
+        .into_iter()
+        .all(|axis| min_cost_crossings(system.grid(), &prices, axis, k).len() == k)
+}
 
-impl QuorumSystem for DinicMPath {
+/// An M-Path system whose availability is answered by the flow kernel;
+/// everything else forwards. The Monte-Carlo engine draws the same
+/// configurations for it as for the wrapped system.
+struct FlowMPath(MPathSystem);
+
+impl QuorumSystem for FlowMPath {
     fn universe_size(&self) -> usize {
         self.0.universe_size()
     }
@@ -45,7 +57,7 @@ impl QuorumSystem for DinicMPath {
     }
 
     fn is_available(&self, alive: &ServerSet) -> bool {
-        dinic_verdict(&self.0, alive)
+        flow_verdict(&self.0, alive)
     }
 
     fn min_quorum_size(&self) -> usize {
@@ -54,7 +66,7 @@ impl QuorumSystem for DinicMPath {
 }
 
 #[test]
-fn every_decision_entry_point_agrees_with_dinic_on_random_configurations() {
+fn every_decision_entry_point_agrees_with_flow_on_random_configurations() {
     let mut rng = StdRng::seed_from_u64(0x6d70);
     let (mut available, mut unavailable) = (0usize, 0usize);
     for side in [5usize, 6, 8, 11, 16, 23, 32] {
@@ -65,7 +77,7 @@ fn every_decision_entry_point_agrees_with_dinic_on_random_configurations() {
             for p in [0.05, 0.125, 0.3, 0.45, 0.5, 0.6] {
                 for _ in 0..4 {
                     let alive = sample_alive_set(n, p, &mut rng);
-                    let expected = dinic_verdict(&system, &alive);
+                    let expected = flow_verdict(&system, &alive);
                     let context = format!("side={side} b={b} p={p}");
                     assert_eq!(system.is_available(&alive), expected, "{context}");
                     assert_eq!(system.contains_quorum(&alive), expected, "{context}");
@@ -78,9 +90,9 @@ fn every_decision_entry_point_agrees_with_dinic_on_random_configurations() {
                     available += 1;
                     assert!(quorum.is_subset_of(&alive), "{context}");
                     assert!(system.contains_quorum(&quorum), "{context}");
-                    let mask: Vec<bool> = (0..n).map(|v| alive.contains(v)).collect();
+                    let prices = alive_prices(&system, &alive);
                     for axis in [Axis::LeftRight, Axis::TopBottom] {
-                        let paths = find_disjoint_paths(system.grid(), &mask, axis, k);
+                        let paths = min_cost_crossings(system.grid(), &prices, axis, k);
                         assert_eq!(paths.len(), k, "{context} {axis:?}");
                         assert!(
                             are_disjoint_crossings(system.grid(), axis, &paths),
@@ -99,14 +111,14 @@ fn every_decision_entry_point_agrees_with_dinic_on_random_configurations() {
 }
 
 /// The decision the exact engine's default count kernel asks mask by mask
-/// agrees with Dinic: every mask of M-Path(4,1) and a sample of M-Path(8,2)'s.
+/// agrees with flow: every mask of M-Path(4,1) and a sample of M-Path(8,2)'s.
 #[test]
-fn word_level_availability_agrees_with_dinic() {
+fn word_level_availability_agrees_with_flow() {
     let small = MPathSystem::new(4, 1).unwrap();
     let mut scratch = ServerSet::new(16);
     for mask in 0u64..(1 << 16) {
         scratch.assign_mask_u64(mask);
-        let expected = dinic_verdict(&small, &scratch);
+        let expected = flow_verdict(&small, &scratch);
         assert_eq!(small.is_available(&scratch), expected, "{mask:#b}");
     }
     let wide = MPathSystem::new(8, 2).unwrap();
@@ -120,18 +132,18 @@ fn word_level_availability_agrees_with_dinic() {
             _ => rng.next_u64() | rng.next_u64() | rng.next_u64(),
         };
         scratch.assign_mask_u64(mask);
-        let expected = dinic_verdict(&wide, &scratch);
+        let expected = flow_verdict(&wide, &scratch);
         assert_eq!(wide.is_available(&scratch), expected, "{mask:#b}");
     }
 }
 
 /// Same RNG draws, same verdict per trial: the estimate is the one the
-/// Dinic-backed system gives, at any thread count.
+/// flow-backed system gives, at any thread count.
 #[test]
-fn monte_carlo_is_bit_identical_to_the_dinic_backed_estimate() {
+fn monte_carlo_is_bit_identical_to_the_flow_backed_estimate() {
     for (side, b, p, trials) in [(8usize, 2usize, 0.3, 2500usize), (32, 7, 0.45, 1300)] {
         let system = MPathSystem::new(side, b).unwrap();
-        let reference = DinicMPath(system.clone());
+        let reference = FlowMPath(system.clone());
         let base = Evaluator::new().with_seed(0xb175).with_trials(trials);
         for threads in [1usize, 3] {
             let evaluator = base.clone().with_threads(threads);

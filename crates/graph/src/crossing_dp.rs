@@ -29,13 +29,14 @@
 //! vertices of a TB path form an LR cut; strong direction: a minimum LR vertex
 //! cut, together with the dead vertices, contains a TB path because the
 //! lattice is self-matching. The test suite pins this identity against the
-//! Dinic max-flow in [`crate::maxflow`] configuration by configuration.)
+//! path count of the flow kernel [`crate::disjoint_paths::min_cost_crossings`]
+//! configuration by configuration.)
 //!
 //! For a single configuration this is all the M-Path availability event
 //! needs: `k` disjoint crossings exist iff the cheapest blocking path costs at
 //! least `k`, and a search that gives up at cost `k`
 //! ([`min_crossing_cost_capped`]) answers that without a flow network. Flow is
-//! only needed to *extract* the crossings.
+//! only needed to *extract* or *price* the crossings.
 //!
 //! # The interface state
 //!
@@ -177,7 +178,8 @@ pub struct CrossingScratch {
 /// vertices cost nothing; `alive(v)` answers for vertex `v = row·side +
 /// col`). By the self-matching duality `c` equals the maximum number of
 /// vertex-disjoint alive crossings of the *perpendicular* axis — the
-/// identity the tests pin against [`crate::maxflow`] — so "are there `k`
+/// identity the tests pin against [`crate::disjoint_paths::min_cost_crossings`]
+/// — so "are there `k`
 /// disjoint alive crossings" is `min_crossing_cost_capped(.., k, ..) >= k`
 /// of the other axis.
 ///
@@ -875,10 +877,21 @@ fn add_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maxflow::max_vertex_disjoint_paths;
+    use crate::disjoint_paths::min_cost_crossings;
     use crate::percolation::PercolationEstimator;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// `min(k, number of vertex-disjoint alive crossings along `axis`)`: the
+    /// flow kernel's path count with every alive vertex free and every dead
+    /// one unusable.
+    fn disjoint_crossings(g: &TriangulatedGrid, alive: &[bool], axis: Axis, k: usize) -> usize {
+        let prices: Vec<f64> = alive
+            .iter()
+            .map(|&a| if a { 0.0 } else { f64::INFINITY })
+            .collect();
+        min_cost_crossings(g, &prices, axis, k).len()
+    }
 
     /// The load-bearing identity: on the self-matching triangulated grid the
     /// max number of vertex-disjoint alive crossings equals the min number of
@@ -889,8 +902,8 @@ mod tests {
         let g = TriangulatedGrid::new(3);
         for mask in 0u32..(1 << 9) {
             let alive: Vec<bool> = (0..9).map(|i| mask >> i & 1 == 1).collect();
-            let flow_lr = max_vertex_disjoint_paths(&g, &alive, Axis::LeftRight);
-            let flow_tb = max_vertex_disjoint_paths(&g, &alive, Axis::TopBottom);
+            let flow_lr = disjoint_crossings(&g, &alive, Axis::LeftRight, 3);
+            let flow_tb = disjoint_crossings(&g, &alive, Axis::TopBottom, 3);
             assert_eq!(
                 flow_lr,
                 min_crossing_cost(&g, &alive, Axis::TopBottom),
@@ -915,12 +928,12 @@ mod tests {
                     .map(|_| rng.gen::<f64>() >= p)
                     .collect();
                 assert_eq!(
-                    max_vertex_disjoint_paths(&g, &alive, Axis::LeftRight),
+                    disjoint_crossings(&g, &alive, Axis::LeftRight, side),
                     min_crossing_cost(&g, &alive, Axis::TopBottom),
                     "side={side}"
                 );
                 assert_eq!(
-                    max_vertex_disjoint_paths(&g, &alive, Axis::TopBottom),
+                    disjoint_crossings(&g, &alive, Axis::TopBottom, side),
                     min_crossing_cost(&g, &alive, Axis::LeftRight),
                     "side={side}"
                 );
@@ -928,22 +941,25 @@ mod tests {
         }
     }
 
-    /// Brute-force reference: joint crash probability by summing over all
-    /// `2^n` configurations with max-flow availability checks.
-    fn brute_force_crash_probability(side: usize, k: usize, p: f64) -> f64 {
+    /// Brute-force reference: joint crash probability at every point of
+    /// `ps`, summing over all `2^n` configurations with the flow kernel's
+    /// availability check.
+    fn brute_force_crash_probabilities(side: usize, k: usize, ps: &[f64]) -> Vec<f64> {
         let g = TriangulatedGrid::new(side);
         let n = g.num_vertices();
-        let mut total = 0.0;
+        let mut totals = vec![0.0; ps.len()];
         for mask in 0u64..(1 << n) {
             let alive: Vec<bool> = (0..n).map(|i| mask >> i & 1 == 1).collect();
-            let ok = max_vertex_disjoint_paths(&g, &alive, Axis::LeftRight) >= k
-                && max_vertex_disjoint_paths(&g, &alive, Axis::TopBottom) >= k;
+            let ok = disjoint_crossings(&g, &alive, Axis::LeftRight, k) == k
+                && disjoint_crossings(&g, &alive, Axis::TopBottom, k) == k;
             if !ok {
                 let a = mask.count_ones() as i32;
-                total += (1.0 - p).powi(a) * p.powi(n as i32 - a);
+                for (total, &p) in totals.iter_mut().zip(ps) {
+                    *total += (1.0 - p).powi(a) * p.powi(n as i32 - a);
+                }
             }
         }
-        total
+        totals
     }
 
     /// One exact lane.
@@ -969,11 +985,12 @@ mod tests {
 
     #[test]
     fn dp_matches_brute_force_on_small_grids() {
+        let ps = [0.0, 0.1, 0.33, 0.5, 0.77, 1.0];
         for side in [1usize, 2, 3] {
             for k in 1..=side {
-                for &p in &[0.0, 0.1, 0.33, 0.5, 0.77, 1.0] {
+                let brutes = brute_force_crash_probabilities(side, k, &ps);
+                for (&p, brute) in ps.iter().zip(brutes) {
                     let dp = exact_at(side, k, p, 1 << 22).unwrap();
-                    let brute = brute_force_crash_probability(side, k, p);
                     assert!(
                         (dp - brute).abs() < 1e-12,
                         "side={side} k={k} p={p}: dp {dp} vs brute {brute}"
@@ -985,12 +1002,13 @@ mod tests {
 
     #[test]
     fn dp_matches_brute_force_side_4() {
-        // 2^16 max-flow evaluations per (k, p) point: keep the grid of points
-        // small but cover every k the M-Path construction can ask for.
+        // 2^17 flow evaluations per k: keep the grid of points small but
+        // cover every k the M-Path construction can ask for.
+        let ps = [0.125, 0.4];
         for k in [1usize, 2, 3] {
-            for &p in &[0.125, 0.4] {
+            let brutes = brute_force_crash_probabilities(4, k, &ps);
+            for (&p, brute) in ps.iter().zip(brutes) {
                 let dp = exact_at(4, k, p, 1 << 22).unwrap();
-                let brute = brute_force_crash_probability(4, k, p);
                 assert!(
                     (dp - brute).abs() < 1e-12,
                     "k={k} p={p}: dp {dp} vs brute {brute}"
@@ -1114,7 +1132,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         for &p in &[0.15, 0.5, 0.8] {
             let exact = crossing_at(6, p, 1 << 22).unwrap();
-            let mc = est.estimate_crossing_probability(p, Axis::LeftRight, 2000, &mut rng);
+            let mc =
+                est.estimate_disjoint_crossings_probability(p, Axis::LeftRight, 1, 2000, &mut rng);
             assert!(
                 (exact - mc.mean).abs() <= mc.ci95_half_width() + 0.02,
                 "p={p}: exact {exact} vs mc {} ± {}",
@@ -1291,13 +1310,13 @@ mod tests {
     #[test]
     fn k1_sweep_matches_enumerated_open_crossing_probability() {
         for side in [3usize, 4] {
-            let est = PercolationEstimator::new(side);
+            let g = TriangulatedGrid::new(side);
             let n = side * side;
             for p in [0.1_f64, 0.33, 0.5, 0.77] {
                 let mut enumerated = 0.0;
                 for mask in 0u32..(1 << n) {
                     let alive: Vec<bool> = (0..n).map(|i| mask >> i & 1 == 1).collect();
-                    if est.has_open_crossing(&alive, Axis::LeftRight) {
+                    if disjoint_crossings(&g, &alive, Axis::LeftRight, 1) == 1 {
                         let a = mask.count_ones() as i32;
                         enumerated += (1.0 - p).powi(a) * p.powi(n as i32 - a);
                     }

@@ -1,130 +1,172 @@
-//! Extraction of explicit vertex-disjoint crossing paths from a max-flow solution.
+//! Vertex-disjoint crossings of the triangulated grid: the one path kernel.
 //!
-//! The max-flow value tells us *how many* disjoint crossings exist; M-Path quorum
-//! construction also needs the actual vertex sets, so that a quorum (a union of
-//! `√(2b+1)` LR paths and `√(2b+1)` TB paths) can be materialised and handed to the
-//! replicated-data protocol layer.
+//! [`min_cost_crossings`] finds `k` vertex-disjoint crossings of least total
+//! vertex price by successive shortest paths on the node-split network
+//! (Menger: vertex `v` becomes `v_in → v_out` with capacity 1 and its price as
+//! cost). It serves every job that needs the paths themselves or their price:
+//!
+//! * price 1 on the alive vertices and `∞` on the dead extracts the `k`
+//!   crossings of an M-Path quorum with the fewest servers;
+//! * general non-negative prices give the least price of `k` disjoint
+//!   crossings, which lower-bounds the price of any M-Path quorum;
+//! * `k = 1` is the cheapest single crossing.
+//!
+//! Whether `k` disjoint crossings exist at all is decided without a network by
+//! the capped blocking-path search
+//! [`crate::crossing_dp::min_crossing_cost_capped`]; the tests hold the
+//! kernel's path count to that search configuration by configuration.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::grid::{Axis, TriangulatedGrid};
-use crate::maxflow::build_disjoint_path_network;
 
-/// The minimum total vertex price of a single crossing path along `axis`,
-/// by Dijkstra over the priced triangulated lattice (prices must be
-/// non-negative; a path pays every vertex it visits, endpoints included).
+/// One arc of the node-split residual network. `cap` is 1 on a network arc
+/// and 0 on its reverse; `flow` is antisymmetric between the two.
+#[derive(Debug, Clone, Copy)]
+struct Arc {
+    to: usize,
+    rev: usize,
+    cap: i8,
+    flow: i8,
+    cost: f64,
+}
+
+fn add_arc(net: &mut [Vec<Arc>], from: usize, to: usize, cost: f64) {
+    let (rev_from, rev_to) = (net[to].len(), net[from].len());
+    net[from].push(Arc {
+        to,
+        rev: rev_from,
+        cap: 1,
+        flow: 0,
+        cost,
+    });
+    net[to].push(Arc {
+        to: from,
+        rev: rev_to,
+        cap: 0,
+        flow: 0,
+        cost: -cost,
+    });
+}
+
+/// At most `k` vertex-disjoint crossings of `grid` along `axis` whose total
+/// vertex price is least among all sets of that many; each path runs from
+/// the source side to the sink side and pays every vertex it visits.
+/// `f64::INFINITY` marks a vertex no path may use. Fewer than `k` paths come
+/// back only when fewer disjoint crossings of usable vertices exist.
 ///
-/// This is the load-engine counterpart of
-/// [`crate::crossing_dp::min_crossing_cost`] with real-valued prices instead
-/// of alive-counts: `k` vertex-disjoint crossings each cost at least this
-/// much, so `k ·` this value lower-bounds the price of any M-Path quorum's
-/// one-directional path system — the cross-check the M-Path pricing oracle
-/// is validated against.
+/// Successive shortest paths: each augmentation is one Dijkstra over reduced
+/// costs under Johnson potentials, which keep every residual arc's reduced
+/// cost non-negative (a reduced cost that rounds below 0 counts as 0).
 ///
 /// # Panics
 ///
-/// Panics if `prices.len()` differs from the vertex count.
+/// Panics if `prices.len()` differs from the vertex count or a price is
+/// negative or NaN.
 #[must_use]
-pub fn min_price_crossing(grid: &TriangulatedGrid, prices: &[f64], axis: Axis) -> f64 {
-    let n = grid.num_vertices();
-    assert_eq!(prices.len(), n, "one price per vertex required");
-    let mut dist = vec![f64::INFINITY; n];
-    // BinaryHeap is a max-heap over the ordered bit pattern; Reverse of the
-    // non-negative price's bits yields a min-heap (f64 bit order matches
-    // numeric order for non-negative values).
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    for s in grid.sources(axis) {
-        if prices[s] < dist[s] {
-            dist[s] = prices[s];
-            heap.push(Reverse((prices[s].to_bits(), s)));
-        }
-    }
-    while let Some(Reverse((dbits, v))) = heap.pop() {
-        let d = f64::from_bits(dbits);
-        if d > dist[v] {
-            continue;
-        }
-        for u in grid.neighbors(v) {
-            let nd = d + prices[u];
-            if nd < dist[u] {
-                dist[u] = nd;
-                heap.push(Reverse((nd.to_bits(), u)));
-            }
-        }
-    }
-    grid.sinks(axis)
-        .into_iter()
-        .map(|t| dist[t])
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// Finds up to `want` vertex-disjoint crossing paths along `axis` using only `alive`
-/// vertices. Returns the extracted paths (each a vertex-index sequence from the
-/// source side to the sink side). Fewer than `want` paths are returned when the grid
-/// does not contain that many disjoint crossings.
-#[must_use]
-pub fn find_disjoint_paths(
+pub fn min_cost_crossings(
     grid: &TriangulatedGrid,
-    alive: &[bool],
+    prices: &[f64],
     axis: Axis,
-    want: usize,
+    k: usize,
 ) -> Vec<Vec<usize>> {
     let n = grid.num_vertices();
-    let (mut net, source, sink) = build_disjoint_path_network(grid, alive, axis);
-    let available = net.max_flow(source, sink) as usize;
-    let count = available.min(want);
-    if count == 0 {
-        return Vec::new();
+    assert_eq!(prices.len(), n, "one price per vertex required");
+    assert!(
+        prices.iter().all(|&p| p >= 0.0),
+        "prices must be non-negative"
+    );
+    // `v_in = 2v`, `v_out = 2v + 1`, then the super-source and super-sink.
+    let (source, sink) = (2 * n, 2 * n + 1);
+    let usable = |v: usize| prices[v] < f64::INFINITY;
+    let mut net: Vec<Vec<Arc>> = vec![Vec::new(); 2 * n + 2];
+    for v in (0..n).filter(|&v| usable(v)) {
+        add_arc(&mut net, 2 * v, 2 * v + 1, prices[v]);
+        for u in grid.neighbors(v).into_iter().filter(|&u| usable(u)) {
+            add_arc(&mut net, 2 * v + 1, 2 * u, 0.0);
+        }
+    }
+    for s in grid.sources(axis).into_iter().filter(|&s| usable(s)) {
+        add_arc(&mut net, source, 2 * s, 0.0);
+    }
+    for t in grid.sinks(axis).into_iter().filter(|&t| usable(t)) {
+        add_arc(&mut net, 2 * t + 1, sink, 0.0);
     }
 
-    // Walk the flow decomposition: from each saturated source edge, follow unit flow
-    // through the split graph until the sink.
-    let flow = net.flow_edges();
-    let mut used_flow: Vec<Vec<bool>> = flow.iter().map(|edges| vec![false; edges.len()]).collect();
-    let mut paths = Vec::new();
-
-    'outer: for (src_idx, &(first, _)) in flow[source].iter().enumerate() {
-        if paths.len() == count {
-            break;
-        }
-        if used_flow[source][src_idx] {
-            continue;
-        }
-        used_flow[source][src_idx] = true;
-        let mut path_vertices = Vec::new();
-        let mut node = first; // an `in` node (2v)
-        loop {
-            if node == sink {
-                break;
+    let mut potential = vec![0.0; net.len()];
+    let mut dist = vec![f64::INFINITY; net.len()];
+    // The arc each node was last reached by: `(from, index in net[from])`.
+    let mut via = vec![(source, 0); net.len()];
+    // Non-negative f64s order like their bit patterns.
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+    for _ in 0..k {
+        dist.fill(f64::INFINITY);
+        dist[source] = 0.0;
+        heap.push(Reverse((0.0_f64.to_bits(), source)));
+        while let Some(Reverse((bits, v))) = heap.pop() {
+            let d = f64::from_bits(bits);
+            if d > dist[v] {
+                continue;
             }
-            if node % 2 == 0 && node < 2 * n {
-                path_vertices.push(node / 2);
-            }
-            // Follow an unused flow edge out of this node.
-            let mut advanced = false;
-            for (i, &(to, _)) in flow[node].iter().enumerate() {
-                if !used_flow[node][i] {
-                    used_flow[node][i] = true;
-                    node = to;
-                    advanced = true;
-                    break;
+            for (i, arc) in net[v].iter().enumerate() {
+                if arc.flow == arc.cap {
+                    continue;
+                }
+                let reduced = (arc.cost + potential[v] - potential[arc.to]).max(0.0);
+                if d + reduced < dist[arc.to] {
+                    dist[arc.to] = d + reduced;
+                    via[arc.to] = (v, i);
+                    heap.push(Reverse(((d + reduced).to_bits(), arc.to)));
                 }
             }
-            if !advanced {
-                // Flow decomposition should never dead-end; skip defensively.
-                continue 'outer;
-            }
         }
-        paths.push(path_vertices);
+        let reach = dist[sink];
+        if reach == f64::INFINITY {
+            break;
+        }
+        // Capping at the sink's distance keeps the reduced costs of arcs out
+        // of unreached nodes non-negative too.
+        for (pi, &d) in potential.iter_mut().zip(&dist) {
+            *pi += d.min(reach);
+        }
+        let mut v = sink;
+        while v != source {
+            let (u, i) = via[v];
+            net[u][i].flow += 1;
+            let rev = net[u][i].rev;
+            net[v][rev].flow -= 1;
+            v = u;
+        }
     }
-    paths
+
+    // Every unit leaving the source reaches the sink along the one flow arc
+    // out of each node it enters: a vertex carries at most one unit.
+    net[source]
+        .iter()
+        .filter(|arc| arc.flow == 1)
+        .map(|first| {
+            let mut path = Vec::new();
+            let mut node = first.to;
+            while node != sink {
+                if node % 2 == 0 {
+                    path.push(node / 2);
+                }
+                node = net[node]
+                    .iter()
+                    .find(|arc| arc.flow == 1)
+                    .expect("flow enters a node it does not leave")
+                    .to;
+            }
+            path
+        })
+        .collect()
 }
 
 /// Greedily selects `want` *straight* disjoint lines (rows for LR, columns for TB)
 /// whose vertices are all alive. This is the access pattern of the optimal-load
-/// strategy in Proposition 7.2; it is cheaper than max-flow but only succeeds when
-/// enough fully-alive straight lines exist.
+/// strategy in Proposition 7.2; it is cheaper than [`min_cost_crossings`] but only
+/// succeeds when enough fully-alive straight lines exist.
 #[must_use]
 pub fn find_straight_disjoint_paths(
     grid: &TriangulatedGrid,
@@ -167,46 +209,70 @@ pub fn are_disjoint_crossings(grid: &TriangulatedGrid, axis: Axis, paths: &[Vec<
 mod tests {
     use super::*;
 
+    /// Price 0 on `alive`, `∞` elsewhere.
+    fn alive_prices(alive: &[bool]) -> Vec<f64> {
+        alive
+            .iter()
+            .map(|&a| if a { 0.0 } else { f64::INFINITY })
+            .collect()
+    }
+
+    fn total_price(paths: &[Vec<usize>], prices: &[f64]) -> f64 {
+        paths.iter().flatten().map(|&v| prices[v]).sum()
+    }
+
     #[test]
-    fn min_price_crossing_matches_straight_line_on_uniform_prices() {
-        // Uniform prices: every crossing visits at least `side` vertices, and
-        // the straight lines achieve exactly that.
+    fn one_crossing_on_uniform_prices_costs_a_straight_line() {
+        // Every crossing visits at least `side` vertices, and the straight
+        // lines achieve exactly that.
         let g = TriangulatedGrid::new(6);
         let prices = vec![0.25; 36];
         for axis in [Axis::LeftRight, Axis::TopBottom] {
-            let v = min_price_crossing(&g, &prices, axis);
-            assert!((v - 6.0 * 0.25).abs() < 1e-12, "{axis:?}: {v}");
+            let paths = min_cost_crossings(&g, &prices, axis, 1);
+            assert_eq!(paths.len(), 1);
+            assert!((total_price(&paths, &prices) - 6.0 * 0.25).abs() < 1e-12);
         }
     }
 
     #[test]
-    fn min_price_crossing_takes_detours_around_expensive_cells() {
-        // Make row 1 nearly free except its straight continuation: the
-        // cheapest LR crossing must weave through the cheap cells.
+    fn cheapest_crossing_detours_around_expensive_cells() {
+        // Row 1 is nearly free except its middle: the cheapest LR crossing
+        // weaves through the cheap cells.
         let g = TriangulatedGrid::new(4);
         let mut prices = vec![1.0; 16];
         for c in 0..4 {
             prices[g.index(1, c)] = 0.01;
         }
-        prices[g.index(1, 2)] = 5.0; // block the middle of the cheap row
-        let v = min_price_crossing(&g, &prices, Axis::LeftRight);
+        prices[g.index(1, 2)] = 5.0;
+        let paths = min_cost_crossings(&g, &prices, Axis::LeftRight, 1);
+        let v = total_price(&paths, &prices);
         // Cheap cells + one detour vertex beats both the straight cheap row
         // (0.03 + 5) and a fully expensive row (4.0).
-        assert!(v < 4.0, "v={v}");
-        assert!(v >= 0.03, "v={v}");
-        // Lower-bounds the cheapest straight row by construction.
-        let cheapest_row: f64 = (0..4)
-            .map(|r| (0..4).map(|c| prices[g.index(r, c)]).sum::<f64>())
-            .fold(f64::INFINITY, f64::min);
-        assert!(v <= cheapest_row + 1e-12);
+        assert!((0.03..4.0).contains(&v), "v={v}");
+        assert!(are_disjoint_crossings(&g, Axis::LeftRight, &paths));
+    }
+
+    #[test]
+    fn full_grid_has_side_many_disjoint_crossings() {
+        for side in [1usize, 2, 3, 5, 8] {
+            let g = TriangulatedGrid::new(side);
+            let prices = vec![1.0; g.num_vertices()];
+            for axis in [Axis::LeftRight, Axis::TopBottom] {
+                let paths = min_cost_crossings(&g, &prices, axis, side + 1);
+                assert_eq!(paths.len(), side);
+                assert!(are_disjoint_crossings(&g, axis, &paths));
+                // The straight lines are the only way to fit `side` of them.
+                assert_eq!(total_price(&paths, &prices), (side * side) as f64);
+            }
+        }
     }
 
     #[test]
     fn extracts_requested_number_on_full_grid() {
         let g = TriangulatedGrid::new(6);
-        let alive = vec![true; g.num_vertices()];
-        for want in [1usize, 2, 4, 6] {
-            let paths = find_disjoint_paths(&g, &alive, Axis::LeftRight, want);
+        let prices = vec![0.0; g.num_vertices()];
+        for want in [0usize, 1, 2, 4, 6] {
+            let paths = min_cost_crossings(&g, &prices, Axis::LeftRight, want);
             assert_eq!(paths.len(), want);
             assert!(are_disjoint_crossings(&g, Axis::LeftRight, &paths));
         }
@@ -216,17 +282,18 @@ mod tests {
     fn respects_availability_limit() {
         let g = TriangulatedGrid::new(4);
         let mut alive = vec![true; g.num_vertices()];
-        // Kill two full rows: at most 2 disjoint LR crossings remain.
+        // Kill two full rows: at most 2 disjoint LR crossings remain, and
+        // no TB crossing.
         for c in 0..4 {
             alive[g.index(1, c)] = false;
             alive[g.index(3, c)] = false;
         }
-        let paths = find_disjoint_paths(&g, &alive, Axis::LeftRight, 4);
+        let prices = alive_prices(&alive);
+        let paths = min_cost_crossings(&g, &prices, Axis::LeftRight, 4);
         assert_eq!(paths.len(), 2);
         assert!(are_disjoint_crossings(&g, Axis::LeftRight, &paths));
-        for p in &paths {
-            assert!(p.iter().all(|&v| alive[v]));
-        }
+        assert!(paths.iter().flatten().all(|&v| alive[v]));
+        assert!(min_cost_crossings(&g, &prices, Axis::TopBottom, 1).is_empty());
     }
 
     #[test]
@@ -236,7 +303,29 @@ mod tests {
         for r in 0..3 {
             alive[g.index(r, 1)] = false; // middle column dead severs LR
         }
-        assert!(find_disjoint_paths(&g, &alive, Axis::LeftRight, 2).is_empty());
+        let prices = alive_prices(&alive);
+        assert!(min_cost_crossings(&g, &prices, Axis::LeftRight, 2).is_empty());
+        assert_eq!(min_cost_crossings(&g, &prices, Axis::TopBottom, 3).len(), 2);
+    }
+
+    #[test]
+    fn anti_diagonal_edges_keep_crossings_past_a_dead_diagonal() {
+        // (0,0), (1,1), (2,2) dead on a 3x3 grid: crossings survive through
+        // the anti-diagonal edges, but strictly fewer than 3.
+        let g = TriangulatedGrid::new(3);
+        let mut alive = vec![true; g.num_vertices()];
+        for i in 0..3 {
+            alive[g.index(i, i)] = false;
+        }
+        let lr = min_cost_crossings(&g, &alive_prices(&alive), Axis::LeftRight, 3);
+        assert!((1..=2).contains(&lr.len()), "{lr:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn negative_prices_are_rejected() {
+        let g = TriangulatedGrid::new(2);
+        let _ = min_cost_crossings(&g, &[0.0, -1.0, 0.0, 0.0], Axis::LeftRight, 1);
     }
 
     #[test]
@@ -259,15 +348,6 @@ mod tests {
         // Only row 2 remains fully alive.
         let paths = find_straight_disjoint_paths(&g, &alive, Axis::LeftRight, 3);
         assert_eq!(paths.len(), 1);
-    }
-
-    #[test]
-    fn tb_paths_extracted_and_disjoint() {
-        let g = TriangulatedGrid::new(5);
-        let alive = vec![true; g.num_vertices()];
-        let paths = find_disjoint_paths(&g, &alive, Axis::TopBottom, 3);
-        assert_eq!(paths.len(), 3);
-        assert!(are_disjoint_crossings(&g, Axis::TopBottom, &paths));
     }
 
     #[test]

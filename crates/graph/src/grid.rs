@@ -235,7 +235,8 @@ mod tests {
 
     #[test]
     fn neighbours_come_in_the_documented_order() {
-        // Dinic's augmentation order, hence every extracted path, follows it.
+        // The path kernel scans arcs in this order, so which of several
+        // equally cheap crossings it extracts follows it.
         let g = TriangulatedGrid::new(4);
         let at = |r, c| g.index(r, c);
         let interior = g.neighbors(at(1, 2));

@@ -7,10 +7,10 @@
 //!
 //! * [`grid`] — the triangulated grid graph itself (the triangular lattice of
 //!   \[WB92\]/\[Baz96\] used by the paper),
-//! * [`maxflow`] — Dinic's algorithm on unit-capacity node-split networks, giving the
-//!   maximum number of vertex-disjoint paths between two vertex sets (Menger): the
-//!   engine behind path *extraction*, and the reference the tests hold the duality to,
-//! * [`disjoint_paths`] — extraction of explicit disjoint paths from a flow,
+//! * [`disjoint_paths`] — the one path kernel, [`min_cost_crossings`]: `k`
+//!   vertex-disjoint crossings of least total vertex price by successive shortest
+//!   paths on the node-split network (Menger). It extracts the paths of a quorum
+//!   and prices path systems,
 //! * [`crossing_dp`] — the self-matching duality `maxflow = min blocking-path cost`,
 //!   twice: per configuration, a capped 0-1 BFS that *decides* "are there `k`
 //!   disjoint alive crossings" without building a network
@@ -18,19 +18,21 @@
 //!   M-Path crash probabilities by a column-sweep transfer-matrix DP over
 //!   boundary-interface states,
 //! * [`percolation`] — Monte-Carlo site percolation on the triangulated grid, used to
-//!   reproduce the availability results of Section 7 / Appendix B; every trial is one
-//!   or two calls of the capped search.
+//!   reproduce the crossing results of Appendix B; every trial is one call of the
+//!   capped search.
 //!
 //! # Example
 //!
 //! ```
-//! use bqs_graph::grid::TriangulatedGrid;
-//! use bqs_graph::maxflow::max_vertex_disjoint_lr_paths;
+//! use bqs_graph::{min_cost_crossings, Axis, TriangulatedGrid};
 //!
 //! let grid = TriangulatedGrid::new(5);
-//! let all_alive = vec![true; grid.num_vertices()];
-//! // A fully-alive 5x5 grid supports 5 disjoint left-right paths (the rows).
-//! assert_eq!(max_vertex_disjoint_lr_paths(&grid, &all_alive), 5);
+//! let unit_prices = vec![1.0; grid.num_vertices()];
+//! // A fully-alive 5x5 grid supports 5 disjoint left-right paths (the rows),
+//! // and no 6th.
+//! let rows = min_cost_crossings(&grid, &unit_prices, Axis::LeftRight, 6);
+//! assert_eq!(rows.len(), 5);
+//! assert!(rows.iter().all(|path| path.len() == 5));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,16 +41,12 @@
 pub mod crossing_dp;
 pub mod disjoint_paths;
 pub mod grid;
-pub mod maxflow;
 pub mod percolation;
 
 pub use crossing_dp::{
     crossing_probability, min_crossing_cost, min_crossing_cost_capped, mpath_crash_probability,
     CrossingScratch,
 };
-pub use disjoint_paths::min_price_crossing;
+pub use disjoint_paths::min_cost_crossings;
 pub use grid::{Axis, TriangulatedGrid};
-pub use maxflow::{
-    max_vertex_disjoint_lr_paths, max_vertex_disjoint_paths, max_vertex_disjoint_tb_paths,
-};
 pub use percolation::PercolationEstimator;

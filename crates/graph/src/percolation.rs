@@ -6,11 +6,11 @@
 //! exist with probability `1 − e^{−ψ(p)√n}` (Theorem B.1), and `r+1` disjoint
 //! crossings exist with essentially the same behaviour (Theorem B.3).
 //!
-//! This module provides the Monte-Carlo estimators that reproduce those statements
-//! numerically: the probability of an open left-right crossing, the probability of
-//! `k` vertex-disjoint open crossings, and the crash probability of the M-Path quorum
-//! system (no quorum alive ⇔ fewer than `√(2b+1)` disjoint open crossings in at least
-//! one of the two directions).
+//! This module provides the Monte-Carlo estimator that reproduces those statements
+//! numerically: the probability of `k` vertex-disjoint open crossings, `k = 1` being
+//! the plain open-crossing probability of Theorem B.1. The M-Path crash probability
+//! is `bqs_core`'s `Evaluator::monte_carlo` over the M-Path system, whose trials run
+//! the same search.
 //!
 //! Every trial is decided by the capped blocking-path search of
 //! [`crate::crossing_dp::min_crossing_cost_capped`]: `k` disjoint open crossings of an
@@ -80,38 +80,10 @@ impl PercolationEstimator {
             .collect()
     }
 
-    /// Whether `k` vertex-disjoint open (all-alive) crossings along `axis` exist.
-    fn has_disjoint_crossings(
-        &self,
-        alive: &[bool],
-        axis: Axis,
-        k: usize,
-        scratch: &mut CrossingScratch,
-    ) -> bool {
-        let blocking = axis.perpendicular();
-        min_crossing_cost_capped(self.grid.side(), |v| alive[v], blocking, k, scratch) >= k
-    }
-
-    /// Returns true if an open (all-alive) crossing along `axis` exists.
-    #[must_use]
-    pub fn has_open_crossing(&self, alive: &[bool], axis: Axis) -> bool {
-        self.has_disjoint_crossings(alive, axis, 1, &mut CrossingScratch::default())
-    }
-
-    /// Estimates `P[an open crossing along `axis` exists]` when each vertex crashes
-    /// independently with probability `p` (Theorem B.1 quantity).
-    pub fn estimate_crossing_probability<R: Rng + ?Sized>(
-        &self,
-        p: f64,
-        axis: Axis,
-        trials: usize,
-        rng: &mut R,
-    ) -> Estimate {
-        self.estimate_disjoint_crossings_probability(p, axis, 1, trials, rng)
-    }
-
     /// Estimates `P[at least k vertex-disjoint open crossings along `axis` exist]`
-    /// (the `I_{k-1}(LR)` event of Theorem B.3).
+    /// when each vertex crashes independently with probability `p`: the
+    /// `I_{k-1}(LR)` event of Theorem B.3, and for `k = 1` the open-crossing
+    /// probability of Theorem B.1.
     pub fn estimate_disjoint_crossings_probability<R: Rng + ?Sized>(
         &self,
         p: f64,
@@ -121,39 +93,16 @@ impl PercolationEstimator {
         rng: &mut R,
     ) -> Estimate {
         assert!(trials > 0, "at least one trial required");
+        let (side, blocking) = (self.grid.side(), axis.perpendicular());
         let mut scratch = CrossingScratch::default();
         let mut successes = 0usize;
         for _ in 0..trials {
             let alive = self.sample_alive(p, rng);
-            if self.has_disjoint_crossings(&alive, axis, k, &mut scratch) {
+            if min_crossing_cost_capped(side, |v| alive[v], blocking, k, &mut scratch) >= k {
                 successes += 1;
             }
         }
         Estimate::from_successes(successes, trials)
-    }
-
-    /// Estimates the M-Path crash probability: the probability that the grid does
-    /// *not* contain `k` disjoint open LR crossings and `k` disjoint open TB
-    /// crossings simultaneously (i.e. no M-Path quorum of `k + k` paths survives).
-    pub fn estimate_mpath_crash_probability<R: Rng + ?Sized>(
-        &self,
-        p: f64,
-        k: usize,
-        trials: usize,
-        rng: &mut R,
-    ) -> Estimate {
-        assert!(trials > 0, "at least one trial required");
-        let mut scratch = CrossingScratch::default();
-        let mut failures = 0usize;
-        for _ in 0..trials {
-            let alive = self.sample_alive(p, rng);
-            if !(self.has_disjoint_crossings(&alive, Axis::LeftRight, k, &mut scratch)
-                && self.has_disjoint_crossings(&alive, Axis::TopBottom, k, &mut scratch))
-            {
-                failures += 1;
-            }
-        }
-        Estimate::from_successes(failures, trials)
     }
 }
 
@@ -189,37 +138,27 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn no_failures_always_crosses() {
-        let est = PercolationEstimator::new(6);
-        let alive = vec![true; 36];
-        assert!(est.has_open_crossing(&alive, Axis::LeftRight));
-        assert!(est.has_open_crossing(&alive, Axis::TopBottom));
-    }
-
-    #[test]
-    fn all_failed_never_crosses() {
-        let est = PercolationEstimator::new(4);
-        let alive = vec![false; 16];
-        assert!(!est.has_open_crossing(&alive, Axis::LeftRight));
-        assert!(!est.has_open_crossing(&alive, Axis::TopBottom));
-    }
-
-    #[test]
     fn crossing_probability_extremes() {
         let est = PercolationEstimator::new(5);
         let mut rng = StdRng::seed_from_u64(7);
-        let p0 = est.estimate_crossing_probability(0.0, Axis::LeftRight, 50, &mut rng);
-        assert_eq!(p0.mean, 1.0);
-        let p1 = est.estimate_crossing_probability(1.0, Axis::LeftRight, 50, &mut rng);
-        assert_eq!(p1.mean, 0.0);
+        for axis in [Axis::LeftRight, Axis::TopBottom] {
+            for k in [1usize, 5] {
+                let p0 = est.estimate_disjoint_crossings_probability(0.0, axis, k, 50, &mut rng);
+                assert_eq!(p0.mean, 1.0);
+                let p1 = est.estimate_disjoint_crossings_probability(1.0, axis, k, 50, &mut rng);
+                assert_eq!(p1.mean, 0.0);
+            }
+        }
     }
 
     #[test]
     fn crossing_probability_decreases_in_p() {
         let est = PercolationEstimator::new(8);
         let mut rng = StdRng::seed_from_u64(42);
-        let lo = est.estimate_crossing_probability(0.1, Axis::LeftRight, 400, &mut rng);
-        let hi = est.estimate_crossing_probability(0.7, Axis::LeftRight, 400, &mut rng);
+        let lo =
+            est.estimate_disjoint_crossings_probability(0.1, Axis::LeftRight, 1, 400, &mut rng);
+        let hi =
+            est.estimate_disjoint_crossings_probability(0.7, Axis::LeftRight, 1, 400, &mut rng);
         assert!(lo.mean > hi.mean, "lo={} hi={}", lo.mean, hi.mean);
         // Sub-critical p=0.1 should essentially always cross on an 8x8 grid.
         assert!(lo.mean > 0.9);
@@ -236,16 +175,6 @@ mod tests {
         let three =
             est.estimate_disjoint_crossings_probability(0.15, Axis::LeftRight, 3, 300, &mut rng);
         assert!(one.mean >= three.mean - 1e-12);
-    }
-
-    #[test]
-    fn mpath_crash_probability_low_when_p_small() {
-        let est = PercolationEstimator::new(8);
-        let mut rng = StdRng::seed_from_u64(11);
-        let fp = est.estimate_mpath_crash_probability(0.05, 2, 300, &mut rng);
-        assert!(fp.mean < 0.2, "Fp={}", fp.mean);
-        let fp_high = est.estimate_mpath_crash_probability(0.6, 2, 300, &mut rng);
-        assert!(fp_high.mean > 0.8, "Fp={}", fp_high.mean);
     }
 
     #[test]
@@ -287,7 +216,7 @@ mod tests {
         let est = PercolationEstimator::new(7);
         let mut rng = StdRng::seed_from_u64(99);
         let p = 0.1;
-        let mc = est.estimate_crossing_probability(p, Axis::LeftRight, 400, &mut rng);
+        let mc = est.estimate_disjoint_crossings_probability(p, Axis::LeftRight, 1, 400, &mut rng);
         let bound = crossing_probability_lower_bound(7, p);
         assert!(
             mc.mean + mc.ci95_half_width() >= bound,

@@ -136,12 +136,13 @@ fn boostfpp_paper_instance_is_exact_at_all_sweep_points() {
 }
 
 /// M-Path transfer-matrix DP parity with enumeration on every feasible
-/// `side ≤ 4` instance (the enumeration checks availability by max-flow, so
-/// this also pins the self-matching duality end to end).
+/// `side ≤ 4` instance (the enumeration checks availability by the capped
+/// blocking-path search, so this pins the sweep against the per-configuration
+/// decision end to end).
 #[test]
 fn mpath_dp_parity_with_enumeration() {
     let eval = Evaluator::new();
-    // Side 4 costs 2^16 max-flow availability checks per point and is already
+    // Side 4 costs 2^16 availability checks per point and is already
     // covered (at both b values) by the bqs-constructions unit tests; the
     // facade-level smoke keeps the cheap side-3 instances.
     let cases: &[(usize, usize, &[f64])] = &[
