@@ -1,15 +1,17 @@
 //! Criterion benchmarks for the M-Path machinery (the ablation called out in
 //! DESIGN.md): straight-line quorum discovery versus general discovery by the path
 //! kernel, the availability *decision* (capped blocking-path search) beside quorum
-//! *extraction* (successive shortest paths), and a single percolation trial — the
-//! costs behind Proposition 7.3's experimental reproduction.
+//! *extraction* (successive shortest paths), the exact crossing-DP sweep, and a
+//! single percolation trial — the costs behind Proposition 7.3's experimental
+//! reproduction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use bqs_constructions::mpath::MPathSystem;
+use bqs_constructions::mpath::{MPathSystem, EXACT_DP_STATE_BUDGET};
 use bqs_core::prelude::*;
+use bqs_graph::crossing_dp::mpath_crash_probability;
 use bqs_graph::disjoint_paths::{find_straight_disjoint_paths, min_cost_crossings};
 use bqs_graph::grid::{Axis, TriangulatedGrid};
 use bqs_graph::percolation::PercolationEstimator;
@@ -78,6 +80,18 @@ fn bench_quorum_verification(c: &mut Criterion) {
     group.finish();
 }
 
+/// The exact transfer-matrix sweep behind M-Path(side 6, b = 3)'s `F_p`, over
+/// an 8-point grid spanning `(0, 0.45)`, the `p` range of `analysis-pass`.
+fn bench_crossing_dp_sweep(c: &mut Criterion) {
+    let mut group = c.benchmark_group("crossing_dp_sweep");
+    group.measurement_time(std::time::Duration::from_secs(3));
+    let ps: Vec<f64> = (1..=8).map(|i| 0.05 * f64::from(i)).collect();
+    group.bench_function("side6_k3_8p", |b| {
+        b.iter(|| mpath_crash_probability(6, 3, &ps, EXACT_DP_STATE_BUDGET, 0.0))
+    });
+    group.finish();
+}
+
 fn bench_percolation_trial(c: &mut Criterion) {
     let mut group = c.benchmark_group("percolation_trial");
     group.sample_size(20);
@@ -93,6 +107,7 @@ criterion_group!(
     benches,
     bench_path_discovery,
     bench_quorum_verification,
+    bench_crossing_dp_sweep,
     bench_percolation_trial
 );
 criterion_main!(benches);

@@ -197,9 +197,9 @@ impl AnalyzedConstruction for RegularGridSystem {
     }
 
     fn resilience(&self) -> usize {
-        // MT = side (hit every row... actually hitting every quorum requires touching
-        // every row or every column; one element per row suffices): MT = side.
-        self.grid.side() - 1 + 1 - 1
+        // One cell per row hits every quorum (each holds a full row), so
+        // MT = side and the system survives side - 1 crashes.
+        self.grid.side() - 1
     }
 
     fn analytic_load(&self) -> f64 {

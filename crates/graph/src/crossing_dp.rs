@@ -93,13 +93,25 @@
 //! exact M-Path evaluation well past the `2^25` enumeration limit
 //! (side 5): a side-7 grid has `2^49` configurations.
 //!
+//! Each cell step runs in two phases over blocks of states. *Expansion*
+//! unpacks a state, builds the new cell's matrix row once, runs the dead and
+//! the alive closure updates and packs both successors; it touches no shared
+//! data, so a block's states are split over every available core. *Merge*
+//! weighs each lane, banks decided mass and inserts or accumulates each
+//! successor in the next map, on the calling thread. At side 6, `k = 3`
+//! (8 lanes) a sweep takes ≈ 0.125 s on one core of a 2-core box and
+//! ≈ 0.075 s on both.
+//!
 //! # Determinism
 //!
 //! A lane's value is a sum of f64 masses, and the order of that sum is the
 //! order in which the state maps are iterated. The maps use a seedless
-//! multiply-rotate hasher (`FxHasher`), so that order — and hence every lane's bits — is a function
-//! of `(side, k, ε, budget, ps)` alone: the same in every run, process and
-//! thread count (the sweep is single-threaded). A golden test pins the bits.
+//! multiply-rotate hasher (`FxHasher`), so that order — and hence every
+//! lane's bits — is a function of `(side, k, ε, budget, ps)` alone: the same
+//! in every run and process. Threads only expand states; the merge walks each
+//! block in map order and does every f64 operation on one thread, in the
+//! order a one-thread sweep does, so the bits are also the same at every
+//! thread count. Golden tests pin the bits and compare thread counts.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
@@ -121,10 +133,22 @@ use crate::grid::{Axis, TriangulatedGrid};
 type StateMap = HashMap<PackedKey, usize, BuildHasherDefault<FxHasher>>;
 
 /// Default cap on the number of simultaneous interface states before the DP
-/// gives up and returns `None`. 2 million states × ~100-byte keys keeps the
-/// worst case in the hundreds of megabytes and well under a second per state
-/// generation on commodity hardware.
+/// gives up and returns `None`. A state costs a 32-byte packed key plus 8
+/// bytes per lane in the mass arena (and the map's slot overhead), so 2
+/// million states keep the worst case in the low hundreds of megabytes and
+/// well under a second per state generation on commodity hardware.
 pub const DEFAULT_DP_STATE_BUDGET: usize = 2_000_000;
+
+/// States per block of a cell step's expansion phase. The step holds two
+/// block-sized buffers (the block's keys, and their successors) whatever the
+/// number of states, and a full block is several milliseconds of expansion,
+/// which the spawns of its threads cost a small fraction of.
+const EXPAND_BLOCK: usize = 8192;
+
+/// A block with fewer states than this is expanded on the calling thread
+/// alone: spawning and joining a scoped thread costs tens of microseconds,
+/// as much as expanding a few hundred states.
+const PARALLEL_CUTOFF: usize = 1024;
 
 /// Default per-state mass threshold for the ε-pruned sweep
 /// ([`mpath_crash_probability`] with `epsilon > 0`). A state is discarded
@@ -361,7 +385,7 @@ pub fn mpath_crash_probability(
     max_states: usize,
     epsilon: f64,
 ) -> Option<Vec<ProbabilityInterval>> {
-    let lanes = run_sweep_grid(side, k, ps, max_states, epsilon)?;
+    let lanes = run_sweep_grid(side, k, ps, max_states, epsilon, available_threads())?;
     Some(
         lanes
             .into_iter()
@@ -388,8 +412,13 @@ pub fn mpath_crash_probability(
 /// [`mpath_crash_probability`].
 #[must_use]
 pub fn crossing_probability(side: usize, ps: &[f64], max_states: usize) -> Option<Vec<f64>> {
-    run_sweep_grid(side, 1, ps, max_states, 0.0)
+    run_sweep_grid(side, 1, ps, max_states, 0.0, available_threads())
         .map(|lanes| lanes.iter().map(|o| 1.0 - o.lr_blocked()).collect())
+}
+
+/// The expansion threads of a sweep: every core the process may run on.
+fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Node layout of the interface matrix: three virtual terminals, then one
@@ -400,12 +429,21 @@ const L: usize = 2;
 const CELLS: usize = 3;
 
 /// The interface matrix plus frontier aliveness, in unpacked working form.
-#[derive(Clone)]
 struct State {
     /// Full symmetric `n_nodes × n_nodes` capped cost matrix (diagonal 0).
     d: Vec<u8>,
     /// Bit `r` set iff the frontier cell of row `r` is alive.
     alive: u32,
+}
+
+impl State {
+    /// Working memory for a state over `n_nodes` interface nodes.
+    fn zeroed(n_nodes: usize) -> Self {
+        State {
+            d: vec![0; n_nodes * n_nodes],
+            alive: 0,
+        }
+    }
 }
 
 /// 3-bit slots per `u64` word of a [`PackedKey`]: 21 slots use 63 bits, so a
@@ -442,22 +480,23 @@ impl std::hash::Hash for PackedKey {
 }
 
 impl PackedKey {
-    /// Canonicalises `state` into `self`.
-    fn pack(&mut self, state: &State, n_nodes: usize) {
-        self.0 = [0; 4];
+    /// The canonical key of `state`.
+    fn pack(state: &State, n_nodes: usize) -> Self {
+        let mut words = [0u64; 4];
         let mut slot = 0usize;
         for i in 0..n_nodes {
             for j in (i + 1)..n_nodes {
                 let v = u64::from(state.d[i * n_nodes + j]);
-                self.0[slot / PACKED_SLOTS_PER_WORD] |= v << (3 * (slot % PACKED_SLOTS_PER_WORD));
+                words[slot / PACKED_SLOTS_PER_WORD] |= v << (3 * (slot % PACKED_SLOTS_PER_WORD));
                 slot += 1;
             }
         }
         for c in 0..(n_nodes - CELLS).div_ceil(3) {
             let v = (u64::from(state.alive) >> (3 * c)) & 7;
-            self.0[slot / PACKED_SLOTS_PER_WORD] |= v << (3 * (slot % PACKED_SLOTS_PER_WORD));
+            words[slot / PACKED_SLOTS_PER_WORD] |= v << (3 * (slot % PACKED_SLOTS_PER_WORD));
             slot += 1;
         }
+        PackedKey(words)
     }
 
     /// Rehydrates the key into a full-matrix `State`.
@@ -512,14 +551,15 @@ impl std::hash::Hasher for FxHasher {
 }
 
 /// The sweep behind both entry points: one [`LaneMass`] per
-/// requested `p`. With `epsilon = 0.0` no state is ever pruned and every
-/// lane's discarded mass is exactly zero.
+/// requested `p`, expanded on `threads` threads. With `epsilon = 0.0` no
+/// state is ever pruned and every lane's discarded mass is exactly zero.
 fn run_sweep_grid(
     side: usize,
     k: usize,
     ps: &[f64],
     max_states: usize,
     epsilon: f64,
+    threads: usize,
 ) -> Option<Vec<LaneMass>> {
     if side == 0 || k == 0 || k > side.min(7) || packed_slots_needed(side) > PACKED_SLOTS {
         return None;
@@ -539,7 +579,7 @@ fn run_sweep_grid(
     let swept = if interior.is_empty() {
         Vec::new()
     } else {
-        sweep_interior(side, k, &interior, max_states, epsilon)?
+        sweep_interior(side, k, &interior, max_states, epsilon, threads)?
     };
     let mut swept_iter = swept.into_iter();
     Some(
@@ -599,12 +639,20 @@ impl CompensatedLanes {
 
 /// The shared column sweep over interior points (`0 < p < 1` each): one
 /// state enumeration, `ps.len()` probability lanes.
+///
+/// Each cell step runs in two phases per block of [`EXPAND_BLOCK`] states,
+/// taken in the state map's iteration order: the block's states are expanded
+/// into their successor keys on up to `threads` threads ([`expand_block`]),
+/// then the calling thread merges the block in the same order, doing every
+/// f64 operation of a one-thread sweep in the order it does them. So each
+/// lane's bits do not depend on `threads`.
 fn sweep_interior(
     side: usize,
     k: usize,
     ps: &[f64],
     max_states: usize,
     epsilon: f64,
+    threads: usize,
 ) -> Option<Vec<LaneMass>> {
     let kcap = u8::try_from(k).expect("run_sweep_grid checked k <= 7");
     let lanes = ps.len();
@@ -617,58 +665,53 @@ fn sweep_interior(
     };
     let mut states = StateMap::default();
     let mut masses: Vec<f64> = vec![1.0; lanes];
-    let mut initial_key = PackedKey([0; 4]);
-    initial_key.pack(&initial, n_nodes);
-    states.insert(initial_key, 0);
+    states.insert(PackedKey::pack(&initial, n_nodes), 0);
     let mut decided = CompensatedLanes::new(lanes);
     let mut discarded: Vec<f64> = vec![0.0; lanes];
 
-    // Reusable scratch for the unpacked base state, the mutated successor and
-    // its packed key: the innermost loop runs (states × cells) times and must
-    // not allocate per transition.
-    let mut base = State {
-        d: vec![0; n_nodes * n_nodes],
-        alive: 0,
-    };
-    let mut scratch = base.clone();
-    let mut keybuf = PackedKey([0; 4]);
-    let mut newrow = vec![0u8; n_nodes];
+    // The block buffers, reused for the whole sweep: a block's states (key,
+    // arena index) in map order, and their successors.
+    let mut block: Vec<(PackedKey, usize)> = Vec::with_capacity(EXPAND_BLOCK);
+    let mut successors: Vec<Successors> = Vec::with_capacity(EXPAND_BLOCK);
     let mut massbuf: Vec<f64> = vec![0.0; lanes];
     for col in 0..side {
         for row in 0..side {
             let mut next =
                 StateMap::with_capacity_and_hasher(states.len().saturating_mul(2), <_>::default());
             let mut next_masses: Vec<f64> = Vec::with_capacity(masses.len().saturating_mul(2));
-            for (key, &mass_idx) in &states {
-                let mass = &masses[mass_idx * lanes..(mass_idx + 1) * lanes];
-                key.unpack(n_nodes, &mut base);
-                debug_assert!(
-                    base.d[T * n_nodes + B] >= kcap,
-                    "a decided state was kept in the map"
+            let mut entries = states.iter();
+            loop {
+                block.clear();
+                block.extend(
+                    entries
+                        .by_ref()
+                        .take(EXPAND_BLOCK)
+                        .map(|(&key, &mass_idx)| (key, mass_idx)),
                 );
-                for cell_alive in [false, true] {
-                    scratch.d.copy_from_slice(&base.d);
-                    scratch.alive = base.alive;
-                    add_cell(&mut scratch, side, kcap, row, col, cell_alive, &mut newrow);
-                    for ((mb, &m), &p) in massbuf.iter_mut().zip(mass).zip(ps) {
-                        let weight = if cell_alive { 1.0 - p } else { p };
-                        *mb = m * weight;
-                    }
-                    // `d[T][B]` only falls as cells are added: below `k` the
-                    // verdict is final, so the mass is banked, not carried.
-                    if scratch.d[T * n_nodes + B] < kcap {
-                        decided.add(&massbuf);
-                        continue;
-                    }
-                    keybuf.pack(&scratch, n_nodes);
-                    // A first-seen successor's masses go into the flat arena.
-                    if let Some(&idx) = next.get(&keybuf) {
-                        for (a, &mb) in next_masses[idx * lanes..].iter_mut().zip(&massbuf) {
-                            *a += mb;
+                if block.is_empty() {
+                    break;
+                }
+                expand_block(&block, side, kcap, row, col, threads, &mut successors);
+                for (&(_, mass_idx), pair) in block.iter().zip(&successors) {
+                    let mass = &masses[mass_idx * lanes..(mass_idx + 1) * lanes];
+                    for (cell_alive, successor) in [false, true].into_iter().zip(pair) {
+                        for ((mb, &m), &p) in massbuf.iter_mut().zip(mass).zip(ps) {
+                            let weight = if cell_alive { 1.0 - p } else { p };
+                            *mb = m * weight;
                         }
-                    } else {
-                        next.insert(keybuf, next_masses.len() / lanes);
-                        next_masses.extend_from_slice(&massbuf);
+                        let Some(key) = successor else {
+                            decided.add(&massbuf);
+                            continue;
+                        };
+                        // A first-seen successor's masses go into the flat arena.
+                        if let Some(&idx) = next.get(key) {
+                            for (a, &mb) in next_masses[idx * lanes..].iter_mut().zip(&massbuf) {
+                                *a += mb;
+                            }
+                        } else {
+                            next.insert(*key, next_masses.len() / lanes);
+                            next_masses.extend_from_slice(&massbuf);
+                        }
                     }
                 }
             }
@@ -736,11 +779,12 @@ fn sweep_interior(
     // blocking paths terminate (paying their own aliveness).
     let mut tb_blocked = vec![0.0; lanes];
     let mut open = vec![0.0; lanes];
+    let mut last = State::zeroed(n_nodes);
     for (key, &mass_idx) in &states {
         let mass = &masses[mass_idx * lanes..(mass_idx + 1) * lanes];
-        key.unpack(n_nodes, &mut base);
+        key.unpack(n_nodes, &mut last);
         let min_lr_cost = (0..side)
-            .map(|r| base.d[L * n_nodes + CELLS + r].saturating_add((base.alive >> r & 1) as u8))
+            .map(|r| last.d[L * n_nodes + CELLS + r].saturating_add((last.alive >> r & 1) as u8))
             .min()
             .unwrap_or(kcap);
         let part = if min_lr_cost < kcap {
@@ -772,9 +816,82 @@ fn init_matrix(n_nodes: usize, kcap: u8) -> Vec<u8> {
     d
 }
 
-/// Extends the region by cell `(row, col)`, replacing the frontier slot of
-/// `row` (which held `(row, col - 1)`, about to lose its last unprocessed
-/// neighbour) and restoring the capped metric closure.
+/// A state's two successors when a cell is added, dead then alive: the
+/// successor's key, or `None` when its `d[T][B]` fell below `k` and its mass
+/// is to be banked (see "Absorbing decided states" in the module docs).
+type Successors = [Option<PackedKey>; 2];
+
+/// Expands each state of `block` by cell `(row, col)` into the same
+/// position of `out`: unpacks the state, builds the cell's matrix row once
+/// for both successors, and packs each successor that is not decided.
+fn expand(
+    block: &[(PackedKey, usize)],
+    side: usize,
+    kcap: u8,
+    row: usize,
+    col: usize,
+    out: &mut [Successors],
+) {
+    let n_nodes = CELLS + side;
+    let mut base = State::zeroed(n_nodes);
+    let mut successor = State::zeroed(n_nodes);
+    let mut newrow = vec![0; n_nodes];
+    for ((key, _), slots) in block.iter().zip(out) {
+        key.unpack(n_nodes, &mut base);
+        debug_assert!(
+            base.d[T * n_nodes + B] >= kcap,
+            "a decided state was kept in the map"
+        );
+        interface_row(&base, side, kcap, row, col, &mut newrow);
+        for (cell_alive, slot) in [false, true].into_iter().zip(slots) {
+            successor.d.copy_from_slice(&base.d);
+            successor.alive = base.alive;
+            add_cell(&mut successor, &newrow, kcap, row, cell_alive);
+            // `d[T][B]` only falls as cells are added: below `k` the verdict
+            // is final, so the mass is banked, not carried.
+            *slot = (successor.d[T * n_nodes + B] >= kcap)
+                .then(|| PackedKey::pack(&successor, n_nodes));
+        }
+    }
+}
+
+/// [`expand`] over a whole block on up to `threads` threads: the calling
+/// thread expands the first share and a scoped thread each other one, except
+/// that a block below [`PARALLEL_CUTOFF`] stays on the calling thread.
+/// Expansion reads nothing but its own share, so `out` is the same whatever
+/// the number of shares.
+fn expand_block(
+    block: &[(PackedKey, usize)],
+    side: usize,
+    kcap: u8,
+    row: usize,
+    col: usize,
+    threads: usize,
+    out: &mut Vec<Successors>,
+) {
+    out.clear();
+    out.resize(block.len(), [None; 2]);
+    let threads = if block.len() < PARALLEL_CUTOFF {
+        1
+    } else {
+        threads.max(1)
+    };
+    let share = block.len().div_ceil(threads);
+    let mut shares = block.chunks(share).zip(out.chunks_mut(share));
+    let (own, own_out) = shares.next().expect("a block holds at least one state");
+    std::thread::scope(|scope| {
+        for (states, states_out) in shares {
+            scope.spawn(move || expand(states, side, kcap, row, col, states_out));
+        }
+        expand(own, side, kcap, row, col, own_out);
+    });
+}
+
+/// The matrix row of cell `(row, col)` as it enters the region: its capped
+/// interior cost to every node, read before the cell replaces the frontier
+/// slot of `row` (which held `(row, col - 1)`, about to lose its last
+/// unprocessed neighbour). It does not depend on the cell's own aliveness,
+/// so both successors of a state share it.
 ///
 /// Costs are *interior*: an entry excludes both endpoints' aliveness, which
 /// lets segments be concatenated by adding the junction vertex's cost once.
@@ -782,19 +899,10 @@ fn init_matrix(n_nodes: usize, kcap: u8) -> Vec<u8> {
 /// intermediates, so a path cannot "teleport" along the top row through `T`.
 /// `newrow` is caller-provided scratch of length `n_nodes` (the hot loop must
 /// not allocate per transition); its contents on entry are irrelevant.
-#[allow(clippy::too_many_arguments)]
-fn add_cell(
-    state: &mut State,
-    side: usize,
-    kcap: u8,
-    row: usize,
-    col: usize,
-    cell_alive: bool,
-    newrow: &mut [u8],
-) {
+fn interface_row(state: &State, side: usize, kcap: u8, row: usize, col: usize, newrow: &mut [u8]) {
     let n_nodes = CELLS + side;
     let v = CELLS + row;
-    let d = &mut state.d;
+    let d = &state.d;
 
     // Region nodes adjacent to the new cell. In column-major insertion order
     // the triangulated grid's neighbours of (row, col) inside the region are
@@ -842,7 +950,15 @@ fn add_cell(
         newrow[L] = 0;
     }
     newrow[v] = 0;
+}
 
+/// Extends the region by the cell of frontier slot `row`, whose matrix row
+/// [`interface_row`] computed as `newrow`: writes that row into the slot,
+/// sets the slot's aliveness and restores the capped metric closure.
+fn add_cell(state: &mut State, newrow: &[u8], kcap: u8, row: usize, cell_alive: bool) {
+    let n_nodes = newrow.len();
+    let v = CELLS + row;
+    let d = &mut state.d;
     for x in 0..n_nodes {
         d[v * n_nodes + x] = newrow[x];
         d[x * n_nodes + v] = newrow[x];
@@ -1109,6 +1225,54 @@ mod tests {
         }
     }
 
+    /// Threads expand, one thread merges in map order: every part of every
+    /// lane has the bits of the one-thread sweep at any thread count. The
+    /// grid mixes the analytic `p = 0`, `p = 1` and NaN lanes into the swept
+    /// ones.
+    fn assert_bit_identical_at_every_thread_count(cases: &[(usize, usize, usize, f64)]) {
+        let ps = [0.0, 0.05, f64::NAN, 0.125, 0.3, 1.0, 0.5];
+        for &(side, k, budget, epsilon) in cases {
+            let bits = |threads| -> Vec<[u64; 4]> {
+                run_sweep_grid(side, k, &ps, budget, epsilon, threads)
+                    .unwrap()
+                    .iter()
+                    .map(|lane| {
+                        [lane.decided, lane.tb_blocked, lane.open, lane.discarded].map(f64::to_bits)
+                    })
+                    .collect()
+            };
+            let serial = bits(1);
+            for threads in [2, 3, 8] {
+                assert_eq!(
+                    bits(threads),
+                    serial,
+                    "side={side} k={k} budget={budget} ε={epsilon} threads={threads}"
+                );
+            }
+        }
+    }
+
+    /// Each case passes [`PARALLEL_CUTOFF`]: exact, ε-pruned, and pruned by
+    /// a budget that forces evictions.
+    #[test]
+    fn sweep_is_bit_identical_at_every_thread_count() {
+        assert_bit_identical_at_every_thread_count(&[
+            (5, 3, 1 << 22, 0.0),
+            (5, 2, 1 << 22, 1e-12),
+            (5, 2, 2000, 1e-16),
+        ]);
+    }
+
+    /// A side-6 frontier spans several [`EXPAND_BLOCK`]s.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "side-6 sweeps take minutes without optimizations; covered by the release suite"
+    )]
+    fn sweep_is_bit_identical_at_every_thread_count_side_6() {
+        assert_bit_identical_at_every_thread_count(&[(6, 2, 1 << 22, 0.0)]);
+    }
+
     #[test]
     fn dp_extremes_and_monotonicity() {
         for side in [3usize, 5] {
@@ -1286,7 +1450,7 @@ mod tests {
             (5, 2, 300, 1e-16),
         ];
         for (side, k, budget, epsilon) in cases {
-            let lanes = sweep_interior(side, k, &ps, budget, epsilon).unwrap();
+            let lanes = sweep_interior(side, k, &ps, budget, epsilon, available_threads()).unwrap();
             assert_eq!(lanes.len(), ps.len());
             for (lane, p) in lanes.iter().zip(ps) {
                 let total = lane.decided + lane.tb_blocked + lane.open + lane.discarded;
