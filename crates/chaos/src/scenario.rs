@@ -32,11 +32,11 @@ use bqs_core::bitset::ServerSet;
 use bqs_core::quorum::QuorumSystem;
 use bqs_service::client::ServiceClient;
 use bqs_service::metrics::ServiceMetrics;
-use bqs_service::runner::{authentic_value, OpTally};
+use bqs_service::runner::OpTally;
 use bqs_service::shard::TimestampOracle;
 use bqs_service::transport::Transport;
 use bqs_sim::fault::FaultPlan;
-use bqs_sim::server::{ByzantineStrategy, Entry};
+use bqs_sim::server::ByzantineStrategy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -328,7 +328,7 @@ where
     let mut tally = OpTally::default();
     // The single writer's read-your-writes frontier: completed writes only
     // (an aborted write promises nothing).
-    let mut last_completed_write = 0u64;
+    let mut ryw_floor = 0u64;
 
     // The write phase, then the reads with a fresh write before every
     // `WRITE_EVERY`-th one.
@@ -339,20 +339,7 @@ where
             write_first.then_some(true).into_iter().chain([false])
         }));
     for is_write in schedule {
-        let outcome = if is_write {
-            let ts = clock.allocate();
-            let entry = Entry {
-                timestamp: ts,
-                value: authentic_value(ts),
-            };
-            client.write(entry, &mut rng).map(|_| {
-                last_completed_write = ts;
-                None
-            })
-        } else {
-            client.read(&mut rng).map(|read| Some(read.entry))
-        };
-        tally.record(is_write, outcome, &clock, last_completed_write);
+        tally.perform(&mut client, is_write, &clock, &mut ryw_floor, &mut rng);
     }
     assert_eq!(tally.fenced, 0, "the chaos workload never reconfigures");
 
@@ -372,7 +359,9 @@ where
 mod tests {
     use super::*;
     use bqs_constructions::threshold::ThresholdSystem;
+    use bqs_service::runner::authentic_value;
     use bqs_service::shard::LoopbackService;
+    use bqs_sim::server::Entry;
 
     /// `run_scenario` on the in-process backend, with the default plan
     /// placement (no published weights).

@@ -61,10 +61,10 @@
 //!   connection dead is *not* failed — it is rewritten on the new stream and
 //!   its callers get the server's answers. The pause before attempt `k` is
 //!   `reconnect_backoff * k` scaled by a deterministic per-connection jitter
-//!   factor in `[0.5, 1.5)` (a splitmix64 hash of a fixed seed, the
-//!   connection index and the attempt — no RNG state, no `rand` dependency on
-//!   the hot path), so the connections of a pool do not redial a restarted
-//!   server in lockstep. Requests that cannot be written after the attempt
+//!   factor in `[0.5, 1.5)` (`bqs_sim::server::jitter_factor` of a fixed
+//!   seed, the connection index and the attempt — no RNG state, no `rand`
+//!   dependency on the hot path), so the connections of a pool do not redial
+//!   a restarted server in lockstep. Requests that cannot be written after the attempt
 //!   budget are refused (`send` returns `false`), which callers already treat
 //!   as transport failure.
 //!
@@ -80,7 +80,7 @@ use std::time::{Duration, Instant};
 
 use bqs_service::mailbox::{complete_runs, ReplyHandle};
 use bqs_service::transport::{Reply, Request, Transport};
-use bqs_sim::server::{mix64, Entry};
+use bqs_sim::server::{jitter_factor, Entry};
 
 use crate::codec::{encode_request_batch, FrameReader, WireMessage, WireRequest};
 use crate::stream::{Endpoint, Stream};
@@ -609,17 +609,13 @@ impl Drop for SocketTransport {
 
 /// The pause before reconnect attempt `attempt` (1-based) on connection
 /// `conn_index`: linear growth scaled by a deterministic jitter factor in
-/// `[0.5, 1.5)`, so distinct connections back off on diverging schedules
-/// instead of redialling a restarted server in lockstep.
+/// `[0.5, 1.5)` ([`jitter_factor`]), so distinct connections back off on
+/// diverging schedules instead of redialling a restarted server in lockstep.
 fn reconnect_delay(conn_index: usize, attempt: u32, base: Duration) -> Duration {
-    let hash = mix64(
-        BACKOFF_SEED
-            ^ (conn_index as u64).wrapping_mul(0xd192_ed03_a5a5_0001)
-            ^ (u64::from(attempt) << 48),
-    );
-    // 53 high bits → uniform in [0, 1); jitter factor in [0.5, 1.5).
-    let unit = (hash >> 11) as f64 / (1u64 << 53) as f64;
-    base.mul_f64(f64::from(attempt) * (0.5 + unit))
+    let key = BACKOFF_SEED
+        ^ (conn_index as u64).wrapping_mul(0xd192_ed03_a5a5_0001)
+        ^ (u64::from(attempt) << 48);
+    base.mul_f64(f64::from(attempt) * jitter_factor(key))
 }
 
 /// Writes `writer.buf` — the encoding of `writer.wires` — re-establishing

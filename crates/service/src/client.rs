@@ -17,9 +17,13 @@
 //!    reallocating anything — and let the operation's
 //!    [`bqs_sim::quorum_op::QuorumOp`] decide which of them count (quorum
 //!    member, right epoch, one vote per server, never a fence);
-//! 4. for reads, resolve the value with the shared masking rule
-//!    ([`QuorumOp::resolve`]): entries with at least `b + 1` supporters are
-//!    safe, the freshest safe entry wins.
+//! 4. take the operation's outcome from the core
+//!    ([`bqs_sim::quorum_op::QuorumOp::outcome`]): for reads, entries with at
+//!    least `b + 1` supporters are safe and the freshest safe entry wins.
+//!
+//! Steps 2 and 3 and the deadline are the one operation path the open-loop
+//! worker shares (`crate::inflight`); this shell adds only the id rule, the
+//! fence policy, the per-reply wait and the retry loop.
 //!
 //! The client is deliberately transport-agnostic and system-generic — a
 //! message-passing shell around the protocol core the open-loop generator
@@ -30,16 +34,16 @@
 //! ([`ServiceClient::write_after_query`]).
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bqs_core::bitset::ServerSet;
 use bqs_core::quorum::QuorumSystem;
 use bqs_sim::client::{choose_access_quorum, ProtocolError};
-use bqs_sim::quorum_op::{Admission, QuorumOp};
-use bqs_sim::server::{mix64, Entry, Value};
+use bqs_sim::server::{jitter_factor, Entry, Value};
 use rand::Rng;
 
-use crate::mailbox::{DrainStatus, ReplyHandle, ReplyMailbox};
+use crate::inflight::InFlight;
+use crate::mailbox::{DrainStatus, ReplyMailbox};
 use crate::metrics::ServiceMetrics;
 use crate::transport::{Operation, Reply, Request, Transport};
 
@@ -134,7 +138,7 @@ pub struct ServiceClient<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> {
     /// The operation in progress and the scratch buffers (fan-out requests,
     /// drained replies), all reused across operations: the steady-state hot
     /// path allocates nothing beyond the sampled quorum.
-    op: QuorumOp,
+    current: InFlight,
     fanout: Vec<Request>,
     drained: Vec<Reply>,
 }
@@ -157,7 +161,7 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
             metrics: None,
             next_request_id: 0,
             reply_mailbox: Arc::new(ReplyMailbox::new()),
-            op: QuorumOp::default(),
+            current: InFlight::start(ServerSet::default(), Operation::Read, 0),
             fanout: Vec::new(),
             drained: Vec::new(),
         }
@@ -202,9 +206,10 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
 
     /// Enables graceful degradation: up to `limit` retries per operation after
     /// a refused send or an expired reply deadline, sleeping an exponentially
-    /// doubled `base_backoff` jittered to `[0.5, 1.5)` between attempts (the
-    /// same deterministic splitmix64 jitter the socket transport uses for
-    /// reconnects). A *closed* reply path is never retried — closure means no
+    /// doubled `base_backoff` between attempts, scaled by the deterministic
+    /// `[0.5, 1.5)` jitter factor ([`jitter_factor`]). The socket transport
+    /// scales its reconnect pauses by the same factor, but they grow
+    /// linearly. A *closed* reply path is never retried — closure means no
     /// reply can ever arrive (see [`DrainStatus::Closed`]), so the operation
     /// aborts immediately. Protocol-level errors (no live quorum, no safe
     /// value) are never retried either: they are answers, not failures.
@@ -238,40 +243,24 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
     /// else about admission is [`QuorumOp::admit`]'s.
     fn rendezvous(&mut self, op: Operation) -> Result<bool, ServiceError> {
         let first_id = self.next_request_id + 1;
-        for server in self.op.quorum().iter() {
-            self.next_request_id += 1;
-            self.fanout.push(Request {
-                server,
-                op,
-                request_id: self.next_request_id,
-                origin: self.origin,
-                epoch: self.epoch,
-                reply: Arc::clone(&self.reply_mailbox) as ReplyHandle,
-            });
-        }
-        if !self.transport.send_batch(&mut self.fanout) {
+        self.next_request_id += self.current.op.quorum().len() as u64;
+        let id = |member: usize, _| first_id + member as u64;
+        let (transport, origin, mailbox) = (self.transport, self.origin, &self.reply_mailbox);
+        if !self
+            .current
+            .fan_out(transport, op, origin, id, mailbox, &mut self.fanout)
+        {
             // Partial delivery is possible; the id filter below absorbs any
             // replies the accepted members still produce.
-            self.fanout.clear();
             return Ok(false);
         }
-        let started = std::time::Instant::now();
-        while !self.op.is_complete() {
-            debug_assert!(self.drained.is_empty());
-            match self
-                .reply_mailbox
-                .drain_timeout(self.reply_deadline, &mut self.drained)
-            {
+        self.current.started = Instant::now();
+        let metrics = self.metrics.as_deref();
+        while !self.current.op.is_complete() {
+            match mailbox.drain_timeout(self.reply_deadline, &mut self.drained) {
                 DrainStatus::Drained(_) => {}
                 DrainStatus::TimedOut => {
-                    if let Some(metrics) = &self.metrics {
-                        metrics.record_timeout();
-                        // Silence past the deadline is per-server failure
-                        // evidence against exactly the members still missing.
-                        for server in self.op.unanswered() {
-                            metrics.record_server_no_answer(server);
-                        }
-                    }
+                    self.current.on_deadline(metrics);
                     return Ok(false);
                 }
                 // The reply path is gone for good (reader thread died,
@@ -285,19 +274,8 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
                 if reply.request_id < first_id {
                     continue;
                 }
-                match self
-                    .op
-                    .admit(reply.server, reply.entry, reply.epoch, reply.stale)
-                {
-                    Admission::Ignored => {}
-                    Admission::Fenced { current } => {
-                        fenced_at = Some(fenced_at.map_or(current, |e| e.max(current)));
-                    }
-                    Admission::Counted { answered } => {
-                        if let Some(metrics) = &self.metrics {
-                            metrics.record_server_vote(reply.server, answered, started);
-                        }
-                    }
+                if let Some(current) = self.current.on_reply(reply, metrics) {
+                    fenced_at = Some(fenced_at.map_or(current, |e| e.max(current)));
                 }
             }
             // Never retried: under the retired strategy a retry can only be
@@ -321,14 +299,19 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
     /// a transient failure (a refusal, a quiet deadline) sleep the jittered
     /// backoff and retry against a freshly chosen quorum, `retry_limit` times
     /// at most. A fence or a closed reply path ends the operation at once.
-    /// On `Ok` the votes sit in `self.op`.
-    fn operate<R: Rng>(&mut self, op: Operation, rng: &mut R) -> Result<(), ServiceError> {
+    /// Returns the operation's outcome: `None` for a write, the resolved
+    /// entry for a read; the quorum stays in `self.current`.
+    pub(crate) fn operate<R: Rng>(
+        &mut self,
+        op: Operation,
+        rng: &mut R,
+    ) -> Result<Option<Entry>, ServiceError> {
         let mut attempt = 0u32;
         loop {
             let quorum = choose_access_quorum(self.system, &self.responsive, rng)?;
-            self.op.restart(quorum, op.kind(), self.epoch);
+            self.current.op.restart(quorum, op.kind(), self.epoch);
             if self.rendezvous(op)? {
-                return Ok(());
+                return Ok(self.current.op.outcome(self.b)?);
             }
             if attempt >= self.retry_limit {
                 return Err(self.abort());
@@ -339,11 +322,9 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
             }
             let base = self.retry_backoff.as_nanos() as u64;
             let doubled = base.saturating_mul(1u64 << (attempt - 1).min(16));
-            // The same deterministic [0.5, 1.5) jitter shape as the socket
-            // transport's reconnect backoff, keyed so concurrent clients desync.
-            let key = mix64(self.origin ^ self.next_request_id ^ u64::from(attempt));
-            let factor = 0.5 + (key >> 11) as f64 / (1u64 << 53) as f64;
-            let nanos = (doubled as f64 * factor) as u64;
+            // Keyed so that concurrent clients desync.
+            let key = self.origin ^ self.next_request_id ^ u64::from(attempt);
+            let nanos = (doubled as f64 * jitter_factor(key)) as u64;
             if nanos > 0 {
                 std::thread::sleep(Duration::from_nanos(nanos));
             }
@@ -359,7 +340,7 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
     /// when the service is gone.
     pub fn write<R: Rng>(&mut self, entry: Entry, rng: &mut R) -> Result<ServerSet, ServiceError> {
         self.operate(Operation::Write(entry), rng)?;
-        Ok(self.op.take_quorum())
+        Ok(self.current.op.take_quorum())
     }
 
     /// Reads the register, masking up to `b` Byzantine replies.
@@ -372,11 +353,10 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
     /// writes splitting the quorum's support), or
     /// [`ServiceError::TransportFailure`] when the service is gone.
     pub fn read<R: Rng>(&mut self, rng: &mut R) -> Result<ServiceReadOutcome, ServiceError> {
-        self.operate(Operation::Read, rng)?;
-        let (entry, _safe) = self.op.resolve(self.b)?;
+        let entry = self.operate(Operation::Read, rng)?;
         Ok(ServiceReadOutcome {
-            entry,
-            quorum: self.op.take_quorum(),
+            entry: entry.expect("a resolved read has an entry"),
+            quorum: self.current.op.take_quorum(),
         })
     }
 
@@ -423,6 +403,7 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mailbox::ReplyHandle;
     use crate::shard::LoopbackService;
     use bqs_constructions::mgrid::MGridSystem;
     use bqs_constructions::threshold::ThresholdSystem;

@@ -27,7 +27,7 @@
 //!   fixed-bucket latency histogram, and throughput counters;
 //! * [`client`] — [`client::ServiceClient`]: the masking read/write protocol
 //!   over any [`bqs_core::quorum::QuorumSystem`] — a message-passing shell
-//!   (fan-out, deadline, retry, straggler ids) around the one protocol core,
+//!   (per-reply wait, retry, straggler ids) around the one protocol core,
 //!   [`bqs_sim::quorum_op::QuorumOp`], which decides what counts, with the
 //!   \[MR98a\] query-then-write timestamping for registers shared by several
 //!   writers ([`client::ServiceClient::write_after_query`]);
@@ -35,13 +35,21 @@
 //!   (configurable client count and read/write mix, client 0 the one writer)
 //!   over a service the caller spawned — and may reuse across trials — with
 //!   online safety checking sound under concurrency (value authenticity plus
-//!   the writer's read-your-writes) — [`runner::judge_read`] and the
-//!   [`runner::OpTally`] every generator's report is filled from;
+//!   the writer's read-your-writes) — [`runner::judge_read`], the
+//!   [`runner::OpTally`] every generator's report is filled from, and
+//!   [`runner::OpTally::perform`], the one closed-loop operation `run_service`
+//!   and `bqs-chaos` share;
 //! * [`openloop`] — [`openloop::run_open_loop_session`]: an open-loop generator
-//!   (Poisson arrivals at a configured *offered* rate, virtual clients
-//!   multiplexed on a few worker threads, operation pipelining) that works
-//!   over any [`transport::Transport`] and exposes the saturation knee that
+//!   (Poisson arrivals at a configured *offered* rate on a few worker
+//!   threads, operation pipelining) that works over any
+//!   [`transport::Transport`] and exposes the saturation knee that
 //!   closed-loop generation structurally cannot.
+//!
+//! Under all three clients — the closed loop, the open-loop worker and its
+//! priming write — runs one operation path (a crate-private module): one
+//! fan-out, one reply rule and one deadline rule around `QuorumOp`, with the
+//! metrics the core stays free of. `specs/register/pseudo-code.md` at the
+//! repository root states the lifecycle.
 //!
 //! Drive it with a [`bqs_core::strategic::StrategicQuorumSystem`] built from
 //! [`bqs_core::load::optimal_load_oracle`]'s certified strategy and the
@@ -80,6 +88,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod inflight;
 pub mod mailbox;
 pub mod metrics;
 pub mod openloop;

@@ -216,7 +216,7 @@ impl ServiceMetrics {
         if answered {
             self.record_server_answer(server, asked.elapsed().as_nanos() as u64);
         } else {
-            self.record_server_no_answer(server);
+            self.server_no_answers[server].fetch_add(1, Ordering::Relaxed);
         }
     }
 

@@ -20,11 +20,11 @@
 //!
 //! # Mechanics
 //!
-//! * `virtual_clients` logical clients are multiplexed onto `workers` OS
-//!   threads. Each worker runs its own Poisson arrival process at
+//! * Each of the `workers` OS threads runs its own Poisson arrival process at
 //!   `offered_rate / workers` (the superposition of independent Poisson
-//!   streams is Poisson at the summed rate), tagging every arrival with a
-//!   virtual-client id.
+//!   streams is Poisson at the summed rate). `virtual_clients` multiplexes
+//!   nothing: it only sets the range of one draw per arrival that no
+//!   operation reads (see [`OpenLoopConfig::virtual_clients`]).
 //! * Operations **pipeline**: a worker fires a new arrival's quorum fan-out
 //!   without waiting for earlier operations, keeping up to
 //!   `max_in_flight_per_worker` operations outstanding. Each fan-out goes
@@ -41,6 +41,10 @@
 //! * Per-operation deadlines bound every wait ([`crate::transport`]'s "no
 //!   answer" contract: an accepted request is not a promise of a reply), so
 //!   the generator cannot hang on a half-dead transport.
+//! * Fan-out, reply admission and deadline expiry are shared with the
+//!   closed-loop client (`crate::inflight`); this shell adds the id key, the
+//!   fence policy (the first fence abandons the operation), the drain
+//!   schedule and the in-flight table.
 //!
 //! The generator is transport-generic: the loopback measures the in-process
 //! ceiling, `bqs-net`'s socket transports measure a real network stack, and
@@ -54,16 +58,15 @@ use std::time::{Duration, Instant};
 use bqs_core::bitset::ServerSet;
 use bqs_core::quorum::QuorumSystem;
 use bqs_sim::client::choose_access_quorum;
-use bqs_sim::quorum_op::{Admission, QuorumOp};
-use bqs_sim::server::Entry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::mailbox::{DrainStatus, ReplyHandle, ReplyMailbox};
+use crate::inflight::InFlight;
+use crate::mailbox::{DrainStatus, ReplyMailbox};
 use crate::metrics::{LatencyHistogram, ServiceMetrics};
-use crate::runner::{authentic_value, OpTally};
+use crate::runner::{register_op, OpTally};
 use crate::shard::TimestampOracle;
-use crate::transport::{Operation, Reply, Request, Transport};
+use crate::transport::{Reply, Request, Transport};
 
 /// Configuration of one open-loop measurement point.
 #[derive(Debug, Clone, Copy)]
@@ -74,9 +77,12 @@ pub struct OpenLoopConfig {
     /// keeps runs deterministic in size; wall-clock follows as
     /// `total_arrivals / offered_rate` plus drain).
     pub total_arrivals: usize,
-    /// OS threads multiplexing the virtual clients.
+    /// OS threads, each running its own arrival process.
     pub workers: usize,
-    /// Logical clients the arrivals are attributed to.
+    /// The range, split across the workers, of one uniform draw per arrival
+    /// that no operation reads: arrivals are not multiplexed per virtual
+    /// client. The draw stays because every replayed arrival stream
+    /// includes it.
     pub virtual_clients: usize,
     /// Fraction of arrivals that are writes.
     pub write_fraction: f64,
@@ -189,12 +195,6 @@ impl OpenLoopReport {
     }
 }
 
-/// One in-flight operation awaiting its quorum replies.
-struct PendingOp {
-    started: Instant,
-    op: QuorumOp,
-}
-
 /// Per-worker tallies folded into the final report.
 #[derive(Debug, Default)]
 struct WorkerTally {
@@ -249,9 +249,9 @@ pub struct OpenLoopSession<'a> {
 /// view for in-process measurements, or a full set when no faults are
 /// injected); `b` is the masking level applied to reads.
 ///
-/// The register is primed with one synchronous write before measurement
-/// starts (when a live quorum exists), so steady-state reads do not pay the
-/// cold-register inconclusive penalty.
+/// The register is primed with one write before measurement starts (when a
+/// live quorum exists), so steady-state reads do not pay the cold-register
+/// inconclusive penalty.
 ///
 /// `session` places the run in a longer-lived session (a standalone run
 /// passes `&OpenLoopSession::default()`). It supplies the epoch stamped on
@@ -424,11 +424,12 @@ where
     }
 }
 
-/// Writes one authentic entry synchronously so steady-state reads find a
-/// safe value. Best-effort: skipped when no live quorum exists or replies
-/// do not arrive within the run's per-operation deadline (a lossy transport
-/// can swallow a priming reply; waiting longer than any real operation
-/// would only stall the measurement).
+/// Writes one authentic entry, as an ordinary operation on the shared path,
+/// so that steady-state reads find a safe value. It ends when every quorum
+/// member has acknowledged it, on a fence, or at the run's per-operation
+/// deadline (a lossy transport can swallow a priming reply; waiting longer
+/// than any real operation would only stall the measurement), and records
+/// no metrics. Skipped when no live quorum exists.
 fn prime_register<Q, T>(run: &Run<'_, Q, T>)
 where
     Q: QuorumSystem + ?Sized,
@@ -438,37 +439,25 @@ where
     let Ok(quorum) = choose_access_quorum(run.system, run.responsive, &mut rng) else {
         return;
     };
-    let ts = run.clock.allocate();
-    let entry = Entry {
-        timestamp: ts,
-        value: authentic_value(ts),
-    };
+    let write = register_op(true, run.clock);
+    let mut prime = InFlight::start(quorum, write, run.epoch);
     let mailbox = Arc::new(ReplyMailbox::new());
-    let mut fanout: Vec<Request> = quorum
-        .iter()
-        .map(|server| Request {
-            server,
-            op: Operation::Write(entry),
-            request_id: u64::MAX - server as u64,
-            origin: 0,
-            epoch: run.epoch,
-            reply: Arc::clone(&mailbox) as ReplyHandle,
-        })
-        .collect();
-    let mut missing = fanout.len();
-    let _ = run.transport.send_batch(&mut fanout);
+    let id = |_, server: usize| u64::MAX - server as u64;
+    // A refusal may be partial: the accepted members still acknowledge.
+    let _ = prime.fan_out(run.transport, write, 0, id, &mailbox, &mut Vec::new());
     let deadline = Instant::now() + run.config.op_deadline;
     let mut drained = Vec::new();
-    while missing > 0 {
+    while !prime.op.is_complete() {
         let left = deadline.saturating_duration_since(Instant::now());
-        // TimedOut and Closed alike end the priming wait: nothing more is
-        // coming (or worth waiting for) before the real run starts.
-        let got = mailbox.drain_timeout(left, &mut drained).count();
-        if got == 0 {
-            break;
+        // TimedOut and Closed alike end the wait, and so does a fence:
+        // nothing more is coming (or worth waiting for) before the run.
+        if mailbox.drain_timeout(left, &mut drained).count() == 0
+            || drained
+                .drain(..)
+                .any(|reply| prime.on_reply(reply, None).is_some())
+        {
+            return;
         }
-        missing = missing.saturating_sub(got);
-        drained.clear();
     }
 }
 
@@ -487,7 +476,7 @@ where
     let reply_mailbox = Arc::new(ReplyMailbox::new());
     let mut fanout: Vec<Request> = Vec::new();
     let mut drained: Vec<Reply> = Vec::new();
-    let mut pending: HashMap<u64, PendingOp> = HashMap::new();
+    let mut pending: HashMap<u64, InFlight> = HashMap::new();
     let mut tally = WorkerTally::default();
     // Request ids encode (worker, operation): the low `member_bits` bits
     // distinguish the members of one fan-out (transports need per-request
@@ -514,53 +503,27 @@ where
                 tally.shed += 1;
                 continue;
             }
-            // The virtual client this arrival belongs to (uniform attribution
-            // — each of the worker's virtual clients is a Poisson source of
-            // rate `rate / vclients_here`).
+            // A draw no operation reads, kept because every replayed stream
+            // includes it (see `OpenLoopConfig::virtual_clients`).
             let _vclient = rng.gen_range_u64(0, vclients_here as u64);
             let Ok(quorum) = choose_access_quorum(run.system, run.responsive, &mut rng) else {
                 tally.ops.unavailable += 1;
                 continue;
             };
-            let is_write = rng.gen_bool(config.write_fraction);
-            let op = if is_write {
-                let ts = run.clock.allocate();
-                Operation::Write(Entry {
-                    timestamp: ts,
-                    value: authentic_value(ts),
-                })
-            } else {
-                Operation::Read
-            };
+            let op = register_op(rng.gen_bool(config.write_fraction), run.clock);
             op_seq += 1;
             let op_key = worker_tag | (op_seq << run.member_bits);
-            let op_started = Instant::now();
-            debug_assert!(fanout.is_empty());
-            for (member, server) in quorum.iter().enumerate() {
-                fanout.push(Request {
-                    server,
-                    op,
-                    request_id: op_key | member as u64,
-                    origin: worker_id as u64 + 1,
-                    epoch: run.epoch,
-                    reply: Arc::clone(&reply_mailbox) as ReplyHandle,
-                });
-            }
-            if !run.transport.send_batch(&mut fanout) {
+            let in_flight = InFlight::start(quorum, op, run.epoch);
+            let id = |member: usize, _| op_key | member as u64;
+            let origin = worker_id as u64 + 1;
+            if !in_flight.fan_out(run.transport, op, origin, id, &reply_mailbox, &mut fanout) {
                 // The op is unaccounted on the wire; stragglers from a
                 // partially delivered fan-out are dropped by the id match
                 // below (no pending entry exists for them).
-                fanout.clear();
                 tally.rejected += 1;
                 continue;
             }
-            pending.insert(
-                op_key,
-                PendingOp {
-                    started: op_started,
-                    op: QuorumOp::start(quorum, op.kind(), run.epoch),
-                },
-            );
+            pending.insert(op_key, in_flight);
             tally.peak_in_flight = tally.peak_in_flight.max(pending.len() as u64);
         }
 
@@ -572,8 +535,10 @@ where
             }
             let tail = *tail_end.get_or_insert_with(|| Instant::now() + config.tail_deadline);
             if Instant::now() >= tail {
-                tally.timed_out += pending.len() as u64;
-                pending.clear();
+                for (_, op) in pending.drain() {
+                    op.on_deadline(run.metrics);
+                    tally.timed_out += 1;
+                }
                 break;
             }
         }
@@ -604,74 +569,48 @@ where
             }
         }
 
-        // Expiry phase: abandon operations past their deadline, accusing
-        // every quorum member that never answered (per-server no-answer
-        // evidence for the failure detector).
+        // Expiry phase: abandon operations past their deadline.
         let now = Instant::now();
-        let expired = |op: &PendingOp| now >= op.started + config.op_deadline;
-        if pending.values().any(expired) {
-            let before = pending.len();
-            pending.retain(|_, op| {
-                if !expired(op) {
-                    return true;
-                }
-                if let Some(metrics) = run.metrics {
-                    for server in op.op.unanswered() {
-                        metrics.record_server_no_answer(server);
-                    }
-                }
-                false
-            });
-            tally.timed_out += (before - pending.len()) as u64;
-        }
+        pending.retain(|_, op| {
+            let live = now < op.started + config.op_deadline;
+            if !live {
+                op.on_deadline(run.metrics);
+                tally.timed_out += 1;
+            }
+            live
+        });
     }
     tally
 }
 
 /// Matches one reply to its pending operation by the id's operation key —
 /// no entry means a straggler from an expired, fenced or rejected operation —
-/// lets the operation's [`QuorumOp`] decide whether it counts, and resolves
-/// the operation when the last quorum member has voted.
+/// applies the shared reply rule, and tallies the operation's outcome when
+/// the last quorum member has voted.
 fn handle_reply<Q: ?Sized, T: ?Sized>(
     run: &Run<'_, Q, T>,
     reply: Reply,
-    pending: &mut HashMap<u64, PendingOp>,
+    pending: &mut HashMap<u64, InFlight>,
     tally: &mut WorkerTally,
 ) {
     let op_key = reply.request_id & !((1u64 << run.member_bits) - 1);
-    let Some(pending_op) = pending.get_mut(&op_key) else {
+    let Some(in_flight) = pending.get_mut(&op_key) else {
         return;
     };
-    match pending_op
-        .op
-        .admit(reply.server, reply.entry, reply.epoch, reply.stale)
-    {
-        Admission::Ignored => return,
-        // Fence policy: the first fence abandons the whole fan-out (a fenced
-        // operation must never complete with strategies mixed in). Fencing is
-        // a configuration signal, not server misbehaviour — no accusal.
-        Admission::Fenced { .. } => {
-            pending.remove(&op_key);
-            tally.ops.fenced += 1;
-            return;
-        }
-        Admission::Counted { answered } => {
-            if let Some(metrics) = run.metrics {
-                metrics.record_server_vote(reply.server, answered, pending_op.started);
-            }
-        }
+    // Fence policy: the first fence abandons the whole fan-out (a fenced
+    // operation must never complete with strategies mixed in). Fencing is a
+    // configuration signal, not server misbehaviour — no accusal.
+    if in_flight.on_reply(reply, run.metrics).is_some() {
+        pending.remove(&op_key);
+        tally.ops.fenced += 1;
+        return;
     }
-    if !pending_op.op.is_complete() {
+    if !in_flight.op.is_complete() {
         return;
     }
     let done = pending.remove(&op_key).expect("just observed");
     let latency = done.started.elapsed().as_nanos() as u64;
-    let outcome = if done.op.is_write() {
-        Ok(None)
-    } else {
-        let resolved = done.op.resolve(run.b);
-        resolved.map(|(best, _)| Some(best)).map_err(Into::into)
-    };
+    let outcome = done.op.outcome(run.b).map_err(Into::into);
     // No read-your-writes frontier (floor 0): writes pipeline freely.
     tally.ops.record(done.op.is_write(), outcome, run.clock, 0);
     if let Some(metrics) = run.metrics {
@@ -881,6 +820,115 @@ mod tests {
         assert!(
             accusals * 10 < answers,
             "healthy run: answers ({answers}) must dwarf accusals ({accusals})"
+        );
+        assert_eq!(metrics.timeouts(), 0);
+
+        // Server 0 never answers: every operation whose quorum holds it
+        // expires, and each expiry is one timeout and one accusal of server 0
+        // — the closed loop's deadline rule.
+        let silent = Silent {
+            inner: LoopbackService::spawn(&plan, 2, 48),
+            server: 0,
+        };
+        let metrics = ServiceMetrics::new(25);
+        let report = run_open_loop_session(
+            &system,
+            1,
+            &silent,
+            &ServerSet::full(25),
+            &OpenLoopConfig {
+                op_deadline: Duration::from_millis(100),
+                ..quick(2_000.0, 200)
+            },
+            &OpenLoopSession {
+                metrics: Some(&metrics),
+                ..OpenLoopSession::default()
+            },
+        );
+        assert!(report.timed_out > 0, "{report:?}");
+        assert_eq!(metrics.timeouts(), report.timed_out);
+        assert_eq!(metrics.server_no_answer_counts()[0], report.timed_out);
+    }
+
+    /// The loopback behind a server that accepts every request and never
+    /// answers.
+    #[derive(Debug)]
+    struct Silent {
+        inner: LoopbackService,
+        server: usize,
+    }
+
+    impl Transport for Silent {
+        fn universe_size(&self) -> usize {
+            self.inner.universe_size()
+        }
+
+        fn send(&self, request: Request) -> bool {
+            request.server == self.server || self.inner.send(request)
+        }
+    }
+
+    /// Acknowledges the first half of every fan-out twice and never answers
+    /// the rest.
+    #[derive(Debug)]
+    struct HalfTwice(usize);
+
+    impl Transport for HalfTwice {
+        fn universe_size(&self) -> usize {
+            self.0
+        }
+
+        fn send(&self, _: Request) -> bool {
+            true
+        }
+
+        fn send_batch(&self, requests: &mut Vec<Request>) -> bool {
+            let half = requests.len() / 2;
+            for request in requests.drain(..).take(half) {
+                let ack = Reply {
+                    server: request.server,
+                    request_id: request.request_id,
+                    entry: None,
+                    epoch: request.epoch,
+                    stale: false,
+                };
+                request.reply.complete_batch(&[ack, ack]);
+            }
+            true
+        }
+    }
+
+    #[test]
+    fn priming_waits_for_every_member_not_for_as_many_frames() {
+        // Four acknowledgements from two of a quorum's four members: counting
+        // frames would call the write done at once, and the first measured
+        // reads could race it. Each member counts once, so the wait runs to
+        // the deadline.
+        let system = ThresholdSystem::minimal_masking(1).unwrap(); // 4-of-5
+        let config = OpenLoopConfig {
+            op_deadline: Duration::from_millis(300),
+            ..quick(1_000.0, 1)
+        };
+        let clock = TimestampOracle::new();
+        let run = Run {
+            system: &system,
+            b: 1,
+            transport: &HalfTwice(5),
+            responsive: &ServerSet::full(5),
+            config: &config,
+            epoch: 0,
+            metrics: None,
+            clock: &clock,
+            hist: LatencyHistogram::new(),
+            member_bits: 8,
+        };
+        let started = Instant::now();
+        prime_register(&run);
+        let waited = started.elapsed();
+        assert!(waited >= config.op_deadline, "returned after {waited:?}");
+        assert!(
+            waited < Duration::from_secs(5),
+            "the deadline bounds the wait"
         );
     }
 

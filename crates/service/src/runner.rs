@@ -48,7 +48,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::client::{ServiceClient, ServiceError};
 use crate::shard::{LoopbackService, TimestampOracle};
-use crate::transport::Transport;
+use crate::transport::{Operation, Transport};
 
 /// Configuration of a concurrent service workload.
 #[derive(Debug, Clone, Copy)]
@@ -144,6 +144,19 @@ pub fn authentic_value(ts: Timestamp) -> Value {
     ts.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(23) ^ 0xD1B5_4A32_D192_ED03
 }
 
+/// A read, or a write of `clock`'s next timestamp and its
+/// [`authentic_value`].
+pub(crate) fn register_op(is_write: bool, clock: &TimestampOracle) -> Operation {
+    if !is_write {
+        return Operation::Read;
+    }
+    let timestamp = clock.allocate();
+    Operation::Write(Entry {
+        timestamp,
+        value: authentic_value(timestamp),
+    })
+}
+
 /// What the safety checker found wrong with one completed read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadVerdict {
@@ -222,6 +235,27 @@ impl OpTally {
         )
     }
 
+    /// Runs one closed-loop operation through `client` and tallies it. A
+    /// write stores the authentic entry of `clock`'s next timestamp and, once
+    /// acknowledged, raises the read-your-writes floor `ryw_floor` to it; a
+    /// read is judged against `clock` and `ryw_floor`. Returns true for a
+    /// full quorum round trip, as [`OpTally::record`] does.
+    pub fn perform<Q: QuorumSystem + ?Sized, T: Transport + ?Sized, R: Rng>(
+        &mut self,
+        client: &mut ServiceClient<'_, Q, T>,
+        is_write: bool,
+        clock: &TimestampOracle,
+        ryw_floor: &mut Timestamp,
+        rng: &mut R,
+    ) -> bool {
+        let op = register_op(is_write, clock);
+        let outcome = client.operate(op, rng);
+        if let (Operation::Write(entry), Ok(_)) = (op, &outcome) {
+            *ryw_floor = entry.timestamp;
+        }
+        self.record(is_write, outcome, clock, *ryw_floor)
+    }
+
     /// Full quorum round trips — acknowledged writes plus reads, resolved or
     /// inconclusive: what throughput, latency and load accounting count.
     #[must_use]
@@ -297,28 +331,15 @@ where
                 let mut client =
                     ServiceClient::new(system, service, service.responsive_set().clone(), b);
                 let is_writer = client_id == 0;
-                let mut last_completed_write_ts: Timestamp = 0;
+                // Only the writer completes writes, so a reader's
+                // read-your-writes floor stays 0 (see the module docs).
+                let mut ryw_floor: Timestamp = 0;
                 let mut tally = OpTally::default();
                 for op in 0..config.ops_per_client {
                     let do_write =
                         is_writer && (op == 0 || rng.gen::<f64>() < config.write_fraction);
                     let op_started = Instant::now();
-                    let outcome = if do_write {
-                        let ts = clock.allocate();
-                        let entry = Entry {
-                            timestamp: ts,
-                            value: authentic_value(ts),
-                        };
-                        client.write(entry, &mut rng).map(|_| {
-                            last_completed_write_ts = ts;
-                            None
-                        })
-                    } else {
-                        client.read(&mut rng).map(|read| Some(read.entry))
-                    };
-                    // Only the writer completes writes, so a reader's
-                    // read-your-writes floor stays 0 (see the module docs).
-                    if tally.record(do_write, outcome, clock, last_completed_write_ts) {
+                    if tally.perform(&mut client, do_write, clock, &mut ryw_floor, &mut rng) {
                         service
                             .metrics()
                             .record_operation(op_started.elapsed().as_nanos() as u64);

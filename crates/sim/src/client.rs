@@ -89,8 +89,8 @@ where
 /// the one with the highest timestamp, together with the full safe set sorted
 /// for diagnostics.
 ///
-/// What [`QuorumOp::resolve`](crate::quorum_op::QuorumOp::resolve) applies
-/// to its admitted votes — the safety argument (any pair fabricated by at
+/// What a read's [`QuorumOp::outcome`](crate::quorum_op::QuorumOp::outcome)
+/// applies to its admitted votes — the safety argument (any pair fabricated by at
 /// most `b` Byzantine servers has at most `b` supporters) lives here once.
 ///
 /// # Errors

@@ -52,7 +52,7 @@
 //! // Of the three shared servers b + 1 = 2 are correct and hold the write;
 //! // the lie has one vote, so it is not even in the safe set.
 //! assert!(read.is_complete());
-//! assert_eq!(read.resolve(1).unwrap(), (written, vec![written]));
+//! assert_eq!(read.outcome(1), Ok(Some(written)));
 //! ```
 //!
 //! See `bqs-service`'s crate example for the same register served to

@@ -4,32 +4,14 @@
 //! Shells (`bqs-service`'s closed- and open-loop clients) choose the quorum
 //! ([`crate::client::choose_access_quorum`]), move messages, keep clocks and
 //! metrics, and decide what a fence or a deadline *means*; whether a reply
-//! may count is decided here and nowhere else:
+//! may count, whom a deadline accuses and what a complete operation returns
+//! are decided here and nowhere else.
 //!
-//! ```text
-//! restart(Q, kind, e):  votes := {}
-//! admit(s, entry, e', stale):
-//!     s ∉ Q             → Ignored                  [MEMBER]
-//!     stale             → Fenced { current: e' }   [FENCE]
-//!     e' ≠ e            → Ignored                  [EPOCH]
-//!     s ∈ dom(votes)    → Ignored                  [ONE-VOTE]
-//!     votes[s] := entry → Counted { answered }
-//! is_complete() ⇔ dom(votes) = Q        unanswered() = Q \ dom(votes)
-//! resolve(b) = the freshest entry with more than b votes   [MASKING]
-//! ```
-//!
-//! * **MEMBER** — only the servers the operation addressed may vote; identity
-//!   is what the *shell* knows it asked, never what a frame claims.
-//! * **EPOCH** — a vote echoes the operation's own epoch stamp, so no quorum
-//!   mixes replies gathered under two access strategies.
-//! * **ONE-VOTE** — a server's first counted reply is its only one; echoes
-//!   and duplicates add nothing.
-//! * **FENCE** — a fence is a configuration signal: it reports the fencing
-//!   server's epoch and never becomes a vote (nor uses one up).
-//! * **MASKING** — any two quorums share `2b + 1` servers, so the latest
-//!   completed write has `b + 1` correct supporters in every read quorum,
-//!   while `≤ b` liars give a fabricated pair at most `b` votes
-//!   ([`resolve_read`]).
+//! `specs/register/pseudo-code.md` at the repository root states the
+//! operation's lifecycle as pseudo-code with its named properties: MEMBER,
+//! FENCE, EPOCH and ONE-VOTE ([`QuorumOp::admit`]), DEADLINE
+//! ([`QuorumOp::unanswered`]) and MASKING ([`QuorumOp::outcome`], through
+//! [`resolve_read`]). The tests below cite each by name.
 
 use bqs_core::bitset::ServerSet;
 
@@ -102,6 +84,12 @@ impl QuorumOp {
         std::mem::take(&mut self.quorum)
     }
 
+    /// The epoch the operation is stamped with.
+    #[must_use]
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
     /// True for a write.
     #[must_use]
     pub fn is_write(&self) -> bool {
@@ -138,19 +126,25 @@ impl QuorumOp {
         self.votes.len() == self.quorum.len()
     }
 
-    /// The members without a vote, in quorum order — whom a deadline accuses.
+    /// The members without a vote, in quorum order — whom a deadline accuses
+    /// (DEADLINE).
     pub fn unanswered(&self) -> impl Iterator<Item = usize> + '_ {
         let voted = |server| self.votes.iter().any(|&(s, _)| s == server);
         self.quorum.iter().filter(move |&server| !voted(server))
     }
 
-    /// MASKING over the votes so far: the freshest safe entry and the safe set.
+    /// What the operation returns over the votes so far: `None` for a
+    /// write, and for a read the freshest entry with `b + 1` votes (MASKING).
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::NoSafeValue`] when no entry has `b + 1` votes.
-    pub fn resolve(&self, b: usize) -> Result<(Entry, Vec<Entry>), ProtocolError> {
-        resolve_read(&self.votes, b)
+    /// [`ProtocolError::NoSafeValue`] when no entry of a read has `b + 1`
+    /// votes.
+    pub fn outcome(&self, b: usize) -> Result<Option<Entry>, ProtocolError> {
+        if self.is_write() {
+            return Ok(None);
+        }
+        resolve_read(&self.votes, b).map(|(best, _)| Some(best))
     }
 }
 
@@ -217,7 +211,6 @@ mod tests {
             let mut op = QuorumOp::start(quorum.clone(), OpKind::Read, EPOCH);
             let mut voted: Vec<usize> = Vec::new();
             for &(server, entry, epoch, stale) in &frames {
-                let missing = op.unanswered().count();
                 match op.admit(server, entry, epoch, stale) {
                     Admission::Counted { answered } => {
                         assert!(quorum.contains(server), "MEMBER (seed {seed})");
@@ -225,20 +218,25 @@ mod tests {
                         assert_eq!(epoch, EPOCH, "EPOCH (seed {seed})");
                         assert!(!voted.contains(&server), "ONE-VOTE (seed {seed})");
                         assert_eq!(answered, entry.is_some());
-                        assert_eq!(op.unanswered().count(), missing - 1);
                         voted.push(server);
                     }
                     Admission::Fenced { current } => {
                         assert!(stale && quorum.contains(server), "FENCE (seed {seed})");
                         assert_eq!(current, epoch, "FENCE reports the server's epoch");
-                        assert_eq!(op.unanswered().count(), missing, "FENCE uses no vote");
                     }
                     Admission::Ignored => {
                         let strayed = !stale && (epoch != EPOCH || voted.contains(&server));
                         assert!(!quorum.contains(server) || strayed, "seed {seed}");
-                        assert_eq!(op.unanswered().count(), missing);
                     }
                 }
+                // A deadline here accuses exactly the members without a vote,
+                // so a fence or an ignored frame spares no one.
+                let unvoted: Vec<usize> = quorum.iter().filter(|s| !voted.contains(s)).collect();
+                assert_eq!(
+                    op.unanswered().collect::<Vec<_>>(),
+                    unvoted,
+                    "DEADLINE (seed {seed})"
+                );
             }
             // Every member answered somewhere in the stream, so whatever the
             // order the operation completes with exactly one vote each ...
@@ -247,12 +245,20 @@ mod tests {
             assert_eq!(voted, quorum.to_vec(), "seed {seed}");
             // ... and MASKING holds: the ≤ b liars, however often echoed and
             // whoever else repeats their pair, never reach b + 1 votes.
-            let (best, safe) = op.resolve(b).expect("2b + 1 honest votes");
+            assert_eq!(op.outcome(b), Ok(Some(HONEST)), "MASKING (seed {seed})");
+            let (_, safe) = resolve_read(&op.votes, b).expect("2b + 1 honest votes");
             assert_eq!(
-                (best, safe),
-                (HONEST, vec![HONEST]),
-                "MASKING (seed {seed})"
+                safe,
+                vec![HONEST],
+                "MASKING: the lie is not even safe (seed {seed})"
             );
+            // The same stream acknowledges a write: its outcome carries no entry.
+            let mut write = QuorumOp::start(quorum.clone(), OpKind::Write, EPOCH);
+            for &(server, entry, epoch, stale) in &frames {
+                write.admit(server, entry, epoch, stale);
+            }
+            assert!(write.is_complete(), "seed {seed}");
+            assert_eq!(write.outcome(b), Ok(None), "seed {seed}");
         }
     }
 
@@ -270,7 +276,7 @@ mod tests {
             Admission::Counted { answered: false }
         );
         assert_eq!(read.unanswered().collect::<Vec<_>>(), vec![0, 4]);
-        assert_eq!(read.resolve(1).unwrap_err(), ProtocolError::NoSafeValue);
+        assert_eq!(read.outcome(1), Err(ProtocolError::NoSafeValue));
     }
 
     #[test]

@@ -25,6 +25,14 @@ pub fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// A deterministic backoff jitter factor in `[0.5, 1.5)`: the 53 high bits
+/// of `mix64(key)` as a uniform fraction, plus one half. Backoffs scaled by
+/// it need no RNG state, and distinct keys back off on diverging schedules.
+#[must_use]
+pub fn jitter_factor(key: u64) -> f64 {
+    0.5 + (mix64(key) >> 11) as f64 / (1u64 << 53) as f64
+}
+
 /// Logical timestamps attached to writes.
 pub type Timestamp = u64;
 
