@@ -107,7 +107,7 @@ impl PaperConstruction {
         let n = side * side;
         match self {
             Self::Threshold => boxed(ThresholdSystem::masking(n, b)),
-            Self::Grid => boxed(GridSystem::new(side, b.min(side.saturating_sub(1) / 3))),
+            Self::Grid => boxed(GridSystem::new(side, b.min(GridSystem::max_b(side)))),
             Self::MGrid => boxed(MGridSystem::new(side, b.min(MGridSystem::max_b(side)))),
             Self::MPath => boxed(MPathSystem::new(side, b.min(MPathSystem::max_b(side)))),
             Self::Rt => {

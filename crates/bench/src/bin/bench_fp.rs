@@ -56,7 +56,7 @@
 //! or a front gate above fails, the process exits non-zero — the CI smoke
 //! step runs this mode on every push.
 
-use bqs_bench::{bench_args, json_escape, time};
+use bqs_bench::{bench_args, exit_on_failures, json_escape, time};
 use bqs_constructions::prelude::*;
 use bqs_core::availability::availability_profile_naive;
 use bqs_core::eval::{Evaluator, FpEstimate, FpMethod};
@@ -164,6 +164,17 @@ fn method_speedup(
     }
 }
 
+/// Records a dispatch regression when `got` is not the `want`ed method.
+fn expect_dispatch(failures: &mut Vec<String>, name: &str, got: FpMethod, want: FpMethod) {
+    if got != want {
+        failures.push(format!(
+            "dispatch regression: {name}: expected {} dispatch, got {}",
+            want.label(),
+            got.label()
+        ));
+    }
+}
+
 fn main() {
     let (quick, output) = bench_args("bench_fp", "BENCH_fp.json");
     let evaluator = Evaluator::new().with_trials(20_000).with_seed(0xBE7C);
@@ -173,16 +184,10 @@ fn main() {
         &[0.05, 0.125, 0.25]
     };
     let mut rows: Vec<Row> = Vec::new();
-    let mut dispatch_failures: Vec<String> = Vec::new();
-    let mut expect = |name: &str, got: FpMethod, want: FpMethod| {
-        if got != want {
-            dispatch_failures.push(format!(
-                "{name}: expected {} dispatch, got {}",
-                want.label(),
-                got.label()
-            ));
-        }
-    };
+    // Every gate below adds to `failures`; the process fails after the JSON
+    // is written, so the CI smoke step goes red when dispatch or the engine
+    // regresses.
+    let mut failures: Vec<String> = Vec::new();
 
     // The paper-scale instances (Section 8): every construction, including
     // the two this engine made exact, answers without sampling.
@@ -197,24 +202,29 @@ fn main() {
             &ThresholdSystem::masking(1024, 255).unwrap(),
             p,
         );
-        expect("Threshold(1024)", m, FpMethod::ClosedForm);
+        expect_dispatch(&mut failures, "Threshold(1024)", m, FpMethod::ClosedForm);
         let m = measure(&mut rows, &evaluator, &GridSystem::new(32, 10).unwrap(), p);
-        expect("Grid(1024)", m, FpMethod::ClosedForm);
+        expect_dispatch(&mut failures, "Grid(1024)", m, FpMethod::ClosedForm);
         let m = measure(&mut rows, &evaluator, &MGridSystem::new(32, 15).unwrap(), p);
-        expect("M-Grid(1024)", m, FpMethod::ClosedForm);
+        expect_dispatch(&mut failures, "M-Grid(1024)", m, FpMethod::ClosedForm);
         let m = measure(&mut rows, &evaluator, &RtSystem::new(4, 3, 5).unwrap(), p);
-        expect("RT(1024)", m, FpMethod::ClosedForm);
+        expect_dispatch(&mut failures, "RT(1024)", m, FpMethod::ClosedForm);
         // boostFPP at n = 1001: previously the slowest, least accurate row
         // (Monte-Carlo, literally 0e0 at p = 0.05); now an exact closed form.
         let m = measure(&mut rows, &evaluator, &boost, p);
-        expect("boostFPP(q=3, b=19)", m, FpMethod::ClosedForm);
+        expect_dispatch(
+            &mut failures,
+            "boostFPP(q=3, b=19)",
+            m,
+            FpMethod::ClosedForm,
+        );
         // boostFPP at plane order q = 5 (n = 31, past the 2^n wall): the
         // counting profile keeps the Theorem 4.7 composition exact.
         let m = measure(&mut rows, &evaluator, &boost5, p);
-        expect("boostFPP(q=5, b=2)", m, FpMethod::ClosedForm);
+        expect_dispatch(&mut failures, "boostFPP(q=5, b=2)", m, FpMethod::ClosedForm);
         // M-Path at the DP gate (n = 36 — beyond the 2^25 enumeration limit).
         let m = measure(&mut rows, &evaluator, &mpath_dp, p);
-        expect("M-Path(side=6)", m, FpMethod::Dp);
+        expect_dispatch(&mut failures, "M-Path(side=6)", m, FpMethod::Dp);
     }
 
     if !quick {
@@ -329,7 +339,6 @@ fn main() {
     // The parity gate runs in every mode: the engine's availability profile
     // — the count kernels of Threshold and the line-quorum grids — must
     // equal the naive per-mask reference's, integer for integer.
-    let mut front_failures: Vec<String> = Vec::new();
     eprintln!("front (a): enumeration parity gates (count kernels)...");
     let lane_parity_seconds = {
         let t = std::time::Instant::now();
@@ -346,7 +355,7 @@ fn main() {
                 .expect("n = 16 is enumerable");
             let naive = availability_profile_naive(sys).expect("n = 16 is enumerable");
             if engine != naive {
-                front_failures.push(format!(
+                failures.push(format!(
                     "front (a): {name}: engine profile {:?} differs from the naive reference's {:?}",
                     engine.unavailable_by_alive(),
                     naive.unavailable_by_alive()
@@ -391,7 +400,7 @@ fn main() {
             for threads in [1, 2, 3, 8] {
                 let engine = evaluator.clone().with_threads(threads);
                 if engine.availability_profile(sys).unwrap() != reference {
-                    front_failures.push(format!(
+                    failures.push(format!(
                         "front (a): {} profile at {threads} threads differs from the naive reference's",
                         sys.name()
                     ));
@@ -415,11 +424,16 @@ fn main() {
     eprintln!("front (b): pruned-DP certified interval at M-Path side 7 (~10 s on one core)...");
     let mpath7 = MPathSystem::new(7, 1).unwrap();
     let (est7, side7_seconds) = time(|| evaluator.crash_probability(&mpath7, p25));
-    expect("M-Path(side=7)", est7.method, FpMethod::DpPruned);
+    expect_dispatch(
+        &mut failures,
+        "M-Path(side=7)",
+        est7.method,
+        FpMethod::DpPruned,
+    );
     let (lower7, upper7) = est7.interval.unwrap_or((est7.value, est7.value));
     let width7 = upper7 - lower7;
     if !est7.is_certified() || width7 > 1e-9 {
-        front_failures.push(format!(
+        failures.push(format!(
             "front (b): side-7 pruned DP width {width7:e} exceeds the 1e-9 gate (certified: {})",
             est7.is_certified()
         ));
@@ -432,10 +446,15 @@ fn main() {
         eprintln!("front (b): side 8 (~2 min on one core)...");
         let mpath8 = MPathSystem::new(8, 1).unwrap();
         let (est8, side8_seconds) = time(|| evaluator.crash_probability(&mpath8, p25));
-        expect("M-Path(side=8)", est8.method, FpMethod::DpPruned);
+        expect_dispatch(
+            &mut failures,
+            "M-Path(side=8)",
+            est8.method,
+            FpMethod::DpPruned,
+        );
         let (lower8, upper8) = est8.interval.unwrap_or((est8.value, est8.value));
         if !est8.is_certified() || upper8 - lower8 > 1e-9 {
-            front_failures.push(format!(
+            failures.push(format!(
                 "front (b): side-8 pruned DP width {:e} exceeds the 1e-9 gate (certified: {})",
                 upper8 - lower8,
                 est8.is_certified()
@@ -450,7 +469,7 @@ fn main() {
     eprintln!("front (c): q = 5 counting closed form and the q = 7 decline...");
     let (est_b5, boost5_seconds) = time(|| evaluator.crash_probability(&boost5, p25));
     if est_b5.method != FpMethod::ClosedForm {
-        front_failures.push(format!(
+        failures.push(format!(
             "front (c): boostFPP q = 5 dispatched to {} instead of the counting closed form",
             est_b5.method.label()
         ));
@@ -459,13 +478,13 @@ fn main() {
     let (q7_declined, q7_decline_seconds) =
         time(|| boost7.certified_crash_probabilities(&[p25]).is_none());
     if !q7_declined {
-        front_failures.push(
+        failures.push(
             "front (c): boostFPP q = 7 produced a closed form past the measured interface wall"
                 .to_string(),
         );
     }
     if q7_decline_seconds > 1.0 {
-        front_failures.push(format!(
+        failures.push(format!(
             "front (c): boostFPP q = 7 took {q7_decline_seconds:.2} s to decline (must be instant)"
         ));
     }
@@ -644,49 +663,26 @@ fn main() {
     );
     println!("wrote {output}");
 
-    // Fail the process (after writing the JSON) so the CI smoke step goes red
-    // when dispatch or the engine regresses.
-    let mut failed = false;
-    if !dispatch_failures.is_empty() {
-        for f in &dispatch_failures {
-            eprintln!("ERROR: dispatch regression: {f}");
-        }
-        failed = true;
-    }
     if dp_sweep_speedup < 5.0 {
-        eprintln!(
-            "ERROR: batched M-Path DP sweep only {dp_sweep_speedup:.1}x cheaper per extra point (need >= 5x)"
-        );
-        failed = true;
+        failures.push(format!(
+            "batched M-Path DP sweep only {dp_sweep_speedup:.1}x cheaper per extra point (need >= 5x)"
+        ));
     }
     if boost_speedup.ratio < 20.0 {
-        eprintln!(
-            "ERROR: boostFPP exact path is only {:.1}x faster than Monte-Carlo (need >= 20x)",
+        failures.push(format!(
+            "boostFPP exact path is only {:.1}x faster than Monte-Carlo (need >= 20x)",
             boost_speedup.ratio
-        );
-        failed = true;
+        ));
     }
-    if let Some(ratio) = grid25_speedup {
-        if ratio < 5.0 {
-            eprintln!("ERROR: grid25 speedup {ratio:.1}x is below the 5x acceptance threshold");
-            failed = true;
-        }
+    if let Some(ratio) = grid25_speedup.filter(|&ratio| ratio < 5.0) {
+        failures.push(format!(
+            "grid25 speedup {ratio:.1}x is below the 5x acceptance threshold"
+        ));
     }
-    if let Some(vs_v3) = grid25_v3_speedup {
-        if vs_v3 < 2.0 {
-            eprintln!(
-                "ERROR: grid25 engine time is only {vs_v3:.2}x faster than the committed v3 baseline (need >= 2x)"
-            );
-            failed = true;
-        }
+    if let Some(vs_v3) = grid25_v3_speedup.filter(|&vs_v3| vs_v3 < 2.0) {
+        failures.push(format!(
+            "grid25 engine time is only {vs_v3:.2}x faster than the committed v3 baseline (need >= 2x)"
+        ));
     }
-    if !front_failures.is_empty() {
-        for f in &front_failures {
-            eprintln!("ERROR: {f}");
-        }
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    exit_on_failures(&failures);
 }

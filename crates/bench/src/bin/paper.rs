@@ -335,7 +335,7 @@ fn figure1_mgrid(args: Args) {
     );
     println!(
         "a quorum is the union of {0} rows and {0} columns (sqrt(b+1) of each)\n",
-        sys.lines_per_quorum()
+        sys.lines().0
     );
     print_grid_quorum(side, &quorum);
     println!("quorum size      : {}", quorum.len());

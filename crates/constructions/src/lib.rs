@@ -7,11 +7,12 @@
 //! |---|---|---|---|
 //! | Threshold | \[MR98a\] baseline (Table 2) | [`threshold`] | masks up to `b < n/4`, load `≈ 1/2` |
 //! | Grid | \[MR98a\] baseline (Table 2) | [`grid`] | load `≈ 2b/√n`, availability → 0 |
-//! | M-Grid | Section 5.1 | [`mgrid`] | **optimal load** `≈ 2√((b+1)/n)` for `b ≤ (√n−1)/2` |
+//! | M-Grid | Section 5.1 | [`grid`] | **optimal load** `≈ 2√((b+1)/n)` for `b ≤ (√n−1)/2` |
 //! | RT(k, ℓ) | Section 5.2 | [`rt`] | masks `b = O(n^α)`, near-optimal crash probability |
 //! | boostFPP | Section 6 | [`boost_fpp`] | **optimal load** `≈ 3/(4q)`, masks up to `b → n/4` |
 //! | M-Path | Section 7 | [`mpath`] | **optimal load and optimal crash probability** for all `p < 1/2` |
-//! | Majority / RegularGrid / Singleton | regular baselines | [`majority`] | inputs for boosting and comparisons |
+//! | Majority / Singleton | regular baselines | [`majority`] | inputs for boosting and comparisons |
+//! | Regular grid | \[Mae85, CAA92\] baseline | [`grid`] | Grid at `b = 0`: one row + one column, load `≈ 2/√n` |
 //!
 //! All constructions implement [`bqs_core::quorum::QuorumSystem`] (operational
 //! interface: sample a quorum, find a live quorum under failures) and the
@@ -41,7 +42,6 @@ pub mod boost_fpp;
 pub mod fpp;
 pub mod grid;
 pub mod majority;
-pub mod mgrid;
 pub mod mpath;
 pub mod rt;
 mod segments;
@@ -50,9 +50,8 @@ pub mod threshold;
 
 pub use boost_fpp::BoostFppSystem;
 pub use fpp::FppSystem;
-pub use grid::GridSystem;
-pub use majority::{MajoritySystem, RegularGridSystem, SingletonSystem};
-pub use mgrid::MGridSystem;
+pub use grid::{GridSystem, MGridSystem};
+pub use majority::{MajoritySystem, SingletonSystem};
 pub use mpath::MPathSystem;
 pub use rt::RtSystem;
 pub use threshold::ThresholdSystem;
@@ -102,9 +101,8 @@ pub trait AnalyzedConstruction: bqs_core::quorum::QuorumSystem {
 pub mod prelude {
     pub use crate::boost_fpp::BoostFppSystem;
     pub use crate::fpp::FppSystem;
-    pub use crate::grid::GridSystem;
-    pub use crate::majority::{MajoritySystem, RegularGridSystem, SingletonSystem};
-    pub use crate::mgrid::MGridSystem;
+    pub use crate::grid::{GridSystem, MGridSystem};
+    pub use crate::majority::{MajoritySystem, SingletonSystem};
     pub use crate::mpath::MPathSystem;
     pub use crate::rt::RtSystem;
     pub use crate::threshold::ThresholdSystem;

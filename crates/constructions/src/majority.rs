@@ -6,9 +6,11 @@
 //!
 //! * [`MajoritySystem`] — quorums are all `⌊n/2⌋ + 1`-subsets (\[Tho79\]); maximal
 //!   availability, poor load;
-//! * [`RegularGridSystem`] — quorums are one full row plus one full column of a
-//!   `√n × √n` grid ([Mae85, CAA92]); load `≈ 2/√n`, poor availability;
 //! * [`SingletonSystem`] — a single distinguished server; the degenerate extreme.
+//!
+//! The regular row + column grid (\[Mae85, CAA92\]; load `≈ 2/√n`, poor
+//! availability) is the Grid at `b = 0`: `GridSystem::new(side, 0)` in
+//! [`crate::grid`].
 
 use rand::RngCore;
 
@@ -17,7 +19,6 @@ use bqs_core::error::QuorumError;
 use bqs_core::oracle::MinWeightQuorumOracle;
 use bqs_core::quorum::{ExplicitQuorumSystem, QuorumSystem};
 
-use crate::square::{min_price_rows_and_columns, SquareGrid};
 use crate::threshold::ThresholdSystem;
 use crate::AnalyzedConstruction;
 
@@ -97,123 +98,6 @@ impl AnalyzedConstruction for MajoritySystem {
 
     fn crash_probability_upper_bound(&self, p: f64) -> Option<f64> {
         Some(self.inner.crash_probability(p))
-    }
-}
-
-/// The regular (non-masking) grid system: one full row plus one full column.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegularGridSystem {
-    grid: SquareGrid,
-}
-
-impl RegularGridSystem {
-    /// Creates the row+column grid system on a `side × side` grid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuorumError::InvalidParameters`] if `side == 0`.
-    pub fn new(side: usize) -> Result<Self, QuorumError> {
-        Ok(RegularGridSystem {
-            grid: SquareGrid::new(side)?,
-        })
-    }
-
-    /// The grid side.
-    #[must_use]
-    pub fn side(&self) -> usize {
-        self.grid.side()
-    }
-
-    /// Materialises all `side²` quorums.
-    ///
-    /// # Errors
-    ///
-    /// Propagates explicit-system validation errors (none occur for valid grids).
-    pub fn to_explicit(&self) -> Result<ExplicitQuorumSystem, QuorumError> {
-        let side = self.grid.side();
-        let mut quorums = Vec::with_capacity(side * side);
-        for r in 0..side {
-            for c in 0..side {
-                quorums.push(self.grid.union_of(&[r], &[c]));
-            }
-        }
-        Ok(ExplicitQuorumSystem::new(self.grid.universe_size(), quorums)?.with_name(self.name()))
-    }
-}
-
-impl QuorumSystem for RegularGridSystem {
-    fn universe_size(&self) -> usize {
-        self.grid.universe_size()
-    }
-
-    fn name(&self) -> String {
-        format!("RegularGrid(n={})", self.grid.universe_size())
-    }
-
-    fn sample_quorum(&self, rng: &mut dyn RngCore) -> ServerSet {
-        let side = self.grid.side();
-        let r = rand::seq::index::sample(rng, side, 1).index(0);
-        let c = rand::seq::index::sample(rng, side, 1).index(0);
-        self.grid.union_of(&[r], &[c])
-    }
-
-    fn find_live_quorum(&self, alive: &ServerSet) -> Option<ServerSet> {
-        let rows = self.grid.fully_alive_rows(alive);
-        let cols = self.grid.fully_alive_columns(alive);
-        match (rows.first(), cols.first()) {
-            (Some(&r), Some(&c)) => Some(self.grid.union_of(&[r], &[c])),
-            _ => None,
-        }
-    }
-
-    fn min_quorum_size(&self) -> usize {
-        2 * self.grid.side() - 1
-    }
-}
-
-impl MinWeightQuorumOracle for RegularGridSystem {
-    /// Exact pricing of the cheapest one-row + one-column union.
-    fn min_weight_quorum(&self, prices: &[f64]) -> Option<(ServerSet, f64)> {
-        let (rows, cols, price) =
-            min_price_rows_and_columns(self.grid.side(), prices, 1, 1, u128::MAX)?;
-        Some((self.grid.union_of(&rows, &cols), price))
-    }
-
-    /// All row × column pairs: the uniform mixture loads every cell at
-    /// exactly `(2·side − 1)/side²`.
-    fn symmetric_strategy_hint(&self) -> Option<(Vec<ServerSet>, Vec<f64>)> {
-        Some(crate::square::balanced_line_strategy(
-            self.grid.side(),
-            1,
-            1,
-            |rows, cols| self.grid.union_of(rows, cols),
-        ))
-    }
-}
-
-impl AnalyzedConstruction for RegularGridSystem {
-    fn masking_b(&self) -> usize {
-        0
-    }
-
-    fn resilience(&self) -> usize {
-        // One cell per row hits every quorum (each holds a full row), so
-        // MT = side and the system survives side - 1 crashes.
-        self.grid.side() - 1
-    }
-
-    fn analytic_load(&self) -> f64 {
-        self.min_quorum_size() as f64 / self.universe_size() as f64
-    }
-
-    fn crash_probability_upper_bound(&self, _p: f64) -> Option<f64> {
-        None
-    }
-
-    fn crash_probability_lower_bound(&self, p: f64) -> Option<f64> {
-        // One crash per row kills every quorum.
-        let side = self.grid.side() as f64;
-        Some((1.0 - (1.0 - p).powf(side)).powf(side))
     }
 }
 
@@ -325,46 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn regular_grid_parameters_and_availability() {
-        let g = RegularGridSystem::new(4).unwrap();
-        assert_eq!(g.universe_size(), 16);
-        assert_eq!(g.min_quorum_size(), 7);
-        assert_eq!(g.masking_b(), 0);
-        let e = g.to_explicit().unwrap();
-        assert_eq!(e.num_quorums(), 16);
-        // Two row+column quorums on distinct rows and columns meet in exactly two
-        // cells (each one's row crosses the other's column).
-        assert_eq!(min_intersection_size(e.quorums()), 2);
-        assert_eq!(masking_level(e.quorums(), 16), Some(0));
-        // Load: fair system, 7/16.
-        let (load, _) = optimal_load(e.quorums(), 16).unwrap();
-        assert!((load - 7.0 / 16.0).abs() < 1e-6);
-        // Availability needs a full row and a full column.
-        let mut alive = ServerSet::full(16);
-        alive.remove(0);
-        assert!(g.is_available(&alive)); // rows 1..3 and columns 1..3 are intact
-        for c in 0..4 {
-            alive.remove(c); // kill all of row 0: every column now has a dead cell
-        }
-        assert!(!g.is_available(&alive));
-        let mut diag = ServerSet::full(16);
-        for i in 0..4 {
-            diag.remove(i * 4 + i);
-        }
-        assert!(!g.is_available(&diag)); // no full row (or column) remains
-    }
-
-    #[test]
-    fn regular_grid_resilience_matches_explicit() {
-        let g = RegularGridSystem::new(3).unwrap();
-        let e = g.to_explicit().unwrap();
-        assert_eq!(
-            bqs_core::transversal::resilience(e.quorums(), 9),
-            AnalyzedConstruction::resilience(&g)
-        );
-    }
-
-    #[test]
     fn singleton_behaviour() {
         let s = SingletonSystem::new(5).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
@@ -380,11 +224,6 @@ mod tests {
         let m = MajoritySystem::new(101).unwrap();
         let certified = optimal_load_oracle(&m).unwrap();
         assert!((certified.load - m.analytic_load()).abs() <= 1e-9);
-        assert!(certified.gap <= 1e-9);
-
-        let g = RegularGridSystem::new(12).unwrap();
-        let certified = optimal_load_oracle(&g).unwrap();
-        assert!((certified.load - g.analytic_load()).abs() <= 1e-9);
         assert!(certified.gap <= 1e-9);
 
         let s = SingletonSystem::new(5).unwrap();

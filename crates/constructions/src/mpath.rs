@@ -49,8 +49,7 @@ use bqs_graph::crossing_dp::{min_crossing_cost_capped, mpath_crash_probability, 
 use bqs_graph::disjoint_paths::{find_straight_disjoint_paths, min_cost_crossings};
 use bqs_graph::grid::{Axis, TriangulatedGrid};
 
-use crate::mgrid::integer_sqrt_ceil;
-use crate::square::SquareGrid;
+use crate::grid::{integer_sqrt_ceil, ORACLE_SUBSET_BUDGET};
 use crate::AnalyzedConstruction;
 
 /// Largest grid side for which the system answers `F_p` with the exact
@@ -160,15 +159,6 @@ impl MPathSystem {
             b,
             paths,
         })
-    }
-
-    /// Creates M-Path(b) for a universe of `n` servers (`n` a perfect square).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MPathSystem::new`] plus the perfect-square requirement.
-    pub fn for_universe(n: usize, b: usize) -> Result<Self, QuorumError> {
-        MPathSystem::new(SquareGrid::for_universe(n)?.side(), b)
     }
 
     /// The largest `b` accepted on a `side × side` grid.
@@ -458,7 +448,7 @@ impl MinWeightQuorumOracle for MPathSystem {
             prices,
             self.paths,
             self.paths,
-            crate::mgrid::ORACLE_SUBSET_BUDGET,
+            ORACLE_SUBSET_BUDGET,
         )?;
         debug_assert!(
             price + 1e-9 >= self.crossings_price_bound(prices),
@@ -517,8 +507,6 @@ mod tests {
         assert!(MPathSystem::new(3, 5).is_err());
         // Resilience constraint: side=4, b=3 -> paths=3, side-paths=1 < 3.
         assert!(MPathSystem::new(4, 3).is_err());
-        assert!(MPathSystem::for_universe(81, 4).is_ok());
-        assert!(MPathSystem::for_universe(80, 4).is_err());
     }
 
     #[test]

@@ -1,5 +1,10 @@
-//! Shared helpers for constructions that arrange the universe in a `√n × √n` square
-//! (the Grid baseline of \[MR98a\] and the M-Grid of Section 5.1).
+//! The `√n × √n` square and its line helpers: [`SquareGrid`] (row-major
+//! indexing, fully alive lines, the count kernel's [`LineCountTables`]), the
+//! exact closed form [`rows_and_columns_alive_probability`], and the line
+//! pricing oracle [`min_price_rows_and_columns`] with its balanced strategy
+//! [`balanced_line_strategy`]. The line-quorum systems of [`crate::grid`]
+//! (Grid, M-Grid and the regular grid) use all of them; M-Path prices and
+//! balances its straight-line family with the last two.
 
 use std::sync::OnceLock;
 
@@ -29,23 +34,6 @@ impl SquareGrid {
         Ok(SquareGrid { side })
     }
 
-    /// Creates the arrangement for a universe of `n` servers, requiring `n` to be a
-    /// perfect square.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuorumError::InvalidParameters`] if `n` is not a positive perfect
-    /// square.
-    pub fn for_universe(n: usize) -> Result<Self, QuorumError> {
-        let side = (n as f64).sqrt().round() as usize;
-        if side == 0 || side * side != n {
-            return Err(QuorumError::InvalidParameters(format!(
-                "universe size {n} is not a perfect square"
-            )));
-        }
-        SquareGrid::new(side)
-    }
-
     /// The side length.
     #[must_use]
     pub fn side(&self) -> usize {
@@ -63,30 +51,6 @@ impl SquareGrid {
     pub fn index(&self, row: usize, col: usize) -> usize {
         debug_assert!(row < self.side && col < self.side);
         row * self.side + col
-    }
-
-    /// The coordinates of a server index.
-    #[must_use]
-    pub fn coords(&self, v: usize) -> (usize, usize) {
-        (v / self.side, v % self.side)
-    }
-
-    /// The servers of row `r`.
-    #[must_use]
-    pub fn row(&self, r: usize) -> ServerSet {
-        ServerSet::from_indices(
-            self.universe_size(),
-            (0..self.side).map(|c| self.index(r, c)),
-        )
-    }
-
-    /// The servers of column `c`.
-    #[must_use]
-    pub fn column(&self, c: usize) -> ServerSet {
-        ServerSet::from_indices(
-            self.universe_size(),
-            (0..self.side).map(|r| self.index(r, c)),
-        )
     }
 
     /// The indices of rows that are entirely contained in `alive`.
@@ -336,10 +300,10 @@ impl LineCountTables {
     }
 }
 
-/// The uniform-weight strategy over [`balanced_line_family`], with each
+/// The uniform-weight strategy over `balanced_line_family`, with each
 /// `(rows, cols)` pair materialised by the construction-specific `union`
-/// (full grid lines for Grid/M-Grid/RegularGrid, straight triangulated-grid
-/// crossings for M-Path) — the shared body of those constructions'
+/// (full grid lines for the line systems of [`crate::grid`], straight
+/// triangulated-grid crossings for M-Path) — the shared body of those constructions'
 /// `symmetric_strategy_hint` implementations.
 #[must_use]
 pub fn balanced_line_strategy(
@@ -359,8 +323,8 @@ pub fn balanced_line_strategy(
 
 /// Exact minimum-price selection of `num_rows` full rows and `num_cols` full
 /// columns of a `side × side` grid — the pricing oracle shared by every
-/// construction whose quorums are unions of grid lines (Grid, M-Grid, the
-/// regular row+column grid, and M-Path's straight-line strategy family).
+/// construction whose quorums are unions of grid lines (the line systems of
+/// [`crate::grid`] and M-Path's straight-line strategy family).
 ///
 /// The price of a union counts each cell once:
 ///
@@ -665,8 +629,7 @@ fn branch_and_bound_lines(
 /// # Panics
 ///
 /// Panics unless `1 <= num_rows, num_cols <= side`.
-#[must_use]
-pub fn balanced_line_family(
+fn balanced_line_family(
     side: usize,
     num_rows: usize,
     num_cols: usize,
@@ -690,9 +653,9 @@ pub fn balanced_line_family(
 /// probability `1 - p`, a `side × side` grid has at least `min_rows` fully
 /// alive rows **and** at least `min_cols` fully alive columns.
 ///
-/// This is the availability event of both grid constructions (Grid needs
-/// `2b + 1` rows and one column; M-Grid needs `⌈√(b+1)⌉` of each), so
-/// `1 -` this value is their exact `F_p` — no enumeration required.
+/// This is the availability event of every line system (Grid needs `2b + 1`
+/// rows and one column; M-Grid needs `⌈√(b+1)⌉` of each), so `1 -` this
+/// value is their exact `F_p` — no enumeration required.
 ///
 /// Derivation: condition on a set `S` of columns being fully alive. Given
 /// `|S| = j`, the rows are independent and each is fully alive with
@@ -746,12 +709,8 @@ mod tests {
     fn line_quorum_shapes(side: usize) -> Vec<(usize, usize)> {
         let mut shapes: Vec<(usize, usize)> = (0..side)
             .flat_map(|b| {
-                let grid = crate::GridSystem::new(side, b)
-                    .ok()
-                    .map(|g| (g.rows_per_quorum(), 1));
-                let mgrid = crate::MGridSystem::new(side, b)
-                    .ok()
-                    .map(|m| (m.lines_per_quorum(), m.lines_per_quorum()));
+                let grid = crate::GridSystem::new(side, b).ok().map(|g| g.lines());
+                let mgrid = crate::MGridSystem::new(side, b).ok().map(|m| m.lines());
                 grid.into_iter().chain(mgrid)
             })
             .collect();
@@ -823,19 +782,7 @@ mod tests {
         let g = SquareGrid::new(4).unwrap();
         assert_eq!(g.universe_size(), 16);
         assert_eq!(g.index(2, 3), 11);
-        assert_eq!(g.coords(11), (2, 3));
         assert!(SquareGrid::new(0).is_err());
-        assert!(SquareGrid::for_universe(49).is_ok());
-        assert!(SquareGrid::for_universe(48).is_err());
-        assert!(SquareGrid::for_universe(0).is_err());
-    }
-
-    #[test]
-    fn rows_and_columns() {
-        let g = SquareGrid::new(3).unwrap();
-        assert_eq!(g.row(1).to_vec(), vec![3, 4, 5]);
-        assert_eq!(g.column(2).to_vec(), vec![2, 5, 8]);
-        assert_eq!(g.row(0).intersection_size(&g.column(0)), 1);
     }
 
     #[test]

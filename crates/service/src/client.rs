@@ -405,8 +405,8 @@ mod tests {
     use super::*;
     use crate::mailbox::ReplyHandle;
     use crate::shard::LoopbackService;
-    use bqs_constructions::mgrid::MGridSystem;
     use bqs_constructions::threshold::ThresholdSystem;
+    use bqs_constructions::MGridSystem;
     use bqs_sim::fault::FaultPlan;
     use bqs_sim::server::ByzantineStrategy::{Equivocate, FabricateHighTimestamp, StaleReplay};
     use rand::rngs::StdRng;

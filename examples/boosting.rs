@@ -4,9 +4,10 @@
 //! over the minimal b-masking threshold `Thresh(3b+1 of 4b+1)` yields a b-masking
 //! system over a `(4b+1)`-times larger universe, with all of `S`'s load advantages
 //! preserved (Theorem 4.7: parameters multiply). This example boosts three different
-//! regular systems — Majority, the Maekawa-style grid, and a finite projective plane
-//! — and compares the results, reproducing the reasoning that singles out the FPP
-//! (boostFPP) as the load-optimal choice.
+//! regular systems — Majority, the Maekawa-style grid (the Grid at `b = 0`: one row
+//! plus one column), and a finite projective plane — and compares the results,
+//! reproducing the reasoning that singles out the FPP (boostFPP) as the load-optimal
+//! choice.
 //!
 //! Run with: `cargo run --example boosting`
 
@@ -30,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Three regular outer systems of comparable size.
     let majority = MajoritySystem::new(13)?;
-    let grid = RegularGridSystem::new(4)?;
+    let grid = GridSystem::new(4, 0)?; // the regular row + column grid
     let fpp = FppSystem::new(3)?;
 
     let mut table = TextTable::new([

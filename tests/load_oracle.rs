@@ -82,8 +82,8 @@ fn certified_load_matches_explicit_lp_on_all_enumerable_constructions() {
         let maje = maj.to_explicit(100_000).unwrap();
         push(maj.name(), maje.quorums(), 9, certify_and_check(&maj));
 
-        let rg = RegularGridSystem::new(4).unwrap();
-        let rge = rg.to_explicit().unwrap();
+        let rg = GridSystem::new(4, 0).unwrap();
+        let rge = rg.to_explicit(100).unwrap();
         push(rg.name(), rge.quorums(), 16, certify_and_check(&rg));
     }
     for (name, quorums, n, certified) in cases {

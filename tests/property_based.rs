@@ -234,7 +234,7 @@ proptest! {
 /// non-threshold composition as well.
 #[test]
 fn composed_crash_probability_for_grid_over_threshold() {
-    let outer = RegularGridSystem::new(2).unwrap().to_explicit().unwrap();
+    let outer = GridSystem::new(2, 0).unwrap().to_explicit(4).unwrap();
     let inner = ThresholdSystem::new(3, 2)
         .unwrap()
         .to_explicit(100)
