@@ -37,26 +37,21 @@ impl Iterator for KSubsets {
     type Item = Vec<usize>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let current = self.current.clone()?;
-        // Advance to the next combination in lexicographic order.
-        let mut next = current.clone();
-        let mut i = self.k;
-        loop {
-            if i == 0 {
-                self.current = None;
-                break;
-            }
-            i -= 1;
-            if next[i] < self.n - (self.k - i) {
-                next[i] += 1;
-                for j in (i + 1)..self.k {
-                    next[j] = next[j - 1] + 1;
-                }
-                self.current = Some(next);
-                break;
-            }
+        let current = self.current.as_mut()?;
+        let item = current.clone();
+        // Advance to the next combination in lexicographic order, in place.
+        let Some(i) = (0..self.k)
+            .rev()
+            .find(|&i| current[i] < self.n - (self.k - i))
+        else {
+            self.current = None;
+            return Some(item);
+        };
+        current[i] += 1;
+        for j in (i + 1)..self.k {
+            current[j] = current[j - 1] + 1;
         }
-        Some(current)
+        Some(item)
     }
 }
 

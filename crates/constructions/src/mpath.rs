@@ -50,6 +50,7 @@ use bqs_graph::disjoint_paths::{find_straight_disjoint_paths, min_cost_crossings
 use bqs_graph::grid::{Axis, TriangulatedGrid};
 
 use crate::grid::{integer_sqrt_ceil, ORACLE_SUBSET_BUDGET};
+use crate::square::SquareGrid;
 use crate::AnalyzedConstruction;
 
 /// Largest grid side for which the system answers `F_p` with the exact
@@ -267,19 +268,14 @@ impl MPathSystem {
     /// columns (TB crossings) — the quorum shape of Proposition 7.2's
     /// access strategy, shared by the pricing oracle and the warm-start
     /// family.
+    ///
+    /// The triangulated grid indexes its vertices row-major, so a straight
+    /// crossing is a whole row or column of the [`SquareGrid`] of the same
+    /// side, and the union is that square's.
     fn straight_union(&self, rows: &[usize], cols: &[usize]) -> ServerSet {
-        let mut out = ServerSet::new(self.universe_size());
-        for &r in rows {
-            for v in self.grid.straight_path(Axis::LeftRight, r) {
-                out.insert(v);
-            }
-        }
-        for &c in cols {
-            for v in self.grid.straight_path(Axis::TopBottom, c) {
-                out.insert(v);
-            }
-        }
-        out
+        SquareGrid::new(self.grid.side())
+            .expect("an M-Path grid has a positive side")
+            .union_of(rows, cols)
     }
 
     /// The percolation-flavoured crash-probability upper bound used in the worked
@@ -418,11 +414,12 @@ impl QuorumSystem for MPathSystem {
         )
     }
 
+    /// The size of Proposition 7.2's straight-line quorums, `paths` rows and
+    /// `paths` columns overlapping in `paths²` cells. This is an **upper
+    /// bound** on M-Path's `c(Q)`, not its value: bent crossings can be
+    /// shorter, because a diagonal step advances along both axes (see
+    /// `ROADMAP.md`, direction 1).
     fn min_quorum_size(&self) -> usize {
-        // The size of Proposition 7.2's straight-line quorums: `paths` rows and
-        // `paths` columns overlapping in paths² cells. This is an upper bound on
-        // c(Q): bent crossings can be shorter, because a diagonal step advances
-        // along both axes (see `ROADMAP.md`, direction 1).
         2 * self.paths * self.grid.side() - self.paths * self.paths
     }
 }
@@ -459,7 +456,10 @@ impl MinWeightQuorumOracle for MPathSystem {
 
     /// All cyclic row-window × column-window straight-line quorums — the
     /// explicit form of Proposition 7.2's access strategy, balanced so the
-    /// uniform mixture achieves `c(Q)/n` exactly.
+    /// uniform mixture loads every server at exactly the straight-line
+    /// quorum size over `n`. That load is an **upper bound** on
+    /// `L(M-Path)`: the engine certifies it against the straight-line
+    /// family's oracle, not against every M-Path quorum.
     fn symmetric_strategy_hint(&self) -> Option<(Vec<ServerSet>, Vec<f64>)> {
         Some(crate::square::balanced_line_strategy(
             self.grid.side(),
@@ -479,9 +479,13 @@ impl AnalyzedConstruction for MPathSystem {
         self.min_transversal() - 1
     }
 
+    /// The load `c/n` that Proposition 7.2's straight-line strategy induces,
+    /// with `c` the straight-line quorum size
+    /// ([`QuorumSystem::min_quorum_size`]). This is an **upper bound** on
+    /// `L(M-Path)`, not its value (Proposition 7.2 states
+    /// `L ≤ 2√(2b+1)/√n`): a strategy over shorter bent crossings may load
+    /// the busiest server less.
     fn analytic_load(&self) -> f64 {
-        // Proposition 7.2: L <= 2 sqrt(2b+1) / sqrt(n); the straight-line strategy
-        // achieves c(Q)/n with c = 2*paths*side - paths^2.
         self.min_quorum_size() as f64 / self.universe_size() as f64
     }
 
@@ -518,6 +522,20 @@ mod tests {
         assert_eq!(m.min_quorum_size(), 2 * 3 * 9 - 9);
         assert_eq!(m.min_transversal(), 7);
         assert_eq!(AnalyzedConstruction::resilience(&m), 6);
+    }
+
+    #[test]
+    fn straight_union_is_the_union_of_straight_crossings() {
+        let m = MPathSystem::new(7, 3).unwrap();
+        let (rows, cols) = ([0, 3, 6], [1, 2, 6]);
+        let mut expected = ServerSet::new(m.universe_size());
+        for &r in &rows {
+            expected.extend(m.grid.straight_path(Axis::LeftRight, r));
+        }
+        for &c in &cols {
+            expected.extend(m.grid.straight_path(Axis::TopBottom, c));
+        }
+        assert_eq!(m.straight_union(&rows, &cols), expected);
     }
 
     #[test]

@@ -337,10 +337,28 @@ impl MinWeightQuorumOracle for RtSystem {
         let h = self.depth as usize;
         let mut choice = vec![0usize; h];
         let mut quorums = Vec::new();
+        // The column's subtree starts, expanded a level at a time in place:
+        // start `s` of a node at one level becomes `s + c · span` for each
+        // child `c` of the level's subset. Writing back to front never
+        // overwrites a start that is still to be read.
+        let mut starts = Vec::with_capacity(self.min_quorum_size());
         loop {
-            let mut leaves = Vec::with_capacity(self.min_quorum_size());
-            collect_aligned_leaves(self.k, &subsets, &choice, 0, 0, n, &mut leaves);
-            quorums.push(ServerSet::from_indices(n, leaves));
+            starts.clear();
+            starts.push(0);
+            let mut span = n;
+            for &chosen in &choice {
+                span /= self.k;
+                let subset = &subsets[chosen];
+                let parents = starts.len();
+                starts.resize(parents * self.l, 0);
+                for p in (0..parents).rev() {
+                    let start = starts[p];
+                    for (slot, &c) in subset.iter().enumerate() {
+                        starts[p * self.l + slot] = start + c * span;
+                    }
+                }
+            }
+            quorums.push(ServerSet::from_indices(n, starts.iter().copied()));
             let mut pos = 0;
             while pos < h {
                 choice[pos] += 1;
@@ -356,35 +374,6 @@ impl MinWeightQuorumOracle for RtSystem {
         }
         let weights = vec![1.0; quorums.len()];
         Some((quorums, weights))
-    }
-}
-
-/// Collects the leaves of the aligned column `choice` (one child subset per
-/// level) under the subtree covering `[start, start + span)` at `level`.
-fn collect_aligned_leaves(
-    k: usize,
-    subsets: &[Vec<usize>],
-    choice: &[usize],
-    level: usize,
-    start: usize,
-    span: usize,
-    out: &mut Vec<usize>,
-) {
-    if span == 1 {
-        out.push(start);
-        return;
-    }
-    let child_span = span / k;
-    for &c in &subsets[choice[level]] {
-        collect_aligned_leaves(
-            k,
-            subsets,
-            choice,
-            level + 1,
-            start + c * child_span,
-            child_span,
-            out,
-        );
     }
 }
 

@@ -109,9 +109,7 @@ impl SquareGrid {
     pub fn union_of(&self, rows: &[usize], cols: &[usize]) -> ServerSet {
         let mut set = ServerSet::new(self.universe_size());
         for &r in rows {
-            for c in 0..self.side {
-                set.insert(self.index(r, c));
-            }
+            set.insert_range(self.index(r, 0)..self.index(r, 0) + self.side);
         }
         for &c in cols {
             for r in 0..self.side {
@@ -300,11 +298,25 @@ impl LineCountTables {
     }
 }
 
-/// The uniform-weight strategy over `balanced_line_family`, with each
-/// `(rows, cols)` pair materialised by the construction-specific `union`
-/// (full grid lines for the line systems of [`crate::grid`], straight
-/// triangulated-grid crossings for M-Path) — the shared body of those constructions'
-/// `symmetric_strategy_hint` implementations.
+/// The uniform-weight strategy over the perfectly balanced line family
+/// behind the grid constructions' symmetric strategy hint: every pair of a
+/// cyclic `num_rows`-window of rows and a cyclic `num_cols`-window of
+/// columns (`side²` pairs, row windows outer), each materialised by the
+/// construction-specific `union` (full grid lines for the line systems of
+/// [`crate::grid`], straight triangulated-grid crossings for M-Path) — the
+/// shared body of those constructions' `symmetric_strategy_hint`
+/// implementations.
+///
+/// Each cell `(r, c)` lies in exactly `num_rows` row windows and `num_cols`
+/// column windows, so across the full family it is covered exactly
+/// `num_rows·side + num_cols·side − num_rows·num_cols` times — the uniform
+/// mixture over the family therefore loads every server equally at `c(Q)/n`,
+/// which is what lets the load engine certify grid-union systems in a single
+/// oracle call.
+///
+/// # Panics
+///
+/// Panics unless `1 <= num_rows, num_cols <= side`.
 #[must_use]
 pub fn balanced_line_strategy(
     side: usize,
@@ -312,10 +324,19 @@ pub fn balanced_line_strategy(
     num_cols: usize,
     union: impl Fn(&[usize], &[usize]) -> ServerSet,
 ) -> (Vec<ServerSet>, Vec<f64>) {
-    let family = balanced_line_family(side, num_rows, num_cols);
-    let quorums: Vec<ServerSet> = family
+    assert!(
+        (1..=side).contains(&num_rows) && (1..=side).contains(&num_cols),
+        "window sizes must be in 1..=side"
+    );
+    let windows = |len: usize| -> Vec<Vec<usize>> {
+        (0..side)
+            .map(|start| (0..len).map(|o| (start + o) % side).collect())
+            .collect()
+    };
+    let (row_windows, col_windows) = (windows(num_rows), windows(num_cols));
+    let quorums: Vec<ServerSet> = row_windows
         .iter()
-        .map(|(rows, cols)| union(rows, cols))
+        .flat_map(|rows| col_windows.iter().map(|cols| union(rows, cols)))
         .collect();
     let weights = vec![1.0; quorums.len()];
     (quorums, weights)
@@ -337,7 +358,17 @@ pub fn balanced_line_strategy(
 /// whichever axis has fewer subsets) line set and selecting the best
 /// complementary lines greedily — optimal because, with one axis fixed, the
 /// other axis' contributions `rowsum(r) − Σ_{c∈C} p[r][c]` are independent
-/// across lines. Ties break towards smaller indices, keeping the oracle
+/// across lines.
+///
+/// The enumeration is a depth-first walk over the subsets in lexicographic
+/// order that shares prefixes: depth `d` keeps one overlap row, the
+/// previous depth's row plus the cells of the line chosen at `d`, so every
+/// overlap is the same left-to-right sum it would be if each subset were
+/// summed alone. At each leaf the cheapest `k` complementary lines are kept
+/// by insertion into a `k`-slot list under the `(value, index)` order, with
+/// no sort and no allocation. Ties break towards smaller indices, both
+/// among complementary lines and between subsets (the first subset in
+/// lexicographic order wins an equal price), keeping the oracle
 /// deterministic.
 ///
 /// Returns `(rows, columns, price)`, or `None` when the line counts do not
@@ -427,30 +458,133 @@ pub fn min_price_rows_and_columns(
         });
     }
 
-    let mut best: Option<(Vec<usize>, Vec<usize>, f64)> = None;
-    let mut adjusted: Vec<(f64, usize)> = vec![(0.0, 0); side];
-    for enum_set in bqs_combinatorics::subsets::KSubsets::new(side, k_enum) {
-        let base: f64 = enum_set.iter().map(|&j| enum_sums[j]).sum();
-        for i in 0..side {
-            let overlap: f64 = enum_set.iter().map(|&j| cell(i, j)).sum();
-            adjusted[i] = (pick_sums[i] - overlap, i);
-        }
-        adjusted.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let price: f64 = base + adjusted[..k_pick].iter().map(|&(v, _)| v).sum::<f64>();
-        if best.as_ref().is_none_or(|(_, _, b)| price < *b) {
-            let picked: Vec<usize> = adjusted[..k_pick].iter().map(|&(_, i)| i).collect();
-            best = Some(if transpose {
-                (enum_set.clone(), picked, price)
+    let (enum_set, picked, price) =
+        enumerate_lines(side, &cell, &pick_sums, &enum_sums, k_enum, k_pick);
+    let (mut rows, mut cols) = if transpose {
+        (enum_set, picked)
+    } else {
+        (picked, enum_set)
+    };
+    rows.sort_unstable();
+    cols.sort_unstable();
+    Some((rows, cols, price))
+}
+
+/// Exact enumeration of every `k_enum`-subset of the enumerated axis, in
+/// lexicographic order, each completed by its `k_pick` cheapest picked lines
+/// (see [`min_price_rows_and_columns`]). Returns `(enumerated lines, picked
+/// lines, price)` in original indices; the picked lines come cheapest first.
+fn enumerate_lines(
+    side: usize,
+    cell: &impl Fn(usize, usize) -> f64,
+    pick_sums: &[f64],
+    enum_sums: &[f64],
+    k_enum: usize,
+    k_pick: usize,
+) -> (Vec<usize>, Vec<usize>, f64) {
+    // Enumerated line `j`'s cells, contiguous: `lines[j * side + i] = cell(i, j)`.
+    let lines: Vec<f64> = (0..side)
+        .flat_map(|j| (0..side).map(move |i| cell(i, j)))
+        .collect();
+    let line = |j: usize| &lines[j * side..(j + 1) * side];
+    // The DFS path `set[..=d]`, its enumerated-line sums `base[d]`, and one
+    // overlap row per depth: `overlap[d * side + i]` sums `cell(i, j)` over
+    // `j ∈ set[..=d]`, left to right as an iterator sum would.
+    let mut set: Vec<usize> = (0..k_enum).collect();
+    let mut base = vec![0.0; k_enum];
+    let mut overlap = vec![0.0; k_enum * side];
+    // The leaf's `k_pick` cheapest `(order key, value, line)` triples,
+    // ascending; the key is the value's `total_cmp` order as an integer.
+    let mut cheapest: Vec<(i64, f64, usize)> = Vec::with_capacity(k_pick);
+    let mut best_price: Option<f64> = None;
+    let mut best_set = set.clone();
+    let mut best_picked = vec![0usize; k_pick];
+    // The depth whose line changed; every deeper entry is refilled.
+    let mut d = 0;
+    loop {
+        // Descend from depth `d`: each deeper line follows its parent.
+        for depth in d..k_enum {
+            if depth > d {
+                set[depth] = set[depth - 1] + 1;
+            }
+            let j = set[depth];
+            base[depth] = if depth == 0 {
+                enum_sums[j]
             } else {
-                (picked, enum_set.clone(), price)
-            });
+                base[depth - 1] + enum_sums[j]
+            };
+            let (done, row) = overlap.split_at_mut(depth * side);
+            let row = &mut row[..side];
+            if depth == 0 {
+                row.copy_from_slice(line(j));
+            } else {
+                let parent = &done[(depth - 1) * side..];
+                for ((o, &p), &c) in row.iter_mut().zip(parent).zip(line(j)) {
+                    *o = p + c;
+                }
+            }
+        }
+        // Leaf: select the cheapest picked lines by insertion under the
+        // `(value, index)` order, so ties go to the smaller index.
+        let leaf = &overlap[(k_enum - 1) * side..];
+        let mut values = pick_sums
+            .iter()
+            .zip(leaf)
+            .map(|(&sum, &lap)| sum - lap)
+            .enumerate();
+        let insert = |cheapest: &mut Vec<(i64, f64, usize)>, key: i64, v: f64, i: usize| {
+            let at = cheapest.partition_point(|&(w, _, _)| w <= key);
+            cheapest.insert(at, (key, v, i));
+        };
+        cheapest.clear();
+        for (i, v) in values.by_ref().take(k_pick) {
+            insert(&mut cheapest, total_order_key(v), v, i);
+        }
+        for (i, v) in values {
+            let key = total_order_key(v);
+            if key < cheapest[k_pick - 1].0 {
+                cheapest.pop();
+                insert(&mut cheapest, key, v, i);
+            }
+        }
+        // Summed left to right from the first term, as `Iterator::sum` would.
+        let picked_sum = cheapest[1..]
+            .iter()
+            .fold(cheapest[0].1, |acc, &(_, v, _)| acc + v);
+        let price = base[k_enum - 1] + picked_sum;
+        if best_price.is_none_or(|best| price < best) {
+            best_price = Some(price);
+            best_set.copy_from_slice(&set);
+            for (b, &(_, _, i)) in best_picked.iter_mut().zip(&cheapest) {
+                *b = i;
+            }
+        }
+        // Next subset in lexicographic order: bump the deepest line that
+        // still leaves room for the lines after it.
+        match (0..k_enum)
+            .rev()
+            .find(|&depth| set[depth] < side - (k_enum - depth))
+        {
+            Some(depth) => {
+                set[depth] += 1;
+                d = depth;
+            }
+            None => {
+                return (
+                    best_set,
+                    best_picked,
+                    best_price.expect("one leaf at least"),
+                )
+            }
         }
     }
-    best.map(|(mut rows, mut cols, price)| {
-        rows.sort_unstable();
-        cols.sort_unstable();
-        (rows, cols, price)
-    })
+}
+
+/// `f64::total_cmp`'s order as an integer: `a.total_cmp(&b)` is
+/// `total_order_key(a).cmp(&total_order_key(b))`.
+fn total_order_key(v: f64) -> i64 {
+    let bits = v.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// Exact branch-and-bound over the enumerated axis for parameterisations
@@ -612,41 +746,6 @@ fn branch_and_bound_lines(
         return None;
     }
     Some((bb.best_enum, bb.best_pick, bb.best_price))
-}
-
-/// The perfectly balanced line family behind the grid constructions'
-/// symmetric strategy hint: every pair of a cyclic `num_rows`-window of rows
-/// and a cyclic `num_cols`-window of columns, as `(rows, cols)` index lists
-/// (`side²` pairs).
-///
-/// Each cell `(r, c)` lies in exactly `num_rows` row windows and `num_cols`
-/// column windows, so across the full family it is covered exactly
-/// `num_rows·side + num_cols·side − num_rows·num_cols` times — the uniform
-/// mixture over the family therefore loads every server equally at `c(Q)/n`,
-/// which is what lets the load engine certify grid-union systems in a single
-/// oracle call.
-///
-/// # Panics
-///
-/// Panics unless `1 <= num_rows, num_cols <= side`.
-fn balanced_line_family(
-    side: usize,
-    num_rows: usize,
-    num_cols: usize,
-) -> Vec<(Vec<usize>, Vec<usize>)> {
-    assert!(
-        (1..=side).contains(&num_rows) && (1..=side).contains(&num_cols),
-        "window sizes must be in 1..=side"
-    );
-    let window =
-        |start: usize, len: usize| -> Vec<usize> { (0..len).map(|o| (start + o) % side).collect() };
-    let mut family = Vec::with_capacity(side * side);
-    for i in 0..side {
-        for j in 0..side {
-            family.push((window(i, num_rows), window(j, num_cols)));
-        }
-    }
-    family
 }
 
 /// Exact probability that, with each server alive independently with

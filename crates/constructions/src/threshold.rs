@@ -215,7 +215,12 @@ impl MinWeightQuorumOracle for ThresholdSystem {
     fn symmetric_strategy_hint(&self) -> Option<(Vec<ServerSet>, Vec<f64>)> {
         let quorums: Vec<ServerSet> = (0..self.n)
             .map(|s| {
-                ServerSet::from_indices(self.n, (0..self.quorum_size).map(|o| (s + o) % self.n))
+                // The window `s..s + ℓ`, wrapped past server `n − 1` to 0.
+                let end = s + self.quorum_size;
+                let mut window = ServerSet::new(self.n);
+                window.insert_range(s..end.min(self.n));
+                window.insert_range(0..end.saturating_sub(self.n));
+                window
             })
             .collect();
         let weights = vec![1.0; quorums.len()];

@@ -7,6 +7,7 @@
 //! measure computation and protocol simulation.
 
 use std::fmt;
+use std::ops::Range;
 
 /// A subset of the universe of servers `{0, ..., capacity-1}`, stored as a bitset.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -48,9 +49,7 @@ impl ServerSet {
     #[must_use]
     pub fn full(capacity: usize) -> Self {
         let mut s = ServerSet::new(capacity);
-        for i in 0..capacity {
-            s.insert(i);
-        }
+        s.insert_range(0..capacity);
         s
     }
 
@@ -116,6 +115,30 @@ impl ServerSet {
         self.words[i / 64] |= 1u64 << (i % 64);
     }
 
+    /// Adds every server of `range` to the set, a whole word at a time. An
+    /// empty range (`start >= end`) adds nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range.end > capacity`.
+    pub fn insert_range(&mut self, range: Range<usize>) {
+        let Range { start, end } = range;
+        assert!(end <= self.capacity, "server range end {end} out of range");
+        if start >= end {
+            return;
+        }
+        let (first, last) = (start / 64, (end - 1) / 64);
+        let low = u64::MAX << (start % 64);
+        let high = u64::MAX >> (63 - (end - 1) % 64);
+        if first == last {
+            self.words[first] |= low & high;
+        } else {
+            self.words[first] |= low;
+            self.words[first + 1..last].fill(u64::MAX);
+            self.words[last] |= high;
+        }
+    }
+
     /// Removes server `i` from the set.
     ///
     /// # Panics
@@ -133,6 +156,12 @@ impl ServerSet {
             return false;
         }
         self.words[i / 64] & (1u64 << (i % 64)) != 0
+    }
+
+    /// The set's words: server `i` is bit `i % 64` of word `i / 64`, and bits
+    /// at or beyond the capacity are zero.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Iterates over the members in increasing order.
@@ -377,6 +406,58 @@ mod tests {
         assert_eq!(f.len(), 65);
         assert!(f.contains(64));
         assert!(f.complement().is_empty());
+    }
+
+    /// The per-bit reference `insert_range` must agree with.
+    fn inserted_one_by_one(capacity: usize, start: usize, end: usize) -> ServerSet {
+        let mut s = ServerSet::new(capacity);
+        for i in start..end {
+            s.insert(i);
+        }
+        s
+    }
+
+    #[test]
+    fn insert_range_matches_per_bit_inserts_on_word_edges() {
+        for capacity in [1, 63, 64, 65, 1024] {
+            // Every start and end on or next to a word boundary, plus the ends.
+            let mut edges = vec![0, 1, capacity - 1, capacity];
+            for boundary in (64..=capacity).step_by(64) {
+                edges.extend([boundary - 1, boundary, boundary + 1]);
+            }
+            edges.retain(|&e| e <= capacity);
+            for &start in &edges {
+                for &end in &edges {
+                    let mut s = ServerSet::new(capacity);
+                    s.insert_range(start..end);
+                    assert_eq!(
+                        s,
+                        inserted_one_by_one(capacity, start, end),
+                        "capacity {capacity}, {start}..{end}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn insert_range_keeps_existing_members_and_ignores_empty_ranges() {
+        let mut s = ServerSet::from_indices(130, [0, 70, 129]);
+        s.insert_range(5..5);
+        let (start, end) = (9, 3);
+        s.insert_range(start..end);
+        assert_eq!(s.to_vec(), vec![0, 70, 129]);
+        s.insert_range(62..66);
+        assert_eq!(s.to_vec(), vec![0, 62, 63, 64, 65, 70, 129]);
+        assert_eq!(ServerSet::full(1024).len(), 1024);
+        assert!(ServerSet::full(0).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn insert_range_past_the_capacity_panics() {
+        let mut s = ServerSet::new(65);
+        s.insert_range(60..66);
     }
 
     #[test]

@@ -247,6 +247,50 @@ pub fn optimal_load_oracle<S: MinWeightQuorumOracle + ?Sized>(
         ))
     };
 
+    // The uniform-price bound is loop-invariant (prices never change), so it
+    // is evaluated exactly once: `min_Q |Q| / n`, which alone is already
+    // tight for every vertex-transitive construction. Every price vector
+    // ever evaluated yields a valid lower bound (module docs), so the
+    // certificate keeps the best one seen.
+    let uniform_prices = vec![1.0; n];
+    let (uniform_quorum, uniform_value) = system
+        .min_weight_quorum(&uniform_prices)
+        .ok_or_else(oracle_unavailable)?;
+    let mut lower_best = (uniform_value / n as f64).max(0.0);
+
+    // Fast path: a symmetric strategy hint, certified without the master.
+    // The hint's induced load is recomputed exactly from its columns and the
+    // pricing oracle's uniform-price bound must meet it — the certificate is
+    // as rigorous as the column-generated one, just cheaper to reach. It
+    // takes the hint's quorums without copying them, and the master (a dense
+    // `n × n` basis) is never built.
+    let hint_quorums = match system.symmetric_strategy_hint() {
+        Some((quorums, weights)) => {
+            if quorums.len() == weights.len() && !quorums.is_empty() {
+                if let Ok(strategy) = AccessStrategy::normalized(weights) {
+                    let upper = strategy.induced_system_load(&quorums, n);
+                    let gap = upper - lower_best;
+                    if gap <= CERTIFIED_GAP_TOLERANCE {
+                        return Ok(CertifiedLoad {
+                            load: upper,
+                            lower_bound: upper - gap.max(0.0),
+                            gap: gap.max(0.0),
+                            columns: quorums.len(),
+                            quorums,
+                            strategy,
+                            rounds: 0,
+                        });
+                    }
+                }
+            }
+            quorums
+        }
+        None => Vec::new(),
+    };
+
+    // Otherwise the hint columns (if any) and the minimum-cardinality quorum
+    // seed the restricted master along with the count-balanced family, and
+    // column generation takes over.
     let mut master = PackingLp::new(n);
     let mut columns: Vec<ServerSet> = Vec::new();
     let mut seen: std::collections::HashSet<ServerSet> = std::collections::HashSet::new();
@@ -279,49 +323,8 @@ pub fn optimal_load_oracle<S: MinWeightQuorumOracle + ?Sized>(
         counts.iter().map(|&c| c as f64).collect()
     }
 
-    // The uniform-price bound is loop-invariant (prices never change), so it
-    // is evaluated exactly once: `min_Q |Q| / n`, which alone is already
-    // tight for every vertex-transitive construction. Every price vector
-    // ever evaluated yields a valid lower bound (module docs), so the
-    // certificate keeps the best one seen.
-    let uniform_prices = vec![1.0; n];
-    let (uniform_quorum, uniform_value) = system
-        .min_weight_quorum(&uniform_prices)
-        .ok_or_else(oracle_unavailable)?;
-    let mut lower_best = (uniform_value / n as f64).max(0.0);
-
-    // Fast path: a symmetric strategy hint, certified without the master.
-    // The hint's induced load is recomputed exactly from its columns and the
-    // pricing oracle's uniform-price bound must meet it — the certificate is
-    // as rigorous as the column-generated one, just cheaper to reach.
-    let hint = system.symmetric_strategy_hint();
-    if let Some((hint_quorums, hint_weights)) = &hint {
-        if hint_quorums.len() == hint_weights.len() && !hint_quorums.is_empty() {
-            if let Ok(strategy) = AccessStrategy::normalized(hint_weights.clone()) {
-                let upper = strategy.induced_system_load(hint_quorums, n);
-                let gap = upper - lower_best;
-                if gap <= CERTIFIED_GAP_TOLERANCE {
-                    return Ok(CertifiedLoad {
-                        load: upper,
-                        lower_bound: upper - gap.max(0.0),
-                        gap: gap.max(0.0),
-                        quorums: hint_quorums.clone(),
-                        strategy,
-                        rounds: 0,
-                        columns: hint_quorums.len(),
-                    });
-                }
-            }
-        }
-    }
-
-    // Otherwise the hint columns (if any) and the minimum-cardinality quorum
-    // seed the restricted master along with the count-balanced family, and
-    // column generation takes over.
-    if let Some((hint_quorums, _)) = hint {
-        for q in hint_quorums {
-            add_column(&mut master, &mut columns, &mut seen, &mut counts, q);
-        }
+    for q in hint_quorums {
+        add_column(&mut master, &mut columns, &mut seen, &mut counts, q);
     }
     add_column(
         &mut master,

@@ -208,8 +208,12 @@ impl AccessStrategy {
         );
         let mut loads = vec![0.0; universe_size];
         for (q, &w) in quorums.iter().zip(&self.weights) {
-            for u in q.iter() {
-                loads[u] += w;
+            for (base, &word) in (0..).step_by(64).zip(q.words()) {
+                let mut bits = word;
+                while bits != 0 {
+                    loads[base + bits.trailing_zeros() as usize] += w;
+                    bits &= bits - 1;
+                }
             }
         }
         loads

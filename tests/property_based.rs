@@ -32,6 +32,29 @@ proptest! {
         prop_assert!(sa.is_subset_of(&sa.union(&sb)));
     }
 
+    /// `insert_range` sets exactly the bits that per-bit `insert` sets, on
+    /// top of whatever the set already holds.
+    #[test]
+    fn bitset_insert_range_matches_per_bit_inserts(
+        capacity in 1usize..300,
+        a in 0usize..300,
+        b in 0usize..300,
+        existing in proptest::collection::btree_set(0usize..300, 0..20),
+    ) {
+        let (start, end) = (a.min(capacity), b.min(capacity));
+        let base = ServerSet::from_indices(
+            capacity,
+            existing.iter().copied().filter(|&i| i < capacity),
+        );
+        let mut by_range = base.clone();
+        by_range.insert_range(start..end);
+        let mut by_bit = base;
+        for i in start..end {
+            by_bit.insert(i);
+        }
+        prop_assert_eq!(by_range, by_bit);
+    }
+
     /// Pascal's rule and symmetry for binomial coefficients.
     #[test]
     fn binomial_identities(n in 1u64..50, k in 0u64..50) {
