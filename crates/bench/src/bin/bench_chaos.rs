@@ -261,23 +261,20 @@ fn main() {
     }
     let flagged = engine.suspects().to_vec();
     let coalition: Vec<usize> = (0..B).collect();
-    let server_p99_ns: Vec<u64> = (0..n)
-        .map(|s| {
-            suspicion_metrics
-                .server_latency_quantile(s, 0.99)
-                .unwrap_or(0)
-        })
+    let server_p99_ns: Vec<u64> = suspicion_metrics
+        .server_latency
+        .iter()
+        .map(|h| h.quantile(0.99).unwrap_or(0))
         .collect();
     if flagged != coalition {
         failures.push(format!(
             "suspicion/timeout_inflation: flagged {flagged:?}, expected exactly the coalition {coalition:?} (p99s {server_p99_ns:?} ns)"
         ));
     }
-    if suspicion_metrics.timeouts() != 0 || suspicion_metrics.retries() != 0 {
+    if suspicion_metrics.timeouts != 0 || suspicion_metrics.retries != 0 {
         failures.push(format!(
             "suspicion/timeout_inflation: {} timeout(s), {} retrie(s) — the adversary must stay invisible to the counters or the objective tests nothing",
-            suspicion_metrics.timeouts(),
-            suspicion_metrics.retries()
+            suspicion_metrics.timeouts, suspicion_metrics.retries
         ));
     }
     if suspicion_outcome.safety_violations() > 0 {
@@ -327,9 +324,9 @@ fn main() {
                 0.0
             },
             o.ops.unavailable,
-            o.metrics.timeouts(),
-            o.metrics.retries(),
-            o.metrics.aborts(),
+            o.metrics.timeouts,
+            o.metrics.retries,
+            o.metrics.aborts,
             o.chaos.dropped + o.chaos.partitioned,
             o.chaos.duplicated,
             o.chaos.delayed,
@@ -369,8 +366,8 @@ fn main() {
             .join(", "),
         coalition.iter().all(|s| flagged.contains(s)),
         flagged.iter().any(|s| !coalition.contains(s)),
-        suspicion_metrics.timeouts(),
-        suspicion_metrics.retries(),
+        suspicion_metrics.timeouts,
+        suspicion_metrics.retries,
         server_p99_ns
             .iter()
             .map(|v| v.to_string())
@@ -409,8 +406,8 @@ fn main() {
             run.seed,
             o.ops.reads,
             o.safety_violations(),
-            o.metrics.timeouts(),
-            o.metrics.retries(),
+            o.metrics.timeouts,
+            o.metrics.retries,
             o.chaos.dropped + o.chaos.partitioned,
             o.chaos.duplicated,
         );
@@ -421,8 +418,7 @@ fn main() {
     );
     println!(
         "latency-inflation suspicion: flagged {flagged:?}, coalition {coalition:?} (timeouts {}, retries {})",
-        suspicion_metrics.timeouts(),
-        suspicion_metrics.retries()
+        suspicion_metrics.timeouts, suspicion_metrics.retries
     );
     println!("wrote {output}");
 

@@ -1,6 +1,6 @@
 //! Machine-readable benchmark of the concurrent quorum service runtime:
-//! emits `BENCH_service.json` (schema v1) — the empirical companion of
-//! `BENCH_load.json` and `BENCH_fp.json`.
+//! emits `BENCH_service.json` (schema `bench_service/v2`) — the empirical
+//! companion of `BENCH_load.json` and `BENCH_fp.json`.
 //!
 //! Three experiment families:
 //!
@@ -46,12 +46,7 @@ struct ScalingRow {
     n: usize,
     shards: usize,
     clients: usize,
-    operations: u64,
-    round_trips: u64,
-    seconds: f64,
-    throughput: f64,
-    p50_ns: u64,
-    p99_ns: u64,
+    report: ServiceReport,
 }
 
 struct LoadRow {
@@ -60,9 +55,7 @@ struct LoadRow {
     byzantine: usize,
     clients: usize,
     shards: usize,
-    safety_violations: u64,
-    unavailable: u64,
-    throughput: f64,
+    report: ServiceReport,
     seconds: f64,
 }
 
@@ -131,8 +124,8 @@ where
     });
     let check = empirical_load_check(
         &name,
-        &report.access_counts,
-        report.load_operations,
+        &report.metrics.accesses,
+        report.load_operations(),
         certified.load,
     );
     if !check.within_tolerance {
@@ -141,16 +134,17 @@ where
             check.empirical_max_load, check.certified_load, check.tolerance, check.z
         ));
     }
-    if report.safety_violations > 0 {
+    if !report.is_safe() {
         failures.push(format!(
             "{name}: {} safety violations under a within-b plan",
-            report.safety_violations
+            report.ops.safety_violations()
         ));
     }
-    if report.unavailable_operations > 0 || report.transport_failures > 0 {
+    let transport_failures = report.ops.writes_aborted + report.ops.reads_aborted;
+    if report.ops.unavailable > 0 || transport_failures > 0 {
         failures.push(format!(
-            "{name}: {} unavailable / {} transport-failed operations in a live service",
-            report.unavailable_operations, report.transport_failures
+            "{name}: {} unavailable / {transport_failures} transport-failed operations in a live service",
+            report.ops.unavailable
         ));
     }
     LoadRow {
@@ -159,9 +153,7 @@ where
         byzantine: byz,
         clients,
         shards,
-        safety_violations: report.safety_violations,
-        unavailable: report.unavailable_operations,
-        throughput: report.throughput_ops_per_sec,
+        report,
         seconds,
     }
 }
@@ -195,12 +187,7 @@ fn thread_scaling<S: QuorumSystem>(
             n,
             shards,
             clients,
-            operations: report.operations,
-            round_trips: report.load_operations,
-            seconds: report.elapsed_seconds,
-            throughput: report.throughput_ops_per_sec,
-            p50_ns: report.latency_p50_upper_ns.unwrap_or(0),
-            p99_ns: report.latency_p99_upper_ns.unwrap_or(0),
+            report,
         });
     }
     rows
@@ -210,9 +197,9 @@ fn thread_scaling<S: QuorumSystem>(
 /// independently drawn crash plans at rate `p`, counting the runs in which no
 /// operation found a live quorum.
 ///
-/// All trials share **one** service: `reset_plan` swaps the replica set,
-/// reseeds the per-shard RNG streams, and zeroes the metrics between trials
-/// instead of building a fresh service per plan.
+/// All trials share **one** service: `reset_plan` swaps the replica set and
+/// reseeds the per-shard RNG streams between trials instead of building a
+/// fresh service per plan, and each run reports only its own metrics.
 fn validate_availability<S: QuorumSystem>(
     sys: &S,
     b: usize,
@@ -240,15 +227,15 @@ fn validate_availability<S: QuorumSystem>(
                 seed: 0xdead ^ trial as u64,
             };
             let report = run_service(&service, sys, b, &config);
-            if report.safety_violations > 0 {
+            if !report.is_safe() {
                 failures.push(format!(
                     "{}: safety violation under a crash-only plan",
                     sys.name()
                 ));
             }
-            if report.unavailable_operations == report.operations {
+            if report.ops.unavailable == report.operations {
                 unavailable += 1;
-            } else if report.unavailable_operations > 0 {
+            } else if report.ops.unavailable > 0 {
                 failures.push(format!(
                     "{}: partially unavailable run under a static crash plan",
                     sys.name()
@@ -377,12 +364,12 @@ fn main() {
             r.n,
             r.shards,
             r.clients,
-            r.operations,
-            r.round_trips,
-            r.seconds,
-            r.throughput,
-            r.p50_ns,
-            r.p99_ns,
+            r.report.operations,
+            r.report.load_operations(),
+            r.report.elapsed_seconds,
+            r.report.throughput_ops_per_sec(),
+            r.report.metrics.latency.quantile_upper_ns(0.50).unwrap_or(0),
+            r.report.metrics.latency.quantile_upper_ns(0.99).unwrap_or(0),
             if i + 1 == scaling.len() { "" } else { "," }
         ));
     }
@@ -404,9 +391,9 @@ fn main() {
             c.tolerance,
             c.z,
             c.within_tolerance,
-            r.safety_violations,
-            r.unavailable,
-            r.throughput,
+            r.report.ops.safety_violations(),
+            r.report.ops.unavailable,
+            r.report.throughput_ops_per_sec(),
             r.seconds,
             if i + 1 == load_rows.len() { "" } else { "," }
         ));
@@ -441,7 +428,12 @@ fn main() {
     for r in &scaling {
         println!(
             "{:<22} {:>5} {:>7} {:>8} {:>12} {:>14.0}",
-            r.construction, r.n, r.shards, r.clients, r.operations, r.throughput
+            r.construction,
+            r.n,
+            r.shards,
+            r.clients,
+            r.report.operations,
+            r.report.throughput_ops_per_sec()
         );
     }
     println!(
@@ -460,7 +452,7 @@ fn main() {
             c.empirical_max_load,
             c.z,
             c.within_tolerance,
-            r.safety_violations
+            r.report.ops.safety_violations()
         );
     }
     if !availability.is_empty() {

@@ -624,9 +624,9 @@ fn validate<S: AnalyzedConstruction>(
         n.to_string(),
         b.to_string(),
         crashes.to_string(),
-        report.reads_completed.to_string(),
-        report.safety_violations.to_string(),
-        report.unavailable_operations.to_string(),
+        report.ops.reads.to_string(),
+        report.ops.safety_violations().to_string(),
+        report.ops.unavailable.to_string(),
         format!("{:.4}", clean.max_empirical_load()),
         format!("{:.4}", sys.analytic_load()),
     ]);

@@ -31,7 +31,7 @@ use std::time::Duration;
 use bqs_core::bitset::ServerSet;
 use bqs_core::quorum::QuorumSystem;
 use bqs_service::client::ServiceClient;
-use bqs_service::metrics::ServiceMetrics;
+use bqs_service::metrics::{MetricsSnapshot, ServiceMetrics};
 use bqs_service::runner::OpTally;
 use bqs_service::shard::TimestampOracle;
 use bqs_service::transport::Transport;
@@ -266,12 +266,12 @@ pub struct ScenarioOutcome {
     /// read-your-writes violations (a read older than the writer's last
     /// completed write).
     pub ops: OpTally,
-    /// The run's client-side metrics: the degradation tallies (timeouts,
+    /// What the run's client recorded: the degradation tallies (timeouts,
     /// retries, aborts) and the per-server failure-detector evidence — the
-    /// latency-inflation objective feeds them to `bqs-epoch`'s suspicion
+    /// latency-inflation objective feeds it to `bqs-epoch`'s suspicion
     /// engine and asserts the [`ChaosScenario::TimeoutInflation`] coalition
     /// is flagged on p99 evidence alone.
-    pub metrics: Arc<ServiceMetrics>,
+    pub metrics: MetricsSnapshot,
     /// What the interposer did to the request stream.
     pub chaos: ChaosStatsSnapshot,
     /// Total chaos decisions made.
@@ -348,7 +348,7 @@ where
         faults,
         b,
         ops: tally,
-        metrics,
+        metrics: metrics.snapshot(),
         chaos: chaos.stats(),
         trace_events: chaos.trace_len(),
         trace_fingerprint: chaos.trace_fingerprint(),

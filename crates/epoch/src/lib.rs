@@ -5,7 +5,8 @@
 //! fixed. It closes the loop from **evidence** to **strategy**:
 //!
 //! * [`suspicion`] — an accrual failure detector over the per-server
-//!   evidence the service layer already records ([`bqs_service::metrics::ServiceMetrics`]):
+//!   evidence the service layer already records, read one
+//!   [`bqs_service::metrics::MetricsSnapshot`] per tick:
 //!   answer/no-answer ratios catch crashed and silent replicas, per-server
 //!   tail latency catches a timeout-inflation adversary that answers just
 //!   under every deadline, and a score-with-hysteresis update rule keeps

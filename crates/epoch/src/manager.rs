@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use bqs_core::bitset::ServerSet;
 use bqs_core::error::QuorumError;
-use bqs_service::metrics::ServiceMetrics;
+use bqs_service::metrics::MetricsSnapshot;
 use bqs_sim::epoch::EpochGate;
 use bqs_sim::server::mix64;
 
@@ -146,7 +146,7 @@ impl EpochManager {
     /// Re-certification failures ([`EpochPlanner::recertify`]) — e.g. fewer
     /// than `2b + 1` survivors. The manager stays on the current
     /// configuration; serving a depleted universe beats serving nothing.
-    pub fn tick(&mut self, metrics: &ServiceMetrics) -> Result<TickOutcome, QuorumError> {
+    pub fn tick(&mut self, evidence: &MetricsSnapshot) -> Result<TickOutcome, QuorumError> {
         if let Some(next) = self.pending.take() {
             // Finalize: ticks sit at operation-stream boundaries, so every
             // access of the draining epoch has completed or been abandoned.
@@ -155,7 +155,7 @@ impl EpochManager {
             self.current = next;
             return Ok(TickOutcome::Finalized { epoch });
         }
-        if !self.engine.tick(metrics) {
+        if !self.engine.tick(evidence) {
             return Ok(TickOutcome::Steady);
         }
         let survivors = self.engine.survivors();
@@ -210,6 +210,7 @@ impl EpochManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bqs_service::metrics::ServiceMetrics;
 
     /// A 4-of-5 threshold pool (1-masking: any two quorums share 3 servers).
     fn four_of_five() -> Vec<ServerSet> {
@@ -257,13 +258,13 @@ mod tests {
 
         // Healthy ticks: steady, gate untouched.
         evidence_round(&metrics, &[]);
-        assert_eq!(m.tick(&metrics).unwrap(), TickOutcome::Steady);
+        assert_eq!(m.tick(&metrics.snapshot()).unwrap(), TickOutcome::Steady);
         assert_eq!(gate.window(), (0, 0));
 
         // Three accusing ticks cross the accrual threshold.
         for round in 0..3 {
             evidence_round(&metrics, &[4]);
-            let outcome = m.tick(&metrics).unwrap();
+            let outcome = m.tick(&metrics.snapshot()).unwrap();
             if round < 2 {
                 assert_eq!(outcome, TickOutcome::Steady);
             } else {
@@ -282,7 +283,7 @@ mod tests {
 
         // Next tick finalizes regardless of evidence.
         assert_eq!(
-            m.tick(&metrics).unwrap(),
+            m.tick(&metrics.snapshot()).unwrap(),
             TickOutcome::Finalized { epoch: 1 }
         );
         assert_eq!(gate.window(), (1, 1));
@@ -293,7 +294,7 @@ mod tests {
 
         // Steady afterwards: the suspect set is stable.
         evidence_round(&metrics, &[4]);
-        assert_eq!(m.tick(&metrics).unwrap(), TickOutcome::Steady);
+        assert_eq!(m.tick(&metrics.snapshot()).unwrap(), TickOutcome::Steady);
     }
 
     #[test]
@@ -303,10 +304,10 @@ mod tests {
         let metrics = ServiceMetrics::new(5);
         // One bad tick, then clean ones: hysteresis absorbs it.
         evidence_round(&metrics, &[2]);
-        assert_eq!(m.tick(&metrics).unwrap(), TickOutcome::Steady);
+        assert_eq!(m.tick(&metrics.snapshot()).unwrap(), TickOutcome::Steady);
         for _ in 0..4 {
             evidence_round(&metrics, &[]);
-            assert_eq!(m.tick(&metrics).unwrap(), TickOutcome::Steady);
+            assert_eq!(m.tick(&metrics.snapshot()).unwrap(), TickOutcome::Steady);
         }
         assert_eq!(gate.window(), (0, 0));
         assert!(m.transitions().is_empty());
@@ -320,7 +321,7 @@ mod tests {
         // Kill 3 of 5: 2 survivors < 2b + 1 = 3.
         for _ in 0..3 {
             evidence_round(&metrics, &[0, 1, 2]);
-            let last = m.tick(&metrics);
+            let last = m.tick(&metrics.snapshot());
             if m.engine().suspects().len() == 3 {
                 assert!(last.is_err(), "3 suspects leave too few survivors");
             }
@@ -337,7 +338,7 @@ mod tests {
         let metrics = ServiceMetrics::new(5);
         for _ in 0..3 {
             evidence_round(&metrics, &[4]);
-            let _ = a.tick(&metrics);
+            let _ = a.tick(&metrics.snapshot());
         }
         assert_ne!(
             a.fingerprint(),

@@ -265,7 +265,7 @@ pub fn run_reconfigure<T: Transport + 'static>(
         1,
         Some(&evidence),
     );
-    let healthy_steady = manager.tick(&evidence)? == TickOutcome::Steady;
+    let healthy_steady = manager.tick(&evidence.snapshot())? == TickOutcome::Steady;
 
     // Phase 2: the crash.
     service.crash_servers(&killed);
@@ -283,7 +283,7 @@ pub fn run_reconfigure<T: Transport + 'static>(
             Some(&evidence),
         );
         detect_ticks += 1;
-        if let TickOutcome::Reconfigured { .. } = manager.tick(&evidence)? {
+        if let TickOutcome::Reconfigured { .. } = manager.tick(&evidence.snapshot())? {
             reconfigured = true;
             break;
         }
@@ -317,7 +317,7 @@ pub fn run_reconfigure<T: Transport + 'static>(
         debug_assert_eq!(migrate.fenced, 0, "the open window must serve e + 1");
 
         // Phase 5: finalize (clients of epoch e have drained: bursts join).
-        let finalized = manager.tick(&evidence)?;
+        let finalized = manager.tick(&evidence.snapshot())?;
         debug_assert!(matches!(finalized, TickOutcome::Finalized { .. }));
 
         // Phase 6: the stale probe — epoch 0 must now be fenced in-band.

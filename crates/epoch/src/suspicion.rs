@@ -1,22 +1,24 @@
 //! Accrual failure suspicion over service evidence.
 //!
 //! The service layer records two kinds of per-server evidence while load is
-//! flowing ([`ServiceMetrics`]): **answers** (a reply carrying an entry, or a
-//! write acknowledgement, with its round-trip latency) and **no-answers** (a
-//! read served an in-band `None`, or a quorum member silent past the
-//! rendezvous deadline). The engine here turns that stream into a *stable*
-//! suspect set:
+//! flowing (`bqs-service`'s `ServiceMetrics`): **answers** (a reply carrying
+//! an entry, or a write acknowledgement, with its round-trip latency) and
+//! **no-answers** (a read served an in-band `None`, or a quorum member silent
+//! past the rendezvous deadline). Each tick reads one [`MetricsSnapshot`] of
+//! it, and the engine turns that stream into a *stable* suspect set:
 //!
 //! * **Ratio evidence** — per tick, the engine looks at the evidence *delta*
-//!   since the previous tick; a server whose no-answer fraction over the
-//!   delta reaches [`ACCUSE_RATIO`] (with at least [`MIN_SAMPLES`] samples)
-//!   is accused for that tick. Crashed replicas acknowledge writes in-band
-//!   but serve reads `None`, so under any read-leaning mix their accusal
-//!   fraction sits near the read fraction — far above a healthy server's
-//!   (whose only `None`s come from still-empty registers early on).
+//!   since the previous tick's snapshot ([`MetricsSnapshot::since`]); a
+//!   server whose no-answer fraction over the delta reaches
+//!   [`ACCUSE_RATIO`] (with at least [`MIN_SAMPLES`] samples) is accused for
+//!   that tick. Crashed replicas acknowledge writes in-band but serve reads
+//!   `None`, so under any read-leaning mix their accusal fraction sits near
+//!   the read fraction — far above a healthy server's (whose only `None`s
+//!   come from still-empty registers early on).
 //! * **Latency evidence** — a timeout-inflation adversary answers *every*
 //!   request just under the deadline, so the ratio counters never move. Its
-//!   cumulative p99 round-trip does move: a server whose p99 reaches
+//!   cumulative p99 round-trip (read off the tick's whole snapshot, not the
+//!   delta) does move: a server whose p99 reaches
 //!   [`SuspicionConfig::latency_factor`] times the fleet median p99 is
 //!   accused on this channel instead — provided that p99 is at least
 //!   [`LATENCY_ACCUSAL_FLOOR_NS`]: on an in-process transport an honest p99
@@ -34,7 +36,7 @@
 //!   three consecutive accusing ticks to suspect, two clean ticks to clear.
 
 use bqs_core::bitset::ServerSet;
-use bqs_service::metrics::ServiceMetrics;
+use bqs_service::metrics::{MetricsSnapshot, ServiceMetrics};
 
 /// The latency channel's absolute floor, nanoseconds: a cumulative p99 under
 /// it accuses nobody whatever its ratio to the fleet median. 1 ms is below
@@ -98,15 +100,13 @@ impl SuspicionConfig {
     }
 }
 
-/// The accrual detector: feed it [`ServiceMetrics`] snapshots via
+/// The accrual detector: feed it [`MetricsSnapshot`]s via
 /// [`SuspicionEngine::tick`], read the suspect set.
 #[derive(Debug)]
 pub struct SuspicionEngine {
     config: SuspicionConfig,
-    /// Cumulative answer counts at the previous tick.
-    last_answers: Vec<u64>,
-    /// Cumulative no-answer counts at the previous tick.
-    last_no_answers: Vec<u64>,
+    /// The evidence at the previous tick (all zeros before the first).
+    last: MetricsSnapshot,
     scores: Vec<f64>,
     suspected: Vec<bool>,
     ticks: u64,
@@ -118,8 +118,7 @@ impl SuspicionEngine {
     pub fn new(n: usize, config: SuspicionConfig) -> Self {
         SuspicionEngine {
             config,
-            last_answers: vec![0; n],
-            last_no_answers: vec![0; n],
+            last: ServiceMetrics::new(n).snapshot(),
             scores: vec![0.0; n],
             suspected: vec![false; n],
             ticks: 0,
@@ -175,29 +174,31 @@ impl SuspicionEngine {
         )
     }
 
-    /// Consumes the evidence accumulated since the previous tick and updates
-    /// scores and suspect states. Returns `true` when the suspect set
-    /// changed — the signal the epoch manager re-certifies on.
+    /// Consumes the evidence `now` holds beyond the previous tick's and
+    /// updates scores and suspect states. Returns `true` when the suspect
+    /// set changed — the signal the epoch manager re-certifies on.
     ///
     /// # Panics
     ///
-    /// Panics when `metrics` covers a different universe.
-    pub fn tick(&mut self, metrics: &ServiceMetrics) -> bool {
+    /// Panics when `now` covers a different universe.
+    pub fn tick(&mut self, now: &MetricsSnapshot) -> bool {
         assert_eq!(
-            metrics.universe_size(),
+            now.accesses.len(),
             self.suspected.len(),
             "evidence and engine must cover the same universe"
         );
         self.ticks += 1;
-        let answers = metrics.server_answer_counts();
-        let no_answers = metrics.server_no_answer_counts();
+        let delta = now.since(&self.last);
+        self.last = now.clone();
 
         // Latency channel baseline: the fleet median of cumulative p99s.
         // Computed over every server with timed replies — the median is
         // robust to the (minority) coalition it is meant to expose.
         let median_p99 = if self.config.latency_factor.is_finite() {
-            let mut p99s: Vec<u64> = (0..self.suspected.len())
-                .filter_map(|i| metrics.server_latency_quantile(i, 0.99))
+            let mut p99s: Vec<u64> = now
+                .server_latency
+                .iter()
+                .filter_map(|h| h.quantile(0.99))
                 .collect();
             p99s.sort_unstable();
             if p99s.is_empty() {
@@ -211,19 +212,15 @@ impl SuspicionEngine {
 
         let mut changed = false;
         for i in 0..self.suspected.len() {
-            let d_answers = answers[i].saturating_sub(self.last_answers[i]);
-            let d_accusals = no_answers[i].saturating_sub(self.last_no_answers[i]);
-            self.last_answers[i] = answers[i];
-            self.last_no_answers[i] = no_answers[i];
-
-            let samples = d_answers + d_accusals;
+            let d_accusals = delta.server_no_answers[i];
+            let samples = delta.server_answers[i] + d_accusals;
             let ratio_accuses =
                 samples >= MIN_SAMPLES && d_accusals as f64 >= ACCUSE_RATIO * samples as f64;
 
             let latency_accuses = match median_p99 {
                 Some(median) if median > 0 => {
-                    answers[i] >= LATENCY_MIN_SAMPLES
-                        && metrics.server_latency_quantile(i, 0.99).is_some_and(|p99| {
+                    now.server_answers[i] >= LATENCY_MIN_SAMPLES
+                        && now.server_latency[i].quantile(0.99).is_some_and(|p99| {
                             p99 >= LATENCY_ACCUSAL_FLOOR_NS
                                 && p99 as f64 >= self.config.latency_factor * median as f64
                         })
@@ -279,7 +276,7 @@ mod tests {
         for round in 1..=3 {
             healthy_tick(&metrics, n, &[2]);
             feed(&metrics, 2, 4, 16); // 80 % no-answers: a dead replica's reads
-            let changed = engine.tick(&metrics);
+            let changed = engine.tick(&metrics.snapshot());
             if round < 3 {
                 assert!(!changed, "accrual must not fire before the threshold");
                 assert!(!engine.is_suspected(2));
@@ -310,12 +307,12 @@ mod tests {
         for _ in 0..2 {
             healthy_tick(&metrics, n, &[1]);
             feed(&metrics, 1, 2, 18);
-            assert!(!engine.tick(&metrics));
+            assert!(!engine.tick(&metrics.snapshot()));
         }
         assert!(engine.scores()[1] >= 2.0);
         for _ in 0..3 {
             healthy_tick(&metrics, n, &[]);
-            assert!(!engine.tick(&metrics));
+            assert!(!engine.tick(&metrics.snapshot()));
         }
         assert!(!engine.is_suspected(1));
         assert_eq!(engine.scores()[1], 0.0);
@@ -329,16 +326,19 @@ mod tests {
         for _ in 0..3 {
             healthy_tick(&metrics, n, &[0]);
             feed(&metrics, 0, 0, 12);
-            engine.tick(&metrics);
+            engine.tick(&metrics.snapshot());
         }
         assert!(engine.is_suspected(0));
         // One clean tick: score 3 → 2, still above CLEAR_SCORE = 1.
         healthy_tick(&metrics, n, &[]);
-        assert!(!engine.tick(&metrics), "one clean tick must not clear");
+        assert!(
+            !engine.tick(&metrics.snapshot()),
+            "one clean tick must not clear"
+        );
         assert!(engine.is_suspected(0));
         // A second clean tick decays to 1 = CLEAR_SCORE: cleared.
         healthy_tick(&metrics, n, &[]);
-        assert!(engine.tick(&metrics));
+        assert!(engine.tick(&metrics.snapshot()));
         assert!(!engine.is_suspected(0));
     }
 
@@ -356,7 +356,7 @@ mod tests {
             for _ in 0..40 {
                 metrics.record_server_answer(5, 18_000_000);
             }
-            engine.tick(&metrics);
+            engine.tick(&metrics.snapshot());
         }
         assert!(engine.is_suspected(5), "scores: {:?}", engine.scores());
         for s in 0..5 {
@@ -366,7 +366,7 @@ mod tests {
         // deterministic profile trades this adversary for exactness.
         let deterministic = {
             let mut e = SuspicionEngine::new(n, SuspicionConfig::counters_only());
-            e.tick(&metrics);
+            e.tick(&metrics.snapshot());
             e.suspects()
         };
         assert!(deterministic.is_empty());
@@ -390,9 +390,10 @@ mod tests {
             for _ in 0..40 {
                 metrics.record_server_answer(5, 18_000_000);
             }
-            engine.tick(&metrics);
-            assert_eq!(metrics.server_latency_quantile(0, 0.99), Some(768));
-            assert_eq!(metrics.server_latency_quantile(4, 0.99), Some(49_152));
+            engine.tick(&metrics.snapshot());
+            let p99 = |s: usize| metrics.snapshot().server_latency[s].quantile(0.99);
+            assert_eq!(p99(0), Some(768));
+            assert_eq!(p99(4), Some(49_152));
         }
         assert_eq!(engine.suspects().to_vec(), vec![5]);
         assert_eq!(engine.scores()[4], 0.0, "scores: {:?}", engine.scores());
@@ -406,7 +407,7 @@ mod tests {
         // 100 % accusing but only 3 samples < MIN_SAMPLES = 8: no accusal.
         for _ in 0..5 {
             feed(&metrics, 1, 0, 3);
-            assert!(!engine.tick(&metrics));
+            assert!(!engine.tick(&metrics.snapshot()));
         }
         assert_eq!(engine.scores()[1], 0.0);
     }

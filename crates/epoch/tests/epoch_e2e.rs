@@ -92,7 +92,7 @@ fn in_flight_clients_drain_at_their_epoch_then_fence_and_recover() {
     let evidence = ServiceMetrics::new(n);
     let outcome = loop {
         evidence_round(&evidence, &[6]);
-        match manager.tick(&evidence).unwrap() {
+        match manager.tick(&evidence.snapshot()).unwrap() {
             TickOutcome::Steady => {}
             other => break other,
         }
@@ -130,7 +130,7 @@ fn in_flight_clients_drain_at_their_epoch_then_fence_and_recover() {
 
     // Finalize: the drained epoch collapses out of the window.
     assert_eq!(
-        manager.tick(&evidence).unwrap(),
+        manager.tick(&evidence.snapshot()).unwrap(),
         TickOutcome::Finalized { epoch: 1 }
     );
     assert_eq!(gate.window(), (1, 1));
@@ -149,8 +149,9 @@ fn in_flight_clients_drain_at_their_epoch_then_fence_and_recover() {
         ),
         Err(ServiceError::EpochFenced { current: 1 })
     );
-    assert_eq!(metrics0.retries(), 0, "fencing must bypass the retry loop");
-    assert_eq!(metrics0.aborts(), 0, "fencing is a signal, not a failure");
+    let seen = metrics0.snapshot();
+    assert_eq!(seen.retries, 0, "fencing must bypass the retry loop");
+    assert_eq!(seen.aborts, 0, "fencing is a signal, not a failure");
 
     // Recovery: adopt the reported epoch and the re-certified strategy.
     let mut recovered = ServiceClient::new(&sys1, &service, responsive, 1)

@@ -121,8 +121,7 @@ pub struct ServiceClient<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> {
     /// Client identity stamped on every request (see [`Request::origin`]).
     origin: u64,
     /// The reconfiguration epoch stamped on every request (see
-    /// [`Request::epoch`]). Advanced by the epoch layer when it installs a
-    /// re-certified strategy.
+    /// [`Request::epoch`]), fixed at construction.
     epoch: u64,
     /// Retry budget per operation (0 = fail on the first transport failure).
     retry_limit: u32,
@@ -193,15 +192,6 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
     pub fn with_epoch(mut self, epoch: u64) -> Self {
         self.epoch = epoch;
         self
-    }
-
-    /// Advances the epoch stamp mid-lifetime — what the epoch layer calls
-    /// after installing a re-certified strategy. Must only be called between
-    /// operations (it takes `&mut self`, so the borrow checker enforces
-    /// that); every in-flight access has already completed or failed, which
-    /// is exactly the "drain epoch e before sampling from e + 1" rule.
-    pub fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
     }
 
     /// Enables graceful degradation: up to `limit` retries per operation after
@@ -705,7 +695,10 @@ mod tests {
             started.elapsed() < Duration::from_secs(10),
             "refusals must fail fast, not serially burn deadlines"
         );
-        assert!(metrics.aborts() > 0, "refused fan-outs count as aborts");
+        assert!(
+            metrics.snapshot().aborts > 0,
+            "refused fan-outs count as aborts"
+        );
     }
 
     #[test]
@@ -742,9 +735,9 @@ mod tests {
             started.elapsed() < Duration::from_secs(5),
             "closure must preempt the 30 s deadline"
         );
-        assert_eq!(metrics.retries(), 0, "a closed reply path is not retried");
-        assert_eq!(metrics.aborts(), 1);
-        assert_eq!(metrics.timeouts(), 0);
+        let seen = metrics.snapshot();
+        assert_eq!(seen.retries, 0, "a closed reply path is not retried");
+        assert_eq!((seen.aborts, seen.timeouts), (1, 0));
     }
 
     /// Refuses the first `failures` batches, then delegates to an inner
@@ -799,8 +792,8 @@ mod tests {
         };
         // Two refusals, then success on the third attempt — inside the budget.
         client.write(entry, &mut rng).unwrap();
-        assert_eq!(metrics.retries(), 2);
-        assert_eq!(metrics.aborts(), 0);
+        let seen = metrics.snapshot();
+        assert_eq!((seen.retries, seen.aborts), (2, 0));
         let outcome = client.read(&mut rng).unwrap();
         assert_eq!(outcome.entry, entry);
 
@@ -818,8 +811,8 @@ mod tests {
             client.write(entry, &mut rng).unwrap_err(),
             ServiceError::TransportFailure
         );
-        assert_eq!(metrics.retries(), 2);
-        assert_eq!(metrics.aborts(), 1);
+        let seen = metrics.snapshot();
+        assert_eq!((seen.retries, seen.aborts), (2, 1));
     }
 
     #[test]
@@ -847,11 +840,12 @@ mod tests {
             client.read(&mut rng).unwrap_err(),
             ServiceError::EpochFenced { current: 2 }
         );
-        assert_eq!(metrics.retries(), 0, "fencing must bypass the retry loop");
-        assert_eq!(metrics.aborts(), 0, "fencing is a signal, not a failure");
+        let seen = metrics.snapshot();
+        assert_eq!(seen.retries, 0, "fencing must bypass the retry loop");
+        assert_eq!(seen.aborts, 0, "fencing is a signal, not a failure");
 
-        // The epoch layer's recovery: adopt the reported epoch and retry.
-        client.set_epoch(2);
+        // Recovery: adopt the reported epoch and retry.
+        let mut client = client.with_epoch(2);
         let outcome = client.read(&mut rng).unwrap();
         assert_eq!(outcome.entry, entry, "state survives the fence");
         assert_eq!(client.epoch, 2);
@@ -886,8 +880,8 @@ mod tests {
         for _ in 0..12 {
             let _ = client.read(&mut rng);
         }
-        let answers = metrics.server_answer_counts();
-        let accusals = metrics.server_no_answer_counts();
+        let seen = metrics.snapshot();
+        let (answers, accusals) = (&seen.server_answers, &seen.server_no_answers);
         assert!(
             accusals[1] > 0,
             "the crashed server must accumulate no-answer evidence: {accusals:?}"
@@ -900,7 +894,7 @@ mod tests {
             (0..5).filter(|&s| s != 1).all(|s| accusals[s] == 0),
             "healthy servers holding the value must not be accused: {accusals:?}"
         );
-        assert!(answers[0] > 0 && metrics.server_latency_quantile(0, 0.99).is_some());
+        assert!(answers[0] > 0 && seen.server_latency[0].quantile(0.99).is_some());
     }
 
     #[test]

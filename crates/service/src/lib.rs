@@ -23,8 +23,11 @@
 //!   service threads, sinks completed with no shard lock held), built from
 //!   `bqs-sim`'s `Replica`/`FaultPlan` fault model, plus the
 //!   [`shard::TimestampOracle`] ordering concurrent writers;
-//! * [`metrics`] — lock-free relaxed-atomic per-server access counters, a
-//!   fixed-bucket latency histogram, and throughput counters;
+//! * [`metrics`] — [`metrics::ServiceMetrics`]: lock-free relaxed-atomic
+//!   per-server access counters, a fixed-bucket latency histogram,
+//!   degradation counters and per-server failure-detector evidence, read
+//!   only as one [`metrics::MetricsSnapshot`] (a run or a tick reads its own
+//!   share with [`metrics::MetricsSnapshot::since`]);
 //! * [`client`] — [`client::ServiceClient`]: the masking read/write protocol
 //!   over any [`bqs_core::quorum::QuorumSystem`] — a message-passing shell
 //!   (per-reply wait, retry, straggler ids) around the one protocol core,
@@ -81,7 +84,7 @@
 //!     },
 //! );
 //! assert!(report.is_safe());
-//! assert_eq!(report.unavailable_operations, 0);
+//! assert_eq!(report.ops.unavailable, 0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -102,7 +105,9 @@ pub use prelude::*;
 pub mod prelude {
     pub use crate::client::{ServiceClient, ServiceError, ServiceReadOutcome};
     pub use crate::mailbox::{DrainStatus, Mailbox, ReplyHandle, ReplyMailbox, ReplySink};
-    pub use crate::metrics::{LatencyHistogram, ServiceMetrics};
+    pub use crate::metrics::{
+        HistogramSnapshot, LatencyHistogram, MetricsSnapshot, ServiceMetrics,
+    };
     pub use crate::openloop::{
         run_open_loop_session, OpenLoopConfig, OpenLoopReport, OpenLoopSession,
     };

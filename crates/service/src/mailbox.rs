@@ -116,7 +116,7 @@ impl<T> Mailbox<T> {
 
     /// Enqueues a copy of every item of `items` under one lock acquisition.
     /// Returns `false`, enqueuing nothing, when the mailbox is closed.
-    pub fn push_slice(&self, items: &[T]) -> bool
+    fn push_slice(&self, items: &[T]) -> bool
     where
         T: Copy,
     {
@@ -234,12 +234,6 @@ impl DrainStatus {
             DrainStatus::Drained(n) => n,
             DrainStatus::TimedOut | DrainStatus::Closed => 0,
         }
-    }
-
-    /// True when the mailbox is known closed (no future delivery possible).
-    #[must_use]
-    pub fn is_closed(self) -> bool {
-        self == DrainStatus::Closed
     }
 }
 
@@ -377,7 +371,6 @@ mod tests {
         batch.clear();
         let status = mb.drain_timeout(Duration::from_secs(5), &mut batch);
         assert_eq!(status, DrainStatus::Closed);
-        assert!(status.is_closed());
         assert_eq!(status.count(), 0);
     }
 

@@ -169,10 +169,10 @@ pub struct OpenLoopReport {
     /// Maximum observed latency, ns.
     pub latency_max_ns: u64,
     /// p50 estimate from the shared lock-free 64-bucket histogram
-    /// ([`LatencyHistogram::quantile`]: bucket midpoint, within −25 %/+50 %
-    /// of the exact quantile). Zero when nothing completed. Reported
-    /// alongside the exact percentiles so sweep harnesses can use the
-    /// allocation-free path.
+    /// ([`crate::metrics::HistogramSnapshot::quantile`]: bucket midpoint,
+    /// within −25 %/+50 % of the exact quantile). Zero when nothing
+    /// completed. Reported alongside the exact percentiles so sweep harnesses
+    /// can use the allocation-free path.
     pub latency_hist_p50_ns: u64,
     /// p99 histogram estimate, ns (same error bound as the p50).
     pub latency_hist_p99_ns: u64,
@@ -257,7 +257,7 @@ pub struct OpenLoopSession<'a> {
 /// passes `&OpenLoopSession::default()`). It supplies the epoch stamped on
 /// every request (a service that has never reconfigured runs at epoch 0),
 /// the client-side metrics — completed operations record per-server access
-/// counts (feeding [`ServiceMetrics::empirical_loads`]) and every counted
+/// counts (the empirical side of the load check) and every counted
 /// reply feeds the per-server failure-detector evidence the `bqs-epoch`
 /// suspicion engine reads — and (crucially) the shared writer clock; see
 /// [`OpenLoopSession`].
@@ -385,6 +385,7 @@ where
             .sum::<u128>()
             / folded.latencies_ns.len() as u128) as u64
     };
+    let hist = run.hist.snapshot();
     OpenLoopReport {
         offered_rate: config.offered_rate,
         scheduled: config.total_arrivals as u64,
@@ -418,9 +419,9 @@ where
         latency_p90_ns: quantile(0.90),
         latency_p99_ns: quantile(0.99),
         latency_max_ns: folded.latencies_ns.last().copied().unwrap_or(0),
-        latency_hist_p50_ns: run.hist.quantile(0.50).unwrap_or(0),
-        latency_hist_p99_ns: run.hist.quantile(0.99).unwrap_or(0),
-        latency_hist_p999_ns: run.hist.quantile(0.999).unwrap_or(0),
+        latency_hist_p50_ns: hist.quantile(0.50).unwrap_or(0),
+        latency_hist_p99_ns: hist.quantile(0.99).unwrap_or(0),
+        latency_hist_p999_ns: hist.quantile(0.999).unwrap_or(0),
     }
 }
 
@@ -807,21 +808,22 @@ mod tests {
         assert_eq!(report.completed(), 200);
         // Every completed op recorded one access per quorum member on the
         // *client-side* metrics (Grid(5, 1) quorums are at least 9 wide).
-        let accesses: u64 = metrics.access_counts().iter().sum();
+        let seen = metrics.snapshot();
+        let accesses: u64 = seen.accesses.iter().sum();
         assert!(accesses >= report.load_operations * 9);
-        assert_eq!(metrics.operations(), report.completed());
+        assert_eq!(seen.latency.count(), report.completed());
         // Healthy servers produce overwhelmingly answer evidence. A few
         // accusals are expected early on: a read reaching a server before any
         // write has landed there is served an in-band `None`, which counts
         // against the server until its register fills.
-        let answers: u64 = metrics.server_answer_counts().iter().sum();
-        let accusals: u64 = metrics.server_no_answer_counts().iter().sum();
+        let answers: u64 = seen.server_answers.iter().sum();
+        let accusals: u64 = seen.server_no_answers.iter().sum();
         assert!(answers > 0);
         assert!(
             accusals * 10 < answers,
             "healthy run: answers ({answers}) must dwarf accusals ({accusals})"
         );
-        assert_eq!(metrics.timeouts(), 0);
+        assert_eq!(seen.timeouts, 0);
 
         // Server 0 never answers: every operation whose quorum holds it
         // expires, and each expiry is one timeout and one accusal of server 0
@@ -846,8 +848,9 @@ mod tests {
             },
         );
         assert!(report.timed_out > 0, "{report:?}");
-        assert_eq!(metrics.timeouts(), report.timed_out);
-        assert_eq!(metrics.server_no_answer_counts()[0], report.timed_out);
+        let seen = metrics.snapshot();
+        assert_eq!(seen.timeouts, report.timed_out);
+        assert_eq!(seen.server_no_answers[0], report.timed_out);
     }
 
     /// The loopback behind a server that accepts every request and never
@@ -965,8 +968,9 @@ mod tests {
             "fenced arrivals stay inside the accounting identity: {report:?}"
         );
         // Fenced operations never count as load and never accuse servers.
-        assert_eq!(metrics.access_counts().iter().sum::<u64>(), 0);
-        assert_eq!(metrics.server_answer_counts().iter().sum::<u64>(), 0);
+        let seen = metrics.snapshot();
+        assert_eq!(seen.accesses.iter().sum::<u64>(), 0);
+        assert_eq!(seen.server_answers.iter().sum::<u64>(), 0);
     }
 
     #[test]

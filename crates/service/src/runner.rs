@@ -2,13 +2,16 @@
 //!
 //! [`run_service`] — the crate's one closed-loop entry point — drives an
 //! existing sharded [`LoopbackService`] with many concurrent closed-loop
-//! clients (each a thread running a [`ServiceClient`]), then folds per-client
-//! tallies and the service's lock-free metrics into a [`ServiceReport`]. The
-//! caller spawns the service (fault plan, shard count, shard seed) and keeps
-//! it afterwards, so a repeated-trial harness alternates
-//! [`LoopbackService::reset_plan`] and `run_service` on one pool. With one
-//! client the run is sequential, and — timings aside — a function of the two
-//! seeds alone: the same counts and per-server access counts on every replay.
+//! clients (each a thread running a [`ServiceClient`]), then reports the
+//! folded per-client [`OpTally`] and what the service's lock-free metrics
+//! recorded during the run (a [`MetricsSnapshot`] at exit, minus one at
+//! entry) as a [`ServiceReport`]. The caller spawns the service (fault plan,
+//! shard count, shard seed) and keeps it afterwards, so a repeated-trial
+//! harness alternates [`LoopbackService::reset_plan`] and `run_service` on
+//! one pool; traffic the service carried before a run never leaks into its
+//! report. With one client the run is sequential, and — timings aside — a
+//! function of the two seeds alone: the same counts and per-server access
+//! counts on every replay.
 //!
 //! # Safety checking under concurrency
 //!
@@ -47,6 +50,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::client::{ServiceClient, ServiceError};
+use crate::metrics::MetricsSnapshot;
 use crate::shard::{LoopbackService, TimestampOracle};
 use crate::transport::{Operation, Transport};
 
@@ -81,55 +85,55 @@ impl Default for ServiceConfig {
 pub struct ServiceReport {
     /// Total operations attempted across all clients.
     pub operations: u64,
-    /// Writes that completed (full-quorum acknowledgement).
-    pub writes_completed: u64,
-    /// Reads that completed with a safe value.
-    pub reads_completed: u64,
-    /// Operations that found no live quorum (availability loss).
-    pub unavailable_operations: u64,
-    /// Reads whose safe set was empty: before the first write lands, or when
-    /// a read races an in-flight write that splits its quorum's support below
-    /// `b + 1` for every entry — legitimate masking-register behaviour, not a
-    /// protocol bug.
-    pub inconclusive_reads: u64,
-    /// Fabricated pairs returned plus the writer's read-your-writes
-    /// violations — must be zero whenever the fault plan respects `b`.
-    pub safety_violations: u64,
-    /// Operations lost to transport failure (service shutdown mid-run).
-    pub transport_failures: u64,
+    /// How the operations ended, folded over every client. Inconclusive
+    /// reads are reads whose safe set was empty: before the first write
+    /// lands, or when a read races an in-flight write that splits its
+    /// quorum's support below `b + 1` for every entry — legitimate
+    /// masking-register behaviour, not a protocol bug. Aborts are operations
+    /// lost to transport failure (service shutdown mid-run).
+    pub ops: OpTally,
     /// Wall-clock duration of the client phase.
     pub elapsed_seconds: f64,
-    /// Full protocol round trips (completed writes and reads plus
-    /// inconclusive reads) per wall-clock second.
-    pub throughput_ops_per_sec: f64,
-    /// Per-server delivered-message counts.
-    pub access_counts: Vec<u64>,
-    /// Operations that actually contacted a quorum (completed writes, safe
-    /// reads, and inconclusive reads) — the denominator of
-    /// [`ServiceReport::empirical_loads`]. Operations that found no live
-    /// quorum send no messages, so counting them would bias the per-server
-    /// frequency low under faulty plans.
-    pub load_operations: u64,
-    /// Per-server empirical load (accesses / quorum-contacting operations),
-    /// the concurrent measurement compared against the certified `L(Q)`.
-    pub empirical_loads: Vec<f64>,
-    /// Upper bound on the median operation latency, nanoseconds.
-    pub latency_p50_upper_ns: Option<u64>,
-    /// Upper bound on the 99th-percentile operation latency, nanoseconds.
-    pub latency_p99_upper_ns: Option<u64>,
+    /// What the service's metrics recorded during this run: the per-server
+    /// access counts and the latency of every full round trip.
+    pub metrics: MetricsSnapshot,
 }
 
 impl ServiceReport {
-    /// The busiest server's empirical access frequency.
+    /// Operations that actually contacted a quorum (completed writes, safe
+    /// reads, and inconclusive reads) — the denominator of
+    /// [`ServiceReport::max_empirical_load`]. Operations that found no live
+    /// quorum send no messages, so counting them would bias the per-server
+    /// frequency low under faulty plans.
+    #[must_use]
+    pub fn load_operations(&self) -> u64 {
+        self.ops.round_trips()
+    }
+
+    /// Full protocol round trips per wall-clock second — the same population
+    /// the latency histogram records and the load denominator counts.
+    #[must_use]
+    pub fn throughput_ops_per_sec(&self) -> f64 {
+        if self.elapsed_seconds > 0.0 {
+            self.load_operations() as f64 / self.elapsed_seconds
+        } else {
+            0.0
+        }
+    }
+
+    /// The busiest server's empirical access frequency (accesses over
+    /// quorum-contacting operations), the concurrent measurement compared
+    /// against the certified `L(Q)`.
     #[must_use]
     pub fn max_empirical_load(&self) -> f64 {
-        self.empirical_loads.iter().copied().fold(0.0, f64::max)
+        let busiest = self.metrics.accesses.iter().copied().max().unwrap_or(0);
+        busiest as f64 / self.load_operations().max(1) as f64
     }
 
     /// True when no read violated authenticity or read-your-writes.
     #[must_use]
     pub fn is_safe(&self) -> bool {
-        self.safety_violations == 0
+        self.ops.safety_violations() == 0
     }
 }
 
@@ -286,8 +290,9 @@ impl std::ops::AddAssign for OpTally {
 
 /// Runs a concurrent closed-loop workload of `config.clients` clients over
 /// `system` (masking level `b`) against `service`, which stays alive
-/// afterwards. Its metrics are zeroed at entry so the report covers exactly
-/// this run.
+/// afterwards. The report's metrics are the difference between snapshots
+/// taken at entry and at exit, so they cover exactly this run whatever the
+/// service carried before.
 ///
 /// Pass a [`bqs_core::strategic::StrategicQuorumSystem`] built from a
 /// [`bqs_core::load::CertifiedLoad`] to drive the service with the
@@ -316,7 +321,7 @@ where
     assert!(config.clients > 0, "need at least one client");
     assert!(config.ops_per_client > 0, "need at least one operation");
 
-    service.metrics().reset();
+    let entry = service.metrics().snapshot();
     let clock = TimestampOracle::new();
 
     let started = Instant::now();
@@ -363,34 +368,11 @@ where
         folded.fenced, 0,
         "the closed-loop harness never reconfigures"
     );
-    let operations = (config.clients * config.ops_per_client) as u64;
-    // Inconclusive reads contacted a full quorum (the rendezvous succeeded,
-    // only the safe set was empty), so they carry load; unavailable and
-    // transport-failed operations did not.
-    let load_operations = folded.round_trips();
-    let metrics = service.metrics();
     ServiceReport {
-        operations,
-        writes_completed: folded.writes,
-        reads_completed: folded.reads,
-        unavailable_operations: folded.unavailable,
-        inconclusive_reads: folded.inconclusive,
-        safety_violations: folded.safety_violations(),
-        transport_failures: folded.writes_aborted + folded.reads_aborted,
+        operations: (config.clients * config.ops_per_client) as u64,
+        ops: folded,
         elapsed_seconds: elapsed,
-        // Throughput counts full protocol round trips, inconclusive reads
-        // included — the same population the latency histogram records and
-        // the load denominator normalises by.
-        throughput_ops_per_sec: if elapsed > 0.0 {
-            load_operations as f64 / elapsed
-        } else {
-            0.0
-        },
-        access_counts: metrics.access_counts(),
-        load_operations,
-        empirical_loads: metrics.empirical_loads(load_operations),
-        latency_p50_upper_ns: metrics.latency().quantile_upper_ns(0.50),
-        latency_p99_upper_ns: metrics.latency().quantile_upper_ns(0.99),
+        metrics: service.metrics().snapshot().since(&entry),
     }
 }
 
@@ -431,16 +413,14 @@ mod tests {
             },
         );
         assert!(report.is_safe(), "{report:?}");
-        assert_eq!(report.unavailable_operations, 0);
-        assert_eq!(report.transport_failures, 0);
+        assert_eq!(report.ops.unavailable, 0);
+        assert_eq!(report.ops.writes_aborted + report.ops.reads_aborted, 0);
         assert_eq!(report.operations, 900);
-        assert_eq!(
-            report.writes_completed + report.reads_completed + report.inconclusive_reads,
-            900
-        );
-        assert!(report.writes_completed > 0 && report.reads_completed > 0);
-        assert!(report.throughput_ops_per_sec > 0.0);
-        assert!(report.latency_p50_upper_ns.is_some());
+        assert_eq!(report.ops.round_trips(), 900);
+        assert!(report.ops.writes > 0 && report.ops.reads > 0);
+        assert!(report.throughput_ops_per_sec() > 0.0);
+        assert_eq!(report.metrics.latency.count(), 900);
+        assert!(report.metrics.latency.quantile_upper_ns(0.5).is_some());
     }
 
     #[test]
@@ -460,9 +440,9 @@ mod tests {
         };
         let report = run_fresh(&strategic, 2, &FaultPlan::none(n), 4, &config);
         assert!(report.is_safe(), "{report:?}");
-        assert_eq!(report.unavailable_operations, 0);
+        assert_eq!(report.ops.unavailable, 0);
         let l = certified.load;
-        let ops = report.load_operations as f64;
+        let ops = report.load_operations() as f64;
         let sigma = (l * (1.0 - l) / ops).sqrt();
         let tolerance = sigma * (5.0 + (2.0 * (n as f64).ln()).sqrt());
         let empirical = report.max_empirical_load();
@@ -494,7 +474,7 @@ mod tests {
             },
         );
         assert!(report.is_safe(), "{report:?}");
-        assert_eq!(report.unavailable_operations, 0);
+        assert_eq!(report.ops.unavailable, 0);
     }
 
     #[test]
@@ -525,7 +505,7 @@ mod tests {
                 },
             );
             assert!(
-                report.safety_violations > 0,
+                !report.is_safe(),
                 "{coalition} x {strategy:?} against b = 1 must be detected: {report:?}"
             );
         }
@@ -547,12 +527,12 @@ mod tests {
                 seed: 17,
             },
         );
-        assert_eq!(report.unavailable_operations, report.operations);
+        assert_eq!(report.ops.unavailable, report.operations);
         assert!(report.is_safe());
         // No operation contacted a quorum, so the load denominator is zero
         // and every empirical load is zero — not biased by the failed ops.
-        assert_eq!(report.load_operations, 0);
-        assert!(report.empirical_loads.iter().all(|&l| l == 0.0));
+        assert_eq!(report.load_operations(), 0);
+        assert_eq!(report.max_empirical_load(), 0.0);
     }
 
     #[test]
@@ -569,19 +549,19 @@ mod tests {
         let mut service = LoopbackService::spawn(&FaultPlan::none(5), 2, 29);
         // Trial 1: healthy — fully available.
         let r1 = run_service(&service, &sys, 1, &config);
-        assert_eq!(r1.unavailable_operations, 0);
+        assert_eq!(r1.ops.unavailable, 0);
         assert!(r1.is_safe());
         // Trial 2: two crashes exceed the resilience — fully unavailable,
-        // and the metrics reset means no load leaks over from trial 1.
+        // and the report's own metrics carry no load over from trial 1.
         service.reset_plan(&FaultPlan::none(5).with_crashed(0).with_crashed(1), 31);
         let r2 = run_service(&service, &sys, 1, &config);
-        assert_eq!(r2.unavailable_operations, r2.operations);
-        assert_eq!(r2.load_operations, 0);
-        assert!(r2.access_counts.iter().all(|&c| c == 0));
+        assert_eq!(r2.ops.unavailable, r2.operations);
+        assert_eq!(r2.load_operations(), 0);
+        assert!(r2.metrics.accesses.iter().all(|&c| c == 0));
         // Trial 3: healthy again — the crash plan does not stick.
         service.reset_plan(&FaultPlan::none(5), 37);
         let r3 = run_service(&service, &sys, 1, &config);
-        assert_eq!(r3.unavailable_operations, 0);
+        assert_eq!(r3.ops.unavailable, 0);
         assert!(r3.is_safe());
         // Trials 4 and 5: a lone client's run is a function of the seeds —
         // a re-armed pool and a fresh spawn replay it count for count, down
@@ -596,16 +576,54 @@ mod tests {
         service.reset_plan(&plan, 41);
         let r4 = run_service(&service, &sys, 1, &lone);
         let r5 = run_service(&LoopbackService::spawn(&plan, 2, 41), &sys, 1, &lone);
-        let counts = |r: &ServiceReport| {
-            (
-                (r.operations, r.writes_completed, r.reads_completed),
-                (r.unavailable_operations, r.inconclusive_reads),
-                (r.safety_violations, r.transport_failures),
-                (r.load_operations, r.access_counts.clone()),
-            )
-        };
         assert_eq!(counts(&r4), counts(&r5));
-        assert!(r4.is_safe() && r4.reads_completed > 0);
+        assert!(r4.is_safe() && r4.ops.reads > 0);
+    }
+
+    /// Everything of a report that is a function of the seeds: the tally,
+    /// the per-server accesses and the number of timed round trips.
+    fn counts(r: &ServiceReport) -> (u64, OpTally, Vec<u64>, u64) {
+        (
+            r.operations,
+            r.ops,
+            r.metrics.accesses.clone(),
+            r.metrics.latency.count(),
+        )
+    }
+
+    #[test]
+    fn a_used_service_reports_exactly_what_a_fresh_one_does() {
+        // Without re-arming: the service has already carried traffic, and
+        // the run's report still covers only the run. Reads leave these
+        // replicas as they were (no equivocator draws from the shard RNG),
+        // so the earlier traffic is a lone client's reads of the empty
+        // register.
+        let sys = ThresholdSystem::minimal_masking(1).unwrap(); // 4-of-5
+        let plan = FaultPlan::none(5)
+            .with_byzantine(3, ByzantineStrategy::FabricateHighTimestamp { value: 999 });
+        let lone = ServiceConfig {
+            clients: 1,
+            ops_per_client: 200,
+            write_fraction: 0.3,
+            seed: 43,
+        };
+        let used = LoopbackService::spawn(&plan, 2, 43);
+        let mut reader = ServiceClient::new(&sys, &used, used.responsive_set().clone(), 1);
+        let mut rng = StdRng::seed_from_u64(44);
+        for _ in 0..25 {
+            assert_eq!(
+                reader.read(&mut rng).unwrap_err(),
+                ServiceError::Protocol(ProtocolError::NoSafeValue)
+            );
+        }
+        used.metrics().record_operation(1);
+        assert_eq!(used.metrics().access_counts().iter().sum::<u64>(), 100);
+
+        let again = run_service(&used, &sys, 1, &lone);
+        let fresh = run_service(&LoopbackService::spawn(&plan, 2, 43), &sys, 1, &lone);
+        assert_eq!(counts(&again), counts(&fresh));
+        assert_eq!(again.metrics.latency.count(), again.load_operations());
+        assert!(again.is_safe() && again.ops.reads > 0);
     }
 
     #[test]

@@ -136,9 +136,11 @@ impl LoopbackService {
 
     /// Re-arms the service with fresh replicas built from `plan`: every shard
     /// swaps its replicas (and reseeds its RNG from `seed`), the
-    /// failure-detector view is recomputed, and the metrics and the epoch
-    /// gate are reset. Taking `&mut self` guarantees no client holds the
-    /// service across the swap, so no request can observe half-old half-new
+    /// failure-detector view is recomputed, and the epoch gate is reset.
+    /// The metrics keep counting: a trial reads its own share as the
+    /// difference of two [`ServiceMetrics::snapshot`]s, as `run_service`
+    /// does. Taking `&mut self` guarantees no client holds the service
+    /// across the swap, so no request can observe half-old half-new
     /// replicas.
     ///
     /// # Panics
@@ -158,7 +160,6 @@ impl LoopbackService {
                 .expect("no sender panicked under a shard lock") = fresh;
         }
         self.responsive = responsive_view(plan);
-        self.metrics.reset();
         self.gate.reset();
     }
 
@@ -476,13 +477,17 @@ mod tests {
         assert_eq!(roundtrip(&service, 0, Operation::Read).entry, Some(entry));
 
         // Re-arm with a plan that crashes server 1: replica state must be
-        // fresh (the old write gone), the view updated, the metrics zeroed.
+        // fresh (the old write gone) and the view updated. The metrics keep
+        // counting across the swap; the reads after it are their own delta.
+        let before = service.metrics().snapshot();
+        assert_eq!(before.accesses, vec![2, 1, 1, 1, 1]);
         service.reset_plan(&FaultPlan::none(5).with_crashed(1), 4);
         assert_eq!(service.responsive_set().to_vec(), vec![0, 2, 3, 4]);
         assert_eq!(roundtrip(&service, 0, Operation::Read).entry, None);
         assert_eq!(roundtrip(&service, 1, Operation::Read).entry, None);
         // Two reads since the reset, nothing from before.
-        assert_eq!(service.metrics().access_counts(), vec![1, 1, 0, 0, 0]);
+        let since = service.metrics().snapshot().since(&before);
+        assert_eq!(since.accesses, vec![1, 1, 0, 0, 0]);
 
         // And back to a healthy plan: the crash does not stick.
         service.reset_plan(&FaultPlan::none(5), 5);

@@ -21,6 +21,7 @@
 use rand::Rng;
 
 use bqs_core::bitset::ServerSet;
+use bqs_core::masking::mask_votes;
 use bqs_core::quorum::QuorumSystem;
 
 use crate::server::Entry;
@@ -84,14 +85,14 @@ where
         .ok_or(ProtocolError::NoLiveQuorum)
 }
 
-/// Resolves a read from per-server replies by the masking rule: keep only the
-/// entries reported by at least `b + 1` servers (the *safe* set) and return
-/// the one with the highest timestamp, together with the full safe set sorted
-/// for diagnostics.
+/// Resolves a read from per-server replies by the masking rule,
+/// [`mask_votes`]: keep only the entries reported by at least `b + 1` servers
+/// (the *safe* set) and return the one with the highest timestamp, together
+/// with the full safe set sorted for diagnostics.
 ///
 /// What a read's [`QuorumOp::outcome`](crate::quorum_op::QuorumOp::outcome)
-/// applies to its admitted votes — the safety argument (any pair fabricated by at
-/// most `b` Byzantine servers has at most `b` supporters) lives here once.
+/// applies to its admitted votes. The safety argument (any pair fabricated by
+/// at most `b` Byzantine servers has at most `b` supporters) is `mask_votes`'s.
 ///
 /// # Errors
 ///
@@ -100,21 +101,9 @@ pub fn resolve_read(
     replies: &[(usize, Option<Entry>)],
     b: usize,
 ) -> Result<(Entry, Vec<Entry>), ProtocolError> {
-    // Count support per distinct entry.
-    let mut support: Vec<(Entry, usize)> = Vec::new();
-    for (_, reply) in replies {
-        if let Some(entry) = reply {
-            match support.iter_mut().find(|(e, _)| e == entry) {
-                Some((_, count)) => *count += 1,
-                None => support.push((*entry, 1)),
-            }
-        }
-    }
-    let mut safe_entries: Vec<Entry> = support
-        .into_iter()
-        .filter(|&(_, count)| count > b)
-        .map(|(e, _)| e)
-        .collect();
+    // The one masking rule, over the raw replies: an empty reply (`None`)
+    // may gather support too, but it is never a value to return.
+    let mut safe_entries: Vec<Entry> = mask_votes(replies, b).into_iter().flatten().collect();
     safe_entries.sort_unstable();
     let best = safe_entries
         .iter()

@@ -69,10 +69,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: 2024,
     };
     let report = run_service(&service, &mgrid, 3, &config);
-    println!("writes completed   : {}", report.writes_completed);
-    println!("reads completed    : {}", report.reads_completed);
-    println!("safety violations  : {}", report.safety_violations);
-    println!("unavailable ops    : {}", report.unavailable_operations);
+    println!("writes completed   : {}", report.ops.writes);
+    println!("reads completed    : {}", report.ops.reads);
+    println!("safety violations  : {}", report.ops.safety_violations());
+    println!("unavailable ops    : {}", report.ops.unavailable);
     println!("empirical max load : {:.4}", report.max_empirical_load());
     assert!(
         report.is_safe(),

@@ -37,9 +37,9 @@ fn run_case(name: &str, system: &impl QuorumSystem, b: usize, plan: FaultPlan) {
     let report = run_service(&service, system, b, &config);
     println!(
         "{name:<34} byz={byz:<3} crashes={crashes:<3} reads={:<5} violations={:<3} unavailable={:<5} max-load={:.3}",
-        report.reads_completed,
-        report.safety_violations,
-        report.unavailable_operations,
+        report.ops.reads,
+        report.ops.safety_violations(),
+        report.ops.unavailable,
         report.max_empirical_load()
     );
 }

@@ -44,7 +44,7 @@ fn threshold_empirical_load_converges_to_lp_optimal() {
 
     let report = run_failure_free(&sys, 2, 6_000, 0.5, 0x10ad);
     assert!(report.is_safe());
-    assert_eq!(report.unavailable_operations, 0);
+    assert_eq!(report.ops.unavailable, 0);
     let empirical = report.max_empirical_load();
     assert!(
         (empirical - lp).abs() < 0.04,
@@ -71,7 +71,7 @@ fn certified_strategy_empirical_load_tracks_certified_lq() {
     let operations = 8_000usize;
     let report = run_failure_free(&strategic, 3, operations, 0.4, 0x10ad + 2);
     assert!(report.is_safe());
-    assert_eq!(report.unavailable_operations, 0);
+    assert_eq!(report.ops.unavailable, 0);
     let empirical = report.max_empirical_load();
     // Binomial 5-sigma band around the certified load, plus the max-of-n
     // order-statistic drift (all servers sit at the same expected load under

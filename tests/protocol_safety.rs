@@ -33,7 +33,7 @@ fn run_register<Q: QuorumSystem>(
 fn assert_safe<Q: QuorumSystem>(system: Q, b: usize, plan: FaultPlan, seed: u64) {
     let report = run_register(&system, b, &plan, 400, 0.3, seed);
     assert!(report.is_safe(), "safety violated: {report:?}");
-    assert!(report.reads_completed > 0, "no progress: {report:?}");
+    assert!(report.ops.reads > 0, "no progress: {report:?}");
 }
 
 #[test]
@@ -102,9 +102,9 @@ fn crashes_beyond_resilience_never_produce_wrong_reads() {
         .with_crashed(2);
     let report = run_register(&sys, 1, &plan, 200, 0.5, 3);
     assert!(report.is_safe());
-    assert_eq!(report.reads_completed, 0);
-    assert_eq!(report.writes_completed, 0);
-    assert_eq!(report.unavailable_operations, 200);
+    assert_eq!(report.ops.reads, 0);
+    assert_eq!(report.ops.writes, 0);
+    assert_eq!(report.ops.unavailable, 200);
 }
 
 proptest! {
@@ -142,7 +142,7 @@ proptest! {
         prop_assert!(report.is_safe(), "{report:?}");
         // Within the envelope the system must also make progress.
         if !matches!(strategy, ByzantineStrategy::Silent) && crashes <= f {
-            prop_assert!(report.reads_completed + report.writes_completed > 0);
+            prop_assert!(report.ops.reads + report.ops.writes > 0);
         }
     }
 
