@@ -7,10 +7,10 @@
 //! * [`scenario`] — the Section 8 worked example (`n = 1024`, `L ≈ 1/4`, `p = 1/8`);
 //! * [`load_analysis`] — the paper roster ([`PaperConstruction`]: which
 //!   instance stands for each construction at a universe size and masking
-//!   level, asked by every figure and table here), load-versus-n sweeps, the
-//!   certified column-generation sweep `lp_load_vs_n` (pinning closed-form
-//!   loads against the LP up to `n = 1024`), the Theorem 4.1 envelope, and
-//!   the LP-versus-closed-form ablation;
+//!   level, asked by every figure and table here), the certified load roster
+//!   ([`certified_constructions`]: the constructions with an exact pricing
+//!   oracle, so every one but M-Path), load-versus-n sweeps, the Theorem 4.1
+//!   envelope, and the LP-versus-closed-form ablation;
 //! * [`availability_analysis`] — `F_p` versus `p` and versus `n`, the RT fixed-point
 //!   sweep, and the exact-versus-Monte-Carlo ablation;
 //! * [`percolation_threshold`] — the finite-size percolation estimates behind the
@@ -43,8 +43,8 @@ pub use empirical::{
     EmpiricalLoadCheck,
 };
 pub use load_analysis::{
-    boost_fpp_order_for, certified_constructions, load_vs_n, lower_bound_envelope, lp_load_vs_n,
-    lp_vs_fair_load, CertifiableConstruction, CertifiedLoadPoint, PaperConstruction,
+    boost_fpp_order_for, certified_constructions, load_vs_n, lower_bound_envelope, lp_vs_fair_load,
+    CertifiableConstruction, PaperConstruction,
 };
 pub use percolation_threshold::{crossing_curve, estimate_critical_probability};
 pub use report::TextTable;

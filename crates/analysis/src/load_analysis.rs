@@ -6,6 +6,8 @@
 //!   place the per-construction `b` clamp, the RT depth rule and the plane
 //!   order rule live. [`certified_constructions`], [`load_vs_n`], the `F_p`
 //!   sweeps and Table 2 all name the kinds they want and ask it.
+//! * [`certified_constructions`] — the certified load roster: the kinds
+//!   with an exact pricing oracle, which is every kind but M-Path.
 //! * [`load_vs_n`] — load of each construction as the universe grows at (roughly)
 //!   fixed masking level `b`, against the universal lower bound `√((2b+1)/n)` of
 //!   Corollary 4.2 (reproduces the "optimal load" claims of Propositions 5.2, 6.2
@@ -17,7 +19,7 @@
 
 use bqs_constructions::prelude::*;
 use bqs_core::bounds::load_lower_bound;
-use bqs_core::load::{optimal_load, optimal_load_oracle};
+use bqs_core::load::optimal_load;
 use bqs_core::oracle::MinWeightQuorumOracle;
 
 /// One point of the load-versus-n sweep.
@@ -146,93 +148,28 @@ pub fn nearest_plane_order(n: usize, copies: u64) -> Option<u64> {
     (achieved <= 2 * n && n <= 2 * achieved).then_some(q)
 }
 
-/// One point of the certified load sweep: the closed-form `analytic_load`
-/// pinned against the column-generation LP.
-#[derive(Debug, Clone)]
-pub struct CertifiedLoadPoint {
-    /// Construction name.
-    pub system: String,
-    /// Universe size.
-    pub n: usize,
-    /// Masking level of the instance.
-    pub b: usize,
-    /// The closed-form (Proposition 3.9 / Theorem 4.7) load.
-    pub analytic_load: f64,
-    /// The certified LP load (strategy upper bound).
-    pub lp_load: f64,
-    /// The certified optimality gap of the LP result.
-    pub gap: f64,
-    /// Working-set columns the engine generated.
-    pub columns: usize,
-    /// How the LP value was obtained — always `"column_generation"` today:
-    /// instances whose engine run fails (oracle decline, or a round-cap /
-    /// stall certification failure) are dropped from the sweep with a
-    /// stderr note rather than silently falling back (the field exists so
-    /// an explicit-LP fallback could be reported distinctly if one is ever
-    /// added).
-    pub method: &'static str,
-}
-
-/// The certified companion of [`load_vs_n`]: for every construction at every
-/// side, computes `L(Q)` by **column generation against the pricing oracle**
-/// (`optimal_load_oracle`) and reports it next to the closed-form
-/// `analytic_load` — the verification the explicit LP could never perform
-/// beyond toy sizes. Scales to the paper's `n = 1024` instances (sides up to
-/// 32 run in milliseconds per point). Instances whose oracle declines (for
-/// example an M-Grid whose per-quorum line count exceeds the pricing budget)
-/// are skipped — `bench_load` materialises its explicit-LP comparison
-/// separately, and its `--quick` gate asserts that every construction here
-/// dispatches to `"column_generation"`.
-#[must_use]
-pub fn lp_load_vs_n(sides: &[usize], b: usize) -> Vec<CertifiedLoadPoint> {
-    let mut points = Vec::new();
-    for &side in sides {
-        for sys in certified_constructions(side, b) {
-            if let Some(point) = certify(sys.as_ref()) {
-                points.push(point);
-            }
-        }
-    }
-    points
-}
-
-/// An analysed construction with a pricing oracle — what the certified load
-/// sweep (and `bench_load`) iterate over.
+/// An analysed construction with a pricing oracle — what the certified
+/// roster holds.
 pub trait CertifiableConstruction: AnalyzedConstruction + MinWeightQuorumOracle {}
 impl<T: AnalyzedConstruction + MinWeightQuorumOracle> CertifiableConstruction for T {}
 
-/// The whole roster at `(side, b)`: one instance per
-/// [`PaperConstruction`] that has one there, in roster order.
-/// [`lp_load_vs_n`] and the `bench_load` CI gate both iterate exactly this
-/// list, so the gate certifies the same systems the sweep reports.
+/// The certified load roster at `(side, b)`: one instance per
+/// [`PaperConstruction`] that has one there, in roster order, except
+/// M-Path. Every instance here has an exact pricing oracle, so its
+/// column-generation certificate is `L(Q)` itself; `bench_load` and the
+/// benchmark's load certification iterate exactly this list.
+///
+/// M-Path is left out because no exact pricing oracle for its bent
+/// crossings exists yet (its oracle declines). A min-plus crossing sweep
+/// would price them exactly at small sides and bring M-Path back there.
+/// Figures and tables still take M-Path from [`PaperConstruction::instance`].
 #[must_use]
 pub fn certified_constructions(side: usize, b: usize) -> Vec<Box<dyn CertifiableConstruction>> {
     PaperConstruction::ALL
         .iter()
+        .filter(|&&kind| kind != PaperConstruction::MPath)
         .filter_map(|kind| kind.instance(side, b))
         .collect()
-}
-
-fn certify(sys: &dyn CertifiableConstruction) -> Option<CertifiedLoadPoint> {
-    match optimal_load_oracle(sys) {
-        Ok(certified) => Some(CertifiedLoadPoint {
-            system: sys.name(),
-            n: sys.universe_size(),
-            b: sys.masking_b(),
-            analytic_load: sys.analytic_load(),
-            lp_load: certified.load,
-            gap: certified.gap,
-            columns: certified.columns,
-            method: "column_generation",
-        }),
-        Err(e) => {
-            // A dropped point is either a documented oracle decline or a
-            // genuine certification failure (round cap / stall) — never hide
-            // which: the sweep's "certified" claim covers only rows present.
-            eprintln!("lp_load_vs_n: dropping {}: {e:?}", sys.name());
-            None
-        }
-    }
 }
 
 /// One point of the Theorem 4.1 envelope: the load lower bound as a function of the
@@ -301,6 +238,7 @@ pub fn lp_vs_fair_load() -> Vec<LoadAblation> {
 mod tests {
     use super::*;
     use bqs_core::bounds::load_lower_bound_universal;
+    use bqs_core::load::optimal_load_oracle;
 
     #[test]
     fn optimal_family_tracks_lower_bound() {
@@ -369,7 +307,6 @@ mod tests {
                 "Threshold(136-of-256)",
                 "Grid(n=256, b=5)",
                 "M-Grid(n=256, b=7)",
-                "M-Path(n=256, b=7)",
                 "RT(4, 3) depth 4",
                 "boostFPP(q=2, b=7)",
                 "FPP(q=16)",
@@ -381,7 +318,6 @@ mod tests {
                 "Threshold(296-of-576)",
                 "Grid(n=576, b=7)",
                 "M-Grid(n=576, b=7)",
-                "M-Path(n=576, b=7)",
                 "RT(4, 3) depth 5",
                 "boostFPP(q=4, b=7)",
                 "FPP(q=23)",
@@ -393,7 +329,6 @@ mod tests {
                 "Threshold(520-of-1024)",
                 "Grid(n=1024, b=7)",
                 "M-Grid(n=1024, b=7)",
-                "M-Path(n=1024, b=7)",
                 "RT(4, 3) depth 5",
                 "boostFPP(q=5, b=7)",
                 "FPP(q=31)",
@@ -410,8 +345,11 @@ mod tests {
         // within 2x of 64 servers, so nobody may plot one there (the
         // per-sweep copies of the rule used to emit the n = 1127 instance).
         for (side, b) in [(16usize, 3usize), (12, 5), (8, 40)] {
-            let roster: Vec<String> = certified_constructions(side, b)
+            // Every kind, M-Path included: the figures plot it even though
+            // the certified roster leaves it out.
+            let roster: Vec<String> = PaperConstruction::ALL
                 .iter()
+                .filter_map(|kind| kind.instance(side, b))
                 .map(|sys| sys.name())
                 .collect();
             let load = load_vs_n(&[side], b).into_iter().map(|p| p.system);
@@ -437,28 +375,38 @@ mod tests {
 
     #[test]
     fn certified_sweep_pins_analytic_loads_to_the_lp() {
-        // The headline verification: at n = 256 and n = 1024 every
+        // The headline verification: at n = 256 and n = 1024 every roster
         // construction's closed-form load is confirmed by the certified
         // column-generation LP to 1e-9 — a check the explicit LP could only
         // ever run on toy instances.
-        let points = lp_load_vs_n(&[16, 32], 5);
-        assert!(points.len() >= 10, "expected a full grid, got {points:?}");
-        for p in &points {
-            assert_eq!(p.method, "column_generation", "{}", p.system);
-            assert!(p.gap <= 1e-9, "{}: gap {:e}", p.system, p.gap);
-            assert!(
-                (p.lp_load - p.analytic_load).abs() <= 1e-9,
-                "{}: lp {} vs analytic {}",
-                p.system,
-                p.lp_load,
-                p.analytic_load
-            );
+        let mut at_1024 = Vec::new();
+        for side in [16, 32] {
+            for sys in certified_constructions(side, 5) {
+                let certified = optimal_load_oracle(sys.as_ref())
+                    .unwrap_or_else(|e| panic!("{}: {e:?}", sys.name()));
+                assert!(
+                    certified.gap <= 1e-9,
+                    "{}: gap {:e}",
+                    sys.name(),
+                    certified.gap
+                );
+                assert!(
+                    (certified.load - sys.analytic_load()).abs() <= 1e-9,
+                    "{}: lp {} vs analytic {}",
+                    sys.name(),
+                    certified.load,
+                    sys.analytic_load()
+                );
+                if sys.universe_size() >= 793 {
+                    at_1024.push(sys.name());
+                }
+            }
         }
-        // All six constructions appear at side 32 (n = 1024).
-        let at_1024: Vec<&CertifiedLoadPoint> = points.iter().filter(|p| p.n >= 793).collect();
-        for prefix in ["Threshold", "Grid", "M-Grid", "M-Path", "RT", "boostFPP"] {
+        // All five roster constructions with a masking level appear at side
+        // 32 (n = 1024).
+        for prefix in ["Threshold", "Grid", "M-Grid", "RT", "boostFPP"] {
             assert!(
-                at_1024.iter().any(|p| p.system.starts_with(prefix)),
+                at_1024.iter().any(|name| name.starts_with(prefix)),
                 "{prefix} missing from the n = 1024 sweep"
             );
         }

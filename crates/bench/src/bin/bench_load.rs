@@ -1,7 +1,8 @@
 //! Machine-readable load benchmark: times the certified column-generation
-//! load engine across the paper's constructions and universe sizes, and
-//! emits `BENCH_load.json` (schema v1) — the `L(Q)` companion of
-//! `BENCH_fp.json`.
+//! load engine across the certified load roster (`certified_constructions`:
+//! every paper construction with an exact pricing oracle, so all but
+//! M-Path) and universe sizes, and emits `BENCH_load.json` (schema v1) —
+//! the `L(Q)` companion of `BENCH_fp.json`.
 //!
 //! Recorded per instance: the certified LP load, the closed-form
 //! `analytic_load` it confirms, the certified optimality gap, the
@@ -14,9 +15,9 @@
 //! Run with: `cargo run --release -p bqs-bench --bin bench_load [--quick] [output.json]`
 //!
 //! `--quick` runs the `n ≈ 1024` matrix only and **asserts the dispatch
-//! table**: every construction must certify through its pricing oracle
-//! (method `column_generation`, never the explicit-LP fallback), with gap
-//! `≤ 1e-9`, within its time budget — the CI smoke step runs this mode on
+//! table**: every roster construction must certify through its pricing
+//! oracle (method `column_generation`, never the explicit-LP fallback), with
+//! gap `≤ 1e-9`, within its time budget — the CI smoke step runs this mode on
 //! every push, mirroring `bench_fp --quick`. Both modes run the explicit-LP
 //! comparison, which asserts the explicit load is `18/24` and that the
 //! returned strategy induces exactly that load (both to `1e-9`).
@@ -105,8 +106,7 @@ fn main() {
     let mut failures: Vec<String> = Vec::new();
 
     eprintln!("certifying L(Q) by column generation at sides {sides:?}...");
-    // Exactly the roster `lp_load_vs_n` sweeps, so this gate certifies the
-    // same instances the certified sweep reports.
+    // Exactly the roster the benchmark's load certification iterates.
     for &side in sides {
         for sys in certified_constructions(side, b) {
             if let Some(row) = certify(sys.as_ref(), &mut failures) {

@@ -756,4 +756,5 @@ fn table2(args: Args) {
     println!(" * '-> 1' rows (Grid, M-Grid) have no useful Fp upper bound: their crash");
     println!("   probability tends to 1 as n grows, which is why only a lower bound is shown.");
     println!(" * '*' rows are Fp-optimal for their resilience (Proposition 4.3).");
+    println!(" * M-Path's L is Proposition 7.2's straight-line load, an upper bound on L(M-Path).");
 }

@@ -285,12 +285,7 @@ impl<F: LineFamily> MinWeightQuorumOracle for LineSystem<F> {
     /// ([`balanced_line_strategy`]): a perfectly balanced `side²`-quorum
     /// family whose uniform mixture achieves `c(Q)/n` exactly.
     fn symmetric_strategy_hint(&self) -> Option<(Vec<ServerSet>, Vec<f64>)> {
-        Some(balanced_line_strategy(
-            self.grid.side(),
-            self.rows,
-            self.cols,
-            |rows, cols| self.grid.union_of(rows, cols),
-        ))
+        Some(balanced_line_strategy(&self.grid, self.rows, self.cols))
     }
 }
 

@@ -24,6 +24,11 @@
 //! uses straight rows and columns only, exactly as in the proof of
 //! Proposition 7.2.
 //!
+//! That strategy's load is an **upper bound** on `L(M-Path)`: bent crossings
+//! can be shorter than straight lines, and no exact pricing oracle for them
+//! exists yet. So the [`MinWeightQuorumOracle`] implementation declines, and
+//! the column-generation load engine certifies no M-Path load.
+//!
 //! Crash-probability evaluation is **exact** up to grid side
 //! [`EXACT_DP_MAX_SIDE`] via the transfer-matrix DP of
 //! [`bqs_graph::crossing_dp`] (answered by
@@ -49,7 +54,7 @@ use bqs_graph::crossing_dp::{min_crossing_cost_capped, mpath_crash_probability, 
 use bqs_graph::disjoint_paths::{find_straight_disjoint_paths, min_cost_crossings};
 use bqs_graph::grid::{Axis, TriangulatedGrid};
 
-use crate::grid::{integer_sqrt_ceil, ORACLE_SUBSET_BUDGET};
+use crate::grid::integer_sqrt_ceil;
 use crate::square::SquareGrid;
 use crate::AnalyzedConstruction;
 
@@ -248,36 +253,6 @@ impl MPathSystem {
         min_cost_crossings(&self.grid, &prices, axis, self.paths)
     }
 
-    /// The larger over the two axes of the least total price of
-    /// `⌈√(2b+1)⌉` disjoint crossings: every quorum holds that many disjoint
-    /// crossings each way, so no quorum is cheaper.
-    fn crossings_price_bound(&self, prices: &[f64]) -> f64 {
-        [Axis::LeftRight, Axis::TopBottom]
-            .map(|axis| {
-                min_cost_crossings(&self.grid, prices, axis, self.paths)
-                    .iter()
-                    .flatten()
-                    .map(|&v| prices[v])
-                    .sum::<f64>()
-            })
-            .into_iter()
-            .fold(0.0, f64::max)
-    }
-
-    /// The straight-line quorum made of the given rows (LR crossings) and
-    /// columns (TB crossings) — the quorum shape of Proposition 7.2's
-    /// access strategy, shared by the pricing oracle and the warm-start
-    /// family.
-    ///
-    /// The triangulated grid indexes its vertices row-major, so a straight
-    /// crossing is a whole row or column of the [`SquareGrid`] of the same
-    /// side, and the union is that square's.
-    fn straight_union(&self, rows: &[usize], cols: &[usize]) -> ServerSet {
-        SquareGrid::new(self.grid.side())
-            .expect("an M-Path grid has a positive side")
-            .union_of(rows, cols)
-    }
-
     /// The percolation-flavoured crash-probability upper bound used in the worked
     /// example of Section 8: combine the counting bound on the crossing probability
     /// (remark after Theorem B.1, valid for `p' < 1/3`) with the ACCFR interior-event
@@ -342,11 +317,16 @@ impl QuorumSystem for MPathSystem {
     }
 
     fn sample_quorum(&self, rng: &mut dyn RngCore) -> ServerSet {
-        // Proposition 7.2's strategy: straight rows and columns chosen uniformly.
+        // Proposition 7.2's strategy: straight rows and columns chosen
+        // uniformly. The triangulated grid indexes its vertices row-major, so
+        // a straight crossing is a whole row or column of the square of the
+        // same side.
         let side = self.grid.side();
         let rows = rand::seq::index::sample(rng, side, self.paths).into_vec();
         let cols = rand::seq::index::sample(rng, side, self.paths).into_vec();
-        self.straight_union(&rows, &cols)
+        SquareGrid::new(side)
+            .expect("an M-Path grid has a positive side")
+            .union_of(&rows, &cols)
     }
 
     fn find_live_quorum(&self, alive: &ServerSet) -> Option<ServerSet> {
@@ -425,48 +405,12 @@ impl QuorumSystem for MPathSystem {
 }
 
 impl MinWeightQuorumOracle for MPathSystem {
-    /// Exact pricing over the **straight-line quorum family** of
-    /// Proposition 7.2 — the `⌈√(2b+1)⌉` rows × `⌈√(2b+1)⌉` columns unions
-    /// that the access strategy uses — via the same enumeration as the
-    /// M-Grid oracle.
-    ///
-    /// The family is a strict subset of M-Path's quorums, and not the
-    /// shortest part of it: bent crossings can be shorter than straight
-    /// lines. So the load certified over this family is an upper bound on
-    /// `L(M-Path)`, and `CertifiedLoad::lower_bound` bounds the straight-line
-    /// family only, not the full system (see `ROADMAP.md`, direction 1).
-    /// The least total price of `⌈√(2b+1)⌉` disjoint crossings along either
-    /// axis ([`min_cost_crossings`]) lower-bounds every quorum's price; a
-    /// debug assertion and the tests hold this oracle's answers above it.
-    fn min_weight_quorum(&self, prices: &[f64]) -> Option<(ServerSet, f64)> {
-        let side = self.grid.side();
-        let (rows, cols, price) = crate::square::min_price_rows_and_columns(
-            side,
-            prices,
-            self.paths,
-            self.paths,
-            ORACLE_SUBSET_BUDGET,
-        )?;
-        debug_assert!(
-            price + 1e-9 >= self.crossings_price_bound(prices),
-            "straight-line oracle undercut the disjoint-crossings bound"
-        );
-        Some((self.straight_union(&rows, &cols), price))
-    }
-
-    /// All cyclic row-window × column-window straight-line quorums — the
-    /// explicit form of Proposition 7.2's access strategy, balanced so the
-    /// uniform mixture loads every server at exactly the straight-line
-    /// quorum size over `n`. That load is an **upper bound** on
-    /// `L(M-Path)`: the engine certifies it against the straight-line
-    /// family's oracle, not against every M-Path quorum.
-    fn symmetric_strategy_hint(&self) -> Option<(Vec<ServerSet>, Vec<f64>)> {
-        Some(crate::square::balanced_line_strategy(
-            self.grid.side(),
-            self.paths,
-            self.paths,
-            |rows, cols| self.straight_union(rows, cols),
-        ))
+    /// Always declines. The cheapest M-Path quorum is `⌈√(2b+1)⌉` disjoint
+    /// crossings each way, bent ones included, and no exact minimiser over
+    /// that family is implemented; pricing only the straight-line quorums
+    /// would certify an upper bound as `L(M-Path)`.
+    fn min_weight_quorum(&self, _prices: &[f64]) -> Option<(ServerSet, f64)> {
+        None
     }
 }
 
@@ -525,17 +469,21 @@ mod tests {
     }
 
     #[test]
-    fn straight_union_is_the_union_of_straight_crossings() {
+    fn sampled_quorums_are_unions_of_straight_crossings() {
         let m = MPathSystem::new(7, 3).unwrap();
-        let (rows, cols) = ([0, 3, 6], [1, 2, 6]);
-        let mut expected = ServerSet::new(m.universe_size());
-        for &r in &rows {
-            expected.extend(m.grid.straight_path(Axis::LeftRight, r));
+        let (mut rng, mut twin) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+        for _ in 0..10 {
+            let rows = rand::seq::index::sample(&mut twin, 7, 3).into_vec();
+            let cols = rand::seq::index::sample(&mut twin, 7, 3).into_vec();
+            let mut expected = ServerSet::new(m.universe_size());
+            for &r in &rows {
+                expected.extend(m.grid.straight_path(Axis::LeftRight, r));
+            }
+            for &c in &cols {
+                expected.extend(m.grid.straight_path(Axis::TopBottom, c));
+            }
+            assert_eq!(m.sample_quorum(&mut rng), expected);
         }
-        for &c in &cols {
-            expected.extend(m.grid.straight_path(Axis::TopBottom, c));
-        }
-        assert_eq!(m.straight_union(&rows, &cols), expected);
     }
 
     #[test]
@@ -854,69 +802,6 @@ mod tests {
         assert!(fp <= 0.001, "fp={fp}");
         let load = m.analytic_load();
         assert!((load - 0.25).abs() < 0.05, "load={load}");
-    }
-
-    #[test]
-    fn pricing_oracle_matches_straight_family_scan_and_crossing_bound() {
-        // Reference: brute-force over all (rows, cols) straight unions.
-        let m = MPathSystem::new(5, 2).unwrap(); // paths = ceil(sqrt(5)) = 3
-        let k = m.paths_per_direction();
-        let n = m.universe_size();
-        for seed in 0..4u64 {
-            let prices: Vec<f64> = (0..n)
-                .map(|i| ((i as u64 * 43 + seed * 17 + 9) % 37) as f64 / 37.0)
-                .collect();
-            let (q, v) = m.min_weight_quorum(&prices).unwrap();
-            let recomputed: f64 = q.iter().map(|u| prices[u]).sum();
-            assert!((recomputed - v).abs() < 1e-12);
-            let mut best = f64::INFINITY;
-            for rows in bqs_combinatorics::subsets::KSubsets::new(5, k) {
-                for cols in bqs_combinatorics::subsets::KSubsets::new(5, k) {
-                    let mut total = 0.0;
-                    for r in 0..5 {
-                        for c in 0..5 {
-                            if rows.contains(&r) || cols.contains(&c) {
-                                total += prices[r * 5 + c];
-                            }
-                        }
-                    }
-                    best = best.min(total);
-                }
-            }
-            assert!((v - best).abs() < 1e-12, "seed={seed}: {v} vs {best}");
-            // The least price of `k` disjoint crossings never exceeds the
-            // straight-line optimum (bent paths only help the bound), and is
-            // at least `k` times the cheapest single crossing.
-            let bound = m.crossings_price_bound(&prices);
-            assert!(bound <= v + 1e-9, "seed={seed}: {bound} vs {v}");
-            let single = [Axis::LeftRight, Axis::TopBottom]
-                .map(|axis| {
-                    let path = min_cost_crossings(m.grid(), &prices, axis, 1);
-                    path.iter().flatten().map(|&u| prices[u]).sum::<f64>()
-                })
-                .into_iter()
-                .fold(0.0, f64::max);
-            assert!(k as f64 * single <= bound + 1e-12, "seed={seed}");
-        }
-    }
-
-    #[test]
-    fn certified_load_matches_proposition_7_2_at_section8_scale() {
-        // n = 1024, b = 7 (Section 8): over the straight-line family the
-        // certified LP must land on exactly Proposition 7.2's c/n.
-        let m = MPathSystem::new(32, 7).unwrap();
-        let certified = optimal_load_oracle(&m).unwrap();
-        assert!(
-            (certified.load - m.analytic_load()).abs() <= 1e-9,
-            "certified {} vs analytic {}",
-            certified.load,
-            m.analytic_load()
-        );
-        assert!(certified.gap <= 1e-9, "gap={}", certified.gap);
-        // Every strategy quorum must be a genuine M-Path quorum.
-        for q in &certified.quorums {
-            assert!(m.contains_quorum(q));
-        }
     }
 
     #[test]

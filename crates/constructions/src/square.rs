@@ -3,8 +3,7 @@
 //! exact closed form [`rows_and_columns_alive_probability`], and the line
 //! pricing oracle [`min_price_rows_and_columns`] with its balanced strategy
 //! [`balanced_line_strategy`]. The line-quorum systems of [`crate::grid`]
-//! (Grid, M-Grid and the regular grid) use all of them; M-Path prices and
-//! balances its straight-line family with the last two.
+//! (Grid, M-Grid and the regular grid) use all of them.
 
 use std::sync::OnceLock;
 
@@ -299,13 +298,10 @@ impl LineCountTables {
 }
 
 /// The uniform-weight strategy over the perfectly balanced line family
-/// behind the grid constructions' symmetric strategy hint: every pair of a
-/// cyclic `num_rows`-window of rows and a cyclic `num_cols`-window of
-/// columns (`side²` pairs, row windows outer), each materialised by the
-/// construction-specific `union` (full grid lines for the line systems of
-/// [`crate::grid`], straight triangulated-grid crossings for M-Path) — the
-/// shared body of those constructions' `symmetric_strategy_hint`
-/// implementations.
+/// behind the line systems' symmetric strategy hint: every pair of a cyclic
+/// `num_rows`-window of rows and a cyclic `num_cols`-window of columns of
+/// `grid` (`side²` pairs, row windows outer), each the union of its full
+/// lines.
 ///
 /// Each cell `(r, c)` lies in exactly `num_rows` row windows and `num_cols`
 /// column windows, so across the full family it is covered exactly
@@ -319,11 +315,11 @@ impl LineCountTables {
 /// Panics unless `1 <= num_rows, num_cols <= side`.
 #[must_use]
 pub fn balanced_line_strategy(
-    side: usize,
+    grid: &SquareGrid,
     num_rows: usize,
     num_cols: usize,
-    union: impl Fn(&[usize], &[usize]) -> ServerSet,
 ) -> (Vec<ServerSet>, Vec<f64>) {
+    let side = grid.side;
     assert!(
         (1..=side).contains(&num_rows) && (1..=side).contains(&num_cols),
         "window sizes must be in 1..=side"
@@ -336,16 +332,15 @@ pub fn balanced_line_strategy(
     let (row_windows, col_windows) = (windows(num_rows), windows(num_cols));
     let quorums: Vec<ServerSet> = row_windows
         .iter()
-        .flat_map(|rows| col_windows.iter().map(|cols| union(rows, cols)))
+        .flat_map(|rows| col_windows.iter().map(|cols| grid.union_of(rows, cols)))
         .collect();
     let weights = vec![1.0; quorums.len()];
     (quorums, weights)
 }
 
 /// Exact minimum-price selection of `num_rows` full rows and `num_cols` full
-/// columns of a `side × side` grid — the pricing oracle shared by every
-/// construction whose quorums are unions of grid lines (the line systems of
-/// [`crate::grid`] and M-Path's straight-line strategy family).
+/// columns of a `side × side` grid — the pricing oracle of the line systems
+/// of [`crate::grid`].
 ///
 /// The price of a union counts each cell once:
 ///

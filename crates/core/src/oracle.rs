@@ -5,11 +5,12 @@
 //! enumeration: a restricted master LP (`bqs_lp::packing`) works over a small
 //! set of quorums and asks a *pricing oracle* — given non-negative per-server
 //! prices `y`, find the quorum of minimum total price — for improving columns.
-//! Every paper construction answers that question in polynomial time from its
-//! structure (smallest-`k` prefix for thresholds, cheapest rows × columns for
-//! the grids, cheapest line for the FPP, recursion for RT, composition for
-//! boostFPP), which is what makes certified `L(Q)` at `n = 1024` possible
-//! without ever materialising a quorum list.
+//! Every paper construction but M-Path answers that question exactly in
+//! polynomial time from its structure (smallest-`k` prefix for thresholds,
+//! cheapest rows × columns for the grids, cheapest line for the FPP,
+//! recursion for RT, composition for boostFPP), which is what makes
+//! certified `L(Q)` at `n = 1024` possible without ever materialising a
+//! quorum list.
 //!
 //! The oracle also *certifies*: for any prices `y ≥ 0` and any access
 //! strategy `w`, the busiest server's load is at least the `y`-weighted
@@ -26,12 +27,9 @@ use crate::quorum::{ExplicitQuorumSystem, QuorumSystem};
 ///
 /// Implementations must return a **true minimiser over the system's quorum
 /// set**: the certified lower bound of the load engine is only valid for
-/// exact oracles. The M-Path oracle is the documented exception: it prices
-/// Proposition 7.2's straight-line quorums only, so its certificate bounds
-/// that family, and M-Path's own `L(Q)` lies at or below it (bent quorums
-/// are shorter; see `ROADMAP.md`, direction 1). The returned price must equal the
-/// sum of `prices[u]` over the returned set (the engine re-derives it and
-/// debug-asserts agreement).
+/// exact oracles, so an oracle that cannot find the true minimiser declines.
+/// The returned price must equal the sum of `prices[u]` over the returned
+/// set (the engine re-derives it and debug-asserts agreement).
 pub trait MinWeightQuorumOracle: QuorumSystem {
     /// The minimum-total-price quorum under the given per-server prices,
     /// together with its price, or `None` when this instance is outside the

@@ -4,11 +4,17 @@
 //!   (`optimal_load`) to `1e-9` on every construction small enough to
 //!   enumerate, with the returned strategy achieving exactly the reported
 //!   load and the certified gap honoured;
+//! * **ground truth** — every certified roster instance small enough to
+//!   enumerate (`n ≤ 16`) against its minimal available sets, found by
+//!   `is_available` alone: the smallest is `min_quorum_size()`, and their
+//!   explicit LP is the certified and the analytic load. M-Path, which the
+//!   roster leaves out, is pinned against the same ground truth;
 //! * **scale regression** — the Section 8-size instances (`n ≥ 256`) of the
-//!   paper's load-optimal constructions (M-Grid, M-Path, boostFPP) certified
+//!   paper's load-optimal roster constructions (M-Grid, boostFPP) certified
 //!   within a constant of the universal lower bound `√((2b+1)/n)` of
 //!   Corollary 4.2, values the explicit LP can never check.
 
+use byzantine_quorums::analysis::load_analysis::certified_constructions;
 use byzantine_quorums::core::load::{optimal_load, optimal_load_oracle};
 use byzantine_quorums::core::oracle::MinWeightQuorumOracle;
 use byzantine_quorums::prelude::*;
@@ -114,40 +120,90 @@ fn certified_boost_fpp_load_matches_explicit_composition() {
     );
 }
 
-/// M-Path's certified load against the explicit LP over its straight-line
-/// family (the Proposition 7.2 strategy support, which attains the full
-/// system's load by Theorem 4.1).
+/// The minimal quorums of `sys`, by `is_available` alone: every available
+/// set of its `n ≤ 16` servers from which removing any one server leaves no
+/// quorum.
+fn minimal_quorums(sys: &(impl QuorumSystem + ?Sized)) -> Vec<ServerSet> {
+    let n = sys.universe_size();
+    assert!(n <= 16, "{}: 2^{n} masks is too many", sys.name());
+    let mut set = ServerSet::new(n);
+    let available: Vec<bool> = (0..1u64 << n)
+        .map(|mask| {
+            set.assign_mask_u64(mask);
+            sys.is_available(&set)
+        })
+        .collect();
+    (0..1u64 << n)
+        .filter(|&mask| {
+            available[mask as usize]
+                && (0..n)
+                    .filter(|&i| mask >> i & 1 == 1)
+                    .all(|i| !available[(mask ^ 1 << i) as usize])
+        })
+        .map(|mask| ServerSet::from_indices(n, (0..n).filter(|&i| mask >> i & 1 == 1)))
+        .collect()
+}
+
+/// The smallest quorum size `c(Q)` and the explicit-LP load of a minimal
+/// quorum list.
+fn ground_truth(minimal: &[ServerSet], n: usize) -> (usize, f64) {
+    let smallest = minimal.iter().map(ServerSet::len).min().expect("a quorum");
+    let (load, _) = optimal_load(minimal, n).unwrap();
+    (smallest, load)
+}
+
+/// Every certified roster instance that can be enumerated agrees with its
+/// own minimal quorums: the smallest has `min_quorum_size()` servers, and
+/// their explicit LP, the certificate and the closed form give one load.
 #[test]
-fn certified_mpath_load_matches_explicit_straight_family() {
-    let m = MPathSystem::new(5, 2).unwrap();
-    let certified = certify_and_check(&m);
-    let k = m.paths_per_direction();
-    let grid = m.grid();
-    let mut quorums = Vec::new();
-    for rows in byzantine_quorums::combinatorics::subsets::KSubsets::new(5, k) {
-        for cols in byzantine_quorums::combinatorics::subsets::KSubsets::new(5, k) {
-            let mut q = ServerSet::new(25);
-            for &r in &rows {
-                for v in grid.straight_path(byzantine_quorums::graph::Axis::LeftRight, r) {
-                    q.insert(v);
+fn certified_roster_matches_its_minimal_quorums() {
+    for side in [3, 4] {
+        for b in [0, 1, 2] {
+            for sys in certified_constructions(side, b) {
+                let n = sys.universe_size();
+                let (smallest, lp_load) = ground_truth(&minimal_quorums(sys.as_ref()), n);
+                let certified = certify_and_check(sys.as_ref());
+                assert_eq!(smallest, sys.min_quorum_size(), "{}: c(Q)", sys.name());
+                for (what, load) in [("certified", certified), ("analytic", sys.analytic_load())] {
+                    assert!(
+                        (load - lp_load).abs() <= 1e-9,
+                        "{}: {what} load {load} vs explicit LP {lp_load}",
+                        sys.name()
+                    );
                 }
             }
-            for &c in &cols {
-                for v in grid.straight_path(byzantine_quorums::graph::Axis::TopBottom, c) {
-                    q.insert(v);
-                }
-            }
-            quorums.push(q);
         }
     }
-    let (lp_load, _) = optimal_load(&quorums, 25).unwrap();
-    assert!(
-        (certified - lp_load).abs() <= 1e-9,
-        "certified {certified} vs explicit straight-family LP {lp_load}"
-    );
-    // Theorem 4.1 cross-check: the certified value is exactly the c/n bound,
-    // so no larger quorum family could do better.
-    assert!((certified - m.min_quorum_size() as f64 / 25.0).abs() <= 1e-9);
+}
+
+/// M-Path at sides 3 and 4 against its minimal quorums, bent crossings
+/// included: `c(Q) = k·side` (each of `k` disjoint left-right crossings has
+/// a server in every column), and the explicit-LP load is at least
+/// `c(Q)/n = k/side` (Theorem 4.1). Both lie strictly below Proposition
+/// 7.2's straight-line values, which `min_quorum_size()` and
+/// `analytic_load()` report as upper bounds. The pricing oracle declines,
+/// so nothing certifies a load.
+#[test]
+fn mpath_ground_truth_lies_below_the_straight_line_bounds() {
+    for (side, b, count, lp_expected) in [
+        (3, 0, 26, 0.5),
+        (3, 1, 9, 0.8),
+        (4, 0, 278, 0.383562),
+        (4, 1, 282, 0.642857),
+    ] {
+        let m = MPathSystem::new(side, b).unwrap();
+        let minimal = minimal_quorums(&m);
+        let (smallest, load) = ground_truth(&minimal, side * side);
+        let k = m.paths_per_direction();
+        let name = m.name();
+        assert_eq!(minimal.len(), count, "{name}: minimal quorums");
+        assert_eq!(smallest, k * side, "{name}: c(Q)");
+        assert!(smallest < m.min_quorum_size(), "{name}");
+        assert!((load - lp_expected).abs() <= 1e-6, "{name}: L = {load}");
+        assert!(k as f64 / side as f64 <= load, "{name}: L = {load}");
+        assert!(load < m.analytic_load(), "{name}: L = {load}");
+        assert!(optimal_load_oracle(&m).is_err(), "{name} certified");
+    }
 }
 
 /// The certified engine agrees with the generic explicit-system oracle path:
@@ -174,14 +230,12 @@ fn certified_load_on_unfair_explicit_system() {
 /// Regression (Corollary 4.2): at `n ≥ 256` the certified LP load of each
 /// load-optimal construction stays within a small constant of the universal
 /// lower bound `√((2b+1)/n)` — M-Grid within `√2·√((b+1)/(2b+1)) ≈ √2`,
-/// M-Path within 2, boostFPP within ~1.7 (Propositions 5.2, 7.2, 6.2).
+/// boostFPP within ~1.7 (Propositions 5.2, 6.2).
 #[test]
 fn certified_loads_track_the_universal_bound_at_scale() {
     let cases: Vec<(Box<dyn MinWeightQuorumOracle>, usize, f64)> = vec![
         (Box::new(MGridSystem::new(16, 7).unwrap()), 7, 2.1),
         (Box::new(MGridSystem::new(32, 15).unwrap()), 15, 2.1),
-        (Box::new(MPathSystem::new(16, 7).unwrap()), 7, 2.1),
-        (Box::new(MPathSystem::new(32, 7).unwrap()), 7, 2.1),
         (Box::new(BoostFppSystem::new(3, 12).unwrap()), 12, 1.8),
         (Box::new(BoostFppSystem::new(3, 19).unwrap()), 19, 1.8),
     ];
