@@ -420,8 +420,8 @@ fn main() {
 
     // ---- Front (b): ε-pruned transfer-matrix DP past the exact wall. ----
     // Side 7 runs in every mode (the CI smoke gate for the certified-interval
-    // path); side 8 — minutes on one core — only in the full run.
-    eprintln!("front (b): pruned-DP certified interval at M-Path side 7 (~10 s on one core)...");
+    // path); side 8 — about a minute on one core — only in the full run.
+    eprintln!("front (b): pruned-DP certified interval at M-Path side 7 (~5 s on one core)...");
     let mpath7 = MPathSystem::new(7, 1).unwrap();
     let (est7, side7_seconds) = time(|| evaluator.crash_probability(&mpath7, p25));
     expect_dispatch(
@@ -443,7 +443,7 @@ fn main() {
     let side8 = if quick {
         None
     } else {
-        eprintln!("front (b): side 8 (~2 min on one core)...");
+        eprintln!("front (b): side 8 (~1 min on one core)...");
         let mpath8 = MPathSystem::new(8, 1).unwrap();
         let (est8, side8_seconds) = time(|| evaluator.crash_probability(&mpath8, p25));
         expect_dispatch(

@@ -63,12 +63,13 @@ use crate::AnalyzedConstruction;
 /// DP's interface-state count is exponential in the side (like every known
 /// exact method for crossing probabilities). Up to side 6 (`n = 36`, already
 /// beyond the `2^25` enumeration limit) a sweep point costs milliseconds to
-/// a sixth of a second (one point at `p = 0.125` on a 2-core box, side 6:
-/// 0.15 s at `k = 2` and 0.12 s at `k = 3` on one core, 0.11 s and 0.10 s on
-/// two). An unpruned side-7 sweep at `k = 2` takes 2.0 s on one core (1.6 s
-/// on two) and fits the pruned budget, but side 7 is dispatched to the
-/// ε-pruned sweep (2.0 s on one core, 1.7 s on two, certified to `2e-13`),
-/// so the exact gate stays where its cost is interactive.
+/// about a quarter of a second (one point at `p = 0.125` on a 2-vCPU Xeon
+/// virtual machine, side 6: 0.29 s at `k = 2` and 0.24 s at `k = 3` on one
+/// core, 0.23 s and 0.16 s on two). An unpruned side-7 sweep at `k = 2`
+/// takes 3.8 s on one core (3.1 s on two) and fits the pruned budget, but
+/// side 7 is dispatched to the ε-pruned sweep (5.0 s on one core, 3.3 s on
+/// two, certified to `2e-13`), so the exact gate stays where its cost is
+/// interactive.
 pub const EXACT_DP_MAX_SIDE: usize = 6;
 
 /// Interface-state budget handed to the transfer-matrix sweep; at
@@ -86,10 +87,9 @@ pub const EXACT_DP_STATE_BUDGET: usize = 4_000_000;
 /// survives if *any* lane keeps it). Sides 9–10 remain
 /// reachable through [`bqs_graph::crossing_dp`] directly with a
 /// caller-chosen ε and budget, but a single sweep there costs minutes and
-/// gigabytes (side 9, `k = 2`, `p = 0.125` with the dispatch ε on a 2-core
-/// box: 4.0 min on one core, 3.2 min on two, a 2.8 GB peak, certifying
-/// `2.4e-10`) and more at side 10, so the evaluator hands them to
-/// Monte-Carlo with Wilson bounds instead.
+/// gigabytes (the side-8, `k = 2` point already takes 51 s on one core and
+/// peaks at 0.39 GB), so the evaluator hands them to Monte-Carlo with
+/// Wilson bounds instead.
 pub const PRUNED_DP_MAX_SIDE: usize = 8;
 
 /// Surviving-state budget handed to the ε-pruned sweep. Sized so that at
@@ -105,21 +105,22 @@ pub const PRUNED_DP_STATE_BUDGET: usize = 1 << 26;
 /// Mass floor for the dispatched ε-pruned sweep. The certified width
 /// scales linearly in ε (states dropped per step ≈ states alive × ε), so
 /// `1e-16` lands the side-8 widths two to six orders of magnitude under
-/// the `1e-9` acceptance gate while keeping a side-7 sweep near 2 s and a
-/// side-8 sweep under half a minute (one point at `p = 0.125` on a 2-core
-/// box: 2.0 s and 24 s on one core, 1.7 s and 19 s on two; widths `2.0e-13`
-/// and `9.1e-12`). The library default
+/// the `1e-9` acceptance gate while keeping a side-7 sweep at a few seconds
+/// and a side-8 sweep under a minute (one point at `p = 0.125` on a 2-vCPU
+/// Xeon virtual machine: 5.0 s and 51 s on one core, 3.3 s and 43 s on two;
+/// widths `2.0e-13` and `9.1e-12`). The library default
 /// ([`bqs_graph::crossing_dp::DEFAULT_PRUNE_EPSILON`] `= 1e-24`) is tighter
-/// than needed here and roughly doubles the sweep time.
+/// than needed here.
 pub const PRUNED_DP_EPSILON: f64 = 1e-16;
 
 /// Largest path count `k = ⌈√(2b+1)⌉` dispatched to the ε-pruned sweep.
 /// Every dispatch measurement above (widths, sweep times) is at `k = 2`.
 /// The interface alphabet grows with `k` (matrix entries range over
 /// `0..=k`), but so does the share of states decided early: at the dispatch
-/// ε and budget a `k = 3` sweep at `p = 0.125` takes 2.4 s at side 7 and
-/// 40 s at side 8 on one core of a 2-core box (1.8 s and 36 s on two, with a
-/// 0.75 GB peak at side 8) and certifies `2e-13` and `8e-12`. One point is
+/// ε and budget a `k = 3` sweep at `p = 0.125` takes 5.3 s at side 7 and
+/// 72 s at side 8 on one core of a 2-vCPU Xeon virtual machine (4.3 s and
+/// 77 s on two, with a 0.75 GB peak at side 8) and certifies `2e-13` and
+/// `8e-12`. One point is
 /// not a `p`-grid, and `k = 4` is unmeasured, so systems with `b ≥ 2`
 /// (hence `k ≥ 3`) past the exact wall still decline and fall through to
 /// Monte-Carlo with Wilson bounds.
@@ -702,7 +703,7 @@ mod tests {
     #[test]
     #[cfg_attr(
         debug_assertions,
-        ignore = "side-7 pruned sweeps take ≈7 s each in release and ~20× that without optimizations"
+        ignore = "side-7 pruned sweeps take seconds each in release and minutes without optimizations"
     )]
     fn engine_dispatches_past_exact_wall_to_pruned_dp() {
         // Side 7 (n = 49) is past both the 2^25 enumeration limit and the

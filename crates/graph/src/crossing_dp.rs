@@ -94,13 +94,15 @@
 //! (side 5): a side-7 grid has `2^49` configurations.
 //!
 //! Each cell step runs in two phases over blocks of states. *Expansion*
-//! unpacks a state, builds the new cell's matrix row once, runs the dead and
-//! the alive closure updates and packs both successors; it touches no shared
-//! data, so a block's states are split over every available core. *Merge*
-//! weighs each lane, banks decided mass and inserts or accumulates each
-//! successor in the next map, on the calling thread. At side 6, `k = 3`
-//! (8 lanes) a sweep takes ≈ 0.125 s on one core of a 2-core box and
-//! ≈ 0.075 s on both.
+//! unpacks a state into a fixed 16 × 16 matrix, builds the new cell's matrix
+//! row once, runs the dead and the alive closure updates as whole-row `min`s
+//! and packs both successors; it touches no shared data, so a block's states
+//! are split over every available core. *Merge* weighs each lane, banks
+//! decided mass and inserts or accumulates each successor in the next map
+//! with one probe, on the calling thread. At side 6, `k = 3` (8 lanes) a
+//! sweep takes ≈ 0.25 s on one core of a 2-vCPU Xeon virtual machine
+//! (expansion ≈ 0.15 s, merge ≈ 0.09 s) and ≈ 0.21 s on both, where the
+//! serial merge (≈ 0.10 s) is as large as the expansion (≈ 0.09 s).
 //!
 //! # Determinism
 //!
@@ -113,6 +115,7 @@
 //! order a one-thread sweep does, so the bits are also the same at every
 //! thread count. Golden tests pin the bits and compare thread counts.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
 
@@ -428,27 +431,44 @@ const B: usize = 1;
 const L: usize = 2;
 const CELLS: usize = 3;
 
+/// The fixed row width of the interface matrix: at least `CELLS + 10`, the
+/// most nodes a [`PackedKey`] holds. A sweep over `n_nodes` nodes uses the
+/// first `n_nodes` rows and columns; the rest ride along in the whole-row
+/// operations, stay at most 7, and are never packed or read.
+const WIDTH: usize = 16;
+
+/// One row of the interface matrix.
+type Row = [u8; WIDTH];
+
 /// The interface matrix plus frontier aliveness, in unpacked working form.
+#[derive(Clone, Copy)]
 struct State {
-    /// Full symmetric `n_nodes × n_nodes` capped cost matrix (diagonal 0).
-    d: Vec<u8>,
+    /// Symmetric capped cost matrix over the first `n_nodes` rows and columns
+    /// (diagonal 0).
+    d: [Row; WIDTH],
     /// Bit `r` set iff the frontier cell of row `r` is alive.
     alive: u32,
 }
 
 impl State {
-    /// Working memory for a state over `n_nodes` interface nodes.
-    fn zeroed(n_nodes: usize) -> Self {
-        State {
-            d: vec![0; n_nodes * n_nodes],
-            alive: 0,
+    /// The state before the first cell: no region yet, so every pair is
+    /// "unreachable", which the cap folds into the same class as "cost ≥ k".
+    fn empty(kcap: u8) -> Self {
+        let mut d = [[kcap; WIDTH]; WIDTH];
+        for (i, row) in d.iter_mut().enumerate() {
+            row[i] = 0;
         }
+        State { d, alive: 0 }
     }
 }
 
 /// 3-bit slots per `u64` word of a [`PackedKey`]: 21 slots use 63 bits, so a
 /// slot never straddles a word boundary.
 const PACKED_SLOTS_PER_WORD: usize = 21;
+
+/// The bit offset one past a word's last slot, where a key cursor moves on
+/// to the next word.
+const PACKED_WORD_BITS: u32 = 3 * PACKED_SLOTS_PER_WORD as u32;
 
 /// Total 3-bit slot capacity of a [`PackedKey`].
 const PACKED_SLOTS: usize = 4 * PACKED_SLOTS_PER_WORD;
@@ -464,7 +484,9 @@ fn packed_slots_needed(side: usize) -> usize {
 /// state maps: capped cost entries are at most `kcap ≤ 7`, so each fits a
 /// 3-bit slot, and `side ≤ 10` fits the matrix and the frontier bits in 84
 /// slots. A key needs no heap allocation, and hashing and equality are four
-/// words — the dominant non-arithmetic cost of the sweep's hot loop.
+/// words. The merge that hashes and probes them is still about 40 % of a
+/// one-core sweep and nearly half of a two-core one (see "Cost" in the
+/// module docs).
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct PackedKey([u64; 4]);
 
@@ -480,47 +502,54 @@ impl std::hash::Hash for PackedKey {
 }
 
 impl PackedKey {
-    /// The canonical key of `state`.
+    /// The canonical key of `state`: the upper triangle row by row, then the
+    /// frontier bits three at a time, each into the next slot of a running
+    /// `(word, shift)` cursor.
     fn pack(state: &State, n_nodes: usize) -> Self {
         let mut words = [0u64; 4];
-        let mut slot = 0usize;
+        let (mut word, mut shift) = (0, 0);
+        let mut put = |v: u64| {
+            words[word] |= v << shift;
+            shift += 3;
+            if shift == PACKED_WORD_BITS {
+                (word, shift) = (word + 1, 0);
+            }
+        };
         for i in 0..n_nodes {
-            for j in (i + 1)..n_nodes {
-                let v = u64::from(state.d[i * n_nodes + j]);
-                words[slot / PACKED_SLOTS_PER_WORD] |= v << (3 * (slot % PACKED_SLOTS_PER_WORD));
-                slot += 1;
+            for &v in &state.d[i][i + 1..n_nodes] {
+                put(v.into());
             }
         }
         for c in 0..(n_nodes - CELLS).div_ceil(3) {
-            let v = (u64::from(state.alive) >> (3 * c)) & 7;
-            words[slot / PACKED_SLOTS_PER_WORD] |= v << (3 * (slot % PACKED_SLOTS_PER_WORD));
-            slot += 1;
+            put(u64::from(state.alive >> (3 * c) & 7));
         }
         PackedKey(words)
     }
 
-    /// Rehydrates the key into a full-matrix `State`.
+    /// Rehydrates the key into the first `n_nodes` rows and columns of
+    /// `out`, walking the slots in [`PackedKey::pack`]'s order.
     fn unpack(&self, n_nodes: usize, out: &mut State) {
-        let mut slot = 0usize;
+        let (mut word, mut shift) = (0, 0);
+        let mut take = || {
+            let v = (self.0[word] >> shift & 7) as u8;
+            shift += 3;
+            if shift == PACKED_WORD_BITS {
+                (word, shift) = (word + 1, 0);
+            }
+            v
+        };
         for i in 0..n_nodes {
-            out.d[i * n_nodes + i] = 0;
+            out.d[i][i] = 0;
             for j in (i + 1)..n_nodes {
-                let v = ((self.0[slot / PACKED_SLOTS_PER_WORD]
-                    >> (3 * (slot % PACKED_SLOTS_PER_WORD)))
-                    & 7) as u8;
-                out.d[i * n_nodes + j] = v;
-                out.d[j * n_nodes + i] = v;
-                slot += 1;
+                let v = take();
+                out.d[i][j] = v;
+                out.d[j][i] = v;
             }
         }
-        let mut alive = 0u32;
+        out.alive = 0;
         for c in 0..(n_nodes - CELLS).div_ceil(3) {
-            let v =
-                (self.0[slot / PACKED_SLOTS_PER_WORD] >> (3 * (slot % PACKED_SLOTS_PER_WORD))) & 7;
-            alive |= (v as u32) << (3 * c);
-            slot += 1;
+            out.alive |= u32::from(take()) << (3 * c);
         }
-        out.alive = alive;
     }
 }
 
@@ -657,15 +686,11 @@ fn sweep_interior(
     let kcap = u8::try_from(k).expect("run_sweep_grid checked k <= 7");
     let lanes = ps.len();
     let n_nodes = CELLS + side;
-    let initial = State {
-        // No region yet: every pair is "unreachable", which the cap folds
-        // into the same class as "cost >= k".
-        d: init_matrix(n_nodes, kcap),
-        alive: 0,
-    };
     let mut states = StateMap::default();
     let mut masses: Vec<f64> = vec![1.0; lanes];
-    states.insert(PackedKey::pack(&initial, n_nodes), 0);
+    states.insert(PackedKey::pack(&State::empty(kcap), n_nodes), 0);
+    // Each lane's weight of the new cell, dead then alive.
+    let weights: [Vec<f64>; 2] = [ps.to_vec(), ps.iter().map(|&p| 1.0 - p).collect()];
     let mut decided = CompensatedLanes::new(lanes);
     let mut discarded: Vec<f64> = vec![0.0; lanes];
 
@@ -694,23 +719,27 @@ fn sweep_interior(
                 expand_block(&block, side, kcap, row, col, threads, &mut successors);
                 for (&(_, mass_idx), pair) in block.iter().zip(&successors) {
                     let mass = &masses[mass_idx * lanes..(mass_idx + 1) * lanes];
-                    for (cell_alive, successor) in [false, true].into_iter().zip(pair) {
-                        for ((mb, &m), &p) in massbuf.iter_mut().zip(mass).zip(ps) {
-                            let weight = if cell_alive { 1.0 - p } else { p };
-                            *mb = m * weight;
+                    for (weight, successor) in weights.iter().zip(pair) {
+                        for ((mb, &m), &w) in massbuf.iter_mut().zip(mass).zip(weight) {
+                            *mb = m * w;
                         }
                         let Some(key) = successor else {
                             decided.add(&massbuf);
                             continue;
                         };
                         // A first-seen successor's masses go into the flat arena.
-                        if let Some(&idx) = next.get(key) {
-                            for (a, &mb) in next_masses[idx * lanes..].iter_mut().zip(&massbuf) {
-                                *a += mb;
+                        match next.entry(*key) {
+                            Entry::Occupied(entry) => {
+                                let idx = *entry.get();
+                                for (a, &mb) in next_masses[idx * lanes..].iter_mut().zip(&massbuf)
+                                {
+                                    *a += mb;
+                                }
                             }
-                        } else {
-                            next.insert(*key, next_masses.len() / lanes);
-                            next_masses.extend_from_slice(&massbuf);
+                            Entry::Vacant(entry) => {
+                                entry.insert(next_masses.len() / lanes);
+                                next_masses.extend_from_slice(&massbuf);
+                            }
                         }
                     }
                 }
@@ -779,12 +808,12 @@ fn sweep_interior(
     // blocking paths terminate (paying their own aliveness).
     let mut tb_blocked = vec![0.0; lanes];
     let mut open = vec![0.0; lanes];
-    let mut last = State::zeroed(n_nodes);
+    let mut last = State::empty(kcap);
     for (key, &mass_idx) in &states {
         let mass = &masses[mass_idx * lanes..(mass_idx + 1) * lanes];
         key.unpack(n_nodes, &mut last);
         let min_lr_cost = (0..side)
-            .map(|r| last.d[L * n_nodes + CELLS + r].saturating_add((last.alive >> r & 1) as u8))
+            .map(|r| last.d[L][CELLS + r] + (last.alive >> r & 1) as u8)
             .min()
             .unwrap_or(kcap);
         let part = if min_lr_cost < kcap {
@@ -808,14 +837,6 @@ fn sweep_interior(
     )
 }
 
-fn init_matrix(n_nodes: usize, kcap: u8) -> Vec<u8> {
-    let mut d = vec![kcap; n_nodes * n_nodes];
-    for i in 0..n_nodes {
-        d[i * n_nodes + i] = 0;
-    }
-    d
-}
-
 /// A state's two successors when a cell is added, dead then alive: the
 /// successor's key, or `None` when its `d[T][B]` fell below `k` and its mass
 /// is to be banked (see "Absorbing decided states" in the module docs).
@@ -833,24 +854,17 @@ fn expand(
     out: &mut [Successors],
 ) {
     let n_nodes = CELLS + side;
-    let mut base = State::zeroed(n_nodes);
-    let mut successor = State::zeroed(n_nodes);
-    let mut newrow = vec![0; n_nodes];
+    let mut base = State::empty(kcap);
     for ((key, _), slots) in block.iter().zip(out) {
         key.unpack(n_nodes, &mut base);
-        debug_assert!(
-            base.d[T * n_nodes + B] >= kcap,
-            "a decided state was kept in the map"
-        );
-        interface_row(&base, side, kcap, row, col, &mut newrow);
+        debug_assert!(base.d[T][B] >= kcap, "a decided state was kept in the map");
+        let newrow = interface_row(&base, side, kcap, row, col);
         for (cell_alive, slot) in [false, true].into_iter().zip(slots) {
-            successor.d.copy_from_slice(&base.d);
-            successor.alive = base.alive;
-            add_cell(&mut successor, &newrow, kcap, row, cell_alive);
+            let mut successor = base;
+            add_cell(&mut successor, &newrow, n_nodes, kcap, row, cell_alive);
             // `d[T][B]` only falls as cells are added: below `k` the verdict
             // is final, so the mass is banked, not carried.
-            *slot = (successor.d[T * n_nodes + B] >= kcap)
-                .then(|| PackedKey::pack(&successor, n_nodes));
+            *slot = (successor.d[T][B] >= kcap).then(|| PackedKey::pack(&successor, n_nodes));
         }
     }
 }
@@ -897,46 +911,29 @@ fn expand_block(
 /// lets segments be concatenated by adding the junction vertex's cost once.
 /// Terminals are virtual (cost 0, endpoints only): they are never used as
 /// intermediates, so a path cannot "teleport" along the top row through `T`.
-/// `newrow` is caller-provided scratch of length `n_nodes` (the hot loop must
-/// not allocate per transition); its contents on entry are irrelevant.
-fn interface_row(state: &State, side: usize, kcap: u8, row: usize, col: usize, newrow: &mut [u8]) {
-    let n_nodes = CELLS + side;
+fn interface_row(state: &State, side: usize, kcap: u8, row: usize, col: usize) -> Row {
     let v = CELLS + row;
-    let d = &state.d;
-
     // Region nodes adjacent to the new cell. In column-major insertion order
     // the triangulated grid's neighbours of (row, col) inside the region are
     // (row-1, col) [this column, vertical], (row, col-1) [previous column,
     // horizontal — currently in slot `row`], and (row+1, col-1) [previous
     // column, anti-diagonal].
-    let mut adj_cells: [usize; 3] = [usize::MAX; 3];
-    let mut n_adj = 0;
-    if row > 0 {
-        adj_cells[n_adj] = CELLS + row - 1;
-        n_adj += 1;
-    }
-    if col > 0 {
-        adj_cells[n_adj] = CELLS + row; // (row, col-1): the slot being replaced
-        n_adj += 1;
-        if row + 1 < side {
-            adj_cells[n_adj] = CELLS + row + 1;
-            n_adj += 1;
-        }
-    }
-
-    // New row of the matrix: shortest interior costs from v to every node,
-    // before v replaces the old slot content.
-    newrow.fill(kcap);
-    newrow[v] = 0;
-    for &a in &adj_cells[..n_adj] {
-        newrow[a] = 0;
+    let adjacent = [
+        (row > 0).then(|| v - 1),
+        (col > 0).then_some(v),
+        (col > 0 && row + 1 < side).then_some(v + 1),
+    ];
+    // The row-wise minimum, over the adjacent slots `a`, of the path that
+    // steps onto `a` (paying its aliveness) and continues along `a`'s row.
+    let mut newrow = [kcap; WIDTH];
+    for a in adjacent.into_iter().flatten() {
         let ca = (state.alive >> (a - CELLS) & 1) as u8;
-        for x in 0..n_nodes {
-            let via = ca.saturating_add(d[a * n_nodes + x]).min(kcap);
-            if via < newrow[x] {
-                newrow[x] = via;
-            }
+        for (x, &dax) in newrow.iter_mut().zip(&state.d[a]) {
+            *x = (*x).min((ca + dax).min(kcap));
         }
+    }
+    for a in adjacent.into_iter().flatten() {
+        newrow[a] = 0;
     }
     // Virtual terminals adjacent to v (endpoints only — no composition
     // through them).
@@ -950,18 +947,26 @@ fn interface_row(state: &State, side: usize, kcap: u8, row: usize, col: usize, n
         newrow[L] = 0;
     }
     newrow[v] = 0;
+    newrow
 }
 
 /// Extends the region by the cell of frontier slot `row`, whose matrix row
-/// [`interface_row`] computed as `newrow`: writes that row into the slot,
-/// sets the slot's aliveness and restores the capped metric closure.
-fn add_cell(state: &mut State, newrow: &[u8], kcap: u8, row: usize, cell_alive: bool) {
-    let n_nodes = newrow.len();
+/// [`interface_row`] computed as `newrow`: writes that row and column into
+/// the slot, sets the slot's aliveness and restores the capped metric
+/// closure over the first `n_nodes` rows.
+fn add_cell(
+    state: &mut State,
+    newrow: &Row,
+    n_nodes: usize,
+    kcap: u8,
+    row: usize,
+    cell_alive: bool,
+) {
     let v = CELLS + row;
     let d = &mut state.d;
-    for x in 0..n_nodes {
-        d[v * n_nodes + x] = newrow[x];
-        d[x * n_nodes + v] = newrow[x];
+    d[v] = *newrow;
+    for (d_x, &x) in d.iter_mut().zip(newrow) {
+        d_x[v] = x;
     }
     if cell_alive {
         state.alive |= 1 << row;
@@ -970,22 +975,19 @@ fn add_cell(state: &mut State, newrow: &[u8], kcap: u8, row: usize, cell_alive: 
     }
 
     // Single-pivot closure update: with non-negative costs a shortest walk
-    // uses the one new vertex at most once.
+    // uses the one new vertex at most once. Row `v` itself is left as it is
+    // (`d[v][v] = 0`, and a detour through `v` cannot shorten a path from
+    // `v`). Every entry is at most `k ≤ 7`, so no sum reaches 16 and no add
+    // needs to saturate.
     let cv = u8::from(cell_alive);
-    for i in 0..n_nodes {
-        if i == v {
+    for (i, d_i) in d[..n_nodes].iter_mut().enumerate() {
+        let div = d_i[v];
+        if i == v || div >= kcap {
             continue;
         }
-        let div = d[i * n_nodes + v];
-        if div >= kcap {
-            continue;
-        }
-        let through = div.saturating_add(cv);
-        for j in 0..n_nodes {
-            let cand = through.saturating_add(d[v * n_nodes + j]).min(kcap);
-            if cand < d[i * n_nodes + j] {
-                d[i * n_nodes + j] = cand;
-            }
+        let through = div + cv;
+        for (x, &dvx) in d_i.iter_mut().zip(newrow) {
+            *x = (*x).min((through + dvx).min(kcap));
         }
     }
 }
@@ -1222,6 +1224,142 @@ mod tests {
         ];
         for (iv, (lower, upper)) in pruned_lanes.iter().zip(want) {
             assert_eq!((iv.lower.to_bits(), iv.upper.to_bits()), (lower, upper));
+        }
+    }
+
+    /// The kernel against an independent oracle at widths brute force cannot
+    /// reach: each of 50 seeded configurations per side is walked cell by
+    /// cell through [`interface_row`], [`add_cell`] and a [`PackedKey`] round
+    /// trip (one successor per step, no map). The walk is decided exactly
+    /// when the capped top-bottom BFS cost is below `k`; otherwise its final
+    /// left-right read-out is the capped left-right BFS cost.
+    #[test]
+    fn kernel_walk_matches_capped_bfs_at_sides_5_to_10() {
+        let mut rng = StdRng::seed_from_u64(35);
+        let mut scratch = CrossingScratch::default();
+        for side in 5..=10usize {
+            let n_nodes = CELLS + side;
+            let mut outcomes = [0usize; 2];
+            for trial in 0..50 {
+                let p = [0.1, 0.25, 0.4, 0.55, 0.7][trial % 5];
+                let k = 1 + trial % 3;
+                let kcap = k as u8;
+                let alive: Vec<bool> = (0..side * side).map(|_| rng.gen::<f64>() >= p).collect();
+                let mut state = State::empty(kcap);
+                for col in 0..side {
+                    for row in 0..side {
+                        let newrow = interface_row(&state, side, kcap, row, col);
+                        add_cell(
+                            &mut state,
+                            &newrow,
+                            n_nodes,
+                            kcap,
+                            row,
+                            alive[row * side + col],
+                        );
+                        let key = PackedKey::pack(&state, n_nodes);
+                        state = State::empty(kcap);
+                        key.unpack(n_nodes, &mut state);
+                    }
+                }
+                let mut cost =
+                    |axis| min_crossing_cost_capped(side, |v| alive[v], axis, k, &mut scratch);
+                let decided = state.d[T][B] < kcap;
+                let case = format!("side={side} k={k} p={p} trial={trial}");
+                assert_eq!(decided, cost(Axis::TopBottom) < k, "{case}");
+                if !decided {
+                    let read_out = (0..side)
+                        .map(|r| {
+                            usize::from(state.d[L][CELLS + r]) + (state.alive >> r & 1) as usize
+                        })
+                        .min()
+                        .unwrap();
+                    assert_eq!(read_out.min(k), cost(Axis::LeftRight), "{case}");
+                }
+                outcomes[usize::from(decided)] += 1;
+            }
+            assert!(outcomes.iter().all(|&n| n > 0), "side={side}: {outcomes:?}");
+        }
+    }
+
+    /// The benchmark's instance, M-Path(6, 3): ten interface nodes, three key
+    /// words. Recorded with [`sweep_lanes_are_pinned_bit_for_bit`]'s sweep
+    /// before the kernel went to fixed-width rows.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "side-6 sweeps take minutes without optimizations; covered by the release suite"
+    )]
+    fn side_6_lanes_are_pinned_bit_for_bit() {
+        let ps = [0.05, 0.125, 0.3, 0.45];
+        let want: [u64; 4] = [
+            0x3f7c_9562_8d06_61b2,
+            0x3fc3_e09c_a870_8b69,
+            0x3feb_dd93_b812_448d,
+            0x3fef_e058_eb71_707c,
+        ];
+        let lanes = mpath_crash_probability(6, 3, &ps, 1 << 22, 0.0).unwrap();
+        for ((iv, want), p) in lanes.iter().zip(want).zip(ps) {
+            assert_eq!(iv.lower.to_bits(), want, "p={p}");
+            assert_eq!(iv.upper.to_bits(), want, "p={p}");
+        }
+    }
+
+    /// Budget-forced ε-pruned sweeps at sides 8–10: 11 to 13 interface
+    /// nodes, the third and fourth key words. Each case keeps 5 000 states
+    /// (ε = 1e-12), so the enclosures are wide; what is pinned is their bits,
+    /// `(lower, upper)` at p = 0.1 and p = 0.3.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "sides 8-10 take minutes without optimizations; covered by the release suite"
+    )]
+    fn wide_pruned_lanes_are_pinned_bit_for_bit() {
+        // `(side, k, [(lower, upper) bits at p = 0.1, at p = 0.3])`.
+        type PrunedPin = (usize, usize, [(u64, u64); 2]);
+        let cases: [PrunedPin; 4] = [
+            (
+                8,
+                2,
+                [
+                    (0x3f02_7052_a238_7abb, 0x3fc8_1b47_a081_cf1d),
+                    (0x3f89_e4a3_266d_9da4, 0x3fef_73a2_904f_1bd5),
+                ],
+            ),
+            (
+                9,
+                3,
+                [
+                    (0x3ef3_3d86_dee0_4177, 0x3fdf_c98f_9a52_0bd4),
+                    (0x3f95_662f_39bd_64e2, 0x3fef_fe00_5d2f_39c7),
+                ],
+            ),
+            (
+                10,
+                1,
+                [
+                    (0x3dfb_a8ad_d063_a347, 0x3fcb_30af_5a1a_4123),
+                    (0x3ef6_f3bf_f45e_4699, 0x3fef_d764_5dd3_42ed),
+                ],
+            ),
+            (
+                10,
+                2,
+                [
+                    (0x3e62_5fad_dba3_6ff9, 0x3fdc_e603_dc07_c7ea),
+                    (0x3f3e_93e9_0301_48b9, 0x3fef_feb1_c15d_c956),
+                ],
+            ),
+        ];
+        for (side, k, want) in cases {
+            let lanes = mpath_crash_probability(side, k, &[0.1, 0.3], 5000, 1e-12).unwrap();
+            for ((iv, want), p) in lanes.iter().zip(want).zip([0.1, 0.3]) {
+                assert_eq!(
+                    (iv.lower.to_bits(), iv.upper.to_bits()),
+                    want,
+                    "side={side} k={k} p={p}"
+                );
+            }
         }
     }
 
@@ -1497,7 +1635,7 @@ mod tests {
     #[test]
     #[cfg_attr(
         debug_assertions,
-        ignore = "≈7 s in release (22 s before absorption) but ~20× that without optimizations; covered by the release suite"
+        ignore = "a few seconds in release but minutes without optimizations; covered by the release suite"
     )]
     fn pruned_reaches_side_7_within_width_gate() {
         // Past the exact side-6 wall with a certified enclosure far tighter
