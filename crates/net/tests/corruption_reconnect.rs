@@ -144,7 +144,14 @@ fn server_survives_batch_corruption_across_a_reconnect() {
     let replies = collect_replies(&mut second, 1);
     assert_eq!(replies[0].request_id, 42, "only the clean frame answers");
     assert_eq!(replies[0].server, 4);
-    assert_eq!(replies[0].entry, None, "write acks carry no entry");
+    assert_eq!(
+        replies[0].entry,
+        Some(Entry {
+            timestamp: 1,
+            value: authentic_value(1),
+        }),
+        "a write ack echoes the stored entry"
+    );
 
     // The write behind the corrupted batch must have been applied, and none
     // of the damaged batch's reads may have been salvaged and answered.

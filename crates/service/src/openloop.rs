@@ -129,7 +129,9 @@ pub struct OpenLoopReport {
     pub inconclusive_reads: u64,
     /// Arrivals shed at the in-flight cap (offered-but-never-sent load).
     pub shed: u64,
-    /// Operations abandoned at their deadline with replies still missing.
+    /// Operations abandoned at their deadline with replies still missing,
+    /// and writes some member did not acknowledge (see
+    /// [`bqs_sim::quorum_op::QuorumOp::outcome`]).
     pub timed_out: u64,
     /// Arrivals that found no live quorum to contact.
     pub no_live_quorum: u64,
@@ -427,7 +429,9 @@ where
 
 /// Writes one authentic entry, as an ordinary operation on the shared path,
 /// so that steady-state reads find a safe value. It ends when every quorum
-/// member has acknowledged it, on a fence, or at the run's per-operation
+/// member has voted (acknowledged or not: an unacknowledged priming write is
+/// not retried, and the reads it would have served count as inconclusive),
+/// on a fence, or at the run's per-operation
 /// deadline (a lossy transport can swallow a priming reply; waiting longer
 /// than any real operation would only stall the measurement), and records
 /// no metrics. Skipped when no live quorum exists.
@@ -610,8 +614,16 @@ fn handle_reply<Q: ?Sized, T: ?Sized>(
         return;
     }
     let done = pending.remove(&op_key).expect("just observed");
+    let outcome = done.op.outcome(run.b);
+    if done.op.is_write() && outcome.is_err() {
+        // An unacknowledged write did not complete: it ends as a quiet
+        // deadline would (its no-answers are already recorded as votes).
+        done.on_deadline(run.metrics);
+        tally.timed_out += 1;
+        return;
+    }
     let latency = done.started.elapsed().as_nanos() as u64;
-    let outcome = done.op.outcome(run.b).map_err(Into::into);
+    let outcome = outcome.map_err(Into::into);
     // No read-your-writes frontier (floor 0): writes pipeline freely.
     tally.ops.record(done.op.is_write(), outcome, run.clock, 0);
     if let Some(metrics) = run.metrics {

@@ -240,7 +240,7 @@ impl LoopbackService {
         let entry = match request.op {
             Operation::Write(entry) => {
                 replica.deliver_write(entry);
-                None
+                replica.is_responsive().then_some(entry)
             }
             Operation::Read => replica.deliver_read(request.origin, &mut shard.rng),
         };
@@ -357,14 +357,18 @@ mod tests {
             timestamp: 1,
             value: 42,
         };
+        // A stored write is acknowledged by echoing its entry; the server
+        // crashed at runtime answers both operations with the no-answer.
+        service.crash_servers(&[4]);
         for s in 0..5 {
-            assert_eq!(roundtrip(&service, s, Operation::Write(entry)).entry, None);
+            let ack = roundtrip(&service, s, Operation::Write(entry)).entry;
+            assert_eq!(ack, (s != 4).then_some(entry), "server {s}");
         }
         for s in 0..5 {
             let reply = roundtrip(&service, s, Operation::Read);
             assert_eq!(reply.server, s);
             assert_eq!(reply.request_id, 7, "shards must echo the request id");
-            assert_eq!(reply.entry, Some(entry));
+            assert_eq!(reply.entry, (s != 4).then_some(entry), "server {s}");
         }
         assert_eq!(service.metrics().access_counts(), vec![2; 5]);
     }

@@ -21,12 +21,14 @@
 //! # The "no answer" contract
 //!
 //! `entry == None` in a [`Reply`] is the in-band representation of "this
-//! server gave no protocol answer": write acknowledgements, reads served by
-//! crashed or silent replicas, and — on deadline-enforcing transports — a
-//! request whose answer did not arrive in time. Timeouts are the *failure
-//! detector*: the transport converts "no answer within the deadline" into the
-//! same in-band frame a crashed server produces, so the masking protocol's
-//! `b + 1`-support rule treats lost messages and dead servers uniformly.
+//! server gave no protocol answer", for reads and writes alike: requests
+//! served by crashed or silent replicas and — on deadline-enforcing
+//! transports — a request whose answer did not arrive in time. A replica that
+//! stores a write acknowledges it by echoing the entry, so a write completes
+//! only when every member answered. Timeouts are the *failure detector*: the
+//! transport converts "no answer within the deadline" into the same in-band
+//! frame a crashed server produces, so the masking protocol treats lost
+//! messages and dead servers uniformly.
 //!
 //! What [`Transport::send`] returning `true` does **not** promise is that a
 //! reply will ever arrive. The loopback always answers (before `send` even
@@ -128,9 +130,10 @@ pub struct Request {
 
 /// A server's answer to a [`Request`].
 ///
-/// Writes are acknowledged with `entry = None`; reads report the replica's
-/// (possibly adversarial) entry, or `None` when the server is crashed, stays
-/// silent, or — on deadline-enforcing transports — did not answer in time.
+/// Writes are acknowledged by echoing the written entry; reads report the
+/// replica's (possibly adversarial) entry. Either is `None` when the server is
+/// crashed, stays silent, or — on deadline-enforcing transports — did not
+/// answer in time.
 /// Every transport in the workspace produces a reply frame for every accepted
 /// request: "no answer" is represented in-band (see the module docs), so
 /// protocol code needs no per-transport timeout machinery. Clients still
@@ -142,8 +145,8 @@ pub struct Reply {
     pub server: usize,
     /// The [`Request::request_id`] this reply answers, echoed verbatim.
     pub request_id: u64,
-    /// The reported entry (reads), or `None` (write acks, crashed reads,
-    /// expired deadlines).
+    /// The reported entry (reads), the echoed entry (write acks), or `None`
+    /// (no answer: crashed or silent servers, expired deadlines).
     pub entry: Option<Entry>,
     /// For served requests: the request's epoch, echoed. For fenced requests
     /// (`stale == true`): the server's current epoch, which tells the lagging

@@ -32,9 +32,12 @@ pub enum ProtocolError {
     /// No quorum consists entirely of responsive servers; the operation cannot make
     /// progress (availability loss, not a safety violation).
     NoLiveQuorum,
-    /// A read gathered no safe value: fewer than `b + 1` servers agreed on any pair.
-    /// With a correct quorum system and at most `b` Byzantine servers this can only
-    /// happen before the first write completes.
+    /// Every member voted but the votes establish nothing: a read where fewer than
+    /// `b + 1` servers agreed on any pair, or a write some member answered without
+    /// echoing the entry (a no-answer), which did not complete. A write completes
+    /// only when every member of its quorum stored it, so with a correct quorum
+    /// system and at most `b` Byzantine servers a read can end here only before the
+    /// first write completes or while writes run concurrently.
     NoSafeValue,
 }
 

@@ -10,8 +10,8 @@
 //! `specs/register/pseudo-code.md` at the repository root states the
 //! operation's lifecycle as pseudo-code with its named properties: MEMBER,
 //! FENCE, EPOCH and ONE-VOTE ([`QuorumOp::admit`]), DEADLINE
-//! ([`QuorumOp::unanswered`]) and MASKING ([`QuorumOp::outcome`], through
-//! [`resolve_read`]). The tests below cite each by name.
+//! ([`QuorumOp::unanswered`]), ACK and MASKING ([`QuorumOp::outcome`], the
+//! latter through [`resolve_read`]). The tests below cite each by name.
 
 use bqs_core::bitset::ServerSet;
 
@@ -24,7 +24,8 @@ pub enum OpKind {
     /// Collect entries; a vote without one is not a protocol answer.
     #[default]
     Read,
-    /// Collect acknowledgements; every vote is an answer.
+    /// Collect acknowledgements, each echoing the stored entry; a vote
+    /// without one is a no-answer, and the write did not complete.
     Write,
 }
 
@@ -40,8 +41,8 @@ pub enum Admission {
     },
     /// The reply is the server's vote.
     Counted {
-        /// False only for a read answered without an entry — the failure
-        /// detector's "no answer".
+        /// False for a reply without an entry, read or write alike — the
+        /// failure detector's "no answer".
         answered: bool,
     },
 }
@@ -116,7 +117,7 @@ impl QuorumOp {
         }
         self.votes.push((server, entry));
         Admission::Counted {
-            answered: self.is_write() || entry.is_some(),
+            answered: entry.is_some(),
         }
     }
 
@@ -133,16 +134,22 @@ impl QuorumOp {
         self.quorum.iter().filter(move |&server| !voted(server))
     }
 
-    /// What the operation returns over the votes so far: `None` for a
-    /// write, and for a read the freshest entry with `b + 1` votes (MASKING).
+    /// What the operation returns over the votes so far: `None` for a write
+    /// every voter acknowledged, and for a read the freshest entry with
+    /// `b + 1` votes (MASKING).
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::NoSafeValue`] when no entry of a read has `b + 1`
-    /// votes.
+    /// [`ProtocolError::NoSafeValue`] when a write has a no-answer vote (ACK:
+    /// the write did not complete) or no entry of a read has `b + 1` votes.
     pub fn outcome(&self, b: usize) -> Result<Option<Entry>, ProtocolError> {
         if self.is_write() {
-            return Ok(None);
+            let acknowledged = self.votes.iter().all(|(_, entry)| entry.is_some());
+            return if acknowledged {
+                Ok(None)
+            } else {
+                Err(ProtocolError::NoSafeValue)
+            };
         }
         resolve_read(&self.votes, b).map(|(best, _)| Some(best))
     }
@@ -252,23 +259,35 @@ mod tests {
                 vec![HONEST],
                 "MASKING: the lie is not even safe (seed {seed})"
             );
-            // The same stream acknowledges a write: its outcome carries no entry.
+            // The same stream acknowledges a write — every member echoes an
+            // entry — so it completes, and its outcome carries no entry (ACK).
             let mut write = QuorumOp::start(quorum.clone(), OpKind::Write, EPOCH);
             for &(server, entry, epoch, stale) in &frames {
                 write.admit(server, entry, epoch, stale);
             }
             assert!(write.is_complete(), "seed {seed}");
-            assert_eq!(write.outcome(b), Ok(None), "seed {seed}");
+            assert_eq!(write.outcome(b), Ok(None), "ACK (seed {seed})");
         }
     }
 
     #[test]
-    fn writes_count_bare_acks_as_answers_and_reads_do_not() {
+    fn a_vote_without_an_entry_is_a_no_answer_for_writes_and_reads() {
         let quorum = ServerSet::from_indices(5, [0, 2, 4]);
         let mut write = QuorumOp::start(quorum.clone(), OpKind::Write, 0);
         assert_eq!(
-            write.admit(2, None, 0, false),
+            write.admit(0, Some(HONEST), 0, false),
             Admission::Counted { answered: true }
+        );
+        assert_eq!(
+            write.admit(2, None, 0, false),
+            Admission::Counted { answered: false }
+        );
+        write.admit(4, Some(HONEST), 0, false);
+        assert!(write.is_complete());
+        assert_eq!(
+            write.outcome(1),
+            Err(ProtocolError::NoSafeValue),
+            "ACK: a write some member did not store did not complete"
         );
         let mut read = QuorumOp::start(quorum, OpKind::Read, 0);
         assert_eq!(

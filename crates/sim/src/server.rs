@@ -191,8 +191,10 @@ impl Replica {
     }
 
     /// Whether the server responds to messages at all (crashed and silent-Byzantine
-    /// servers do not). The client's failure detector uses this to build its view of
-    /// the responsive set.
+    /// servers do not). A responsive server acknowledges a write by echoing the
+    /// entry and answers every read; an unresponsive one answers both with the
+    /// in-band no-answer `None`, so a write it was sent never completes. The client's
+    /// failure detector uses this to build its view of the responsive set.
     #[must_use]
     pub fn is_responsive(&self) -> bool {
         !matches!(

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use byzantine_quorums::prelude::*;
 
@@ -105,6 +105,54 @@ fn crashes_beyond_resilience_never_produce_wrong_reads() {
     assert_eq!(report.ops.reads, 0);
     assert_eq!(report.ops.writes, 0);
     assert_eq!(report.ops.unavailable, 200);
+}
+
+/// The register over `Threshold::minimal_masking(b)` on `backend`, with
+/// servers `0..b` replaying their first write and server `n − 1` crashed at
+/// runtime — after the failure detector's view was taken, so the one writer
+/// keeps addressing it. Runs `operations` closed-loop operations (half of
+/// them writes, the first always one) from `seed`, as `run_service` does for
+/// one client.
+fn run_with_runtime_crash(backend: Backend, b: usize, operations: usize, seed: u64) -> OpTally {
+    let system = ThresholdSystem::minimal_masking(b).unwrap();
+    let n = system.universe_size();
+    let plan = (0..b).fold(FaultPlan::none(n), |plan, server| {
+        plan.with_byzantine(server, ByzantineStrategy::StaleReplay)
+    });
+    let deployment = Deployment::start(backend, &plan, 1, seed, NetConfig::default()).unwrap();
+    deployment.service().crash_servers(&[n - 1]);
+    let responsive = deployment.service().responsive_set().clone();
+    let mut client = ServiceClient::new(&system, &deployment, responsive, b);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let clock = TimestampOracle::new();
+    let mut ryw_floor = 0;
+    let mut tally = OpTally::default();
+    for op in 0..operations {
+        let is_write = op == 0 || rng.gen::<f64>() < 0.5;
+        tally.perform(&mut client, is_write, &clock, &mut ryw_floor, &mut rng);
+    }
+    tally
+}
+
+#[test]
+fn a_server_crashed_at_runtime_never_acknowledges_a_write() {
+    // A write acknowledged by the crashed server would "complete" on a
+    // quorum whose real holders fall short of the masking intersection; the
+    // replaying servers then outvote the last write and a read goes stale.
+    // Unacknowledged writes must not complete: unavailable, never wrong.
+    for backend in [Backend::Loopback, Backend::Uds] {
+        for b in 1..=2 {
+            let mut total = OpTally::default();
+            for seed in 0..40 {
+                total += run_with_runtime_crash(backend, b, 200, seed);
+            }
+            let name = backend.name();
+            assert_eq!(total.stale, 0, "{name}, b = {b}: {total:?}");
+            assert_eq!(total.fabricated, 0, "{name}, b = {b}: {total:?}");
+            assert!(total.reads > 0, "{name}, b = {b}: {total:?}");
+            assert!(total.writes_aborted > 0, "{name}, b = {b}: {total:?}");
+        }
+    }
 }
 
 proptest! {
