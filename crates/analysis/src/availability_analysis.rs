@@ -7,8 +7,6 @@
 //!   the Condorcet behaviour (`F_p → 0` vs `F_p → 1`).
 //! * [`rt_fixed_point_sweep`] — the recurrence of Proposition 5.6, showing the sharp
 //!   threshold at `p_c`.
-//! * [`exact_vs_monte_carlo`] — the ablation of DESIGN.md: exact enumeration against
-//!   the Monte-Carlo estimator on small instances.
 //!
 //! Each sweep takes its instances from the paper roster
 //! ([`PaperConstruction`]) and is one [`Evaluator::sweep_systems`] call over
@@ -134,50 +132,6 @@ pub fn rt_fixed_point_sweep(k: usize, l: usize, depth: u32, ps: &[f64]) -> Vec<R
         .collect()
 }
 
-/// Result of the exact-versus-Monte-Carlo ablation on one small instance.
-#[derive(Debug, Clone)]
-pub struct ExactVsMc {
-    /// Construction name.
-    pub system: String,
-    /// Crash probability `p` used.
-    pub p: f64,
-    /// Exact crash probability by enumeration.
-    pub exact: f64,
-    /// Monte-Carlo estimate.
-    pub estimate: FpEstimate,
-}
-
-/// Compares exact enumeration with the Monte-Carlo estimator on small instances.
-/// Both columns come from the same [`Evaluator`]: parallel allocation-free
-/// enumeration on one side, parallel per-thread-stream sampling on the other.
-#[must_use]
-pub fn exact_vs_monte_carlo(trials: usize, seed: u64) -> Vec<ExactVsMc> {
-    let evaluator = Evaluator::new().with_trials(trials.max(1)).with_seed(seed);
-    let mut out = Vec::new();
-    let ps = [0.1, 0.25, 0.4];
-
-    let thresh = ThresholdSystem::minimal_masking(2).expect("valid");
-    let rt = RtSystem::new(3, 2, 2).expect("valid");
-    let grid = GridSystem::new(4, 1).expect("valid");
-    let mgrid = MGridSystem::new(4, 1).expect("valid");
-    let mpath = MPathSystem::new(4, 1).expect("valid");
-
-    let systems: Vec<&dyn QuorumSystem> = vec![&thresh, &rt, &grid, &mgrid, &mpath];
-    for sys in systems {
-        for &p in &ps {
-            let exact = evaluator.exact(sys, p).expect("small universe");
-            let estimate = evaluator.monte_carlo(sys, p);
-            out.push(ExactVsMc {
-                system: sys.name(),
-                p,
-                exact,
-                estimate,
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,15 +210,26 @@ mod tests {
 
     #[test]
     fn exact_and_monte_carlo_agree() {
-        for row in exact_vs_monte_carlo(3000, 13) {
-            assert!(
-                (row.exact - row.estimate.value).abs() <= row.estimate.ci95_half_width().max(0.03),
-                "{} p={}: exact {} vs MC {}",
-                row.system,
-                row.p,
-                row.exact,
-                row.estimate.value
-            );
+        // Exact enumeration against the Monte-Carlo estimator on small
+        // instances, both from one `Evaluator`.
+        let evaluator = Evaluator::new().with_trials(3000).with_seed(13);
+        let thresh = ThresholdSystem::minimal_masking(2).expect("valid");
+        let rt = RtSystem::new(3, 2, 2).expect("valid");
+        let grid = GridSystem::new(4, 1).expect("valid");
+        let mgrid = MGridSystem::new(4, 1).expect("valid");
+        let mpath = MPathSystem::new(4, 1).expect("valid");
+        let systems: [&dyn QuorumSystem; 5] = [&thresh, &rt, &grid, &mgrid, &mpath];
+        for sys in systems {
+            for p in [0.1, 0.25, 0.4] {
+                let exact = evaluator.exact(sys, p).expect("small universe");
+                let estimate = evaluator.monte_carlo(sys, p);
+                assert!(
+                    (exact - estimate.value).abs() <= estimate.ci95_half_width().max(0.03),
+                    "{} p={p}: exact {exact} vs MC {}",
+                    sys.name(),
+                    estimate.value
+                );
+            }
         }
     }
 }

@@ -36,16 +36,16 @@ pub mod report;
 pub mod scenario;
 
 pub use ablation::{mpath_discovery_ablation, transversal_ablation};
-pub use availability_analysis::{exact_vs_monte_carlo, fp_vs_n, fp_vs_p, rt_fixed_point_sweep};
-pub use comparison::{build_table2, render_table2, Table2Row};
+pub use availability_analysis::{fp_vs_n, fp_vs_p, rt_fixed_point_sweep};
+pub use comparison::{build_table2, render_table2};
 pub use empirical::{
     empirical_availability_check, empirical_load_check, EmpiricalAvailabilityCheck,
     EmpiricalLoadCheck,
 };
 pub use load_analysis::{
-    boost_fpp_order_for, certified_constructions, load_vs_n, lower_bound_envelope, lp_vs_fair_load,
+    certified_constructions, load_vs_n, lower_bound_envelope, lp_vs_fair_load,
     CertifiableConstruction, PaperConstruction,
 };
 pub use percolation_threshold::{crossing_curve, estimate_critical_probability};
 pub use report::TextTable;
-pub use scenario::{build_scenario, render_scenario, ScenarioRow};
+pub use scenario::{build_scenario, render_scenario};

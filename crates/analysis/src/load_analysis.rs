@@ -96,7 +96,7 @@ impl PaperConstruction {
     /// universe at masking level `b`: `b` is clamped to the construction's
     /// feasible range, RT(4, 3) takes the depth whose `4^h` is nearest `n`,
     /// and the two plane constructions take the nearest admissible order
-    /// ([`nearest_plane_order`]). `None` when the construction has no
+    /// (`nearest_plane_order`). `None` when the construction has no
     /// instance there — a point a sweep then skips rather than plotting a
     /// system of wildly different size on the same x-coordinate.
     #[must_use]
@@ -129,7 +129,7 @@ impl PaperConstruction {
 /// same x-coordinate (the old `copies` heuristic with its `unwrap_or(2)`
 /// fallback could do exactly that).
 #[must_use]
-pub fn boost_fpp_order_for(n: usize, b: usize) -> Option<u64> {
+pub(crate) fn boost_fpp_order_for(n: usize, b: usize) -> Option<u64> {
     nearest_plane_order(n, 4 * b as u64 + 1)
 }
 
@@ -139,7 +139,7 @@ pub fn boost_fpp_order_for(n: usize, b: usize) -> Option<u64> {
 /// [`boost_fpp_order_for`] (`copies = 4b+1` inner servers per point) and the
 /// plain-FPP roster entry (`copies = 1`).
 #[must_use]
-pub fn nearest_plane_order(n: usize, copies: u64) -> Option<u64> {
+pub(crate) fn nearest_plane_order(n: usize, copies: u64) -> Option<u64> {
     let size = |q: u64| copies * (q * q + q + 1);
     let q = (2u64..=64)
         .filter(|&q| bqs_combinatorics::primes::prime_power(q).is_some())

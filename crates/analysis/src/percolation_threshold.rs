@@ -5,8 +5,7 @@
 //! `√n × √n` patch exist with probability `1 − e^{−ψ(p)√n}` (Theorem B.1). This
 //! module estimates the finite-size crossing curve and locates its inflection —
 //! reproducing, numerically, the `p_c = 1/2` input the paper takes from the
-//! percolation literature — and measures the exponential decay rate `ψ(p)` of the
-//! non-crossing probability.
+//! percolation literature.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -104,37 +103,6 @@ pub fn estimate_critical_probability(side: usize, trials: usize, seed: u64) -> f
     0.5 * (lo + hi)
 }
 
-/// Estimates the decay rate `ψ(p)` of Theorem B.1 by measuring the non-crossing
-/// probability at two grid sizes and fitting `P[no crossing] ≈ e^{−ψ √n}`.
-/// Returns `None` when either measurement had no failures (decay too fast to
-/// estimate at this trial budget — itself evidence of large `ψ`).
-#[must_use]
-pub fn estimate_decay_rate(
-    small_side: usize,
-    large_side: usize,
-    p: f64,
-    trials: usize,
-    seed: u64,
-) -> Option<f64> {
-    assert!(small_side < large_side, "sides must increase");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let small = PercolationEstimator::new(small_side);
-    let large = PercolationEstimator::new(large_side);
-    let f_small = 1.0
-        - small
-            .estimate_disjoint_crossings_probability(p, Axis::LeftRight, 1, trials.max(1), &mut rng)
-            .mean;
-    let f_large = 1.0
-        - large
-            .estimate_disjoint_crossings_probability(p, Axis::LeftRight, 1, trials.max(1), &mut rng)
-            .mean;
-    if f_small <= 0.0 || f_large <= 0.0 {
-        return None;
-    }
-    // f(side) = exp(-psi * side)  =>  psi = (ln f_small - ln f_large) / (large - small)
-    Some((f_small.ln() - f_large.ln()) / (large_side as f64 - small_side as f64))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,24 +149,5 @@ mod tests {
         // estimates on moderate grids land within a few percent.
         let pc = estimate_critical_probability(16, 300, 5);
         assert!((pc - 0.5).abs() < 0.1, "pc={pc}");
-    }
-
-    #[test]
-    fn decay_rate_positive_below_critical() {
-        // At p = 0.35 < 1/2 the non-crossing probability decays with the side length.
-        if let Some(psi) = estimate_decay_rate(6, 12, 0.35, 2000, 9) {
-            assert!(psi > 0.0, "psi={psi}");
-        }
-        // At p far below p_c the failures may simply never occur at this budget.
-        let fast = estimate_decay_rate(6, 12, 0.05, 200, 9);
-        if let Some(psi) = fast {
-            assert!(psi > 0.0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "sides must increase")]
-    fn decay_rate_validates_sides() {
-        let _ = estimate_decay_rate(12, 6, 0.3, 10, 1);
     }
 }

@@ -10,7 +10,7 @@
 //! decision is drawn from a splitmix64 stream keyed by
 //! `(seed, scenario, origin, request id)`, so a failing run is reproduced
 //! *byte-identically* from its `(seed, scenario)` pair — the recorded
-//! [`TraceEvent`] log and its fingerprint are equal across runs, and so is
+//! [`TraceEvent`](transport::TraceEvent) log and its fingerprint are equal across runs, and so is
 //! every safety-check outcome built on top.
 //!
 //! [`scenario`] packages the perturbations with the matching Byzantine server
@@ -44,7 +44,5 @@ pub use prelude::*;
 pub mod prelude {
     pub use crate::reconfig::ReconfigScenario;
     pub use crate::scenario::{run_scenario, ChaosScenario, ScenarioConfig, ScenarioOutcome};
-    pub use crate::transport::{
-        ChaosConfig, ChaosStats, ChaosStatsSnapshot, ChaosTransport, Decision, TraceEvent,
-    };
+    pub use crate::transport::ChaosTransport;
 }

@@ -147,7 +147,7 @@ impl TraceEvent {
 /// Monotone tallies of what the interposer did (relaxed atomics; totals are
 /// read after the run).
 #[derive(Debug, Default)]
-pub struct ChaosStats {
+pub(crate) struct ChaosStats {
     delivered: AtomicU64,
     delayed: AtomicU64,
     duplicated: AtomicU64,
@@ -155,7 +155,7 @@ pub struct ChaosStats {
     partitioned: AtomicU64,
 }
 
-/// A point-in-time copy of [`ChaosStats`].
+/// A point-in-time copy of `ChaosStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosStatsSnapshot {
     /// Requests forwarded (immediately or after a delay), duplicates counted
@@ -358,7 +358,7 @@ impl<T: Transport + 'static> ChaosTransport<T> {
 
     /// Total events decided (may exceed the stored trace length).
     #[must_use]
-    pub fn trace_len(&self) -> u64 {
+    pub(crate) fn trace_len(&self) -> u64 {
         self.trace.lock().expect("chaos trace lock").total
     }
 

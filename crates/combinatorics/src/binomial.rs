@@ -63,7 +63,7 @@ fn gcd(mut a: u128, mut b: u128) -> u128 {
 ///
 /// Returns negative infinity when `k > n`.
 #[must_use]
-pub fn ln_binomial(n: u64, k: u64) -> f64 {
+pub(crate) fn ln_binomial(n: u64, k: u64) -> f64 {
     if k > n {
         return f64::NEG_INFINITY;
     }
@@ -86,7 +86,7 @@ pub fn binomial_f64(n: u64, k: u64) -> f64 {
 
 /// `ln(n!)` via Stirling's series for large `n`, exact summation for small `n`.
 #[must_use]
-pub fn ln_factorial(n: u64) -> f64 {
+pub(crate) fn ln_factorial(n: u64) -> f64 {
     if n < 2 {
         return 0.0;
     }
@@ -108,7 +108,7 @@ pub fn ln_factorial(n: u64) -> f64 {
 ///
 /// Computed in log space for numerical robustness.
 #[must_use]
-pub fn binomial_pmf(n: u64, k: u64, p: f64) -> f64 {
+pub(crate) fn binomial_pmf(n: u64, k: u64, p: f64) -> f64 {
     if k > n {
         return 0.0;
     }
@@ -175,20 +175,6 @@ pub fn lemma_a1_holds(k: u64, d: u64, i: u64) -> bool {
     let lhs = binomial_f64(k, d + i) / binomial_f64(k, d);
     let rhs = binomial_f64(k - d, i);
     lhs <= rhs * (1.0 + 1e-9)
-}
-
-/// Chernoff upper-tail bound `P[X >= (p + γ) n] <= exp(-2 n γ²)` for `X ~ Binomial(n, p)`.
-///
-/// This is the Hoeffding-form bound used in the proof of Proposition 6.3 to bound the
-/// crash probability of the threshold component of boostFPP.
-///
-/// Returns 1.0 when `gamma <= 0` (the bound is vacuous there).
-#[must_use]
-pub fn chernoff_upper_tail(n: u64, gamma: f64) -> f64 {
-    if gamma <= 0.0 {
-        return 1.0;
-    }
-    (-2.0 * n as f64 * gamma * gamma).exp().min(1.0)
 }
 
 /// The paper's estimate (5) for `Fp(Thresh(3b+1 of 4b+1))`: `exp(-b (1-4p)² / 2)`.
@@ -328,22 +314,6 @@ mod tests {
                     assert!(lemma_a1_holds(k, d, i), "k={k} d={d} i={i}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn chernoff_dominates_exact_tail() {
-        // P[X >= (p+gamma) n] <= exp(-2 n gamma^2)
-        let n = 50;
-        let p = 0.2;
-        for &gamma in &[0.05, 0.1, 0.2, 0.3] {
-            let k = ((p + gamma) * n as f64).ceil() as u64;
-            let exact = binomial_tail(n, k, p);
-            let bound = chernoff_upper_tail(n, gamma);
-            assert!(
-                exact <= bound + 1e-12,
-                "gamma={gamma} exact={exact} bound={bound}"
-            );
         }
     }
 

@@ -4,17 +4,16 @@
 //! constructions and analyses of Malkhi, Reiter & Wool require:
 //!
 //! * [`binomial`](mod@binomial) — exact and floating-point binomial coefficients, binomial tail
-//!   probabilities, the Chernoff bound used in Proposition 6.3, and the tail
-//!   inequalities of Lemmas A.1 and A.2 of the paper.
-//! * [`primes`] — primality and prime-power testing, needed to pick valid finite
-//!   projective plane orders.
+//!   probabilities, and the tail inequalities of Lemmas A.1 and A.2 of the paper.
+//! * [`primes`] — prime-power testing, needed to pick valid finite projective plane
+//!   orders.
 //! * [`gf`] — finite-field arithmetic GF(p^r), built on an irreducible polynomial
 //!   found by exhaustive search; required to construct projective planes of
 //!   prime-power order.
 //! * [`projective`] — finite projective planes PG(2, q) represented as point/line
 //!   incidence structures; the lines form the FPP quorum system of Section 6.
-//! * [`subsets`] — k-subset and power-set iteration used by exact measure
-//!   computations on explicit quorum systems.
+//! * [`subsets`] — k-subset iteration used by exact measure computations on
+//!   explicit quorum systems.
 //!
 //! # Example
 //!
@@ -36,9 +35,8 @@ pub mod primes;
 pub mod projective;
 pub mod subsets;
 
-pub use binomial::{binomial, binomial_f64, binomial_tail, chernoff_upper_tail, ln_binomial};
-pub use gf::GfElem;
-pub use gf::GfField;
-pub use primes::{is_prime, prime_power};
+pub use binomial::{binomial, binomial_f64, binomial_tail};
+
+pub use primes::prime_power;
 pub use projective::ProjectivePlane;
-pub use subsets::{KSubsets, PowerSet};
+pub use subsets::KSubsets;

@@ -1,43 +1,8 @@
-//! Primality and prime-power testing.
+//! Prime-power testing.
 //!
 //! Finite projective planes of order `q` (Section 6 of the paper) are known to exist
-//! whenever `q = p^r` for a prime `p`. This module provides the deterministic tests
+//! whenever `q = p^r` for a prime `p`. This module provides the deterministic test
 //! used to validate user-supplied plane orders before construction.
-
-/// Returns `true` iff `n` is prime.
-///
-/// Deterministic trial division; the plane orders used in practice are tiny
-/// (`q ≤ a few hundred`), so this is more than fast enough and trivially correct.
-///
-/// # Examples
-///
-/// ```
-/// use bqs_combinatorics::primes::is_prime;
-/// assert!(is_prime(2));
-/// assert!(is_prime(97));
-/// assert!(!is_prime(1));
-/// assert!(!is_prime(91)); // 7 * 13
-/// ```
-#[must_use]
-pub fn is_prime(n: u64) -> bool {
-    if n < 2 {
-        return false;
-    }
-    if n < 4 {
-        return true;
-    }
-    if n.is_multiple_of(2) {
-        return false;
-    }
-    let mut d = 3u64;
-    while d * d <= n {
-        if n.is_multiple_of(d) {
-            return false;
-        }
-        d += 2;
-    }
-    true
-}
 
 /// If `n = p^r` for a prime `p` and `r >= 1`, returns `Some((p, r))`; otherwise `None`.
 ///
@@ -87,38 +52,9 @@ pub fn prime_power(n: u64) -> Option<(u64, u32)> {
     }
 }
 
-/// Returns the largest prime power `q <= n`, if any (`n >= 2`).
-///
-/// Useful for picking a feasible projective-plane order near a desired size.
-#[must_use]
-pub fn largest_prime_power_at_most(n: u64) -> Option<u64> {
-    (2..=n).rev().find(|&q| prime_power(q).is_some())
-}
-
-/// Returns the smallest prime power `q >= n` (`n >= 2`), searching upward.
-#[must_use]
-pub fn smallest_prime_power_at_least(n: u64) -> u64 {
-    let mut q = n.max(2);
-    loop {
-        if prime_power(q).is_some() {
-            return q;
-        }
-        q += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn small_primes() {
-        let primes: Vec<u64> = (0..60).filter(|&n| is_prime(n)).collect();
-        assert_eq!(
-            primes,
-            vec![2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
-        );
-    }
 
     #[test]
     fn prime_powers_up_to_32() {
@@ -136,28 +72,5 @@ mod tests {
         assert_eq!(prime_power(5 * 7), None);
         assert_eq!(prime_power(2 * 3 * 5), None);
         assert_eq!(prime_power(121), Some((11, 2)));
-    }
-
-    #[test]
-    fn nearest_prime_powers() {
-        assert_eq!(largest_prime_power_at_most(10), Some(9));
-        assert_eq!(largest_prime_power_at_most(2), Some(2));
-        assert_eq!(largest_prime_power_at_most(1), None);
-        assert_eq!(smallest_prime_power_at_least(10), 11);
-        assert_eq!(smallest_prime_power_at_least(24), 25);
-        assert_eq!(smallest_prime_power_at_least(2), 2);
-    }
-
-    #[test]
-    fn prime_power_consistent_with_is_prime() {
-        for n in 2..500u64 {
-            if is_prime(n) {
-                assert_eq!(prime_power(n), Some((n, 1)), "n={n}");
-            }
-            if let Some((p, r)) = prime_power(n) {
-                assert!(is_prime(p));
-                assert_eq!(p.pow(r), n);
-            }
-        }
     }
 }

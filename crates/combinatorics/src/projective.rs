@@ -16,17 +16,9 @@ use std::hash::BuildHasherDefault;
 
 use crate::gf::{GfElem, GfField};
 
-/// Largest point count for which
-/// [`ProjectivePlane::line_free_profile_enumerated`] runs its one-time `2^n`
-/// subset enumeration (`q² + q + 1 ≤ 22` admits `q ∈ {2, 3, 4}`; the next
-/// plane order, `q = 5`, already has 31 points). The counting path
-/// ([`ProjectivePlane::line_free_profile`]) pushes past this to `q = 5`; its
-/// own (measured) wall is [`LINE_FREE_COUNTING_MAX_POINTS`].
-pub const LINE_FREE_PROFILE_MAX_POINTS: usize = 22;
-
 /// The counting profile keeps its DP state as one `u64` bitmask over lines, so
 /// planes with more than 64 lines (`q ≥ 8`, where `q² + q + 1 = 73`) decline.
-pub const LINE_FREE_COUNTING_MAX_LINES: usize = 64;
+pub(crate) const LINE_FREE_COUNTING_MAX_LINES: usize = 64;
 
 /// Fast-decline point cap for the counting profile. The boundary interface of
 /// PG(2, 7) (57 points) was *measured* to exceed the 2²⁶-state budget — after
@@ -36,13 +28,13 @@ pub const LINE_FREE_COUNTING_MAX_LINES: usize = 64;
 /// the point order. Declining on the point count up front turns that 27-minute
 /// failure into an immediate one. `31` admits exactly the planes the budget is
 /// known to afford (`q ≤ 5`).
-pub const LINE_FREE_COUNTING_MAX_POINTS: usize = 31;
+pub(crate) const LINE_FREE_COUNTING_MAX_POINTS: usize = 31;
 
 /// Hard cap on live interface states in the counting DP. The boundary
 /// interface grows with the plane order (`q = 5` peaks in the tens of
 /// thousands; `q = 7` in the tens of millions); past this budget the sweep
 /// declines rather than exhausting memory.
-pub const LINE_FREE_COUNTING_STATE_BUDGET: usize = 1 << 26;
+pub(crate) const LINE_FREE_COUNTING_STATE_BUDGET: usize = 1 << 26;
 
 /// Deterministically seeded hasher for the DP state maps (no per-process
 /// `RandomState`, so state counts and timings are reproducible run to run).
@@ -91,7 +83,7 @@ impl ProjectivePlane {
     /// use bqs_combinatorics::projective::ProjectivePlane;
     /// let fano = ProjectivePlane::new(2).unwrap();
     /// assert_eq!(fano.num_points(), 7);
-    /// assert_eq!(fano.num_lines(), 7);
+    /// assert_eq!(fano.lines().count(), 7);
     /// ```
     pub fn new(q: u64) -> Result<Self, PlaneError> {
         let field = GfField::new(q).map_err(|_| PlaneError::InvalidOrder(q))?;
@@ -114,7 +106,7 @@ impl ProjectivePlane {
 
     /// Number of lines, `q² + q + 1`.
     #[must_use]
-    pub fn num_lines(&self) -> usize {
+    pub(crate) fn num_lines(&self) -> usize {
         self.lines.len()
     }
 
@@ -142,78 +134,32 @@ impl ProjectivePlane {
     /// `F_r(FPP) = Σ_m N_m (1 − r)^m r^{n − m}`
     ///
     /// because the system is unavailable exactly when the surviving point set
-    /// contains no line. The profile depends only on the plane, so one
-    /// enumeration of the `2^n` point subsets (feasible for
-    /// `n = q² + q + 1 ≤` [`LINE_FREE_PROFILE_MAX_POINTS`], i.e. `q ≤ 4`)
-    /// yields a closed form evaluable in `O(n)` for every `r` thereafter.
+    /// contains no line. The profile depends only on the plane, so it is
+    /// computed once and yields a closed form evaluable in `O(n)` for every
+    /// `r` thereafter.
     ///
-    /// The profile is computed by [`ProjectivePlane::line_free_profile_counting`],
-    /// an interface DP over points that never materialises the `2^n` subsets;
-    /// it reaches `q = 5` (31 points) and is pinned bit-for-bit against
-    /// [`ProjectivePlane::line_free_profile_enumerated`] on the small planes
-    /// where both run. Returns `None` when the counting sweep declines —
-    /// more than [`LINE_FREE_COUNTING_MAX_POINTS`] points (the measured
-    /// `q = 7` interface wall), more than [`LINE_FREE_COUNTING_MAX_LINES`]
-    /// lines, or a boundary interface past
-    /// [`LINE_FREE_COUNTING_STATE_BUDGET`] states.
-    #[must_use]
-    pub fn line_free_profile(&self) -> Option<Vec<u64>> {
-        self.line_free_profile_counting()
-    }
-
-    /// The historical reference implementation of the line-free profile: a
-    /// direct enumeration of all `2^n` point subsets. Exponentially slower
-    /// than the counting sweep but independent of it, which makes it the
-    /// cross-check oracle on planes small enough to afford it (`q ≤ 4`).
-    ///
-    /// Returns `None` when the plane has more than
-    /// [`LINE_FREE_PROFILE_MAX_POINTS`] points, where the one-time `2^n`
-    /// enumeration is no longer worth it.
-    #[must_use]
-    pub fn line_free_profile_enumerated(&self) -> Option<Vec<u64>> {
-        let n = self.num_points();
-        if n > LINE_FREE_PROFILE_MAX_POINTS {
-            return None;
-        }
-        let line_masks: Vec<u64> = self
-            .lines
-            .iter()
-            .map(|l| l.iter().fold(0u64, |m, &p| m | (1u64 << p)))
-            .collect();
-        let min_line = self.q as u32 + 1;
-        let mut profile = vec![0u64; n + 1];
-        for mask in 0u64..(1u64 << n) {
-            // A subset smaller than a line trivially contains none.
-            let contains_line =
-                mask.count_ones() >= min_line && line_masks.iter().any(|&l| l & !mask == 0);
-            if !contains_line {
-                profile[mask.count_ones() as usize] += 1;
-            }
-        }
-        Some(profile)
-    }
-
-    /// Counts the line-free profile without enumerating subsets: an
-    /// inclusion-style interface DP that decides the points one at a time (in
-    /// the plane's row-major coordinate order) and keeps, per branch, only the
-    /// bitmask of lines that are still *completable* — every decided point on
-    /// them chosen. Deciding a point against membership kills all `q + 1`
-    /// lines through it; deciding the last point of a still-completable line
-    /// in favour would complete that line, so the branch is dropped from the
+    /// The count never materialises the `2^n` subsets: an inclusion-style
+    /// interface DP decides the points one at a time (in the plane's
+    /// row-major coordinate order) and keeps, per branch, only the bitmask of
+    /// lines that are still *completable* — every decided point on them
+    /// chosen. Deciding a point against membership kills all `q + 1` lines
+    /// through it; deciding the last point of a still-completable line in
+    /// favour would complete that line, so the branch is dropped from the
     /// line-free count. Branches with equal completable-masks are merged by
     /// summing their per-size count vectors, which is what collapses the
     /// `2^n` tree to a boundary interface: every line is dead or decided
     /// shortly after its last row, so the mask only carries the lines
-    /// crossing the current row boundary.
+    /// crossing the current row boundary. It reaches `q = 5` (31 points), and
+    /// its unit tests pin it against a direct `2^n` enumeration on the planes
+    /// small enough for one (`q ≤ 4`).
     ///
     /// Exact in `u64` (every profile entry is at most `C(n, m) ≤ C(31, 15)
     /// < 2^29` at the largest admitted plane). Returns `None` when the plane
-    /// has more than [`LINE_FREE_COUNTING_MAX_POINTS`] points (the measured
-    /// `q = 7` wall — see that constant's docs), more than
-    /// [`LINE_FREE_COUNTING_MAX_LINES`] lines, or the interface exceeds
-    /// [`LINE_FREE_COUNTING_STATE_BUDGET`] states.
+    /// has more than 31 points (`LINE_FREE_COUNTING_MAX_POINTS`, the measured
+    /// `q = 7` wall), more than 64 lines, or the interface exceeds `2^26`
+    /// states.
     #[must_use]
-    pub fn line_free_profile_counting(&self) -> Option<Vec<u64>> {
+    pub fn line_free_profile(&self) -> Option<Vec<u64>> {
         let n = self.num_points();
         let num_lines = self.num_lines();
         if n > LINE_FREE_COUNTING_MAX_POINTS || num_lines > LINE_FREE_COUNTING_MAX_LINES {
@@ -264,40 +210,6 @@ impl ProjectivePlane {
         }
         Some(profile)
     }
-
-    /// Checks the defining axioms of a projective plane on this incidence structure:
-    /// every line has `q+1` points, every point is on `q+1` lines, and any two
-    /// distinct lines meet in exactly one point. Used by tests and examples; the
-    /// constructor always produces a valid plane.
-    #[must_use]
-    pub fn verify_axioms(&self) -> bool {
-        let q = self.q as usize;
-        let expected = q * q + q + 1;
-        if self.points.len() != expected || self.lines.len() != expected {
-            return false;
-        }
-        if self.lines.iter().any(|l| l.len() != q + 1) {
-            return false;
-        }
-        let mut degree = vec![0usize; self.points.len()];
-        for line in &self.lines {
-            for &p in line {
-                degree[p] += 1;
-            }
-        }
-        if degree.iter().any(|&d| d != q + 1) {
-            return false;
-        }
-        for i in 0..self.lines.len() {
-            for j in (i + 1)..self.lines.len() {
-                let inter = intersection_size(&self.lines[i], &self.lines[j]);
-                if inter != 1 {
-                    return false;
-                }
-            }
-        }
-        true
-    }
 }
 
 /// Folds a branch's per-size counts into the interface map, shifting by
@@ -315,23 +227,6 @@ fn merge_counts(
             entry[m + shift] += c;
         }
     }
-}
-
-fn intersection_size(a: &[usize], b: &[usize]) -> usize {
-    // Both sorted.
-    let (mut i, mut j, mut count) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
 }
 
 /// Enumerates canonical representatives of the projective points of PG(2, q):
@@ -378,13 +273,100 @@ fn enumerate_lines(field: &GfField, points: &[[GfElem; 3]]) -> Vec<Vec<usize>> {
 mod tests {
     use super::*;
 
+    /// Largest point count for which [`line_free_profile_enumerated`] runs its
+    /// `2^n` subset enumeration (`q² + q + 1 ≤ 22` admits `q ∈ {2, 3, 4}`; the next
+    /// plane order, `q = 5`, already has 31 points). The counting path
+    /// ([`ProjectivePlane::line_free_profile`]) pushes past this to `q = 5`; its
+    /// own (measured) wall is [`LINE_FREE_COUNTING_MAX_POINTS`].
+    const LINE_FREE_PROFILE_MAX_POINTS: usize = 22;
+
+    /// The historical reference implementation of the line-free profile: a
+    /// direct enumeration of all `2^n` point subsets. Exponentially slower
+    /// than the counting sweep but independent of it, which makes it the
+    /// cross-check oracle on planes small enough to afford it (`q ≤ 4`).
+    ///
+    /// Returns `None` when the plane has more than
+    /// [`LINE_FREE_PROFILE_MAX_POINTS`] points, where the one-time `2^n`
+    /// enumeration is no longer worth it.
+    fn line_free_profile_enumerated(plane: &ProjectivePlane) -> Option<Vec<u64>> {
+        let n = plane.num_points();
+        if n > LINE_FREE_PROFILE_MAX_POINTS {
+            return None;
+        }
+        let line_masks: Vec<u64> = plane
+            .lines
+            .iter()
+            .map(|l| l.iter().fold(0u64, |m, &p| m | (1u64 << p)))
+            .collect();
+        let min_line = plane.q as u32 + 1;
+        let mut profile = vec![0u64; n + 1];
+        for mask in 0u64..(1u64 << n) {
+            // A subset smaller than a line trivially contains none.
+            let contains_line =
+                mask.count_ones() >= min_line && line_masks.iter().any(|&l| l & !mask == 0);
+            if !contains_line {
+                profile[mask.count_ones() as usize] += 1;
+            }
+        }
+        Some(profile)
+    }
+
+    /// Checks the defining axioms of a projective plane on this incidence structure:
+    /// every line has `q+1` points, every point is on `q+1` lines, and any two
+    /// distinct lines meet in exactly one point.
+    fn verify_axioms(plane: &ProjectivePlane) -> bool {
+        let q = plane.q as usize;
+        let expected = q * q + q + 1;
+        if plane.points.len() != expected || plane.lines.len() != expected {
+            return false;
+        }
+        if plane.lines.iter().any(|l| l.len() != q + 1) {
+            return false;
+        }
+        let mut degree = vec![0usize; plane.points.len()];
+        for line in &plane.lines {
+            for &p in line {
+                degree[p] += 1;
+            }
+        }
+        if degree.iter().any(|&d| d != q + 1) {
+            return false;
+        }
+        for i in 0..plane.lines.len() {
+            for j in (i + 1)..plane.lines.len() {
+                let inter = intersection_size(&plane.lines[i], &plane.lines[j]);
+                if inter != 1 {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    fn intersection_size(a: &[usize], b: &[usize]) -> usize {
+        // Both sorted.
+        let (mut i, mut j, mut count) = (0, 0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    count += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        count
+    }
+
     #[test]
     fn fano_plane() {
         let plane = ProjectivePlane::new(2).unwrap();
         assert_eq!(plane.num_points(), 7);
         assert_eq!(plane.num_lines(), 7);
         assert!(plane.lines().all(|l| l.len() == 3));
-        assert!(plane.verify_axioms());
+        assert!(verify_axioms(&plane));
     }
 
     #[test]
@@ -392,7 +374,7 @@ mod tests {
         let plane = ProjectivePlane::new(3).unwrap();
         assert_eq!(plane.num_points(), 13);
         assert_eq!(plane.num_lines(), 13);
-        assert!(plane.verify_axioms());
+        assert!(verify_axioms(&plane));
     }
 
     #[test]
@@ -400,14 +382,14 @@ mod tests {
         // q = 4 = 2^2 exercises the extension-field path.
         let plane = ProjectivePlane::new(4).unwrap();
         assert_eq!(plane.num_points(), 21);
-        assert!(plane.verify_axioms());
+        assert!(verify_axioms(&plane));
     }
 
     #[test]
     fn order_five_plane() {
         let plane = ProjectivePlane::new(5).unwrap();
         assert_eq!(plane.num_points(), 31);
-        assert!(plane.verify_axioms());
+        assert!(verify_axioms(&plane));
     }
 
     #[test]
@@ -415,7 +397,7 @@ mod tests {
         for q in [8u64, 9] {
             let plane = ProjectivePlane::new(q).unwrap();
             assert_eq!(plane.num_points() as u64, q * q + q + 1);
-            assert!(plane.verify_axioms(), "q={q}");
+            assert!(verify_axioms(&plane), "q={q}");
         }
     }
 
@@ -442,13 +424,13 @@ mod tests {
     }
 
     #[test]
-    fn line_free_profile_counting_matches_enumeration_bit_for_bit() {
+    fn line_free_profile_matches_enumeration_bit_for_bit() {
         // On every plane small enough for the 2^n oracle, the counting DP must
         // reproduce the enumerated profile entry for entry.
         for q in [2u64, 3, 4] {
             let plane = ProjectivePlane::new(q).unwrap();
-            let enumerated = plane.line_free_profile_enumerated().unwrap();
-            let counted = plane.line_free_profile_counting().unwrap();
+            let enumerated = line_free_profile_enumerated(&plane).unwrap();
+            let counted = plane.line_free_profile().unwrap();
             assert_eq!(enumerated, counted, "q={q}");
         }
     }
@@ -458,7 +440,7 @@ mod tests {
         // q = 5 (31 points) is past the enumeration wall but within reach of
         // the counting DP.
         let plane = ProjectivePlane::new(5).unwrap();
-        assert!(plane.line_free_profile_enumerated().is_none());
+        assert!(line_free_profile_enumerated(&plane).is_none());
         let profile = plane.line_free_profile().unwrap();
         assert_eq!(profile.len(), 32);
         // Subsets smaller than a line (q + 1 = 6 points) are trivially

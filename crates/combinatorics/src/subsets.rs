@@ -55,73 +55,17 @@ impl Iterator for KSubsets {
     }
 }
 
-/// Iterator over all subsets of `{0, ..., n-1}` as bitmasks (`u64`), in increasing
-/// mask order. Requires `n <= 63`.
-///
-/// # Examples
-///
-/// ```
-/// use bqs_combinatorics::subsets::PowerSet;
-/// let masks: Vec<u64> = PowerSet::new(2).collect();
-/// assert_eq!(masks, vec![0b00, 0b01, 0b10, 0b11]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct PowerSet {
-    next: u64,
-    limit: u64,
-    done: bool,
-}
-
-impl PowerSet {
-    /// Creates a power-set iterator over an `n`-element ground set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 63`.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        assert!(n <= 63, "PowerSet supports at most 63 elements, got {n}");
-        PowerSet {
-            next: 0,
-            limit: (1u64 << n) - 1,
-            done: false,
-        }
-    }
-}
-
-impl Iterator for PowerSet {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        let v = self.next;
-        if v == self.limit {
-            self.done = true;
-        } else {
-            self.next += 1;
-        }
-        Some(v)
-    }
-}
-
-/// Returns the number of `k`-subsets that [`KSubsets::new(n, k)`] will yield.
-#[must_use]
-pub fn count_k_subsets(n: usize, k: usize) -> u128 {
-    crate::binomial::binomial(n as u64, k as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binomial::binomial;
 
     #[test]
     fn k_subsets_counts_match_binomial() {
         for n in 0..8usize {
             for k in 0..=n + 1 {
                 let count = KSubsets::new(n, k).count() as u128;
-                assert_eq!(count, count_k_subsets(n, k), "n={n} k={k}");
+                assert_eq!(count, binomial(n as u64, k as u64), "n={n} k={k}");
             }
         }
     }
@@ -149,28 +93,5 @@ mod tests {
     #[test]
     fn k_greater_than_n_is_empty() {
         assert_eq!(KSubsets::new(3, 4).count(), 0);
-    }
-
-    #[test]
-    fn power_set_size() {
-        assert_eq!(PowerSet::new(0).count(), 1);
-        assert_eq!(PowerSet::new(5).count(), 32);
-        assert_eq!(PowerSet::new(10).count(), 1024);
-    }
-
-    #[test]
-    fn power_set_enumerates_distinct_masks() {
-        let masks: Vec<u64> = PowerSet::new(6).collect();
-        let mut dedup = masks.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(masks.len(), dedup.len());
-        assert!(masks.iter().all(|&m| m < 64));
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 63")]
-    fn power_set_rejects_large_universe() {
-        let _ = PowerSet::new(64);
     }
 }

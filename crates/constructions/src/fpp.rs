@@ -95,15 +95,6 @@ impl FppSystem {
                 .with_name(self.name()),
         )
     }
-
-    /// The simple union-bound estimate (6) from the proof of Proposition 6.3:
-    /// `F_p(FPP) ≤ 1 − (1−p)^{q+1} ≤ (q+1) p` — the probability that one fixed line
-    /// survives, used as the outer factor of the boostFPP bound.
-    #[must_use]
-    pub fn single_line_survival_bound(&self, p: f64) -> f64 {
-        let q = self.plane.order() as f64;
-        (1.0 - (1.0 - p).powf(q + 1.0)).min((q + 1.0) * p).min(1.0)
-    }
 }
 
 impl QuorumSystem for FppSystem {
@@ -349,14 +340,5 @@ mod tests {
         let certified = optimal_load_oracle(&fpp).unwrap();
         assert!((certified.load - fpp.analytic_load()).abs() <= 1e-9);
         assert!(certified.gap <= 1e-9);
-    }
-
-    #[test]
-    fn survival_bound_behaviour() {
-        let fpp = FppSystem::new(3).unwrap();
-        assert_eq!(fpp.single_line_survival_bound(0.0), 0.0);
-        assert!(fpp.single_line_survival_bound(0.05) <= 0.2 + 1e-12);
-        assert!(fpp.single_line_survival_bound(0.9) > 0.999);
-        assert!(fpp.single_line_survival_bound(0.9) <= 1.0);
     }
 }

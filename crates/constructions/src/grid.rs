@@ -1,7 +1,7 @@
 //! The line-quorum grids: the Grid of \[MR98a\], the M-Grid of Section 5.1 and,
 //! at `b = 0`, the regular row + column grid of \[Mae85, CAA92\].
 //!
-//! Servers form a `√n × √n` [`SquareGrid`]; a quorum is the union of `rows`
+//! Servers form a `√n × √n` `SquareGrid`; a quorum is the union of `rows`
 //! full rows and `cols` full columns. The systems differ only in that shape
 //! and in the largest `b` they mask, so one [`LineSystem`] implements them
 //! all, with a [`LineFamily`] marker for each:
@@ -47,7 +47,7 @@ use crate::AnalyzedConstruction;
 /// exact branch-and-bound pricer with the same budget counted in search
 /// nodes, which declines only when *it* cannot prove optimality in budget
 /// (see [`min_price_rows_and_columns`]).
-pub const ORACLE_SUBSET_BUDGET: u128 = 2_000_000;
+pub(crate) const ORACLE_SUBSET_BUDGET: u128 = 2_000_000;
 
 /// What sets one line-quorum construction apart from another: its quorum
 /// shape, the largest `b` it masks, and its name.
@@ -244,7 +244,7 @@ impl<F: LineFamily> QuorumSystem for LineSystem<F> {
 
     /// Exact `F_p` in closed form: the system is available iff at least
     /// `rows` rows and `cols` columns are fully alive, whose joint
-    /// probability [`rows_and_columns_alive_probability`] computes by
+    /// probability `rows_and_columns_alive_probability` computes by
     /// inclusion–exclusion — no enumeration, any `n`. For the M-Grid this
     /// sharpens the paper's \[KC91, Woo96\] lower bound into the exact value.
     fn certified_crash_probabilities(&self, ps: &[f64]) -> Option<Vec<FpEstimate>> {
@@ -268,7 +268,7 @@ impl<F: LineFamily> QuorumSystem for LineSystem<F> {
 impl<F: LineFamily> MinWeightQuorumOracle for LineSystem<F> {
     /// Exact pricing of the cheapest `rows` rows + `cols` columns union via
     /// [`min_price_rows_and_columns`]: the axis with fewer line sets is
-    /// enumerated (within [`ORACLE_SUBSET_BUDGET`]), the other selected
+    /// enumerated (within `ORACLE_SUBSET_BUDGET`), the other selected
     /// greedily per candidate.
     fn min_weight_quorum(&self, prices: &[f64]) -> Option<(ServerSet, f64)> {
         let (rows, cols, price) = min_price_rows_and_columns(
@@ -282,7 +282,7 @@ impl<F: LineFamily> MinWeightQuorumOracle for LineSystem<F> {
     }
 
     /// All cyclic row-window × column-window pairs
-    /// ([`balanced_line_strategy`]): a perfectly balanced `side²`-quorum
+    /// (`balanced_line_strategy`): a perfectly balanced `side²`-quorum
     /// family whose uniform mixture achieves `c(Q)/n` exactly.
     fn symmetric_strategy_hint(&self) -> Option<(Vec<ServerSet>, Vec<f64>)> {
         Some(balanced_line_strategy(&self.grid, self.rows, self.cols))

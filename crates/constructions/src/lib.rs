@@ -51,7 +51,7 @@ pub mod threshold;
 pub use boost_fpp::BoostFppSystem;
 pub use fpp::FppSystem;
 pub use grid::{GridSystem, MGridSystem};
-pub use majority::{MajoritySystem, SingletonSystem};
+pub use majority::MajoritySystem;
 pub use mpath::MPathSystem;
 pub use rt::RtSystem;
 pub use threshold::ThresholdSystem;
@@ -102,7 +102,7 @@ pub mod prelude {
     pub use crate::boost_fpp::BoostFppSystem;
     pub use crate::fpp::FppSystem;
     pub use crate::grid::{GridSystem, MGridSystem};
-    pub use crate::majority::{MajoritySystem, SingletonSystem};
+    pub use crate::majority::MajoritySystem;
     pub use crate::mpath::MPathSystem;
     pub use crate::rt::RtSystem;
     pub use crate::threshold::ThresholdSystem;

@@ -1,12 +1,11 @@
-//! Regular (benign fault-tolerant) baseline systems.
+//! The regular (benign fault-tolerant) majority baseline.
 //!
 //! The paper's boosting technique (Section 6) turns *any* regular quorum system into
-//! a b-masking one by composing it over a masking threshold. These baselines supply
-//! the regular systems used in examples, tests and the boosting ablation:
+//! a b-masking one by composing it over a masking threshold. This baseline supplies
+//! a regular system for examples, tests and the boosting ablation:
 //!
 //! * [`MajoritySystem`] — quorums are all `⌊n/2⌋ + 1`-subsets (\[Tho79\]); maximal
-//!   availability, poor load;
-//! * [`SingletonSystem`] — a single distinguished server; the degenerate extreme.
+//!   availability, poor load.
 //!
 //! The regular row + column grid (\[Mae85, CAA92\]; load `≈ 2/√n`, poor
 //! availability) is the Grid at `b = 0`: `GridSystem::new(side, 0)` in
@@ -101,79 +100,6 @@ impl AnalyzedConstruction for MajoritySystem {
     }
 }
 
-/// The degenerate single-server "system": every quorum is `{0, ..., size-1}`'s first
-/// server. Used as an extreme baseline in load/availability comparisons.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SingletonSystem {
-    n: usize,
-}
-
-impl SingletonSystem {
-    /// Creates the singleton system over `n ≥ 1` servers (server 0 is the quorum).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuorumError::InvalidParameters`] when `n == 0`.
-    pub fn new(n: usize) -> Result<Self, QuorumError> {
-        if n == 0 {
-            return Err(QuorumError::InvalidParameters(
-                "universe must contain at least one server".into(),
-            ));
-        }
-        Ok(SingletonSystem { n })
-    }
-}
-
-impl QuorumSystem for SingletonSystem {
-    fn universe_size(&self) -> usize {
-        self.n
-    }
-
-    fn name(&self) -> String {
-        format!("Singleton(n={})", self.n)
-    }
-
-    fn sample_quorum(&self, _rng: &mut dyn RngCore) -> ServerSet {
-        ServerSet::from_indices(self.n, [0])
-    }
-
-    fn find_live_quorum(&self, alive: &ServerSet) -> Option<ServerSet> {
-        alive
-            .contains(0)
-            .then(|| ServerSet::from_indices(self.n, [0]))
-    }
-
-    fn min_quorum_size(&self) -> usize {
-        1
-    }
-}
-
-impl MinWeightQuorumOracle for SingletonSystem {
-    /// The only quorum is `{0}`, whatever the prices.
-    fn min_weight_quorum(&self, prices: &[f64]) -> Option<(ServerSet, f64)> {
-        assert_eq!(prices.len(), self.n, "one price per server required");
-        Some((ServerSet::from_indices(self.n, [0]), prices[0]))
-    }
-}
-
-impl AnalyzedConstruction for SingletonSystem {
-    fn masking_b(&self) -> usize {
-        0
-    }
-
-    fn resilience(&self) -> usize {
-        0
-    }
-
-    fn analytic_load(&self) -> f64 {
-        1.0
-    }
-
-    fn crash_probability_upper_bound(&self, p: f64) -> Option<f64> {
-        Some(p)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,27 +135,11 @@ mod tests {
     }
 
     #[test]
-    fn singleton_behaviour() {
-        let s = SingletonSystem::new(5).unwrap();
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(s.sample_quorum(&mut rng).to_vec(), vec![0]);
-        assert!(s.is_available(&ServerSet::from_indices(5, [0, 3])));
-        assert!(!s.is_available(&ServerSet::from_indices(5, [1, 2, 3, 4])));
-        assert_eq!(s.analytic_load(), 1.0);
-        assert!(SingletonSystem::new(0).is_err());
-    }
-
-    #[test]
-    fn baseline_oracles_certify_their_fair_loads() {
+    fn majority_oracle_certifies_its_fair_load() {
         let m = MajoritySystem::new(101).unwrap();
         let certified = optimal_load_oracle(&m).unwrap();
         assert!((certified.load - m.analytic_load()).abs() <= 1e-9);
         assert!(certified.gap <= 1e-9);
-
-        let s = SingletonSystem::new(5).unwrap();
-        let certified = optimal_load_oracle(&s).unwrap();
-        assert!((certified.load - 1.0).abs() <= 1e-12);
-        assert!(certified.lower_bound >= 1.0 - 1e-9);
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //! [`EXACT_DP_MAX_SIDE`] via the transfer-matrix DP of
 //! [`bqs_graph::crossing_dp`] (answered by
 //! [`QuorumSystem::certified_crash_probabilities`] and tagged
-//! [`FpMethod::Dp`]); sides up to [`PRUNED_DP_MAX_SIDE`] with at most
-//! [`PRUNED_DP_MAX_PATHS`] paths per direction get a **certified enclosure**
+//! [`FpMethod::Dp`]); sides up to `PRUNED_DP_MAX_SIDE` with at most
+//! `PRUNED_DP_MAX_PATHS` paths per direction get a **certified enclosure**
 //! from the ε-pruned sweep (tagged [`FpMethod::DpPruned`], with the rigorous
 //! `[lower, upper]` carried on the estimate); larger grids — or wider path
 //! counts, whose interface alphabet explodes — fall back to Monte-Carlo,
@@ -90,10 +90,10 @@ pub const EXACT_DP_STATE_BUDGET: usize = 4_000_000;
 /// gigabytes (the side-8, `k = 2` point already takes 51 s on one core and
 /// peaks at 0.39 GB), so the evaluator hands them to Monte-Carlo with
 /// Wilson bounds instead.
-pub const PRUNED_DP_MAX_SIDE: usize = 8;
+pub(crate) const PRUNED_DP_MAX_SIDE: usize = 8;
 
 /// Surviving-state budget handed to the ε-pruned sweep. Sized so that at
-/// [`PRUNED_DP_MAX_SIDE`] with [`PRUNED_DP_EPSILON`] forced budget pruning
+/// `PRUNED_DP_MAX_SIDE` with [`PRUNED_DP_EPSILON`] forced budget pruning
 /// never fires and ε alone controls the certified width (the forced-prune
 /// path yields uselessly wide intervals: the mass the budget evicts is not
 /// concentrated in few states). The budget still bounds memory, not
@@ -124,7 +124,7 @@ pub const PRUNED_DP_EPSILON: f64 = 1e-16;
 /// not a `p`-grid, and `k = 4` is unmeasured, so systems with `b ≥ 2`
 /// (hence `k ≥ 3`) past the exact wall still decline and fall through to
 /// Monte-Carlo with Wilson bounds.
-pub const PRUNED_DP_MAX_PATHS: usize = 2;
+pub(crate) const PRUNED_DP_MAX_PATHS: usize = 2;
 
 /// The M-Path(b) quorum system over a triangulated `side × side` grid.
 #[derive(Debug, Clone)]
@@ -362,8 +362,8 @@ impl QuorumSystem for MPathSystem {
     /// of points (the interface state space depends only on `(side, k)`).
     ///
     /// Up to [`EXACT_DP_MAX_SIDE`] the sweep is exact to floating-point
-    /// rounding ([`FpMethod::Dp`]). Past it, up to [`PRUNED_DP_MAX_SIDE`]
-    /// and [`PRUNED_DP_MAX_PATHS`] paths per direction, the ε-pruned sweep
+    /// rounding ([`FpMethod::Dp`]). Past it, up to `PRUNED_DP_MAX_SIDE`
+    /// and `PRUNED_DP_MAX_PATHS` paths per direction, the ε-pruned sweep
     /// banks every dropped state's mass into a certified `[lower, upper]`
     /// ([`FpMethod::DpPruned`]); each lane keeps its own discarded mass, and
     /// a state survives if any lane keeps it, so a grid's enclosures can be

@@ -91,7 +91,7 @@ impl RtSystem {
     /// The failure polynomial `g(p)` of the ℓ-of-k building block: the probability
     /// that at least `k − ℓ + 1` of `k` servers crash.
     #[must_use]
-    pub fn building_block_failure(&self, p: f64) -> f64 {
+    pub(crate) fn building_block_failure(&self, p: f64) -> f64 {
         bqs_combinatorics::binomial::binomial_tail(self.k as u64, (self.k - self.l + 1) as u64, p)
     }
 

@@ -1,8 +1,8 @@
-//! The `√n × √n` square and its line helpers: [`SquareGrid`] (row-major
-//! indexing, fully alive lines, the count kernel's [`LineCountTables`]), the
-//! exact closed form [`rows_and_columns_alive_probability`], and the line
+//! The `√n × √n` square and its line helpers: `SquareGrid` (row-major
+//! indexing, fully alive lines, the count kernel's `LineCountTables`), the
+//! exact closed form `rows_and_columns_alive_probability`, and the line
 //! pricing oracle [`min_price_rows_and_columns`] with its balanced strategy
-//! [`balanced_line_strategy`]. The line-quorum systems of [`crate::grid`]
+//! `balanced_line_strategy`. The line-quorum systems of [`crate::grid`]
 //! (Grid, M-Grid and the regular grid) use all of them.
 
 use std::sync::OnceLock;
@@ -14,7 +14,7 @@ use crate::segments::unavailable_profile_by_segments;
 
 /// A square arrangement of `side × side` servers, indexed row-major.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SquareGrid {
+pub(crate) struct SquareGrid {
     side: usize,
 }
 
@@ -54,7 +54,7 @@ impl SquareGrid {
 
     /// The indices of rows that are entirely contained in `alive`.
     #[must_use]
-    pub fn fully_alive_rows(&self, alive: &ServerSet) -> Vec<usize> {
+    pub(crate) fn fully_alive_rows(&self, alive: &ServerSet) -> Vec<usize> {
         (0..self.side)
             .filter(|&r| (0..self.side).all(|c| alive.contains(self.index(r, c))))
             .collect()
@@ -62,7 +62,7 @@ impl SquareGrid {
 
     /// The indices of columns that are entirely contained in `alive`.
     #[must_use]
-    pub fn fully_alive_columns(&self, alive: &ServerSet) -> Vec<usize> {
+    pub(crate) fn fully_alive_columns(&self, alive: &ServerSet) -> Vec<usize> {
         (0..self.side)
             .filter(|&c| (0..self.side).all(|r| alive.contains(self.index(r, c))))
             .collect()
@@ -71,7 +71,7 @@ impl SquareGrid {
     /// Number of rows entirely contained in `alive`, counted without
     /// allocating (the hot-path sibling of [`SquareGrid::fully_alive_rows`]).
     #[must_use]
-    pub fn fully_alive_row_count(&self, alive: &ServerSet) -> usize {
+    pub(crate) fn fully_alive_row_count(&self, alive: &ServerSet) -> usize {
         (0..self.side)
             .filter(|&r| (0..self.side).all(|c| alive.contains(self.index(r, c))))
             .count()
@@ -80,7 +80,7 @@ impl SquareGrid {
     /// Number of columns entirely contained in `alive`, counted without
     /// allocating.
     #[must_use]
-    pub fn fully_alive_column_count(&self, alive: &ServerSet) -> usize {
+    pub(crate) fn fully_alive_column_count(&self, alive: &ServerSet) -> usize {
         (0..self.side)
             .filter(|&c| (0..self.side).all(|r| alive.contains(self.index(r, c))))
             .count()
@@ -95,7 +95,7 @@ impl SquareGrid {
     /// Panics if `side > 8` (the count kernel only covers universes of at
     /// most 64 servers).
     #[must_use]
-    pub fn line_count_tables(&self) -> &'static LineCountTables {
+    pub(crate) fn line_count_tables(&self) -> &'static LineCountTables {
         static TABLES: [OnceLock<LineCountTables>; 8] = [const { OnceLock::new() }; 8];
         TABLES
             .get(self.side - 1)
@@ -105,7 +105,7 @@ impl SquareGrid {
 
     /// The union of the given rows and columns as a server set.
     #[must_use]
-    pub fn union_of(&self, rows: &[usize], cols: &[usize]) -> ServerSet {
+    pub(crate) fn union_of(&self, rows: &[usize], cols: &[usize]) -> ServerSet {
         let mut set = ServerSet::new(self.universe_size());
         for &r in rows {
             set.insert_range(self.index(r, 0)..self.index(r, 0) + self.side);
@@ -138,7 +138,7 @@ impl SquareGrid {
 /// quorum shape, so [`SquareGrid::line_count_tables`] builds it once per
 /// side.
 #[derive(Debug, Clone)]
-pub struct LineCountTables {
+pub(crate) struct LineCountTables {
     chunks: Vec<LineChunk>,
     /// The distinct entries of the low chunk's table.
     lo_entries: Vec<u16>,
@@ -244,7 +244,7 @@ impl LineCountTables {
     /// `U[e]` sums the low histogram's rows whose join with `e` is
     /// unavailable; `U[e]` is computed once per distinct `e` and call. Only
     /// the masks of segments the range cuts are probed one by one.
-    pub fn unavailable_profile_range(
+    pub(crate) fn unavailable_profile_range(
         &self,
         min_rows: usize,
         min_cols: usize,
@@ -314,7 +314,7 @@ impl LineCountTables {
 ///
 /// Panics unless `1 <= num_rows, num_cols <= side`.
 #[must_use]
-pub fn balanced_line_strategy(
+pub(crate) fn balanced_line_strategy(
     grid: &SquareGrid,
     num_rows: usize,
     num_cols: usize,
@@ -765,7 +765,7 @@ fn branch_and_bound_lines(
 ///
 /// Panics unless `1 <= min_cols <= side` and `min_rows <= side`.
 #[must_use]
-pub fn rows_and_columns_alive_probability(
+pub(crate) fn rows_and_columns_alive_probability(
     side: usize,
     min_rows: usize,
     min_cols: usize,

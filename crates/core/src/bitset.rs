@@ -73,7 +73,7 @@ impl ServerSet {
     /// # Errors
     ///
     /// Returns the offending index when any index is `>= capacity`.
-    pub fn try_from_indices<I: IntoIterator<Item = usize>>(
+    pub(crate) fn try_from_indices<I: IntoIterator<Item = usize>>(
         capacity: usize,
         indices: I,
     ) -> Result<Self, usize> {
@@ -269,7 +269,7 @@ impl ServerSet {
 
     /// Returns true if the two sets share no members.
     #[must_use]
-    pub fn is_disjoint_from(&self, other: &ServerSet) -> bool {
+    pub(crate) fn is_disjoint_from(&self, other: &ServerSet) -> bool {
         self.intersection_size(other) == 0
     }
 
@@ -321,7 +321,7 @@ impl ServerSet {
     ///
     /// Panics if the capacity exceeds 64.
     #[must_use]
-    pub fn as_mask_u64(&self) -> u64 {
+    pub(crate) fn as_mask_u64(&self) -> u64 {
         assert!(
             self.capacity <= 64,
             "as_mask_u64 requires capacity <= 64 (got {})",

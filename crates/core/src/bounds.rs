@@ -7,7 +7,6 @@
 //! * Proposition 4.3: `F_p(Q) ≥ p^{MT(Q)} = p^{f+1}`.
 //! * Proposition 4.4: `F_p(Q) ≥ p^{c(Q) − 2b}` for b-masking systems.
 //! * Proposition 4.5: `F_p(Q) ≥ p^{b+1}` when `MT(Q) ≤ (IS(Q)+1)/2`.
-//! * The resilience/load tradeoff from Section 8: `f ≤ n · L(Q)`.
 
 /// Theorem 4.1: the load of a b-masking quorum system with smallest quorum size
 /// `min_quorum_size` over `n` servers is at least
@@ -26,7 +25,7 @@ pub fn load_lower_bound(n: usize, b: usize, min_quorum_size: usize) -> f64 {
 }
 
 /// Corollary 4.2: `L(Q) ≥ √((2b+1)/n)` for every b-masking system over `n` servers,
-/// regardless of its quorum size.
+/// regardless of its quorum size; it is attained at `c(Q) = √((2b+1) n)`.
 ///
 /// # Panics
 ///
@@ -35,13 +34,6 @@ pub fn load_lower_bound(n: usize, b: usize, min_quorum_size: usize) -> f64 {
 pub fn load_lower_bound_universal(n: usize, b: usize) -> f64 {
     assert!(n > 0, "universe must be non-empty");
     ((2 * b + 1) as f64 / n as f64).sqrt()
-}
-
-/// The quorum size `√((2b+1) n)` at which the universal lower bound of
-/// Corollary 4.2 is attainable.
-#[must_use]
-pub fn load_optimal_quorum_size(n: usize, b: usize) -> f64 {
-    ((2 * b + 1) as f64 * n as f64).sqrt()
 }
 
 /// Proposition 4.3: `F_p(Q) ≥ p^{MT(Q)}` — with `MT(Q) = f + 1` this is the
@@ -78,14 +70,6 @@ pub fn proposition_4_5_applies(min_transversal: usize, min_intersection: usize) 
     2 * min_transversal <= min_intersection + 1
 }
 
-/// The resilience/load tradeoff observed in Section 8: since `f ≤ c(Q)` always and
-/// `L(Q) ≥ c(Q)/n` (Theorem 4.1), any quorum system satisfies `f ≤ n · L(Q)`.
-/// Returns the maximum resilience compatible with the given load.
-#[must_use]
-pub fn max_resilience_for_load(n: usize, load: f64) -> f64 {
-    n as f64 * load
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,7 +82,7 @@ mod tests {
         assert!((load_lower_bound(n, b, 7) - 1.0).abs() < 1e-12); // (2b+1)/c = 1
         assert!((load_lower_bound(n, b, 70) - 0.7).abs() < 1e-12); // c/n dominates
                                                                    // The bound is minimised near c = sqrt((2b+1) n).
-        let c_star = load_optimal_quorum_size(n, b).round() as usize;
+        let c_star = ((2 * b + 1) as f64 * n as f64).sqrt().round() as usize;
         let at_star = load_lower_bound(n, b, c_star);
         assert!(at_star <= load_lower_bound(n, b, c_star / 2) + 1e-12);
         assert!(at_star <= load_lower_bound(n, b, c_star * 2) + 1e-12);
@@ -114,8 +98,8 @@ mod tests {
             assert!(load_lower_bound(n, b, c) >= universal - 1e-9, "c={c}");
         }
         // And the universal bound is attained at the optimal quorum size.
-        let c_star = load_optimal_quorum_size(n, b);
-        let attained = load_lower_bound(n, b, c_star.round() as usize);
+        let c_star = ((2 * b + 1) as f64 * n as f64).sqrt().round() as usize;
+        let attained = load_lower_bound(n, b, c_star);
         assert!((attained - universal).abs() < 0.02);
     }
 
@@ -167,11 +151,5 @@ mod tests {
                 assert!((0.0..=1.0).contains(&bound), "p={p} bound={bound}");
             }
         }
-    }
-
-    #[test]
-    fn resilience_load_tradeoff() {
-        // With load 1/4 over 1024 servers, resilience can never exceed 256.
-        assert!((max_resilience_for_load(1024, 0.25) - 256.0).abs() < 1e-9);
     }
 }

@@ -288,37 +288,6 @@ pub fn compose_explicit(
     )))
 }
 
-/// The analytic parameter composition of Theorem 4.7, for planning compositions
-/// without materialising them.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ComposedParameters {
-    /// Universe size `n_S · n_R`.
-    pub universe_size: usize,
-    /// Minimal quorum size `c(S) · c(R)`.
-    pub min_quorum_size: usize,
-    /// Minimal intersection `IS(S) · IS(R)`.
-    pub min_intersection: usize,
-    /// Minimal transversal `MT(S) · MT(R)`.
-    pub min_transversal: usize,
-    /// Load `L(S) · L(R)`.
-    pub load: f64,
-}
-
-/// Combines the parameters of two systems per Theorem 4.7.
-#[must_use]
-pub fn composed_parameters(
-    outer: (usize, usize, usize, usize, f64),
-    inner: (usize, usize, usize, usize, f64),
-) -> ComposedParameters {
-    ComposedParameters {
-        universe_size: outer.0 * inner.0,
-        min_quorum_size: outer.1 * inner.1,
-        min_intersection: outer.2 * inner.2,
-        min_transversal: outer.3 * inner.3,
-        load: outer.4 * inner.4,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,18 +377,6 @@ mod tests {
             compose_explicit(&s, &r, 100),
             Err(QuorumError::InvalidParameters(_))
         ));
-    }
-
-    #[test]
-    fn analytic_parameters_helper() {
-        // boostFPP-style: FPP(q=2) has (7, 3, 1, 3, 3/7); Thresh(4-of-5) has
-        // (5, 4, 3, 2, 4/5).
-        let p = composed_parameters((7, 3, 1, 3, 3.0 / 7.0), (5, 4, 3, 2, 0.8));
-        assert_eq!(p.universe_size, 35);
-        assert_eq!(p.min_quorum_size, 12);
-        assert_eq!(p.min_intersection, 3);
-        assert_eq!(p.min_transversal, 6);
-        assert!((p.load - 12.0 / 35.0).abs() < 1e-12);
     }
 
     /// A threshold-like test double with a closed form (majority-of-3).

@@ -7,39 +7,16 @@
 //! never help: removing a superset quorum can only lower the load and can never hurt
 //! availability, because any alive superset quorum certifies an alive subset quorum.
 //! The constructions in this workspace produce antichains already; these utilities
-//! let users sanitise hand-built systems before analysing them, and let tests assert
-//! the constructions stay minimal.
+//! let users sanitise hand-built systems before analysing them.
 
 use crate::bitset::ServerSet;
 use crate::error::QuorumError;
 use crate::quorum::{ExplicitQuorumSystem, QuorumSystem};
 
-/// Returns true if the quorum list is an antichain (a *coterie*): no quorum is a
-/// subset of a different quorum.
-#[must_use]
-pub fn is_coterie(quorums: &[ServerSet]) -> bool {
-    for (i, q) in quorums.iter().enumerate() {
-        for (j, r) in quorums.iter().enumerate() {
-            if i != j && q.is_subset_of(r) && q != r {
-                return false;
-            }
-        }
-    }
-    // Duplicate quorums also violate minimality.
-    for i in 0..quorums.len() {
-        for j in (i + 1)..quorums.len() {
-            if quorums[i] == quorums[j] {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 /// Removes dominated (superset or duplicate) quorums, returning the minimal
 /// antichain with the same availability and at-most-equal load.
 #[must_use]
-pub fn reduce_to_minimal(quorums: &[ServerSet]) -> Vec<ServerSet> {
+pub(crate) fn reduce_to_minimal(quorums: &[ServerSet]) -> Vec<ServerSet> {
     let mut keep: Vec<ServerSet> = Vec::new();
     // Sort by size so that potential subsets are considered first.
     let mut sorted: Vec<&ServerSet> = quorums.iter().collect();
@@ -85,48 +62,6 @@ pub fn dominates(better: &[ServerSet], worse: &[ServerSet]) -> bool {
     !same
 }
 
-/// A coterie is *non-dominated* (ND) if no coterie dominates it. Deciding this in
-/// general is expensive; this helper implements the classical sufficient check used
-/// for small systems: a coterie over universe `U` is dominated iff there exists a set
-/// `T ⊆ U` such that (1) `T` intersects every quorum and (2) no quorum is contained
-/// in `T` — in that case adding (a minimal subset of) `T` as a new quorum dominates.
-/// Returns `Some(witness)` when such a `T` exists (the system is dominated), `None`
-/// when the system is non-dominated. Exponential in `n`; intended for `n ≤ 20`.
-///
-/// # Errors
-///
-/// Returns [`QuorumError::UniverseTooLarge`] for universes above 20 servers.
-pub fn domination_witness(
-    quorums: &[ServerSet],
-    universe_size: usize,
-) -> Result<Option<ServerSet>, QuorumError> {
-    const LIMIT: usize = 20;
-    if universe_size > LIMIT {
-        return Err(QuorumError::UniverseTooLarge {
-            universe_size,
-            limit: LIMIT,
-        });
-    }
-    for mask in 0u64..(1u64 << universe_size) {
-        let t = ServerSet::from_indices(
-            universe_size,
-            (0..universe_size).filter(|&i| mask & (1 << i) != 0),
-        );
-        if t.is_empty() {
-            continue;
-        }
-        let hits_every = quorums.iter().all(|q| !q.is_disjoint_from(&t));
-        if !hits_every {
-            continue;
-        }
-        let contains_some = quorums.iter().any(|q| q.is_subset_of(&t));
-        if !contains_some {
-            return Ok(Some(t));
-        }
-    }
-    Ok(None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,17 +79,18 @@ mod tests {
         let q: Vec<ServerSet> = KSubsets::new(5, 3)
             .map(|s| ServerSet::from_indices(5, s))
             .collect();
-        assert!(is_coterie(&q));
         assert_eq!(reduce_to_minimal(&q).len(), q.len());
     }
 
     #[test]
     fn superset_quorums_are_removed() {
         let q = sets(4, &[&[0, 1], &[0, 1, 2], &[1, 2], &[1, 2, 3], &[0, 2]]);
-        assert!(!is_coterie(&q));
         let reduced = reduce_to_minimal(&q);
         assert_eq!(reduced.len(), 3);
-        assert!(is_coterie(&reduced));
+        // An antichain: each kept quorum contains no kept quorum but itself.
+        for r in &reduced {
+            assert_eq!(reduced.iter().filter(|s| s.is_subset_of(r)).count(), 1);
+        }
         // The minimal quorums survive.
         assert!(reduced.contains(&ServerSet::from_indices(4, [0, 1])));
         assert!(reduced.contains(&ServerSet::from_indices(4, [1, 2])));
@@ -164,7 +100,6 @@ mod tests {
     #[test]
     fn duplicates_are_removed() {
         let q = sets(3, &[&[0, 1], &[0, 1], &[1, 2]]);
-        assert!(!is_coterie(&q));
         assert_eq!(reduce_to_minimal(&q).len(), 2);
     }
 
@@ -205,43 +140,5 @@ mod tests {
         assert!(!dominates(&star, &majority)); // {1,2} contains no star quorum
         assert!(!dominates(&majority, &majority));
         assert!(!dominates(&[], &majority));
-    }
-
-    #[test]
-    fn majority_is_non_dominated_star_is_dominated() {
-        let majority = sets(3, &[&[0, 1], &[0, 2], &[1, 2]]);
-        assert_eq!(domination_witness(&majority, 3).unwrap(), None);
-        let star = sets(3, &[&[0, 1], &[0, 2]]);
-        let witness = domination_witness(&star, 3)
-            .unwrap()
-            .expect("star is dominated");
-        // Any witness must hit every quorum without containing one ({0} and {1,2} both
-        // qualify; the search returns the first in mask order).
-        assert!(star.iter().all(|q| !q.is_disjoint_from(&witness)));
-        assert!(star.iter().all(|q| !q.is_subset_of(&witness)));
-    }
-
-    #[test]
-    fn domination_witness_respects_size_limit() {
-        let q = vec![ServerSet::full(25)];
-        assert!(matches!(
-            domination_witness(&q, 25),
-            Err(QuorumError::UniverseTooLarge { .. })
-        ));
-    }
-
-    #[test]
-    fn threshold_systems_are_non_dominated() {
-        // ℓ-of-k thresholds with 2ℓ = k+1 (strict majorities) are the classical ND
-        // coteries; check 3-of-5.
-        let q: Vec<ServerSet> = KSubsets::new(5, 3)
-            .map(|s| ServerSet::from_indices(5, s))
-            .collect();
-        assert_eq!(domination_witness(&q, 5).unwrap(), None);
-        // 4-of-5 is dominated (e.g. by 3-of-5): witness exists.
-        let q45: Vec<ServerSet> = KSubsets::new(5, 4)
-            .map(|s| ServerSet::from_indices(5, s))
-            .collect();
-        assert!(domination_witness(&q45, 5).unwrap().is_some());
     }
 }

@@ -47,7 +47,7 @@ use crate::quorum::QuorumSystem;
 /// Largest universe size accepted by the exact enumerator (`2^25`
 /// configurations by default; raise with [`Evaluator::with_exact_limit`], the
 /// hard ceiling being 63 bits of mask space).
-pub const DEFAULT_EXACT_LIMIT: usize = 25;
+pub(crate) const DEFAULT_EXACT_LIMIT: usize = 25;
 
 /// Mask-count threshold up to which exact enumeration stays on the calling
 /// thread. Purely a spawn-cost cutoff — `2^17` configurations evaluate in
@@ -230,16 +230,6 @@ impl FpEstimate {
     #[must_use]
     pub fn is_certified(&self) -> bool {
         self.is_exact() || (self.method == FpMethod::DpPruned && self.interval.is_some())
-    }
-
-    /// Whether `value` lies within the 95% confidence interval — the Wilson
-    /// interval for Monte-Carlo (so a zero-failure estimate remains
-    /// consistent with small positive truths), a small absolute tolerance for
-    /// exact methods.
-    #[must_use]
-    pub fn is_consistent_with(&self, value: f64) -> bool {
-        let (lower, upper) = self.ci95_bounds();
-        value >= lower - 1e-12 && value <= upper + 1e-12
     }
 }
 
@@ -480,7 +470,7 @@ impl Evaluator {
     /// Monte-Carlo `F_p(Q)` with `self.trials()` trials, tagged
     /// [`FpMethod::MonteCarlo`] with its binomial standard error.
     ///
-    /// Trials are partitioned into fixed-size blocks of [`MC_BLOCK_TRIALS`],
+    /// Trials are partitioned into fixed-size blocks of `MC_BLOCK_TRIALS`,
     /// each with its own RNG stream seeded from the block *index* — never
     /// from the worker count — and the failure counts are summed. The result
     /// is therefore a pure function of `(seed, trials, p, system)`, identical
@@ -514,7 +504,7 @@ impl Evaluator {
 /// Trials per Monte-Carlo RNG-stream block. The block partition (not the
 /// worker partition) defines the random streams, making estimates
 /// reproducible across machines with different core counts.
-pub const MC_BLOCK_TRIALS: usize = 1024;
+pub(crate) const MC_BLOCK_TRIALS: usize = 1024;
 
 /// Runs `job(0), ..., job(jobs - 1)` on up to `workers` scoped threads that
 /// pull indices off a shared counter, and returns the results in index order.
@@ -840,8 +830,7 @@ mod tests {
         assert!(upper > 0.0 && upper < 0.003, "upper={upper}");
         assert_eq!(fp.ci95_upper_bound(), upper);
         // Consistent with tiny positive truths, not with large ones.
-        assert!(fp.is_consistent_with(1e-6));
-        assert!(!fp.is_consistent_with(0.05));
+        assert!((1e-6..0.05).contains(&upper));
     }
 
     #[test]

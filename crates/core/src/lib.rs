@@ -86,7 +86,7 @@ pub mod prelude {
         crash_probability_lower_bound_resilience, load_lower_bound, load_lower_bound_universal,
     };
     pub use crate::composition::{compose_explicit, ComposedSystem};
-    pub use crate::domination::{is_coterie, minimize_system, reduce_to_minimal};
+    pub use crate::domination::minimize_system;
     pub use crate::error::QuorumError;
     pub use crate::eval::{Evaluator, FpEstimate, FpMethod};
     pub use crate::load::{
@@ -94,14 +94,12 @@ pub mod prelude {
         CertifiedLoad,
     };
     pub use crate::masking::{is_b_masking, mask_votes, masking_feasible, masking_level};
-    pub use crate::measures::{
-        degrees, fairness, is_fair, is_quorum_system, min_intersection_size, min_quorum_size,
-    };
+    pub use crate::measures::{degrees, is_fair, min_intersection_size, min_quorum_size};
     pub use crate::oracle::MinWeightQuorumOracle;
     pub use crate::quorum::{ExplicitQuorumSystem, QuorumSystem};
     pub use crate::strategic::StrategicQuorumSystem;
     pub use crate::strategy::AccessStrategy;
     pub use crate::transversal::{
-        greedy_transversal, is_transversal, min_transversal, min_transversal_size, resilience,
+        greedy_transversal, min_transversal, min_transversal_size, resilience,
     };
 }

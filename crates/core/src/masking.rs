@@ -43,14 +43,6 @@ pub fn is_b_masking(quorums: &[ServerSet], universe_size: usize, b: usize) -> bo
     mt > b
 }
 
-/// The consistency half of the masking property alone: every pairwise intersection
-/// has size at least `2b + 1` (requirement (1) of Definition 3.5). Useful when the
-/// resilience is known analytically and only the intersections need checking.
-#[must_use]
-pub fn has_masking_intersections(quorums: &[ServerSet], b: usize) -> bool {
-    min_intersection_size(quorums) > 2 * b
-}
-
 /// The necessary condition `4b < n` for a b-masking system to exist over `n` servers
 /// (\[MR98a\], quoted in Section 3 of the paper).
 #[must_use]
@@ -128,7 +120,7 @@ mod tests {
         let q = vec![ServerSet::full(9)];
         assert_eq!(masking_level(&q, 9), Some(0));
         assert!(!is_b_masking(&q, 9, 1));
-        assert!(has_masking_intersections(&q, 4));
+        assert!(min_intersection_size(&q) > 2 * 4);
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub fn is_fair(quorums: &[ServerSet], universe_size: usize) -> bool {
 
 /// If the system is `(s, d)`-fair, returns `Some((s, d))`.
 #[must_use]
-pub fn fairness(quorums: &[ServerSet], universe_size: usize) -> Option<(usize, usize)> {
+pub(crate) fn fairness(quorums: &[ServerSet], universe_size: usize) -> Option<(usize, usize)> {
     let s = quorums.first()?.len();
     if quorums.iter().any(|q| q.len() != s) {
         return None;
@@ -79,44 +79,6 @@ pub fn fairness(quorums: &[ServerSet], universe_size: usize) -> Option<(usize, u
         return None;
     }
     Some((s, d))
-}
-
-/// Verifies the quorum-system property: every pair of quorums intersects
-/// (Definition 3.1). `ExplicitQuorumSystem::new` enforces this at construction; the
-/// free function is useful for candidate quorum lists before committing to a system.
-#[must_use]
-pub fn is_quorum_system(quorums: &[ServerSet]) -> bool {
-    if quorums.is_empty() {
-        return false;
-    }
-    for i in 0..quorums.len() {
-        if quorums[i].is_empty() {
-            return false;
-        }
-        for j in (i + 1)..quorums.len() {
-            if quorums[i].is_disjoint_from(&quorums[j]) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Whether one quorum is a (non-strict) superset of another, i.e. whether the system
-/// fails to be an antichain (a *coterie* in the terminology of the quorum literature).
-/// Minimality is not required by the paper's definitions but dominated quorums never
-/// help load or availability, so constructions avoid them; this predicate lets tests
-/// assert that.
-#[must_use]
-pub fn has_dominated_quorum(quorums: &[ServerSet]) -> bool {
-    for i in 0..quorums.len() {
-        for j in 0..quorums.len() {
-            if i != j && quorums[i].is_subset_of(&quorums[j]) {
-                return true;
-            }
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -138,8 +100,6 @@ mod tests {
         assert_eq!(degrees(&q, 3), vec![2, 2, 2]);
         assert_eq!(fairness(&q, 3), Some((2, 2)));
         assert!(is_fair(&q, 3));
-        assert!(is_quorum_system(&q));
-        assert!(!has_dominated_quorum(&q));
     }
 
     #[test]
@@ -154,7 +114,6 @@ mod tests {
     fn intersection_size_of_disjoint_detected_as_zero() {
         let q = sets(4, &[&[0, 1], &[2, 3]]);
         assert_eq!(min_intersection_size(&q), 0);
-        assert!(!is_quorum_system(&q));
     }
 
     #[test]
@@ -162,7 +121,6 @@ mod tests {
         let q = sets(4, &[&[0, 1, 2]]);
         assert_eq!(min_quorum_size(&q), 3);
         assert_eq!(min_intersection_size(&q), 3);
-        assert!(is_quorum_system(&q));
     }
 
     #[test]
@@ -171,17 +129,6 @@ mod tests {
         let q = sets(4, &[&[0, 1, 2], &[0, 1, 3], &[0, 2, 3], &[1, 2, 3]]);
         assert_eq!(min_intersection_size(&q), 2);
         assert_eq!(fairness(&q, 4), Some((3, 3)));
-    }
-
-    #[test]
-    fn dominated_quorum_detected() {
-        let q = sets(4, &[&[0, 1], &[0, 1, 2]]);
-        assert!(has_dominated_quorum(&q));
-    }
-
-    #[test]
-    fn empty_collection_is_not_a_system() {
-        assert!(!is_quorum_system(&[]));
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub trait MinWeightQuorumOracle: QuorumSystem {
 /// Sums `prices` over the members of `set` — the exact price the engine uses
 /// for certification, independent of how the oracle computed its own value.
 #[must_use]
-pub fn quorum_price(set: &ServerSet, prices: &[f64]) -> f64 {
+pub(crate) fn quorum_price(set: &ServerSet, prices: &[f64]) -> f64 {
     set.iter().map(|u| prices[u]).sum()
 }
 

@@ -214,24 +214,6 @@ impl ExplicitQuorumSystem {
         self
     }
 
-    /// Installs an access strategy (replacing the default uniform one).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuorumError::InvalidStrategy`] if the strategy length does not match
-    /// the number of quorums.
-    pub fn set_strategy(&mut self, strategy: AccessStrategy) -> Result<(), QuorumError> {
-        if strategy.len() != self.quorums.len() {
-            return Err(QuorumError::InvalidStrategy(format!(
-                "strategy covers {} quorums but the system has {}",
-                strategy.len(),
-                self.quorums.len()
-            )));
-        }
-        self.strategy = strategy;
-        Ok(())
-    }
-
     /// The quorums of the system.
     #[must_use]
     pub fn quorums(&self) -> &[ServerSet] {
@@ -395,10 +377,8 @@ mod tests {
     }
 
     #[test]
-    fn strategy_replacement_validated() {
-        let mut q = majority(3);
-        assert!(q.set_strategy(AccessStrategy::uniform(2).unwrap()).is_err());
-        assert!(q.set_strategy(AccessStrategy::uniform(3).unwrap()).is_ok());
+    fn with_name_renames_the_system() {
+        let q = majority(3);
         let named = q.clone().with_name("majority-3");
         assert_eq!(named.name(), "majority-3");
     }

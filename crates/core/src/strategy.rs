@@ -13,7 +13,7 @@ use crate::error::QuorumError;
 
 /// A probability distribution over the quorums of an explicit quorum system.
 ///
-/// Construction precompiles a Vose alias table, so [`AccessStrategy::sample_index`]
+/// Construction precompiles a Vose alias table, so `AccessStrategy::sample_index`
 /// is O(1) regardless of how many quorums the strategy ranges over — the hot
 /// path of every strategy-driven client of the `bqs-service` load generators.
 #[derive(Debug, Clone)]
@@ -117,7 +117,7 @@ impl AccessStrategy {
     ///
     /// Returns [`QuorumError::InvalidStrategy`] if the weights are empty,
     /// negative, non-finite, or sum to zero.
-    pub fn normalized(mut weights: Vec<f64>) -> Result<Self, QuorumError> {
+    pub(crate) fn normalized(mut weights: Vec<f64>) -> Result<Self, QuorumError> {
         if weights.iter().any(|&w| w < -1e-12 || !w.is_finite()) {
             return Err(QuorumError::InvalidStrategy(
                 "weights must be finite and non-negative".into(),
@@ -178,7 +178,7 @@ impl AccessStrategy {
     /// Samples a quorum index according to the strategy, in O(1) via the
     /// precompiled alias table: one uniform draw selects both the bucket and
     /// the biased coin deciding between the bucket and its alias.
-    pub fn sample_index<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample_index<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let m = self.prob.len();
         let x: f64 = rng.gen();
         let scaled = x * m as f64;

@@ -100,12 +100,6 @@ pub fn resilience(quorums: &[ServerSet], universe_size: usize) -> usize {
     min_transversal_size(quorums, universe_size).saturating_sub(1)
 }
 
-/// Returns true if `candidate` is a transversal of the quorums (hits every quorum).
-#[must_use]
-pub fn is_transversal(quorums: &[ServerSet], candidate: &ServerSet) -> bool {
-    quorums.iter().all(|q| !q.is_disjoint_from(candidate))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,7 +153,7 @@ mod tests {
             .map(|s| ServerSet::from_indices(6, s))
             .collect();
         let greedy = greedy_transversal(&quorums, 6);
-        assert!(is_transversal(&quorums, &greedy));
+        assert!(quorums.iter().all(|q| !q.is_disjoint_from(&greedy)));
         assert!(greedy.len() >= min_transversal_size(&quorums, 6));
     }
 
@@ -170,7 +164,7 @@ mod tests {
         let q = sets(4, &[&[0, 1], &[0, 2], &[1, 2], &[3, 1], &[3, 2]]);
         assert_eq!(min_transversal_size(&q, 4), 2);
         let t = min_transversal(&q, 4);
-        assert!(is_transversal(&q, &t));
+        assert!(q.iter().all(|quorum| !quorum.is_disjoint_from(&t)));
         assert_eq!(t.len(), 2);
     }
 
@@ -183,12 +177,5 @@ mod tests {
                 .collect();
             assert_eq!(min_transversal_size(&quorums, k), k - l + 1, "k={k} l={l}");
         }
-    }
-
-    #[test]
-    fn is_transversal_rejects_non_hitting_sets() {
-        let q = sets(4, &[&[0, 1], &[2, 3]]);
-        assert!(!is_transversal(&q, &ServerSet::from_indices(4, [0])));
-        assert!(is_transversal(&q, &ServerSet::from_indices(4, [0, 2])));
     }
 }

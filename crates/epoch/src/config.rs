@@ -180,7 +180,7 @@ impl EpochPlanner {
     /// # Errors
     ///
     /// As [`EpochPlanner::recertify`].
-    pub fn initial_config(&self) -> Result<EpochConfig, QuorumError> {
+    pub(crate) fn initial_config(&self) -> Result<EpochConfig, QuorumError> {
         self.recertify(&ServerSet::full(self.universe_size), 0)
     }
 

@@ -44,8 +44,8 @@ pub use prelude::*;
 
 /// Convenient glob import for benches and tests — also the crate root's re-exports.
 pub mod prelude {
-    pub use crate::config::{EpochConfig, EpochPlanner, StrategySource};
-    pub use crate::manager::{EpochManager, EpochTransition, TickOutcome};
-    pub use crate::runner::{run_reconfigure, PhaseSummary, ReconfigConfig, ReconfigOutcome};
+    pub use crate::config::EpochPlanner;
+    pub use crate::manager::{EpochManager, TickOutcome};
+    pub use crate::runner::{run_reconfigure, ReconfigConfig, ReconfigOutcome};
     pub use crate::suspicion::{SuspicionConfig, SuspicionEngine};
 }

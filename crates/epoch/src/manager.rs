@@ -55,9 +55,9 @@ pub enum TickOutcome {
     },
 }
 
-/// A record of one reconfiguration, kept for reporting and fingerprinting.
+/// A record of one reconfiguration, kept for the fingerprint.
 #[derive(Debug, Clone)]
-pub struct EpochTransition {
+pub(crate) struct EpochTransition {
     /// Epoch before the handoff.
     pub from: u64,
     /// Epoch after the handoff.
@@ -89,7 +89,7 @@ impl EpochManager {
     ///
     /// # Errors
     ///
-    /// Certification failures from [`EpochPlanner::initial_config`].
+    /// Certification failures from `EpochPlanner::initial_config`.
     pub fn new(
         planner: EpochPlanner,
         suspicion: SuspicionConfig,
@@ -121,22 +121,10 @@ impl EpochManager {
         &self.current
     }
 
-    /// Whether a handoff is waiting for its finalizing tick.
-    #[must_use]
-    pub fn handoff_pending(&self) -> bool {
-        self.pending.is_some()
-    }
-
     /// The suspicion engine (read-only).
     #[must_use]
     pub fn engine(&self) -> &SuspicionEngine {
         &self.engine
-    }
-
-    /// Every reconfiguration so far, in order.
-    #[must_use]
-    pub fn transitions(&self) -> &[EpochTransition] {
-        &self.transitions
     }
 
     /// One control-loop step; see the module docs for the phase ordering.
@@ -273,7 +261,7 @@ mod tests {
         }
         // The handoff is pending: window open, active config is epoch 1,
         // current still epoch 0.
-        assert!(m.handoff_pending());
+        assert!(m.pending.is_some());
         assert_eq!(gate.window(), (0, 1));
         assert_eq!(m.active().epoch, 1);
         assert_eq!(m.current().epoch, 0);
@@ -288,9 +276,9 @@ mod tests {
         );
         assert_eq!(gate.window(), (1, 1));
         assert_eq!(m.current().epoch, 1);
-        assert!(!m.handoff_pending());
-        assert_eq!(m.transitions().len(), 1);
-        assert_eq!(m.transitions()[0].suspects.to_vec(), vec![4]);
+        assert!(m.pending.is_none());
+        assert_eq!(m.transitions.len(), 1);
+        assert_eq!(m.transitions[0].suspects.to_vec(), vec![4]);
 
         // Steady afterwards: the suspect set is stable.
         evidence_round(&metrics, &[4]);
@@ -310,7 +298,7 @@ mod tests {
             assert_eq!(m.tick(&metrics.snapshot()).unwrap(), TickOutcome::Steady);
         }
         assert_eq!(gate.window(), (0, 0));
-        assert!(m.transitions().is_empty());
+        assert!(m.transitions.is_empty());
         assert_eq!(m.active().epoch, 0);
     }
 

@@ -10,7 +10,7 @@
 //! * **Ratio evidence** — per tick, the engine looks at the evidence *delta*
 //!   since the previous tick's snapshot ([`MetricsSnapshot::since`]); a
 //!   server whose no-answer fraction over the delta reaches
-//!   [`ACCUSE_RATIO`] (with at least [`MIN_SAMPLES`] samples) is accused for
+//!   `ACCUSE_RATIO` (with at least `MIN_SAMPLES` samples) is accused for
 //!   that tick. Crashed replicas acknowledge writes in-band but serve reads
 //!   `None`, so under any read-leaning mix their accusal fraction sits near
 //!   the read fraction — far above a healthy server's (whose only `None`s
@@ -21,16 +21,16 @@
 //!   delta) does move: a server whose p99 reaches
 //!   [`SuspicionConfig::latency_factor`] times the fleet median p99 is
 //!   accused on this channel instead — provided that p99 is at least
-//!   [`LATENCY_ACCUSAL_FLOOR_NS`]: on an in-process transport an honest p99
+//!   `LATENCY_ACCUSAL_FLOOR_NS`: on an in-process transport an honest p99
 //!   is under a microsecond, so the ratio alone would accuse a healthy
 //!   server of one scheduler preemption. Wall-clock evidence is inherently
 //!   non-deterministic, so replay-exact harnesses run with
 //!   [`SuspicionConfig::counters_only`], which disables this channel.
 //! * **Accrual with hysteresis** — accusals accumulate into a per-server
-//!   score (+1 per accusing tick, −[`DECAY`] per clean tick, floored at
+//!   score (+1 per accusing tick, −`DECAY` per clean tick, floored at
 //!   zero). A server becomes suspected only when its score reaches
-//!   [`SUSPECT_SCORE`] and is cleared only when it decays back to
-//!   [`CLEAR_SCORE`] — a one-tick burst of jitter or loss never flips
+//!   `SUSPECT_SCORE` and is cleared only when it decays back to
+//!   `CLEAR_SCORE` — a one-tick burst of jitter or loss never flips
 //!   anybody, and a flapping server cannot make the configuration flap with
 //!   it. The detector is deliberately slow to accuse and slower to forgive:
 //!   three consecutive accusing ticks to suspect, two clean ticks to clear.
@@ -44,27 +44,27 @@ use bqs_service::metrics::{MetricsSnapshot, ServiceMetrics};
 /// coalition answers in (≥ 18 ms in the chaos scenarios), while one 25–50 µs
 /// preemption — 30–60× a loopback fleet's sub-microsecond median — stays
 /// well beneath it.
-pub const LATENCY_ACCUSAL_FLOOR_NS: u64 = 1_000_000;
+pub(crate) const LATENCY_ACCUSAL_FLOOR_NS: u64 = 1_000_000;
 
 /// Minimum evidence samples (answers + no-answers) in a tick's delta before
 /// the ratio channel may accuse: starves rumors of single lost packets.
-pub const MIN_SAMPLES: u64 = 8;
+pub(crate) const MIN_SAMPLES: u64 = 8;
 
 /// No-answer fraction of the tick's delta at which the ratio channel
 /// accuses. Sits above the background accusal fraction of a healthy fleet
 /// (empty-register reads, occasional drops) and below a dead server's (its
 /// read fraction).
-pub const ACCUSE_RATIO: f64 = 0.5;
+pub(crate) const ACCUSE_RATIO: f64 = 0.5;
 
 /// Score at which a server becomes suspected.
-pub const SUSPECT_SCORE: f64 = 3.0;
+pub(crate) const SUSPECT_SCORE: f64 = 3.0;
 
 /// Score at which an already-suspected server is cleared; below
 /// [`SUSPECT_SCORE`] — the hysteresis band.
-pub const CLEAR_SCORE: f64 = 1.0;
+pub(crate) const CLEAR_SCORE: f64 = 1.0;
 
 /// Score subtracted per non-accusing tick (floored at zero).
-pub const DECAY: f64 = 1.0;
+pub(crate) const DECAY: f64 = 1.0;
 
 /// Minimum cumulative answers from a server before its p99 is trusted as
 /// latency evidence.
@@ -141,12 +141,6 @@ impl SuspicionEngine {
     #[must_use]
     pub fn scores(&self) -> &[f64] {
         &self.scores
-    }
-
-    /// Whether server `i` is currently suspected.
-    #[must_use]
-    pub fn is_suspected(&self, i: usize) -> bool {
-        self.suspected[i]
     }
 
     /// The suspect set as a mask over the universe.
@@ -279,10 +273,10 @@ mod tests {
             let changed = engine.tick(&metrics.snapshot());
             if round < 3 {
                 assert!(!changed, "accrual must not fire before the threshold");
-                assert!(!engine.is_suspected(2));
+                assert!(!engine.suspected[2]);
             } else {
                 assert!(changed, "third accusing tick crosses SUSPECT_SCORE = 3");
-                assert!(engine.is_suspected(2));
+                assert!(engine.suspected[2]);
             }
         }
         assert_eq!(engine.suspects().to_vec(), vec![2]);
@@ -314,7 +308,7 @@ mod tests {
             healthy_tick(&metrics, n, &[]);
             assert!(!engine.tick(&metrics.snapshot()));
         }
-        assert!(!engine.is_suspected(1));
+        assert!(!engine.suspected[1]);
         assert_eq!(engine.scores()[1], 0.0);
     }
 
@@ -328,18 +322,18 @@ mod tests {
             feed(&metrics, 0, 0, 12);
             engine.tick(&metrics.snapshot());
         }
-        assert!(engine.is_suspected(0));
+        assert!(engine.suspected[0]);
         // One clean tick: score 3 → 2, still above CLEAR_SCORE = 1.
         healthy_tick(&metrics, n, &[]);
         assert!(
             !engine.tick(&metrics.snapshot()),
             "one clean tick must not clear"
         );
-        assert!(engine.is_suspected(0));
+        assert!(engine.suspected[0]);
         // A second clean tick decays to 1 = CLEAR_SCORE: cleared.
         healthy_tick(&metrics, n, &[]);
         assert!(engine.tick(&metrics.snapshot()));
-        assert!(!engine.is_suspected(0));
+        assert!(!engine.suspected[0]);
     }
 
     #[test]
@@ -358,9 +352,9 @@ mod tests {
             }
             engine.tick(&metrics.snapshot());
         }
-        assert!(engine.is_suspected(5), "scores: {:?}", engine.scores());
+        assert!(engine.suspected[5], "scores: {:?}", engine.scores());
         for s in 0..5 {
-            assert!(!engine.is_suspected(s));
+            assert!(!engine.suspected[s]);
         }
         // The same evidence under counters-only never accuses: the replay-
         // deterministic profile trades this adversary for exactness.

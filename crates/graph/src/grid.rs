@@ -36,7 +36,7 @@ impl Axis {
 /// search and network build, where a heap allocation per call would dominate.
 /// Dereferences to the slice of neighbours and iterates by value.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Neighbors {
+pub(crate) struct Neighbors {
     items: [usize; 6],
     len: usize,
 }
@@ -111,14 +111,14 @@ impl TriangulatedGrid {
 
     /// Maps a vertex index back to `(row, col)`.
     #[must_use]
-    pub fn coords(&self, v: usize) -> (usize, usize) {
+    pub(crate) fn coords(&self, v: usize) -> (usize, usize) {
         (v / self.side, v % self.side)
     }
 
     /// Returns the neighbours of vertex `v` in the triangulated grid, in the
     /// fixed order left, right, up, down, up-right, down-left.
     #[must_use]
-    pub fn neighbors(&self, v: usize) -> Neighbors {
+    pub(crate) fn neighbors(&self, v: usize) -> Neighbors {
         let (r, c) = self.coords(v);
         let s = self.side;
         let mut out = Neighbors::default();
@@ -188,7 +188,7 @@ impl TriangulatedGrid {
     /// (consecutive vertices adjacent, no repeated vertices) from the source side to
     /// the sink side of `axis`.
     #[must_use]
-    pub fn is_crossing_path(&self, axis: Axis, path: &[usize]) -> bool {
+    pub(crate) fn is_crossing_path(&self, axis: Axis, path: &[usize]) -> bool {
         if path.is_empty() {
             return false;
         }

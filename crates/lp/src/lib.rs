@@ -43,5 +43,5 @@
 pub mod packing;
 pub mod simplex;
 
-pub use packing::{PackingLp, PackingOutcome};
-pub use simplex::{Constraint, LinearProgram, LpOutcome, Relation, Solution};
+pub use packing::PackingLp;
+pub use simplex::{Constraint, LinearProgram, LpOutcome, Relation};

@@ -349,12 +349,6 @@ impl PackingLp {
         // Reduced cost of slack i is 0 - y_i, so y_i = -z[i].
         self.z[..self.rows].iter().map(|&z| (-z).max(0.0)).collect()
     }
-
-    /// The original sparse entries of structural column `j`.
-    #[must_use]
-    pub fn column_entries(&self, j: usize) -> &[usize] {
-        &self.entries[j]
-    }
 }
 
 #[cfg(test)]
@@ -387,7 +381,7 @@ mod tests {
         let loads: Vec<f64> = (0..3)
             .map(|u| {
                 (0..3)
-                    .filter(|&j| lp.column_entries(j).contains(&u))
+                    .filter(|&j| lp.entries[j].contains(&u))
                     .map(|j| x[j])
                     .sum()
             })

@@ -82,7 +82,7 @@ pub use codec::{
 pub use deploy::{Backend, Deployment};
 pub use server::SocketServer;
 pub use stream::{Endpoint, Listener, Stream};
-pub use transport::{NetConfig, NetStats, SocketTransport};
+pub use transport::{NetConfig, SocketTransport};
 
 /// Convenient glob import for examples and benches.
 pub mod prelude {
@@ -93,5 +93,5 @@ pub mod prelude {
     pub use crate::deploy::{Backend, Deployment};
     pub use crate::server::SocketServer;
     pub use crate::stream::{Endpoint, Listener, Stream};
-    pub use crate::transport::{NetConfig, NetStats, SocketTransport};
+    pub use crate::transport::{NetConfig, SocketTransport};
 }

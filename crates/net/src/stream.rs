@@ -53,7 +53,7 @@ pub enum Stream {
 impl Stream {
     /// An independently owned handle to the same connection (for split
     /// reader/writer threads).
-    pub fn try_clone(&self) -> io::Result<Stream> {
+    pub(crate) fn try_clone(&self) -> io::Result<Stream> {
         match self {
             Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
             Stream::Uds(s) => s.try_clone().map(Stream::Uds),
@@ -70,7 +70,7 @@ impl Stream {
 
     /// Disables Nagle batching on TCP (request/reply traffic is latency
     /// sensitive); a no-op for Unix-domain sockets.
-    pub fn set_nodelay(&self) -> io::Result<()> {
+    pub(crate) fn set_nodelay(&self) -> io::Result<()> {
         match self {
             Stream::Tcp(s) => s.set_nodelay(true),
             Stream::Uds(_) => Ok(()),

@@ -38,7 +38,7 @@
 //!   (configurable client count and read/write mix, client 0 the one writer)
 //!   over a service the caller spawned — and may reuse across trials — with
 //!   online safety checking sound under concurrency (value authenticity plus
-//!   the writer's read-your-writes) — [`runner::judge_read`], the
+//!   the writer's read-your-writes) — `runner::judge_read`, the
 //!   [`runner::OpTally`] every generator's report is filled from, and
 //!   [`runner::OpTally::perform`], the one closed-loop operation `run_service`
 //!   and `bqs-chaos` share;
@@ -103,18 +103,13 @@ pub use prelude::*;
 
 /// Convenient glob import for examples and benches — also the crate root's re-exports.
 pub mod prelude {
-    pub use crate::client::{ServiceClient, ServiceError, ServiceReadOutcome};
+    pub use crate::client::{ServiceClient, ServiceError};
     pub use crate::mailbox::{DrainStatus, Mailbox, ReplyHandle, ReplyMailbox, ReplySink};
-    pub use crate::metrics::{
-        HistogramSnapshot, LatencyHistogram, MetricsSnapshot, ServiceMetrics,
-    };
+    pub use crate::metrics::{MetricsSnapshot, ServiceMetrics};
     pub use crate::openloop::{
         run_open_loop_session, OpenLoopConfig, OpenLoopReport, OpenLoopSession,
     };
-    pub use crate::runner::{
-        authentic_value, judge_read, run_service, OpTally, ReadVerdict, ServiceConfig,
-        ServiceReport,
-    };
+    pub use crate::runner::{authentic_value, run_service, OpTally, ServiceConfig, ServiceReport};
     pub use crate::shard::{LoopbackService, TimestampOracle};
     pub use crate::transport::{Operation, Reply, Request, Transport};
 }

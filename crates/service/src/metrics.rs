@@ -33,7 +33,7 @@ const BUCKETS: usize = 64;
 /// range from 1 ns to ~584 years fits in 64 buckets. Read it through
 /// [`LatencyHistogram::snapshot`].
 #[derive(Debug)]
-pub struct LatencyHistogram {
+pub(crate) struct LatencyHistogram {
     buckets: [AtomicU64; BUCKETS],
 }
 
@@ -67,7 +67,7 @@ impl LatencyHistogram {
     }
 }
 
-/// The bucket counts of a [`LatencyHistogram`] at one instant (bucket `i`
+/// The bucket counts of a `LatencyHistogram` at one instant (bucket `i`
 /// holds the samples of bit length `i`), and the quantiles read off them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSnapshot(pub [u64; BUCKETS]);
@@ -253,27 +253,27 @@ impl ServiceMetrics {
 
     /// Records one protocol message delivered to `server` (relaxed; called
     /// under the owning shard's lock on every request).
-    pub fn record_access(&self, server: usize) {
+    pub(crate) fn record_access(&self, server: usize) {
         self.accesses[server].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one completed operation and its end-to-end latency.
-    pub fn record_operation(&self, latency_nanos: u64) {
+    pub(crate) fn record_operation(&self, latency_nanos: u64) {
         self.latency.record(latency_nanos);
     }
 
     /// Records one reply-deadline expiry seen by a waiting client.
-    pub fn record_timeout(&self) {
+    pub(crate) fn record_timeout(&self) {
         self.timeouts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one retried operation attempt.
-    pub fn record_retry(&self) {
+    pub(crate) fn record_retry(&self) {
         self.retries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one abandoned operation.
-    pub fn record_abort(&self) {
+    pub(crate) fn record_abort(&self) {
         self.aborts.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -292,7 +292,12 @@ impl ServiceMetrics {
 
     /// Records one counted vote of an operation fanned out at `asked` as
     /// failure-detector evidence: an answer with its latency, or a no-answer.
-    pub fn record_server_vote(&self, server: usize, answered: bool, asked: std::time::Instant) {
+    pub(crate) fn record_server_vote(
+        &self,
+        server: usize,
+        answered: bool,
+        asked: std::time::Instant,
+    ) {
         if answered {
             self.record_server_answer(server, asked.elapsed().as_nanos() as u64);
         } else {

@@ -163,7 +163,7 @@ pub(crate) fn register_op(is_write: bool, clock: &TimestampOracle) -> Operation 
 
 /// What the safety checker found wrong with one completed read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadVerdict {
+pub(crate) struct ReadVerdict {
     /// The pair was never written: the value does not belong to the
     /// timestamp, or the timestamp was never allocated.
     pub fabricated: bool,
@@ -176,7 +176,11 @@ pub struct ReadVerdict {
 /// timestamp where that predicate is sound (a single writer reading its own
 /// register), 0 where it is not.
 #[must_use]
-pub fn judge_read(entry: Entry, clock: &TimestampOracle, ryw_floor: Timestamp) -> ReadVerdict {
+pub(crate) fn judge_read(
+    entry: Entry,
+    clock: &TimestampOracle,
+    ryw_floor: Timestamp,
+) -> ReadVerdict {
     ReadVerdict {
         fabricated: entry.value != authentic_value(entry.timestamp)
             || entry.timestamp > clock.latest(),
@@ -202,15 +206,15 @@ pub struct OpTally {
     pub reads_aborted: u64,
     /// Operations fenced by the servers' epoch gate.
     pub fenced: u64,
-    /// Resolved reads judged [`ReadVerdict::fabricated`].
+    /// Resolved reads judged `ReadVerdict::fabricated`.
     pub fabricated: u64,
-    /// Resolved reads judged [`ReadVerdict::stale`].
+    /// Resolved reads judged `ReadVerdict::stale`.
     pub stale: u64,
 }
 
 impl OpTally {
     /// Tallies one finished operation — `Ok(None)` is an acknowledged write,
-    /// `Ok(Some(entry))` a resolved read, judged by [`judge_read`]. Returns
+    /// `Ok(Some(entry))` a resolved read, judged by `judge_read`. Returns
     /// true for a full quorum round trip (see [`OpTally::round_trips`]).
     pub fn record(
         &mut self,

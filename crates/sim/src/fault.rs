@@ -133,12 +133,6 @@ impl FaultPlan {
         plan
     }
 
-    /// The behaviour assigned to `server`.
-    #[must_use]
-    pub fn behavior(&self, server: usize) -> Behavior {
-        self.behaviors[server]
-    }
-
     /// Number of Byzantine servers in the plan.
     #[must_use]
     pub fn byzantine_count(&self) -> usize {
@@ -176,10 +170,10 @@ mod tests {
         assert_eq!(p.universe_size(), 5);
         assert_eq!(p.byzantine_count(), 0);
         assert_eq!(p.crash_count(), 0);
-        assert!(p
-            .build_replicas()
-            .iter()
-            .all(|r| r.behavior() == Behavior::Correct));
+        assert!(p.behaviors.iter().all(|&b| b == Behavior::Correct));
+        let replicas = p.build_replicas();
+        assert_eq!(replicas.len(), 5);
+        assert!(replicas.iter().all(Replica::is_responsive));
     }
 
     #[test]
@@ -190,8 +184,8 @@ mod tests {
             .with_crashed(5);
         assert_eq!(p.byzantine_count(), 2);
         assert_eq!(p.crash_count(), 1);
-        assert!(matches!(p.behavior(1), Behavior::Byzantine(_)));
-        assert_eq!(p.behavior(0), Behavior::Correct);
+        assert!(matches!(p.behaviors[1], Behavior::Byzantine(_)));
+        assert_eq!(p.behaviors[0], Behavior::Correct);
     }
 
     #[test]
@@ -218,13 +212,13 @@ mod tests {
             &weights,
         );
         // The two 0.4-weight servers, tie broken towards the lower index.
-        assert!(matches!(p.behavior(1), Behavior::Byzantine(_)));
-        assert!(matches!(p.behavior(3), Behavior::Byzantine(_)));
+        assert!(matches!(p.behaviors[1], Behavior::Byzantine(_)));
+        assert!(matches!(p.behaviors[3], Behavior::Byzantine(_)));
         assert_eq!(p.byzantine_count(), 2);
         // Three targets: next is the 0.2-weight server.
         let p3 = FaultPlan::targeted_by_weight(5, 3, ByzantineStrategy::StaleReplay, &weights);
-        assert!(matches!(p3.behavior(2), Behavior::Byzantine(_)));
-        assert_eq!(p3.behavior(0), Behavior::Correct);
+        assert!(matches!(p3.behaviors[2], Behavior::Byzantine(_)));
+        assert_eq!(p3.behaviors[0], Behavior::Correct);
     }
 
     #[test]

@@ -116,12 +116,6 @@ impl Replica {
         }
     }
 
-    /// The replica's behaviour.
-    #[must_use]
-    pub fn behavior(&self) -> Behavior {
-        self.behavior
-    }
-
     /// The replica's current stored entry (what a correct replica would report).
     #[must_use]
     pub fn stored(&self) -> Option<Entry> {

@@ -2,13 +2,28 @@
 //! with the exact measures computed by `bqs-core` on explicit instances, and the
 //! paper's headline claims (Lemma 3.6, Propositions 5.1–7.2) hold on them.
 
+use byzantine_quorums::core::bounds::{
+    crash_probability_lower_bound_masking, crash_probability_lower_bound_tight,
+    proposition_4_5_applies,
+};
 use byzantine_quorums::core::prelude::*;
 use byzantine_quorums::prelude::*;
 
+/// A construction's name, its explicit quorum list, its analytic `b` and load
+/// claims, and the construction itself (whose count kernel enumerates `F_p`
+/// faster than the explicit list's).
+type Instance = (
+    String,
+    ExplicitQuorumSystem,
+    usize,
+    f64,
+    Box<dyn QuorumSystem>,
+);
+
 /// Builds small explicit instances of every construction together with their
 /// analytic (b, load) claims.
-fn small_instances() -> Vec<(String, ExplicitQuorumSystem, usize, f64)> {
-    let mut out = Vec::new();
+fn small_instances() -> Vec<Instance> {
+    let mut out: Vec<Instance> = Vec::new();
 
     let t = ThresholdSystem::minimal_masking(1).unwrap();
     out.push((
@@ -16,6 +31,7 @@ fn small_instances() -> Vec<(String, ExplicitQuorumSystem, usize, f64)> {
         t.to_explicit(10_000).unwrap(),
         t.masking_b(),
         t.analytic_load(),
+        Box::new(t),
     ));
 
     let t2 = ThresholdSystem::masking(9, 2).unwrap();
@@ -24,6 +40,7 @@ fn small_instances() -> Vec<(String, ExplicitQuorumSystem, usize, f64)> {
         t2.to_explicit(10_000).unwrap(),
         t2.masking_b(),
         t2.analytic_load(),
+        Box::new(t2),
     ));
 
     let g = GridSystem::new(5, 1).unwrap();
@@ -32,6 +49,7 @@ fn small_instances() -> Vec<(String, ExplicitQuorumSystem, usize, f64)> {
         g.to_explicit(10_000).unwrap(),
         g.masking_b(),
         g.analytic_load(),
+        Box::new(g),
     ));
 
     let m = MGridSystem::new(5, 2).unwrap();
@@ -40,6 +58,7 @@ fn small_instances() -> Vec<(String, ExplicitQuorumSystem, usize, f64)> {
         m.to_explicit(10_000).unwrap(),
         m.masking_b(),
         m.analytic_load(),
+        Box::new(m),
     ));
 
     let rt = RtSystem::new(4, 3, 2).unwrap();
@@ -48,6 +67,7 @@ fn small_instances() -> Vec<(String, ExplicitQuorumSystem, usize, f64)> {
         rt.to_explicit(10_000).unwrap(),
         rt.masking_b(),
         rt.analytic_load(),
+        Box::new(rt),
     ));
 
     let fpp = FppSystem::new(3).unwrap();
@@ -56,6 +76,7 @@ fn small_instances() -> Vec<(String, ExplicitQuorumSystem, usize, f64)> {
         fpp.to_explicit().unwrap(),
         fpp.masking_b(),
         fpp.analytic_load(),
+        Box::new(fpp),
     ));
 
     out
@@ -63,7 +84,7 @@ fn small_instances() -> Vec<(String, ExplicitQuorumSystem, usize, f64)> {
 
 #[test]
 fn analytic_masking_levels_match_exact_measures() {
-    for (name, explicit, claimed_b, _) in small_instances() {
+    for (name, explicit, claimed_b, _, _) in small_instances() {
         let n = explicit.universe_size();
         let exact = masking_level(explicit.quorums(), n)
             .unwrap_or_else(|| panic!("{name}: not even a quorum system"));
@@ -80,7 +101,7 @@ fn analytic_masking_levels_match_exact_measures() {
 
 #[test]
 fn analytic_loads_match_lp_loads() {
-    for (name, explicit, _, claimed_load) in small_instances() {
+    for (name, explicit, _, claimed_load, _) in small_instances() {
         let n = explicit.universe_size();
         let (lp, strategy) = optimal_load(explicit.quorums(), n).unwrap();
         assert!(
@@ -106,7 +127,7 @@ fn analytic_loads_match_lp_loads() {
 
 #[test]
 fn all_instances_are_fair_so_proposition_3_9_applies() {
-    for (name, explicit, _, claimed_load) in small_instances() {
+    for (name, explicit, _, claimed_load, _) in small_instances() {
         let n = explicit.universe_size();
         if is_fair(explicit.quorums(), n) {
             let fl = fair_load(explicit.quorums(), n).unwrap();
@@ -183,4 +204,40 @@ fn availability_of_lazy_and_explicit_forms_agrees() {
         let explicit = Evaluator::new().exact(&g_explicit, p).unwrap();
         assert!((lazy - explicit).abs() < 1e-12, "p={p}");
     }
+}
+
+#[test]
+fn exact_availability_meets_the_section_4_1_floors() {
+    // Propositions 4.3–4.5, with MT, IS and c computed exactly on the explicit
+    // quorum lists and F_p enumerated exactly (every instance has n ≤ 25).
+    let ps = [0.01, 0.05, 0.125, 0.25, 0.4, 0.5, 0.6, 0.8, 0.95];
+    let mut prop_4_5_checked = 0;
+    for (name, explicit, b, _, system) in small_instances() {
+        let n = explicit.universe_size();
+        let quorums = explicit.quorums();
+        let mt = min_transversal_size(quorums, n);
+        let is = min_intersection_size(quorums);
+        let c = min_quorum_size(quorums);
+        let tight = proposition_4_5_applies(mt, is);
+        prop_4_5_checked += usize::from(tight);
+        let profile = Evaluator::new().availability_profile(&*system).unwrap();
+        for &p in &ps {
+            let fp = profile.crash_probability(p);
+            let floors = [
+                ("4.3", crash_probability_lower_bound_resilience(p, mt)),
+                ("4.4", crash_probability_lower_bound_masking(p, c, b)),
+                ("4.5", crash_probability_lower_bound_tight(p, b)),
+            ];
+            for (prop, floor) in floors {
+                if prop == "4.5" && !tight {
+                    continue;
+                }
+                assert!(
+                    fp >= floor * (1.0 - 1e-12),
+                    "{name}, p = {p}: F_p = {fp} below Proposition {prop}'s floor {floor}"
+                );
+            }
+        }
+    }
+    assert!(prop_4_5_checked > 0, "no instance met MT ≤ (IS + 1) / 2");
 }
