@@ -56,6 +56,27 @@ pub fn prime_power(n: u64) -> Option<(u64, u32)> {
 mod tests {
     use super::*;
 
+    /// Independent primality reference for `prime_power`: trial division.
+    fn is_prime(n: u64) -> bool {
+        if n < 2 {
+            return false;
+        }
+        if n < 4 {
+            return true;
+        }
+        if n.is_multiple_of(2) {
+            return false;
+        }
+        let mut d = 3u64;
+        while d * d <= n {
+            if n.is_multiple_of(d) {
+                return false;
+            }
+            d += 2;
+        }
+        true
+    }
+
     #[test]
     fn prime_powers_up_to_32() {
         let pps: Vec<u64> = (0..=32).filter(|&n| prime_power(n).is_some()).collect();
@@ -72,5 +93,18 @@ mod tests {
         assert_eq!(prime_power(5 * 7), None);
         assert_eq!(prime_power(2 * 3 * 5), None);
         assert_eq!(prime_power(121), Some((11, 2)));
+    }
+
+    #[test]
+    fn prime_power_consistent_with_is_prime() {
+        for n in 2..500u64 {
+            if is_prime(n) {
+                assert_eq!(prime_power(n), Some((n, 1)), "n={n}");
+            }
+            if let Some((p, r)) = prime_power(n) {
+                assert!(is_prime(p));
+                assert_eq!(p.pow(r), n);
+            }
+        }
     }
 }
