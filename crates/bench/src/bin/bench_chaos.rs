@@ -35,7 +35,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use bqs_bench::{bench_args, exit_on_failures, json_escape, time};
+use bqs_bench::{bench_args, time, Gate, Json};
 use bqs_chaos::prelude::*;
 use bqs_constructions::prelude::*;
 use bqs_core::quorum::QuorumSystem;
@@ -48,14 +48,6 @@ const B: usize = 1;
 /// The fixed seed matrix: each cell of the sweep runs once per seed, and the
 /// gate must hold for every seed independently.
 const SEEDS: &[u64] = &[0xC4A0_5EED, 0x00BD_CAFE];
-
-/// One measured cell of the matrix.
-struct Run {
-    backend: &'static str,
-    outcome: ScenarioOutcome,
-    seed: u64,
-    seconds: f64,
-}
 
 /// Runs one (scenario, backend, faults, seed) workload on a fresh
 /// deployment of the scenario's fault plan. The transport under the chaos
@@ -118,8 +110,8 @@ fn main() {
         }
     };
 
-    let mut failures: Vec<String> = Vec::new();
-    let mut runs: Vec<Run> = Vec::new();
+    let mut gate = Gate::default();
+    let mut runs = Vec::new();
 
     for &seed in SEEDS {
         for backend in Backend::ALL {
@@ -135,43 +127,70 @@ fn main() {
                         scenario.name(),
                         config.seed
                     );
-                    let (outcome, seconds) =
+                    let (o, seconds) =
                         time(|| run_on(backend, scenario, &system, faults, &weights, &config));
-                    let run = Run {
-                        backend: backend.name(),
-                        outcome,
-                        seed: config.seed,
-                        seconds,
-                    };
-                    let o = &run.outcome;
+                    let cell = format!("{}/{} seed {seed:#x}", backend.name(), o.scenario);
                     if faults <= B {
-                        if o.safety_violations() > 0 {
-                            failures.push(format!(
-                                "{}/{} seed {seed:#x}: {} safety violations at b = {B} (must mask)",
-                                run.backend,
-                                o.scenario,
+                        gate.check(
+                            o.safety_violations() == 0,
+                            format!(
+                                "{cell}: {} safety violations at b = {B} (must mask)",
                                 o.safety_violations()
-                            ));
-                        }
-                        if o.ops.reads == 0 {
-                            failures.push(format!(
-                                "{}/{} seed {seed:#x}: no read completed at b = {B} (degradation must stay graceful)",
-                                run.backend, o.scenario
-                            ));
-                        }
-                        if o.ops.reads_aborted > 0 {
-                            failures.push(format!(
-                                "{}/{} seed {seed:#x}: {} read(s) aborted at b = {B} (retries must absorb chaos inside the masking envelope)",
-                                run.backend, o.scenario, o.ops.reads_aborted
-                            ));
-                        }
-                    } else if !o.detected() {
-                        failures.push(format!(
-                            "{}/{} seed {seed:#x}: no violation detected at b + 1 = {faults} (tightness must show)",
-                            run.backend, o.scenario
-                        ));
+                            ),
+                        );
+                        gate.check(
+                            o.ops.reads > 0,
+                            format!("{cell}: no read completed at b = {B} (degradation must stay graceful)"),
+                        );
+                        gate.check(
+                            o.ops.reads_aborted == 0,
+                            format!(
+                                "{cell}: {} read(s) aborted at b = {B} (retries must absorb chaos inside the masking envelope)",
+                                o.ops.reads_aborted
+                            ),
+                        );
+                    } else {
+                        gate.check(
+                            o.detected(),
+                            format!("{cell}: no violation detected at b + 1 = {faults} (tightness must show)"),
+                        );
                     }
-                    runs.push(run);
+                    let read_aborts_per_sec = if seconds > 0.0 {
+                        o.ops.reads_aborted as f64 / seconds
+                    } else {
+                        0.0
+                    };
+                    runs.push(Json::obj([
+                        ("backend", Json::str(backend.name())),
+                        ("scenario", Json::str(o.scenario)),
+                        ("faults", Json::num(o.faults)),
+                        ("b", Json::num(o.b)),
+                        ("seed", Json::num(config.seed)),
+                        ("masked", Json::Bool(o.safety_violations() == 0)),
+                        ("detected", Json::Bool(o.detected())),
+                        ("safety_violations", Json::num(o.safety_violations())),
+                        ("authenticity_violations", Json::num(o.ops.fabricated)),
+                        ("ryw_violations", Json::num(o.ops.stale)),
+                        ("writes_completed", Json::num(o.ops.writes)),
+                        ("writes_aborted", Json::num(o.ops.writes_aborted)),
+                        ("reads_completed", Json::num(o.ops.reads)),
+                        ("reads_inconclusive", Json::num(o.ops.inconclusive)),
+                        ("reads_aborted", Json::num(o.ops.reads_aborted)),
+                        ("read_aborts_per_sec", Json::sci(read_aborts_per_sec)),
+                        ("no_live_quorum", Json::num(o.ops.unavailable)),
+                        ("timeouts", Json::num(o.metrics.timeouts)),
+                        ("retries", Json::num(o.metrics.retries)),
+                        ("aborts", Json::num(o.metrics.aborts)),
+                        (
+                            "chaos_drops",
+                            Json::num(o.chaos.dropped + o.chaos.partitioned),
+                        ),
+                        ("chaos_duplicates", Json::num(o.chaos.duplicated)),
+                        ("chaos_delayed", Json::num(o.chaos.delayed)),
+                        ("trace_events", Json::num(o.trace_events)),
+                        ("trace_fingerprint", Json::num(o.trace_fingerprint)),
+                        ("seconds", Json::sci(seconds)),
+                    ]));
                 }
             }
         }
@@ -180,14 +199,7 @@ fn main() {
     // Replay determinism, loopback, both fault levels: the same
     // (seed, scenario) pair must reproduce the identical chaos event trace
     // and the identical safety outcome.
-    struct Replay {
-        scenario: &'static str,
-        faults: usize,
-        fingerprint_a: u64,
-        fingerprint_b: u64,
-        outcome_match: bool,
-    }
-    let mut replays: Vec<Replay> = Vec::new();
+    let mut replays = Vec::new();
     for scenario in ChaosScenario::ALL {
         for faults in [B, B + 1] {
             let config = ScenarioConfig {
@@ -205,25 +217,29 @@ fn main() {
                 )
             };
             let (a, b) = (replay(), replay());
+            let fingerprint_match = a.trace_fingerprint == b.trace_fingerprint;
             let outcome_match = a.trace_events == b.trace_events
                 && a.safety_violations() == b.safety_violations()
                 && a.ops.reads == b.ops.reads
                 && a.ops.writes == b.ops.writes;
-            if a.trace_fingerprint != b.trace_fingerprint || !outcome_match {
-                failures.push(format!(
+            gate.check(
+                fingerprint_match && outcome_match,
+                format!(
                     "replay {}/{faults}: fingerprints {:#x} vs {:#x}, outcome match {outcome_match}",
                     scenario.name(),
                     a.trace_fingerprint,
                     b.trace_fingerprint
-                ));
-            }
-            replays.push(Replay {
-                scenario: scenario.name(),
-                faults,
-                fingerprint_a: a.trace_fingerprint,
-                fingerprint_b: b.trace_fingerprint,
-                outcome_match,
-            });
+                ),
+            );
+            replays.push(Json::obj([
+                ("scenario", Json::str(scenario.name())),
+                ("backend", Json::str("loopback")),
+                ("faults", Json::num(faults)),
+                ("fingerprint_a", Json::num(a.trace_fingerprint)),
+                ("fingerprint_b", Json::num(b.trace_fingerprint)),
+                ("fingerprint_match", Json::Bool(fingerprint_match)),
+                ("outcome_match", Json::Bool(outcome_match)),
+            ]));
         }
     }
 
@@ -266,161 +282,66 @@ fn main() {
         .iter()
         .map(|h| h.quantile(0.99).unwrap_or(0))
         .collect();
-    if flagged != coalition {
-        failures.push(format!(
+    gate.check(
+        flagged == coalition,
+        format!(
             "suspicion/timeout_inflation: flagged {flagged:?}, expected exactly the coalition {coalition:?} (p99s {server_p99_ns:?} ns)"
-        ));
-    }
-    if suspicion_metrics.timeouts != 0 || suspicion_metrics.retries != 0 {
-        failures.push(format!(
+        ),
+    );
+    gate.check(
+        suspicion_metrics.timeouts == 0 && suspicion_metrics.retries == 0,
+        format!(
             "suspicion/timeout_inflation: {} timeout(s), {} retrie(s) — the adversary must stay invisible to the counters or the objective tests nothing",
             suspicion_metrics.timeouts, suspicion_metrics.retries
-        ));
-    }
-    if suspicion_outcome.safety_violations() > 0 {
-        failures.push(format!(
+        ),
+    );
+    gate.check(
+        suspicion_outcome.safety_violations() == 0,
+        format!(
             "suspicion/timeout_inflation: {} safety violations at b = {B}",
             suspicion_outcome.safety_violations()
-        ));
-    }
-
-    let gate_passed = failures.is_empty();
-
-    // --- Emit JSON. --------------------------------------------------------
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"schema\": \"bench_chaos/v1\",\n  \"quick\": {quick},\n  \"system\": \"{}\",\n  \"n\": {n},\n  \"b\": {B},\n  \"seeds\": [{}],\n  \"gate_passed\": {gate_passed},\n",
-        json_escape(&system.name()),
-        SEEDS
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    json.push_str("  \"runs\": [\n");
-    for (i, run) in runs.iter().enumerate() {
-        let o = &run.outcome;
-        json.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"scenario\": \"{}\", \"faults\": {}, \"b\": {}, \"seed\": {}, \"masked\": {}, \"detected\": {}, \"safety_violations\": {}, \"authenticity_violations\": {}, \"ryw_violations\": {}, \"writes_completed\": {}, \"writes_aborted\": {}, \"reads_completed\": {}, \"reads_inconclusive\": {}, \"reads_aborted\": {}, \"read_aborts_per_sec\": {:e}, \"no_live_quorum\": {}, \"timeouts\": {}, \"retries\": {}, \"aborts\": {}, \"chaos_drops\": {}, \"chaos_duplicates\": {}, \"chaos_delayed\": {}, \"trace_events\": {}, \"trace_fingerprint\": {}, \"seconds\": {:e}}}{}\n",
-            run.backend,
-            o.scenario,
-            o.faults,
-            o.b,
-            run.seed,
-            o.safety_violations() == 0,
-            o.detected(),
-            o.safety_violations(),
-            o.ops.fabricated,
-            o.ops.stale,
-            o.ops.writes,
-            o.ops.writes_aborted,
-            o.ops.reads,
-            o.ops.inconclusive,
-            o.ops.reads_aborted,
-            if run.seconds > 0.0 {
-                o.ops.reads_aborted as f64 / run.seconds
-            } else {
-                0.0
-            },
-            o.ops.unavailable,
-            o.metrics.timeouts,
-            o.metrics.retries,
-            o.metrics.aborts,
-            o.chaos.dropped + o.chaos.partitioned,
-            o.chaos.duplicated,
-            o.chaos.delayed,
-            o.trace_events,
-            o.trace_fingerprint,
-            run.seconds,
-            if i + 1 == runs.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n  \"replays\": [\n");
-    for (i, r) in replays.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"backend\": \"loopback\", \"faults\": {}, \"fingerprint_a\": {}, \"fingerprint_b\": {}, \"fingerprint_match\": {}, \"outcome_match\": {}}}{}\n",
-            r.scenario,
-            r.faults,
-            r.fingerprint_a,
-            r.fingerprint_b,
-            r.fingerprint_a == r.fingerprint_b,
-            r.outcome_match,
-            if i + 1 == replays.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"suspicion\": {{\"scenario\": \"{}\", \"backend\": \"loopback\", \"faults\": {}, \"coalition\": [{}], \"flagged\": [{}], \"coalition_flagged\": {}, \"healthy_flagged\": {}, \"timeouts\": {}, \"retries\": {}, \"server_p99_ns\": [{}], \"scores\": [{}]}},\n",
-        suspicion_scenario.name(),
-        B,
-        coalition
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
-        flagged
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
-        coalition.iter().all(|s| flagged.contains(s)),
-        flagged.iter().any(|s| !coalition.contains(s)),
-        suspicion_metrics.timeouts,
-        suspicion_metrics.retries,
-        server_p99_ns
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
-        engine
-            .scores()
-            .iter()
-            .map(|s| format!("{s:e}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    json.push_str("  \"failures\": [\n");
-    for (i, f) in failures.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{}\"{}\n",
-            json_escape(f),
-            if i + 1 == failures.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&output, &json).expect("write benchmark output");
-
-    // --- Human-readable summary. -------------------------------------------
-    println!(
-        "{:<10} {:<14} {:>6} {:>18} {:>7} {:>7} {:>5} {:>5} {:>6} {:>6}",
-        "backend", "scenario", "faults", "seed", "reads", "viols", "tmo", "retry", "drops", "dup"
+        ),
     );
-    for run in &runs {
-        let o = &run.outcome;
-        println!(
-            "{:<10} {:<14} {:>6} {:>#18x} {:>7} {:>7} {:>5} {:>5} {:>6} {:>6}",
-            run.backend,
-            o.scenario,
-            o.faults,
-            run.seed,
-            o.ops.reads,
-            o.safety_violations(),
-            o.metrics.timeouts,
-            o.metrics.retries,
-            o.chaos.dropped + o.chaos.partitioned,
-            o.chaos.duplicated,
-        );
-    }
-    println!(
-        "\nreplay determinism (loopback): {} pairs checked",
-        replays.len()
-    );
-    println!(
-        "latency-inflation suspicion: flagged {flagged:?}, coalition {coalition:?} (timeouts {}, retries {})",
-        suspicion_metrics.timeouts, suspicion_metrics.retries
-    );
-    println!("wrote {output}");
 
-    exit_on_failures(&failures);
+    let report = Json::obj([
+        ("schema", Json::str("bench_chaos/v1")),
+        ("quick", Json::Bool(quick)),
+        ("system", Json::str(system.name())),
+        ("n", Json::num(n)),
+        ("b", Json::num(B)),
+        ("seeds", Json::arr(SEEDS.iter().map(Json::num))),
+        ("gate_passed", Json::Bool(gate.passed())),
+        ("runs", Json::arr(runs)),
+        ("replays", Json::arr(replays)),
+        (
+            "suspicion",
+            Json::obj([
+                ("scenario", Json::str(suspicion_scenario.name())),
+                ("backend", Json::str("loopback")),
+                ("faults", Json::num(B)),
+                ("coalition", Json::arr(coalition.iter().map(Json::num))),
+                ("flagged", Json::arr(flagged.iter().map(Json::num))),
+                (
+                    "coalition_flagged",
+                    Json::Bool(coalition.iter().all(|s| flagged.contains(s))),
+                ),
+                (
+                    "healthy_flagged",
+                    Json::Bool(flagged.iter().any(|s| !coalition.contains(s))),
+                ),
+                ("timeouts", Json::num(suspicion_metrics.timeouts)),
+                ("retries", Json::num(suspicion_metrics.retries)),
+                (
+                    "server_p99_ns",
+                    Json::arr(server_p99_ns.iter().map(Json::num)),
+                ),
+                (
+                    "scores",
+                    Json::arr(engine.scores().iter().map(|&s| Json::sci(s))),
+                ),
+            ]),
+        ),
+        ("failures", gate.failures()),
+    ]);
+    gate.finish(&output, &report);
 }

@@ -33,7 +33,7 @@
 use std::time::Duration;
 
 use bqs_analysis::empirical::{empirical_load_check, EmpiricalLoadCheck};
-use bqs_bench::{bench_args, exit_on_failures, json_escape, time};
+use bqs_bench::{bench_args, time, Gate, Json};
 use bqs_constructions::prelude::*;
 use bqs_core::load::optimal_load_oracle;
 use bqs_core::oracle::MinWeightQuorumOracle;
@@ -88,19 +88,15 @@ fn baseline_knee(backend: &str, construction: &str) -> Option<f64> {
         .and_then(|(_, _, knee)| *knee)
 }
 
-/// One measured point of a sweep.
+/// One measured point of a sweep: what the knee search reads, and the
+/// point's `sweep` row.
 struct SweepPoint {
-    backend: &'static str,
-    construction: String,
-    n: usize,
-    b: usize,
-    offered_rate: f64,
     saturated: bool,
-    report: OpenLoopReport,
-    /// Load validation against the certified `L(Q)`; only meaningful below
-    /// the knee (saturated rows carry `None`).
-    load_check: Option<EmpiricalLoadCheck>,
-    seconds: f64,
+    achieved_ops_per_sec: f64,
+    /// Whether the busiest server sat in the certified load band; `None` for
+    /// saturated points, which are not checked.
+    within_tolerance: Option<bool>,
+    row: Json,
 }
 
 /// One backend × construction sweep summary.
@@ -144,7 +140,7 @@ fn run_point<S>(
     rate: f64,
     config: &OpenLoopConfig,
     point_tag: usize,
-    failures: &mut Vec<String>,
+    gate: &mut Gate,
 ) -> SweepPoint
 where
     S: MinWeightQuorumOracle,
@@ -185,25 +181,23 @@ where
     });
 
     // Gates that hold at every rate, saturated or not.
-    if report.safety_violations > 0 {
-        failures.push(format!(
-            "{}/{name} at {rate:.0} ops/s: {} safety violations",
-            backend.name(),
-            report.safety_violations
-        ));
-    }
+    let cell = format!("{}/{name} at {rate:.0} ops/s", backend.name());
+    gate.check(
+        report.safety_violations == 0,
+        format!("{cell}: {} safety violations", report.safety_violations),
+    );
     let accounted = report.completed()
         + report.shed
         + report.timed_out
         + report.no_live_quorum
         + report.rejected_sends;
-    if accounted != report.scheduled {
-        failures.push(format!(
-            "{}/{name} at {rate:.0} ops/s: {accounted} of {} arrivals accounted",
-            backend.name(),
+    gate.check(
+        accounted == report.scheduled,
+        format!(
+            "{cell}: {accounted} of {} arrivals accounted",
             report.scheduled
-        ));
-    }
+        ),
+    );
 
     let lost = report.shed + report.timed_out + report.rejected_sends;
     let saturated = lost as f64 > LOSS_FRACTION * report.scheduled as f64
@@ -217,16 +211,63 @@ where
     let quorum_contacts = report.load_operations + report.timed_out + 1;
     let load_check = (!saturated && report.load_operations > 0)
         .then(|| empirical_load_check(&name, &access_counts, quorum_contacts, certified_load));
+    let band =
+        |field: fn(&EmpiricalLoadCheck) -> Json| load_check.as_ref().map_or(Json::Null, field);
+    let r = &report;
+    let row = Json::obj([
+        ("backend", Json::str(backend.name())),
+        ("construction", Json::str(name)),
+        ("n", Json::num(n)),
+        ("b", Json::num(b)),
+        ("generator", Json::str("open_loop")),
+        ("offered_ops_per_sec", Json::fixed(rate, 1)),
+        (
+            "realized_offered_ops_per_sec",
+            Json::fixed(r.realized_offered_ops_per_sec, 1),
+        ),
+        (
+            "achieved_ops_per_sec",
+            Json::fixed(r.achieved_ops_per_sec, 1),
+        ),
+        ("saturated", Json::Bool(saturated)),
+        ("scheduled", Json::num(r.scheduled)),
+        ("completed_writes", Json::num(r.completed_writes)),
+        ("completed_reads", Json::num(r.completed_reads)),
+        ("inconclusive_reads", Json::num(r.inconclusive_reads)),
+        ("shed", Json::num(r.shed)),
+        ("timed_out", Json::num(r.timed_out)),
+        ("no_live_quorum", Json::num(r.no_live_quorum)),
+        ("rejected_sends", Json::num(r.rejected_sends)),
+        ("safety_violations", Json::num(r.safety_violations)),
+        ("peak_in_flight", Json::num(r.peak_in_flight)),
+        ("latency_mean_ns", Json::num(r.latency_mean_ns)),
+        ("latency_p50_ns", Json::num(r.latency_p50_ns)),
+        ("latency_p90_ns", Json::num(r.latency_p90_ns)),
+        ("latency_p99_ns", Json::num(r.latency_p99_ns)),
+        ("latency_max_ns", Json::num(r.latency_max_ns)),
+        ("latency_hist_p50_ns", Json::num(r.latency_hist_p50_ns)),
+        ("latency_hist_p99_ns", Json::num(r.latency_hist_p99_ns)),
+        ("latency_hist_p999_ns", Json::num(r.latency_hist_p999_ns)),
+        ("elapsed_seconds", Json::sci(r.elapsed_seconds)),
+        ("seconds", Json::sci(seconds)),
+        (
+            "certified_load",
+            band(|c| Json::fixed(c.certified_load, 12)),
+        ),
+        (
+            "empirical_max_load",
+            band(|c| Json::fixed(c.empirical_max_load, 12)),
+        ),
+        ("sigma", band(|c| Json::sci(c.sigma))),
+        ("tolerance", band(|c| Json::sci(c.tolerance))),
+        ("z", band(|c| Json::fixed(c.z, 3))),
+        ("within_tolerance", band(|c| Json::Bool(c.within_tolerance))),
+    ]);
     SweepPoint {
-        backend: backend.name(),
-        construction: name,
-        n,
-        b,
-        offered_rate: rate,
         saturated,
-        report,
-        load_check,
-        seconds,
+        achieved_ops_per_sec: report.achieved_ops_per_sec,
+        within_tolerance: load_check.map(|c| c.within_tolerance),
+        row,
     }
 }
 
@@ -243,12 +284,12 @@ fn sweep<S>(
     arrivals_for: impl Fn(f64) -> usize,
     tag_base: usize,
     points: &mut Vec<SweepPoint>,
-    failures: &mut Vec<String>,
+    gate: &mut Gate,
 ) -> KneeRow
 where
     S: MinWeightQuorumOracle,
 {
-    let measure = |rate: f64, tag: usize, failures: &mut Vec<String>| {
+    let measure = |rate: f64, tag: usize, gate: &mut Gate| {
         let config = OpenLoopConfig {
             total_arrivals: arrivals_for(rate),
             ..*base_config
@@ -261,12 +302,12 @@ where
             rate,
             &config,
             tag,
-            failures,
+            gate,
         )
     };
     let first = points.len();
     for (i, &rate) in rates.iter().enumerate() {
-        points.push(measure(rate, tag_base + i, failures));
+        points.push(measure(rate, tag_base + i, gate));
     }
     // A ladder step past the knee can be 2× wide, so one noisy point would
     // move the knee by a whole step: narrow the step around the first
@@ -277,7 +318,7 @@ where
         let (mut unsaturated, mut saturated) = (rates[i - 1], rates[i]);
         for step in 0..KNEE_BISECTIONS {
             let rate = (unsaturated * saturated).sqrt().round();
-            let point = measure(rate, tag_base + rates.len() + step, failures);
+            let point = measure(rate, tag_base + rates.len() + step, gate);
             if point.saturated {
                 saturated = rate;
             } else {
@@ -290,12 +331,12 @@ where
     let sweep_points = &points[first..];
     let capacity = sweep_points
         .iter()
-        .map(|p| p.report.achieved_ops_per_sec)
+        .map(|p| p.achieved_ops_per_sec)
         .fold(0.0f64, f64::max);
     let below_knee_load_ok = sweep_points
         .iter()
-        .filter_map(|p| p.load_check.as_ref())
-        .all(|c| c.within_tolerance);
+        .filter_map(|p| p.within_tolerance)
+        .all(|within| within);
     KneeRow {
         backend: backend.name(),
         construction: strategic.name(),
@@ -309,7 +350,7 @@ where
 
 fn main() {
     let (quick, output) = bench_args("bench_net", "BENCH_net.json");
-    let mut failures: Vec<String> = Vec::new();
+    let mut gate = Gate::default();
     let mut points: Vec<SweepPoint> = Vec::new();
     let mut knees: Vec<KneeRow> = Vec::new();
 
@@ -359,25 +400,22 @@ fn main() {
                 arrivals,
                 100 * (i + 1),
                 &mut points,
-                &mut failures,
+                &mut gate,
             ));
         }
         // Knee sanity: the lowest offered rate must not be saturated — a
         // transport that cannot sustain 200 ops/s on a 25-server grid is
         // broken, not slow.
         for knee in &knees {
-            if knee.knee_offered_rate == Some(rates[0]) {
-                failures.push(format!(
-                    "{}/{}: saturated at the lowest offered rate",
-                    knee.backend, knee.construction
-                ));
-            }
-            if knee.capacity_ops_per_sec <= 0.0 {
-                failures.push(format!(
-                    "{}/{}: no throughput at all",
-                    knee.backend, knee.construction
-                ));
-            }
+            let cell = format!("{}/{}", knee.backend, knee.construction);
+            gate.check(
+                knee.knee_offered_rate != Some(rates[0]),
+                format!("{cell}: saturated at the lowest offered rate"),
+            );
+            gate.check(
+                knee.capacity_ops_per_sec > 0.0,
+                format!("{cell}: no throughput at all"),
+            );
         }
     } else {
         let mgrid = MGridSystem::new(5, 2).unwrap();
@@ -405,7 +443,7 @@ fn main() {
                 arrivals,
                 1_000 * tag,
                 &mut points,
-                &mut failures,
+                &mut gate,
             ));
             tag += 1;
             knees.push(sweep(
@@ -418,159 +456,61 @@ fn main() {
                 arrivals,
                 1_000 * tag,
                 &mut points,
-                &mut failures,
+                &mut gate,
             ));
         }
         for knee in &knees {
-            if !knee.below_knee_load_ok {
-                failures.push(format!(
-                    "{}/{}: below-knee empirical load outside the certified 3-sigma band",
-                    knee.backend, knee.construction
-                ));
-            }
+            let cell = format!("{}/{}", knee.backend, knee.construction);
+            gate.check(
+                knee.below_knee_load_ok,
+                format!("{cell}: below-knee empirical load outside the certified 3-sigma band"),
+            );
             // The tentpole gate: socket knees must have moved by
             // KNEE_GATE_RATIO over the committed pre-batching baseline.
-            if knee.backend != "loopback" {
-                if let Some(ratio) = knee.knee_ratio() {
-                    if ratio < KNEE_GATE_RATIO {
-                        failures.push(format!(
-                            "{}/{}: knee {:.0} is only {ratio:.2}x the v1 baseline (gate {KNEE_GATE_RATIO}x)",
-                            knee.backend,
-                            knee.construction,
-                            knee.effective_knee()
-                        ));
-                    }
-                }
+            if let Some(ratio) = knee.knee_ratio().filter(|_| knee.backend != "loopback") {
+                gate.check(
+                    ratio >= KNEE_GATE_RATIO,
+                    format!(
+                        "{cell}: knee {:.0} is only {ratio:.2}x the v1 baseline (gate {KNEE_GATE_RATIO}x)",
+                        knee.effective_knee()
+                    ),
+                );
             }
         }
     }
 
-    // --- Emit JSON. --------------------------------------------------------
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"schema\": \"bench_net/v2\",\n  \"available_parallelism\": {cores},\n  \"quick\": {quick},\n  \"knee_fraction\": {KNEE_FRACTION},\n  \"knee_gate_ratio\": {KNEE_GATE_RATIO},\n"
-    ));
-    json.push_str("  \"sweep\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let r = &p.report;
-        let load_fields = match &p.load_check {
-            Some(c) => format!(
-                "\"certified_load\": {:.12}, \"empirical_max_load\": {:.12}, \"sigma\": {:e}, \"tolerance\": {:e}, \"z\": {:.3}, \"within_tolerance\": {}",
-                c.certified_load, c.empirical_max_load, c.sigma, c.tolerance, c.z, c.within_tolerance
+    let knee_rows = knees.iter().map(|k| {
+        let rate = |v: Option<f64>| v.map_or(Json::Null, |v| Json::fixed(v, 1));
+        Json::obj([
+            ("backend", Json::str(k.backend)),
+            ("construction", Json::str(&k.construction)),
+            ("n", Json::num(k.n)),
+            ("knee_offered_rate", rate(k.knee_offered_rate)),
+            ("max_offered_rate", Json::fixed(k.max_offered_rate, 1)),
+            (
+                "baseline_knee_offered_rate",
+                rate(baseline_knee(k.backend, &k.construction)),
             ),
-            None => "\"certified_load\": null, \"empirical_max_load\": null, \"sigma\": null, \"tolerance\": null, \"z\": null, \"within_tolerance\": null".to_string(),
-        };
-        json.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"construction\": \"{}\", \"n\": {}, \"b\": {}, \"generator\": \"open_loop\", \"offered_ops_per_sec\": {:.1}, \"realized_offered_ops_per_sec\": {:.1}, \"achieved_ops_per_sec\": {:.1}, \"saturated\": {}, \"scheduled\": {}, \"completed_writes\": {}, \"completed_reads\": {}, \"inconclusive_reads\": {}, \"shed\": {}, \"timed_out\": {}, \"no_live_quorum\": {}, \"rejected_sends\": {}, \"safety_violations\": {}, \"peak_in_flight\": {}, \"latency_mean_ns\": {}, \"latency_p50_ns\": {}, \"latency_p90_ns\": {}, \"latency_p99_ns\": {}, \"latency_max_ns\": {}, \"latency_hist_p50_ns\": {}, \"latency_hist_p99_ns\": {}, \"latency_hist_p999_ns\": {}, \"elapsed_seconds\": {:e}, \"seconds\": {:e}, {}}}{}\n",
-            p.backend,
-            json_escape(&p.construction),
-            p.n,
-            p.b,
-            p.offered_rate,
-            r.realized_offered_ops_per_sec,
-            r.achieved_ops_per_sec,
-            p.saturated,
-            r.scheduled,
-            r.completed_writes,
-            r.completed_reads,
-            r.inconclusive_reads,
-            r.shed,
-            r.timed_out,
-            r.no_live_quorum,
-            r.rejected_sends,
-            r.safety_violations,
-            r.peak_in_flight,
-            r.latency_mean_ns,
-            r.latency_p50_ns,
-            r.latency_p90_ns,
-            r.latency_p99_ns,
-            r.latency_max_ns,
-            r.latency_hist_p50_ns,
-            r.latency_hist_p99_ns,
-            r.latency_hist_p999_ns,
-            r.elapsed_seconds,
-            p.seconds,
-            load_fields,
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n  \"knees\": [\n");
-    for (i, k) in knees.iter().enumerate() {
-        let knee = k
-            .knee_offered_rate
-            .map_or("null".to_string(), |v| format!("{v:.1}"));
-        let baseline = baseline_knee(k.backend, &k.construction)
-            .map_or("null".to_string(), |v| format!("{v:.1}"));
-        let ratio = k
-            .knee_ratio()
-            .map_or("null".to_string(), |v| format!("{v:.3}"));
-        json.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"construction\": \"{}\", \"n\": {}, \"knee_offered_rate\": {}, \"max_offered_rate\": {:.1}, \"baseline_knee_offered_rate\": {}, \"knee_ratio\": {}, \"capacity_ops_per_sec\": {:.1}, \"below_knee_load_ok\": {}}}{}\n",
-            k.backend,
-            json_escape(&k.construction),
-            k.n,
-            knee,
-            k.max_offered_rate,
-            baseline,
-            ratio,
-            k.capacity_ops_per_sec,
-            k.below_knee_load_ok,
-            if i + 1 == knees.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&output, &json).expect("write benchmark output");
-
-    // --- Human-readable summary. -------------------------------------------
-    println!(
-        "{:<10} {:<22} {:>9} {:>9} {:>5} {:>10} {:>10} {:>10} {:>7}",
-        "backend",
-        "construction",
-        "offered",
-        "achieved",
-        "sat",
-        "p50 us",
-        "p99 us",
-        "max us",
-        "within"
-    );
-    for p in &points {
-        let r = &p.report;
-        println!(
-            "{:<10} {:<22} {:>9.0} {:>9.0} {:>5} {:>10.1} {:>10.1} {:>10.1} {:>7}",
-            p.backend,
-            p.construction,
-            p.offered_rate,
-            r.achieved_ops_per_sec,
-            p.saturated,
-            r.latency_p50_ns as f64 / 1e3,
-            r.latency_p99_ns as f64 / 1e3,
-            r.latency_max_ns as f64 / 1e3,
-            p.load_check
-                .as_ref()
-                .map_or("-".to_string(), |c| c.within_tolerance.to_string()),
-        );
-    }
-    println!(
-        "\n{:<10} {:<22} {:>12} {:>12} {:>8} {:>14}",
-        "backend", "construction", "knee", "capacity", "ratio", "load ok"
-    );
-    for k in &knees {
-        println!(
-            "{:<10} {:<22} {:>12} {:>12.0} {:>8} {:>14}",
-            k.backend,
-            k.construction,
-            k.knee_offered_rate
-                .map_or("none".to_string(), |v| format!("{v:.0}")),
-            k.capacity_ops_per_sec,
-            k.knee_ratio()
-                .map_or("-".to_string(), |v| format!("{v:.2}x")),
-            k.below_knee_load_ok
-        );
-    }
-    println!("wrote {output}");
-
-    exit_on_failures(&failures);
+            (
+                "knee_ratio",
+                k.knee_ratio().map_or(Json::Null, |v| Json::fixed(v, 3)),
+            ),
+            (
+                "capacity_ops_per_sec",
+                Json::fixed(k.capacity_ops_per_sec, 1),
+            ),
+            ("below_knee_load_ok", Json::Bool(k.below_knee_load_ok)),
+        ])
+    });
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let report = Json::obj([
+        ("schema", Json::str("bench_net/v2")),
+        ("available_parallelism", Json::num(cores)),
+        ("quick", Json::Bool(quick)),
+        ("knee_fraction", Json::num(KNEE_FRACTION)),
+        ("knee_gate_ratio", Json::num(KNEE_GATE_RATIO)),
+        ("sweep", Json::arr(points.into_iter().map(|p| p.row))),
+        ("knees", Json::arr(knee_rows)),
+    ]);
+    gate.finish(&output, &report);
 }

@@ -33,8 +33,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use bqs_analysis::empirical_load_check;
-use bqs_bench::{bench_args, exit_on_failures, json_escape, time};
+use bqs_analysis::{empirical_load_check, EmpiricalLoadCheck};
+use bqs_bench::{bench_args, time, Gate, Json};
 use bqs_chaos::prelude::*;
 use bqs_chaos::ReconfigScenario;
 use bqs_constructions::prelude::*;
@@ -80,13 +80,107 @@ fn cell_seed(scenario: ReconfigScenario, backend: Backend) -> u64 {
     SEED ^ (scenario.id() << 8) ^ (backend.id() << 16)
 }
 
-/// One measured cell of the matrix.
-struct Run {
-    backend: &'static str,
-    outcome: ReconfigOutcome,
-    check: bqs_analysis::EmpiricalLoadCheck,
-    seed: u64,
-    seconds: f64,
+/// Checks one drill's gate and builds its `runs` row. Only a reconfigured
+/// drill has a measure phase, so only its row carries the load band (the
+/// others write `null` for `sigma`, `tolerance`, `z` and
+/// `within_tolerance`).
+fn run_row(backend: &str, seed: u64, o: &ReconfigOutcome, seconds: f64, gate: &mut Gate) -> Json {
+    let cell = format!("{backend}/{}", o.scenario.name());
+    gate.check(
+        o.healthy_steady,
+        format!("{cell}: the manager reconfigured on healthy evidence (hysteresis must hold)"),
+    );
+    gate.check(
+        o.reconfigured,
+        format!(
+            "{cell}: no reconfiguration within {} detection bursts",
+            o.detect_ticks
+        ),
+    );
+    gate.check(
+        o.detection_exact,
+        format!(
+            "{cell}: suspects {:?} != killed {:?} (detection must be exact)",
+            o.suspects, o.killed
+        ),
+    );
+    gate.check(
+        o.safety_violations == 0,
+        format!(
+            "{cell}: {} fabricated read(s) — masking broke during the handoff",
+            o.safety_violations
+        ),
+    );
+    gate.check(
+        o.stale_completed == 0,
+        format!(
+            "{cell}: {} operation(s) completed at the fenced epoch (mixed-strategy quorum)",
+            o.stale_completed
+        ),
+    );
+    let check = o.reconfigured.then(|| {
+        empirical_load_check(
+            &cell,
+            &o.access_counts,
+            o.load_operations.max(1),
+            o.recertified_load,
+        )
+    });
+    if let Some(c) = &check {
+        gate.check(
+            o.fenced_after_finalize > 0,
+            format!("{cell}: the stale probe was never fenced (the gate must answer in-band)"),
+        );
+        gate.check(
+            c.within_tolerance,
+            format!(
+                "{cell}: busiest-server load {:.4} outside the 3-sigma band of certified {:.4} (tolerance {:.4}, z = {:.2})",
+                c.empirical_max_load, c.certified_load, c.tolerance, c.z
+            ),
+        );
+    }
+    let band = |field: fn(&EmpiricalLoadCheck) -> Json| check.as_ref().map_or(Json::Null, field);
+    let phases = o.phases.iter().map(|p| {
+        Json::obj([
+            ("name", Json::str(p.name)),
+            ("epoch", Json::num(p.epoch)),
+            ("scheduled", Json::num(p.scheduled)),
+            ("completed", Json::num(p.completed)),
+            ("fenced", Json::num(p.fenced)),
+            ("timed_out", Json::num(p.timed_out)),
+        ])
+    });
+    Json::obj([
+        ("backend", Json::str(backend)),
+        ("scenario", Json::str(o.scenario.name())),
+        ("seed", Json::num(seed)),
+        ("killed", Json::arr(o.killed.iter().map(Json::num))),
+        ("healthy_steady", Json::Bool(o.healthy_steady)),
+        ("reconfigured", Json::Bool(o.reconfigured)),
+        ("detect_ticks", Json::num(o.detect_ticks)),
+        ("suspects", Json::arr(o.suspects.iter().map(Json::num))),
+        ("detection_exact", Json::Bool(o.detection_exact)),
+        ("epochs", Json::arr(o.epochs.iter().map(Json::num))),
+        (
+            "source",
+            Json::str(o.source.as_ref().map_or("none", |s| s.label())),
+        ),
+        ("initial_load", Json::sci(o.initial_load)),
+        ("recertified_load", Json::sci(o.recertified_load)),
+        ("measured_max_load", Json::sci(o.measured_max_load)),
+        ("sigma", band(|c| Json::sci(c.sigma))),
+        ("tolerance", band(|c| Json::sci(c.tolerance))),
+        ("z", band(|c| Json::sci(c.z))),
+        ("within_tolerance", band(|c| Json::Bool(c.within_tolerance))),
+        ("load_operations", Json::num(o.load_operations)),
+        ("safety_violations", Json::num(o.safety_violations)),
+        ("fenced_after_finalize", Json::num(o.fenced_after_finalize)),
+        ("stale_completed", Json::num(o.stale_completed)),
+        ("trace_fingerprint", Json::num(o.trace_fingerprint)),
+        ("fingerprint", Json::num(o.fingerprint)),
+        ("phases", Json::arr(phases)),
+        ("seconds", Json::sci(seconds)),
+    ])
 }
 
 /// Runs one (scenario, backend) drill on a fresh healthy deployment (the
@@ -144,8 +238,8 @@ fn main() {
         }
     };
 
-    let mut failures: Vec<String> = Vec::new();
-    let mut runs: Vec<Run> = Vec::new();
+    let mut gate = Gate::default();
+    let mut runs = Vec::new();
 
     for backend in Backend::ALL {
         for scenario in ReconfigScenario::ALL {
@@ -160,79 +254,20 @@ fn main() {
                 config.seed
             );
             let (outcome, seconds) = time(|| drill(backend, scenario, &config));
-            let check = empirical_load_check(
-                format!("{}/{}", backend.name(), scenario.name()),
-                &outcome.access_counts,
-                outcome.load_operations.max(1),
-                outcome.recertified_load,
-            );
-            let run = Run {
-                backend: backend.name(),
-                outcome,
-                check,
-                seed: config.seed,
+            runs.push(run_row(
+                backend.name(),
+                config.seed,
+                &outcome,
                 seconds,
-            };
-            let o = &run.outcome;
-            let cell = format!("{}/{}", run.backend, o.scenario.name());
-            if !o.healthy_steady {
-                failures.push(format!(
-                    "{cell}: the manager reconfigured on healthy evidence (hysteresis must hold)"
-                ));
-            }
-            if !o.reconfigured {
-                failures.push(format!(
-                    "{cell}: no reconfiguration within {} detection bursts",
-                    o.detect_ticks
-                ));
-            }
-            if !o.detection_exact {
-                failures.push(format!(
-                    "{cell}: suspects {:?} != killed {:?} (detection must be exact)",
-                    o.suspects, o.killed
-                ));
-            }
-            if o.safety_violations > 0 {
-                failures.push(format!(
-                    "{cell}: {} fabricated read(s) — masking broke during the handoff",
-                    o.safety_violations
-                ));
-            }
-            if o.stale_completed > 0 {
-                failures.push(format!(
-                    "{cell}: {} operation(s) completed at the fenced epoch (mixed-strategy quorum)",
-                    o.stale_completed
-                ));
-            }
-            if o.reconfigured && o.fenced_after_finalize == 0 {
-                failures.push(format!(
-                    "{cell}: the stale probe was never fenced (the gate must answer in-band)"
-                ));
-            }
-            if o.reconfigured && !run.check.within_tolerance {
-                failures.push(format!(
-                    "{cell}: busiest-server load {:.4} outside the 3-sigma band of certified {:.4} (tolerance {:.4}, z = {:.2})",
-                    run.check.empirical_max_load,
-                    run.check.certified_load,
-                    run.check.tolerance,
-                    run.check.z
-                ));
-            }
-            runs.push(run);
+                &mut gate,
+            ));
         }
     }
 
     // Replay determinism, loopback, every scenario: the same (seed, scenario)
     // pair must reproduce the identical outcome fingerprint — epochs, suspect
     // set, detection tick, chaos trace, measure-phase access counts.
-    struct Replay {
-        scenario: &'static str,
-        fingerprint_a: u64,
-        fingerprint_b: u64,
-        trace_match: bool,
-        outcome_match: bool,
-    }
-    let mut replays: Vec<Replay> = Vec::new();
+    let mut replays = Vec::new();
     for scenario in ReconfigScenario::ALL {
         let config = ReconfigConfig {
             seed: cell_seed(scenario, Backend::Loopback) ^ 0x002e_91a7,
@@ -240,132 +275,96 @@ fn main() {
         };
         let a = drill(Backend::Loopback, scenario, &config);
         let b = drill(Backend::Loopback, scenario, &config);
+        let fingerprint_match = a.fingerprint == b.fingerprint;
         let trace_match = a.trace_fingerprint == b.trace_fingerprint;
         let outcome_match = a.epochs == b.epochs
             && a.suspects == b.suspects
             && a.detect_ticks == b.detect_ticks
             && a.access_counts == b.access_counts
             && a.load_operations == b.load_operations;
-        if a.fingerprint != b.fingerprint || !trace_match || !outcome_match {
-            failures.push(format!(
+        gate.check(
+            fingerprint_match && trace_match && outcome_match,
+            format!(
                 "replay {}: fingerprints {:#x} vs {:#x}, trace match {trace_match}, outcome match {outcome_match}",
                 scenario.name(),
                 a.fingerprint,
                 b.fingerprint
-            ));
-        }
-        replays.push(Replay {
-            scenario: scenario.name(),
-            fingerprint_a: a.fingerprint,
-            fingerprint_b: b.fingerprint,
-            trace_match,
-            outcome_match,
-        });
-    }
-
-    let gate_passed = failures.is_empty();
-
-    // --- Emit JSON. --------------------------------------------------------
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"schema\": \"bench_reconfig/v1\",\n  \"quick\": {quick},\n  \"n\": {n},\n  \"b\": {B},\n  \"kill\": {KILL},\n  \"pools\": [\"Grid(5x5, b=1)\", \"M-Grid(5x5, b=1)\"],\n  \"gate_passed\": {gate_passed},\n"
-    ));
-    json.push_str("  \"runs\": [\n");
-    for (i, run) in runs.iter().enumerate() {
-        let o = &run.outcome;
-        let c = &run.check;
-        let phases = o
-            .phases
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"name\": \"{}\", \"epoch\": {}, \"scheduled\": {}, \"completed\": {}, \"fenced\": {}, \"timed_out\": {}}}",
-                    p.name, p.epoch, p.scheduled, p.completed, p.fenced, p.timed_out
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        json.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"scenario\": \"{}\", \"seed\": {}, \"killed\": {:?}, \"healthy_steady\": {}, \"reconfigured\": {}, \"detect_ticks\": {}, \"suspects\": {:?}, \"detection_exact\": {}, \"epochs\": {:?}, \"source\": \"{}\", \"initial_load\": {:e}, \"recertified_load\": {:e}, \"measured_max_load\": {:e}, \"sigma\": {:e}, \"tolerance\": {:e}, \"z\": {:e}, \"within_tolerance\": {}, \"load_operations\": {}, \"safety_violations\": {}, \"fenced_after_finalize\": {}, \"stale_completed\": {}, \"trace_fingerprint\": {}, \"fingerprint\": {}, \"phases\": [{}], \"seconds\": {:e}}}{}\n",
-            run.backend,
-            o.scenario.name(),
-            run.seed,
-            o.killed,
-            o.healthy_steady,
-            o.reconfigured,
-            o.detect_ticks,
-            o.suspects,
-            o.detection_exact,
-            o.epochs,
-            json_escape(o.source.as_ref().map_or("none", |s| s.label())),
-            o.initial_load,
-            o.recertified_load,
-            c.empirical_max_load,
-            c.sigma,
-            c.tolerance,
-            c.z,
-            c.within_tolerance,
-            o.load_operations,
-            o.safety_violations,
-            o.fenced_after_finalize,
-            o.stale_completed,
-            o.trace_fingerprint,
-            o.fingerprint,
-            phases,
-            run.seconds,
-            if i + 1 == runs.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n  \"replays\": [\n");
-    for (i, r) in replays.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"backend\": \"loopback\", \"fingerprint_a\": {}, \"fingerprint_b\": {}, \"fingerprint_match\": {}, \"trace_match\": {}, \"outcome_match\": {}}}{}\n",
-            r.scenario,
-            r.fingerprint_a,
-            r.fingerprint_b,
-            r.fingerprint_a == r.fingerprint_b,
-            r.trace_match,
-            r.outcome_match,
-            if i + 1 == replays.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n  \"failures\": [\n");
-    for (i, f) in failures.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{}\"{}\n",
-            json_escape(f),
-            if i + 1 == failures.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&output, &json).expect("write benchmark output");
-
-    // --- Human-readable summary. -------------------------------------------
-    println!(
-        "{:<10} {:<18} {:>6} {:>9} {:>9} {:>9} {:>7} {:>6} {:>20}",
-        "backend", "scenario", "ticks", "L(init)", "L(new)", "L(meas)", "fenced", "viols", "source"
-    );
-    for run in &runs {
-        let o = &run.outcome;
-        println!(
-            "{:<10} {:<18} {:>6} {:>9.4} {:>9.4} {:>9.4} {:>7} {:>6} {:>20}",
-            run.backend,
-            o.scenario.name(),
-            o.detect_ticks,
-            o.initial_load,
-            o.recertified_load,
-            run.check.empirical_max_load,
-            o.fenced_after_finalize,
-            o.safety_violations,
-            o.source.as_ref().map_or("none", |s| s.label()),
+            ),
         );
+        replays.push(Json::obj([
+            ("scenario", Json::str(scenario.name())),
+            ("backend", Json::str("loopback")),
+            ("fingerprint_a", Json::num(a.fingerprint)),
+            ("fingerprint_b", Json::num(b.fingerprint)),
+            ("fingerprint_match", Json::Bool(fingerprint_match)),
+            ("trace_match", Json::Bool(trace_match)),
+            ("outcome_match", Json::Bool(outcome_match)),
+        ]));
     }
-    println!(
-        "\nreplay determinism (loopback): {} pairs checked",
-        replays.len()
-    );
-    println!("wrote {output}");
 
-    exit_on_failures(&failures);
+    let report = Json::obj([
+        ("schema", Json::str("bench_reconfig/v1")),
+        ("quick", Json::Bool(quick)),
+        ("n", Json::num(n)),
+        ("b", Json::num(B)),
+        ("kill", Json::num(KILL)),
+        (
+            "pools",
+            Json::arr([Json::str("Grid(5x5, b=1)"), Json::str("M-Grid(5x5, b=1)")]),
+        ),
+        ("gate_passed", Json::Bool(gate.passed())),
+        ("runs", Json::arr(runs)),
+        ("replays", Json::arr(replays)),
+        ("failures", gate.failures()),
+    ]);
+    gate.finish(&output, &report);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A drill whose evidence never reconfigured has no measure phase: its
+    /// row must carry no load band, and the gate must name the miss.
+    #[test]
+    fn an_unreconfigured_drill_fails_the_gate_and_writes_no_load_band() {
+        let outcome = ReconfigOutcome {
+            scenario: ReconfigScenario::ALL[0],
+            n: SIDE * SIDE,
+            b: B,
+            killed: vec![0, 1, 2],
+            healthy_steady: true,
+            reconfigured: false,
+            detect_ticks: 8,
+            suspects: Vec::new(),
+            detection_exact: false,
+            epochs: vec![0],
+            source: None,
+            initial_load: 0.64,
+            recertified_load: 0.64,
+            access_counts: Vec::new(),
+            load_operations: 0,
+            measured_max_load: 0.0,
+            safety_violations: 0,
+            fenced_after_finalize: 0,
+            stale_completed: 0,
+            trace_fingerprint: 1,
+            fingerprint: 2,
+            phases: Vec::new(),
+        };
+        let mut gate = Gate::default();
+        let Json::Obj(row) = run_row("loopback", 7, &outcome, 0.5, &mut gate) else {
+            panic!("a run row is an object");
+        };
+        for key in ["sigma", "tolerance", "z", "within_tolerance"] {
+            assert!(row.contains(&(key, Json::Null)), "{key} must be null");
+        }
+        assert!(!gate.passed());
+        let Json::Arr(failures) = gate.failures() else {
+            panic!("failures are an array");
+        };
+        assert!(failures.contains(&Json::str(
+            "loopback/clean_crash: no reconfiguration within 8 detection bursts"
+        )));
+    }
 }
