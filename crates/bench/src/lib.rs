@@ -96,25 +96,19 @@ impl Json {
     }
 
     fn write(&self, out: &mut String, depth: usize) {
-        let is_obj = |v: &Json| matches!(v, Json::Obj(_));
-        let (open, close, children, holds_objects): (_, _, Vec<_>, _) = match self {
+        let children: Vec<(Option<&str>, &Json)> = match self {
             Json::Null => return out.push_str("null"),
             Json::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
             Json::Num(text) => return out.push_str(text),
             Json::Str(s) => return write_str(out, s),
-            Json::Arr(items) => (
-                '[',
-                ']',
-                items.iter().map(|v| (None, v)).collect(),
-                items.iter().all(is_obj),
-            ),
-            Json::Obj(members) => (
-                '{',
-                '}',
-                members.iter().map(|(k, v)| (Some(*k), v)).collect(),
-                members.iter().all(|(_, v)| is_obj(v)),
-            ),
+            Json::Arr(items) => items.iter().map(|v| (None, v)).collect(),
+            Json::Obj(members) => members.iter().map(|(k, v)| (Some(*k), v)).collect(),
         };
+        let (open, close) = match self {
+            Json::Arr(_) => ('[', ']'),
+            _ => ('{', '}'),
+        };
+        let holds_objects = children.iter().all(|(_, v)| matches!(v, Json::Obj(_)));
         let (separator, lead, tail) = if depth == 0 || (depth == 1 && holds_objects) {
             let indent = "  ".repeat(depth);
             (",", format!("\n{indent}  "), format!("\n{indent}"))
