@@ -244,8 +244,11 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
             // replies the accepted members still produce.
             return Ok(false);
         }
-        self.current.started = Instant::now();
         let metrics = self.metrics.as_deref();
+        if metrics.is_some() {
+            // Only the metrics' latency evidence reads `started`.
+            self.current.started = Instant::now();
+        }
         while !self.current.op.is_complete() {
             match mailbox.drain_timeout(self.reply_deadline, &mut self.drained) {
                 DrainStatus::Drained(_) => {}

@@ -15,9 +15,10 @@
 //!   addressed to server indices with in-band replies, so the in-process
 //!   loopback can later be swapped for a network backend;
 //! * [`mailbox`] — [`mailbox::Mailbox`]: the swap-buffer queue
-//!   (`Mutex<Vec>` + `Condvar`, drain the whole batch per wakeup) that
-//!   carries replies back to a waiting client, and [`mailbox::ReplySink`],
-//!   the allocation-free completion handle replies are delivered through;
+//!   (`Mutex<Vec>` + `Condvar`, drain the whole batch per wakeup, signal
+//!   only a parked consumer) that carries replies back to a waiting client,
+//!   and [`mailbox::ReplySink`], the allocation-free completion handle
+//!   replies are delivered through;
 //! * [`shard`] — [`shard::LoopbackService`]: replicas partitioned across
 //!   lock-striped shards, every request applied on its sender's thread (no
 //!   service threads, sinks completed with no shard lock held), built from

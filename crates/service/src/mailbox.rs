@@ -4,11 +4,14 @@
 //! a batch costs one wake, not one per message:
 //!
 //! * producers lock a plain `Mutex<Vec<T>>`, push, and signal the condvar
-//!   **only when the queue was empty** (a consumer might be parked);
+//!   **only when the queue was empty and a consumer is parked** — the
+//!   consumer counts itself in `parked` under the same lock before it waits,
+//!   so a producer that sees zero cannot miss it, and a consumer that drains
+//!   a queue it found non-empty costs no wake system call at all;
 //! * the consumer swaps the whole queue against its private drain buffer
 //!   under one lock acquisition and processes the batch lock-free.
 //!
-//! A batch of `k` messages therefore costs one wake and two lock
+//! A batch of `k` messages therefore costs at most one wake and two lock
 //! acquisitions total, instead of `k` of each — and both `Vec`s keep their
 //! capacity, so the steady state allocates nothing.
 //!
@@ -48,6 +51,17 @@ pub struct Mailbox<T> {
 struct MailboxState<T> {
     queue: Vec<T>,
     closed: bool,
+    /// Consumers waiting on the condvar right now.
+    parked: usize,
+}
+
+impl<T> MailboxState<T> {
+    /// Whether a push that found the queue `was_empty` must wake a consumer:
+    /// only an empty->non-empty edge with a parked consumer can need one, and
+    /// signalling on every push would reintroduce the per-op wake.
+    fn needs_wake(&self, was_empty: bool) -> bool {
+        was_empty && self.parked > 0
+    }
 }
 
 impl<T> Default for Mailbox<T> {
@@ -64,6 +78,7 @@ impl<T> Mailbox<T> {
             state: Mutex::new(MailboxState {
                 queue: Vec::new(),
                 closed: false,
+                parked: 0,
             }),
             available: Condvar::new(),
         }
@@ -76,12 +91,10 @@ impl<T> Mailbox<T> {
         if state.closed {
             return false;
         }
-        let was_empty = state.queue.is_empty();
+        let wake = state.needs_wake(state.queue.is_empty());
         state.queue.push(item);
         drop(state);
-        if was_empty {
-            // Only an empty->non-empty transition can have a parked consumer;
-            // signalling on every push would reintroduce the per-op wake.
+        if wake {
             self.available.notify_one();
         }
         true
@@ -101,6 +114,7 @@ impl<T> Mailbox<T> {
             return false;
         }
         let was_empty = state.queue.is_empty();
+        let wake = state.needs_wake(was_empty);
         if was_empty && state.queue.capacity() < items.capacity() {
             // The producer's buffer is the bigger one: swap instead of copy.
             std::mem::swap(&mut state.queue, items);
@@ -108,7 +122,7 @@ impl<T> Mailbox<T> {
             state.queue.append(items);
         }
         drop(state);
-        if was_empty {
+        if wake {
             self.available.notify_one();
         }
         true
@@ -124,10 +138,10 @@ impl<T> Mailbox<T> {
         if state.closed {
             return false;
         }
-        let was_empty = state.queue.is_empty();
+        let wake = state.needs_wake(state.queue.is_empty()) && !items.is_empty();
         state.queue.extend_from_slice(items);
         drop(state);
-        if was_empty && !items.is_empty() {
+        if wake {
             self.available.notify_one();
         }
         true
@@ -165,7 +179,9 @@ impl<T> Mailbox<T> {
             if state.closed {
                 return false;
             }
+            state.parked += 1;
             state = self.available.wait(state).expect("mailbox lock");
+            state.parked -= 1;
         }
         std::mem::swap(&mut state.queue, into);
         true
@@ -185,21 +201,26 @@ impl<T> Mailbox<T> {
     /// mirroring [`Mailbox::drain_blocking`].
     pub fn drain_timeout(&self, timeout: Duration, into: &mut Vec<T>) -> DrainStatus {
         debug_assert!(into.is_empty(), "drain buffer must be consumed");
-        let deadline = Instant::now() + timeout;
         let mut state = self.state.lock().expect("mailbox lock");
+        // Read the clock only on the way to a wait: a drain that finds
+        // replies already queued reads none.
+        let mut deadline = None;
         while state.queue.is_empty() {
             if state.closed {
                 return DrainStatus::Closed;
             }
             let now = Instant::now();
+            let deadline = *deadline.get_or_insert(now + timeout);
             if now >= deadline {
                 return DrainStatus::TimedOut;
             }
+            state.parked += 1;
             let (next, timed_out) = self
                 .available
                 .wait_timeout(state, deadline - now)
                 .expect("mailbox lock");
             state = next;
+            state.parked -= 1;
             if timed_out.timed_out() && state.queue.is_empty() {
                 return if state.closed {
                     DrainStatus::Closed
@@ -354,6 +375,16 @@ mod tests {
             DrainStatus::TimedOut
         );
         assert!(started.elapsed() >= Duration::from_millis(15));
+        // The timed-out consumer counted itself out: a push finds no one
+        // parked and makes no wake, and the next drain still returns it.
+        assert_eq!(mb.state.lock().unwrap().parked, 0);
+        assert!(!mb.state.lock().unwrap().needs_wake(true));
+        assert!(mb.push(4));
+        assert_eq!(
+            mb.drain_timeout(Duration::from_secs(5), &mut batch),
+            DrainStatus::Drained(1)
+        );
+        assert_eq!(batch, vec![4]);
     }
 
     #[test]
@@ -400,20 +431,94 @@ mod tests {
         reader.join().unwrap();
     }
 
+    /// Waits (at most 5 s) until a consumer is parked on `mb`.
+    fn await_parked<T>(mb: &Mailbox<T>) {
+        let started = Instant::now();
+        while mb.state.lock().unwrap().parked == 0 {
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "the consumer never parked"
+            );
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
-    fn blocked_consumer_is_woken_by_a_producer() {
-        let mb: Arc<Mailbox<u32>> = Arc::new(Mailbox::new());
-        let producer = {
-            let mb = Arc::clone(&mb);
+    fn a_parked_consumer_is_woken_by_every_push() {
+        type Push = fn(&ReplyMailbox);
+        let pushes: [(&str, Push); 3] = [
+            ("push", |mb| assert!(mb.push(reply(1)))),
+            ("push_batch", |mb| {
+                assert!(mb.push_batch(&mut vec![reply(1)]))
+            }),
+            ("complete_batch", |mb| mb.complete_batch(&[reply(1)])),
+        ];
+        for (name, push) in pushes {
+            for blocking in [true, false] {
+                let mb = Arc::new(ReplyMailbox::new());
+                let (done, woken) = std::sync::mpsc::channel();
+                let consumer = {
+                    let mb = Arc::clone(&mb);
+                    std::thread::spawn(move || {
+                        let mut batch = Vec::new();
+                        let drained = if blocking {
+                            mb.drain_blocking(&mut batch)
+                        } else {
+                            let status = mb.drain_timeout(Duration::from_secs(10), &mut batch);
+                            status == DrainStatus::Drained(1)
+                        };
+                        done.send((drained, batch)).unwrap();
+                    })
+                };
+                await_parked(&mb);
+                push(&mb);
+                let (drained, batch) = woken
+                    .recv_timeout(Duration::from_secs(5))
+                    .unwrap_or_else(|_| panic!("{name} left a parked consumer asleep"));
+                assert!(drained, "{name}, blocking {blocking}");
+                assert_eq!(batch, vec![reply(1)], "{name}, blocking {blocking}");
+                consumer.join().unwrap();
+                assert_eq!(mb.state.lock().unwrap().parked, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_ping_pong_through_two_mailboxes_loses_no_wake() {
+        const ROUNDS: u64 = 100_000;
+        const DEADLINE: Duration = Duration::from_secs(10);
+        /// Drains `round`, alone, from `mailbox`. A consumer whose wake is
+        /// lost sleeps until its deadline and only then finds the item, so
+        /// the drain must also end well before the deadline.
+        fn drain_round(mailbox: &Mailbox<u64>, round: u64, batch: &mut Vec<u64>) {
+            let started = Instant::now();
+            let status = mailbox.drain_timeout(DEADLINE, batch);
+            assert_eq!(status, DrainStatus::Drained(1), "round {round}");
+            assert!(
+                started.elapsed() < DEADLINE / 2,
+                "round {round}: the drain waited out its deadline, so its wake was lost"
+            );
+            assert_eq!(*batch, [round]);
+            batch.clear();
+        }
+        let (ping, pong) = (Arc::new(Mailbox::new()), Arc::new(Mailbox::new()));
+        let echo = {
+            let (ping, pong) = (Arc::clone(&ping), Arc::clone(&pong));
             std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
-                assert!(mb.push(42));
+                let mut batch = Vec::new();
+                for round in 0..ROUNDS {
+                    drain_round(&ping, round, &mut batch);
+                    assert!(pong.push(round));
+                }
             })
         };
         let mut batch = Vec::new();
-        assert!(mb.drain_blocking(&mut batch));
-        assert_eq!(batch, vec![42]);
-        producer.join().unwrap();
+        for round in 0..ROUNDS {
+            assert!(ping.push(round));
+            drain_round(&pong, round, &mut batch);
+        }
+        echo.join().unwrap();
+        assert!(ping.is_empty() && pong.is_empty());
     }
 
     fn reply(request_id: u64) -> Reply {

@@ -6,10 +6,11 @@
 //! request runs to completion on the thread that sends it:
 //! [`Transport::send`] takes the owning shard's lock, applies the operation,
 //! releases the lock and completes the reply sink, so a round trip through
-//! the loopback costs no hand-off at all and clients that address different
-//! shards proceed in parallel. Replica state is still only ever touched by
-//! one thread at a time — the same discipline a networked replica server
-//! would have, which is what lets a network backend replace
+//! the loopback costs no hand-off and no system call (the sender is not
+//! parked on its mailbox, so completing it wakes no one), and clients that
+//! address different shards proceed in parallel. Replica state is still only
+//! ever touched by one thread at a time — the same discipline a networked
+//! replica server would have, which is what lets a network backend replace
 //! [`LoopbackService`] behind the [`Transport`] trait without touching client
 //! code (`bqs-net`'s `SocketServer` in fact *wraps* a `LoopbackService`,
 //! keeping one replica-ownership implementation).

@@ -21,7 +21,6 @@
 use rand::Rng;
 
 use bqs_core::bitset::ServerSet;
-use bqs_core::masking::mask_votes;
 use bqs_core::quorum::QuorumSystem;
 
 use crate::server::Entry;
@@ -88,30 +87,80 @@ where
         .ok_or(ProtocolError::NoLiveQuorum)
 }
 
-/// Resolves a read from per-server replies by the masking rule,
-/// [`mask_votes`]: keep only the entries reported by at least `b + 1` servers
-/// (the *safe* set) and return the one with the highest timestamp, together
-/// with the full safe set sorted for diagnostics.
+/// Resolves a read from per-server replies by the masking rule: among the
+/// entries reported by at least `b + 1` servers (the *safe* set,
+/// [`mask_votes`](bqs_core::masking::mask_votes)) it returns the greatest —
+/// the highest timestamp, and within a timestamp the greatest value.
 ///
 /// What a read's [`QuorumOp::outcome`](crate::quorum_op::QuorumOp::outcome)
 /// applies to its admitted votes. The safety argument (any pair fabricated by
 /// at most `b` Byzantine servers has at most `b` supporters) is `mask_votes`'s.
+/// The search keeps the best safe entry so far and counts the support only
+/// of a greater one, and only up to `b + 1`, so it allocates nothing and
+/// counts few votes.
 ///
 /// # Errors
 ///
 /// Returns [`ProtocolError::NoSafeValue`] when no pair had `b + 1` supporters.
-pub fn resolve_read(
-    replies: &[(usize, Option<Entry>)],
-    b: usize,
-) -> Result<(Entry, Vec<Entry>), ProtocolError> {
-    // The one masking rule, over the raw replies: an empty reply (`None`)
-    // may gather support too, but it is never a value to return.
-    let mut safe_entries: Vec<Entry> = mask_votes(replies, b).into_iter().flatten().collect();
-    safe_entries.sort_unstable();
-    let best = safe_entries
-        .iter()
-        .max_by_key(|e| e.timestamp)
-        .copied()
-        .ok_or(ProtocolError::NoSafeValue)?;
-    Ok((best, safe_entries))
+pub fn resolve_read(replies: &[(usize, Option<Entry>)], b: usize) -> Result<Entry, ProtocolError> {
+    // An empty reply (`None`) may gather support too, but it is never a value
+    // to return, and `Some(_)` orders above it: `best` starts there.
+    let mut best: Option<Entry> = None;
+    for (i, &(_, entry)) in replies.iter().enumerate() {
+        if entry <= best {
+            continue;
+        }
+        // It is safe once `b` more reports of it follow, so counting stops
+        // there. Counting from here on is exact at an entry's first report;
+        // at a later one, its first report already counted more and fell
+        // short.
+        let more = replies[i + 1..]
+            .iter()
+            .filter(|&&(_, e)| e == entry)
+            .take(b)
+            .count();
+        if more == b {
+            best = entry;
+        }
+    }
+    best.ok_or(ProtocolError::NoSafeValue)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bqs_core::masking::mask_votes;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The in-place search returns exactly the greatest entry of the
+        /// masking rule's safe set, on vote vectors with empty replies,
+        /// servers voting more than once, and timestamps shared by several
+        /// values.
+        #[test]
+        fn resolve_read_is_the_greatest_safe_entry(
+            b in 0usize..4,
+            len in 0usize..16,
+            distinct in 1u64..6,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng: StdRng = rand::SeedableRng::seed_from_u64(seed);
+            let votes: Vec<(usize, Option<Entry>)> = (0..len)
+                .map(|_| {
+                    let server = rng.gen_range_u64(0, len as u64) as usize;
+                    let k = rng.gen_range_u64(0, distinct + 1);
+                    // k == 0 is an empty reply; k = 2, 3 share timestamp 1
+                    // and k = 4, 5 timestamp 2, and values fall as
+                    // timestamps rise, so only (timestamp, value) order wins.
+                    let entry = (k > 0).then(|| Entry { timestamp: k / 2, value: 10 - k });
+                    (server, entry)
+                })
+                .collect();
+            let reference = mask_votes(&votes, b).into_iter().flatten().max();
+            prop_assert_eq!(resolve_read(&votes, b).ok(), reference, "votes {:?}, b {}", votes, b);
+        }
+    }
 }

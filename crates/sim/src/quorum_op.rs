@@ -151,13 +151,14 @@ impl QuorumOp {
                 Err(ProtocolError::NoSafeValue)
             };
         }
-        resolve_read(&self.votes, b).map(|(best, _)| Some(best))
+        resolve_read(&self.votes, b).map(Some)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bqs_core::masking::mask_votes;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
@@ -253,10 +254,9 @@ mod tests {
             // ... and MASKING holds: the ≤ b liars, however often echoed and
             // whoever else repeats their pair, never reach b + 1 votes.
             assert_eq!(op.outcome(b), Ok(Some(HONEST)), "MASKING (seed {seed})");
-            let (_, safe) = resolve_read(&op.votes, b).expect("2b + 1 honest votes");
             assert_eq!(
-                safe,
-                vec![HONEST],
+                mask_votes(&op.votes, b),
+                vec![Some(HONEST)],
                 "MASKING: the lie is not even safe (seed {seed})"
             );
             // The same stream acknowledges a write — every member echoes an
