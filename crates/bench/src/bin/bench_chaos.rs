@@ -8,7 +8,7 @@
 //! (scenario × backend) cell of the matrix:
 //!
 //! * at `faults = b`: **zero** safety violations (value authenticity and
-//!   read-your-writes both hold) *and* graceful degradation — reads keep
+//!   freshness both hold) *and* graceful degradation — reads keep
 //!   completing under the scenario's chaos, and **zero reads abort** (every
 //!   run also reports its read-abort rate, aborts per second, so regressions
 //!   in degradation show up as a number before they show up as a failure);

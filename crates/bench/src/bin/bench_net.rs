@@ -206,9 +206,9 @@ where
         || report.realized_offered_ops_per_sec < INJECTION_FRACTION * rate;
     // Below the knee the empirical load must sit in the certified band. The
     // denominator counts every operation that contacted a full quorum: the
-    // completed ones, the client-side-expired ones (delivered server-side all
-    // the same), and the priming write.
-    let quorum_contacts = report.load_operations + report.timed_out + 1;
+    // completed ones and the client-side-expired ones (delivered server-side
+    // all the same).
+    let quorum_contacts = report.load_operations + report.timed_out;
     let load_check = (!saturated && report.load_operations > 0)
         .then(|| empirical_load_check(&name, &access_counts, quorum_contacts, certified_load));
     let band =

@@ -16,7 +16,7 @@
 //! * **re-convergence** — after the handoff, the busiest server's empirical
 //!   load sits within the max-order-statistic 3σ band of the *new*
 //!   certified `L(Q)` ([`empirical_load_check`]);
-//! * **safety** — zero fabricated reads in any phase, zero operations
+//! * **safety** — zero fabricated or stale reads in any phase, zero operations
 //!   completed at the fenced epoch (a completed stale operation would have
 //!   mixed strategies), and the post-finalize probe is fenced in-band;
 //! * **replay** — on loopback, re-running a (seed, scenario) pair reproduces
@@ -107,7 +107,7 @@ fn run_row(backend: &str, seed: u64, o: &ReconfigOutcome, seconds: f64, gate: &m
     gate.check(
         o.safety_violations == 0,
         format!(
-            "{cell}: {} fabricated read(s) — masking broke during the handoff",
+            "{cell}: {} fabricated or stale read(s) — masking broke during the handoff",
             o.safety_violations
         ),
     );

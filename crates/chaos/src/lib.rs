@@ -23,8 +23,10 @@
 //! * **value authenticity** — a completed read never returns a fabricated
 //!   entry (one whose value was not produced by the writer, or whose
 //!   timestamp was never allocated);
-//! * **read-your-writes** — a completed read never returns an entry older
-//!   than the writer's last completed write.
+//! * **freshness** — a completed read never returns an entry older than a
+//!   write that completed before the read began (the read frontier of
+//!   `bqs-service`'s writer clock; the scenario has one writer, so this is
+//!   read-your-writes).
 //!
 //! Each family is designed so both invariants hold at `b` faults and break
 //! *detectably* at `b + 1` — the `2b + 1` intersection of Definition 3.5 is

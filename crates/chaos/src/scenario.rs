@@ -3,7 +3,7 @@
 //! A [`ChaosScenario`] bundles a [`ChaosConfig`] (the transport perturbation)
 //! with a matching [`FaultPlan`] (the Byzantine server behaviour), sized for a
 //! given fault count. Running a family at `faults = b` must preserve both
-//! masking invariants (value authenticity + read-your-writes); re-running the
+//! masking invariants (value authenticity + freshness); re-running the
 //! *same* family at `faults = b + 1` must break at least one of them
 //! *detectably* — the safety tally in [`ScenarioOutcome`] goes non-zero. That
 //! contrast, swept across every family and every transport backend, is the
@@ -17,9 +17,10 @@
 //! hands both over.
 //!
 //! The runner is deliberately a *single-writer* closed loop: the paper's
-//! register is single-writer, which makes read-your-writes a sharp invariant
-//! (any completed read older than the last completed write is a violation,
-//! no concurrency excuses), and a sequential client makes the chaos decision
+//! register is single-writer, and with one sequential client the read
+//! frontier is exactly read-your-writes (any completed read older than the
+//! last completed write is a violation, no concurrency excuses), and a
+//! sequential client makes the chaos decision
 //! stream — and therefore the whole run — a pure function of the seed. The
 //! workload's shape is fixed — a fresh write before every eighth read, three
 //! retries from a 200 µs jittered backoff — and [`ScenarioConfig`] sets only
@@ -263,8 +264,8 @@ pub struct ScenarioOutcome {
     /// How the workload's operations ended: completions, aborts, and the
     /// safety verdicts — `fabricated` counts authenticity violations (a value
     /// the writer never produced, or a timestamp never allocated), `stale`
-    /// read-your-writes violations (a read older than the writer's last
-    /// completed write).
+    /// freshness violations (a read older than the writer's last completed
+    /// write).
     pub ops: OpTally,
     /// What the run's client recorded: the degradation tallies (timeouts,
     /// retries, aborts) and the per-server failure-detector evidence — the
@@ -282,7 +283,7 @@ pub struct ScenarioOutcome {
 }
 
 impl ScenarioOutcome {
-    /// Total safety violations (authenticity + read-your-writes).
+    /// Total safety violations (authenticity + freshness).
     #[must_use]
     pub fn safety_violations(&self) -> u64 {
         self.ops.safety_violations()
@@ -326,9 +327,6 @@ where
         .with_metrics(Arc::clone(&metrics));
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5ce0_a210);
     let mut tally = OpTally::default();
-    // The single writer's read-your-writes frontier: completed writes only
-    // (an aborted write promises nothing).
-    let mut ryw_floor = 0u64;
 
     // The write phase, then the reads with a fresh write before every
     // `WRITE_EVERY`-th one.
@@ -339,7 +337,7 @@ where
             write_first.then_some(true).into_iter().chain([false])
         }));
     for is_write in schedule {
-        tally.perform(&mut client, is_write, &clock, &mut ryw_floor, &mut rng);
+        tally.perform(&mut client, is_write, &clock, &mut rng);
     }
     assert_eq!(tally.fenced, 0, "the chaos workload never reconfigures");
 
@@ -445,7 +443,7 @@ mod tests {
             // timing cannot move: a change to the workload constants, the
             // chaos keying or the decision fold codes shows up here.
             let golden = match scenario {
-                ChaosScenario::DropRetry => Some((0x7bbe_8471_7c47_03b7, 292, 31)),
+                ChaosScenario::DropRetry => Some((0xd03e_21e6_a205_f6da, 292, 32)),
                 ChaosScenario::Duplicate => Some((0xd32c_cdcd_5c4c_6dfa, 260, 29)),
                 _ => None,
             };

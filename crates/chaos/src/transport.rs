@@ -648,7 +648,7 @@ mod tests {
         assert_eq!(
             mailbox.drain_timeout(Duration::from_millis(50), &mut batch),
             bqs_service::mailbox::DrainStatus::TimedOut,
-            "a forged write ack would fabricate read-your-writes"
+            "a forged write ack would complete a write nobody stored"
         );
         assert_eq!(chaos.stats().dropped, 2);
         assert!(chaos

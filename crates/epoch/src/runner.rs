@@ -59,8 +59,7 @@ const MAX_DETECT_TICKS: usize = 12;
 /// Write fraction of every burst.
 const WRITE_FRACTION: f64 = 0.2;
 
-/// Per-operation deadline (also bounds the per-phase priming wait):
-/// comfortably above every scenario's chaos delays, so healthy servers are
+/// Per-operation deadline: comfortably above every scenario's chaos delays, so healthy servers are
 /// never accused of timing out.
 const OP_DEADLINE: Duration = Duration::from_millis(250);
 
@@ -119,7 +118,7 @@ pub struct PhaseSummary {
     pub fenced: u64,
     /// Operations abandoned at their deadline.
     pub timed_out: u64,
-    /// Reads that returned a fabricated pair (must stay zero).
+    /// Reads that returned a fabricated or stale pair (must stay zero).
     pub safety_violations: u64,
 }
 
@@ -485,7 +484,7 @@ mod tests {
         assert_eq!(a.fingerprint, b.fingerprint);
         // Golden value: a change to the drill's constants, the suspicion
         // engine's or the chaos stream moves it.
-        assert_eq!(a.fingerprint, 0x479b_9a26_59d5_fabd);
+        assert_eq!(a.fingerprint, 0xb1e8_6c76_9b59_7acb);
         assert_eq!(a.trace_fingerprint, b.trace_fingerprint);
         assert_eq!(a.epochs, b.epochs);
         assert_eq!(a.suspects, b.suspects);

@@ -11,10 +11,10 @@
 //!   since the previous tick's snapshot ([`MetricsSnapshot::since`]); a
 //!   server whose no-answer fraction over the delta reaches
 //!   `ACCUSE_RATIO` (with at least `MIN_SAMPLES` samples) is accused for
-//!   that tick. Crashed replicas acknowledge writes in-band but serve reads
-//!   `None`, so under any read-leaning mix their accusal fraction sits near
-//!   the read fraction — far above a healthy server's (whose only `None`s
-//!   come from still-empty registers early on).
+//!   that tick. A crashed replica answers every request with the in-band
+//!   no-answer `None`, so its accusal fraction sits near 1 — far above a
+//!   healthy server's, which answers every read with an entry (the initial
+//!   one before the first write) and acknowledges every write it stores.
 //! * **Latency evidence** — a timeout-inflation adversary answers *every*
 //!   request just under the deadline, so the ratio counters never move. Its
 //!   cumulative p99 round-trip (read off the tick's whole snapshot, not the

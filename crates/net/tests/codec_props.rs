@@ -118,6 +118,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Whatever goes in comes back out, frame for frame.
+    #[test]
     fn round_trip_random_messages(seed in 0u64..1_000_000, count in 1usize..40) {
         let messages = random_messages(seed, count);
         let mut reader = FrameReader::new();
@@ -129,6 +130,7 @@ proptest! {
 
     /// Message boundaries never matter: any chunking of the byte stream
     /// (including 1-byte dribbles) decodes to the same frames in order.
+    #[test]
     fn round_trip_survives_arbitrary_chunking(
         seed in 0u64..1_000_000,
         count in 1usize..16,
@@ -147,6 +149,7 @@ proptest! {
 
     /// A torn/corrupt prefix costs the frames it overlaps, never the stream:
     /// after random garbage, the next intact frame decodes.
+    #[test]
     fn resynchronises_after_garbage(
         seed in 0u64..1_000_000,
         garbage_len in 1usize..48,
@@ -171,6 +174,7 @@ proptest! {
 
     /// A length prefix above the cap is rejected without buffering the
     /// claimed payload, and decoding resumes at the next intact frame.
+    #[test]
     fn oversized_frames_are_rejected(
         seed in 0u64..1_000_000,
         excess in 1u64..1_000_000_000,
@@ -192,6 +196,7 @@ proptest! {
     /// Batched encoding is transparent: the same message sequence, pushed
     /// through the batch encoders, decodes to the identical frame stream —
     /// and never costs more bytes than one frame per message.
+    #[test]
     fn batched_round_trip_matches_unbatched(seed in 0u64..1_000_000, count in 1usize..200) {
         let messages = random_messages(seed, count);
         let batched = encode_all_batched(&messages);
@@ -206,6 +211,7 @@ proptest! {
     /// Batch frame boundaries never matter either: any chunking of the
     /// batched byte stream (1-byte dribbles included) decodes to the same
     /// messages in order.
+    #[test]
     fn batched_round_trip_survives_arbitrary_chunking(
         seed in 0u64..1_000_000,
         count in 1usize..80,
@@ -224,6 +230,7 @@ proptest! {
 
     /// The resync contract holds for batch frames: after random garbage, the
     /// next intact batch decodes in full.
+    #[test]
     fn batched_stream_resynchronises_after_garbage(
         seed in 0u64..1_000_000,
         garbage_len in 1usize..48,
@@ -248,6 +255,7 @@ proptest! {
     /// A batch whose count byte is corrupted — any flip, any batch size — is
     /// rejected *whole* (one resync, no partial salvage, no fabrication) and
     /// the next intact frames decode untouched.
+    #[test]
     fn corrupt_batch_count_rejects_the_whole_batch(
         seed in 0u64..1_000_000,
         count in 2usize..65,
@@ -284,6 +292,7 @@ proptest! {
 
     /// Pure noise never panics the reader and never fabricates a frame
     /// stream longer than the noise could encode.
+    #[test]
     fn random_noise_never_panics(seed in 0u64..1_000_000, len in 0usize..512) {
         let mut rng = StdRng::seed_from_u64(seed);
         let noise: Vec<u8> = (0..len).map(|_| rng.gen::<u64>() as u8).collect();

@@ -113,7 +113,10 @@ fn server_survives_batch_corruption_across_a_reconnect() {
     encode_request_batch(&healthy, &mut wire);
     first.write_all(&wire).unwrap();
     let replies = collect_replies(&mut first, 3);
-    assert!(replies.iter().all(|r| r.entry.is_none()), "empty register");
+    assert!(
+        replies.iter().all(|r| r.entry == Some(Entry::INITIAL)),
+        "an unwritten register holds its initial entry"
+    );
 
     let truncated_batch = read_batch(4, &[0, 1, 2, 3]);
     let mut wire = Vec::new();

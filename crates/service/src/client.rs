@@ -18,8 +18,9 @@
 //!    [`bqs_sim::quorum_op::QuorumOp`] decide which of them count (quorum
 //!    member, right epoch, one vote per server, never a fence);
 //! 4. take the operation's outcome from the core
-//!    ([`bqs_sim::quorum_op::QuorumOp::outcome`]): for reads, entries with at
-//!    least `b + 1` supporters are safe and the freshest safe entry wins.
+//!    ([`bqs_sim::quorum_op::QuorumOp::on_reply`]) once every member answered
+//!    with an entry: for reads, entries with at least `b + 1` supporters are
+//!    safe and the freshest safe entry wins.
 //!
 //! Steps 2 and 3 and the deadline are the one operation path the open-loop
 //! worker shares (`crate::inflight`); this shell adds only the id rule, the
@@ -39,6 +40,7 @@ use std::time::{Duration, Instant};
 use bqs_core::bitset::ServerSet;
 use bqs_core::quorum::QuorumSystem;
 use bqs_sim::client::{choose_access_quorum, ProtocolError};
+use bqs_sim::quorum_op::Action;
 use bqs_sim::server::{jitter_factor, Entry, Value};
 use rand::Rng;
 
@@ -69,13 +71,13 @@ pub enum ServiceError {
     /// is shutting down or went away mid-request.
     TransportFailure,
     /// The servers fenced the operation: the epoch this client is stamped
-    /// with has been retired by a reconfiguration. `current` is the newest
-    /// epoch a fencing server reported; the caller must fetch that epoch's
+    /// with has been retired by a reconfiguration. `current` is the epoch the
+    /// fencing server reported; the caller must fetch that epoch's
     /// configuration (universe + strategy), update the client, and retry.
     /// Never retried internally — retrying under the retired strategy can
     /// only be fenced again.
     EpochFenced {
-        /// The newest epoch reported by a fencing server.
+        /// The epoch the fencing server reported as current.
         current: u64,
     },
 }
@@ -220,18 +222,19 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
     }
 
     /// One attempt: fans `op` out to every member of the current operation's
-    /// quorum in one batched transport call and gathers replies until every
-    /// member's vote is in (`Ok(true)`). `Ok(false)` is a transient failure —
-    /// a refused send, or a reply deadline that passed with votes missing
-    /// (the transport may merely be slow) — which [`ServiceClient::operate`]
-    /// may retry; a fence and a closed reply path are final.
+    /// quorum in one batched transport call and gathers replies until the
+    /// core ends the attempt: [`Action::Complete`] with the outcome, or
+    /// [`Action::Retry`] — a refused send, a reply deadline that passed with
+    /// votes missing (the transport may merely be slow), or a member that
+    /// voted without an entry — which [`ServiceClient::operate`] may retry.
+    /// A fence and a closed reply path are final.
     ///
     /// Ids are strictly increasing across the client's lifetime, so a reply
     /// with an id below this operation's range is a straggler from an aborted
     /// earlier rendezvous — older epoch stamp, possibly older strategy — and
     /// is dropped before it can vote on or fence this operation. Everything
-    /// else about admission is [`QuorumOp::admit`]'s.
-    fn rendezvous(&mut self, op: Operation) -> Result<bool, ServiceError> {
+    /// else about admission is [`bqs_sim::quorum_op::QuorumOp::on_reply`]'s.
+    fn rendezvous(&mut self, op: Operation) -> Result<Action, ServiceError> {
         let first_id = self.next_request_id + 1;
         self.next_request_id += self.current.op.quorum().len() as u64;
         let id = |member: usize, _| first_id + member as u64;
@@ -242,42 +245,48 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
         {
             // Partial delivery is possible; the id filter below absorbs any
             // replies the accepted members still produce.
-            return Ok(false);
+            return Ok(Action::Retry);
         }
         let metrics = self.metrics.as_deref();
         if metrics.is_some() {
             // Only the metrics' latency evidence reads `started`.
             self.current.started = Instant::now();
         }
-        while !self.current.op.is_complete() {
+        loop {
             match mailbox.drain_timeout(self.reply_deadline, &mut self.drained) {
                 DrainStatus::Drained(_) => {}
                 DrainStatus::TimedOut => {
                     self.current.on_deadline(metrics);
-                    return Ok(false);
+                    return Ok(Action::Retry);
                 }
                 // The reply path is gone for good (reader thread died,
                 // service torn down): fail fast, never wait out the deadline,
                 // and never retry — that would only burn the backoff budget.
                 DrainStatus::Closed => return Err(self.abort()),
             }
-            // Fence policy: report the newest epoch of the drained batch.
-            let mut fenced_at: Option<u64> = None;
             for reply in self.drained.drain(..) {
                 if reply.request_id < first_id {
                     continue;
                 }
-                if let Some(current) = self.current.on_reply(reply, metrics) {
-                    fenced_at = Some(fenced_at.map_or(current, |e| e.max(current)));
+                match self.current.on_reply(reply, self.b, metrics) {
+                    Action::Pending => {}
+                    // Never retried: under the retired strategy a retry can
+                    // only be fenced again. A signal, not a failure — no
+                    // abort is recorded.
+                    Action::Fenced { current } => {
+                        return Err(ServiceError::EpochFenced { current });
+                    }
+                    // A member voted without an entry: the attempt ends as a
+                    // quiet deadline does.
+                    Action::Retry => {
+                        self.current.on_deadline(metrics);
+                        return Ok(Action::Retry);
+                    }
+                    // Dropping the drain clears the rest of the batch.
+                    complete @ Action::Complete(_) => return Ok(complete),
                 }
             }
-            // Never retried: under the retired strategy a retry can only be
-            // fenced again. A signal, not a failure — no abort is recorded.
-            if let Some(current) = fenced_at {
-                return Err(ServiceError::EpochFenced { current });
-            }
         }
-        Ok(true)
     }
 
     /// Records an abandoned operation and names its error.
@@ -289,34 +298,40 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
     }
 
     /// Runs one operation to completion: choose a quorum, rendezvous, and on
-    /// a transient failure (a refusal, a quiet deadline, a write some member
-    /// did not acknowledge) sleep the jittered
-    /// backoff and retry against a freshly chosen quorum, `retry_limit` times
-    /// at most. A fence or a closed reply path ends the operation at once.
-    /// Returns the operation's outcome: `None` for a write, the resolved
-    /// entry for a read; the quorum stays in `self.current`.
+    /// a transient failure (a refusal, a quiet deadline, a member that voted
+    /// without an entry) sleep the jittered backoff and retry, `retry_limit`
+    /// times at most, against a freshly chosen quorum that avoids the
+    /// members the failed attempt got no entry from when one does. A fence or
+    /// a closed reply path ends the operation at once. Returns the
+    /// operation's outcome: `None` for a write, the resolved entry for a
+    /// read; the quorum stays in `self.current`.
     pub(crate) fn operate<R: Rng>(
         &mut self,
         op: Operation,
         rng: &mut R,
     ) -> Result<Option<Entry>, ServiceError> {
         let mut attempt = 0u32;
+        // The view a retry chooses from: the failure detector's, less the
+        // members the failed attempt got no entry from.
+        let mut steered: Option<ServerSet> = None;
         loop {
-            let quorum = choose_access_quorum(self.system, &self.responsive, rng)?;
+            let quorum = match &steered {
+                Some(view) => choose_access_quorum(self.system, view, rng)
+                    .or_else(|_| choose_access_quorum(self.system, &self.responsive, rng)),
+                None => choose_access_quorum(self.system, &self.responsive, rng),
+            }?;
             self.current.op.restart(quorum, op.kind(), self.epoch);
-            if self.rendezvous(op)? {
-                match self.current.op.outcome(self.b) {
-                    // An unacknowledged write did not complete: retried as
-                    // after a quiet deadline.
-                    Err(ProtocolError::NoSafeValue) if self.current.op.is_write() => {
-                        self.current.on_deadline(self.metrics.as_deref());
-                    }
-                    outcome => return Ok(outcome?),
-                }
+            if let Action::Complete(outcome) = self.rendezvous(op)? {
+                return Ok(outcome?);
             }
             if attempt >= self.retry_limit {
                 return Err(self.abort());
             }
+            let mut view = self.responsive.clone();
+            for server in self.current.op.silent() {
+                view.remove(server);
+            }
+            steered = Some(view);
             attempt += 1;
             if let Some(metrics) = &self.metrics {
                 metrics.record_retry();
@@ -350,8 +365,8 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
     ///
     /// [`ServiceError::Protocol`] with [`ProtocolError::NoLiveQuorum`] when no
     /// quorum of responsive servers exists or [`ProtocolError::NoSafeValue`]
-    /// when no pair had `b + 1` supporters (an empty register, or concurrent
-    /// writes splitting the quorum's support), or
+    /// when no pair had `b + 1` supporters (concurrent writes splitting the
+    /// quorum's support), or
     /// [`ServiceError::TransportFailure`] when the service is gone.
     pub fn read<R: Rng>(&mut self, rng: &mut R) -> Result<ServiceReadOutcome, ServiceError> {
         let entry = self.operate(Operation::Read, rng)?;
@@ -361,20 +376,24 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
         })
     }
 
-    /// The multi-writer write of \[MR98a\]: query a quorum for the highest safe
-    /// timestamp — masking the `b` possibly-lying servers exactly as a read
-    /// does; an empty register counts as timestamp 0 — then write `value`
-    /// under the next timestamp writer `writer_id` of `writers` owns,
-    /// `(highest / writers + 1) * writers + writer_id`, so two writers never
-    /// produce the same timestamp. Costs two quorum round trips; with
-    /// sequential operations every read returns the most recent completed
-    /// write, whichever writer made it. Returns the entry written.
+    /// The multi-writer write of \[MR98a\]: query a quorum, then write
+    /// `value` under the next timestamp writer `writer_id` of `writers` owns
+    /// above the query's `(b + 1)`-st highest timestamp `t`:
+    /// `(t / writers + 1) * writers + writer_id`, so two writers never
+    /// produce the same timestamp. The query resolves only over a full
+    /// quorum of answers, as a read does, so at least `b + 1` correct holders
+    /// of the last completed write report its timestamp or a newer one and
+    /// the new write lands above it; the `b` possibly-lying servers cannot
+    /// raise `t` past every correct server's timestamp. Costs two quorum
+    /// round trips; with sequential operations every read returns the most
+    /// recent completed write, whichever writer made it. Returns the entry
+    /// written.
     ///
     /// # Errors
     ///
-    /// As [`ServiceClient::read`] (except that an empty register is not an
-    /// error) for the query round and [`ServiceClient::write`] for the write
-    /// round.
+    /// As [`ServiceClient::read`] (except that a query whose entries have no
+    /// `b + 1`-supported value still has its timestamp) for the query round
+    /// and [`ServiceClient::write`] for the write round.
     ///
     /// # Panics
     ///
@@ -387,11 +406,15 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
         rng: &mut R,
     ) -> Result<Entry, ServiceError> {
         assert!(writer_id < writers, "invalid writer identity");
-        let highest = match self.read(rng) {
-            Ok(read) => read.entry.timestamp,
-            Err(ServiceError::Protocol(ProtocolError::NoSafeValue)) => 0,
+        match self.operate(Operation::Read, rng) {
+            Ok(_) | Err(ServiceError::Protocol(ProtocolError::NoSafeValue)) => {}
             Err(e) => return Err(e),
-        };
+        }
+        let highest = self
+            .current
+            .op
+            .query_timestamp(self.b)
+            .expect("a complete query holds every member's entry");
         let entry = Entry {
             timestamp: (highest / writers + 1) * writers + writer_id,
             value,
@@ -430,15 +453,14 @@ mod tests {
     }
 
     #[test]
-    fn read_before_write_has_no_safe_value() {
+    fn read_before_write_returns_the_initial_entry() {
         let system = ThresholdSystem::minimal_masking(1).unwrap();
         let service = LoopbackService::spawn(&FaultPlan::none(5), 1, 3);
         let mut client = ServiceClient::new(&system, &service, service.responsive_set().clone(), 1);
         let mut rng = StdRng::seed_from_u64(2);
-        assert_eq!(
-            client.read(&mut rng).unwrap_err(),
-            ServiceError::Protocol(ProtocolError::NoSafeValue)
-        );
+        let outcome = client.read(&mut rng).unwrap();
+        assert_eq!(outcome.entry, Entry::INITIAL);
+        assert_eq!(outcome.quorum.len(), 4);
     }
 
     #[test]

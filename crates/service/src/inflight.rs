@@ -1,10 +1,10 @@
 //! The one operation path under every shell.
 //!
-//! The closed-loop [`crate::client::ServiceClient`], the open-loop worker and
-//! its priming write all move messages for the same protocol core,
-//! [`QuorumOp`], and all of them do it through [`InFlight`]: one fan-out, one
-//! reply rule and one deadline rule, with the metrics the core stays free
-//! of. The outcome is the core's own ([`QuorumOp::outcome`]). What stays in a
+//! The closed-loop [`crate::client::ServiceClient`] and the open-loop worker
+//! both move messages for the same protocol core, [`QuorumOp`], and both do
+//! it through [`InFlight`]: one fan-out, one reply rule and one deadline
+//! rule, with the metrics the core stays free of. How an attempt ends is the
+//! core's own ([`QuorumOp::on_reply`]). What stays in a
 //! shell is what differs between them: how a reply is matched to its
 //! operation, what a fence means, when to drain, and whether to retry.
 //! `specs/register/pseudo-code.md` at the repository root states the
@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bqs_core::bitset::ServerSet;
-use bqs_sim::quorum_op::{Admission, QuorumOp};
+use bqs_sim::quorum_op::{Action, Admission, QuorumOp};
 
 use crate::mailbox::{ReplyHandle, ReplyMailbox};
 use crate::metrics::ServiceMetrics;
@@ -67,26 +67,26 @@ impl InFlight {
         sent
     }
 
-    /// Reply rule: the core decides whether the reply `r` counts, and a
-    /// counted vote becomes failure-detector evidence in `metrics` — an
-    /// answer timed from [`InFlight::started`], or a no-answer. Returns the
-    /// epoch the server reported when `r` fences the operation.
-    pub(crate) fn on_reply(&mut self, r: Reply, metrics: Option<&ServiceMetrics>) -> Option<u64> {
-        match self.op.admit(r.server, r.entry, r.epoch, r.stale) {
-            Admission::Ignored => None,
-            Admission::Fenced { current } => Some(current),
-            Admission::Counted { answered } => {
-                if let Some(metrics) = metrics {
-                    metrics.record_server_vote(r.server, answered, self.started);
-                }
-                None
-            }
+    /// Reply rule: the core decides whether the reply `r` counts and how the
+    /// attempt stands (masking level `b`), and a counted vote becomes
+    /// failure-detector evidence in `metrics` — an answer timed from
+    /// [`InFlight::started`], or a no-answer.
+    pub(crate) fn on_reply(
+        &mut self,
+        r: Reply,
+        b: usize,
+        metrics: Option<&ServiceMetrics>,
+    ) -> Action {
+        let (admission, action) = self.op.on_reply(r.server, r.entry, r.epoch, r.stale, b);
+        if let (Admission::Counted { answered }, Some(metrics)) = (admission, metrics) {
+            metrics.record_server_vote(r.server, answered, self.started);
         }
+        action
     }
 
-    /// Deadline rule: the operation is abandoned with votes missing — one
-    /// timeout, and silence as evidence against exactly the members that
-    /// never voted.
+    /// Deadline rule: the attempt is abandoned — at its deadline, or complete
+    /// with a no-answer vote (FULL) — as one timeout, and silence as evidence
+    /// against exactly the members that never voted.
     pub(crate) fn on_deadline(&self, metrics: Option<&ServiceMetrics>) {
         if let Some(metrics) = metrics {
             metrics.record_timeout();

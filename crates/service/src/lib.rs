@@ -38,8 +38,8 @@
 //! * [`runner`] — [`runner::run_service`]: a closed-loop load generator
 //!   (configurable client count and read/write mix, client 0 the one writer)
 //!   over a service the caller spawned — and may reuse across trials — with
-//!   online safety checking sound under concurrency (value authenticity plus
-//!   the writer's read-your-writes) — `runner::judge_read`, the
+//!   online safety checking sound under concurrency (value authenticity, and
+//!   freshness against the writer clock's read frontier) — the
 //!   [`runner::OpTally`] every generator's report is filled from, and
 //!   [`runner::OpTally::perform`], the one closed-loop operation `run_service`
 //!   and `bqs-chaos` share;
@@ -49,8 +49,8 @@
 //!   [`transport::Transport`] and exposes the saturation knee that
 //!   closed-loop generation structurally cannot.
 //!
-//! Under all three clients — the closed loop, the open-loop worker and its
-//! priming write — runs one operation path (a crate-private module): one
+//! Under both clients — the closed loop and the open-loop worker — runs one
+//! operation path (a crate-private module): one
 //! fan-out, one reply rule and one deadline rule around `QuorumOp`, with the
 //! metrics the core stays free of. `specs/register/pseudo-code.md` at the
 //! repository root states the lifecycle.

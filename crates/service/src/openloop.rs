@@ -58,13 +58,14 @@ use std::time::{Duration, Instant};
 use bqs_core::bitset::ServerSet;
 use bqs_core::quorum::QuorumSystem;
 use bqs_sim::client::choose_access_quorum;
+use bqs_sim::quorum_op::Action;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::inflight::InFlight;
 use crate::mailbox::{DrainStatus, ReplyMailbox};
 use crate::metrics::{LatencyHistogram, ServiceMetrics};
-use crate::runner::{register_op, OpTally};
+use crate::runner::{Invocation, OpTally};
 use crate::shard::TimestampOracle;
 use crate::transport::{Reply, Request, Transport};
 
@@ -130,8 +131,8 @@ pub struct OpenLoopReport {
     /// Arrivals shed at the in-flight cap (offered-but-never-sent load).
     pub shed: u64,
     /// Operations abandoned at their deadline with replies still missing,
-    /// and writes some member did not acknowledge (see
-    /// [`bqs_sim::quorum_op::QuorumOp::outcome`]).
+    /// and operations some member answered without an entry (FULL, see
+    /// [`bqs_sim::quorum_op::QuorumOp::on_reply`]).
     pub timed_out: u64,
     /// Arrivals that found no live quorum to contact.
     pub no_live_quorum: u64,
@@ -141,7 +142,8 @@ pub struct OpenLoopReport {
     /// stamp fell outside the acceptance window). Nonzero only when a
     /// reconfiguration finalises past the epoch this run was started with.
     pub fenced: u64,
-    /// Reads that returned a fabricated (timestamp, value) pair.
+    /// Reads that returned a fabricated (timestamp, value) pair, or one older
+    /// than the read frontier at their arrival (see [`crate::runner`]).
     pub safety_violations: u64,
     /// Wall-clock seconds from first arrival to last completion.
     pub elapsed_seconds: f64,
@@ -251,10 +253,6 @@ pub struct OpenLoopSession<'a> {
 /// view for in-process measurements, or a full set when no faults are
 /// injected); `b` is the masking level applied to reads.
 ///
-/// The register is primed with one write before measurement starts (when a
-/// live quorum exists), so steady-state reads do not pay the cold-register
-/// inconclusive penalty.
-///
 /// `session` places the run in a longer-lived session (a standalone run
 /// passes `&OpenLoopSession::default()`). It supplies the epoch stamped on
 /// every request (a service that has never reconfigured runs at epoch 0),
@@ -329,7 +327,6 @@ where
         member_bits: (usize::BITS - system.universe_size().saturating_sub(1).leading_zeros())
             .max(8),
     };
-    prime_register(&run);
 
     let workers = config.workers.min(config.total_arrivals);
     let per_worker_rate = config.offered_rate / workers as f64;
@@ -427,45 +424,6 @@ where
     }
 }
 
-/// Writes one authentic entry, as an ordinary operation on the shared path,
-/// so that steady-state reads find a safe value. It ends when every quorum
-/// member has voted (acknowledged or not: an unacknowledged priming write is
-/// not retried, and the reads it would have served count as inconclusive),
-/// on a fence, or at the run's per-operation
-/// deadline (a lossy transport can swallow a priming reply; waiting longer
-/// than any real operation would only stall the measurement), and records
-/// no metrics. Skipped when no live quorum exists.
-fn prime_register<Q, T>(run: &Run<'_, Q, T>)
-where
-    Q: QuorumSystem + ?Sized,
-    T: Transport + ?Sized,
-{
-    let mut rng = StdRng::seed_from_u64(run.config.seed ^ 0x9e37_79b9_7f4a_7c15);
-    let Ok(quorum) = choose_access_quorum(run.system, run.responsive, &mut rng) else {
-        return;
-    };
-    let write = register_op(true, run.clock);
-    let mut prime = InFlight::start(quorum, write, run.epoch);
-    let mailbox = Arc::new(ReplyMailbox::new());
-    let id = |_, server: usize| u64::MAX - server as u64;
-    // A refusal may be partial: the accepted members still acknowledge.
-    let _ = prime.fan_out(run.transport, write, 0, id, &mailbox, &mut Vec::new());
-    let deadline = Instant::now() + run.config.op_deadline;
-    let mut drained = Vec::new();
-    while !prime.op.is_complete() {
-        let left = deadline.saturating_duration_since(Instant::now());
-        // TimedOut and Closed alike end the wait, and so does a fence:
-        // nothing more is coming (or worth waiting for) before the run.
-        if mailbox.drain_timeout(left, &mut drained).count() == 0
-            || drained
-                .drain(..)
-                .any(|reply| prime.on_reply(reply, None).is_some())
-        {
-            return;
-        }
-    }
-}
-
 /// One worker's event loop: schedule Poisson arrivals, pipeline quorum
 /// fan-outs (one batched transport call each), drain whole batches of
 /// replies from the worker's mailbox, match them by request id, expire
@@ -481,7 +439,7 @@ where
     let reply_mailbox = Arc::new(ReplyMailbox::new());
     let mut fanout: Vec<Request> = Vec::new();
     let mut drained: Vec<Reply> = Vec::new();
-    let mut pending: HashMap<u64, InFlight> = HashMap::new();
+    let mut pending: HashMap<u64, (InFlight, Invocation)> = HashMap::new();
     let mut tally = WorkerTally::default();
     // Request ids encode (worker, operation): the low `member_bits` bits
     // distinguish the members of one fan-out (transports need per-request
@@ -515,7 +473,8 @@ where
                 tally.ops.unavailable += 1;
                 continue;
             };
-            let op = register_op(rng.gen_bool(config.write_fraction), run.clock);
+            let invoked = Invocation::new(rng.gen_bool(config.write_fraction), run.clock);
+            let op = invoked.op;
             op_seq += 1;
             let op_key = worker_tag | (op_seq << run.member_bits);
             let in_flight = InFlight::start(quorum, op, run.epoch);
@@ -528,7 +487,7 @@ where
                 tally.rejected += 1;
                 continue;
             }
-            pending.insert(op_key, in_flight);
+            pending.insert(op_key, (in_flight, invoked));
             tally.peak_in_flight = tally.peak_in_flight.max(pending.len() as u64);
         }
 
@@ -540,7 +499,7 @@ where
             }
             let tail = *tail_end.get_or_insert_with(|| Instant::now() + config.tail_deadline);
             if Instant::now() >= tail {
-                for (_, op) in pending.drain() {
+                for (_, (op, _)) in pending.drain() {
                     op.on_deadline(run.metrics);
                     tally.timed_out += 1;
                 }
@@ -576,7 +535,7 @@ where
 
         // Expiry phase: abandon operations past their deadline.
         let now = Instant::now();
-        pending.retain(|_, op| {
+        pending.retain(|_, (op, _)| {
             let live = now < op.started + config.op_deadline;
             if !live {
                 op.on_deadline(run.metrics);
@@ -595,37 +554,38 @@ where
 fn handle_reply<Q: ?Sized, T: ?Sized>(
     run: &Run<'_, Q, T>,
     reply: Reply,
-    pending: &mut HashMap<u64, InFlight>,
+    pending: &mut HashMap<u64, (InFlight, Invocation)>,
     tally: &mut WorkerTally,
 ) {
     let op_key = reply.request_id & !((1u64 << run.member_bits) - 1);
-    let Some(in_flight) = pending.get_mut(&op_key) else {
+    let Some((in_flight, _)) = pending.get_mut(&op_key) else {
         return;
     };
-    // Fence policy: the first fence abandons the whole fan-out (a fenced
-    // operation must never complete with strategies mixed in). Fencing is a
-    // configuration signal, not server misbehaviour — no accusal.
-    if in_flight.on_reply(reply, run.metrics).is_some() {
-        pending.remove(&op_key);
-        tally.ops.fenced += 1;
-        return;
-    }
-    if !in_flight.op.is_complete() {
-        return;
-    }
-    let done = pending.remove(&op_key).expect("just observed");
-    let outcome = done.op.outcome(run.b);
-    if done.op.is_write() && outcome.is_err() {
-        // An unacknowledged write did not complete: it ends as a quiet
+    let outcome = match in_flight.on_reply(reply, run.b, run.metrics) {
+        Action::Pending => return,
+        Action::Complete(outcome) => outcome,
+        // Fence policy: the first fence abandons the whole fan-out (a fenced
+        // operation must never complete with strategies mixed in). Fencing is
+        // a configuration signal, not server misbehaviour — no accusal.
+        Action::Fenced { .. } => {
+            pending.remove(&op_key);
+            tally.ops.fenced += 1;
+            return;
+        }
+        // A member voted without an entry: the operation ends as a quiet
         // deadline would (its no-answers are already recorded as votes).
-        done.on_deadline(run.metrics);
-        tally.timed_out += 1;
-        return;
-    }
+        Action::Retry => {
+            in_flight.on_deadline(run.metrics);
+            pending.remove(&op_key);
+            tally.timed_out += 1;
+            return;
+        }
+    };
+    let (done, invoked) = pending.remove(&op_key).expect("just observed");
     let latency = done.started.elapsed().as_nanos() as u64;
-    let outcome = outcome.map_err(Into::into);
-    // No read-your-writes frontier (floor 0): writes pipeline freely.
-    tally.ops.record(done.op.is_write(), outcome, run.clock, 0);
+    tally
+        .ops
+        .record(invoked, outcome.map_err(Into::into), run.clock);
     if let Some(metrics) = run.metrics {
         // Client-side load accounting: the completed operation touched every
         // member of its quorum once (matches the server-side definition, but
@@ -914,32 +874,26 @@ mod tests {
     }
 
     #[test]
-    fn priming_waits_for_every_member_not_for_as_many_frames() {
+    fn an_operation_waits_for_every_member_not_for_as_many_frames() {
         // Four acknowledgements from two of a quorum's four members: counting
-        // frames would call the write done at once, and the first measured
-        // reads could race it. Each member counts once, so the wait runs to
-        // the deadline.
+        // frames would end the operation at once. Each member counts once
+        // (ONE-VOTE), so the wait runs to the deadline.
         let system = ThresholdSystem::minimal_masking(1).unwrap(); // 4-of-5
         let config = OpenLoopConfig {
             op_deadline: Duration::from_millis(300),
             ..quick(1_000.0, 1)
         };
-        let clock = TimestampOracle::new();
-        let run = Run {
-            system: &system,
-            b: 1,
-            transport: &HalfTwice(5),
-            responsive: &ServerSet::full(5),
-            config: &config,
-            epoch: 0,
-            metrics: None,
-            clock: &clock,
-            hist: LatencyHistogram::new(),
-            member_bits: 8,
-        };
         let started = Instant::now();
-        prime_register(&run);
+        let report = run_open_loop_session(
+            &system,
+            1,
+            &HalfTwice(5),
+            &ServerSet::full(5),
+            &config,
+            &OpenLoopSession::default(),
+        );
         let waited = started.elapsed();
+        assert_eq!((report.completed(), report.timed_out), (0, 1), "{report:?}");
         assert!(waited >= config.op_deadline, "returned after {waited:?}");
         assert!(
             waited < Duration::from_secs(5),

@@ -15,27 +15,24 @@
 //!
 //! # Safety checking under concurrency
 //!
-//! A lone client can compare every read against "the last completed write"
-//! because it is the only actor. Under concurrent clients that predicate is
-//! ill-defined (reads may race in-flight writes, which the masking register
-//! legitimately serves old-or-new), so the runner checks the two predicates
-//! that remain sound — and that, for a lone client, add up to that
-//! comparison:
+//! Every read is judged, by every client, against two predicates that hold
+//! for any number of writers and any concurrency:
 //!
 //! * **authenticity** — the writer derives each value deterministically from
 //!   its unique timestamp ([`authentic_value`]); any read whose value does
 //!   not match its timestamp, or whose timestamp was never allocated,
 //!   returned a *fabricated* pair — precisely what `b + 1`-support masking
 //!   must prevent while at most `b` servers are Byzantine;
-//! * **read-your-writes** (the writer's own reads) — client 0 is the
-//!   register's one writer, as in the paper; when it reads, no write is in
-//!   flight anywhere, so at least `b + 1` correct servers of any read quorum
-//!   hold its last completed write's exact entry and the freshest safe
-//!   timestamp cannot be older. The other clients only read, and their reads
-//!   may race the writer's, so only authenticity is checked for them.
+//! * **freshness** — the run's [`TimestampOracle`] keeps the read frontier,
+//!   the highest timestamp of a completed write. A read loads it when it is
+//!   invoked and is *stale* if it returns a lower timestamp: a write that
+//!   completed before the read began has `b + 1` correct holders in every
+//!   read quorum, so the freshest safe entry cannot be older. Reads that race
+//!   a write may return it or its predecessor, and neither is stale.
 //!
-//! Several writers sharing one register is \[MR98a\]'s protocol,
-//! [`ServiceClient::write_after_query`]; this runner does not drive it.
+//! Client 0 is the register's one writer, as in the paper; several writers
+//! sharing one register is \[MR98a\]'s protocol,
+//! [`ServiceClient::write_after_query`], which this runner does not drive.
 //!
 //! Both checks flag real protocol violations with certainty (no false
 //! positives), and the fabrication check is exactly the one a `> b` Byzantine
@@ -130,7 +127,7 @@ impl ServiceReport {
         busiest as f64 / self.load_operations().max(1) as f64
     }
 
-    /// True when no read violated authenticity or read-your-writes.
+    /// True when no read was fabricated or stale.
     #[must_use]
     pub fn is_safe(&self) -> bool {
         self.ops.safety_violations() == 0
@@ -148,43 +145,30 @@ pub fn authentic_value(ts: Timestamp) -> Value {
     ts.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(23) ^ 0xD1B5_4A32_D192_ED03
 }
 
-/// A read, or a write of `clock`'s next timestamp and its
-/// [`authentic_value`].
-pub(crate) fn register_op(is_write: bool, clock: &TimestampOracle) -> Operation {
-    if !is_write {
-        return Operation::Read;
-    }
-    let timestamp = clock.allocate();
-    Operation::Write(Entry {
-        timestamp,
-        value: authentic_value(timestamp),
-    })
+/// One register operation as a generator invoked it: a read, or a write of
+/// its clock's next timestamp and that timestamp's [`authentic_value`], with
+/// the clock's read frontier at the moment of invocation — what the read must
+/// not fall below.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Invocation {
+    pub(crate) op: Operation,
+    frontier: Timestamp,
 }
 
-/// What the safety checker found wrong with one completed read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ReadVerdict {
-    /// The pair was never written: the value does not belong to the
-    /// timestamp, or the timestamp was never allocated.
-    pub fabricated: bool,
-    /// The pair is older than a write the reader itself completed.
-    pub stale: bool,
-}
-
-/// Judges a completed read against the writers' `clock` and the reader's
-/// read-your-writes frontier `ryw_floor`: its last completed write's
-/// timestamp where that predicate is sound (a single writer reading its own
-/// register), 0 where it is not.
-#[must_use]
-pub(crate) fn judge_read(
-    entry: Entry,
-    clock: &TimestampOracle,
-    ryw_floor: Timestamp,
-) -> ReadVerdict {
-    ReadVerdict {
-        fabricated: entry.value != authentic_value(entry.timestamp)
-            || entry.timestamp > clock.latest(),
-        stale: entry.timestamp < ryw_floor,
+impl Invocation {
+    /// Invokes a read, or a write when `is_write`, against `clock`.
+    pub(crate) fn new(is_write: bool, clock: &TimestampOracle) -> Self {
+        let frontier = clock.frontier();
+        let op = if is_write {
+            let timestamp = clock.allocate();
+            Operation::Write(Entry {
+                timestamp,
+                value: authentic_value(timestamp),
+            })
+        } else {
+            Operation::Read
+        };
+        Invocation { op, frontier }
     }
 }
 
@@ -206,30 +190,41 @@ pub struct OpTally {
     pub reads_aborted: u64,
     /// Operations fenced by the servers' epoch gate.
     pub fenced: u64,
-    /// Resolved reads judged `ReadVerdict::fabricated`.
+    /// Resolved reads of a pair that was never written: the value does not
+    /// belong to the timestamp, or the timestamp was never allocated.
     pub fabricated: u64,
-    /// Resolved reads judged `ReadVerdict::stale`.
+    /// Resolved reads older than the read frontier at their invocation: a
+    /// write that completed before the read began was not returned.
     pub stale: u64,
 }
 
 impl OpTally {
-    /// Tallies one finished operation — `Ok(None)` is an acknowledged write,
-    /// `Ok(Some(entry))` a resolved read, judged by `judge_read`. Returns
-    /// true for a full quorum round trip (see [`OpTally::round_trips`]).
-    pub fn record(
+    /// Tallies how `invoked` ended — `Ok(None)` is an acknowledged write,
+    /// which advances `clock`'s read frontier, `Ok(Some(entry))` a resolved
+    /// read, judged against `clock` and the frontier at its invocation.
+    /// Returns true for a full quorum round trip (see
+    /// [`OpTally::round_trips`]).
+    pub(crate) fn record(
         &mut self,
-        is_write: bool,
+        invoked: Invocation,
         outcome: Result<Option<Entry>, ServiceError>,
         clock: &TimestampOracle,
-        ryw_floor: Timestamp,
     ) -> bool {
+        let is_write = matches!(invoked.op, Operation::Write(_));
         match outcome {
-            Ok(None) => self.writes += 1,
+            Ok(None) => {
+                if let Operation::Write(entry) = invoked.op {
+                    clock.complete(entry.timestamp);
+                }
+                self.writes += 1;
+            }
             Ok(Some(entry)) => {
-                let verdict = judge_read(entry, clock, ryw_floor);
                 self.reads += 1;
-                self.fabricated += u64::from(verdict.fabricated);
-                self.stale += u64::from(verdict.stale);
+                self.fabricated += u64::from(
+                    entry.value != authentic_value(entry.timestamp)
+                        || entry.timestamp > clock.latest(),
+                );
+                self.stale += u64::from(entry.timestamp < invoked.frontier);
             }
             Err(ServiceError::Protocol(ProtocolError::NoSafeValue)) => self.inconclusive += 1,
             Err(ServiceError::Protocol(ProtocolError::NoLiveQuorum)) => self.unavailable += 1,
@@ -243,25 +238,22 @@ impl OpTally {
         )
     }
 
-    /// Runs one closed-loop operation through `client` and tallies it. A
-    /// write stores the authentic entry of `clock`'s next timestamp and, once
-    /// acknowledged, raises the read-your-writes floor `ryw_floor` to it; a
-    /// read is judged against `clock` and `ryw_floor`. Returns true for a
-    /// full quorum round trip, as [`OpTally::record`] does.
+    /// Runs one closed-loop operation through `client` — a write of
+    /// `clock`'s next timestamp and its authentic value, or a read — and
+    /// tallies it: a completed write advances `clock`'s read frontier, and a
+    /// resolved read is judged against `clock` and the frontier at its
+    /// invocation. Returns true for a full quorum round trip (see
+    /// [`OpTally::round_trips`]).
     pub fn perform<Q: QuorumSystem + ?Sized, T: Transport + ?Sized, R: Rng>(
         &mut self,
         client: &mut ServiceClient<'_, Q, T>,
         is_write: bool,
         clock: &TimestampOracle,
-        ryw_floor: &mut Timestamp,
         rng: &mut R,
     ) -> bool {
-        let op = register_op(is_write, clock);
-        let outcome = client.operate(op, rng);
-        if let (Operation::Write(entry), Ok(_)) = (op, &outcome) {
-            *ryw_floor = entry.timestamp;
-        }
-        self.record(is_write, outcome, clock, *ryw_floor)
+        let invoked = Invocation::new(is_write, clock);
+        let outcome = client.operate(invoked.op, rng);
+        self.record(invoked, outcome, clock)
     }
 
     /// Full quorum round trips — acknowledged writes plus reads, resolved or
@@ -340,15 +332,12 @@ where
                 let mut client =
                     ServiceClient::new(system, service, service.responsive_set().clone(), b);
                 let is_writer = client_id == 0;
-                // Only the writer completes writes, so a reader's
-                // read-your-writes floor stays 0 (see the module docs).
-                let mut ryw_floor: Timestamp = 0;
                 let mut tally = OpTally::default();
                 for op in 0..config.ops_per_client {
                     let do_write =
                         is_writer && (op == 0 || rng.gen::<f64>() < config.write_fraction);
                     let op_started = Instant::now();
-                    if tally.perform(&mut client, do_write, clock, &mut ryw_floor, &mut rng) {
+                    if tally.perform(&mut client, do_write, clock, &mut rng) {
                         service
                             .metrics()
                             .record_operation(op_started.elapsed().as_nanos() as u64);
@@ -487,7 +476,7 @@ mod tests {
         // itself: 2b+1 colluding fabricators defeat the b+1 support
         // threshold and the authenticity check must catch the leaked pair;
         // b+1 stale replayers give the first write b+1 votes for ever, and
-        // the single writer's read-your-writes floor must catch it winning.
+        // the read frontier must catch it winning.
         let sys = ThresholdSystem::minimal_masking(1).unwrap(); // n = 5, b = 1
         let fabricate = ByzantineStrategy::FabricateHighTimestamp { value: 666 };
         for (coalition, strategy, clients) in
@@ -600,8 +589,8 @@ mod tests {
         // Without re-arming: the service has already carried traffic, and
         // the run's report still covers only the run. Reads leave these
         // replicas as they were (no equivocator draws from the shard RNG),
-        // so the earlier traffic is a lone client's reads of the empty
-        // register.
+        // so the earlier traffic is a lone client's reads of the unwritten
+        // register, which return its initial entry.
         let sys = ThresholdSystem::minimal_masking(1).unwrap(); // 4-of-5
         let plan = FaultPlan::none(5)
             .with_byzantine(3, ByzantineStrategy::FabricateHighTimestamp { value: 999 });
@@ -615,10 +604,7 @@ mod tests {
         let mut reader = ServiceClient::new(&sys, &used, used.responsive_set().clone(), 1);
         let mut rng = StdRng::seed_from_u64(44);
         for _ in 0..25 {
-            assert_eq!(
-                reader.read(&mut rng).unwrap_err(),
-                ServiceError::Protocol(ProtocolError::NoSafeValue)
-            );
+            assert_eq!(reader.read(&mut rng).unwrap().entry, Entry::INITIAL);
         }
         used.metrics().record_operation(1);
         assert_eq!(used.metrics().access_counts().iter().sum::<u64>(), 100);
@@ -634,5 +620,16 @@ mod tests {
     fn authentic_value_is_timestamp_determined() {
         assert_eq!(authentic_value(7), authentic_value(7));
         assert_ne!(authentic_value(7), authentic_value(8));
+    }
+
+    #[test]
+    fn the_initial_entry_is_the_authentic_value_of_timestamp_0() {
+        assert_eq!(
+            Entry::INITIAL,
+            Entry {
+                timestamp: 0,
+                value: authentic_value(0),
+            }
+        );
     }
 }

@@ -294,16 +294,23 @@ impl Transport for LoopbackService {
     }
 }
 
-/// A monotone timestamp oracle shared by every writer of a service run, so
-/// concurrent writes are totally ordered without coordination beyond one
-/// atomic increment.
+/// The writers' clock of a run, shared by every client of it: a monotone
+/// timestamp oracle, so concurrent writes are totally ordered without
+/// coordination beyond one atomic increment, and beside it the *read
+/// frontier* — the highest timestamp of a write that has completed. A read
+/// invoked after a write completed must return that write or a newer one (the
+/// regular-register condition), so each read loads the frontier when it is
+/// invoked and is stale if it returns a lower timestamp. Sessions that share
+/// a clock (the phases of a reconfiguration drill, the clients of one run)
+/// share the frontier with it.
 #[derive(Debug, Default)]
 pub struct TimestampOracle {
     next: AtomicU64,
+    completed: AtomicU64,
 }
 
 impl TimestampOracle {
-    /// A fresh oracle starting at timestamp 1.
+    /// A fresh oracle starting at timestamp 1, with nothing completed.
     #[must_use]
     pub fn new() -> Self {
         TimestampOracle::default()
@@ -320,6 +327,18 @@ impl TimestampOracle {
     #[must_use]
     pub fn latest(&self) -> u64 {
         self.next.load(Ordering::Relaxed)
+    }
+
+    /// Records that the write of `timestamp` completed: every member of its
+    /// quorum acknowledged it.
+    pub(crate) fn complete(&self, timestamp: u64) {
+        self.completed.fetch_max(timestamp, Ordering::Release);
+    }
+
+    /// The read frontier: the highest timestamp of a completed write.
+    #[must_use]
+    pub(crate) fn frontier(&self) -> u64 {
+        self.completed.load(Ordering::Acquire)
     }
 }
 
@@ -400,7 +419,7 @@ mod tests {
         for (s, reply) in replies.iter().enumerate() {
             assert_eq!(reply.server, s);
             assert_eq!(reply.request_id, 100 + s as u64);
-            assert_eq!(reply.entry, None);
+            assert_eq!(reply.entry, Some(Entry::INITIAL));
         }
     }
 
@@ -459,14 +478,20 @@ mod tests {
             reply: mb as ReplyHandle,
         }));
         // The shards stay healthy afterwards.
-        assert_eq!(roundtrip(&service, 2, Operation::Read).entry, None);
+        assert_eq!(
+            roundtrip(&service, 2, Operation::Read).entry,
+            Some(Entry::INITIAL)
+        );
     }
 
     #[test]
     fn more_shards_than_servers_is_clamped() {
         let service = LoopbackService::spawn(&FaultPlan::none(2), 8, 1);
         assert_eq!(service.shards(), 2);
-        assert_eq!(roundtrip(&service, 1, Operation::Read).entry, None);
+        assert_eq!(
+            roundtrip(&service, 1, Operation::Read).entry,
+            Some(Entry::INITIAL)
+        );
     }
 
     #[test]
@@ -488,7 +513,10 @@ mod tests {
         assert_eq!(before.accesses, vec![2, 1, 1, 1, 1]);
         service.reset_plan(&FaultPlan::none(5).with_crashed(1), 4);
         assert_eq!(service.responsive_set().to_vec(), vec![0, 2, 3, 4]);
-        assert_eq!(roundtrip(&service, 0, Operation::Read).entry, None);
+        assert_eq!(
+            roundtrip(&service, 0, Operation::Read).entry,
+            Some(Entry::INITIAL)
+        );
         assert_eq!(roundtrip(&service, 1, Operation::Read).entry, None);
         // Two reads since the reset, nothing from before.
         let since = service.metrics().snapshot().since(&before);
@@ -583,5 +611,11 @@ mod tests {
         assert_eq!(oracle.allocate(), 1);
         assert_eq!(oracle.allocate(), 2);
         assert_eq!(oracle.latest(), 2);
+        // The frontier is the highest completion, in whatever order the
+        // writes complete.
+        assert_eq!(oracle.frontier(), 0);
+        oracle.complete(2);
+        oracle.complete(1);
+        assert_eq!(oracle.frontier(), 2);
     }
 }

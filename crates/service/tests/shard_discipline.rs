@@ -87,7 +87,10 @@ fn concurrent_clients_get_exactly_one_reply_each_and_fenced_requests_touch_nothi
                             assert_eq!(reply.server, server);
                             let fenced = client % 2 == 1 && server % 3 == 0;
                             assert_eq!(reply.stale, fenced);
-                            assert_eq!(reply.entry, None);
+                            // A fence carries no entry; a served read finds
+                            // the initial entry, never the poison.
+                            let expected = (!fenced).then_some(Entry::INITIAL);
+                            assert_eq!(reply.entry, expected);
                             served += u64::from(!fenced);
                         }
                     }
@@ -111,7 +114,9 @@ fn concurrent_clients_get_exactly_one_reply_each_and_fenced_requests_touch_nothi
         assert!(service.send(request(server, Operation::Read, 0, 0, &mailbox)));
     }
     assert!(
-        drain(&mailbox).iter().all(|reply| reply.entry.is_none()),
+        drain(&mailbox)
+            .iter()
+            .all(|reply| reply.entry == Some(Entry::INITIAL)),
         "a fenced write reached a replica"
     );
 }
@@ -168,7 +173,7 @@ fn an_equivocating_replica_answers_from_its_shards_seeded_stream_in_send_order()
         assert_eq!(reply.server, server);
         let expected = match server {
             1..=3 => bare.deliver_read(0, &mut streams[server % 2]),
-            _ => None,
+            _ => Some(Entry::INITIAL),
         };
         assert_eq!(reply.entry, expected, "request {}", reply.request_id);
     }

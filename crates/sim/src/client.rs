@@ -13,10 +13,10 @@
 //! failures the client selects its quorum among the servers its failure detector
 //! considers responsive, using [`QuorumSystem::find_live_quorum`].
 //!
-//! This module holds the two decisions every client shell shares — which
-//! quorum to address ([`choose_access_quorum`]) and which reply wins
-//! ([`resolve_read`]) — and the errors they surface. The clients themselves
-//! (message passing, deadlines, retries, timestamps) live in `bqs-service`.
+//! This module holds two decisions of every operation — which quorum to
+//! address ([`choose_access_quorum`]) and which reply wins
+//! ([`resolve_read`]) — and the errors they surface. The rest (message
+//! passing, deadlines, retries, timestamps) lives in `bqs-service`.
 
 use rand::Rng;
 
@@ -31,12 +31,11 @@ pub enum ProtocolError {
     /// No quorum consists entirely of responsive servers; the operation cannot make
     /// progress (availability loss, not a safety violation).
     NoLiveQuorum,
-    /// Every member voted but the votes establish nothing: a read where fewer than
-    /// `b + 1` servers agreed on any pair, or a write some member answered without
-    /// echoing the entry (a no-answer), which did not complete. A write completes
-    /// only when every member of its quorum stored it, so with a correct quorum
-    /// system and at most `b` Byzantine servers a read can end here only before the
-    /// first write completes or while writes run concurrently.
+    /// Every member of a read's quorum answered, but fewer than `b + 1` of them
+    /// agreed on any pair. A write completes only when every member of its quorum
+    /// stored it, and every replica starts at [`Entry::INITIAL`], so with a correct
+    /// quorum system and at most `b` Byzantine servers a read can end here only
+    /// while writes run concurrently.
     NoSafeValue,
 }
 
@@ -59,8 +58,8 @@ impl std::error::Error for ProtocolError {}
 /// sporadic failures, and falling back to deterministic live-quorum discovery
 /// only when sampling repeatedly fails.
 ///
-/// This is the one quorum-selection policy of every protocol shell:
-/// `bqs-service`'s closed-loop and open-loop clients.
+/// This is the one quorum-selection policy of `bqs-service`, for
+/// closed-loop and open-loop operations alike.
 ///
 /// # Errors
 ///
@@ -92,8 +91,9 @@ where
 /// [`mask_votes`](bqs_core::masking::mask_votes)) it returns the greatest —
 /// the highest timestamp, and within a timestamp the greatest value.
 ///
-/// What a read's [`QuorumOp::outcome`](crate::quorum_op::QuorumOp::outcome)
-/// applies to its admitted votes. The safety argument (any pair fabricated by
+/// What a complete read's
+/// [`QuorumOp::on_reply`](crate::quorum_op::QuorumOp::on_reply) applies to
+/// its admitted votes. The safety argument (any pair fabricated by
 /// at most `b` Byzantine servers has at most `b` supporters) is `mask_votes`'s.
 /// The search keeps the best safe entry so far and counts the support only
 /// of a greater one, and only up to `b + 1`, so it allocates nothing and

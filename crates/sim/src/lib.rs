@@ -15,10 +15,10 @@
 //! * [`fault`] — fault plans for the paper's hybrid failure model (`≤ b` Byzantine
 //!   plus arbitrarily many crashes);
 //! * [`quorum_op`] — the sans-I/O core of one operation: which replies may
-//!   count (quorum member, right epoch, one vote per server, never a fence)
-//!   and the `b + 1`-support read rule, stated once for every client shell
-//!   in `bqs-service`;
-//! * [`client`] — the two decisions every shell shares: probe-and-fallback
+//!   count (quorum member, right epoch, one vote per server, never a fence),
+//!   that an attempt resolves only over a full quorum of answers, and the
+//!   `b + 1`-support read rule, stated once for `bqs-service`;
+//! * [`client`] — two decisions of every operation: probe-and-fallback
 //!   quorum choice over any [`bqs_core::quorum::QuorumSystem`] and the
 //!   masking read rule, plus the protocol's errors;
 //! * [`epoch`] — the server-side epoch gate that fences a retired access
@@ -45,14 +45,15 @@
 //!     replica.deliver_write(written);
 //! }
 //! let mut read = QuorumOp::start(ServerSet::from_indices(5, 1..5), OpKind::Read, 0);
+//! let mut action = Action::Pending;
 //! for server in 1..5 {
 //!     let reply = replicas[server].deliver_read(0, &mut rng);
-//!     read.admit(server, reply, 0, false);
+//!     action = read.on_reply(server, reply, 0, false, 1).1;
 //! }
-//! // Of the three shared servers b + 1 = 2 are correct and hold the write;
-//! // the lie has one vote, so it is not even in the safe set.
-//! assert!(read.is_complete());
-//! assert_eq!(read.outcome(1), Ok(Some(written)));
+//! // Every member answered; of the three shared servers b + 1 = 2 are
+//! // correct and hold the write, and the lie has one vote, so it is not
+//! // even in the safe set.
+//! assert_eq!(action, Action::Complete(Ok(Some(written))));
 //! ```
 //!
 //! See `bqs-service`'s crate example for the same register served to
@@ -74,6 +75,6 @@ pub mod prelude {
     pub use crate::client::{choose_access_quorum, resolve_read, ProtocolError};
     pub use crate::epoch::EpochGate;
     pub use crate::fault::FaultPlan;
-    pub use crate::quorum_op::{Admission, OpKind, QuorumOp};
+    pub use crate::quorum_op::{Action, Admission, OpKind, QuorumOp};
     pub use crate::server::{mix64, Behavior, ByzantineStrategy, Entry, Replica, Timestamp, Value};
 }

@@ -1,31 +1,34 @@
 //! The sans-I/O core of one masking-register operation.
 //!
-//! A [`QuorumOp`] is one read or write against one quorum under one epoch.
-//! Shells (`bqs-service`'s closed- and open-loop clients) choose the quorum
-//! ([`crate::client::choose_access_quorum`]), move messages, keep clocks and
-//! metrics, and decide what a fence or a deadline *means*; whether a reply
-//! may count, whom a deadline accuses and what a complete operation returns
-//! are decided here and nowhere else.
+//! A [`QuorumOp`] is one attempt at a read or a write against one quorum
+//! under one epoch. `bqs-service` chooses the
+//! quorum ([`crate::client::choose_access_quorum`]), moves messages, keeps
+//! clocks, timers and metrics; whether a reply may count, whom a deadline
+//! accuses and how an attempt ends are decided here and nowhere else.
+//! [`QuorumOp::on_reply`] and [`QuorumOp::on_deadline`] return the
+//! [`Action`] the caller takes: keep waiting, complete with an outcome, retry
+//! against another quorum, or stop at a fence.
 //!
 //! `specs/register/pseudo-code.md` at the repository root states the
 //! operation's lifecycle as pseudo-code with its named properties: MEMBER,
 //! FENCE, EPOCH and ONE-VOTE ([`QuorumOp::admit`]), DEADLINE
-//! ([`QuorumOp::unanswered`]), ACK and MASKING ([`QuorumOp::outcome`], the
-//! latter through [`resolve_read`]). The tests below cite each by name.
+//! ([`QuorumOp::on_deadline`], [`QuorumOp::unanswered`]), FULL and MASKING
+//! ([`QuorumOp::on_reply`], the latter through [`resolve_read`]). The tests
+//! below cite each by name.
 
 use bqs_core::bitset::ServerSet;
 
 use crate::client::{resolve_read, ProtocolError};
-use crate::server::Entry;
+use crate::server::{Entry, Timestamp};
 
 /// Which half of the register protocol an operation is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OpKind {
-    /// Collect entries; a vote without one is not a protocol answer.
+    /// Collect every member's entry and keep the freshest with `b + 1`
+    /// votes.
     #[default]
     Read,
-    /// Collect acknowledgements, each echoing the stored entry; a vote
-    /// without one is a no-answer, and the write did not complete.
+    /// Collect acknowledgements, each echoing the stored entry.
     Write,
 }
 
@@ -47,7 +50,29 @@ pub enum Admission {
     },
 }
 
-/// One operation's admission state (see the module docs). The default value
+/// How an attempt stands after a reply or a deadline — what the caller does
+/// next.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Action {
+    /// Votes are still missing: keep waiting.
+    Pending,
+    /// Every member answered with an entry (FULL). The outcome is `None` for
+    /// a write and, for a read, the freshest entry with `b + 1` votes
+    /// (MASKING) — [`ProtocolError::NoSafeValue`] when no entry has them.
+    Complete(Result<Option<Entry>, ProtocolError>),
+    /// The attempt ended without an outcome: a member voted without an entry
+    /// (FULL), or the deadline passed with votes missing (DEADLINE). The
+    /// caller may try another quorum.
+    Retry,
+    /// A member fenced the operation (FENCE): the epoch it is stamped with
+    /// has been retired.
+    Fenced {
+        /// The epoch the fencing server reported as current.
+        current: u64,
+    },
+}
+
+/// One attempt's admission state (see the module docs). The default value
 /// is an idle operation over the empty quorum.
 #[derive(Debug, Clone, Default)]
 pub struct QuorumOp {
@@ -66,7 +91,7 @@ impl QuorumOp {
         op
     }
 
-    /// Re-arms `self` for the next operation, reusing the vote buffer.
+    /// Re-arms `self` for the next attempt, reusing the vote buffer.
     pub fn restart(&mut self, quorum: ServerSet, kind: OpKind, epoch: u64) {
         self.votes.clear();
         self.votes.reserve(quorum.len());
@@ -98,7 +123,7 @@ impl QuorumOp {
     }
 
     /// Decides whether the reply `(entry, epoch, stale)`, attributed by the
-    /// shell to `server`, counts — MEMBER, FENCE, EPOCH, ONE-VOTE in order.
+    /// caller to `server`, counts — MEMBER, FENCE, EPOCH, ONE-VOTE in order.
     pub fn admit(
         &mut self,
         server: usize,
@@ -121,10 +146,39 @@ impl QuorumOp {
         }
     }
 
-    /// True once every member's vote is in.
+    /// Admits one reply and decides how the attempt stands: fenced, still
+    /// pending, or — once every member has voted — complete when every vote
+    /// carries an entry and to be retried when one does not (FULL). A read
+    /// completes with the freshest entry that has `b + 1` votes (MASKING).
+    /// The [`Admission`] is returned too, for the caller's evidence.
+    pub fn on_reply(
+        &mut self,
+        server: usize,
+        entry: Option<Entry>,
+        epoch: u64,
+        stale: bool,
+        b: usize,
+    ) -> (Admission, Action) {
+        let admission = self.admit(server, entry, epoch, stale);
+        let action = match admission {
+            Admission::Fenced { current } => Action::Fenced { current },
+            Admission::Ignored => Action::Pending,
+            Admission::Counted { .. } if self.votes.len() < self.quorum.len() => Action::Pending,
+            Admission::Counted { .. } if self.votes.iter().any(|(_, e)| e.is_none()) => {
+                Action::Retry
+            }
+            Admission::Counted { .. } if self.is_write() => Action::Complete(Ok(None)),
+            Admission::Counted { .. } => Action::Complete(resolve_read(&self.votes, b).map(Some)),
+        };
+        (admission, action)
+    }
+
+    /// The deadline passed with votes missing: the attempt is abandoned and
+    /// the caller may retry it. Silence is evidence against exactly the
+    /// members without a vote, [`QuorumOp::unanswered`] (DEADLINE).
     #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.votes.len() == self.quorum.len()
+    pub fn on_deadline(&self) -> Action {
+        Action::Retry
     }
 
     /// The members without a vote, in quorum order — whom a deadline accuses
@@ -134,24 +188,32 @@ impl QuorumOp {
         self.quorum.iter().filter(move |&server| !voted(server))
     }
 
-    /// What the operation returns over the votes so far: `None` for a write
-    /// every voter acknowledged, and for a read the freshest entry with
-    /// `b + 1` votes (MASKING).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::NoSafeValue`] when a write has a no-answer vote (ACK:
-    /// the write did not complete) or no entry of a read has `b + 1` votes.
-    pub fn outcome(&self, b: usize) -> Result<Option<Entry>, ProtocolError> {
-        if self.is_write() {
-            let acknowledged = self.votes.iter().all(|(_, entry)| entry.is_some());
-            return if acknowledged {
-                Ok(None)
-            } else {
-                Err(ProtocolError::NoSafeValue)
-            };
-        }
-        resolve_read(&self.votes, b).map(Some)
+    /// The members that gave no entry — no vote yet, or a vote without one —
+    /// in quorum order: whom a retry steers around.
+    pub fn silent(&self) -> impl Iterator<Item = usize> + '_ {
+        let answered = |server| {
+            self.votes
+                .iter()
+                .any(|&(s, entry)| s == server && entry.is_some())
+        };
+        self.quorum.iter().filter(move |&server| !answered(server))
+    }
+
+    /// The `(b + 1)`-st highest timestamp among the entries voted so far, or
+    /// `None` with fewer than `b + 1` of them — the timestamp a
+    /// query-then-write builds on. Over a complete read, at least `b + 1`
+    /// correct members of the last completed write's quorum report its
+    /// timestamp or a newer one, so the result is not below it; and `b`
+    /// liars cannot raise it past every correct member's timestamp.
+    #[must_use]
+    pub fn query_timestamp(&self, b: usize) -> Option<Timestamp> {
+        let mut timestamps: Vec<Timestamp> = self
+            .votes
+            .iter()
+            .filter_map(|(_, e)| e.map(|e| e.timestamp))
+            .collect();
+        timestamps.sort_unstable_by(|x, y| y.cmp(x));
+        timestamps.get(b).copied()
     }
 }
 
@@ -218,8 +280,10 @@ mod tests {
             let (quorum, b, frames) = random_stream(&mut rng);
             let mut op = QuorumOp::start(quorum.clone(), OpKind::Read, EPOCH);
             let mut voted: Vec<usize> = Vec::new();
+            let mut ended = None;
             for &(server, entry, epoch, stale) in &frames {
-                match op.admit(server, entry, epoch, stale) {
+                let (admission, action) = op.on_reply(server, entry, epoch, stale, b);
+                match admission {
                     Admission::Counted { answered } => {
                         assert!(quorum.contains(server), "MEMBER (seed {seed})");
                         assert!(!stale, "FENCE (seed {seed})");
@@ -227,14 +291,25 @@ mod tests {
                         assert!(!voted.contains(&server), "ONE-VOTE (seed {seed})");
                         assert_eq!(answered, entry.is_some());
                         voted.push(server);
+                        // FULL: only the last member's vote ends the attempt.
+                        assert_eq!(
+                            action == Action::Pending,
+                            voted.len() < quorum.len(),
+                            "FULL (seed {seed})"
+                        );
+                        if action != Action::Pending {
+                            ended = Some(action);
+                        }
                     }
                     Admission::Fenced { current } => {
                         assert!(stale && quorum.contains(server), "FENCE (seed {seed})");
                         assert_eq!(current, epoch, "FENCE reports the server's epoch");
+                        assert_eq!(action, Action::Fenced { current });
                     }
                     Admission::Ignored => {
                         let strayed = !stale && (epoch != EPOCH || voted.contains(&server));
                         assert!(!quorum.contains(server) || strayed, "seed {seed}");
+                        assert_eq!(action, Action::Pending);
                     }
                 }
                 // A deadline here accuses exactly the members without a vote,
@@ -247,55 +322,93 @@ mod tests {
                 );
             }
             // Every member answered somewhere in the stream, so whatever the
-            // order the operation completes with exactly one vote each ...
-            assert!(op.is_complete(), "seed {seed}");
+            // order the attempt ends with exactly one vote each ...
             voted.sort_unstable();
             assert_eq!(voted, quorum.to_vec(), "seed {seed}");
             // ... and MASKING holds: the ≤ b liars, however often echoed and
             // whoever else repeats their pair, never reach b + 1 votes.
-            assert_eq!(op.outcome(b), Ok(Some(HONEST)), "MASKING (seed {seed})");
+            assert_eq!(
+                ended,
+                Some(Action::Complete(Ok(Some(HONEST)))),
+                "MASKING (seed {seed})"
+            );
             assert_eq!(
                 mask_votes(&op.votes, b),
                 vec![Some(HONEST)],
                 "MASKING: the lie is not even safe (seed {seed})"
             );
             // The same stream acknowledges a write — every member echoes an
-            // entry — so it completes, and its outcome carries no entry (ACK).
+            // entry — so it completes, and its outcome carries no entry.
             let mut write = QuorumOp::start(quorum.clone(), OpKind::Write, EPOCH);
-            for &(server, entry, epoch, stale) in &frames {
-                write.admit(server, entry, epoch, stale);
-            }
-            assert!(write.is_complete(), "seed {seed}");
-            assert_eq!(write.outcome(b), Ok(None), "ACK (seed {seed})");
+            let ended = frames
+                .iter()
+                .map(|&(server, entry, epoch, stale)| {
+                    write.on_reply(server, entry, epoch, stale, b)
+                })
+                .find(|(admission, action)| {
+                    matches!(admission, Admission::Counted { .. }) && *action != Action::Pending
+                });
+            assert_eq!(
+                ended.map(|(_, action)| action),
+                Some(Action::Complete(Ok(None))),
+                "FULL (seed {seed})"
+            );
         }
     }
 
     #[test]
-    fn a_vote_without_an_entry_is_a_no_answer_for_writes_and_reads() {
+    fn a_vote_without_an_entry_ends_the_attempt_for_writes_and_reads() {
         let quorum = ServerSet::from_indices(5, [0, 2, 4]);
-        let mut write = QuorumOp::start(quorum.clone(), OpKind::Write, 0);
+        for kind in [OpKind::Write, OpKind::Read] {
+            let mut op = QuorumOp::start(quorum.clone(), kind, 0);
+            assert_eq!(
+                op.on_reply(0, Some(HONEST), 0, false, 1),
+                (Admission::Counted { answered: true }, Action::Pending)
+            );
+            assert_eq!(
+                op.on_reply(2, None, 0, false, 1),
+                (Admission::Counted { answered: false }, Action::Pending),
+                "the attempt waits for every member's vote"
+            );
+            assert_eq!(op.unanswered().collect::<Vec<_>>(), vec![4]);
+            assert_eq!(op.silent().collect::<Vec<_>>(), vec![2, 4]);
+            assert_eq!(
+                op.on_reply(4, Some(HONEST), 0, false, 1).1,
+                Action::Retry,
+                "FULL: an attempt some member did not answer has no outcome ({kind:?})"
+            );
+        }
+        // A deadline ends an attempt the same way, whatever the votes so far.
+        let op = QuorumOp::start(quorum, OpKind::Read, 0);
+        assert_eq!(op.on_deadline(), Action::Retry);
+    }
+
+    #[test]
+    fn a_read_without_b_plus_1_votes_for_any_entry_completes_inconclusive() {
+        let quorum = ServerSet::from_indices(5, [0, 1, 2]);
+        let mut op = QuorumOp::start(quorum, OpKind::Read, 0);
+        op.on_reply(0, Some(HONEST), 0, false, 1);
+        op.on_reply(1, Some(LIE), 0, false, 1);
         assert_eq!(
-            write.admit(0, Some(HONEST), 0, false),
-            Admission::Counted { answered: true }
+            op.on_reply(2, Some(Entry::INITIAL), 0, false, 1).1,
+            Action::Complete(Err(ProtocolError::NoSafeValue)),
+            "MASKING"
         );
-        assert_eq!(
-            write.admit(2, None, 0, false),
-            Admission::Counted { answered: false }
-        );
-        write.admit(4, Some(HONEST), 0, false);
-        assert!(write.is_complete());
-        assert_eq!(
-            write.outcome(1),
-            Err(ProtocolError::NoSafeValue),
-            "ACK: a write some member did not store did not complete"
-        );
-        let mut read = QuorumOp::start(quorum, OpKind::Read, 0);
-        assert_eq!(
-            read.admit(2, None, 0, false),
-            Admission::Counted { answered: false }
-        );
-        assert_eq!(read.unanswered().collect::<Vec<_>>(), vec![0, 4]);
-        assert_eq!(read.outcome(1), Err(ProtocolError::NoSafeValue));
+    }
+
+    #[test]
+    fn the_query_timestamp_is_the_b_plus_1_st_highest() {
+        let quorum = ServerSet::from_indices(5, 0..5);
+        let mut op = QuorumOp::start(quorum, OpKind::Read, 0);
+        let reported = [LIE, HONEST, Entry::INITIAL, HONEST, Entry::INITIAL];
+        for (server, entry) in reported.into_iter().enumerate() {
+            op.on_reply(server, Some(entry), 0, false, 1);
+        }
+        // One liar cannot lift it: the second highest is HONEST's.
+        assert_eq!(op.query_timestamp(1), Some(HONEST.timestamp));
+        assert_eq!(op.query_timestamp(2), Some(HONEST.timestamp));
+        assert_eq!(op.query_timestamp(3), Some(0));
+        assert_eq!(op.query_timestamp(5), None);
     }
 
     #[test]
@@ -304,13 +417,14 @@ mod tests {
         let mut op = QuorumOp::start(ServerSet::from_indices(5, [0, 1]), OpKind::Read, 0);
         op.admit(0, Some(HONEST), 0, false);
         op.restart(second.clone(), OpKind::Write, 1);
-        assert!(op.is_write() && !op.is_complete());
+        assert!(op.is_write());
+        assert_eq!(op.unanswered().collect::<Vec<_>>(), vec![3, 4]);
         assert_eq!(op.admit(0, None, 1, false), Admission::Ignored, "MEMBER");
         assert_eq!(op.admit(3, None, 0, false), Admission::Ignored, "EPOCH");
         op.admit(3, None, 1, false);
         op.admit(4, None, 1, false);
-        assert!(op.is_complete());
+        assert_eq!(op.unanswered().count(), 0);
         assert_eq!(op.take_quorum(), second);
-        assert!(op.quorum().is_empty() && op.is_complete());
+        assert!(op.quorum().is_empty() && op.unanswered().count() == 0);
     }
 }

@@ -48,6 +48,19 @@ pub struct Entry {
     pub value: Value,
 }
 
+impl Entry {
+    /// The register's initial value, which every replica holds before its
+    /// first write: timestamp 0, below every written one, and the value
+    /// `bqs-service`'s `authentic_value(0)` derives, so a read that returns
+    /// it is an authentic read of the unwritten register. A live replica
+    /// therefore always has an entry to report, and a reply without one is a
+    /// no-answer, never an empty register.
+    pub const INITIAL: Entry = Entry {
+        timestamp: 0,
+        value: 0xD1B5_4A32_D192_ED03,
+    };
+}
+
 /// How a Byzantine server misbehaves when read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ByzantineStrategy {
@@ -56,7 +69,8 @@ pub enum ByzantineStrategy {
         /// The fabricated value to report.
         value: Value,
     },
-    /// Report the oldest value it ever saw (stale replay), or nothing if none.
+    /// Report the first value written to it (stale replay), or the initial
+    /// entry while nothing has been.
     StaleReplay,
     /// Report a uniformly random value and timestamp on every read (equivocation).
     Equivocate,
@@ -70,7 +84,8 @@ pub enum ByzantineStrategy {
         salt: u64,
     },
     /// Replay the newest value from a *previous epoch* of writes (epochs are
-    /// `timestamp / epoch_len`), falling back to the first write ever seen.
+    /// `timestamp / epoch_len`), falling back to the first write ever seen,
+    /// and to the initial entry before that.
     /// Unlike [`ByzantineStrategy::StaleReplay`] the lie tracks the write
     /// history, staying one epoch behind instead of pinned at the beginning.
     StaleEpochReplay {
@@ -96,21 +111,21 @@ pub enum Behavior {
 #[derive(Debug, Clone)]
 pub struct Replica {
     behavior: Behavior,
-    /// Latest accepted entry.
-    current: Option<Entry>,
-    /// First entry ever accepted (used by the stale-replay attack).
+    /// Latest accepted entry ([`Entry::INITIAL`] before the first write).
+    current: Entry,
+    /// First write ever accepted (used by the stale-replay attack).
     first: Option<Entry>,
     /// Newest entry of the last *completed* epoch (used by `StaleEpochReplay`).
     epoch_stale: Option<Entry>,
 }
 
 impl Replica {
-    /// Creates a replica with the given behaviour and empty state.
+    /// Creates a replica with the given behaviour, holding the initial entry.
     #[must_use]
     pub fn new(behavior: Behavior) -> Self {
         Replica {
             behavior,
-            current: None,
+            current: Entry::INITIAL,
             first: None,
             epoch_stale: None,
         }
@@ -118,7 +133,7 @@ impl Replica {
 
     /// The replica's current stored entry (what a correct replica would report).
     #[must_use]
-    pub fn stored(&self) -> Option<Entry> {
+    pub fn stored(&self) -> Entry {
         self.current
     }
 
@@ -129,21 +144,23 @@ impl Replica {
         match self.behavior {
             Behavior::Crashed => {}
             Behavior::Correct | Behavior::Byzantine(_) => {
-                if self.first.is_none() {
+                let written_before = self.first.is_some();
+                if !written_before {
                     self.first = Some(entry);
                 }
-                if self.current.is_none_or(|c| entry.timestamp > c.timestamp) {
+                if entry.timestamp > self.current.timestamp {
                     if let Behavior::Byzantine(ByzantineStrategy::StaleEpochReplay { epoch_len }) =
                         self.behavior
                     {
                         let epoch_len = epoch_len.max(1);
-                        if let Some(current) = self.current {
-                            if entry.timestamp / epoch_len > current.timestamp / epoch_len {
-                                self.epoch_stale = Some(current);
-                            }
+                        let current = self.current;
+                        if written_before
+                            && entry.timestamp / epoch_len > current.timestamp / epoch_len
+                        {
+                            self.epoch_stale = Some(current);
                         }
                     }
-                    self.current = Some(entry);
+                    self.current = entry;
                 }
             }
         }
@@ -158,14 +175,14 @@ impl Replica {
     /// self-consistent — replies for the same timestamp.
     pub fn deliver_read<R: Rng + ?Sized>(&mut self, origin: u64, rng: &mut R) -> Option<Entry> {
         match self.behavior {
-            Behavior::Correct => self.current,
+            Behavior::Correct => Some(self.current),
             Behavior::Crashed => None,
             Behavior::Byzantine(strategy) => match strategy {
                 ByzantineStrategy::FabricateHighTimestamp { value } => Some(Entry {
                     timestamp: Timestamp::MAX,
                     value,
                 }),
-                ByzantineStrategy::StaleReplay => self.first,
+                ByzantineStrategy::StaleReplay => Some(self.first.unwrap_or(Entry::INITIAL)),
                 ByzantineStrategy::Equivocate => Some(Entry {
                     timestamp: rng.gen(),
                     value: rng.gen(),
@@ -178,7 +195,9 @@ impl Replica {
                     timestamp: Timestamp::MAX - 1,
                     value: mix64(origin ^ salt),
                 }),
-                ByzantineStrategy::StaleEpochReplay { .. } => self.epoch_stale.or(self.first),
+                ByzantineStrategy::StaleEpochReplay { .. } => {
+                    Some(self.epoch_stale.or(self.first).unwrap_or(Entry::INITIAL))
+                }
                 ByzantineStrategy::Silent => None,
             },
         }
@@ -208,7 +227,8 @@ mod tests {
     fn correct_replica_stores_and_reports() {
         let mut r = Replica::new(Behavior::Correct);
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(r.deliver_read(0, &mut rng), None);
+        // Before any write it reports the register's initial entry.
+        assert_eq!(r.deliver_read(0, &mut rng), Some(Entry::INITIAL));
         r.deliver_write(Entry {
             timestamp: 1,
             value: 10,
@@ -241,7 +261,11 @@ mod tests {
         });
         assert_eq!(r.deliver_read(0, &mut rng), None);
         assert!(!r.is_responsive());
-        assert_eq!(r.stored(), None);
+        assert_eq!(
+            r.stored(),
+            Entry::INITIAL,
+            "a crashed replica accepts nothing"
+        );
     }
 
     #[test]
@@ -264,6 +288,8 @@ mod tests {
     fn stale_replay_reports_first_write() {
         let mut r = Replica::new(Behavior::Byzantine(ByzantineStrategy::StaleReplay));
         let mut rng = StdRng::seed_from_u64(0);
+        // Nothing written yet: it replays the initial entry.
+        assert_eq!(r.deliver_read(0, &mut rng), Some(Entry::INITIAL));
         r.deliver_write(Entry {
             timestamp: 1,
             value: 11,
@@ -325,6 +351,7 @@ mod tests {
             epoch_len: 4,
         }));
         let mut rng = StdRng::seed_from_u64(0);
+        assert_eq!(r.deliver_read(0, &mut rng), Some(Entry::INITIAL));
         // No completed epoch yet: falls back to the first write.
         r.deliver_write(Entry {
             timestamp: 1,
@@ -366,7 +393,7 @@ mod tests {
             })
         );
         // The lie is always strictly older than the truth it withholds.
-        assert_eq!(r.stored().unwrap().timestamp, 9);
+        assert_eq!(r.stored().timestamp, 9);
     }
 
     #[test]

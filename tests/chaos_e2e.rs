@@ -119,7 +119,7 @@ fn loopback_fingerprints_match_the_committed_report() {
     };
     for (scenario, committed) in [
         (ChaosScenario::DelayJitter, 8_689_074_866_023_968_317_u64),
-        (ChaosScenario::DropRetry, 11_382_509_204_790_503_797),
+        (ChaosScenario::DropRetry, 12_096_431_402_895_875_520),
         (ChaosScenario::Duplicate, 16_675_201_985_952_284_031),
     ] {
         let run = run_on(

@@ -3,6 +3,8 @@
 //! envelope (at most `b` Byzantine servers plus crashes within the resilience), and
 //! degrades to unavailability — never to inconsistency — beyond it.
 
+use std::time::Duration;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -125,11 +127,10 @@ fn run_with_runtime_crash(backend: Backend, b: usize, operations: usize, seed: u
     let mut client = ServiceClient::new(&system, &deployment, responsive, b);
     let mut rng = StdRng::seed_from_u64(seed);
     let clock = TimestampOracle::new();
-    let mut ryw_floor = 0;
     let mut tally = OpTally::default();
     for op in 0..operations {
         let is_write = op == 0 || rng.gen::<f64>() < 0.5;
-        tally.perform(&mut client, is_write, &clock, &mut ryw_floor, &mut rng);
+        tally.perform(&mut client, is_write, &clock, &mut rng);
     }
     tally
 }
@@ -151,6 +152,134 @@ fn a_server_crashed_at_runtime_never_acknowledges_a_write() {
             assert_eq!(total.fabricated, 0, "{name}, b = {b}: {total:?}");
             assert!(total.reads > 0, "{name}, b = {b}: {total:?}");
             assert!(total.writes_aborted > 0, "{name}, b = {b}: {total:?}");
+        }
+    }
+}
+
+/// How the reads of a crash-after-the-write run ended.
+#[derive(Debug, Default)]
+struct ReadCounts {
+    resolved: u64,
+    unresolved: u64,
+    stale: u64,
+    fabricated: u64,
+}
+
+/// A client over the full view of `Threshold::minimal_masking(b)` on
+/// `backend`, with servers `0..b` replaying the oldest entry they hold, and a
+/// retry budget that rides out the no-answers of a crashed server.
+fn crash_after_write_setup(backend: Backend, b: usize, seed: u64) -> (ThresholdSystem, Deployment) {
+    let system = ThresholdSystem::minimal_masking(b).unwrap();
+    let n = system.universe_size();
+    let plan = (0..b).fold(FaultPlan::none(n), |plan, server| {
+        plan.with_byzantine(server, ByzantineStrategy::StaleReplay)
+    });
+    let deployment = Deployment::start(backend, &plan, 1, seed, NetConfig::default()).unwrap();
+    (system, deployment)
+}
+
+/// Writes timestamps 1 and 2, crashes a correct member of the second write's
+/// quorum — a holder of the last completed write — and reads 20 times.
+fn crash_after_the_write(backend: Backend, b: usize, seed: u64) -> ReadCounts {
+    let (system, deployment) = crash_after_write_setup(backend, b, seed);
+    let full = ServerSet::full(system.universe_size());
+    let mut client =
+        ServiceClient::new(&system, &deployment, full, b).with_retries(64, Duration::ZERO);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let entry = |timestamp| Entry {
+        timestamp,
+        value: authentic_value(timestamp),
+    };
+    client.write(entry(1), &mut rng).unwrap();
+    let quorum = client.write(entry(2), &mut rng).unwrap();
+    let holder = quorum.iter().find(|&s| s >= b).unwrap();
+    deployment.service().crash_servers(&[holder]);
+    let mut counts = ReadCounts::default();
+    for _ in 0..20 {
+        match client.read(&mut rng) {
+            Ok(read) => {
+                counts.resolved += 1;
+                counts.stale += u64::from(read.entry.timestamp < 2);
+                counts.fabricated += u64::from(read.entry != entry(read.entry.timestamp));
+            }
+            Err(_) => counts.unresolved += 1,
+        }
+    }
+    counts
+}
+
+#[test]
+fn a_holder_of_the_last_write_crashing_never_makes_a_read_stale() {
+    // The masking argument needs every correct member of the intersection:
+    // 2b + 1 shared servers less b liars leave b + 1 holders of the last
+    // write only if all of them answer. A read must therefore resolve over a
+    // full quorum of answers, or the replayed older entry outvotes the last
+    // write once one of its holders has crashed.
+    for backend in [Backend::Loopback, Backend::Uds] {
+        for b in 1..=2 {
+            let mut total = ReadCounts::default();
+            for seed in 0..40 {
+                let counts = crash_after_the_write(backend, b, seed);
+                total.resolved += counts.resolved;
+                total.unresolved += counts.unresolved;
+                total.stale += counts.stale;
+                total.fabricated += counts.fabricated;
+            }
+            let name = backend.name();
+            assert_eq!(
+                (total.stale, total.fabricated),
+                (0, 0),
+                "{name}, b = {b}: {total:?}"
+            );
+            assert_eq!(total.unresolved, 0, "{name}, b = {b}: {total:?}");
+        }
+    }
+}
+
+#[test]
+fn write_after_query_stays_above_the_last_completed_write_after_a_crash() {
+    // Two writers share the register through query-then-write. After four
+    // writes a correct server crashes, and the next write must still take a
+    // timestamp above every completed one — else no read ever returns it.
+    let writers = 2u64;
+    for backend in [Backend::Loopback, Backend::Uds] {
+        for b in 1..=2 {
+            let mut below = Vec::new();
+            for seed in 0..40 {
+                let (system, deployment) = crash_after_write_setup(backend, b, seed);
+                let n = system.universe_size();
+                let mut clients: Vec<_> = (0..=writers)
+                    .map(|origin| {
+                        ServiceClient::new(&system, &deployment, ServerSet::full(n), b)
+                            .with_origin(origin)
+                            .with_retries(64, Duration::ZERO)
+                    })
+                    .collect();
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut completed = 0;
+                for op in 0..4u64 {
+                    let writer = op % writers;
+                    let written = clients[writer as usize]
+                        .write_after_query(op + 1, writer, writers, &mut rng)
+                        .unwrap();
+                    completed = written.timestamp;
+                }
+                let crashed = b + seed as usize % (n - b);
+                deployment.service().crash_servers(&[crashed]);
+                let last = clients[0]
+                    .write_after_query(5, 0, writers, &mut rng)
+                    .unwrap();
+                let read = clients[writers as usize].read(&mut rng).unwrap().entry;
+                if last.timestamp <= completed || read != last {
+                    below.push((seed, completed, last, read));
+                }
+            }
+            let name = backend.name();
+            assert!(
+                below.is_empty(),
+                "{name}, b = {b}: {} of 40 seeds: {below:?}",
+                below.len()
+            );
         }
     }
 }
