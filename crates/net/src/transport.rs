@@ -932,7 +932,11 @@ mod tests {
                 epoch: 0,
                 reply: Arc::clone(&handle),
             }));
-            assert!(mb.drain_blocking(&mut replies));
+            assert!(
+                mb.drain_timeout(Duration::from_secs(60), &mut replies)
+                    .count()
+                    > 0
+            );
             assert!(replies.drain(..).all(|reply| reply.request_id == cycle));
             most_readers = most_readers.max(conn.readers.lock().unwrap().len());
         }

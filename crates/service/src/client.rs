@@ -1,56 +1,41 @@
 //! The concurrent strategy-driven protocol client.
 //!
 //! One [`ServiceClient`] runs on one client thread and performs closed-loop
-//! masking-register operations against a [`Transport`]:
+//! masking-register operations against a [`Transport`]: it chooses an access
+//! quorum with the shared probe-and-fallback policy
+//! ([`bqs_sim::client::choose_access_quorum`] — sample from the system's
+//! access strategy, the certified-optimal one when the system is a
+//! [`bqs_core::strategic::StrategicQuorumSystem`], and fall back to
+//! deterministic live-quorum discovery), and runs the operation in the
+//! service's one event loop as a closed loop with one operation in flight: the
+//! loop fans it out in one [`Transport::send_batch`], lets the operation's
+//! [`bqs_sim::quorum_op::QuorumOp`] decide which replies count and how the
+//! attempt ends, and retries a failed attempt after a backoff timer. The
+//! client keeps its request ids strictly increasing over its life, so
+//! stragglers of an earlier attempt are recognised by id.
 //!
-//! 1. choose an access quorum with the *shared* probe-and-fallback policy
-//!    ([`bqs_sim::client::choose_access_quorum`]) — sample from the system's
-//!    access strategy (the certified-optimal one when the system is a
-//!    [`bqs_core::strategic::StrategicQuorumSystem`]), retry a few times under
-//!    sporadic failures, fall back to deterministic live-quorum discovery;
-//! 2. fan the operation out to every quorum member in **one**
-//!    [`Transport::send_batch`] call (one shard lock / one syscall per
-//!    destination, not one per member);
-//! 3. gather replies from the client's private reply mailbox — ids are
-//!    strictly increasing across the client's lifetime, so stragglers from an
-//!    aborted earlier operation are recognised by id and dropped without
-//!    reallocating anything — and let the operation's
-//!    [`bqs_sim::quorum_op::QuorumOp`] decide which of them count (quorum
-//!    member, right epoch, one vote per server, never a fence);
-//! 4. take the operation's outcome from the core
-//!    ([`bqs_sim::quorum_op::QuorumOp::on_reply`]) once every member answered
-//!    with an entry: for reads, entries with at least `b + 1` supporters are
-//!    safe and the freshest safe entry wins.
-//!
-//! Steps 2 and 3 and the deadline are the one operation path the open-loop
-//! worker shares (`crate::inflight`); this shell adds only the id rule, the
-//! fence policy, the per-reply wait and the retry loop.
-//!
-//! The client is deliberately transport-agnostic and system-generic — a
-//! message-passing shell around the protocol core the open-loop generator
-//! also uses, so many of them can run against shared shards. It is the
-//! register's one client: a single writer stamps its own timestamps
-//! ([`ServiceClient::write`]), several writers share the register through
-//! the query-then-write timestamping of \[MR98a\]
-//! ([`ServiceClient::write_after_query`]).
+//! The client is deliberately transport-agnostic and system-generic, so many
+//! of them can run against shared shards. It is the register's one client: a
+//! single writer stamps its own timestamps ([`ServiceClient::write`]),
+//! several writers share the register through the query-then-write
+//! timestamping of \[MR98a\] ([`ServiceClient::write_after_query`]).
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bqs_core::bitset::ServerSet;
 use bqs_core::quorum::QuorumSystem;
 use bqs_sim::client::{choose_access_quorum, ProtocolError};
-use bqs_sim::quorum_op::Action;
-use bqs_sim::server::{jitter_factor, Entry, Value};
+use bqs_sim::quorum_op::QuorumOp;
+use bqs_sim::server::{Entry, Value};
 use rand::Rng;
 
-use crate::inflight::InFlight;
-use crate::mailbox::{DrainStatus, ReplyMailbox};
+use crate::event_loop::{End, EventLoop, Ids, Pending};
 use crate::metrics::ServiceMetrics;
-use crate::transport::{Operation, Reply, Request, Transport};
+use crate::transport::{Operation, Transport};
 
-/// Default bound on how long a client waits for a single reply before
-/// declaring the transport dead. Quorum selection only ever targets
+/// Default bound on how long an attempt waits for its quorum's replies before
+/// it ends as a quiet deadline. Quorum selection only ever targets
 /// responsive servers, the loopback shards always answer, and `bqs-net`'s
 /// socket transport converts expired per-request deadlines into in-band
 /// no-answer replies — so under every workspace transport this fires only
@@ -131,17 +116,12 @@ pub struct ServiceClient<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> {
     retry_backoff: Duration,
     /// Optional degradation accounting (drops/timeouts/retries/aborts).
     metrics: Option<Arc<ServiceMetrics>>,
-    next_request_id: u64,
-    /// The client's one reply sink, shared by every operation it ever issues.
-    /// Stragglers from aborted operations are filtered by id, so the mailbox
-    /// never needs replacing.
-    reply_mailbox: Arc<ReplyMailbox>,
-    /// The operation in progress and the scratch buffers (fan-out requests,
-    /// drained replies), all reused across operations: the steady-state hot
-    /// path allocates nothing beyond the sampled quorum.
-    current: InFlight,
-    fanout: Vec<Request>,
-    drained: Vec<Reply>,
+    /// The loop the client's operations run in, one at a time; it reuses
+    /// its buffers, so the steady-state hot path allocates nothing beyond
+    /// the sampled quorum.
+    pending: Pending<()>,
+    /// The last operation's core: the quorum it ended on and its votes.
+    last: QuorumOp,
 }
 
 impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T> {
@@ -160,17 +140,18 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
             retry_limit: 0,
             retry_backoff: Duration::from_millis(1),
             metrics: None,
-            next_request_id: 0,
-            reply_mailbox: Arc::new(ReplyMailbox::new()),
-            current: InFlight::start(ServerSet::default(), Operation::Read, 0),
-            fanout: Vec::new(),
-            drained: Vec::new(),
+            pending: Pending::new(Ids {
+                next: 1,
+                stride: None,
+            }),
+            last: QuorumOp::default(),
         }
     }
 
-    /// Sets the per-reply wait bound (see [`crate::transport`]'s "no answer"
-    /// contract: an accepted request is not a promise of a reply, so every
-    /// wait must be bounded for the protocol to be hang-free).
+    /// Sets how long an attempt waits for its quorum's replies (see
+    /// [`crate::transport`]'s "no answer" contract: an accepted request is not
+    /// a promise of a reply, so every wait must be bounded for the protocol
+    /// to be hang-free).
     #[must_use]
     pub fn with_reply_deadline(mut self, deadline: Duration) -> Self {
         self.reply_deadline = deadline;
@@ -178,9 +159,10 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
     }
 
     /// Sets the client identity stamped on every request as
-    /// [`Request::origin`]. Defaults to 0; give each client of a shared
-    /// in-process service a distinct origin when per-client adversaries are in
-    /// play (the socket path derives origins from connections instead).
+    /// [`Request::origin`](crate::transport::Request::origin). Defaults to 0;
+    /// give each client of a shared in-process service a distinct origin when
+    /// per-client adversaries are in play (the socket path derives origins
+    /// from connections instead).
     #[must_use]
     pub fn with_origin(mut self, origin: u64) -> Self {
         self.origin = origin;
@@ -188,8 +170,8 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
     }
 
     /// Sets the epoch stamped on every request this client issues (see
-    /// [`Request::epoch`]). Defaults to 0 — correct for any service that has
-    /// never reconfigured.
+    /// [`Request::epoch`](crate::transport::Request::epoch)). Defaults to 0 —
+    /// correct for any service that has never reconfigured.
     #[must_use]
     pub fn with_epoch(mut self, epoch: u64) -> Self {
         self.epoch = epoch;
@@ -197,14 +179,16 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
     }
 
     /// Enables graceful degradation: up to `limit` retries per operation after
-    /// a refused send or an expired reply deadline, sleeping an exponentially
-    /// doubled `base_backoff` between attempts, scaled by the deterministic
-    /// `[0.5, 1.5)` jitter factor ([`jitter_factor`]). The socket transport
-    /// scales its reconnect pauses by the same factor, but they grow
-    /// linearly. A *closed* reply path is never retried — closure means no
-    /// reply can ever arrive (see [`DrainStatus::Closed`]), so the operation
-    /// aborts immediately. Protocol-level errors (no live quorum, no safe
-    /// value) are never retried either: they are answers, not failures.
+    /// a refused send, an expired reply deadline or a member that answered
+    /// without an entry, each after a backoff timer of an exponentially
+    /// doubled `base_backoff`, scaled by the deterministic `[0.5, 1.5)`
+    /// jitter factor ([`jitter_factor`](bqs_sim::server::jitter_factor)). The
+    /// socket transport scales its reconnect pauses by the same factor, but
+    /// they grow linearly. A *closed* reply path is never retried — closure
+    /// means no reply can ever arrive (see
+    /// [`DrainStatus::Closed`](crate::mailbox::DrainStatus::Closed)), so the
+    /// operation aborts immediately. Protocol-level errors (no live quorum, no
+    /// safe value) are never retried either: they are answers, not failures.
     #[must_use]
     pub fn with_retries(mut self, limit: u32, base_backoff: Duration) -> Self {
         self.retry_limit = limit;
@@ -221,129 +205,45 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
         self
     }
 
-    /// One attempt: fans `op` out to every member of the current operation's
-    /// quorum in one batched transport call and gathers replies until the
-    /// core ends the attempt: [`Action::Complete`] with the outcome, or
-    /// [`Action::Retry`] — a refused send, a reply deadline that passed with
-    /// votes missing (the transport may merely be slow), or a member that
-    /// voted without an entry — which [`ServiceClient::operate`] may retry.
-    /// A fence and a closed reply path are final.
-    ///
-    /// Ids are strictly increasing across the client's lifetime, so a reply
-    /// with an id below this operation's range is a straggler from an aborted
-    /// earlier rendezvous — older epoch stamp, possibly older strategy — and
-    /// is dropped before it can vote on or fence this operation. Everything
-    /// else about admission is [`bqs_sim::quorum_op::QuorumOp::on_reply`]'s.
-    fn rendezvous(&mut self, op: Operation) -> Result<Action, ServiceError> {
-        let first_id = self.next_request_id + 1;
-        self.next_request_id += self.current.op.quorum().len() as u64;
-        let id = |member: usize, _| first_id + member as u64;
-        let (transport, origin, mailbox) = (self.transport, self.origin, &self.reply_mailbox);
-        if !self
-            .current
-            .fan_out(transport, op, origin, id, mailbox, &mut self.fanout)
-        {
-            // Partial delivery is possible; the id filter below absorbs any
-            // replies the accepted members still produce.
-            return Ok(Action::Retry);
-        }
-        let metrics = self.metrics.as_deref();
-        if metrics.is_some() {
-            // Only the metrics' latency evidence reads `started`.
-            self.current.started = Instant::now();
-        }
-        loop {
-            match mailbox.drain_timeout(self.reply_deadline, &mut self.drained) {
-                DrainStatus::Drained(_) => {}
-                DrainStatus::TimedOut => {
-                    self.current.on_deadline(metrics);
-                    return Ok(Action::Retry);
-                }
-                // The reply path is gone for good (reader thread died,
-                // service torn down): fail fast, never wait out the deadline,
-                // and never retry — that would only burn the backoff budget.
-                DrainStatus::Closed => return Err(self.abort()),
-            }
-            for reply in self.drained.drain(..) {
-                if reply.request_id < first_id {
-                    continue;
-                }
-                match self.current.on_reply(reply, self.b, metrics) {
-                    Action::Pending => {}
-                    // Never retried: under the retired strategy a retry can
-                    // only be fenced again. A signal, not a failure — no
-                    // abort is recorded.
-                    Action::Fenced { current } => {
-                        return Err(ServiceError::EpochFenced { current });
-                    }
-                    // A member voted without an entry: the attempt ends as a
-                    // quiet deadline does.
-                    Action::Retry => {
-                        self.current.on_deadline(metrics);
-                        return Ok(Action::Retry);
-                    }
-                    // Dropping the drain clears the rest of the batch.
-                    complete @ Action::Complete(_) => return Ok(complete),
-                }
-            }
-        }
-    }
-
-    /// Records an abandoned operation and names its error.
-    fn abort(&self) -> ServiceError {
-        if let Some(metrics) = &self.metrics {
-            metrics.record_abort();
-        }
-        ServiceError::TransportFailure
-    }
-
-    /// Runs one operation to completion: choose a quorum, rendezvous, and on
-    /// a transient failure (a refusal, a quiet deadline, a member that voted
-    /// without an entry) sleep the jittered backoff and retry, `retry_limit`
-    /// times at most, against a freshly chosen quorum that avoids the
-    /// members the failed attempt got no entry from when one does. A fence or
-    /// a closed reply path ends the operation at once. Returns the
-    /// operation's outcome: `None` for a write, the resolved entry for a
-    /// read; the quorum stays in `self.current`.
+    /// Runs one operation to its end, as a closed loop with one operation
+    /// in flight: choose a quorum, launch the operation in the event loop and
+    /// poll until it ends. A transient failure (a refusal, a quiet deadline,
+    /// a member that voted without an entry) is retried after the jittered
+    /// backoff, `retry_limit` times at most, against a freshly chosen quorum
+    /// that avoids the members the failed attempt got no entry from when one
+    /// does; a fence or a closed reply path ends the operation at once.
+    /// Returns the operation's outcome — `None` for a write, the resolved
+    /// entry for a read — and leaves its core in `self.last`.
     pub(crate) fn operate<R: Rng>(
         &mut self,
         op: Operation,
         rng: &mut R,
     ) -> Result<Option<Entry>, ServiceError> {
-        let mut attempt = 0u32;
-        // The view a retry chooses from: the failure detector's, less the
-        // members the failed attempt got no entry from.
-        let mut steered: Option<ServerSet> = None;
-        loop {
-            let quorum = match &steered {
-                Some(view) => choose_access_quorum(self.system, view, rng)
-                    .or_else(|_| choose_access_quorum(self.system, &self.responsive, rng)),
-                None => choose_access_quorum(self.system, &self.responsive, rng),
-            }?;
-            self.current.op.restart(quorum, op.kind(), self.epoch);
-            if let Action::Complete(outcome) = self.rendezvous(op)? {
-                return Ok(outcome?);
-            }
-            if attempt >= self.retry_limit {
-                return Err(self.abort());
-            }
-            let mut view = self.responsive.clone();
-            for server in self.current.op.silent() {
-                view.remove(server);
-            }
-            steered = Some(view);
-            attempt += 1;
-            if let Some(metrics) = &self.metrics {
-                metrics.record_retry();
-            }
-            let base = self.retry_backoff.as_nanos() as u64;
-            let doubled = base.saturating_mul(1u64 << (attempt - 1).min(16));
-            // Keyed so that concurrent clients desync.
-            let key = self.origin ^ self.next_request_id ^ u64::from(attempt);
-            let nanos = (doubled as f64 * jitter_factor(key)) as u64;
-            if nanos > 0 {
-                std::thread::sleep(Duration::from_nanos(nanos));
-            }
+        let quorum = choose_access_quorum(self.system, &self.responsive, rng)?;
+        let event_loop = EventLoop {
+            system: self.system,
+            transport: self.transport,
+            responsive: &self.responsive,
+            metrics: self.metrics.as_deref(),
+            b: self.b,
+            epoch: self.epoch,
+            origin: self.origin,
+            deadline: self.reply_deadline,
+            retries: self.retry_limit,
+            backoff: self.retry_backoff,
+        };
+        event_loop.launch(&mut self.pending, quorum, op, (), rng);
+        while self.pending.len() > 0 {
+            event_loop.poll(&mut self.pending, None, rng);
+        }
+        let mut end = End::Silent;
+        self.pending.settle(|(), ended, op| {
+            std::mem::swap(&mut self.last, op);
+            end = ended;
+        });
+        match end {
+            End::Outcome(outcome) => outcome,
+            End::Refused | End::Silent => Err(ServiceError::TransportFailure),
         }
     }
 
@@ -356,7 +256,7 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
     /// when the service is gone.
     pub fn write<R: Rng>(&mut self, entry: Entry, rng: &mut R) -> Result<ServerSet, ServiceError> {
         self.operate(Operation::Write(entry), rng)?;
-        Ok(self.current.op.take_quorum())
+        Ok(self.last.take_quorum())
     }
 
     /// Reads the register, masking up to `b` Byzantine replies.
@@ -372,7 +272,7 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
         let entry = self.operate(Operation::Read, rng)?;
         Ok(ServiceReadOutcome {
             entry: entry.expect("a resolved read has an entry"),
-            quorum: self.current.op.take_quorum(),
+            quorum: self.last.take_quorum(),
         })
     }
 
@@ -411,8 +311,7 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
             Err(e) => return Err(e),
         }
         let highest = self
-            .current
-            .op
+            .last
             .query_timestamp(self.b)
             .expect("a complete query holds every member's entry");
         let entry = Entry {
@@ -427,8 +326,9 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mailbox::ReplyHandle;
+    use crate::mailbox::{DrainStatus, ReplyHandle, ReplyMailbox};
     use crate::shard::LoopbackService;
+    use crate::transport::{Reply, Request};
     use bqs_constructions::threshold::ThresholdSystem;
     use bqs_constructions::MGridSystem;
     use bqs_sim::fault::FaultPlan;
@@ -751,7 +651,7 @@ mod tests {
             .with_retries(5, Duration::from_millis(1))
             .with_metrics(Arc::clone(&metrics));
         // The reader thread dies: its teardown closes the client's sink.
-        client.reply_mailbox.close();
+        client.pending.mailbox().close();
         let mut rng = StdRng::seed_from_u64(4);
         let started = std::time::Instant::now();
         let err = client

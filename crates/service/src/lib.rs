@@ -30,11 +30,9 @@
 //!   only as one [`metrics::MetricsSnapshot`] (a run or a tick reads its own
 //!   share with [`metrics::MetricsSnapshot::since`]);
 //! * [`client`] — [`client::ServiceClient`]: the masking read/write protocol
-//!   over any [`bqs_core::quorum::QuorumSystem`] — a message-passing shell
-//!   (per-reply wait, retry, straggler ids) around the one protocol core,
-//!   [`bqs_sim::quorum_op::QuorumOp`], which decides what counts, with the
-//!   \[MR98a\] query-then-write timestamping for registers shared by several
-//!   writers ([`client::ServiceClient::write_after_query`]);
+//!   over any [`bqs_core::quorum::QuorumSystem`], one operation at a time,
+//!   with the \[MR98a\] query-then-write timestamping for registers shared
+//!   by several writers ([`client::ServiceClient::write_after_query`]);
 //! * [`runner`] — [`runner::run_service`]: a closed-loop load generator
 //!   (configurable client count and read/write mix, client 0 the one writer)
 //!   over a service the caller spawned — and may reuse across trials — with
@@ -49,11 +47,15 @@
 //!   [`transport::Transport`] and exposes the saturation knee that
 //!   closed-loop generation structurally cannot.
 //!
-//! Under both clients — the closed loop and the open-loop worker — runs one
-//! operation path (a crate-private module): one
-//! fan-out, one reply rule and one deadline rule around `QuorumOp`, with the
-//! metrics the core stays free of. `specs/register/pseudo-code.md` at the
-//! repository root states the lifecycle.
+//! Every operation of the service runs in one event loop (a crate-private
+//! module): an event loop that fans attempts out, waits on one reply
+//! mailbox, hands each reply to the protocol core,
+//! [`bqs_sim::quorum_op::QuorumOp`], and does what the core's action says —
+//! complete, retry after a backoff timer, or stop at a fence — with the
+//! metrics the core stays free of. A `ServiceClient` is a closed loop with
+//! one operation in flight; an open-loop worker launches Poisson arrivals
+//! into the same loop. `specs/register/pseudo-code.md` at the repository
+//! root states the lifecycle.
 //!
 //! Drive it with a [`bqs_core::strategic::StrategicQuorumSystem`] built from
 //! [`bqs_core::load::optimal_load_oracle`]'s certified strategy and the
@@ -92,7 +94,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
-mod inflight;
+mod event_loop;
 pub mod mailbox;
 pub mod metrics;
 pub mod openloop;

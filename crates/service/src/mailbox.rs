@@ -156,37 +156,6 @@ impl<T> Mailbox<T> {
         self.available.notify_all();
     }
 
-    /// Number of items currently queued (diagnostic).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("mailbox lock").queue.len()
-    }
-
-    /// True when nothing is queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Blocks until items are available or the mailbox is closed, then swaps
-    /// the whole queue into `into` (which must be empty — the caller's drain
-    /// buffer). Returns `false` only when the mailbox is closed *and* empty:
-    /// the consumer's loop condition.
-    pub fn drain_blocking(&self, into: &mut Vec<T>) -> bool {
-        debug_assert!(into.is_empty(), "drain buffer must be consumed");
-        let mut state = self.state.lock().expect("mailbox lock");
-        while state.queue.is_empty() {
-            if state.closed {
-                return false;
-            }
-            state.parked += 1;
-            state = self.available.wait(state).expect("mailbox lock");
-            state.parked -= 1;
-        }
-        std::mem::swap(&mut state.queue, into);
-        true
-    }
-
     /// Waits up to `timeout` for items, then swaps whatever is queued into
     /// `into` (which must be empty).
     ///
@@ -197,8 +166,7 @@ impl<T> Mailbox<T> {
     /// e.g. a connection reader thread — died or shut down), so the caller
     /// should fail over immediately instead of burning its deadline. Backlog
     /// always wins: a closed mailbox with queued items drains them as
-    /// [`DrainStatus::Drained`] first and reports closure only once empty,
-    /// mirroring [`Mailbox::drain_blocking`].
+    /// [`DrainStatus::Drained`] first and reports closure only once empty.
     pub fn drain_timeout(&self, timeout: Duration, into: &mut Vec<T>) -> DrainStatus {
         debug_assert!(into.is_empty(), "drain buffer must be consumed");
         let mut state = self.state.lock().expect("mailbox lock");
@@ -322,6 +290,20 @@ pub fn complete_runs(sinks: &[ReplyHandle], replies: &[Reply]) {
 mod tests {
     use super::*;
 
+    /// Waits for items as a consumer would; false once closed and empty.
+    fn drain<T>(mb: &Mailbox<T>, into: &mut Vec<T>) -> bool {
+        match mb.drain_timeout(Duration::from_secs(60), into) {
+            DrainStatus::Drained(_) => true,
+            DrainStatus::Closed => false,
+            DrainStatus::TimedOut => panic!("no item arrived"),
+        }
+    }
+
+    /// Whether nothing is queued, taking nothing that is.
+    fn is_empty<T>(mb: &Mailbox<T>) -> bool {
+        mb.state.lock().unwrap().queue.is_empty()
+    }
+
     #[test]
     fn push_then_drain_returns_the_whole_batch() {
         let mb: Mailbox<u32> = Mailbox::new();
@@ -329,9 +311,9 @@ mod tests {
         assert!(mb.push(2));
         assert!(mb.push(3));
         let mut batch = Vec::new();
-        assert!(mb.drain_blocking(&mut batch));
+        assert!(drain(&mb, &mut batch));
         assert_eq!(batch, vec![1, 2, 3]);
-        assert!(mb.is_empty());
+        assert!(is_empty(&mb));
     }
 
     #[test]
@@ -340,7 +322,7 @@ mod tests {
         let mut producer = vec![7, 8, 9];
         assert!(mb.push_batch(&mut producer));
         assert!(producer.is_empty());
-        assert!(producer.capacity() > 0 || mb.len() == 3);
+        assert!(producer.capacity() > 0 || mb.state.lock().unwrap().queue.len() == 3);
         let mut batch = Vec::new();
         assert_eq!(
             mb.drain_timeout(Duration::from_millis(10), &mut batch),
@@ -359,10 +341,10 @@ mod tests {
         assert!(!mb.push_batch(&mut stale));
         assert!(stale.is_empty(), "a refused batch is dropped, not leaked");
         let mut batch = Vec::new();
-        assert!(mb.drain_blocking(&mut batch), "backlog first");
+        assert!(drain(&mb, &mut batch), "backlog first");
         assert_eq!(batch, vec![1]);
         batch.clear();
-        assert!(!mb.drain_blocking(&mut batch), "then closure");
+        assert!(!drain(&mb, &mut batch), "then closure");
     }
 
     #[test]
@@ -454,32 +436,26 @@ mod tests {
             ("complete_batch", |mb| mb.complete_batch(&[reply(1)])),
         ];
         for (name, push) in pushes {
-            for blocking in [true, false] {
-                let mb = Arc::new(ReplyMailbox::new());
-                let (done, woken) = std::sync::mpsc::channel();
-                let consumer = {
-                    let mb = Arc::clone(&mb);
-                    std::thread::spawn(move || {
-                        let mut batch = Vec::new();
-                        let drained = if blocking {
-                            mb.drain_blocking(&mut batch)
-                        } else {
-                            let status = mb.drain_timeout(Duration::from_secs(10), &mut batch);
-                            status == DrainStatus::Drained(1)
-                        };
-                        done.send((drained, batch)).unwrap();
-                    })
-                };
-                await_parked(&mb);
-                push(&mb);
-                let (drained, batch) = woken
-                    .recv_timeout(Duration::from_secs(5))
-                    .unwrap_or_else(|_| panic!("{name} left a parked consumer asleep"));
-                assert!(drained, "{name}, blocking {blocking}");
-                assert_eq!(batch, vec![reply(1)], "{name}, blocking {blocking}");
-                consumer.join().unwrap();
-                assert_eq!(mb.state.lock().unwrap().parked, 0);
-            }
+            let mb = Arc::new(ReplyMailbox::new());
+            let (done, woken) = std::sync::mpsc::channel();
+            let consumer = {
+                let mb = Arc::clone(&mb);
+                std::thread::spawn(move || {
+                    let mut batch = Vec::new();
+                    let status = mb.drain_timeout(Duration::from_secs(10), &mut batch);
+                    done.send((status == DrainStatus::Drained(1), batch))
+                        .unwrap();
+                })
+            };
+            await_parked(&mb);
+            push(&mb);
+            let (drained, batch) = woken
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("{name} left a parked consumer asleep"));
+            assert!(drained, "{name}");
+            assert_eq!(batch, vec![reply(1)], "{name}");
+            consumer.join().unwrap();
+            assert_eq!(mb.state.lock().unwrap().parked, 0);
         }
     }
 
@@ -518,7 +494,7 @@ mod tests {
             drain_round(&pong, round, &mut batch);
         }
         echo.join().unwrap();
-        assert!(ping.is_empty() && pong.is_empty());
+        assert!(is_empty(&ping) && is_empty(&pong));
     }
 
     fn reply(request_id: u64) -> Reply {
@@ -596,7 +572,7 @@ mod tests {
             stale: false,
         });
         let mut batch = Vec::new();
-        assert!(mb.drain_blocking(&mut batch));
+        assert!(drain(&mb, &mut batch));
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].request_id, 9);
         // Completing into a closed mailbox is a silent no-op.
@@ -609,6 +585,6 @@ mod tests {
             stale: false,
         });
         batch.clear();
-        assert!(!mb.drain_blocking(&mut batch));
+        assert!(!drain(&mb, &mut batch));
     }
 }

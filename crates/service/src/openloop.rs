@@ -25,49 +25,43 @@
 //!   streams is Poisson at the summed rate). `virtual_clients` multiplexes
 //!   nothing: it only sets the range of one draw per arrival that no
 //!   operation reads (see [`OpenLoopConfig::virtual_clients`]).
-//! * Operations **pipeline**: a worker fires a new arrival's quorum fan-out
-//!   without waiting for earlier operations, keeping up to
-//!   `max_in_flight_per_worker` operations outstanding. Each fan-out goes
-//!   through **one** [`Transport::send_batch`] call (one shard lock or one
-//!   coalesced wire frame per destination), and replies come back through
-//!   one swap-buffer reply mailbox per worker, drained in whole batches and
-//!   matched by [`Reply::request_id`] (the ids encode the owning operation
-//!   above a member field wide enough for every server of the universe) —
-//!   so thousands of in-flight operations share one completion path with
-//!   no per-op channel allocation.
+//! * Each worker is one run of the service's event loop (`crate::event_loop`) fed
+//!   by Poisson arrivals: it launches an arrival's operation without waiting
+//!   for earlier ones, keeping up to `max_in_flight_per_worker` in flight, so
+//!   operations **pipeline**. Each fan-out goes through **one**
+//!   [`Transport::send_batch`] call, and replies come back through the
+//!   loop's one swap-buffer mailbox, matched by request id (the ids encode
+//!   the owning operation above a member field wide enough for every server
+//!   of the universe), so thousands of in-flight operations share one
+//!   completion path with no per-op channel allocation.
 //! * When the in-flight cap is hit, further arrivals are **shed** (counted,
 //!   never silently dropped) — the open-loop semantics stay honest while
 //!   memory stays bounded far past the knee.
 //! * Per-operation deadlines bound every wait ([`crate::transport`]'s "no
 //!   answer" contract: an accepted request is not a promise of a reply), so
-//!   the generator cannot hang on a half-dead transport.
-//! * Fan-out, reply admission and deadline expiry are shared with the
-//!   closed-loop client (`crate::inflight`); this shell adds the id key, the
-//!   fence policy (the first fence abandons the operation), the drain
-//!   schedule and the in-flight table.
+//!   the generator cannot hang on a half-dead transport. An operation is
+//!   never retried: one that fails is counted as timed out (or as rejected,
+//!   when the transport refused it), and the first fence ends it as fenced.
 //!
 //! The generator is transport-generic: the loopback measures the in-process
 //! ceiling, `bqs-net`'s socket transports measure a real network stack, and
 //! `bench_net` sweeps offered rate across both to locate each backend's knee
 //! (`BENCH_net.json`).
 
-use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bqs_core::bitset::ServerSet;
 use bqs_core::quorum::QuorumSystem;
 use bqs_sim::client::choose_access_quorum;
-use bqs_sim::quorum_op::Action;
+use bqs_sim::quorum_op::QuorumOp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::inflight::InFlight;
-use crate::mailbox::{DrainStatus, ReplyMailbox};
+use crate::event_loop::{End, EventLoop, Ids, Pending};
 use crate::metrics::{LatencyHistogram, ServiceMetrics};
 use crate::runner::{Invocation, OpTally};
 use crate::shard::TimestampOracle;
-use crate::transport::{Reply, Request, Transport};
+use crate::transport::Transport;
 
 /// Configuration of one open-loop measurement point.
 #[derive(Debug, Clone, Copy)]
@@ -213,18 +207,15 @@ struct WorkerTally {
     last_arrival: Option<Instant>,
 }
 
-/// What every worker of one run shares.
+/// What every worker of one run shares: the event loop each worker runs
+/// (under the worker's own origin), the run's configuration, writer clock
+/// and latency histogram.
 struct Run<'a, Q: ?Sized, T: ?Sized> {
-    system: &'a Q,
-    b: usize,
-    transport: &'a T,
-    responsive: &'a ServerSet,
+    event_loop: EventLoop<'a, Q, T>,
     config: &'a OpenLoopConfig,
-    epoch: u64,
-    metrics: Option<&'a ServiceMetrics>,
     clock: &'a TimestampOracle,
     hist: LatencyHistogram,
-    /// Width of the request id's member field (see [`worker_loop`]).
+    /// Width of the request id's member field (see [`worker`]).
     member_bits: u32,
 }
 
@@ -313,13 +304,19 @@ where
 
     let owned_clock = TimestampOracle::new();
     let run = Run {
-        system,
-        b,
-        transport,
-        responsive,
+        event_loop: EventLoop {
+            system,
+            transport,
+            responsive,
+            metrics: session.metrics,
+            b,
+            epoch: session.epoch,
+            origin: 0,
+            deadline: config.op_deadline,
+            retries: 0,
+            backoff: Duration::ZERO,
+        },
         config,
-        epoch: session.epoch,
-        metrics: session.metrics,
         clock: session.clock.unwrap_or(&owned_clock),
         hist: LatencyHistogram::new(),
         // Wide enough for any member index of the universe, and at least 8
@@ -338,7 +335,7 @@ where
             // Spread the remainder so exactly `total_arrivals` are scheduled.
             let quota = config.total_arrivals / workers
                 + usize::from(worker_id < config.total_arrivals % workers);
-            handles.push(scope.spawn(move || worker_loop(run, worker_id, quota, per_worker_rate)));
+            handles.push(scope.spawn(move || worker(run, worker_id, quota, per_worker_rate)));
         }
         handles
             .into_iter()
@@ -424,11 +421,10 @@ where
     }
 }
 
-/// One worker's event loop: schedule Poisson arrivals, pipeline quorum
-/// fan-outs (one batched transport call each), drain whole batches of
-/// replies from the worker's mailbox, match them by request id, expire
-/// deadlines.
-fn worker_loop<Q, T>(run: &Run<'_, Q, T>, worker_id: usize, quota: usize, rate: f64) -> WorkerTally
+/// One worker: Poisson arrivals at `rate`, each launched into the worker's
+/// event loop without waiting for earlier ones — up to the in-flight cap, past
+/// which arrivals are shed — with the loop polled between arrivals.
+fn worker<Q, T>(run: &Run<'_, Q, T>, worker_id: usize, quota: usize, rate: f64) -> WorkerTally
 where
     Q: QuorumSystem + ?Sized,
     T: Transport + ?Sized,
@@ -436,28 +432,25 @@ where
     let config = run.config;
     let mut rng =
         StdRng::seed_from_u64(config.seed ^ 0x0be4_100bu64.wrapping_mul(worker_id as u64 + 1));
-    let reply_mailbox = Arc::new(ReplyMailbox::new());
-    let mut fanout: Vec<Request> = Vec::new();
-    let mut drained: Vec<Reply> = Vec::new();
-    let mut pending: HashMap<u64, (InFlight, Invocation)> = HashMap::new();
+    let event_loop = EventLoop {
+        origin: worker_id as u64 + 1,
+        ..run.event_loop
+    };
+    // Request ids encode (worker, operation, member): the low `member_bits`
+    // bits distinguish the members of one fan-out.
+    let stride = 1 << run.member_bits;
+    let next = (worker_id as u64 + 1) << 48 | stride;
+    let mut pending = Pending::new(Ids {
+        next,
+        stride: Some(stride),
+    });
     let mut tally = WorkerTally::default();
-    // Request ids encode (worker, operation): the low `member_bits` bits
-    // distinguish the members of one fan-out (transports need per-request
-    // uniqueness), the rest is the operation key the reply is matched back
-    // to.
-    let worker_tag = (worker_id as u64 + 1) << 48;
-    let mut op_seq: u64 = 0;
     let vclients_here = (config.virtual_clients / config.workers.max(1)).max(1);
-
-    let started = Instant::now();
     let mut launched = 0usize;
-    let mut next_arrival = started + exp_gap(rate, &mut rng);
+    let mut next_arrival = Instant::now() + exp_gap(rate, &mut rng);
     let mut tail_end: Option<Instant> = None;
-
     loop {
         let now = Instant::now();
-
-        // Arrival phase: fire every arrival whose time has come.
         while launched < quota && now >= next_arrival {
             launched += 1;
             next_arrival += exp_gap(rate, &mut rng);
@@ -469,135 +462,70 @@ where
             // A draw no operation reads, kept because every replayed stream
             // includes it (see `OpenLoopConfig::virtual_clients`).
             let _vclient = rng.gen_range_u64(0, vclients_here as u64);
-            let Ok(quorum) = choose_access_quorum(run.system, run.responsive, &mut rng) else {
+            let Ok(quorum) =
+                choose_access_quorum(event_loop.system, event_loop.responsive, &mut rng)
+            else {
                 tally.ops.unavailable += 1;
                 continue;
             };
             let invoked = Invocation::new(rng.gen_bool(config.write_fraction), run.clock);
-            let op = invoked.op;
-            op_seq += 1;
-            let op_key = worker_tag | (op_seq << run.member_bits);
-            let in_flight = InFlight::start(quorum, op, run.epoch);
-            let id = |member: usize, _| op_key | member as u64;
-            let origin = worker_id as u64 + 1;
-            if !in_flight.fan_out(run.transport, op, origin, id, &reply_mailbox, &mut fanout) {
-                // The op is unaccounted on the wire; stragglers from a
-                // partially delivered fan-out are dropped by the id match
-                // below (no pending entry exists for them).
-                tally.rejected += 1;
-                continue;
-            }
-            pending.insert(op_key, (in_flight, invoked));
+            // Latency runs from the fan-out, as the reply evidence's does.
+            let tag = (invoked, Instant::now());
+            event_loop.launch(&mut pending, quorum, invoked.op, tag, &mut rng);
             tally.peak_in_flight = tally.peak_in_flight.max(pending.len() as u64);
         }
-
-        // Completion criteria: all arrivals fired and nothing left in flight
-        // (or the tail window has closed on what remains).
-        if launched >= quota {
-            if pending.is_empty() {
-                break;
-            }
-            let tail = *tail_end.get_or_insert_with(|| Instant::now() + config.tail_deadline);
-            if Instant::now() >= tail {
-                for (_, (op, _)) in pending.drain() {
-                    op.on_deadline(run.metrics);
-                    tally.timed_out += 1;
-                }
-                break;
-            }
-        }
-
-        // Reply phase: wait until the next arrival is due (bounded so
-        // deadline expiry stays responsive), then drain everything ready.
-        let wait = if launched < quota {
-            next_arrival
-                .saturating_duration_since(Instant::now())
-                .min(Duration::from_millis(20))
+        // Wait until the next arrival is due, or 20 ms, so that expiry
+        // stays responsive. The reply path dying under us ends every
+        // operation in flight answerless, and the worker stops.
+        let until = now + Duration::from_millis(20);
+        let live = if launched < quota {
+            event_loop.poll(&mut pending, Some(until.min(next_arrival)), &mut rng)
+        } else if pending.len() == 0 {
+            false
+        } else if now >= *tail_end.get_or_insert(now + config.tail_deadline) {
+            pending.end_all(event_loop.metrics, true);
+            false
         } else {
-            Duration::from_millis(20)
+            event_loop.poll(&mut pending, Some(until), &mut rng)
         };
-        match reply_mailbox.drain_timeout(wait, &mut drained) {
-            DrainStatus::Drained(_) => {
-                for reply in drained.drain(..) {
-                    handle_reply(run, reply, &mut pending, &mut tally);
-                }
-            }
-            DrainStatus::TimedOut => {}
-            DrainStatus::Closed => {
-                // The reply path died under us: every in-flight operation is
-                // answerless forever. Account them as timed out and stop
-                // instead of spinning on a dead mailbox until the deadline.
-                tally.timed_out += pending.len() as u64;
-                pending.clear();
-                break;
-            }
+        pending.settle(|tag, end, op| settle(run, &mut tally, tag, end, op));
+        if !live {
+            break;
         }
-
-        // Expiry phase: abandon operations past their deadline.
-        let now = Instant::now();
-        pending.retain(|_, (op, _)| {
-            let live = now < op.started + config.op_deadline;
-            if !live {
-                op.on_deadline(run.metrics);
-                tally.timed_out += 1;
-            }
-            live
-        });
     }
     tally
 }
 
-/// Matches one reply to its pending operation by the id's operation key —
-/// no entry means a straggler from an expired, fenced or rejected operation —
-/// applies the shared reply rule, and tallies the operation's outcome when
-/// the last quorum member has voted.
-fn handle_reply<Q: ?Sized, T: ?Sized>(
+/// Tallies one ended operation, invoked as `invoked` and fanned out at
+/// `sent`: a round trip's latency and, in the run's metrics, its client-side
+/// load — one access per member of its quorum, the server-side definition,
+/// measured on any transport.
+fn settle<Q: ?Sized, T: ?Sized>(
     run: &Run<'_, Q, T>,
-    reply: Reply,
-    pending: &mut HashMap<u64, (InFlight, Invocation)>,
     tally: &mut WorkerTally,
+    (invoked, sent): (Invocation, Instant),
+    end: End,
+    op: &mut QuorumOp,
 ) {
-    let op_key = reply.request_id & !((1u64 << run.member_bits) - 1);
-    let Some((in_flight, _)) = pending.get_mut(&op_key) else {
+    let outcome = match end {
+        End::Outcome(outcome) => outcome,
+        End::Refused => return tally.rejected += 1,
+        End::Silent => return tally.timed_out += 1,
+    };
+    if !tally.ops.record(invoked, outcome, run.clock) {
         return;
-    };
-    let outcome = match in_flight.on_reply(reply, run.b, run.metrics) {
-        Action::Pending => return,
-        Action::Complete(outcome) => outcome,
-        // Fence policy: the first fence abandons the whole fan-out (a fenced
-        // operation must never complete with strategies mixed in). Fencing is
-        // a configuration signal, not server misbehaviour — no accusal.
-        Action::Fenced { .. } => {
-            pending.remove(&op_key);
-            tally.ops.fenced += 1;
-            return;
-        }
-        // A member voted without an entry: the operation ends as a quiet
-        // deadline would (its no-answers are already recorded as votes).
-        Action::Retry => {
-            in_flight.on_deadline(run.metrics);
-            pending.remove(&op_key);
-            tally.timed_out += 1;
-            return;
-        }
-    };
-    let (done, invoked) = pending.remove(&op_key).expect("just observed");
-    let latency = done.started.elapsed().as_nanos() as u64;
-    tally
-        .ops
-        .record(invoked, outcome.map_err(Into::into), run.clock);
-    if let Some(metrics) = run.metrics {
-        // Client-side load accounting: the completed operation touched every
-        // member of its quorum once (matches the server-side definition, but
-        // works across any transport backend).
-        for server in done.op.quorum().iter() {
+    }
+    let now = Instant::now();
+    let latency = (now - sent).as_nanos() as u64;
+    if let Some(metrics) = run.event_loop.metrics {
+        for server in op.quorum().iter() {
             metrics.record_access(server);
         }
         metrics.record_operation(latency);
     }
     tally.latencies_ns.push(latency);
     run.hist.record(latency);
-    tally.last_completion = Some(Instant::now());
+    tally.last_completion = Some(now);
 }
 
 /// One exponential inter-arrival gap at `rate` arrivals per second.
@@ -611,6 +539,7 @@ fn exp_gap<R: Rng>(rate: f64, rng: &mut R) -> Duration {
 mod tests {
     use super::*;
     use crate::shard::LoopbackService;
+    use crate::transport::{Reply, Request};
     use bqs_constructions::prelude::*;
     use bqs_sim::fault::FaultPlan;
     use bqs_sim::server::ByzantineStrategy;

@@ -2,7 +2,8 @@
 //!
 //! [`run_service`] — the crate's one closed-loop entry point — drives an
 //! existing sharded [`LoopbackService`] with many concurrent closed-loop
-//! clients (each a thread running a [`ServiceClient`]), then reports the
+//! clients (each a thread running a [`ServiceClient`], whose operations run
+//! one at a time in the service's one event loop), then reports the
 //! folded per-client [`OpTally`] and what the service's lock-free metrics
 //! recorded during the run (a [`MetricsSnapshot`] at exit, minus one at
 //! entry) as a [`ServiceReport`]. The caller spawns the service (fault plan,

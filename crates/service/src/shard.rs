@@ -330,7 +330,9 @@ impl TimestampOracle {
     }
 
     /// Records that the write of `timestamp` completed: every member of its
-    /// quorum acknowledged it.
+    /// quorum acknowledged it. Release, paired with the Acquire of
+    /// [`TimestampOracle::frontier`]: a read that loads the frontier after
+    /// this store sees it.
     pub(crate) fn complete(&self, timestamp: u64) {
         self.completed.fetch_max(timestamp, Ordering::Release);
     }
@@ -347,6 +349,7 @@ mod tests {
     use super::*;
     use crate::mailbox::{ReplyHandle, ReplyMailbox};
     use bqs_sim::server::{ByzantineStrategy, Entry};
+    use std::time::Duration;
 
     fn roundtrip(service: &LoopbackService, server: usize, op: Operation) -> Reply {
         roundtrip_at(service, server, op, 0)
@@ -363,7 +366,11 @@ mod tests {
             reply: Arc::clone(&mb) as ReplyHandle,
         }));
         let mut batch = Vec::new();
-        assert!(mb.drain_blocking(&mut batch), "shard replies");
+        assert!(
+            mb.drain_timeout(Duration::from_secs(60), &mut batch)
+                .count()
+                > 0
+        );
         assert_eq!(batch.len(), 1);
         batch.remove(0)
     }
@@ -412,7 +419,11 @@ mod tests {
         let mut replies = Vec::new();
         while replies.len() < 5 {
             let mut batch = Vec::new();
-            assert!(mb.drain_blocking(&mut batch), "shards reply");
+            assert!(
+                mb.drain_timeout(Duration::from_secs(60), &mut batch)
+                    .count()
+                    > 0
+            );
             replies.append(&mut batch);
         }
         replies.sort_by_key(|r| r.request_id);
@@ -445,7 +456,11 @@ mod tests {
         let mut replies = Vec::new();
         while replies.len() < 2 {
             let mut batch = Vec::new();
-            assert!(mb.drain_blocking(&mut batch));
+            assert!(
+                mb.drain_timeout(Duration::from_secs(60), &mut batch)
+                    .count()
+                    > 0
+            );
             replies.append(&mut batch);
         }
         replies.sort_by_key(|r| r.request_id);

@@ -15,7 +15,7 @@
 //!
 //! This module holds two decisions of every operation — which quorum to
 //! address ([`choose_access_quorum`]) and which reply wins
-//! ([`resolve_read`]) — and the errors they surface. The rest (message
+//! ([`resolve_read`]) — and the errors they surface. The event loop (message
 //! passing, deadlines, retries, timestamps) lives in `bqs-service`.
 
 use rand::Rng;
@@ -58,7 +58,7 @@ impl std::error::Error for ProtocolError {}
 /// sporadic failures, and falling back to deterministic live-quorum discovery
 /// only when sampling repeatedly fails.
 ///
-/// This is the one quorum-selection policy of `bqs-service`, for
+/// This is the one quorum-selection policy of `bqs-service`'s event loop, for
 /// closed-loop and open-loop operations alike.
 ///
 /// # Errors

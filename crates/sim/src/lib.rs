@@ -17,7 +17,7 @@
 //! * [`quorum_op`] — the sans-I/O core of one operation: which replies may
 //!   count (quorum member, right epoch, one vote per server, never a fence),
 //!   that an attempt resolves only over a full quorum of answers, and the
-//!   `b + 1`-support read rule, stated once for `bqs-service`;
+//!   `b + 1`-support read rule, stated once for `bqs-service`'s event loop;
 //! * [`client`] — two decisions of every operation: probe-and-fallback
 //!   quorum choice over any [`bqs_core::quorum::QuorumSystem`] and the
 //!   masking read rule, plus the protocol's errors;
@@ -44,7 +44,8 @@
 //! for replica in &mut replicas[0..4] {
 //!     replica.deliver_write(written);
 //! }
-//! let mut read = QuorumOp::start(ServerSet::from_indices(5, 1..5), OpKind::Read, 0);
+//! let mut read = QuorumOp::default();
+//! read.restart(ServerSet::from_indices(5, 1..5), OpKind::Read, 0);
 //! let mut action = Action::Pending;
 //! for server in 1..5 {
 //!     let reply = replicas[server].deliver_read(0, &mut rng);

@@ -1,12 +1,12 @@
 //! The sans-I/O core of one masking-register operation.
 //!
 //! A [`QuorumOp`] is one attempt at a read or a write against one quorum
-//! under one epoch. `bqs-service` chooses the
+//! under one epoch. `bqs-service`'s event loop chooses the
 //! quorum ([`crate::client::choose_access_quorum`]), moves messages, keeps
 //! clocks, timers and metrics; whether a reply may count, whom a deadline
 //! accuses and how an attempt ends are decided here and nowhere else.
 //! [`QuorumOp::on_reply`] and [`QuorumOp::on_deadline`] return the
-//! [`Action`] the caller takes: keep waiting, complete with an outcome, retry
+//! [`Action`] the event loop takes: keep waiting, complete with an outcome, retry
 //! against another quorum, or stop at a fence.
 //!
 //! `specs/register/pseudo-code.md` at the repository root states the
@@ -50,7 +50,7 @@ pub enum Admission {
     },
 }
 
-/// How an attempt stands after a reply or a deadline — what the caller does
+/// How an attempt stands after a reply or a deadline — what the event loop does
 /// next.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Action {
@@ -62,7 +62,7 @@ pub enum Action {
     Complete(Result<Option<Entry>, ProtocolError>),
     /// The attempt ended without an outcome: a member voted without an entry
     /// (FULL), or the deadline passed with votes missing (DEADLINE). The
-    /// caller may try another quorum.
+    /// event loop may try another quorum.
     Retry,
     /// A member fenced the operation (FENCE): the epoch it is stamped with
     /// has been retired.
@@ -83,15 +83,8 @@ pub struct QuorumOp {
 }
 
 impl QuorumOp {
-    /// A fresh operation of `kind` against `quorum`, stamped `epoch`.
-    #[must_use]
-    pub fn start(quorum: ServerSet, kind: OpKind, epoch: u64) -> Self {
-        let mut op = QuorumOp::default();
-        op.restart(quorum, kind, epoch);
-        op
-    }
-
-    /// Re-arms `self` for the next attempt, reusing the vote buffer.
+    /// Arms `self` for an attempt of `kind` against `quorum`, stamped
+    /// `epoch`, reusing the vote buffer.
     pub fn restart(&mut self, quorum: ServerSet, kind: OpKind, epoch: u64) {
         self.votes.clear();
         self.votes.reserve(quorum.len());
@@ -110,20 +103,8 @@ impl QuorumOp {
         std::mem::take(&mut self.quorum)
     }
 
-    /// The epoch the operation is stamped with.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// True for a write.
-    #[must_use]
-    pub fn is_write(&self) -> bool {
-        self.kind == OpKind::Write
-    }
-
     /// Decides whether the reply `(entry, epoch, stale)`, attributed by the
-    /// caller to `server`, counts — MEMBER, FENCE, EPOCH, ONE-VOTE in order.
+    /// event loop to `server`, counts — MEMBER, FENCE, EPOCH, ONE-VOTE in order.
     pub fn admit(
         &mut self,
         server: usize,
@@ -150,7 +131,7 @@ impl QuorumOp {
     /// pending, or — once every member has voted — complete when every vote
     /// carries an entry and to be retried when one does not (FULL). A read
     /// completes with the freshest entry that has `b + 1` votes (MASKING).
-    /// The [`Admission`] is returned too, for the caller's evidence.
+    /// The [`Admission`] is returned too, for the event loop's evidence.
     pub fn on_reply(
         &mut self,
         server: usize,
@@ -167,14 +148,14 @@ impl QuorumOp {
             Admission::Counted { .. } if self.votes.iter().any(|(_, e)| e.is_none()) => {
                 Action::Retry
             }
-            Admission::Counted { .. } if self.is_write() => Action::Complete(Ok(None)),
+            Admission::Counted { .. } if self.kind == OpKind::Write => Action::Complete(Ok(None)),
             Admission::Counted { .. } => Action::Complete(resolve_read(&self.votes, b).map(Some)),
         };
         (admission, action)
     }
 
     /// The deadline passed with votes missing: the attempt is abandoned and
-    /// the caller may retry it. Silence is evidence against exactly the
+    /// the event loop may retry it. Silence is evidence against exactly the
     /// members without a vote, [`QuorumOp::unanswered`] (DEADLINE).
     #[must_use]
     pub fn on_deadline(&self) -> Action {
@@ -226,6 +207,13 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     const EPOCH: u64 = 7;
+
+    /// A fresh operation of `kind` against `quorum`, stamped `epoch`.
+    fn start(quorum: ServerSet, kind: OpKind, epoch: u64) -> QuorumOp {
+        let mut op = QuorumOp::default();
+        op.restart(quorum, kind, epoch);
+        op
+    }
     const HONEST: Entry = Entry {
         timestamp: 5,
         value: 50,
@@ -278,7 +266,7 @@ mod tests {
         for seed in 0..500u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let (quorum, b, frames) = random_stream(&mut rng);
-            let mut op = QuorumOp::start(quorum.clone(), OpKind::Read, EPOCH);
+            let mut op = start(quorum.clone(), OpKind::Read, EPOCH);
             let mut voted: Vec<usize> = Vec::new();
             let mut ended = None;
             for &(server, entry, epoch, stale) in &frames {
@@ -339,7 +327,7 @@ mod tests {
             );
             // The same stream acknowledges a write — every member echoes an
             // entry — so it completes, and its outcome carries no entry.
-            let mut write = QuorumOp::start(quorum.clone(), OpKind::Write, EPOCH);
+            let mut write = start(quorum.clone(), OpKind::Write, EPOCH);
             let ended = frames
                 .iter()
                 .map(|&(server, entry, epoch, stale)| {
@@ -360,7 +348,7 @@ mod tests {
     fn a_vote_without_an_entry_ends_the_attempt_for_writes_and_reads() {
         let quorum = ServerSet::from_indices(5, [0, 2, 4]);
         for kind in [OpKind::Write, OpKind::Read] {
-            let mut op = QuorumOp::start(quorum.clone(), kind, 0);
+            let mut op = start(quorum.clone(), kind, 0);
             assert_eq!(
                 op.on_reply(0, Some(HONEST), 0, false, 1),
                 (Admission::Counted { answered: true }, Action::Pending)
@@ -379,14 +367,14 @@ mod tests {
             );
         }
         // A deadline ends an attempt the same way, whatever the votes so far.
-        let op = QuorumOp::start(quorum, OpKind::Read, 0);
+        let op = start(quorum, OpKind::Read, 0);
         assert_eq!(op.on_deadline(), Action::Retry);
     }
 
     #[test]
     fn a_read_without_b_plus_1_votes_for_any_entry_completes_inconclusive() {
         let quorum = ServerSet::from_indices(5, [0, 1, 2]);
-        let mut op = QuorumOp::start(quorum, OpKind::Read, 0);
+        let mut op = start(quorum, OpKind::Read, 0);
         op.on_reply(0, Some(HONEST), 0, false, 1);
         op.on_reply(1, Some(LIE), 0, false, 1);
         assert_eq!(
@@ -399,7 +387,7 @@ mod tests {
     #[test]
     fn the_query_timestamp_is_the_b_plus_1_st_highest() {
         let quorum = ServerSet::from_indices(5, 0..5);
-        let mut op = QuorumOp::start(quorum, OpKind::Read, 0);
+        let mut op = start(quorum, OpKind::Read, 0);
         let reported = [LIE, HONEST, Entry::INITIAL, HONEST, Entry::INITIAL];
         for (server, entry) in reported.into_iter().enumerate() {
             op.on_reply(server, Some(entry), 0, false, 1);
@@ -414,10 +402,10 @@ mod tests {
     #[test]
     fn restart_forgets_votes_and_take_quorum_leaves_the_op_idle() {
         let second = ServerSet::from_indices(5, [3, 4]);
-        let mut op = QuorumOp::start(ServerSet::from_indices(5, [0, 1]), OpKind::Read, 0);
+        let mut op = start(ServerSet::from_indices(5, [0, 1]), OpKind::Read, 0);
         op.admit(0, Some(HONEST), 0, false);
         op.restart(second.clone(), OpKind::Write, 1);
-        assert!(op.is_write());
+        assert_eq!(op.kind, OpKind::Write);
         assert_eq!(op.unanswered().collect::<Vec<_>>(), vec![3, 4]);
         assert_eq!(op.admit(0, None, 1, false), Admission::Ignored, "MEMBER");
         assert_eq!(op.admit(3, None, 0, false), Admission::Ignored, "EPOCH");
