@@ -6,8 +6,8 @@
 //! (every quorum of the first contains a quorum of the second). Dominated systems
 //! never help: removing a superset quorum can only lower the load and can never hurt
 //! availability, because any alive superset quorum certifies an alive subset quorum.
-//! The constructions in this workspace produce antichains already; these utilities
-//! let users sanitise hand-built systems before analysing them.
+//! The constructions in this workspace produce antichains already;
+//! [`minimize_system`] lets users sanitise hand-built systems before analysing them.
 
 use crate::bitset::ServerSet;
 use crate::error::QuorumError;
@@ -45,8 +45,8 @@ pub fn minimize_system(system: &ExplicitQuorumSystem) -> Result<ExplicitQuorumSy
 /// Returns true if coterie `better` dominates coterie `worse` in the sense of
 /// \[GB85\]: they are different, and every quorum of `worse` contains some quorum of
 /// `better`.
-#[must_use]
-pub fn dominates(better: &[ServerSet], worse: &[ServerSet]) -> bool {
+#[cfg(test)]
+fn dominates(better: &[ServerSet], worse: &[ServerSet]) -> bool {
     if better.is_empty() || worse.is_empty() {
         return false;
     }

@@ -158,7 +158,7 @@ pub struct ReconfigOutcome {
     pub load_operations: u64,
     /// Busiest-server empirical load of the measure phase.
     pub measured_max_load: f64,
-    /// Fabricated reads summed over every phase (must stay zero).
+    /// Fabricated or stale reads summed over every phase (must stay zero).
     pub safety_violations: u64,
     /// Operations of the stale probe fenced in-band.
     pub fenced_after_finalize: u64,

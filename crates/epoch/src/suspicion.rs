@@ -52,8 +52,7 @@ pub(crate) const MIN_SAMPLES: u64 = 8;
 
 /// No-answer fraction of the tick's delta at which the ratio channel
 /// accuses. Sits above the background accusal fraction of a healthy fleet
-/// (empty-register reads, occasional drops) and below a dead server's (its
-/// read fraction).
+/// (occasional drops) and below a dead server's (its read fraction).
 pub(crate) const ACCUSE_RATIO: f64 = 0.5;
 
 /// Score at which a server becomes suspected.

@@ -84,11 +84,11 @@ pub struct ServiceReport {
     /// Total operations attempted across all clients.
     pub operations: u64,
     /// How the operations ended, folded over every client. Inconclusive
-    /// reads are reads whose safe set was empty: before the first write
-    /// lands, or when a read races an in-flight write that splits its
-    /// quorum's support below `b + 1` for every entry — legitimate
-    /// masking-register behaviour, not a protocol bug. Aborts are operations
-    /// lost to transport failure (service shutdown mid-run).
+    /// reads are reads whose safe set was empty: a read that races an
+    /// in-flight write can find its quorum's support split below `b + 1`
+    /// for every entry — legitimate masking-register behaviour, not a
+    /// protocol bug. Aborts are operations lost to transport failure
+    /// (service shutdown mid-run).
     pub ops: OpTally,
     /// Wall-clock duration of the client phase.
     pub elapsed_seconds: f64,

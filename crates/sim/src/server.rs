@@ -132,8 +132,8 @@ impl Replica {
     }
 
     /// The replica's current stored entry (what a correct replica would report).
-    #[must_use]
-    pub fn stored(&self) -> Entry {
+    #[cfg(test)]
+    fn stored(&self) -> Entry {
         self.current
     }
 

@@ -1,5 +1,5 @@
-//! Golden bits of the explicit load LP (`optimal_load`) on the four quorum
-//! lists the `exact_load_lp` criterion bench times.
+//! Golden bits of the explicit load LP (`optimal_load`) on four quorum
+//! lists: threshold 7-of-9, M-Grid(5, 2), RT(4, 3) of depth 2 and FPP(4).
 //!
 //! The dense simplex's pivot path decides every bit of the load and of the
 //! strategy, so pinning them pins the path: a change to pricing, pivoting or
