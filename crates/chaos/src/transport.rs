@@ -481,6 +481,10 @@ impl<T: Transport + 'static> ChaosTransport<T> {
     }
 }
 
+/// `wait_replies` keeps the default, a wait on the caller's mailbox, even
+/// over a transport that overrides it: a scenario's outcome rests on races
+/// between the interposer's delays and the deadlines, and every scenario
+/// keeps the reply path those races were recorded on.
 impl<T: Transport + 'static> Transport for ChaosTransport<T> {
     fn universe_size(&self) -> usize {
         self.inner.universe_size()

@@ -318,16 +318,21 @@ fn decode_payload(payload: &[u8], out: &mut std::collections::VecDeque<WireMessa
             return None;
         }
         let mut items = payload.get(2..)?;
-        let mut decoded = Vec::with_capacity(count);
+        // Decoded in place; a batch that fails to decode leaves `out` as it
+        // found it.
+        let queued = out.len();
         for _ in 0..count {
-            let (message, consumed) = decode_item(items)?;
-            decoded.push(message);
+            let Some((message, consumed)) = decode_item(items) else {
+                out.truncate(queued);
+                return None;
+            };
+            out.push_back(message);
             items = &items[consumed..];
         }
         if !items.is_empty() {
+            out.truncate(queued);
             return None; // trailing bytes: the count lied, reject the frame
         }
-        out.extend(decoded);
         return Some(());
     }
     let (message, consumed) = decode_item(payload)?;

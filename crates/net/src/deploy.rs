@@ -20,9 +20,11 @@
 //! wants an `Arc` of one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
+use bqs_service::mailbox::{DrainStatus, ReplyMailbox};
 use bqs_service::shard::LoopbackService;
-use bqs_service::transport::{Request, Transport};
+use bqs_service::transport::{Reply, Request, Transport};
 use bqs_sim::fault::FaultPlan;
 
 use crate::server::SocketServer;
@@ -146,6 +148,15 @@ impl Transport for Deployment {
 
     fn send_batch(&self, requests: &mut Vec<Request>) -> bool {
         self.transport().send_batch(requests)
+    }
+
+    fn wait_replies(
+        &self,
+        mailbox: &ReplyMailbox,
+        timeout: Duration,
+        into: &mut Vec<Reply>,
+    ) -> DrainStatus {
+        self.transport().wait_replies(mailbox, timeout, into)
     }
 }
 

@@ -27,7 +27,9 @@
 //!   jittered reconnect backoff, and a deadline list threaded through the
 //!   slot table in registration order, whose expiries surface as in-band
 //!   "no answer" replies (timeouts as the failure detector, per the
-//!   transport contract);
+//!   transport contract); each stream has a reader thread, and over a pool
+//!   of one connection the waiting caller reads its own replies instead
+//!   (`Transport::wait_replies`);
 //! * [`deploy`] — [`deploy::Deployment`]: the replicas of a fault plan stood
 //!   up on a chosen [`deploy::Backend`] (loopback, UDS or TCP) together with
 //!   the transport that reaches them — itself a `Transport`, with the server

@@ -33,14 +33,43 @@
 //! tell the requests that rode the dead stream from the ones it is about to
 //! rewrite.
 //!
-//! The connection's reader takes the table lock once per read chunk, matches
+//! Whoever reads a stream takes the table lock once per read chunk, matches
 //! every reply of the chunk, and hands each caller its replies as one batch
 //! ([`bqs_service::mailbox::complete_runs`]) after the lock is released.
 //!
+//! # Reading: the waiting caller, or the stream's reader thread
+//!
+//! Every stream has one reader thread, and its read half (the stream, the
+//! frame decoder, the chunk buffer and the replies on their way) sits behind
+//! a mutex, so that one function, `ReadHalf::read_chunk`, serves whoever
+//! holds it. A reply that the reader thread reads reaches its caller in two
+//! hand-offs: server → reader thread → the caller parked on its mailbox.
+//! Over a pool of **one** connection, [`Transport::wait_replies`] saves the
+//! second: the waiting caller reads the stream itself, and an operation
+//! costs one round trip between two threads. The hand-off rules:
+//!
+//! 1. A caller whose remaining wait is at least one read timeout (`TICK`)
+//!    *leads*: it blocks on the read half (never on its mailbox, so a reader
+//!    thread caught mid-read either delivers to it or lets go), then reads
+//!    until its own mailbox holds replies, completing everybody else's on
+//!    the way. It stops leading once less than a `TICK` is left.
+//! 2. A caller that arrives while another leads *follows*: it waits on its
+//!    own mailbox, and the leader's reads deliver to it.
+//! 3. The reader thread stands aside while a caller leads. A leader that
+//!    leaves followers behind wakes it. It also looks again every `TICK`,
+//!    so a caller that waits without the hook (a wrapper that does not
+//!    forward it) is served within a tick of the last leader leaving.
+//!
+//! Everything else waits on its mailbox while the reader thread reads, as
+//! before: waits shorter than a `TICK` (a read's timeout is only as fine as
+//! the kernel's clock tick), pools of two or more connections (a caller
+//! can block in one read only), and callers behind a wrapper that does not
+//! forward the hook.
+//!
 //! # Batching
 //!
-//! [`Transport::send_batch`] groups a fan-out by destination connection,
-//! registers every request's slot, and writes **one** coalesced
+//! [`Transport::send_batch`] groups a fan-out by destination connection in
+//! place, registers every request's slot, and writes **one** coalesced
 //! `WireBatch` frame per connection ([`crate::codec::encode_request_batch`])
 //! — a quorum-of-9 fan-out over a 2-connection pool costs 2 syscalls instead
 //! of 9. [`Transport::send`] writes the single-message frame; semantics are
@@ -72,13 +101,13 @@
 //! straggler filtering assume it); the open-loop generator and
 //! `ServiceClient` both allocate ids that way.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bqs_service::mailbox::{complete_runs, ReplyHandle};
+use bqs_service::mailbox::{complete_runs, DrainStatus, ReplyHandle, ReplyMailbox};
 use bqs_service::transport::{Reply, Request, Transport};
 use bqs_sim::server::{jitter_factor, Entry};
 
@@ -87,6 +116,9 @@ use crate::stream::{Endpoint, Stream};
 
 /// How often blocked reads and the deadline sweeper wake.
 const TICK: Duration = Duration::from_millis(20);
+
+/// The most one read takes off a stream.
+const CHUNK: usize = 16 * 1024;
 
 /// Seed of the deterministic reconnect jitter.
 const BACKOFF_SEED: u64 = 0xb05c_0ff5;
@@ -170,8 +202,9 @@ impl Completions {
         self.push(taken, None, epoch, false);
     }
 
-    /// Completes every queued reply and empties the queue. Call with no
-    /// transport lock held: a sink may re-enter the transport.
+    /// Completes every queued reply and empties the queue. Call with neither
+    /// the writer nor the table lock held: a sink may re-enter the
+    /// transport to send.
     fn deliver(&mut self) {
         complete_runs(&self.sinks, &self.replies);
         self.sinks.clear();
@@ -389,17 +422,102 @@ struct Writer {
     wires: Vec<WireRequest>,
 }
 
-/// One pooled connection: slot table + write half; the read half lives in
-/// a per-stream reader thread. Lock order: `writer`, then `table`.
+/// The read half of one stream.
+struct ReadHalf {
+    stream: Stream,
+    frames: FrameReader,
+    chunk: Box<[u8]>,
+    completions: Completions,
+    /// The stream has closed or failed.
+    ended: bool,
+}
+
+impl ReadHalf {
+    /// Reads one chunk off the stream, waiting at most one `TICK`, and
+    /// routes its replies to their waiting requests through `table` — one
+    /// table lock per chunk, one completion per caller per chunk. Returns
+    /// false once the stream has ended.
+    fn read_chunk(&mut self, table: &Mutex<SlotTable>) -> bool {
+        if self.ended {
+            return false;
+        }
+        match self.stream.read(&mut self.chunk) {
+            Ok(0) => {}
+            Ok(got) => {
+                self.frames.push(&self.chunk[..got]);
+                let mut table = table.lock().expect("slot table lock");
+                while let Some(message) = self.frames.next_message() {
+                    let reply = match message {
+                        WireMessage::Reply(reply) => reply,
+                        WireMessage::Request(_) => continue, // confused peer
+                    };
+                    // The caller sees its own id, not the wire id, and the
+                    // server it *addressed*: the slot, not the frame, says
+                    // who was asked, so a peer cannot vote under another
+                    // server's name. Epoch and staleness pass through from
+                    // the wire: a fenced reply's epoch is the *server's*
+                    // current epoch.
+                    if let Some(taken) = table.take(reply.request_id) {
+                        self.completions
+                            .push(taken, reply.entry, reply.epoch, reply.stale);
+                    }
+                }
+                drop(table);
+                self.completions.deliver();
+                return true;
+            }
+            Err(err) if Stream::is_timeout(&err) => return true,
+            Err(_) => {}
+        }
+        self.ended = true;
+        false
+    }
+}
+
+/// Who reads a stream besides its reader thread.
+#[derive(Default)]
+struct Turn {
+    /// A caller leads: it reads, or waits for the read half to read.
+    leader: bool,
+    /// Callers waiting on their mailboxes while a caller leads.
+    followers: usize,
+}
+
+/// The read side of one stream: its read half, and whose turn it is to
+/// read (see the module docs).
+struct StreamReader {
+    half: Mutex<ReadHalf>,
+    turn: Mutex<Turn>,
+    /// Wakes the reader thread while it stands aside.
+    resume: Condvar,
+}
+
+impl StreamReader {
+    /// The leader lets go of the stream, staying on as a follower when
+    /// `follows`; a reader thread left with followers resumes reading.
+    fn step_down(&self, follows: bool) {
+        let mut turn = self.turn.lock().expect("turn lock");
+        turn.leader = false;
+        turn.followers += usize::from(follows);
+        if turn.followers > 0 {
+            self.resume.notify_one();
+        }
+    }
+}
+
+/// One pooled connection: slot table, write half, and the read side of its
+/// current stream. Lock order: `writer`, then `reader`; a read half, then
+/// `table`.
 struct Conn {
     endpoint: Endpoint,
     /// This connection's index in the pool (jitter derivation).
     index: usize,
     table: Mutex<SlotTable>,
     writer: Mutex<Writer>,
-    /// Bumped per (re)connection so a dying reader only tears down its own
-    /// generation's stream, never a fresh replacement.
-    generation: AtomicU64,
+    /// The current stream's read side, replaced on every (re)connection, so
+    /// a dying stream tears itself down only while no reconnect has
+    /// superseded it.
+    reader: Mutex<Option<Arc<StreamReader>>>,
     shutdown: Arc<AtomicBool>,
     readers: Mutex<Vec<JoinHandle<()>>>,
     stats: Arc<NetStats>,
@@ -467,7 +585,7 @@ impl SocketTransport {
                     buf: Vec::with_capacity(4096),
                     wires: Vec::new(),
                 }),
-                generation: AtomicU64::new(0),
+                reader: Mutex::new(None),
                 shutdown: Arc::clone(&shutdown),
                 readers: Mutex::new(Vec::new()),
                 stats: Arc::clone(&stats),
@@ -560,30 +678,50 @@ impl Transport for SocketTransport {
         self.send_on(conn, [request])
     }
 
-    /// Groups the fan-out by destination connection and writes one coalesced
-    /// `WireBatch` run per connection — the syscall count is the number of
-    /// distinct connections touched, not the number of requests.
+    /// Groups the fan-out by destination connection in place (a stable
+    /// sort, so per-server order holds) and writes one coalesced `WireBatch`
+    /// run per connection — the syscall count is the number of distinct
+    /// connections touched, not the number of requests.
     fn send_batch(&self, requests: &mut Vec<Request>) -> bool {
         if self.shutdown.load(Ordering::SeqCst) {
             requests.clear();
             return false;
         }
         let pool = self.conns.len();
-        let mut ok = true;
-        let mut per_conn: Vec<Vec<Request>> = (0..pool).map(|_| Vec::new()).collect();
-        for request in requests.drain(..) {
-            if request.server >= self.universe {
-                ok = false;
-                continue;
-            }
-            per_conn[request.server % pool].push(request);
+        let asked = requests.len();
+        requests.retain(|request| request.server < self.universe);
+        let mut ok = requests.len() == asked;
+        if pool > 1 {
+            requests.sort_by_key(|request| request.server % pool);
         }
-        for (conn, batch) in self.conns.iter().zip(per_conn) {
-            if !batch.is_empty() {
-                ok &= self.send_on(conn, batch);
-            }
+        while let Some(first) = requests.first() {
+            let conn = first.server % pool;
+            let run = requests
+                .iter()
+                .take_while(|request| request.server % pool == conn)
+                .count();
+            ok &= self.send_on(&self.conns[conn], requests.drain(..run));
         }
         ok
+    }
+
+    /// Over a pool of one connection, the caller reads the connection itself
+    /// while it waits (see the module docs); otherwise it waits on its
+    /// mailbox.
+    fn wait_replies(
+        &self,
+        mailbox: &ReplyMailbox,
+        timeout: Duration,
+        into: &mut Vec<Reply>,
+    ) -> DrainStatus {
+        match &self.conns[..] {
+            [conn] if timeout >= TICK => {
+                let reader = conn.reader.lock().expect("current reader").clone();
+                let reader = reader.expect("connect opened a stream");
+                wait_on_stream(conn, &reader, mailbox, Instant::now() + timeout, into)
+            }
+            _ => mailbox.drain_timeout(timeout, into),
+        }
     }
 }
 
@@ -666,13 +804,24 @@ fn write_with_reconnect(
 fn open_stream(conn: &Arc<Conn>, writer: &mut Writer) -> std::io::Result<()> {
     let stream = conn.endpoint.connect()?;
     let _ = stream.set_nodelay();
-    let reader_stream = stream.try_clone()?;
-    let _ = reader_stream.set_read_timeout(Some(TICK));
-    let generation = conn.generation.fetch_add(1, Ordering::SeqCst) + 1;
+    let read = stream.try_clone()?;
+    let _ = read.set_read_timeout(Some(TICK));
+    let reader = Arc::new(StreamReader {
+        half: Mutex::new(ReadHalf {
+            stream: read,
+            frames: FrameReader::new(),
+            chunk: vec![0; CHUNK].into_boxed_slice(),
+            completions: Completions::default(),
+            ended: false,
+        }),
+        turn: Mutex::new(Turn::default()),
+        resume: Condvar::new(),
+    });
     writer.stream = Some(stream);
+    *conn.reader.lock().expect("current reader") = Some(Arc::clone(&reader));
     let handle = {
         let conn = Arc::clone(conn);
-        std::thread::spawn(move || read_replies(&conn, reader_stream, generation))
+        std::thread::spawn(move || read_replies(&conn, &reader))
     };
     let mut readers = conn.readers.lock().expect("reader registry");
     readers.retain(|reader| !reader.is_finished());
@@ -680,56 +829,84 @@ fn open_stream(conn: &Arc<Conn>, writer: &mut Writer) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Reads reply frames off one stream and routes them to their waiting
-/// requests through the slot table — one table lock per read chunk, one
-/// completion per caller per chunk; on stream death, fails this connection's
-/// in-flight requests in-band.
-fn read_replies(conn: &Arc<Conn>, mut stream: Stream, my_generation: u64) {
-    use std::io::Read;
-    let mut frames = FrameReader::new();
-    let mut chunk = [0u8; 16 * 1024];
-    let mut completions = Completions::default();
+/// The reader thread of one stream: reads it whenever no caller leads, and
+/// tears it down once it ends.
+fn read_replies(conn: &Conn, reader: &Arc<StreamReader>) {
     loop {
+        let mut turn = reader.turn.lock().expect("turn lock");
+        while turn.leader && !conn.shutdown.load(Ordering::SeqCst) {
+            turn = reader.resume.wait_timeout(turn, TICK).expect("turn lock").0;
+        }
+        drop(turn);
         if conn.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(got) => {
-                frames.push(&chunk[..got]);
-                let mut table = conn.table.lock().expect("slot table lock");
-                while let Some(message) = frames.next_message() {
-                    let reply = match message {
-                        WireMessage::Reply(reply) => reply,
-                        WireMessage::Request(_) => continue, // confused peer
-                    };
-                    // The caller sees its own id, not the wire id, and the
-                    // server it *addressed*: the slot, not the frame, says
-                    // who was asked, so a peer cannot vote under another
-                    // server's name. Epoch and staleness pass through from
-                    // the wire: a fenced reply's epoch is the *server's*
-                    // current epoch.
-                    if let Some(taken) = table.take(reply.request_id) {
-                        completions.push(taken, reply.entry, reply.epoch, reply.stale);
-                    }
-                }
-                drop(table);
-                completions.deliver();
+        let mut half = reader.half.lock().expect("read half lock");
+        if !half.read_chunk(&conn.table) {
+            break;
+        }
+    }
+    end_stream(conn, reader);
+}
+
+/// A caller's wait on `mailbox` until `deadline`, leading the reads of
+/// `reader`'s stream or following the caller that does (see the module
+/// docs).
+fn wait_on_stream(
+    conn: &Conn,
+    reader: &Arc<StreamReader>,
+    mailbox: &ReplyMailbox,
+    deadline: Instant,
+    into: &mut Vec<Reply>,
+) -> DrainStatus {
+    let leads = {
+        let mut turn = reader.turn.lock().expect("turn lock");
+        let leads = !std::mem::replace(&mut turn.leader, true);
+        turn.followers += usize::from(!leads);
+        leads
+    };
+    if leads {
+        let mut half = reader.half.lock().expect("read half lock");
+        let status = loop {
+            let status = mailbox.drain_timeout(Duration::ZERO, into);
+            if status != DrainStatus::TimedOut
+                || deadline.saturating_duration_since(Instant::now()) < TICK
+                || !half.read_chunk(&conn.table)
+            {
+                break status;
             }
-            Err(err) if Stream::is_timeout(&err) => continue,
-            Err(_) => break,
+        };
+        let ended = half.ended;
+        drop(half);
+        let answered = status != DrainStatus::TimedOut;
+        reader.step_down(!answered);
+        if answered {
+            return status;
+        }
+        if ended {
+            end_stream(conn, reader);
         }
     }
-    // Only tear down the stream if no reconnect has superseded this reader.
-    // Under the writer lock everything registered was written to this
-    // stream, so everything registered is what died with it.
+    let status = mailbox.drain_timeout(deadline.saturating_duration_since(Instant::now()), into);
+    reader.turn.lock().expect("turn lock").followers -= 1;
+    status
+}
+
+/// Tears down `reader`'s stream, which has ended: fails every request in
+/// flight on the connection in-band, unless a reconnect has superseded the
+/// stream. Under the writer lock everything registered was written to the
+/// current stream, so everything registered is what died with it. Called
+/// with no read half held, by whoever found the end.
+fn end_stream(conn: &Conn, reader: &Arc<StreamReader>) {
+    let mut failed = Completions::default();
     if let Ok(mut writer) = conn.writer.lock() {
-        if conn.generation.load(Ordering::SeqCst) == my_generation {
+        let current = conn.reader.lock().expect("current reader").clone();
+        if current.is_some_and(|current| Arc::ptr_eq(&current, reader)) {
             writer.stream = None;
-            conn.fail_older(&[], &mut completions);
+            conn.fail_older(&[], &mut failed);
         }
     }
-    completions.deliver();
+    failed.deliver();
 }
 
 /// Expires requests whose reply deadline has passed, answering them in-band.

@@ -2,8 +2,9 @@
 //!
 //! An [`EventLoop`] moves the operations of one loop ([`Pending`]) through
 //! their attempts. It fans each attempt out to its quorum in one
-//! [`Transport::send_batch`], waits on the loop's one reply mailbox
-//! ([`EventLoop::poll`] is the only wait on a mailbox in the crate), hands every
+//! [`Transport::send_batch`], waits for the replies on the loop's one reply
+//! mailbox ([`EventLoop::poll`] is the only wait in the crate, and it waits
+//! through [`Transport::wait_replies`]), hands every
 //! reply to the attempt's sans-I/O core ([`QuorumOp::on_reply`]) and does
 //! what the returned [`Action`] says — and at a deadline what
 //! [`QuorumOp::on_deadline`] says. A failed attempt is retried after a
@@ -286,8 +287,8 @@ impl<Q: QuorumSystem + ?Sized, T: Transport + ?Sized> EventLoop<'_, Q, T> {
         until: Option<Instant>,
         rng: &mut R,
     ) -> bool {
-        // Replies already queued need no clock: the loopback completes a
-        // fan-out before `send_batch` returns.
+        // Replies already queued need no clock, and no transport: the
+        // loopback completes a fan-out before `send_batch` returns.
         let mut status = p.mailbox.drain_timeout(Duration::ZERO, &mut p.drained);
         if status == DrainStatus::TimedOut {
             let now = Instant::now();
@@ -297,7 +298,9 @@ impl<Q: QuorumSystem + ?Sized, T: Transport + ?Sized> EventLoop<'_, Q, T> {
                 next = next.min(slot.retry_at.unwrap_or(due));
             }
             let wait = next.saturating_duration_since(now);
-            status = p.mailbox.drain_timeout(wait, &mut p.drained);
+            status = self
+                .transport
+                .wait_replies(&p.mailbox, wait, &mut p.drained);
         }
         if status == DrainStatus::Closed {
             p.end_all(self.metrics, false);

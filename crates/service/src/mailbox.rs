@@ -25,7 +25,9 @@
 //! be the *sending* thread: the loopback service applies a request on its
 //! caller's thread, and the chaos interposer answers a detected loss on the
 //! spot, so a sink may be completed **before** the `send`/`send_batch` call
-//! that carried its request returns. Producers hold none of their own locks
+//! that carried its request returns. It can also be a *waiting* thread, its
+//! own or another caller's, reading replies inside
+//! [`crate::transport::Transport::wait_replies`]. Producers hold none of their own locks
 //! while they complete a sink, so a sink may re-enter the transport. A
 //! producer that has several replies for one sink delivers them through
 //! [`ReplySink::complete_batch`] — for a [`ReplyMailbox`] one lock and at

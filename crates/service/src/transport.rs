@@ -45,6 +45,19 @@
 //! `ServiceClient::with_reply_deadline`), which is what keeps the masking
 //! protocol's probe-and-fallback loop from hanging on a half-dead service.
 //!
+//! # Waiting
+//!
+//! A client waits for its replies in one place, [`Transport::wait_replies`].
+//! Its default waits on the caller's mailbox. A transport may override it
+//! so that the *waiting caller* produces the replies: `bqs-net`'s socket
+//! transport, over a pool of one connection, lets the caller read the
+//! connection itself, and the caller then completes every caller's sink it
+//! reads a reply for, its own included. A reply that some other thread
+//! delivers meanwhile (the deadline sweeper's in-band no-answer, or a
+//! wrapper's own answer) is queued on the sink as always; a caller that is
+//! reading sees it at its next read, at most one read timeout (`bqs-net`'s
+//! 20 ms tick) later.
+//!
 //! # Epoch stamps
 //!
 //! Every request and reply carries an **epoch stamp** — the reconfiguration
@@ -72,9 +85,12 @@
 //! optimisation surface, never a semantic one: delivery, correlation, and the
 //! no-answer contract are identical on both paths.
 
+use std::time::Duration;
+
 use bqs_sim::quorum_op::OpKind;
 use bqs_sim::server::Entry;
 
+use crate::mailbox::{DrainStatus, ReplyMailbox};
 pub use crate::mailbox::{ReplyHandle, ReplySink};
 
 /// A protocol operation addressed to one server.
@@ -193,5 +209,22 @@ pub trait Transport: Send + Sync {
             ok &= self.send(request);
         }
         ok
+    }
+
+    /// Waits up to `timeout` for replies on `mailbox`, the sink of the
+    /// caller's own requests, and drains them into `into` (see
+    /// [`ReplyMailbox::drain_timeout`], whose outcomes it returns).
+    ///
+    /// The default waits on the mailbox while the transport's own threads
+    /// deliver. A transport may instead spend the wait producing replies on
+    /// the caller's thread (see the module docs); a wrapper that does not
+    /// forward this keeps the default for whatever it wraps.
+    fn wait_replies(
+        &self,
+        mailbox: &ReplyMailbox,
+        timeout: Duration,
+        into: &mut Vec<Reply>,
+    ) -> DrainStatus {
+        mailbox.drain_timeout(timeout, into)
     }
 }
